@@ -216,6 +216,13 @@ type Client struct {
 	sem     chan struct{}
 	fleet   *fleet // nil without Workers
 
+	// ctx is the client's lifetime: background work the client starts
+	// (write-behind artifact replication) runs under it and is counted in
+	// bg, so Close can cancel it and wait for it.
+	ctx    context.Context
+	cancel context.CancelFunc
+	bg     sync.WaitGroup
+
 	mu     sync.Mutex
 	flight map[string]*call
 	custom map[string]*Application
@@ -305,13 +312,22 @@ func NewClient(opts ClientOptions) (*Client, error) {
 			return nil, err
 		}
 		c.art = art
+		if opts.Ring != nil {
+			art.Decorate(func(local store.BlobBackend) store.BlobBackend {
+				return &ringBlobs{c: c, local: local}
+			})
+		}
 	}
+	c.ctx, c.cancel = context.WithCancel(context.Background())
 	return c, nil
 }
 
-// Close releases the result store (if any). The client must not be used
-// afterwards.
+// Close stops the client's background work — in-flight artifact
+// replication is canceled and waited for — and releases the result store
+// (if any). The client must not be used afterwards.
 func (c *Client) Close() error {
+	c.cancel()
+	c.bg.Wait()
 	if c.st == nil {
 		return nil
 	}
@@ -338,16 +354,11 @@ func (c *Client) Stats() ClientStats {
 }
 
 // artifacts returns the client's artifact provider for dse.Options without
-// producing a typed-nil interface when the cache is disabled. With a ring
-// configured the cache is wrapped in the peer-fetching provider: a local
-// miss is retried against the artifact key's owner replica before anything
-// is rebuilt, and replica-built artifacts replicate to their owners.
+// producing a typed-nil interface when the cache is disabled. Ring peers,
+// when configured, are reached beneath it (see ringBlobs).
 func (c *Client) artifacts() dse.ArtifactProvider {
 	if c.art == nil {
 		return nil
-	}
-	if c.opts.Ring != nil && c.opts.Ring.Len() > 0 {
-		return ringArtifacts{c: c}
 	}
 	return c.art
 }

@@ -205,7 +205,7 @@ func spawnDemoWorkers(n int, ringMode bool) []string {
 		if err != nil {
 			log.Fatal(err)
 		}
-		srv := &http.Server{Handler: serve.NewHandler(serve.New(c))}
+		srv := serve.NewServer("", serve.NewHandler(serve.New(c)))
 		go func() {
 			if err := srv.Serve(ln); err != http.ErrServerClosed {
 				log.Printf("demo worker %d: %v", i, err)

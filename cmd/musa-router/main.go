@@ -89,7 +89,7 @@ func main() {
 	rt := &router{rg: rg, keyer: keyer, httpc: &http.Client{}}
 	go rt.probe(*probeEvery)
 
-	srv := &http.Server{Addr: *addr, Handler: rt}
+	srv := serve.NewServer(*addr, rt)
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	go func() {

@@ -163,7 +163,7 @@ func main() {
 		log.Printf("ring: self=%s members=%d", rg.Self(), rg.Len())
 	}
 	svc := serve.New(client)
-	srv := &http.Server{Addr: *addr, Handler: serve.NewHandler(svc, handlerOpts...)}
+	srv := serve.NewServer(*addr, serve.NewHandler(svc, handlerOpts...))
 
 	// Graceful shutdown: stop accepting, drain in-flight requests (sweeps
 	// checkpoint through the store, so killing them loses nothing beyond

@@ -313,40 +313,6 @@ func shardArtifactKeys(ne Experiment, j *shardJob) []string {
 	return keys
 }
 
-// artifactPushWindow bounds one coordinator-to-worker artifact upload.
-const artifactPushWindow = time.Minute
-
-// putArtifact uploads one encoded artifact to a worker's artifact cache.
-// unsupported reports that the worker cannot take artifacts at all —
-// 503 from -no-artifacts, 404/405/501 from a binary predating the
-// endpoint — as opposed to a transient failure (transport error, 5xx
-// overload) or a this-blob-only rejection (4xx), neither of which should
-// write the whole worker off.
-func (f *fleet) putArtifact(ctx context.Context, base, key string, blob []byte) (unsupported bool, err error) {
-	ctx, cancel := context.WithTimeout(ctx, artifactPushWindow)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut, base+"/artifact/"+key, bytes.NewReader(blob))
-	if err != nil {
-		return false, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := f.httpc.Do(req)
-	if err != nil {
-		return false, err
-	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<12))
-	switch resp.StatusCode {
-	case http.StatusNoContent, http.StatusOK:
-		return false, nil
-	case http.StatusServiceUnavailable, http.StatusNotFound,
-		http.StatusMethodNotAllowed, http.StatusNotImplemented:
-		return true, fmt.Errorf("musa: %s/artifact/%s: %s", base, key, resp.Status)
-	default:
-		return false, fmt.Errorf("musa: %s/artifact/%s: %s", base, key, resp.Status)
-	}
-}
-
 // pushShardArtifacts ships the shard's locally available artifacts to the
 // worker ahead of dispatch, so the worker decodes coordinator-built
 // annotations instead of recomputing them per shard. Best effort: a failed
@@ -371,7 +337,7 @@ func (c *Client) pushShardArtifacts(ctx context.Context, base string, ne Experim
 		if !ok {
 			continue
 		}
-		unsupported, err := c.fleet.putArtifact(ctx, base, key, blob)
+		unsupported, err := putArtifact(ctx, base, key, blob)
 		switch {
 		case err == nil:
 			pushed.Store(id, true)

@@ -183,46 +183,53 @@ func BurstKey(appHash string, ranks int, seed uint64) string {
 // bulkiest stage (tens of MB at full fidelity), but only the current
 // application's vector widths — at most three — are live at once, plus a
 // straggling worker on the previous application near a sort boundary.
-// Combined annotations are bounded above by one application's cache groups
-// (27 on the Table I grid) — groups are dispatched in sorted order, so by
-// the time an entry falls this far behind the FIFO head no group can need
-// it again. Evicting early is safe either way: a re-request rebuilds (or
-// re-fetches) the stage, trading time, never bytes.
+// Scalar windows are bounded tighter still: groups are dispatched sorted by
+// application, so older windows cannot be needed again. Evicting early is
+// safe either way: a re-request rebuilds the stage, trading time, never
+// bytes.
 const (
 	maxRunScalarTraces = 2
 	maxRunFusedTraces  = 8
-	maxRunAnnotations  = 32
 )
 
-// runArtifacts is the run-local artifact front of one dse.Run: bounded
-// in-memory per-stage maps layered over the optional cross-run
-// ArtifactProvider. Each stage is built at most once per distinct stage-key
-// per run (a per-key sync.Once), whatever the provider does and however
-// many groups or points share the key.
-type runArtifacts struct {
-	backing        ArtifactProvider // nil = run-local only
-	seed           uint64
-	sample, warmup int64
+// onceMap is the one run-local front: a map of once-guarded slots, FIFO
+// bounded when bound > 0. The slot insert under the mutex is cheap, the
+// build runs outside it, and concurrent requests for the same key block on
+// the slot's once instead of duplicating work — so a slow build (a latency
+// fit, a cache walk) never stalls lookups of other keys, and each key is
+// built at most once while its slot is resident.
+type onceMap[K comparable, V any] struct {
+	mu    sync.Mutex
+	bound int // 0 = unbounded
+	slots map[K]*onceSlot[V]
+	order []K
+}
 
-	// One mutex per kind, as with the closure-captured maps this replaces:
-	// a latency-model fit held under latMu must not stall the replay hot
-	// path's burst lookups (one per measurement per rank count).
-	hashMu  sync.Mutex
-	hashes  map[string]string // app name -> content hash
-	latMu   sync.Mutex
-	lat     map[string]*dram.LatencyModel // artifact key -> fitted curve
-	burstMu sync.Mutex
-	bursts  map[string]*trace.Burst // artifact key -> parsed trace
+type onceSlot[V any] struct {
+	once sync.Once
+	v    V
+}
 
-	scalMu    sync.Mutex
-	scalars   map[string]*scalarEntry // app name -> scalar window
-	scalOrder []string
-	fuseMu    sync.Mutex
-	fused     map[fusedKey]*fusedEntry
-	fuseOrder []fusedKey
-	annMu     sync.Mutex
-	anns      map[string]*annEntry // hit-rate key -> combined annotation
-	annOrder  []string
+func (m *onceMap[K, V]) get(key K, build func() V) V {
+	m.mu.Lock()
+	e := m.slots[key]
+	if e == nil {
+		if m.slots == nil {
+			m.slots = map[K]*onceSlot[V]{}
+		}
+		e = &onceSlot[V]{}
+		m.slots[key] = e
+		if m.bound > 0 {
+			m.order = append(m.order, key)
+			for len(m.order) > m.bound {
+				delete(m.slots, m.order[0])
+				m.order = m.order[1:]
+			}
+		}
+	}
+	m.mu.Unlock()
+	e.once.Do(func() { e.v = build() })
+	return e.v
 }
 
 // fusedKey addresses a run-local fused trace. The application is identified
@@ -232,112 +239,90 @@ type fusedKey struct {
 	vec int
 }
 
-// fusedEntry / annEntry are once-guarded slots: the map insert under the
-// kind mutex is cheap, the build runs outside it, and concurrent requests
-// for the same key block on the once instead of duplicating work.
-type fusedEntry struct {
-	once sync.Once
-	ft   *node.FusedTrace
-}
+// runArtifacts is the run-local artifact front of one dse.Run: one onceMap
+// per stage, layered over the optional cross-run ArtifactProvider. Each
+// stage is built at most once per distinct stage-key per run, whatever the
+// provider does and however many groups or points share the key.
+type runArtifacts struct {
+	backing        ArtifactProvider // nil = run-local only
+	seed           uint64
+	sample, warmup int64
 
-type scalarEntry struct {
-	once sync.Once
-	st   node.ScalarTrace
-}
-
-type annEntry struct {
-	once sync.Once
-	ann  *node.Annotation
+	hashes  onceMap[string, string]             // app name -> content hash
+	lat     onceMap[string, *dram.LatencyModel] // artifact key -> fitted curve
+	bursts  onceMap[string, *trace.Burst]       // artifact key -> parsed trace
+	scalars onceMap[string, node.ScalarTrace]   // app name -> scalar window
+	fused   onceMap[fusedKey, *node.FusedTrace]
 }
 
 func newRunArtifacts(o Options) *runArtifacts {
-	return &runArtifacts{
+	r := &runArtifacts{
 		backing: o.Artifacts,
 		seed:    o.Seed, sample: o.SampleInstrs, warmup: o.WarmupInstrs,
-		hashes:  map[string]string{},
-		lat:     map[string]*dram.LatencyModel{},
-		bursts:  map[string]*trace.Burst{},
-		scalars: map[string]*scalarEntry{},
-		fused:   map[fusedKey]*fusedEntry{},
-		anns:    map[string]*annEntry{},
 	}
+	r.scalars.bound = maxRunScalarTraces
+	r.fused.bound = maxRunFusedTraces
+	return r
 }
 
 // appHash memoizes AppHash per application.
 func (r *runArtifacts) appHash(app *apps.Profile) string {
-	r.hashMu.Lock()
-	defer r.hashMu.Unlock()
-	h, ok := r.hashes[app.Name]
-	if !ok {
-		h = AppHash(app)
-		r.hashes[app.Name] = h
+	return r.hashes.get(app.Name, func() string { return AppHash(app) })
+}
+
+// resolve is the run-front miss of one persistent stage: ask the provider
+// for key, else build, time the build and hand the result back. Callers
+// run it inside the stage's span, past any run-local front, so only this
+// path — a cache decode or a real build — is traced, and the stage
+// histogram counts real builds only: its observation count reads as
+// "artifacts built", which a run-front, cache or ring-peer hit leaves
+// untouched. get and put are the provider's methods for the kind.
+func resolve[V any](r *runArtifacts, span *obs.Span, stage, key string,
+	get func(ArtifactProvider, string) (V, bool), build func() V, put func(ArtifactProvider, string, V)) V {
+	if r.backing != nil {
+		if v, ok := get(r.backing, key); ok {
+			span.SetAttr("source", "cache")
+			return v
+		}
 	}
-	return h
+	span.SetAttr("source", "built")
+	start := time.Now()
+	v := build()
+	observeStage(stage, start)
+	if r.backing != nil {
+		put(r.backing, key, v)
+	}
+	return v
 }
 
 // latencyModel returns the fitted DRAM curve for (app, channels, mem
-// kind), consulting the run front, then the provider, then building.
-// Duplicate concurrent requests serialize on latMu, so each curve is
-// built (or decoded) once per run. ctx parents the stage span: only the
-// run-front miss — a real fit or a cache decode — is traced and timed, not
-// every per-point lookup.
+// kind), consulting the run front, then the provider, then building. ctx
+// parents the stage span.
 func (r *runArtifacts) latencyModel(ctx context.Context, app *apps.Profile, ch int, mem MemKind) *dram.LatencyModel {
 	key := LatencyModelKey(r.appHash(app), ch, mem, r.seed)
-	r.latMu.Lock()
-	defer r.latMu.Unlock()
-	if m := r.lat[key]; m != nil {
-		return m
-	}
-	_, span := obs.StartSpan(ctx, "dse.latency-fit",
-		obs.A("app", app.Name), obs.AInt("channels", ch), obs.A("mem", mem.String()))
-	start := time.Now()
-	defer span.End()
-	if r.backing != nil {
-		if m, ok := r.backing.LatencyModel(key); ok {
-			span.SetAttr("source", "cache")
-			r.lat[key] = &m
-			return &m
-		}
-	}
-	span.SetAttr("source", "built")
-	m := node.BuildLatencyModel(app, dram.Config{Spec: mem.Spec(), Channels: ch}, dram.FRFCFS, r.seed)
-	observeStage(StageLatencyFit, start)
-	r.lat[key] = &m
-	if r.backing != nil {
-		r.backing.PutLatencyModel(key, m)
-	}
-	return &m
+	return r.lat.get(key, func() *dram.LatencyModel {
+		_, span := obs.StartSpan(ctx, "dse.latency-fit",
+			obs.A("app", app.Name), obs.AInt("channels", ch), obs.A("mem", mem.String()))
+		defer span.End()
+		m := resolve(r, span, StageLatencyFit, key, ArtifactProvider.LatencyModel,
+			func() dram.LatencyModel {
+				return node.BuildLatencyModel(app, dram.Config{Spec: mem.Spec(), Channels: ch}, dram.FRFCFS, r.seed)
+			}, ArtifactProvider.PutLatencyModel)
+		return &m
+	})
 }
 
 // burst returns the shared burst trace for (app, ranks) — replay only
-// reads it, so every worker replays the same instance. As with
-// latencyModel, only the run-front miss is traced.
+// reads it, so every worker replays the same instance.
 func (r *runArtifacts) burst(ctx context.Context, app *apps.Profile, ranks int) *trace.Burst {
 	key := BurstKey(r.appHash(app), ranks, r.seed)
-	r.burstMu.Lock()
-	defer r.burstMu.Unlock()
-	if b := r.bursts[key]; b != nil {
-		return b
-	}
-	_, span := obs.StartSpan(ctx, "dse.burst-synthesis",
-		obs.A("app", app.Name), obs.AInt("ranks", ranks))
-	start := time.Now()
-	defer span.End()
-	if r.backing != nil {
-		if b, ok := r.backing.Burst(key); ok {
-			span.SetAttr("source", "cache")
-			r.bursts[key] = b
-			return b
-		}
-	}
-	span.SetAttr("source", "built")
-	b := apps.BurstTrace(app, ranks, r.seed)
-	observeStage(StageBurstSynthesis, start)
-	r.bursts[key] = b
-	if r.backing != nil {
-		r.backing.PutBurst(key, b)
-	}
-	return b
+	return r.bursts.get(key, func() *trace.Burst {
+		_, span := obs.StartSpan(ctx, "dse.burst-synthesis",
+			obs.A("app", app.Name), obs.AInt("ranks", ranks))
+		defer span.End()
+		return resolve(r, span, StageBurstSynthesis, key, ArtifactProvider.Burst,
+			func() *trace.Burst { return apps.BurstTrace(app, ranks, r.seed) }, ArtifactProvider.PutBurst)
+	})
 }
 
 // fusedTrace returns the run-local fused trace of (app, vector width),
@@ -345,99 +330,52 @@ func (r *runArtifacts) burst(ctx context.Context, app *apps.Profile, ranks int) 
 // the file comment); the stage histogram counts real stream generations,
 // so its observation count reads as "fused traces built".
 func (r *runArtifacts) fusedTrace(ctx context.Context, app *apps.Profile, vec int) *node.FusedTrace {
-	k := fusedKey{app.Name, vec}
-	r.fuseMu.Lock()
-	e := r.fused[k]
-	if e == nil {
-		e = &fusedEntry{}
-		r.fused[k] = e
-		r.fuseOrder = append(r.fuseOrder, k)
-		for len(r.fuseOrder) > maxRunFusedTraces {
-			delete(r.fused, r.fuseOrder[0])
-			r.fuseOrder = r.fuseOrder[1:]
-		}
-	}
-	r.fuseMu.Unlock()
-	e.once.Do(func() {
+	return r.fused.get(fusedKey{app.Name, vec}, func() *node.FusedTrace {
 		_, span := obs.StartSpan(ctx, "dse.fuse",
 			obs.A("app", app.Name), obs.AInt("vec", vec))
 		defer span.End()
 		start := time.Now()
-		e.ft = node.FuseScalarTrace(r.scalarTrace(app), app, vec, r.seed)
+		ft := node.FuseScalarTrace(r.scalarTrace(app), app, vec, r.seed)
 		observeStage(StageFuse, start)
+		return ft
 	})
-	return e.ft
 }
 
 // scalarTrace returns the run-local scalar instruction window of one
 // application (fidelity and seed are fixed per run). Every vector width
 // fuses the identical scalar sequence, so generating it once per
-// application removes the generator from all but the first fuse. The bound
-// is small — groups are dispatched sorted by application, so older windows
-// cannot be needed again.
+// application removes the generator from all but the first fuse.
 func (r *runArtifacts) scalarTrace(app *apps.Profile) node.ScalarTrace {
-	r.scalMu.Lock()
-	e := r.scalars[app.Name]
-	if e == nil {
-		e = &scalarEntry{}
-		r.scalars[app.Name] = e
-		r.scalOrder = append(r.scalOrder, app.Name)
-		for len(r.scalOrder) > maxRunScalarTraces {
-			delete(r.scalars, r.scalOrder[0])
-			r.scalOrder = r.scalOrder[1:]
-		}
-	}
-	r.scalMu.Unlock()
-	e.once.Do(func() {
-		e.st = node.BuildScalarTrace(app, r.sample, r.warmup, r.seed)
+	return r.scalars.get(app.Name, func() node.ScalarTrace {
+		return node.BuildScalarTrace(app, r.sample, r.warmup, r.seed)
 	})
-	return e.st
 }
 
 // annotation returns the shared annotation of one (app, group): the fused
 // trace overlaid with the group's hit-rate table, consulting the provider
-// for the table before walking the caches. Each hit-rate key is resolved at
-// most once per run — annotation groups that differ only in memory kind
-// block on the same once instead of re-walking. The stage histogram counts
-// only real cache walks, so its observation count reads as "hit-rate tables
-// built" — a run-front, cache or ring-peer hit leaves it untouched.
+// for the table before walking the caches. It has no run-local front of its
+// own: the runner asks once per annotation group and holds the result for
+// the group's points, and on the Table I grid (one memory kind) no two
+// groups share a hit-rate key, so such a front never hit (0 of 45 lookups
+// per 360-point sweep, 0 of 27 on the full grid — DESIGN.md §10). Groups
+// that differ only in memory kind share the table through the provider.
 func (r *runArtifacts) annotation(ctx context.Context, app *apps.Profile, g AnnGroup, cfg node.Config) *node.Annotation {
 	key := HitRateKey(r.appHash(app), g.CacheGroup(), r.sample, r.warmup, r.seed)
-	r.annMu.Lock()
-	e := r.anns[key]
-	if e == nil {
-		e = &annEntry{}
-		r.anns[key] = e
-		r.annOrder = append(r.annOrder, key)
-		for len(r.annOrder) > maxRunAnnotations {
-			delete(r.anns, r.annOrder[0])
-			r.annOrder = r.annOrder[1:]
-		}
-	}
-	r.annMu.Unlock()
-	e.once.Do(func() {
-		_, span := obs.StartSpan(ctx, "dse.annotate", obs.A("app", app.Name))
-		defer span.End()
-		ft := r.fusedTrace(ctx, app, g.Vec)
-		if r.backing != nil {
-			if hrt, ok := r.backing.HitRates(key); ok {
-				if ann, match := node.CombineAnnotation(ft, hrt); match {
-					span.SetAttr("source", "cache")
-					ann.Memo = node.NewTimingMemo()
-					e.ann = &ann
-					return
-				}
+	_, span := obs.StartSpan(ctx, "dse.annotate", obs.A("app", app.Name))
+	defer span.End()
+	ft := r.fusedTrace(ctx, app, g.Vec)
+	var ann node.Annotation
+	resolve(r, span, StageAnnotate, key,
+		func(p ArtifactProvider, key string) (hrt node.HitRateTable, ok bool) {
+			if hrt, ok = p.HitRates(key); ok {
+				ann, ok = node.CombineAnnotation(ft, hrt)
 			}
-		}
-		span.SetAttr("source", "built")
-		start := time.Now()
-		ann, hrt := node.AnnotateTrace(ft, cfg)
-		observeStage(StageAnnotate, start)
-		ann.Memo = node.NewTimingMemo()
-		e.ann = &ann
-		if r.backing != nil {
-			r.backing.PutHitRates(key, hrt)
-		}
-	})
-	return e.ann
+			return hrt, ok
+		},
+		func() (hrt node.HitRateTable) {
+			ann, hrt = node.AnnotateTrace(ft, cfg)
+			return hrt
+		}, ArtifactProvider.PutHitRates)
+	ann.Memo = node.NewTimingMemo()
+	return &ann
 }

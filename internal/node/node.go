@@ -277,12 +277,18 @@ type SampleOp struct {
 // configuration) — notably independent of the memory kind, whose latency
 // enters only at timing replay. Overlaid on the matching FusedTrace it
 // reconstructs the full Annotation bit-for-bit; at one byte per sample
-// instruction it is the compact persistent form of an annotation.
+// instruction it is the compact persistent form of an annotation, and its
+// JSON encoding is the payload of a persisted hit-rates artifact (Levels,
+// the bulk, rides as base64): the tags are wire format, pinned by
+// store.TestArtifactCodecTable and versioned by dse.ArtifactSchemaVersion.
 type HitRateTable struct {
-	Levels              []uint8 // cache.Level per sample instruction; 0 for non-memory ops
-	L1, L2, L3          cache.Stats
-	MemReads, MemWrites int64
-	HierCfg             cache.HierarchyConfig
+	Levels    []uint8               `json:"levels"` // cache.Level per sample instruction; 0 for non-memory ops
+	L1        cache.Stats           `json:"l1"`
+	L2        cache.Stats           `json:"l2"`
+	L3        cache.Stats           `json:"l3"`
+	MemReads  int64                 `json:"memReads"`
+	MemWrites int64                 `json:"memWrites"`
+	HierCfg   cache.HierarchyConfig `json:"hierCfg"`
 }
 
 // ScalarTrace is the raw detailed scalar instruction window of one

@@ -443,6 +443,18 @@ func (s *Service) handleShard(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// NewServer returns the http.Server every musa listener runs: h behind a
+// header-read and an idle-connection timeout, so a peer that connects and
+// never sends a request, or parks a keep-alive connection forever, cannot
+// hold a goroutine and a socket. No read or write timeout is set: /dse,
+// /optimize and /shard stream for as long as their sweep runs.
+func NewServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr: addr, Handler: h,
+		ReadHeaderTimeout: 10 * time.Second, IdleTimeout: 2 * time.Minute,
+	}
+}
+
 // maxArtifactBytes bounds one PUT /artifact upload: the largest legitimate
 // artifact (a default-fidelity annotation) is a few tens of MB encoded. A
 // variable only so tests can exercise the oversize rejection without

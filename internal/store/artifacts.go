@@ -2,12 +2,16 @@ package store
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"musa/internal/cache"
 	"musa/internal/dram"
@@ -36,21 +40,90 @@ import (
 // directory (the marker value is dse.ArtifactSchemaVersion).
 const artifactSchemaName = "schema"
 
-// In-memory bounds of the decoded front and the raw-blob map. Hit-rate
-// tables dominate memory (one byte per sample instruction, a few hundred KB
-// each at default fidelity); the other kinds are small. Eviction is FIFO —
-// an artifact cache only ever changes how fast results arrive, never what
-// they are.
+// Bounds of the memory-only blob map: by count, and by size so a long-lived
+// client cannot pin hundreds of MB of encoded blobs.
 const (
-	maxResidentHitRates = 128
-	maxResidentLatency  = 4096
-	maxResidentBursts   = 128
 	maxResidentRawBlobs = 256
-	// maxResidentRawBytes additionally bounds the memory-only raw map by
-	// size, so a long-lived client cannot pin hundreds of MB of encoded
-	// blobs.
 	maxResidentRawBytes = 256 << 20
 )
+
+// BlobBackend is where encoded artifacts live: two methods over opaque
+// bytes, so storage (a directory, a bounded map) and transport (a ring
+// decorator that reads through to peers and replicates behind writes, see
+// musa.Client) compose without knowing a codec. ArtifactCache is the only
+// type that decodes. Implementations must be safe for concurrent use.
+type BlobBackend interface {
+	// Get returns the blob under key; a miss is an error matching
+	// fs.ErrNotExist, anything else is a fault worth reporting.
+	Get(key string) ([]byte, error)
+	Put(key string, blob []byte) error
+}
+
+// localBlobs is a backend that is this process's own storage: besides
+// serving bytes it can drop a corrupt blob and count what it holds (for a
+// directory by listing it — when statistics are asked for, never on a
+// lookup). The on-disk implementation is *lsm.Blobs, one "<key>.json" file
+// per artifact.
+type localBlobs interface {
+	BlobBackend
+	Remove(key string) error
+	Count() (int, error)
+}
+
+// memBlobs is the memory-only backend: encoded blobs are retained so a
+// client without a directory can still serve them to fleet workers and over
+// HTTP, FIFO bounded by count and bytes.
+type memBlobs struct {
+	mu    sync.Mutex
+	blobs map[string][]byte
+	order []string // the keys of blobs, oldest write first
+	bytes int64
+}
+
+func (m *memBlobs) Get(key string) ([]byte, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if b, ok := m.blobs[key]; ok {
+		return b, nil
+	}
+	return nil, fs.ErrNotExist
+}
+
+// Put may evict the just-written key if it alone busts the byte bound.
+func (m *memBlobs) Put(key string, blob []byte) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.drop(key)
+	m.blobs[key] = blob
+	m.order = append(m.order, key)
+	m.bytes += int64(len(blob))
+	for len(m.order) > maxResidentRawBlobs || m.bytes > maxResidentRawBytes {
+		m.drop(m.order[0])
+	}
+	return nil
+}
+
+// drop forgets key if it is held. Caller holds mu.
+func (m *memBlobs) drop(key string) {
+	if b, ok := m.blobs[key]; ok {
+		m.bytes -= int64(len(b))
+		delete(m.blobs, key)
+		m.order = slices.DeleteFunc(m.order, func(k string) bool { return k == key })
+	}
+}
+
+func (m *memBlobs) Remove(key string) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.drop(key)
+	return nil
+}
+
+func (m *memBlobs) Count() (int, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.blobs), nil
+}
 
 // ArtifactKindStats counts one artifact kind's traffic.
 type ArtifactKindStats struct {
@@ -64,12 +137,12 @@ type ArtifactStats struct {
 	HitRates      ArtifactKindStats `json:"hitRates"`
 	LatencyModels ArtifactKindStats `json:"latencyModels"`
 	Bursts        ArtifactKindStats `json:"bursts"`
-	// BytesRead / BytesWritten count encoded blob traffic (disk or the
-	// in-memory raw map), not decoded sizes.
+	// BytesRead / BytesWritten count encoded blob traffic through the
+	// backend (disk, the in-memory map or a ring peer), not decoded sizes.
 	BytesRead    int64 `json:"bytesRead"`
 	BytesWritten int64 `json:"bytesWritten"`
-	// Entries is the number of distinct artifacts held (on disk or in the
-	// raw map).
+	// Entries is the number of distinct artifacts held locally (on disk or
+	// in the in-memory map).
 	Entries int `json:"entries"`
 }
 
@@ -87,43 +160,154 @@ type artifactEnvelope struct {
 	Data   json.RawMessage  `json:"data"`
 }
 
-// hitRatesWire is the payload of an ArtifactHitRates blob. Levels — the
-// bulk of the artifact, one cache.Level byte per sample instruction — rides
-// as base64 via encoding/json. The encoding is exact: decode(encode(t)) is
-// bitwise t, which the warm-equals-cold dataset guarantee rests on.
-type hitRatesWire struct {
-	Levels    []byte                `json:"levels"`
-	L1        cache.Stats           `json:"l1"`
-	L2        cache.Stats           `json:"l2"`
-	L3        cache.Stats           `json:"l3"`
-	MemReads  int64                 `json:"memReads"`
-	MemWrites int64                 `json:"memWrites"`
-	HierCfg   cache.HierarchyConfig `json:"hierCfg"`
+// codec is one row of the codec table: everything kind-specific about an
+// artifact. The payload is the value's own JSON encoding — exact, so
+// decode(encode(v)) is bitwise v, which the warm-equals-cold dataset
+// guarantee rests on. bound caps the decoded values resident at once:
+// hit-rate tables dominate memory (one byte per sample instruction, a few
+// hundred KB each at default fidelity); the other kinds are small.
+type codec[T any] struct {
+	kind     dse.ArtifactKind
+	bound    int
+	validate func(T) error // nil: every well-formed payload is valid
 }
 
-// ArtifactCache is the process-wide artifact cache: a bounded in-memory
-// front of decoded artifacts over an optional on-disk blob directory. With
-// an empty directory it is memory-only — raw blobs are retained (bounded)
-// so they can still be served to fleet workers and over HTTP. All methods
-// are safe for concurrent use. It implements dse.ArtifactProvider.
+// The codec table. Every artifact payload in the program is encoded and
+// decoded through one of these three rows.
+var (
+	hitRatesCodec = codec[node.HitRateTable]{
+		kind: dse.ArtifactHitRates, bound: 128,
+		validate: func(t node.HitRateTable) error {
+			for i, lvl := range t.Levels {
+				if lvl > uint8(cache.LevelMem) {
+					return fmt.Errorf("level %d at instr %d out of range", lvl, i)
+				}
+			}
+			return nil
+		},
+	}
+	latencyCodec = codec[dram.LatencyModel]{kind: dse.ArtifactLatencyModel, bound: 4096}
+	burstCodec   = codec[*trace.Burst]{
+		kind: dse.ArtifactBurst, bound: 128,
+		validate: func(b *trace.Burst) error {
+			if b == nil { // a literal JSON null
+				return errors.New("no trace")
+			}
+			return b.Validate()
+		},
+	}
+)
+
+// decode parses and validates an envelope payload of this kind.
+func (c *codec[T]) decode(data []byte) (v T, err error) {
+	if err = json.Unmarshal(data, &v); err == nil && c.validate != nil {
+		err = c.validate(v)
+	}
+	if err != nil {
+		err = fmt.Errorf("store: artifacts: %s payload: %w", c.kind, err)
+	}
+	return v, err
+}
+
+// encode wraps v in the envelope of the artifact addressed by key.
+func (c *codec[T]) encode(key string, v T) []byte {
+	data, err := json.Marshal(v)
+	if err != nil {
+		// All payloads are trees of plain exported fields.
+		panic(fmt.Sprintf("store: marshal %s artifact: %v", c.kind, err))
+	}
+	blob, err := json.Marshal(artifactEnvelope{
+		Schema: dse.ArtifactSchemaVersion, Key: key, Kind: c.kind, Data: data,
+	})
+	if err != nil {
+		panic(fmt.Sprintf("store: marshal %s envelope: %v", c.kind, err))
+	}
+	return blob
+}
+
+// decodeEnvelope parses and validates a blob claimed to hold the artifact
+// addressed by key: schema version and key binding are both enforced.
+func decodeEnvelope(key string, blob []byte) (artifactEnvelope, error) {
+	var env artifactEnvelope
+	if err := json.Unmarshal(blob, &env); err != nil {
+		return env, fmt.Errorf("store: artifacts: bad envelope: %w", err)
+	}
+	if env.Schema != dse.ArtifactSchemaVersion {
+		return env, fmt.Errorf("store: artifacts: blob has schema v%d, current is v%d",
+			env.Schema, dse.ArtifactSchemaVersion)
+	}
+	if env.Key != key {
+		return env, fmt.Errorf("store: artifacts: blob was built for key %s, stored under %s", env.Key, key)
+	}
+	return env, nil
+}
+
+// front is the decoded in-memory front of one kind: its codec, a FIFO
+// bounded map of decoded values, and the kind's counters. Eviction is FIFO
+// — an artifact cache only ever changes how fast results arrive, never
+// what they are. Fields are guarded by the owning ArtifactCache's mu.
+type front[T any] struct {
+	*codec[T]
+	vals  map[string]T
+	order []string
+	stats ArtifactKindStats
+}
+
+func newFront[T any](c *codec[T]) front[T] {
+	return front[T]{codec: c, vals: map[string]T{}}
+}
+
+func (f *front[T]) insert(key string, v T) {
+	if _, ok := f.vals[key]; !ok {
+		f.order = append(f.order, key)
+		for len(f.order) > f.bound {
+			delete(f.vals, f.order[0])
+			f.order = f.order[1:]
+		}
+	}
+	f.vals[key] = v
+}
+
+// admitter is a front with its value type erased: what PutBlob needs of
+// the front that a blob's own kind names.
+type admitter interface {
+	admit(c *ArtifactCache, key string, payload, blob []byte) error
+}
+
+// admit stores a validated envelope of this front's kind that arrived as
+// bytes: the payload is decoded before any lock is taken, and the decoded
+// value is kept, so a pushed artifact is served without a second decode.
+func (f *front[T]) admit(c *ArtifactCache, key string, payload, blob []byte) error {
+	v, err := f.decode(payload)
+	if err == nil {
+		keep(c, f, c.local, key, blob, v)
+	}
+	return err
+}
+
+// ArtifactCache is the process-wide artifact cache and the one typed face
+// of the artifact path: per kind, a bounded front of decoded values over a
+// blob backend. The cache's own storage is a directory heap, or a bounded
+// in-memory map when opened without a directory — raw blobs are retained
+// either way so they can be served to fleet workers and over HTTP. All
+// methods are safe for concurrent use. It implements dse.ArtifactProvider.
 type ArtifactCache struct {
-	dir   string     // "" = memory-only
-	blobs *lsm.Blobs // nil when memory-only
+	local localBlobs
+	// blobs is what typed reads and writes go through: local, or whatever
+	// Decorate wrapped around it. Blob and PutBlob — the faces peers and
+	// coordinators reach over HTTP — always address local, so a decorator
+	// that talks to peers is never re-entered by a peer's request.
+	blobs BlobBackend
+
+	kinds map[dse.ArtifactKind]admitter
 
 	mu       sync.Mutex
-	keys     map[string]bool   // artifacts present (disk or raw map)
-	raw      map[string][]byte // memory-only blob storage (dir == "")
-	rawOrder []string
-	rawBytes int64
-	hit      map[string]node.HitRateTable
-	hitOrder []string
-	lat      map[string]dram.LatencyModel
-	latOrder []string
-	burst    map[string]*trace.Burst
-	burstOrd []string
-
-	stats    ArtifactStats
+	hit      front[node.HitRateTable]
+	lat      front[dram.LatencyModel]
+	burst    front[*trace.Burst]
 	firstErr error
+
+	read, written atomic.Int64 // encoded bytes out of / into a backend
 }
 
 var _ dse.ArtifactProvider = (*ArtifactCache)(nil)
@@ -133,35 +317,32 @@ var _ dse.ArtifactProvider = (*ArtifactCache)(nil)
 // different artifact schema version is refused — delete it to rebuild.
 func OpenArtifacts(dir string) (*ArtifactCache, error) {
 	c := &ArtifactCache{
-		dir:   dir,
-		keys:  map[string]bool{},
-		hit:   map[string]node.HitRateTable{},
-		lat:   map[string]dram.LatencyModel{},
-		burst: map[string]*trace.Burst{},
+		hit:   newFront(&hitRatesCodec),
+		lat:   newFront(&latencyCodec),
+		burst: newFront(&burstCodec),
 	}
 	if dir == "" {
-		c.raw = map[string][]byte{}
-		return c, nil
-	}
-	blobs, err := lsm.OpenBlobs(dir)
-	if err != nil {
-		return nil, fmt.Errorf("store: artifacts: %w", err)
-	}
-	if err := checkArtifactSchema(dir); err != nil {
-		return nil, err
-	}
-	names, err := blobs.List()
-	if err != nil {
-		return nil, fmt.Errorf("store: artifacts: %w", err)
-	}
-	for _, name := range names {
-		if key, ok := strings.CutSuffix(name, ".json"); ok && validArtifactKey(key) {
-			c.keys[key] = true
+		c.local = &memBlobs{blobs: map[string][]byte{}}
+	} else {
+		heap, err := lsm.OpenBlobs(dir, ".json")
+		if err != nil {
+			return nil, fmt.Errorf("store: artifacts: %w", err)
 		}
+		if err := checkArtifactSchema(dir); err != nil {
+			return nil, err
+		}
+		c.local = heap
 	}
-	c.blobs = blobs
-	c.stats.Entries = len(c.keys)
+	c.blobs = c.local
+	c.kinds = map[dse.ArtifactKind]admitter{c.hit.kind: &c.hit, c.lat.kind: &c.lat, c.burst.kind: &c.burst}
 	return c, nil
+}
+
+// Decorate wraps the backend typed reads and writes go through. wrap
+// receives the cache's own storage and returns the backend to use in its
+// place. Call it before the cache is shared between goroutines.
+func (c *ArtifactCache) Decorate(wrap func(local BlobBackend) BlobBackend) {
+	c.blobs = wrap(c.local)
 }
 
 // checkArtifactSchema stamps an empty directory with the current artifact
@@ -190,9 +371,9 @@ func checkArtifactSchema(dir string) error {
 	return nil
 }
 
-// validArtifactKey reports whether key looks like a content address (hex
-// SHA-256): the HTTP layer and the directory scan share this gate.
-func validArtifactKey(key string) bool {
+// ValidArtifactKey reports whether key is a well-formed artifact content
+// address (hex SHA-256): the HTTP layer and PutBlob share this gate.
+func ValidArtifactKey(key string) bool {
 	if len(key) != 64 {
 		return false
 	}
@@ -204,10 +385,6 @@ func validArtifactKey(key string) bool {
 	return true
 }
 
-// ValidArtifactKey reports whether key is a well-formed artifact content
-// address.
-func ValidArtifactKey(key string) bool { return validArtifactKey(key) }
-
 // Err returns the first blob write/read error the cache swallowed (the
 // cache is best-effort: a failing disk degrades it to rebuild-every-time
 // rather than failing sweeps).
@@ -217,400 +394,166 @@ func (c *ArtifactCache) Err() error {
 	return c.firstErr
 }
 
-// Stats returns a snapshot of the cache counters.
+// Stats returns a snapshot of the cache counters. Entries is counted when
+// asked — for a directory, by listing it.
 func (c *ArtifactCache) Stats() ArtifactStats {
+	n := c.Len()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	s := c.stats
-	s.Entries = len(c.keys)
-	return s
+	return ArtifactStats{
+		HitRates: c.hit.stats, LatencyModels: c.lat.stats, Bursts: c.burst.stats,
+		BytesRead: c.read.Load(), BytesWritten: c.written.Load(), Entries: n,
+	}
 }
 
-// Len returns the number of distinct artifacts held.
+// Len returns the number of distinct artifacts held locally.
 func (c *ArtifactCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.keys)
+	n, err := c.local.Count()
+	if err != nil {
+		c.noteErr(fmt.Errorf("store: artifacts: %w", err))
+	}
+	return n
 }
 
 func (c *ArtifactCache) noteErr(err error) {
-	if err != nil && c.firstErr == nil {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.firstErr == nil {
 		c.firstErr = err
 	}
 }
 
-// blobFor returns the raw blob under key. It manages its own locking and
-// performs the disk read outside the lock — a multi-MB file read must not
-// stall concurrent lookups from sweep workers. The caller must NOT hold
-// c.mu.
-func (c *ArtifactCache) blobFor(key string) ([]byte, bool) {
-	c.mu.Lock()
-	if !c.keys[key] {
-		c.mu.Unlock()
-		return nil, false
-	}
-	if c.dir == "" {
-		b, ok := c.raw[key]
-		if ok {
-			c.stats.BytesRead += int64(len(b))
-		}
-		c.mu.Unlock()
-		return b, ok
-	}
-	c.mu.Unlock()
-	b, err := c.blobs.Get(key + ".json")
-	c.mu.Lock()
-	defer c.mu.Unlock()
+// fetch reads the blob under key from b, outside the lock — a multi-MB
+// file read must not stall concurrent lookups from sweep workers.
+func (c *ArtifactCache) fetch(b BlobBackend, key string) ([]byte, bool) {
+	blob, err := b.Get(key)
 	if err != nil {
-		if !os.IsNotExist(err) {
+		if !errors.Is(err, fs.ErrNotExist) {
 			c.noteErr(fmt.Errorf("store: artifacts: %w", err))
 		}
-		delete(c.keys, key)
 		return nil, false
 	}
-	c.stats.BytesRead += int64(len(b))
-	return b, true
+	c.read.Add(int64(len(blob)))
+	return blob, true
 }
 
-// persistBlob stores the raw blob under key. It manages its own locking
-// and performs the disk write outside the lock. The caller must NOT hold
-// c.mu.
-func (c *ArtifactCache) persistBlob(key string, blob []byte) {
-	if c.dir == "" {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		if old, exists := c.raw[key]; !exists {
-			c.rawOrder = append(c.rawOrder, key)
-			c.rawBytes += int64(len(blob))
-		} else {
-			c.rawBytes += int64(len(blob)) - int64(len(old))
-		}
-		c.raw[key] = blob
-		c.keys[key] = true
-		// Enforce both bounds on insert and replace alike (a replacement
-		// with a larger blob grows the map too). The loop may evict the
-		// just-written key if it alone busts the byte bound; keys and raw
-		// stay consistent either way.
-		for len(c.rawOrder) > maxResidentRawBlobs || c.rawBytes > maxResidentRawBytes {
-			evict := c.rawOrder[0]
-			c.rawOrder = c.rawOrder[1:]
-			c.rawBytes -= int64(len(c.raw[evict]))
-			delete(c.raw, evict)
-			delete(c.keys, evict)
-		}
-		c.stats.BytesWritten += int64(len(blob))
-		return
-	}
-	err := c.blobs.Put(key+".json", blob)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err != nil {
+// persist writes blob under key to b, outside the lock.
+func (c *ArtifactCache) persist(b BlobBackend, key string, blob []byte) {
+	if err := b.Put(key, blob); err != nil {
 		c.noteErr(fmt.Errorf("store: artifacts: %w", err))
 		return
 	}
-	c.keys[key] = true
-	c.stats.BytesWritten += int64(len(blob))
+	c.written.Add(int64(len(blob)))
 }
 
-// Blob returns the encoded artifact under key, byte-for-byte as stored —
-// the payload of GET /artifact/{key} and of coordinator-to-worker pushes.
+// evict removes a blob that failed validation and records the failure:
+// without this, a corrupt file would be re-read and re-failed on every
+// lookup forever, with Err staying silent. The next put under the key
+// simply rewrites it.
+func (c *ArtifactCache) evict(key string, err error) {
+	c.noteErr(fmt.Errorf("store: artifacts: corrupt blob %s: %w", key, err))
+	if rerr := c.local.Remove(key); rerr != nil {
+		c.noteErr(fmt.Errorf("store: artifacts: %w", rerr))
+	}
+}
+
+// Blob returns the encoded artifact under key, byte-for-byte as stored
+// locally — the payload of GET /artifact/{key} and of coordinator-to-worker
+// pushes.
 func (c *ArtifactCache) Blob(key string) ([]byte, bool) {
-	return c.blobFor(key)
+	if !ValidArtifactKey(key) { // the directory backend turns keys into file names
+		return nil, false
+	}
+	return c.fetch(c.local, key)
 }
 
 // PutBlob validates and stores an encoded artifact received from outside
-// (PUT /artifact/{key}): the blob must parse as a current-schema envelope
-// with a decodable payload, so a corrupt or stale upload is refused at the
-// boundary rather than poisoning later sweeps.
+// (PUT /artifact/{key}, a peer's reply to a ring fetch): the blob must
+// parse as a current-schema envelope bound to key with a payload its kind's
+// codec accepts, so a corrupt or stale upload is refused at the boundary
+// rather than poisoning later sweeps.
 func (c *ArtifactCache) PutBlob(key string, blob []byte) error {
-	if !validArtifactKey(key) {
+	if !ValidArtifactKey(key) {
 		return fmt.Errorf("store: artifacts: bad key %q", key)
 	}
 	env, err := decodeEnvelope(key, blob)
 	if err != nil {
 		return err
 	}
-	// Decode the payload fully before taking the lock — a bulky decode must
-	// not stall concurrent sweep-worker lookups — and populate the decoded
-	// front with the result, so a pushed artifact is served without a second
-	// decode.
-	var insert func()
-	switch env.Kind {
-	case dse.ArtifactHitRates:
-		t, err := decodeHitRates(env.Data)
-		if err != nil {
-			return err
-		}
-		insert = func() { c.frontHitRates(key, t); c.stats.HitRates.Puts++ }
-	case dse.ArtifactLatencyModel:
-		var m dram.LatencyModel
-		if err := json.Unmarshal(env.Data, &m); err != nil {
-			return fmt.Errorf("store: artifacts: latency model payload: %w", err)
-		}
-		insert = func() { c.frontLatency(key, m); c.stats.LatencyModels.Puts++ }
-	case dse.ArtifactBurst:
-		var b trace.Burst
-		if err := json.Unmarshal(env.Data, &b); err != nil {
-			return fmt.Errorf("store: artifacts: burst payload: %w", err)
-		}
-		if err := b.Validate(); err != nil {
-			return fmt.Errorf("store: artifacts: %w", err)
-		}
-		insert = func() { c.frontBurst(key, &b); c.stats.Bursts.Puts++ }
-	default:
+	f, ok := c.kinds[env.Kind]
+	if !ok {
 		return fmt.Errorf("store: artifacts: unknown kind %q", env.Kind)
 	}
-	c.persistBlob(key, blob)
-	c.mu.Lock()
-	insert()
-	c.mu.Unlock()
-	return nil
+	return f.admit(c, key, env.Data, blob)
 }
 
-// decodeEnvelope parses and validates a blob claimed to hold the artifact
-// addressed by key: schema version and key binding are both enforced.
-func decodeEnvelope(key string, blob []byte) (artifactEnvelope, error) {
-	var env artifactEnvelope
-	if err := json.Unmarshal(blob, &env); err != nil {
-		return env, fmt.Errorf("store: artifacts: bad envelope: %w", err)
-	}
-	if env.Schema != dse.ArtifactSchemaVersion {
-		return env, fmt.Errorf("store: artifacts: blob has schema v%d, current is v%d",
-			env.Schema, dse.ArtifactSchemaVersion)
-	}
-	if env.Key != key {
-		return env, fmt.Errorf("store: artifacts: blob was built for key %s, stored under %s", env.Key, key)
-	}
-	return env, nil
-}
-
-func encodeEnvelope(key string, kind dse.ArtifactKind, payload any) []byte {
-	data, err := json.Marshal(payload)
-	if err != nil {
-		// All payloads are trees of plain exported fields.
-		panic(fmt.Sprintf("store: marshal %s artifact: %v", kind, err))
-	}
-	blob, err := json.Marshal(artifactEnvelope{
-		Schema: dse.ArtifactSchemaVersion, Key: key, Kind: kind, Data: data,
-	})
-	if err != nil {
-		panic(fmt.Sprintf("store: marshal %s envelope: %v", kind, err))
-	}
-	return blob
-}
-
-func decodeHitRates(data []byte) (node.HitRateTable, error) {
-	var w hitRatesWire
-	if err := json.Unmarshal(data, &w); err != nil {
-		return node.HitRateTable{}, fmt.Errorf("store: artifacts: hit-rate payload: %w", err)
-	}
-	for i, lvl := range w.Levels {
-		if lvl > uint8(cache.LevelMem) {
-			return node.HitRateTable{}, fmt.Errorf("store: artifacts: hit-rate level %d at instr %d out of range", lvl, i)
+// get is the one typed read: the decoded front, else the backend's blob
+// decoded and validated through the kind's codec. A blob of another kind
+// under the key is a miss; one that fails validation is evicted.
+func get[T any](c *ArtifactCache, f *front[T], key string) (T, bool) {
+	resident := func() (v T, ok bool) {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		if v, ok = f.vals[key]; ok {
+			f.stats.Hits++
 		}
+		return v, ok
 	}
-	return node.HitRateTable{
-		Levels: w.Levels,
-		L1:     w.L1, L2: w.L2, L3: w.L3,
-		MemReads: w.MemReads, MemWrites: w.MemWrites,
-		HierCfg: w.HierCfg,
-	}, nil
-}
-
-func encodeHitRates(key string, t node.HitRateTable) []byte {
-	return encodeEnvelope(key, dse.ArtifactHitRates, hitRatesWire{
-		Levels: t.Levels,
-		L1:     t.L1, L2: t.L2, L3: t.L3,
-		MemReads: t.MemReads, MemWrites: t.MemWrites,
-		HierCfg: t.HierCfg,
-	})
-}
-
-// frontHitRates/frontLatency/frontBurst insert into the decoded FIFO
-// fronts. Caller holds c.mu.
-func (c *ArtifactCache) frontHitRates(key string, t node.HitRateTable) {
-	if _, ok := c.hit[key]; !ok {
-		c.hitOrder = append(c.hitOrder, key)
-		for len(c.hitOrder) > maxResidentHitRates {
-			delete(c.hit, c.hitOrder[0])
-			c.hitOrder = c.hitOrder[1:]
+	if v, ok := resident(); ok {
+		return v, true
+	}
+	if blob, ok := c.fetch(c.blobs, key); ok {
+		// The read ran outside the lock and the key may be decoded by now:
+		// by a concurrent lookup, or by a decorating backend that admitted a
+		// peer's reply through PutBlob.
+		if v, ok := resident(); ok {
+			return v, true
 		}
-	}
-	c.hit[key] = t
-}
-
-func (c *ArtifactCache) frontLatency(key string, m dram.LatencyModel) {
-	if _, ok := c.lat[key]; !ok {
-		c.latOrder = append(c.latOrder, key)
-		for len(c.latOrder) > maxResidentLatency {
-			delete(c.lat, c.latOrder[0])
-			c.latOrder = c.latOrder[1:]
-		}
-	}
-	c.lat[key] = m
-}
-
-func (c *ArtifactCache) frontBurst(key string, b *trace.Burst) {
-	if _, ok := c.burst[key]; !ok {
-		c.burstOrd = append(c.burstOrd, key)
-		for len(c.burstOrd) > maxResidentBursts {
-			delete(c.burst, c.burstOrd[0])
-			c.burstOrd = c.burstOrd[1:]
-		}
-	}
-	c.burst[key] = b
-}
-
-// dropCorrupt evicts a blob whose payload failed to decode and records the
-// failure: without this, a corrupt file would be re-read and re-failed on
-// every lookup forever, with ArtifactErr staying silent. The next Put under
-// the key simply rewrites it.
-func (c *ArtifactCache) dropCorrupt(key string, err error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	delete(c.keys, key)
-	if c.dir == "" {
-		if old, ok := c.raw[key]; ok {
-			c.rawBytes -= int64(len(old))
-			delete(c.raw, key)
-		}
-	}
-	c.noteErr(fmt.Errorf("store: artifacts: corrupt blob %s: %w", key, err))
-}
-
-// miss counts a miss for one kind under the lock.
-func (c *ArtifactCache) miss(k *ArtifactKindStats) {
-	c.mu.Lock()
-	k.Misses++
-	c.mu.Unlock()
-}
-
-// HitRates implements dse.ArtifactProvider.
-func (c *ArtifactCache) HitRates(key string) (node.HitRateTable, bool) {
-	c.mu.Lock()
-	if t, ok := c.hit[key]; ok {
-		c.stats.HitRates.Hits++
-		c.mu.Unlock()
-		return t, true
-	}
-	c.mu.Unlock()
-	blob, ok := c.blobFor(key)
-	if ok {
-		// Decode outside the lock: tables are hundreds of KB and concurrent
-		// sweep workers must not serialize behind the decode.
+		// Decode outside the lock too: tables are hundreds of KB and
+		// concurrent sweep workers must not serialize behind the decode.
 		env, err := decodeEnvelope(key, blob)
-		if err == nil && env.Kind == dse.ArtifactHitRates {
-			t, derr := decodeHitRates(env.Data)
-			if derr == nil {
+		if err == nil && env.Kind == f.kind {
+			var v T
+			if v, err = f.decode(env.Data); err == nil {
 				c.mu.Lock()
-				c.frontHitRates(key, t)
-				c.stats.HitRates.Hits++
+				f.insert(key, v)
+				f.stats.Hits++
 				c.mu.Unlock()
-				return t, true
+				return v, true
 			}
-			err = derr
 		}
 		if err != nil {
-			c.dropCorrupt(key, err)
+			c.evict(key, err)
 		}
 	}
-	c.miss(&c.stats.HitRates)
-	return node.HitRateTable{}, false
+	c.mu.Lock()
+	f.stats.Misses++
+	c.mu.Unlock()
+	var zero T
+	return zero, false
 }
 
-// PutHitRates implements dse.ArtifactProvider.
-func (c *ArtifactCache) PutHitRates(key string, t node.HitRateTable) {
-	blob := encodeHitRates(key, t)
-	c.persistBlob(key, blob)
+// keep is the one write: blob goes to the backend b, its decoded value v
+// into the front.
+func keep[T any](c *ArtifactCache, f *front[T], b BlobBackend, key string, blob []byte, v T) {
+	c.persist(b, key, blob)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.frontHitRates(key, t)
-	c.stats.HitRates.Puts++
+	f.insert(key, v)
+	f.stats.Puts++
 }
 
-// LatencyModel implements dse.ArtifactProvider.
+func put[T any](c *ArtifactCache, f *front[T], key string, v T) {
+	keep(c, f, c.blobs, key, f.encode(key, v), v)
+}
+
+// The six methods of dse.ArtifactProvider.
+
+func (c *ArtifactCache) HitRates(key string) (node.HitRateTable, bool) { return get(c, &c.hit, key) }
+func (c *ArtifactCache) PutHitRates(key string, t node.HitRateTable)   { put(c, &c.hit, key, t) }
 func (c *ArtifactCache) LatencyModel(key string) (dram.LatencyModel, bool) {
-	c.mu.Lock()
-	if m, ok := c.lat[key]; ok {
-		c.stats.LatencyModels.Hits++
-		c.mu.Unlock()
-		return m, true
-	}
-	c.mu.Unlock()
-	blob, ok := c.blobFor(key)
-	if ok {
-		env, err := decodeEnvelope(key, blob)
-		if err == nil && env.Kind == dse.ArtifactLatencyModel {
-			var m dram.LatencyModel
-			if derr := json.Unmarshal(env.Data, &m); derr == nil {
-				c.mu.Lock()
-				c.frontLatency(key, m)
-				c.stats.LatencyModels.Hits++
-				c.mu.Unlock()
-				return m, true
-			} else {
-				err = derr
-			}
-		}
-		if err != nil {
-			c.dropCorrupt(key, err)
-		}
-	}
-	c.miss(&c.stats.LatencyModels)
-	return dram.LatencyModel{}, false
+	return get(c, &c.lat, key)
 }
-
-// PutLatencyModel implements dse.ArtifactProvider.
-func (c *ArtifactCache) PutLatencyModel(key string, m dram.LatencyModel) {
-	blob := encodeEnvelope(key, dse.ArtifactLatencyModel, m)
-	c.persistBlob(key, blob)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.frontLatency(key, m)
-	c.stats.LatencyModels.Puts++
-}
-
-// Burst implements dse.ArtifactProvider.
-func (c *ArtifactCache) Burst(key string) (*trace.Burst, bool) {
-	c.mu.Lock()
-	if b, ok := c.burst[key]; ok {
-		c.stats.Bursts.Hits++
-		c.mu.Unlock()
-		return b, true
-	}
-	c.mu.Unlock()
-	blob, ok := c.blobFor(key)
-	if ok {
-		env, err := decodeEnvelope(key, blob)
-		if err == nil && env.Kind == dse.ArtifactBurst {
-			var b trace.Burst
-			derr := json.Unmarshal(env.Data, &b)
-			if derr == nil {
-				derr = b.Validate()
-			}
-			if derr == nil {
-				c.mu.Lock()
-				c.frontBurst(key, &b)
-				c.stats.Bursts.Hits++
-				c.mu.Unlock()
-				return &b, true
-			}
-			err = derr
-		}
-		if err != nil {
-			c.dropCorrupt(key, err)
-		}
-	}
-	c.miss(&c.stats.Bursts)
-	return nil, false
-}
-
-// PutBurst implements dse.ArtifactProvider.
-func (c *ArtifactCache) PutBurst(key string, b *trace.Burst) {
-	blob := encodeEnvelope(key, dse.ArtifactBurst, b)
-	c.persistBlob(key, blob)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.frontBurst(key, b)
-	c.stats.Bursts.Puts++
-}
+func (c *ArtifactCache) PutLatencyModel(key string, m dram.LatencyModel) { put(c, &c.lat, key, m) }
+func (c *ArtifactCache) Burst(key string) (*trace.Burst, bool)           { return get(c, &c.burst, key) }
+func (c *ArtifactCache) PutBurst(key string, b *trace.Burst)             { put(c, &c.burst, key, b) }

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -15,6 +16,7 @@ import (
 	"musa/internal/dram"
 	"musa/internal/dse"
 	"musa/internal/node"
+	"musa/internal/trace"
 )
 
 // testHitRates builds a small but structurally real hit-rate table,
@@ -30,18 +32,26 @@ func testHitRates(t *testing.T) (*node.FusedTrace, node.HitRateTable) {
 	return ft, hrt
 }
 
-// TestHitRatesRoundTrip is the bitwise-fidelity contract the
-// warm-equals-cold guarantee rests on: decode(encode(t)) must reproduce the
-// hit-rate table exactly, and overlaying the decoded table on the fused
-// trace must reconstruct the same annotation a direct cache walk produces.
+// encodeHitRates encodes a hit-rate table through its codec row.
+func encodeHitRates(key string, t node.HitRateTable) []byte { return hitRatesCodec.encode(key, t) }
+
+// TestHitRatesRoundTrip is the contract the warm-equals-cold guarantee
+// rests on, on a structurally real table: it survives the round trip
+// through its envelope exactly, and overlaying the decoded table on the
+// fused trace reconstructs the same annotation a direct cache walk
+// produces. (Refusals and wire bytes: TestArtifactCodecTable.)
 func TestHitRatesRoundTrip(t *testing.T) {
 	ft, hrt := testHitRates(t)
 	key := fmt.Sprintf("%064x", 99)
-	got, err := decodeHitRates(mustData(t, key, encodeHitRates(key, hrt)))
+	c, err := OpenArtifacts("")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(hrt, got) {
+	if err := c.PutBlob(key, encodeHitRates(key, hrt)); err != nil {
+		t.Fatal(err)
+	}
+	got, ok := c.HitRates(key)
+	if !ok || !reflect.DeepEqual(hrt, got) {
 		t.Fatal("hit-rate table round trip is lossy")
 	}
 	direct, _ := node.AnnotateTrace(ft, dse.Enumerate()[0].NodeConfig(2000, 4000, 1))
@@ -52,22 +62,193 @@ func TestHitRatesRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(direct, combined) {
 		t.Fatal("decoded table does not reconstruct the annotation bit-for-bit")
 	}
-	// Out-of-range levels — a corrupt or adversarial blob — are refused.
-	bad := hrt
-	bad.Levels = append([]uint8(nil), hrt.Levels...)
-	bad.Levels[0] = uint8(cache.LevelMem) + 1
-	if _, err := decodeHitRates(mustData(t, key, encodeHitRates(key, bad))); err == nil {
-		t.Fatal("out-of-range cache level accepted")
+}
+
+// codecRow is one row of the codec table with its value type erased, so
+// one test body can drive all three kinds.
+type codecRow struct {
+	kind dse.ArtifactKind
+	// sha pins the SHA-256 of the fixture's encoded envelope: the wire
+	// bytes cannot change without a dse.ArtifactSchemaVersion bump (and new
+	// pins).
+	sha    string
+	value  any
+	encode func(key string, v any) []byte
+	put    func(c *ArtifactCache, key string)
+	get    func(c *ArtifactCache, key string) (any, bool)
+	// bad are payloads the codec must refuse, by what is wrong with them.
+	bad map[string]any
+}
+
+func newCodecRow[T any](c *codec[T], sha string, v T, bad map[string]any,
+	put func(*ArtifactCache, string, T), get func(*ArtifactCache, string) (T, bool)) codecRow {
+	return codecRow{
+		kind: c.kind, sha: sha, value: v, bad: bad,
+		encode: func(key string, v any) []byte { return c.encode(key, v.(T)) },
+		put:    func(ac *ArtifactCache, key string) { put(ac, key, v) },
+		get:    func(ac *ArtifactCache, key string) (any, bool) { return get(ac, key) },
 	}
 }
 
-func mustData(t *testing.T, key string, blob []byte) []byte {
-	t.Helper()
-	env, err := decodeEnvelope(key, blob)
+func codecRows() []codecRow {
+	hrt := node.HitRateTable{
+		Levels:   []uint8{0, 1, 2, 3, 4, 1, 0, 4},
+		L1:       cache.Stats{Accesses: 6, Misses: 4, Evictions: 2, Writebacks: 1},
+		L2:       cache.Stats{Accesses: 4, Misses: 3},
+		L3:       cache.Stats{Accesses: 3, Misses: 2},
+		MemReads: 2, MemWrites: 1,
+		HierCfg: cache.HierarchyConfig{MemLatencyCycle: 200, PrefetchDegree: 4},
+	}
+	badLevel := hrt
+	badLevel.Levels = []uint8{0, uint8(cache.LevelMem) + 1}
+	lm := dram.LatencyModel{PeakBW: 1e9, Points: []float64{0.05, 1}, LatenciesNs: []float64{80.5, 120.25}, SatBW: 9e8}
+	burst := &trace.Burst{App: "fixture", Ranks: []trace.RankTrace{
+		{Rank: 0, Events: []trace.Event{{Kind: trace.EvSend, Peer: 1, Bytes: 8}, {Kind: trace.EvBarrier}}},
+		{Rank: 1, Events: []trace.Event{{Kind: trace.EvRecv, Peer: 0, Bytes: 8}, {Kind: trace.EvBarrier}}},
+	}}
+	return []codecRow{
+		newCodecRow(&hitRatesCodec, "2da949c48c91c7d749096f0fd9bc2094191b659574bfb54e8804d6146513e595", hrt,
+			map[string]any{"out-of-range level": badLevel, "undecodable": "x"},
+			(*ArtifactCache).PutHitRates, (*ArtifactCache).HitRates),
+		newCodecRow(&latencyCodec, "1eaf9ead0f0f31c56161e8ed7adf0a7c404662c2447681ff526e3c28e82d2ded", lm,
+			map[string]any{"undecodable": "x"},
+			(*ArtifactCache).PutLatencyModel, (*ArtifactCache).LatencyModel),
+		newCodecRow(&burstCodec, "93c8fb78919275c9cfe921112fd5358765ecc1e1827359229017068636699ec2", burst,
+			map[string]any{
+				"invalid burst (no ranks)":       trace.Burst{App: "fixture"},
+				"invalid burst (rank misplaced)": trace.Burst{Ranks: []trace.RankTrace{{Rank: 1}}},
+				"null":                           nil,
+				"undecodable":                    "x",
+			},
+			(*ArtifactCache).PutBurst, (*ArtifactCache).Burst),
+	}
+}
+
+// TestArtifactCodecTable drives every row of the codec table through the
+// same checks: the encoded envelope is pinned, a round trip through a
+// directory and a second handle is bitwise, and every byte boundary — the
+// PutBlob push path and the typed read of a stored file — refuses a blob
+// with the wrong key, schema or kind or with a payload the row's codec
+// rejects.
+func TestArtifactCodecTable(t *testing.T) {
+	rows := codecRows()
+	key := strings.Repeat("ab", 32)
+	other := strings.Repeat("cd", 32)
+	// envelope re-marshals blob with some fields replaced.
+	envelope := func(blob []byte, repl map[string]any) []byte {
+		var env map[string]any
+		if err := json.Unmarshal(blob, &env); err != nil {
+			t.Fatal(err)
+		}
+		for k, v := range repl {
+			env[k] = v
+		}
+		out, err := json.Marshal(env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	for i, row := range rows {
+		t.Run(string(row.kind), func(t *testing.T) {
+			blob := row.encode(key, row.value)
+			if got := fmt.Sprintf("%x", sha256.Sum256(blob)); got != row.sha {
+				t.Fatalf("encoded envelope changed: sha256 %s, pinned %s\n%s", got, row.sha, blob)
+			}
+
+			// Round trip: written typed through one handle, read typed and
+			// raw through another, re-encoded to the same bytes.
+			dir := t.TempDir()
+			w, err := OpenArtifacts(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			row.put(w, key)
+			r, err := OpenArtifacts(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, ok := row.get(r, key)
+			if !ok || !reflect.DeepEqual(got, row.value) {
+				t.Fatalf("round trip is lossy: %+v, want %+v", got, row.value)
+			}
+			if raw, ok := r.Blob(key); !ok || !bytes.Equal(raw, blob) || !bytes.Equal(row.encode(key, got), blob) {
+				t.Fatal("round trip is not bitwise")
+			}
+			// A blob of this kind is never served as another kind.
+			for j, o := range rows {
+				if _, ok := o.get(r, key); ok != (i == j) {
+					t.Fatalf("%s blob served as %s: %v", row.kind, o.kind, ok)
+				}
+			}
+
+			refused := map[string][]byte{
+				"wrong schema": envelope(blob, map[string]any{"schema": dse.ArtifactSchemaVersion + 1}),
+				"wrong key":    envelope(blob, map[string]any{"key": other}),
+				"unknown kind": envelope(blob, map[string]any{"kind": "nonsense"}),
+			}
+			for name, payload := range row.bad {
+				refused[name] = envelope(blob, map[string]any{"data": payload})
+			}
+			for name, bad := range refused {
+				mem, err := OpenArtifacts("")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := mem.PutBlob(key, bad); err == nil {
+					t.Errorf("%s: pushed blob accepted", name)
+				}
+				if name == "unknown kind" {
+					continue // a typed read treats another kind as absent, not corrupt
+				}
+				// The same bytes as a file another writer left behind.
+				dir := t.TempDir()
+				if err := os.WriteFile(filepath.Join(dir, key+".json"), bad, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				disk, err := OpenArtifacts(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, ok := row.get(disk, key); ok || disk.Err() == nil || disk.Len() != 0 {
+					t.Errorf("%s: stored blob served=%v err=%v entries=%d, want refused, reported and evicted",
+						name, ok, disk.Err(), disk.Len())
+				}
+			}
+		})
+	}
+}
+
+// TestArtifactSharedDirectory pins the multi-process contract of the disk
+// backend: two handles opened on one directory see each other's later
+// writes, typed and raw, because a lookup asks the directory, not an index
+// filled at open.
+func TestArtifactSharedDirectory(t *testing.T) {
+	dir := t.TempDir()
+	a, err := OpenArtifacts(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return env.Data
+	b, err := OpenArtifacts(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, hrt := testHitRates(t)
+	key := fmt.Sprintf("%064x", 5)
+	if _, ok := a.HitRates(key); ok {
+		t.Fatal("empty directory served a table")
+	}
+	b.PutHitRates(key, hrt)
+	if got, ok := a.HitRates(key); !ok || !reflect.DeepEqual(got, hrt) {
+		t.Fatal("table put through one handle not served typed by the other")
+	}
+	raw, ok := a.Blob(key)
+	if want, _ := b.Blob(key); !ok || !bytes.Equal(raw, want) {
+		t.Fatal("table put through one handle not served raw by the other")
+	}
+	if n := a.Stats().Entries; n != 1 {
+		t.Fatalf("entries seen by the other handle = %d, want 1", n)
+	}
 }
 
 // TestArtifactCachePersistence drives the disk path: artifacts written by
@@ -244,16 +425,16 @@ func TestArtifactFrontEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, hrt := testHitRates(t)
-	keys := make([]string, maxResidentHitRates+4)
+	keys := make([]string, hitRatesCodec.bound+4)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("%064x", i+1)
 		c.PutHitRates(keys[i], hrt)
 	}
 	c.mu.Lock()
-	resident := len(c.hit)
+	resident := len(c.hit.vals)
 	c.mu.Unlock()
-	if resident > maxResidentHitRates {
-		t.Fatalf("%d resident hit-rate tables, cap %d", resident, maxResidentHitRates)
+	if resident > c.hit.bound {
+		t.Fatalf("%d resident hit-rate tables, cap %d", resident, c.hit.bound)
 	}
 	// The evicted first key still decodes from disk.
 	if got, ok := c.HitRates(keys[0]); !ok || !reflect.DeepEqual(got, hrt) {

@@ -236,8 +236,7 @@ func TestOptimizeValidation(t *testing.T) {
 }
 
 // TestSnapshotCoherence pins Client.Snapshot against the facets it
-// aggregates and against the deprecated single-facet accessors it
-// replaces, which must keep answering identically.
+// aggregates.
 func TestSnapshotCoherence(t *testing.T) {
 	dir := t.TempDir()
 	client, err := musa.NewClient(musa.ClientOptions{CacheDir: dir, MaxJobs: 3})
@@ -279,22 +278,6 @@ func TestSnapshotCoherence(t *testing.T) {
 	}
 	if snap.Store.Len != 1 {
 		t.Fatalf("store len after one run = %d", snap.Store.Len)
-	}
-
-	// Deprecated wrappers stay consistent with the snapshot.
-	ranks, network, disabled := client.ReplayDefaults()
-	if disabled != snap.Replay.Disabled || network != snap.Replay.Network ||
-		!slices.Equal(ranks, snap.Replay.Ranks) {
-		t.Fatal("ReplayDefaults diverges from Snapshot().Replay")
-	}
-	if client.MaxJobs() != snap.Jobs.Max || client.StoreLen() != snap.Store.Len ||
-		client.StoreReadOnly() != snap.Store.ReadOnly ||
-		client.ArtifactsEnabled() != snap.Artifacts.Enabled {
-		t.Fatal("deprecated accessors diverge from Snapshot")
-	}
-	mem, block := client.StoreConfig()
-	if mem != snap.Store.MemtableBytes || block != snap.Store.BlockCacheBytes {
-		t.Fatal("StoreConfig diverges from Snapshot().Store")
 	}
 
 	// Snapshot marshals as one JSON document (the /stats building block).

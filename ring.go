@@ -1,23 +1,14 @@
 package musa
 
 import (
-	"bytes"
-	"context"
-	"fmt"
-	"io"
-	"net/http"
-	"time"
-
-	"musa/internal/dram"
-	"musa/internal/node"
 	"musa/internal/ring"
-	"musa/internal/trace"
+	"musa/internal/store"
 )
 
 // This file is the client half of the horizontally scaled serve tier: the
 // replica ring (re-exported from internal/ring), the route-key derivation
-// that maps an experiment onto its owner replica, and the peer-artifact
-// provider that lets any ring participant fetch a missing sweep artifact
+// that maps an experiment onto its owner replica, and the blob-backend
+// decorator that lets any ring participant fetch a missing sweep artifact
 // from the replica that owns its key — and replicate freshly built ones
 // back to the owner — instead of recomputing. The serve layer consults the
 // same ring for /simulate ownership (internal/serve), the fleet scheduler
@@ -71,162 +62,64 @@ func (c *Client) RouteKey(e Experiment) (string, error) {
 	return hashKey(b), nil
 }
 
-// peerArtifactWindow bounds one peer artifact transfer (either direction).
-const peerArtifactWindow = time.Minute
+// ringBlobs decorates a client's local artifact storage with the replica
+// ring, at blob level: the client's store.ArtifactCache sits on top and
+// stays the one place artifacts are decoded, and local storage stays the
+// source of truth for the running sweep.
+type ringBlobs struct {
+	c     *Client
+	local store.BlobBackend
+}
 
-// ringHTTPClient serves the client's peer artifact traffic; package-level
-// so the idle connection pool is shared across clients in one process
-// (tests boot several replicas).
-var ringHTTPClient = &http.Client{}
-
-// peerFetchArtifact pulls one artifact blob from the replicas that rank
-// highest for its key, validates it and stores it in the local cache.
-// Best effort with a bounded fan-out: the owner and its first fallback are
+// Get serves key from local storage, else from a peer (read-through). Best
+// effort with a bounded fan-out: the owner and its first fallback are
 // tried, nobody else — a cold ring must degrade to local recompute, not to
-// a full membership sweep per miss.
-func (c *Client) peerFetchArtifact(key string) bool {
-	r := c.opts.Ring
-	if r == nil || c.art == nil {
-		return false
+// a full membership sweep per miss. A reply enters through PutBlob, which
+// validates it (schema, key binding, kind, payload), stores it locally and
+// keeps the decoded value: a corrupt or mis-keyed reply is dropped here,
+// and the typed read above finds a good one already decoded.
+func (b *ringBlobs) Get(key string) ([]byte, error) {
+	blob, err := b.local.Get(key)
+	r := b.c.opts.Ring
+	if err == nil || r.Len() == 0 {
+		return blob, err
 	}
-	order := r.Order(key)
 	tried := 0
-	for _, peer := range order {
+	for _, peer := range r.Order(key) {
 		if peer == r.Self() || r.StateOf(peer) == ring.Down {
 			continue
 		}
 		if tried++; tried > 2 {
 			break
 		}
-		if c.fetchArtifactFrom(peer, key) {
-			c.peerArtifactsFetched.Add(1)
-			return true
+		if blob, perr := getArtifact(b.c.ctx, peer, key); perr == nil && b.c.art.PutBlob(key, blob) == nil {
+			b.c.peerArtifactsFetched.Add(1)
+			return blob, nil
 		}
 	}
-	c.peerArtifactMisses.Add(1)
-	return false
+	b.c.peerArtifactMisses.Add(1)
+	return nil, err
 }
 
-// fetchArtifactFrom GETs one artifact from a peer and stores it locally.
-func (c *Client) fetchArtifactFrom(peer, key string) bool {
-	ctx, cancel := context.WithTimeout(context.Background(), peerArtifactWindow)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, peer+"/artifact/"+key, nil)
-	if err != nil {
-		return false
-	}
-	resp, err := ringHTTPClient.Do(req)
-	if err != nil {
-		return false
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<12))
-		return false
-	}
-	blob, err := io.ReadAll(io.LimitReader(resp.Body, maxPeerArtifactBytes))
-	if err != nil {
-		return false
-	}
-	// PutBlob validates the envelope (schema version, kind, key match), so
-	// a corrupt or mis-keyed peer reply is dropped here, never decoded into
-	// a sweep.
-	return c.art.PutBlob(key, blob) == nil
-}
-
-// maxPeerArtifactBytes bounds one peer artifact download, mirroring the
-// serve-side PUT bound.
-const maxPeerArtifactBytes = 256 << 20
-
-// replicateArtifact pushes a freshly built artifact to the owner of its
-// key, so the next replica that misses fetches it from where the ring
-// says it lives. Only replicas replicate (self != ""): coordinators
-// already push shard artifacts ahead of dispatch. Asynchronous and best
-// effort — a lost replica push costs one future recompute, nothing else.
-func (c *Client) replicateArtifact(key string) {
-	r := c.opts.Ring
-	if r == nil || c.art == nil || r.Self() == "" {
-		return
-	}
+// Put stores blob locally and pushes it to the owner of its key
+// (write-behind), so the next replica that misses fetches it from where
+// the ring says it lives. Only replicas replicate (self != ""):
+// coordinators already push shard artifacts ahead of dispatch.
+// Asynchronous and best effort — a lost push costs one future recompute,
+// nothing else — under the client's lifetime: Close cancels and awaits it.
+func (b *ringBlobs) Put(key string, blob []byte) error {
+	err := b.local.Put(key, blob)
+	r := b.c.opts.Ring
 	owner := r.Owner(key)
-	if owner == "" || owner == r.Self() || r.StateOf(owner) == ring.Down {
-		return
+	if r.Self() == "" || owner == "" || owner == r.Self() || r.StateOf(owner) == ring.Down {
+		return err
 	}
-	blob, ok := c.art.Blob(key)
-	if !ok {
-		return
-	}
+	b.c.bg.Add(1)
 	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), peerArtifactWindow)
-		defer cancel()
-		req, err := http.NewRequestWithContext(ctx, http.MethodPut, owner+"/artifact/"+key, bytes.NewReader(blob))
-		if err != nil {
-			return
-		}
-		req.Header.Set("Content-Type", "application/json")
-		resp, err := ringHTTPClient.Do(req)
-		if err != nil {
-			return
-		}
-		defer resp.Body.Close()
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<12))
-		if resp.StatusCode == http.StatusNoContent || resp.StatusCode == http.StatusOK {
-			c.peerArtifactsReplicated.Add(1)
+		defer b.c.bg.Done()
+		if _, perr := putArtifact(b.c.ctx, owner, key, blob); perr == nil {
+			b.c.peerArtifactsReplicated.Add(1)
 		}
 	}()
+	return err
 }
-
-// ringArtifacts wraps the client's artifact cache as a dse.ArtifactProvider
-// that falls back to the replica ring on a local miss and replicates local
-// builds to their owners: the distributed read-through / write-behind face
-// of the artifact layer. The local cache stays the source of truth for the
-// running sweep; peers only ever supply validated encoded blobs.
-type ringArtifacts struct{ c *Client }
-
-func (p ringArtifacts) HitRates(key string) (node.HitRateTable, bool) {
-	if t, ok := p.c.art.HitRates(key); ok {
-		return t, true
-	}
-	if p.c.peerFetchArtifact(key) {
-		return p.c.art.HitRates(key)
-	}
-	return node.HitRateTable{}, false
-}
-
-func (p ringArtifacts) PutHitRates(key string, t node.HitRateTable) {
-	p.c.art.PutHitRates(key, t)
-	p.c.replicateArtifact(key)
-}
-
-func (p ringArtifacts) LatencyModel(key string) (dram.LatencyModel, bool) {
-	if m, ok := p.c.art.LatencyModel(key); ok {
-		return m, true
-	}
-	if p.c.peerFetchArtifact(key) {
-		return p.c.art.LatencyModel(key)
-	}
-	return dram.LatencyModel{}, false
-}
-
-func (p ringArtifacts) PutLatencyModel(key string, m dram.LatencyModel) {
-	p.c.art.PutLatencyModel(key, m)
-	p.c.replicateArtifact(key)
-}
-
-func (p ringArtifacts) Burst(key string) (*trace.Burst, bool) {
-	if b, ok := p.c.art.Burst(key); ok {
-		return b, true
-	}
-	if p.c.peerFetchArtifact(key) {
-		return p.c.art.Burst(key)
-	}
-	return nil, false
-}
-
-func (p ringArtifacts) PutBurst(key string, b *trace.Burst) {
-	p.c.art.PutBurst(key, b)
-	p.c.replicateArtifact(key)
-}
-
-// String keeps error messages readable if a provider ever leaks into one.
-func (p ringArtifacts) String() string { return fmt.Sprintf("ringArtifacts(%s)", p.c.opts.Ring.Self()) }

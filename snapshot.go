@@ -3,16 +3,13 @@ package musa
 import (
 	"path/filepath"
 
-	"musa/internal/store"
 	"musa/internal/store/lsm"
 )
 
 // Snapshot is one coherent view of everything a Client exposes for
 // introspection: the request counters, job-pool occupancy, result-store
 // state and effective sizing, the artifact cache, and the default replay
-// configuration. It replaces the former per-facet accessor methods
-// (StoreLen, StoreEngineStats, ArtifactStats, InFlight, ...), which
-// remain as thin deprecated wrappers. The struct marshals cleanly, so
+// configuration. The struct marshals cleanly, so
 // /stats-style endpoints can serve it (or pieces of it) directly.
 type Snapshot struct {
 	// Stats are the client request counters.
@@ -137,74 +134,4 @@ func (c *Client) replaySnapshot() ReplaySnapshot {
 		network = "mn4"
 	}
 	return ReplaySnapshot{Ranks: ranks, Network: network}
-}
-
-// Deprecated accessor wrappers. Each predates Snapshot and survives for
-// API compatibility only; new code reads the corresponding Snapshot
-// field.
-
-// MaxJobs returns the client's concurrent-job bound.
-//
-// Deprecated: read Snapshot().Jobs.Max.
-func (c *Client) MaxJobs() int { return cap(c.sem) }
-
-// InFlight returns the number of simulation jobs currently holding a slot.
-//
-// Deprecated: read Snapshot().Jobs.InFlight.
-func (c *Client) InFlight() int { return len(c.sem) }
-
-// StoreLen returns the number of measurements in the result store (0
-// without one).
-//
-// Deprecated: read Snapshot().Store.Len.
-func (c *Client) StoreLen() int { return c.storeSnapshot().Len }
-
-// StoreEngineStats returns a snapshot of the result store's LSM engine
-// counters (zero without a CacheDir).
-//
-// Deprecated: read Snapshot().Store.Engine.
-func (c *Client) StoreEngineStats() lsm.Stats { return c.storeSnapshot().Engine }
-
-// StoreReadOnly reports whether the result store was opened read-only.
-//
-// Deprecated: read Snapshot().Store.ReadOnly.
-func (c *Client) StoreReadOnly() bool { return c.storeSnapshot().ReadOnly }
-
-// StoreConfig returns the result store's effective engine sizing.
-//
-// Deprecated: read Snapshot().Store.MemtableBytes / BlockCacheBytes.
-func (c *Client) StoreConfig() (memtableBytes int64, blockCacheBytes int64) {
-	s := c.storeSnapshot()
-	return s.MemtableBytes, s.BlockCacheBytes
-}
-
-// ArtifactsEnabled reports whether the client holds an artifact cache.
-//
-// Deprecated: read Snapshot().Artifacts.Enabled.
-func (c *Client) ArtifactsEnabled() bool { return c.art != nil }
-
-// ArtifactStats returns a snapshot of the artifact-cache counters (zero
-// with NoArtifacts).
-//
-// Deprecated: read Snapshot().Artifacts.Stats.
-func (c *Client) ArtifactStats() store.ArtifactStats { return c.artifactsSnapshot().Stats }
-
-// ArtifactErr returns the first artifact blob I/O error the cache
-// swallowed.
-//
-// Deprecated: read Snapshot().Artifacts.Err.
-func (c *Client) ArtifactErr() error {
-	if c.art == nil {
-		return nil
-	}
-	return c.art.Err()
-}
-
-// ReplayDefaults returns the client's normalized default replay
-// configuration.
-//
-// Deprecated: read Snapshot().Replay.
-func (c *Client) ReplayDefaults() (ranks []int, network string, disabled bool) {
-	r := c.replaySnapshot()
-	return r.Ranks, r.Network, r.Disabled
 }
