@@ -282,7 +282,7 @@ func BenchmarkFigure2bScaling(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		last = map[string][]FullAppScalingResult{}
 		for _, app := range Applications() {
-			last[app.Name] = FullAppScaling(app, 256, []int{32, 64}, model)
+			last[app.Name] = core.FullAppScaling(app, 256, []int{32, 64}, model, core.DefaultBurstOptions())
 		}
 	}
 	printOnce("fig2b", func() *report.Table {

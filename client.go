@@ -14,6 +14,7 @@ import (
 	"musa/internal/dse"
 	"musa/internal/net"
 	"musa/internal/obs"
+	"musa/internal/ring"
 	"musa/internal/store"
 	"musa/internal/store/lsm"
 )
@@ -215,6 +216,9 @@ type Client struct {
 	network NetworkModel         // resolved default network
 	sem     chan struct{}
 	fleet   *fleet // nil without Workers
+	// fw carries every request the client sends to another process. It is
+	// over opts.Ring, or an empty ring: then nothing routes by key.
+	fw *ring.Forwarder
 
 	// ctx is the client's lifetime: background work the client starts
 	// (write-behind artifact replication) runs under it and is counted in
@@ -275,11 +279,17 @@ func NewClient(opts ClientOptions) (*Client, error) {
 		flight:  map[string]*call{},
 		custom:  map[string]*Application{},
 	}
+	rg := opts.Ring
+	if rg == nil {
+		rg = ring.New("", nil)
+	}
+	c.fw = &ring.Forwarder{Ring: rg, HTTP: artifactHTTP}
 	if len(opts.Workers) > 0 {
 		f, err := newFleet(opts.Workers, opts.ShardTimeout, opts.HedgeAfter)
 		if err != nil {
 			return nil, err
 		}
+		f.fw = c.fw
 		c.fleet = f
 	}
 	if opts.CacheDir != "" {
@@ -528,7 +538,7 @@ func (c *Client) runNode(ctx context.Context, ne Experiment, watch Observer) (*R
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrUnknownApp, err)
 	}
-	key := nodeKey(ne, ne.App, c.customProfile(ne.App), *ne.Arch, nil)
+	key := nodeKey(ne, ne.App, c.customProfile(ne.App), *ne.Arch)
 
 	finish := func(m Measurement, cached bool) (*Result, error) {
 		if watch.Measurement != nil {
@@ -682,7 +692,7 @@ func (c *Client) runSweep(ctx context.Context, ne Experiment, watch Observer) (*
 	flush := func() error { return nil }
 	if c.st != nil {
 		keyOf := func(app string, p dse.ArchPoint) string {
-			return nodeKey(ne, app, c.customProfile(app), archOfPoint(p), nil)
+			return nodeKey(ne, app, c.customProfile(app), archOfPoint(p))
 		}
 		flush = store.Bind(c.st, keyOf, &opts, ne.Recompute)
 	}

@@ -156,30 +156,28 @@ func indices(n int) []int {
 	return out
 }
 
-// TestRunSweepSharesClientCache checks key unification across the API
-// generations: points checkpointed by the deprecated RunSweep wrapper are
-// store hits for Client node experiments, and vice versa.
+// TestRunSweepSharesClientCache checks key unification across experiment
+// kinds and store handles: points a sweep checkpointed are store hits for a
+// later client's node experiments over the same directory.
 func TestRunSweepSharesClientCache(t *testing.T) {
 	dir := t.TempDir()
+	opts := ClientOptions{CacheDir: dir, SampleInstrs: 20000, WarmupInstrs: 40000, Seed: 1}
 
-	// The deprecated wrapper sweeps two points into the store.
-	_, err := RunSweep(SweepOptions{
-		AppNames:     []string{"hydro"},
-		SampleInstrs: 20000,
-		WarmupInstrs: 40000,
-		Seed:         1,
-		CacheDir:     dir,
-		ReplayRanks:  []int{4},
+	sweeper, err := NewClient(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = sweeper.Run(context.Background(), Experiment{
+		Kind: KindSweep, Apps: []string{"hydro"}, PointIndices: []int{6, 7}, ReplayRanks: []int{4},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := sweeper.Close(); err != nil {
+		t.Fatal(err)
+	}
 
-	// A Client over the same store must hit for the matching single-point
-	// experiment.
-	c, err := NewClient(ClientOptions{
-		CacheDir: dir, SampleInstrs: 20000, WarmupInstrs: 40000, Seed: 1,
-	})
+	c, err := NewClient(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +189,7 @@ func TestRunSweepSharesClientCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !res.Cached {
-		t.Fatal("Client missed a measurement the deprecated RunSweep stored")
+		t.Fatal("node experiment missed a measurement the sweep stored")
 	}
 	if c.Stats().Simulated != 0 {
 		t.Fatal("Client re-simulated a stored point")
@@ -249,10 +247,10 @@ func TestClientCustomApplication(t *testing.T) {
 	}
 }
 
-// TestClientNodeMatchesDeprecatedSweep cross-checks the unified pipeline
-// against the deprecated entry points: a node experiment must agree with
-// the RunSweep measurement of the same point.
-func TestClientNodeMatchesDeprecatedSweep(t *testing.T) {
+// TestClientNodeMatchesSweep cross-checks the two routes to one measurement:
+// a node experiment must agree with the same point simulated inside a
+// sweep, on a client that shares nothing with the first.
+func TestClientNodeMatchesSweep(t *testing.T) {
 	c := newTestClient(t, t.TempDir())
 	res, err := c.Run(context.Background(), Experiment{
 		App: "spmz", PointIndex: intp(3), NoReplay: true,
@@ -261,21 +259,18 @@ func TestClientNodeMatchesDeprecatedSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	d, err := RunSweep(SweepOptions{
-		AppNames:     []string{"spmz"},
-		SampleInstrs: 20000,
-		WarmupInstrs: 40000,
-		Seed:         1,
-		NoReplay:     true,
+	sweeper := newTestClient(t, "")
+	d, err := sweeper.Run(context.Background(), Experiment{
+		Kind: KindSweep, Apps: []string{"spmz"}, PointIndices: []int{2, 3, 4}, NoReplay: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	label := res.Measurement.Arch.Label()
-	for _, m := range d.Measurements {
+	for _, m := range d.Sweep.Measurements {
 		if m.Arch.Label() == label {
 			if !reflect.DeepEqual(m, *res.Measurement) {
-				t.Fatalf("unified and deprecated pipelines disagree:\n%+v\nvs\n%+v", m, *res.Measurement)
+				t.Fatalf("node and sweep pipelines disagree:\n%+v\nvs\n%+v", m, *res.Measurement)
 			}
 			return
 		}

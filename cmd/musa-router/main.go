@@ -10,12 +10,7 @@
 //
 //	musa-router -addr :8079 -replicas http://h1:8080,http://h2:8080,http://h3:8080
 //
-// Routing:
-//
-//	POST /simulate       by the experiment's node store key
-//	POST /dse, /shard    by the hash of the canonical sweep encoding
-//	GET|PUT /artifact/{key}  by the artifact key itself
-//	everything else      to the healthiest replica (ops endpoints, figures)
+// The handler, and the key each route is routed by, is serve.NewRouter.
 //
 // Replicas that fail a probe or a forward are routed around until they
 // pass again; a replica answering 503 from /healthz (draining) or
@@ -40,7 +35,6 @@ import (
 	"time"
 
 	"musa"
-	"musa/internal/obs"
 	"musa/internal/ring"
 	"musa/internal/serve"
 )
@@ -86,12 +80,11 @@ func main() {
 		log.Fatal(err)
 	}
 
-	rt := &router{rg: rg, keyer: keyer, httpc: &http.Client{}}
-	go rt.probe(*probeEvery)
-
-	srv := serve.NewServer(*addr, rt)
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+	go probe(ctx, rg, *probeEvery)
+
+	srv := serve.NewServer(*addr, serve.NewRouter(keyer))
 	go func() {
 		<-ctx.Done()
 		log.Print("shutting down")
@@ -105,32 +98,27 @@ func main() {
 	}
 }
 
-type router struct {
-	rg    *musa.Ring
-	keyer *musa.Client
-	httpc *http.Client
-}
-
-// probe polls every replica's /healthz on a fixed period and feeds the
-// result into the ring's health states, which reorder routing preferences
-// without changing key ownership.
-func (rt *router) probe(every time.Duration) {
+// probe polls every replica's /healthz on a fixed period, until ctx ends,
+// and feeds the result into the ring's health states, which reorder routing
+// preferences without changing key ownership. It is the only source of the
+// Overloaded and Draining states, and its verdict replaces a forward's
+// transport-failure mark (ring.MarkDown) either way.
+func probe(ctx context.Context, rg *musa.Ring, every time.Duration) {
+	httpc := &http.Client{Timeout: 2 * time.Second}
 	for {
-		for _, m := range rt.rg.Members() {
-			rt.rg.SetState(m.URL, rt.probeOne(m.URL))
+		for _, m := range rg.Members() {
+			rg.SetState(m.URL, probeOne(httpc, m.URL))
 		}
-		time.Sleep(every)
+		select {
+		case <-ctx.Done():
+			return
+		case <-time.After(every):
+		}
 	}
 }
 
-func (rt *router) probeOne(base string) musa.RingState {
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/healthz", nil)
-	if err != nil {
-		return musa.RingDown
-	}
-	resp, err := rt.httpc.Do(req)
+func probeOne(httpc *http.Client, base string) musa.RingState {
+	resp, err := httpc.Get(base + "/healthz")
 	if err != nil {
 		return musa.RingDown
 	}
@@ -138,7 +126,8 @@ func (rt *router) probeOne(base string) musa.RingState {
 	var body struct {
 		Status string `json:"status"`
 	}
-	json.NewDecoder(io.LimitReader(resp.Body, 1<<12)).Decode(&body)
+	// An undecodable body leaves Status empty, which ParseState refuses.
+	_ = json.NewDecoder(io.LimitReader(resp.Body, 1<<12)).Decode(&body)
 	if st, err := ring.ParseState(body.Status); err == nil {
 		return st
 	}
@@ -146,124 +135,6 @@ func (rt *router) probeOne(base string) musa.RingState {
 		return musa.RingOk
 	}
 	return musa.RingDown
-}
-
-// maxRoutedBody bounds a request body the router must buffer to derive its
-// route key. Simulation requests are small JSON documents; artifact PUTs
-// stream through without buffering.
-const maxRoutedBody = 1 << 20
-
-func (rt *router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	key := ""
-	var body []byte
-	switch {
-	case r.Method == http.MethodPost &&
-		(r.URL.Path == "/simulate" || r.URL.Path == "/dse" || r.URL.Path == "/shard"):
-		var err error
-		body, err = io.ReadAll(io.LimitReader(r.Body, maxRoutedBody))
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		var e musa.Experiment
-		if err := json.Unmarshal(body, &e); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		if e.Kind == "" {
-			if r.URL.Path == "/simulate" {
-				e.Kind = musa.KindNode
-			} else {
-				e.Kind = musa.KindSweep
-			}
-		}
-		if k, err := rt.keyer.RouteKey(e); err == nil {
-			key = k
-		}
-		// A key derivation failure routes by health alone; the replica
-		// produces the authoritative validation error.
-	case strings.HasPrefix(r.URL.Path, "/artifact/"):
-		key = strings.TrimPrefix(r.URL.Path, "/artifact/")
-	}
-	rt.forward(w, r, key, body)
-}
-
-// forward sends the request to the ring's preferred replicas in order,
-// skipping members marked down and advancing past transport failures. The
-// first replica that answers — whatever its status code — owns the reply.
-func (rt *router) forward(w http.ResponseWriter, r *http.Request, key string, body []byte) {
-	tried := 0
-	for _, base := range rt.rg.Order(key) {
-		if rt.rg.StateOf(base) == musa.RingDown {
-			continue
-		}
-		tried++
-		if rt.forwardTo(w, r, base, body) {
-			return
-		}
-		rt.rg.SetState(base, musa.RingDown)
-	}
-	if tried == 0 {
-		// Every replica is marked down: try them all anyway rather than
-		// refusing — the prober may just be behind.
-		for _, base := range rt.rg.Order(key) {
-			if rt.forwardTo(w, r, base, body) {
-				return
-			}
-		}
-	}
-	http.Error(w, "no replica reachable", http.StatusBadGateway)
-}
-
-// forwardTo proxies one request to one replica, streaming the response
-// through with per-chunk flushes so NDJSON progress events reach the
-// client incrementally. Returns false only when no response was started —
-// a transport failure before any bytes were written — so the caller can
-// try the next replica.
-func (rt *router) forwardTo(w http.ResponseWriter, r *http.Request, base string, body []byte) bool {
-	var reqBody io.Reader = r.Body
-	if body != nil {
-		reqBody = strings.NewReader(string(body))
-	}
-	req, err := http.NewRequestWithContext(r.Context(), r.Method, base+r.URL.RequestURI(), reqBody)
-	if err != nil {
-		return false
-	}
-	for _, h := range []string{"Content-Type", "Accept", obs.TraceHeader} {
-		if v := r.Header.Get(h); v != "" {
-			req.Header.Set(h, v)
-		}
-	}
-	// The router is the placement decision: the replica executes locally
-	// instead of re-routing, even if its membership view disagrees.
-	req.Header.Set(serve.RingHopHeader, "1")
-	resp, err := rt.httpc.Do(req)
-	if err != nil {
-		return false
-	}
-	defer resp.Body.Close()
-	for _, h := range []string{"Content-Type", "Retry-After", "Location"} {
-		if v := resp.Header.Get(h); v != "" {
-			w.Header().Set(h, v)
-		}
-	}
-	w.WriteHeader(resp.StatusCode)
-	flusher, _ := w.(http.Flusher)
-	buf := make([]byte, 32<<10)
-	for {
-		n, err := resp.Body.Read(buf)
-		if n > 0 {
-			if _, werr := w.Write(buf[:n]); werr != nil {
-				return true // client hung up; the reply is committed
-			}
-			if flusher != nil {
-				flusher.Flush()
-			}
-		}
-		if err != nil {
-			return true
-		}
-	}
 }
 
 // splitList parses a comma-separated flag value, dropping empty elements.

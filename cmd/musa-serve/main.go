@@ -76,7 +76,6 @@ func main() {
 	accessLog := flag.Bool("access-log", false, "log one line per completed HTTP request")
 	self := flag.String("self", "", "this replica's advertised base URL (enables ring routing, e.g. http://host:8080)")
 	peers := flag.String("peers", "", "comma-separated replica base URLs forming the ring (including -self)")
-	ringRedirect := flag.Bool("ring-redirect", false, "307-redirect non-owned /simulate requests instead of proxying")
 	admit := flag.Int("admit", 0, "max concurrently admitted heavy requests (0 = 4x max-jobs, negative = unlimited)")
 	admitQueue := flag.Int("admit-queue", 64, "max heavy requests waiting for admission before shedding with 429")
 	memtableBytes := flag.Int("store-memtable-bytes", 0, "LSM memtable flush threshold in bytes (0 = default)")
@@ -155,9 +154,6 @@ func main() {
 	if limit > 0 {
 		handlerOpts = append(handlerOpts, serve.WithAdmission(limit, *admitQueue))
 		log.Printf("admission: %d concurrent, %d queued, then 429", limit, *admitQueue)
-	}
-	if *ringRedirect {
-		handlerOpts = append(handlerOpts, serve.WithRingRedirect())
 	}
 	if rg != nil {
 		log.Printf("ring: self=%s members=%d", rg.Self(), rg.Len())

@@ -82,8 +82,7 @@ var (
 // a valid node experiment; Normalize applies defaults and Validate reports
 // typed errors (ErrUnknownApp, ErrBadArch, ...) instead of panicking.
 //
-// The JSON tags are the wire form of the HTTP API ("arch" also decodes from
-// the legacy "point" key via UnmarshalJSON).
+// The JSON tags are the wire form of the HTTP API.
 type Experiment struct {
 	// Kind selects the scenario ("" = KindNode).
 	Kind Kind `json:"kind,omitempty"`
@@ -145,54 +144,6 @@ type Experiment struct {
 	// measurements overwrite the store). It is an execution hint: it does
 	// not participate in the canonical encoding or the store key.
 	Recompute bool `json:"recompute,omitempty"`
-}
-
-// experimentWire mirrors Experiment for decoding, adding the legacy "point"
-// alias the pre-v1 HTTP API used for the architecture spec.
-type experimentWire struct {
-	Kind         Kind   `json:"kind"`
-	App          string `json:"app"`
-	Apps         []string
-	Arch         *Arch `json:"arch"`
-	Point        *Arch `json:"point"`
-	PointIndex   *int  `json:"pointIndex"`
-	PointIndices []int
-	Sample       int64
-	Warmup       int64
-	Seed         uint64
-	Ranks        int
-	CoreCounts   []int
-	ReplayRanks  []int
-	NoReplay     bool
-	Network      string
-	Replay       *ReplaySpec
-	Optimize     *OptimizeSpec
-	Recompute    bool
-}
-
-// UnmarshalJSON decodes the wire form, accepting "point" as an alias for
-// "arch" (the pre-v1 /simulate spelling).
-func (e *Experiment) UnmarshalJSON(b []byte) error {
-	var w experimentWire
-	if err := json.Unmarshal(b, &w); err != nil {
-		return err
-	}
-	arch := w.Arch
-	if arch == nil {
-		arch = w.Point
-	} else if w.Point != nil {
-		return fmt.Errorf("%w: give either arch or point, not both", ErrBadArch)
-	}
-	*e = Experiment{
-		Kind: w.Kind, App: w.App, Apps: w.Apps,
-		Arch: arch, PointIndex: w.PointIndex, PointIndices: w.PointIndices,
-		Sample: w.Sample, Warmup: w.Warmup, Seed: w.Seed,
-		Ranks: w.Ranks, CoreCounts: w.CoreCounts,
-		ReplayRanks: w.ReplayRanks, NoReplay: w.NoReplay, Network: w.Network,
-		Replay: w.Replay, Optimize: w.Optimize,
-		Recompute: w.Recompute,
-	}
-	return nil
 }
 
 // appResolver maps an application name onto its profile; the package-level
@@ -499,14 +450,12 @@ func (e Experiment) CanonicalJSON() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return ne.canonicalJSON(nil, nil)
+	return ne.canonicalJSON(nil)
 }
 
 // canonicalJSON encodes an already-normalized experiment. custom carries
-// the registered profile when App is not a built-in (Client fills it);
-// model overrides the name-resolved network (the deprecated RunSweep path
-// accepts arbitrary models).
-func (e Experiment) canonicalJSON(custom *apps.Profile, model *net.Model) ([]byte, error) {
+// the registered profile when App is not a built-in (Client fills it).
+func (e Experiment) canonicalJSON(custom *apps.Profile) ([]byte, error) {
 	c := canonicalExperiment{
 		V:    store.SchemaVersion,
 		Kind: e.Kind,
@@ -517,10 +466,7 @@ func (e Experiment) canonicalJSON(custom *apps.Profile, model *net.Model) ([]byt
 		ReplayRanks: e.ReplayRanks, NoReplay: e.NoReplay,
 		Optimize: e.Optimize,
 	}
-	switch {
-	case model != nil:
-		c.Network = model
-	case e.Network != "":
+	if e.Network != "" {
 		m, err := net.ByName(e.Network)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBadNetwork, err)
@@ -556,15 +502,14 @@ func hashKey(canonical []byte) string {
 // nodeKey builds the store key of one measurement of a normalized node or
 // sweep experiment: the canonical node experiment for (app, arch) with the
 // sweep's shared fidelity and replay fields. custom is the registered
-// profile when app is not a built-in; model overrides the name-resolved
-// network (deprecated custom-model sweeps).
-func nodeKey(e Experiment, app string, custom *apps.Profile, arch Arch, model *net.Model) string {
+// profile when app is not a built-in.
+func nodeKey(e Experiment, app string, custom *apps.Profile, arch Arch) string {
 	ne := Experiment{
 		Kind: KindNode, App: app, Arch: &arch,
 		Sample: e.Sample, Warmup: e.Warmup, Seed: e.Seed,
 		ReplayRanks: e.ReplayRanks, NoReplay: e.NoReplay, Network: e.Network,
 	}
-	b, err := ne.canonicalJSON(custom, model)
+	b, err := ne.canonicalJSON(custom)
 	if err != nil {
 		// e is normalized, so its network name resolves.
 		panic(fmt.Sprintf("musa: node key: %v", err))

@@ -239,18 +239,23 @@ func TestExperimentKeyDiscriminates(t *testing.T) {
 	}
 }
 
-// TestExperimentWireDecoding covers the JSON wire form, including the
-// legacy "point" alias for "arch".
+// TestExperimentWireDecoding covers the JSON wire form. The pre-v1 "point"
+// spelling of "arch" is gone: a body using it carries no architecture, and
+// validation says so instead of simulating something else.
 func TestExperimentWireDecoding(t *testing.T) {
 	var e Experiment
-	if err := json.Unmarshal([]byte(`{"app":"lulesh","point":{"cores":64,"coreType":"medium","freqGHz":2,"vectorBits":128,"cacheLabel":"64M:512K","channels":4}}`), &e); err != nil {
+	if err := json.Unmarshal([]byte(`{"app":"lulesh","arch":{"cores":64,"coreType":"medium","freqGHz":2,"vectorBits":128,"cacheLabel":"64M:512K","channels":4}}`), &e); err != nil {
 		t.Fatal(err)
 	}
 	if e.Arch == nil || e.Arch.CoreType != "medium" {
-		t.Fatalf("legacy point alias not decoded: %+v", e)
+		t.Fatalf("arch not decoded: %+v", e)
 	}
-	if err := json.Unmarshal([]byte(`{"arch":{},"point":{}}`), &e); err == nil || !errors.Is(err, ErrBadArch) {
-		t.Fatalf("both arch spellings accepted: %v", err)
+	e = Experiment{}
+	if err := json.Unmarshal([]byte(`{"app":"lulesh","point":{"cores":64,"coreType":"medium","freqGHz":2,"vectorBits":128,"cacheLabel":"64M:512K","channels":4}}`), &e); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Validate(); !errors.Is(err, ErrBadArch) || !strings.Contains(err.Error(), "missing Arch or PointIndex") {
+		t.Fatalf(`a "point" body validated as: %v`, err)
 	}
 	var rt Experiment
 	b, err := json.Marshal(Experiment{Kind: KindSweep, Apps: []string{"hydro"}, ReplayRanks: []int{4}})

@@ -1,7 +1,6 @@
 package musa
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -10,6 +9,7 @@ import (
 	"net/http"
 	"net/url"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -20,6 +20,7 @@ import (
 	"musa/internal/apps"
 	"musa/internal/dse"
 	"musa/internal/obs"
+	"musa/internal/ring"
 )
 
 // This file is the distributed sweep scheduler: a sweep experiment is split
@@ -70,31 +71,18 @@ func (e *retryAfterError) Error() string {
 	return fmt.Sprintf("musa: %s/shard: 429 Too Many Requests (retry after %s)", e.base, e.after)
 }
 
-// parseRetryAfter reads a Retry-After header as delay seconds; malformed or
-// absent values fall back to one second.
-func parseRetryAfter(v string) time.Duration {
-	if n, err := strconv.Atoi(strings.TrimSpace(v)); err == nil && n >= 0 {
-		return time.Duration(n) * time.Second
-	}
-	return time.Second
-}
-
 // fleet is the validated remote-worker configuration of a Client.
 type fleet struct {
 	bases      []string // normalized base URLs, no trailing slash
 	timeout    time.Duration
 	hedgeAfter time.Duration
-	httpc      *http.Client
+	fw         *ring.Forwarder // the owning client's
 }
 
 // newFleet validates the worker base URLs (http/https with a host) and
 // normalizes the dispatch knobs.
 func newFleet(workers []string, shardTimeout, hedgeAfter time.Duration) (*fleet, error) {
-	f := &fleet{
-		timeout:    shardTimeout,
-		hedgeAfter: hedgeAfter,
-		httpc:      &http.Client{},
-	}
+	f := &fleet{timeout: shardTimeout, hedgeAfter: hedgeAfter}
 	if f.timeout == 0 {
 		f.timeout = defaultShardTimeout
 	}
@@ -113,75 +101,59 @@ func newFleet(workers []string, shardTimeout, hedgeAfter time.Duration) (*fleet,
 
 // capacity probes GET {base}/capacity and returns the advertised concurrent
 // job count, clamped to [1, maxWorkerSlots].
-func (f *fleet) capacity(ctx context.Context, base string) (int, error) {
-	ctx, cancel := context.WithTimeout(ctx, capacityProbeWindow)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/capacity", nil)
-	if err != nil {
-		return 0, err
+func (f *fleet) capacity(ctx context.Context, base string) (n int, err error) {
+	req := ring.Request{Method: http.MethodGet, Path: "/capacity", Timeout: capacityProbeWindow}
+	serr := f.fw.Send(ctx, base, req, func(resp *http.Response) {
+		var out struct {
+			MaxJobs int `json:"maxJobs"`
+		}
+		if resp.StatusCode != http.StatusOK {
+			err = fmt.Errorf("musa: %s/capacity: %s", base, resp.Status)
+		} else if derr := json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&out); derr != nil {
+			err = fmt.Errorf("musa: %s/capacity: %v", base, derr)
+		} else {
+			n = min(max(out.MaxJobs, 1), maxWorkerSlots)
+		}
+	})
+	if serr != nil {
+		return 0, serr
 	}
-	resp, err := f.httpc.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return 0, fmt.Errorf("musa: %s/capacity: %s", base, resp.Status)
-	}
-	var out struct {
-		MaxJobs int `json:"maxJobs"`
-	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&out); err != nil {
-		return 0, fmt.Errorf("musa: %s/capacity: %v", base, err)
-	}
-	if out.MaxJobs < 1 {
-		return 1, nil
-	}
-	return min(out.MaxJobs, maxWorkerSlots), nil
+	return n, err
 }
 
 // postShard sends one shard sub-experiment to a worker and returns its
-// measurements. The request is bounded by the fleet's shard timeout.
-func (f *fleet) postShard(ctx context.Context, base string, e Experiment) ([]Measurement, error) {
-	if f.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, f.timeout)
-		defer cancel()
-	}
+// measurements. The request is bounded by the fleet's shard timeout, and
+// the forwarder stamps it with the dispatch span, so the worker's request
+// span (and the whole worker-side tree under it) parents into this
+// coordinator trace.
+func (f *fleet) postShard(ctx context.Context, base string, e Experiment) (ms []Measurement, err error) {
 	body, err := json.Marshal(e)
 	if err != nil {
 		return nil, err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/shard", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
+	req := ring.Request{Method: http.MethodPost, Path: "/shard", Header: jsonHeader, Body: body, Timeout: f.timeout}
+	serr := f.fw.Send(ctx, base, req, func(resp *http.Response) {
+		switch resp.StatusCode {
+		case http.StatusOK:
+			var out struct {
+				Measurements []Measurement `json:"measurements"`
+			}
+			if err = json.NewDecoder(resp.Body).Decode(&out); err != nil {
+				err = fmt.Errorf("musa: %s/shard: %v", base, err)
+			}
+			ms = out.Measurements
+		case http.StatusTooManyRequests:
+			io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<10))
+			err = &retryAfterError{base: base, after: ring.ParseRetryAfter(resp.Header.Get("Retry-After"))}
+		default:
+			msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<10))
+			err = fmt.Errorf("musa: %s/shard: %s: %s", base, resp.Status, strings.TrimSpace(string(msg)))
+		}
+	})
+	if serr != nil {
+		return nil, serr
 	}
-	req.Header.Set("Content-Type", "application/json")
-	// Propagate the dispatch span so the worker's request span (and the
-	// whole worker-side tree under it) parents into this coordinator trace.
-	if hv := obs.SpanFrom(ctx).HeaderValue(); hv != "" {
-		req.Header.Set(obs.TraceHeader, hv)
-	}
-	resp, err := f.httpc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusTooManyRequests {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<10))
-		return nil, &retryAfterError{base: base, after: parseRetryAfter(resp.Header.Get("Retry-After"))}
-	}
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<10))
-		return nil, fmt.Errorf("musa: %s/shard: %s: %s", base, resp.Status, strings.TrimSpace(string(msg)))
-	}
-	var out struct {
-		Measurements []Measurement `json:"measurements"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, fmt.Errorf("musa: %s/shard: %v", base, err)
-	}
-	return out.Measurements, nil
+	return ms, err
 }
 
 // shardJob is one dispatch unit: the points of one (application,
@@ -190,6 +162,12 @@ type shardJob struct {
 	app     string
 	indices []int             // ascending Table I grid indices
 	keys    map[string]string // arch label -> store key, also the expected-point set
+	// prefer is the worker this shard is pinned to: with a ring, the first
+	// reachable worker in the ring's order for the shard's annotation key,
+	// so the whole tier executes a group where its artifacts live. Empty
+	// without a ring, or when that order names no reachable worker: any
+	// consumer takes the shard.
+	prefer string
 
 	// done guards completion: the first finisher (remote or the local
 	// retry/hedge) records the shard's measurements, every later finisher
@@ -201,28 +179,26 @@ type shardJob struct {
 	redone atomic.Bool
 }
 
-// shardQueue is a mutex-guarded FIFO of planned shards. Ring-mode dispatch
-// pins one queue per worker at plan time; idle workers (and, past the hedge
-// delay, the local pool) steal from the others.
-type shardQueue struct {
+// pendingShards is the one dispatch structure: the planned shards nobody
+// has taken yet, in plan order. A consumer takes its first preferred shard,
+// else the first shard at all — which is a shared FIFO when nothing is
+// pinned and work stealing when something is. Shards are only ever removed.
+type pendingShards struct {
 	mu    sync.Mutex
 	items []*shardJob
 }
 
-func (q *shardQueue) push(j *shardJob) {
-	q.mu.Lock()
-	q.items = append(q.items, j)
-	q.mu.Unlock()
-}
-
-func (q *shardQueue) pop() *shardJob {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if len(q.items) == 0 {
+// take removes and returns the next shard for worker ("" = the local pool,
+// which no shard prefers); nil when none is left.
+func (p *pendingShards) take(worker string) *shardJob {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if len(p.items) == 0 {
 		return nil
 	}
-	j := q.items[0]
-	q.items = q.items[1:]
+	i := max(0, slices.IndexFunc(p.items, func(j *shardJob) bool { return j.prefer == worker }))
+	j := p.items[i]
+	p.items = slices.Delete(p.items, i, i+1)
 	return j
 }
 
@@ -237,12 +213,7 @@ func (q *shardQueue) pop() *shardJob {
 // the same worker reuse its freshest artifacts. keyOf maps a unit onto its
 // store key; the shard keeps the label->key map both to warm the
 // coordinator store and to validate a worker's reply.
-//
-// With a replica ring configured, ownerOf (nil otherwise) maps a shard onto
-// the replica owning its annotation key and the plan orders by owner first:
-// ring locality subsumes artifact locality, because the owner is where the
-// annotation either already lives or will be replicated to.
-func planShards(appNames []string, remaining map[string][]int, keyOf func(app string, i int) string, ownerOf func(*shardJob) string) []*shardJob {
+func planShards(appNames []string, remaining map[string][]int, keyOf func(app string, i int) string) []*shardJob {
 	grid := tableIGrid()
 	var out []*shardJob
 	for _, app := range appNames {
@@ -261,11 +232,6 @@ func planShards(appNames []string, remaining map[string][]int, keyOf func(app st
 	}
 	sort.SliceStable(out, func(a, b int) bool {
 		ja, jb := out[a], out[b]
-		if ownerOf != nil {
-			if oa, ob := ownerOf(ja), ownerOf(jb); oa != ob {
-				return oa < ob
-			}
-		}
 		if ja.app != jb.app {
 			return ja.app < jb.app
 		}
@@ -337,9 +303,13 @@ func (c *Client) pushShardArtifacts(ctx context.Context, base string, ne Experim
 		if !ok {
 			continue
 		}
-		unsupported, err := putArtifact(ctx, base, key, blob)
+		var unsupported bool
+		var perr error
+		serr := c.fw.Send(ctx, base, artifactPut(key, blob), func(resp *http.Response) {
+			unsupported, perr = putOutcome(resp)
+		})
 		switch {
-		case err == nil:
+		case serr == nil && perr == nil:
 			pushed.Store(id, true)
 			c.artifactsPushed.Add(1)
 		case unsupported:
@@ -471,7 +441,7 @@ func (c *Client) runSweepFleet(ctx context.Context, ne Experiment, watch Observe
 		if k, ok := keyMemo[mk]; ok {
 			return k
 		}
-		k := nodeKey(ne, app, nil, archOfPoint(grid[i]), nil)
+		k := nodeKey(ne, app, nil, archOfPoint(grid[i]))
 		keyMemo[mk] = k
 		return k
 	}
@@ -530,29 +500,7 @@ func (c *Client) runSweepFleet(ctx context.Context, ne Experiment, watch Observe
 		record(hits, true, nil)
 	}
 
-	// With a ring configured over the worker fleet, shards are planned and
-	// dispatched by ring ownership: the shard for an annotation group lands
-	// on the replica that owns the group's artifact key, so its /simulate
-	// traffic, artifact cache and shard execution all converge there.
-	rg := c.opts.Ring
-	ringMode := rg != nil && rg.Len() > 0 && len(c.fleet.bases) > 0
-	var ownerOf func(*shardJob) string
-	if ringMode {
-		owners := map[*shardJob]string{}
-		ownerOf = func(j *shardJob) string {
-			if o, ok := owners[j]; ok {
-				return o
-			}
-			o := ""
-			if keys := shardArtifactKeys(ne, j); len(keys) > 0 {
-				o = rg.Owner(keys[0])
-			}
-			owners[j] = o
-			return o
-		}
-	}
-
-	shards := planShards(appNames, remaining, keyOf, ownerOf)
+	shards := planShards(appNames, remaining, keyOf)
 	planSpan.SetAttr("shards", fmt.Sprint(len(shards)))
 	planSpan.End()
 	if len(shards) > 0 {
@@ -561,7 +509,6 @@ func (c *Client) runSweepFleet(ctx context.Context, ne Experiment, watch Observe
 		dispatchCtx, cancelDispatch := context.WithCancel(ctx)
 		defer cancelDispatch()
 
-		jobs := make(chan *shardJob, len(shards))
 		redo := make(chan *shardJob, len(shards))
 		// pushed dedupes artifact uploads per (worker, key) for this run.
 		var pushed sync.Map
@@ -603,63 +550,35 @@ func (c *Client) runSweepFleet(ctx context.Context, ne Experiment, watch Observe
 
 		// Probe worker capacities concurrently; an unreachable worker takes
 		// no shards this run (its would-be shards just spread elsewhere).
-		slots := make([]int, len(c.fleet.bases))
-		var probe sync.WaitGroup
-		for i, base := range c.fleet.bases {
-			probe.Add(1)
+		type probed struct {
+			base string
+			n    int
+		}
+		answers := make(chan probed, len(c.fleet.bases))
+		for _, base := range c.fleet.bases {
 			go func() {
-				defer probe.Done()
-				if n, err := c.fleet.capacity(dispatchCtx, base); err == nil {
-					slots[i] = n
-				}
+				n, _ := c.fleet.capacity(dispatchCtx, base) // 0 when it failed
+				answers <- probed{base, n}
 			}()
 		}
-		probe.Wait()
-		totalSlots := 0
-		for _, n := range slots {
-			totalSlots += n
+		slots := map[string]int{} // reachable workers only
+		for range c.fleet.bases {
+			if p := <-answers; p.n > 0 {
+				slots[p.base] = p.n
+			}
 		}
 
-		// Hand out the shards. Without a ring every worker slot competes for
-		// the one shared queue; with a ring each shard is pinned at plan time
-		// to the reachable worker ranked highest for its annotation key, so
-		// the whole tier executes a group where its artifacts live. Shards
-		// whose ring order names no reachable worker spill to any worker with
-		// slots; with no reachable worker at all everything goes through the
-		// shared queue to the local pool.
-		queues := make([]*shardQueue, len(c.fleet.bases))
-		for i := range queues {
-			queues[i] = &shardQueue{}
-		}
-		if ringMode && totalSlots > 0 {
-			baseIndex := make(map[string]int, len(c.fleet.bases))
-			for i, b := range c.fleet.bases {
-				baseIndex[b] = i
-			}
-			assign := func(j *shardJob) int {
-				if keys := shardArtifactKeys(ne, j); len(keys) > 0 {
-					for _, m := range rg.Order(keys[0]) {
-						if i, ok := baseIndex[m]; ok && slots[i] > 0 {
-							return i
-						}
-					}
-				}
-				for i := range c.fleet.bases {
-					if slots[i] > 0 {
-						return i
-					}
-				}
-				return -1 // unreachable: totalSlots > 0
-			}
-			for _, j := range shards {
-				queues[assign(j)].push(j)
-			}
-		} else {
-			for _, j := range shards {
-				jobs <- j
+		// With a ring over the worker fleet each shard is pinned, once, to
+		// the reachable worker the ring ranks first for its annotation key,
+		// so a group's /simulate traffic, artifact cache and shard execution
+		// converge on one replica. Without a ring Pick finds nobody and every
+		// shard is anybody's.
+		for _, j := range shards {
+			if keys := shardArtifactKeys(ne, j); len(keys) > 0 {
+				j.prefer = c.fw.Ring.Pick(keys[0], func(m string) bool { return slots[m] > 0 })
 			}
 		}
-		close(jobs)
+		pending := &pendingShards{items: shards}
 
 		// dispatchOne runs one shard against one worker: hedge timer, span,
 		// artifact pre-push, the POST, and — when the worker sheds with 429 —
@@ -719,68 +638,34 @@ func (c *Client) runSweepFleet(ctx context.Context, ne Experiment, watch Observe
 			dspan.End()
 		}
 
+		// Every advertised slot of every reachable worker runs one loop: take
+		// the next shard — this worker's own first, then anybody's, which is
+		// stealing from a slower peer; a stolen shard still resolves its
+		// artifacts through the ring's peer fetch, so stealing costs one
+		// transfer, not a rebuild — and dispatch it.
 		var wg sync.WaitGroup
-		for i, base := range c.fleet.bases {
-			for s := 0; s < slots[i]; s++ {
+		for _, base := range c.fleet.bases {
+			for s := 0; s < slots[base]; s++ {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					if ringMode {
-						// Owner-pinned dispatch: drain this worker's own
-						// queue (fully populated before the goroutines
-						// start), then steal from overloaded peers' queues —
-						// a stolen shard still resolves its artifacts through
-						// the ring's peer fetch, so stealing costs one
-						// transfer, not a rebuild.
-						next := func() *shardJob {
-							if j := queues[i].pop(); j != nil {
-								return j
-							}
-							for _, q := range queues {
-								if j := q.pop(); j != nil {
-									return j
-								}
-							}
-							return nil
-						}
-						for {
-							if dispatchCtx.Err() != nil {
-								return
-							}
-							j := next()
-							if j == nil {
-								return
-							}
-							if j.done.Load() {
-								continue
-							}
-							dispatchOne(base, j)
-						}
-					}
-					for {
-						select {
-						case <-dispatchCtx.Done():
+					for dispatchCtx.Err() == nil {
+						j := pending.take(base)
+						if j == nil {
 							return
-						case j, ok := <-jobs:
-							if !ok {
-								return
-							}
-							dispatchOne(base, j)
 						}
+						dispatchOne(base, j)
 					}
 				}()
 			}
 		}
 
 		// The local pool drains the redo queue; with no reachable worker it
-		// is also the primary consumer, so the sweep always completes. With
-		// hedging enabled it additionally joins primary consumption after
-		// the hedge delay — otherwise shards still queued behind stalled
-		// workers would starve (hedge timers only cover picked-up shards).
-		primary := jobs
-		if totalSlots > 0 {
-			primary = nil
-		}
+		// is also the only taker of pending shards, so the sweep always
+		// completes. With hedging enabled it additionally starts taking
+		// pending shards after the hedge delay — otherwise shards still
+		// waiting behind stalled workers would starve (hedge timers only
+		// cover picked-up shards).
 		nLocal := c.opts.SweepWorkers
 		if nLocal <= 0 {
 			nLocal = runtime.GOMAXPROCS(0)
@@ -789,26 +674,15 @@ func (c *Client) runSweepFleet(ctx context.Context, ne Experiment, watch Observe
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				jobsCh := primary
-				var steal bool
+				joined := len(slots) == 0
 				var join <-chan time.Time
-				if jobsCh == nil && c.fleet.hedgeAfter > 0 {
+				if !joined && c.fleet.hedgeAfter > 0 {
 					join = time.After(c.fleet.hedgeAfter)
 				}
 				for {
 					var j *shardJob
-					// Past the hedge delay in ring mode, the shared jobs
-					// channel is empty; undispatched shards sit in the
-					// per-worker queues, so joining means stealing there.
-					if steal {
-						for _, q := range queues {
-							if j = q.pop(); j != nil {
-								break
-							}
-						}
-						if j == nil {
-							steal = false // the queues never refill
-						}
+					if joined {
+						j = pending.take("")
 					}
 					if j == nil {
 						select {
@@ -817,16 +691,9 @@ func (c *Client) runSweepFleet(ctx context.Context, ne Experiment, watch Observe
 						case <-allDone:
 							return
 						case <-join:
-							jobsCh, join = jobs, nil
-							steal = ringMode
+							joined, join = true, nil
 							continue
 						case j = <-redo:
-						case j2, ok := <-jobsCh:
-							if !ok {
-								jobsCh = nil // closed: stop selecting it
-								continue
-							}
-							j = j2
 						}
 					}
 					if j.done.Load() {

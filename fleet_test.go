@@ -44,7 +44,7 @@ func TestPlanShardsPartition(t *testing.T) {
 	}
 	keyOf := func(app string, i int) string { return app + "/" + pointLabelMust(i) }
 
-	shards := planShards(apps, remaining, keyOf, nil)
+	shards := planShards(apps, remaining, keyOf)
 
 	seen := map[string]map[int]bool{}
 	for _, j := range shards {
@@ -82,7 +82,7 @@ func TestPlanShardsPartition(t *testing.T) {
 		t.Fatalf("%d shards, want %d", len(shards), 27*len(apps))
 	}
 
-	again := planShards(apps, remaining, keyOf, nil)
+	again := planShards(apps, remaining, keyOf)
 	if len(again) != len(shards) {
 		t.Fatalf("plan not deterministic: %d vs %d shards", len(again), len(shards))
 	}
@@ -104,7 +104,7 @@ func pointLabelMust(i int) string {
 
 func TestValidateShardReply(t *testing.T) {
 	remaining := map[string][]int{"btmz": {0, 1}}
-	shards := planShards([]string{"btmz"}, remaining, func(string, int) string { return "k" }, nil)
+	shards := planShards([]string{"btmz"}, remaining, func(string, int) string { return "k" })
 	if len(shards) != 1 {
 		t.Fatalf("%d shards", len(shards))
 	}
@@ -149,8 +149,8 @@ func TestShardExperimentCarriesNormalizedFields(t *testing.T) {
 	// The shard's node keys must match the coordinator's: same fidelity,
 	// seed and replay fields means nodeKey agrees for every point.
 	grid := tableIGrid()
-	if nodeKey(sub, "btmz", nil, archOfPoint(grid[3]), nil) !=
-		nodeKey(ne, "btmz", nil, archOfPoint(grid[3]), nil) {
+	if nodeKey(sub, "btmz", nil, archOfPoint(grid[3])) !=
+		nodeKey(ne, "btmz", nil, archOfPoint(grid[3])) {
 		t.Fatal("shard and coordinator node keys diverge")
 	}
 

@@ -133,15 +133,10 @@ type DetailedResult struct {
 	SystemEnergyJ float64
 }
 
-// DetailedFullApp runs detailed mode end to end: node simulation, then the
-// 256-rank replay with compute rescaled by the measured node performance.
-func DetailedFullApp(app *apps.Profile, cfg node.Config, ranks int, model net.Model) DetailedResult {
-	res, _ := DetailedFullAppCtx(context.Background(), app, cfg, ranks, model)
-	return res
-}
-
-// DetailedFullAppCtx is DetailedFullApp with a cancellation checkpoint in
-// the replay stage; it returns ctx.Err() when canceled.
+// DetailedFullAppCtx runs detailed mode end to end: node simulation, then
+// the 256-rank replay with compute rescaled by the measured node
+// performance. The replay stage is a cancellation checkpoint: it returns
+// ctx.Err() when canceled.
 func DetailedFullAppCtx(ctx context.Context, app *apps.Profile, cfg node.Config, ranks int, model net.Model) (DetailedResult, error) {
 	nres := node.Simulate(app, cfg)
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"musa/internal/apps"
@@ -89,7 +90,10 @@ func nodeCfg() node.Config {
 }
 
 func TestDetailedFullApp(t *testing.T) {
-	res := DetailedFullApp(apps.BTMZ(), nodeCfg(), 16, net.MareNostrum4())
+	res, err := DetailedFullAppCtx(context.Background(), apps.BTMZ(), nodeCfg(), 16, net.MareNostrum4())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.MakespanNs <= 0 {
 		t.Fatal("no makespan")
 	}

@@ -15,13 +15,19 @@
 // without changing the hash. Health is deliberately local, not gossiped:
 // when everyone is healthy every process agrees on the owner, and when a
 // process sees a member down it alone reroutes until the member recovers.
+//
+// Moving a request to the member a key hashes to — which member, what
+// counts as that member failing, and when it is tried again — is the
+// Forwarder in forward.go; every process that routes into a ring uses it.
 package ring
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
+	"time"
 )
 
 // State is one member's locally observed health.
@@ -78,14 +84,38 @@ type Member struct {
 	State string `json:"state"`
 }
 
+// DownCooldown is how long a transport failure (MarkDown) keeps a member
+// demoted before it is optimistically tried again. Long enough that a dead
+// member costs one failed dial per cooldown rather than one per request,
+// short enough that a restarted one is back within a prober period or five.
+const DownCooldown = 15 * time.Second
+
+// health is one member's observed state. A zero until means the state
+// holds until somebody reports another; a non-zero until (only ever set
+// together with Down, by MarkDown) is the instant the mark lapses.
+type health struct {
+	state State
+	until time.Time
+}
+
+// at is the state in force at now: a Down mark past its deadline reads Ok.
+// Expiry is computed on read, so no timer or goroutine exists to clear it.
+func (h health) at(now time.Time) State {
+	if h.state == Down && !h.until.IsZero() && !now.Before(h.until) {
+		return Ok
+	}
+	return h.state
+}
+
 // Ring is a rendezvous-hashed membership set. The zero value is unusable;
 // construct with New. All methods are safe for concurrent use.
 type Ring struct {
 	self string
+	now  func() time.Time // time.Now outside tests
 
 	mu      sync.RWMutex
 	members []string // sorted, unique, normalized (no trailing slash)
-	state   map[string]State
+	state   map[string]health
 }
 
 // Normalize canonicalizes one member URL the way the ring stores it: the
@@ -100,10 +130,14 @@ func Normalize(member string) string {
 // replicas); it need not appear in members. Duplicates and empty entries
 // are dropped.
 func New(self string, members []string) *Ring {
-	r := &Ring{self: Normalize(self), state: map[string]State{}}
+	r := &Ring{self: Normalize(self), now: time.Now, state: map[string]health{}}
 	r.SetMembers(members)
 	return r
 }
+
+// SetClock replaces the clock MarkDown deadlines are set and read against,
+// so a test can step past DownCooldown. Call it before the ring is shared.
+func (r *Ring) SetClock(now func() time.Time) { r.now = now }
 
 // Self returns this process's own member URL ("" when not a replica).
 func (r *Ring) Self() string { return r.self }
@@ -121,10 +155,10 @@ func (r *Ring) SetMembers(members []string) {
 		seen[m] = true
 		clean = append(clean, m)
 	}
-	sort.Strings(clean)
+	slices.Sort(clean)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	state := make(map[string]State, len(clean))
+	state := make(map[string]health, len(clean))
 	for _, m := range clean {
 		state[m] = r.state[m] // absent -> Ok (zero value)
 	}
@@ -137,9 +171,10 @@ func (r *Ring) SetMembers(members []string) {
 func (r *Ring) Members() []Member {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
+	now := r.now()
 	out := make([]Member, len(r.members))
 	for i, m := range r.members {
-		out[i] = Member{URL: m, State: r.state[m].String()}
+		out[i] = Member{URL: m, State: r.state[m].at(now).String()}
 	}
 	return out
 }
@@ -151,14 +186,24 @@ func (r *Ring) Len() int {
 	return len(r.members)
 }
 
-// SetState records a member's observed health. Unknown members are
-// ignored (a stale probe must not resurrect a removed member).
-func (r *Ring) SetState(member string, s State) {
+// SetState records a member's observed health, until the next report.
+// Unknown members are ignored (a stale probe must not resurrect a removed
+// member).
+func (r *Ring) SetState(member string, s State) { r.set(member, health{state: s}) }
+
+// MarkDown records that a request to member failed in transport: the
+// member reads Down for DownCooldown and then Ok again, unless a SetState
+// (a health prober that knows better) overrides the mark first.
+func (r *Ring) MarkDown(member string) {
+	r.set(member, health{state: Down, until: r.now().Add(DownCooldown)})
+}
+
+func (r *Ring) set(member string, h health) {
 	member = Normalize(member)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, ok := r.state[member]; ok {
-		r.state[member] = s
+		r.state[member] = h
 	}
 }
 
@@ -166,11 +211,11 @@ func (r *Ring) SetState(member string, s State) {
 func (r *Ring) StateOf(member string) State {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	s, ok := r.state[Normalize(member)]
+	h, ok := r.state[Normalize(member)]
 	if !ok {
 		return Down
 	}
-	return s
+	return h.at(r.now())
 }
 
 // score is the rendezvous weight of (member, key): FNV-1a over both with
@@ -205,26 +250,7 @@ func score(member, key string) uint64 {
 // identical on every process; degraded members sink only in the eyes of
 // whoever observed the degradation.
 func (r *Ring) Order(key string) []string {
-	r.mu.RLock()
-	type ranked struct {
-		url   string
-		score uint64
-		state State
-	}
-	rs := make([]ranked, len(r.members))
-	for i, m := range r.members {
-		rs[i] = ranked{url: m, score: score(m, key), state: r.state[m]}
-	}
-	r.mu.RUnlock()
-	sort.Slice(rs, func(a, b int) bool {
-		if rs[a].state != rs[b].state {
-			return rs[a].state < rs[b].state
-		}
-		if rs[a].score != rs[b].score {
-			return rs[a].score > rs[b].score
-		}
-		return rs[a].url < rs[b].url // total order even on score collision
-	})
+	rs := r.rank(key)
 	out := make([]string, len(rs))
 	for i, x := range rs {
 		out[i] = x.url
@@ -232,14 +258,40 @@ func (r *Ring) Order(key string) []string {
 	return out
 }
 
+// ranked is one member's place in a key's order.
+type ranked struct {
+	url   string
+	score uint64
+	state State
+}
+
+// rank is Order with each member's state in force attached.
+func (r *Ring) rank(key string) []ranked {
+	r.mu.RLock()
+	now := r.now()
+	rs := make([]ranked, len(r.members))
+	for i, m := range r.members {
+		rs[i] = ranked{url: m, score: score(m, key), state: r.state[m].at(now)}
+	}
+	r.mu.RUnlock()
+	slices.SortFunc(rs, func(a, b ranked) int {
+		return cmp.Or(
+			cmp.Compare(a.state, b.state),
+			cmp.Compare(b.score, a.score),
+			cmp.Compare(a.url, b.url), // total order even on score collision
+		)
+	})
+	return rs
+}
+
 // Owner returns the key's owner: the highest-scoring member among the
 // healthiest state class ("" on an empty ring).
 func (r *Ring) Owner(key string) string {
-	o := r.Order(key)
-	if len(o) == 0 {
+	rs := r.rank(key)
+	if len(rs) == 0 {
 		return ""
 	}
-	return o[0]
+	return rs[0].url
 }
 
 // OwnsLocally reports whether this process should execute key itself:

@@ -10,7 +10,6 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"musa"
@@ -57,7 +56,6 @@ func NewHandler(svc *Service, opts ...Option) http.Handler {
 	// StartDraining through it.
 	svc.reg = cfg.reg
 	svc.adm = newAdmission(cfg.admitLimit, cfg.admitQueue, cfg.retryAfter)
-	svc.ringRedirect = cfg.ringRedirect
 	cfg.reg.GaugeFunc("musa_serve_health_state",
 		"Replica health (0 ok, 1 overloaded, 2 draining, 3 down).",
 		func() float64 { return float64(svc.healthState()) })
@@ -164,53 +162,50 @@ func experimentStatus(err error) int {
 	return http.StatusInternalServerError
 }
 
-// pointAliasOnce gates the once-per-process deprecation log line below.
-var pointAliasOnce sync.Once
+// maxExperimentBody bounds a POSTed experiment. Requests are small JSON
+// documents (a full PointIndices list is under 5 KiB); the bound is what
+// keeps a hostile or broken client from making a replica buffer gigabytes.
+const maxExperimentBody = 1 << 20
 
-// noteDeprecatedAliases inspects a raw experiment body for legacy wire
-// spellings — today only the "point" alias for "arch" — and records their
-// use: one musa_http_deprecated_total{field} increment per request plus a
-// single log line per process. The alias still decodes; it is slated for
-// removal with wire schema v4 (see DESIGN.md "Deprecations").
-func (s *Service) noteDeprecatedAliases(body []byte) {
-	var probe struct {
-		Point json.RawMessage `json:"point"`
+// readBounded reads a request body of at most maxExperimentBody bytes,
+// answering 413 for a longer one and 400 for a broken one itself.
+func readBounded(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxExperimentBody))
+	if err != nil {
+		status := http.StatusBadRequest
+		if tooBig := new(http.MaxBytesError); errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		httpError(w, status, err)
+		return nil, false
 	}
-	if json.Unmarshal(body, &probe) != nil || probe.Point == nil {
-		return
+	return body, true
+}
+
+// readExperiment reads the experiment an endpoint was POSTed and forces the
+// endpoint's kind onto it. The raw body comes back too: /simulate forwards
+// it byte for byte, the streaming routes read their control fields from it.
+// On ok false the error reply has been written.
+func readExperiment(w http.ResponseWriter, r *http.Request, kind musa.Kind) (e musa.Experiment, body []byte, ok bool) {
+	if body, ok = readBounded(w, r); !ok {
+		return e, nil, false
 	}
-	if s.reg != nil {
-		s.reg.Counter("musa_http_deprecated_total",
-			"Requests using deprecated wire-format fields.",
-			obs.L("field", "point")).Inc()
+	if err := json.Unmarshal(body, &e); err != nil {
+		httpError(w, http.StatusBadRequest, err)
+		return e, nil, false
 	}
-	pointAliasOnce.Do(func() {
-		errorLog.Printf(`deprecated: request used the legacy "point" key; ` +
-			`send "arch" instead — "point" is removed in wire schema v4 (see DESIGN.md)`)
-	})
+	if e.Kind != "" && e.Kind != kind {
+		httpError(w, http.StatusBadRequest,
+			fmt.Errorf("%w: %s runs %q experiments, got %q", musa.ErrBadKind, r.URL.Path, kind, e.Kind))
+		return e, nil, false
+	}
+	e.Kind = kind
+	return e, body, true
 }
 
 func (s *Service) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	// The raw body is kept so a non-owner replica can forward it byte for
-	// byte to the ring owner (routeSimulate below).
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	var e musa.Experiment
-	if err := json.Unmarshal(body, &e); err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	s.noteDeprecatedAliases(body)
-	if e.Kind != "" && e.Kind != musa.KindNode {
-		httpError(w, http.StatusBadRequest,
-			fmt.Errorf("%w: /simulate runs %q experiments, got %q", musa.ErrBadKind, musa.KindNode, e.Kind))
-		return
-	}
-	e.Kind = musa.KindNode
-	if s.routeSimulate(w, r, e, body) {
+	e, body, ok := readExperiment(w, r, musa.KindNode)
+	if !ok || s.routeSimulate(w, r, e, body) {
 		return
 	}
 	start := time.Now()
@@ -229,18 +224,36 @@ func (s *Service) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// ndjsonStream commits w to a 200 NDJSON reply and returns its emit
+// function: one flushed line per event. A failed encode (the client hung
+// up) or a canceled request context stops the stream: the ctx already
+// cancels the run behind it, and emitting into a dead pipe would just burn
+// encoder work until that finishes.
+func ndjsonStream(w http.ResponseWriter, r *http.Request) (emit func(v any)) {
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.WriteHeader(http.StatusOK)
+	flusher, _ := w.(http.Flusher)
+	enc := json.NewEncoder(w)
+	dead := false
+	return func(v any) {
+		if dead {
+			return
+		}
+		if r.Context().Err() != nil || enc.Encode(v) != nil {
+			dead = true
+			return
+		}
+		if flusher != nil {
+			flusher.Flush()
+		}
+	}
+}
+
 func (s *Service) handleDSE(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+	e, body, ok := readExperiment(w, r, musa.KindSweep)
+	if !ok {
 		return
 	}
-	var e musa.Experiment
-	if err := json.Unmarshal(body, &e); err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	s.noteDeprecatedAliases(body)
 	// Stream-control fields ride alongside the experiment on the wire.
 	var ctl struct {
 		ProgressEvery int `json:"progressEvery"`
@@ -251,12 +264,6 @@ func (s *Service) handleDSE(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	if e.Kind != "" && e.Kind != musa.KindSweep {
-		httpError(w, http.StatusBadRequest,
-			fmt.Errorf("%w: /dse runs %q experiments, got %q", musa.ErrBadKind, musa.KindSweep, e.Kind))
-		return
-	}
-	e.Kind = musa.KindSweep
 	// Validate before committing to the 200 NDJSON stream: a malformed
 	// request must fail with a plain 400, not a mid-stream error event.
 	if err := e.Validate(); err != nil {
@@ -268,31 +275,8 @@ func (s *Service) handleDSE(w http.ResponseWriter, r *http.Request) {
 		every = 50
 	}
 
-	// Stream NDJSON: progress events while the sweep runs, result last.
-	// A failed encode (the client hung up) or a canceled request context
-	// stops the stream: the ctx already cancels the sweep, and emitting
-	// into a dead pipe would just burn encoder work until it finishes.
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	var streamErr error
-	emit := func(v any) {
-		if streamErr != nil {
-			return
-		}
-		if err := r.Context().Err(); err != nil {
-			streamErr = err
-			return
-		}
-		if err := enc.Encode(v); err != nil {
-			streamErr = err
-			return
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
+	// Progress events while the sweep runs, result last.
+	emit := ndjsonStream(w, r)
 
 	start := time.Now()
 	var done, total, cached int
@@ -327,17 +311,10 @@ func (s *Service) handleDSE(w http.ResponseWriter, r *http.Request) {
 // frontier, recommendation, cost accounting). Like /dse, the request is
 // validated before the 200 status commits the stream.
 func (s *Service) handleOptimize(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+	e, body, ok := readExperiment(w, r, musa.KindOptimize)
+	if !ok {
 		return
 	}
-	var e musa.Experiment
-	if err := json.Unmarshal(body, &e); err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	s.noteDeprecatedAliases(body)
 	var ctl struct {
 		ProgressEvery int `json:"progressEvery"`
 	}
@@ -345,12 +322,6 @@ func (s *Service) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	if e.Kind != "" && e.Kind != musa.KindOptimize {
-		httpError(w, http.StatusBadRequest,
-			fmt.Errorf("%w: /optimize runs %q experiments, got %q", musa.ErrBadKind, musa.KindOptimize, e.Kind))
-		return
-	}
-	e.Kind = musa.KindOptimize
 	if err := e.Validate(); err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
@@ -360,27 +331,7 @@ func (s *Service) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		every = 50
 	}
 
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	var streamErr error
-	emit := func(v any) {
-		if streamErr != nil {
-			return
-		}
-		if err := r.Context().Err(); err != nil {
-			streamErr = err
-			return
-		}
-		if err := enc.Encode(v); err != nil {
-			streamErr = err
-			return
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
+	emit := ndjsonStream(w, r)
 
 	start := time.Now()
 	var done, total, cached int
@@ -415,17 +366,10 @@ func (s *Service) handleOptimize(w http.ResponseWriter, r *http.Request) {
 // Execution goes through the same Client as every other endpoint, so shards
 // hit this worker's store and coalesce with its in-flight work.
 func (s *Service) handleShard(w http.ResponseWriter, r *http.Request) {
-	var e musa.Experiment
-	if err := json.NewDecoder(r.Body).Decode(&e); err != nil {
-		httpError(w, http.StatusBadRequest, err)
+	e, _, ok := readExperiment(w, r, musa.KindSweep)
+	if !ok {
 		return
 	}
-	if e.Kind != "" && e.Kind != musa.KindSweep {
-		httpError(w, http.StatusBadRequest,
-			fmt.Errorf("%w: /shard runs %q experiments, got %q", musa.ErrBadKind, musa.KindSweep, e.Kind))
-		return
-	}
-	e.Kind = musa.KindSweep
 	start := time.Now()
 	var cached int
 	res, err := s.c.RunStream(r.Context(), e, musa.Observer{

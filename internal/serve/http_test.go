@@ -118,19 +118,16 @@ func TestSimulateEndpointCaches(t *testing.T) {
 		t.Fatalf("two identical requests simulated %d times", svc.Client().Stats().Simulated)
 	}
 
-	// Explicit arch spec addresses the same content as its grid index —
-	// both through the modern "arch" key and the legacy "point" alias.
-	for _, key := range []string{"arch", "point"} {
-		spec := fmt.Sprintf(`{"app":"lulesh","%s":%s}`, key, specJSON(t, ts, 10))
-		var cached struct {
-			Cached bool `json:"cached"`
-		}
-		if code := postJSON(t, ts.URL+"/simulate", spec, &cached); code != http.StatusOK {
-			t.Fatalf("%s /simulate -> %d", key, code)
-		}
-		if !cached.Cached {
-			t.Fatalf("equivalent explicit %s spec missed the store", key)
-		}
+	// An explicit arch spec addresses the same content as its grid index.
+	spec := fmt.Sprintf(`{"app":"lulesh","arch":%s}`, specJSON(t, ts, 10))
+	var cached struct {
+		Cached bool `json:"cached"`
+	}
+	if code := postJSON(t, ts.URL+"/simulate", spec, &cached); code != http.StatusOK {
+		t.Fatalf("arch /simulate -> %d", code)
+	}
+	if !cached.Cached {
+		t.Fatal("equivalent explicit arch spec missed the store")
 	}
 }
 
@@ -269,13 +266,12 @@ func TestRankTimelineEndpoint(t *testing.T) {
 func TestSimulateEndpointRejectsBadRequests(t *testing.T) {
 	ts, _ := testServer(t)
 	for _, body := range []string{
-		`{"app":"lulesh"}`,                                // no point
-		`{"app":"lulesh","pointIndex":4000}`,              // out of range
-		`{"app":"nope","pointIndex":0}`,                   // unknown app
-		`{"app":"lulesh","pointIndex":1,"point":{}}`,      // both forms
-		`{"app":"lulesh","point":{"coreType":"mystery"}}`, // bad core
-		`{"app":"lulesh","arch":{},"point":{}}`,           // both arch spellings
-		`{"app":"lulesh","pointIndex":0,"kind":"sweep"}`,  // wrong kind for /simulate
+		`{"app":"lulesh"}`,                               // no point
+		`{"app":"lulesh","pointIndex":4000}`,             // out of range
+		`{"app":"nope","pointIndex":0}`,                  // unknown app
+		`{"app":"lulesh","pointIndex":1,"arch":{}}`,      // both forms
+		`{"app":"lulesh","arch":{"coreType":"mystery"}}`, // bad core
+		`{"app":"lulesh","pointIndex":0,"kind":"sweep"}`, // wrong kind for /simulate
 		`not json`, // parse error
 	} {
 		if code := postJSON(t, ts.URL+"/simulate", body, nil); code != http.StatusBadRequest {

@@ -20,14 +20,13 @@ import (
 
 // handlerConfig collects the NewHandler options.
 type handlerConfig struct {
-	reg          *obs.Registry
-	rec          *obs.Recorder
-	pprof        bool
-	accessLog    *log.Logger
-	admitLimit   int
-	admitQueue   int
-	retryAfter   time.Duration
-	ringRedirect bool
+	reg        *obs.Registry
+	rec        *obs.Recorder
+	pprof      bool
+	accessLog  *log.Logger
+	admitLimit int
+	admitQueue int
+	retryAfter time.Duration
 }
 
 // Option configures NewHandler.
@@ -45,11 +44,6 @@ func WithAdmission(limit, queue int) Option {
 func WithRetryAfter(d time.Duration) Option {
 	return func(c *handlerConfig) { c.retryAfter = d }
 }
-
-// WithRingRedirect answers non-owned /simulate requests with a 307 to the
-// owner replica instead of proxying server-side. Cheaper for the replica,
-// but requires redirect-following clients.
-func WithRingRedirect() Option { return func(c *handlerConfig) { c.ringRedirect = true } }
 
 // WithPprof exposes the runtime profiler under GET /debug/pprof/. Off by
 // default: profiles reveal memory contents, so the operator opts in

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"musa"
-	"musa/internal/obs"
 )
 
 func TestOptimizeEndpointStreams(t *testing.T) {
@@ -131,45 +130,20 @@ func TestOptimizeEndpointRejectsBadRequests(t *testing.T) {
 	}
 }
 
-func TestDeprecatedPointAliasCounter(t *testing.T) {
-	ts, _, reg, _ := obsServer(t)
-
-	counter := reg.Counter("musa_http_deprecated_total",
-		"Requests using deprecated wire-format fields.", obs.L("field", "point"))
-	if counter.Value() != 0 {
-		t.Fatalf("deprecation counter starts at %d", counter.Value())
-	}
-
-	// The modern "arch" spelling leaves the counter alone.
+// TestPointAliasRefused pins the end of the pre-v1 "point" spelling of
+// "arch": such a body names no architecture, and /simulate says so with a
+// 400 instead of decoding it or simulating something else.
+func TestPointAliasRefused(t *testing.T) {
+	ts, _ := testServer(t)
 	arch := specJSON(t, ts, 10)
 	if code := postJSON(t, ts.URL+"/simulate", fmt.Sprintf(`{"app":"lulesh","arch":%s}`, arch), nil); code != http.StatusOK {
 		t.Fatalf("arch /simulate -> %d", code)
 	}
-	if counter.Value() != 0 {
-		t.Fatalf(`"arch" request moved the deprecation counter to %d`, counter.Value())
+	var reply struct {
+		Error string `json:"error"`
 	}
-
-	// Every legacy "point" request increments it — including invalid ones
-	// (the alias is noted after decode, before validation rejects the kind).
-	if code := postJSON(t, ts.URL+"/simulate", fmt.Sprintf(`{"app":"lulesh","point":%s}`, arch), nil); code != http.StatusOK {
-		t.Fatalf("point /simulate -> %d", code)
-	}
-	if code := postJSON(t, ts.URL+"/simulate", fmt.Sprintf(`{"app":"lulesh","point":%s}`, arch), nil); code != http.StatusOK {
-		t.Fatalf("second point /simulate -> %d", code)
-	}
-	if counter.Value() != 2 {
-		t.Fatalf("deprecation counter = %d after two legacy requests, want 2", counter.Value())
-	}
-
-	// The counter is visible on /metrics with its field label.
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	want := `musa_http_deprecated_total{field="point"} 2`
-	if !strings.Contains(string(body), want) {
-		t.Fatalf("/metrics missing %q", want)
+	code := postJSON(t, ts.URL+"/simulate", fmt.Sprintf(`{"app":"lulesh","point":%s}`, arch), &reply)
+	if code != http.StatusBadRequest || !strings.Contains(reply.Error, "missing Arch or PointIndex") {
+		t.Fatalf(`"point" /simulate -> %d %q, want 400 naming the missing architecture`, code, reply.Error)
 	}
 }

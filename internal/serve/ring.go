@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -19,18 +18,12 @@ import (
 )
 
 // Ring face of one serve replica: deterministic /simulate ownership
-// (non-owners proxy or 307-redirect to the owner so duplicate requests
-// from any front door coalesce on one machine's single-flight), runtime
+// (non-owners relay to the owner through the ring forwarder, so duplicate
+// requests from any front door coalesce on one machine's single-flight), runtime
 // membership updates over PUT /membership, a GET /healthz state machine
 // (ok / draining / overloaded) for routers and load balancers, and load
 // shedding through a bounded admission queue that answers 429 +
 // Retry-After instead of letting an overload grow an unbounded queue.
-
-// RingHopHeader marks a request already routed once by a ring peer. A
-// replica receiving it executes locally whatever the ring says: during a
-// membership change two replicas may briefly disagree about ownership,
-// and one hop of imprecise placement beats a proxy loop.
-const RingHopHeader = "X-Musa-Ring-Hop"
 
 // admitResult is the outcome of one admission attempt.
 type admitResult int
@@ -249,34 +242,18 @@ func (s *Service) handleMembershipPut(w http.ResponseWriter, r *http.Request) {
 	s.handleMembershipGet(w, r)
 }
 
-// peerDownCooldown is how long a proxy failure keeps a peer demoted
-// before this replica optimistically tries it again. A variable so tests
-// can shorten recovery.
-var peerDownCooldown = 15 * time.Second
-
-// markPeerDown demotes a peer after a failed proxy and schedules its
-// optimistic recovery. Health is local knowledge (see internal/ring):
-// only this replica reroutes around the failure.
-func (s *Service) markPeerDown(rg *musa.Ring, peer string) {
-	rg.SetState(peer, ring.Down)
-	time.AfterFunc(peerDownCooldown, func() {
-		if rg.StateOf(peer) == ring.Down {
-			rg.SetState(peer, ring.Ok)
-		}
-	})
-}
-
 // routeSimulate applies ring ownership to one decoded /simulate request.
-// It returns true when the request was fully answered here (proxied or
-// redirected); false means the caller should execute locally — because
-// this replica owns the key, the ring is absent, the request already
-// hopped once, or the owner is unreachable (fallback).
+// It returns true when the request was fully answered here (relayed from
+// the owner, or abandoned because the caller hung up); false means the
+// caller should execute locally — because this replica owns the key, the
+// ring is absent, the request already hopped once, or the owner is
+// unreachable (fallback).
 func (s *Service) routeSimulate(w http.ResponseWriter, r *http.Request, e musa.Experiment, body []byte) bool {
 	rg := s.c.Ring()
 	if rg == nil || rg.Self() == "" || rg.Len() < 2 {
 		return false
 	}
-	if r.Header.Get(RingHopHeader) != "" {
+	if r.Header.Get(ring.HopHeader) != "" {
 		// Already routed by a peer: own it here even if membership skew
 		// says otherwise, so requests can never ping-pong.
 		s.ringResult("local")
@@ -291,57 +268,37 @@ func (s *Service) routeSimulate(w http.ResponseWriter, r *http.Request, e musa.E
 		s.ringResult("local")
 		return false
 	}
-	if s.ringRedirect {
-		s.ringResult("redirect")
-		w.Header().Set("Location", owner+"/simulate")
-		w.WriteHeader(http.StatusTemporaryRedirect)
-		return true
-	}
-	if s.proxySimulate(w, r, owner, body) {
-		s.ringResult("proxied")
-		return true
-	}
-	// The owner is unreachable: demote it locally and serve the request
-	// ourselves — correctness never depends on placement, only efficiency.
-	s.markPeerDown(rg, owner)
-	s.ringResult("fallback")
-	return false
-}
-
-// proxySimulate forwards one /simulate request to the owner replica and
-// copies the reply back verbatim. The trace header rides along, so the
-// owner's span tree grafts under this request's span across the hop.
-func (s *Service) proxySimulate(w http.ResponseWriter, r *http.Request, owner string, body []byte) bool {
+	// The trace header rides along (the forwarder takes it from this span),
+	// so the owner's span tree grafts under this request's across the hop.
 	ctx, span := obs.StartSpan(r.Context(), "ring.proxy", obs.A("owner", owner))
 	defer span.End()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, owner+"/simulate", bytes.NewReader(body))
-	if err != nil {
-		span.SetAttr("outcome", "error")
-		return false
+	// One attempt: the owner, or nobody. A second replica would compute the
+	// key beside the owner's single-flight; this one may as well do it itself.
+	err = s.fw.Forward(ctx, key, 1,
+		ring.Request{Method: http.MethodPost, Path: "/simulate", Header: r.Header, Body: body},
+		func(_ string, resp *http.Response) bool {
+			// The reply is committed: owner-side errors (including its own
+			// 429 shedding) pass through to the caller rather than
+			// triggering a second, duplicate execution here.
+			span.SetAttr("status", strconv.Itoa(resp.StatusCode))
+			ring.Relay(w, resp)
+			return true
+		})
+	switch {
+	case err == nil:
+		span.SetAttr("outcome", "proxied")
+		s.ringResult("proxied")
+		return true
+	case r.Context().Err() != nil:
+		// The caller hung up mid-hop. The owner did not fail (the forwarder
+		// marked nobody) and a local run would compute for no one.
+		span.SetAttr("outcome", "canceled")
+		return true
 	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(RingHopHeader, "1")
-	if hv := obs.SpanFrom(ctx).HeaderValue(); hv != "" {
-		req.Header.Set(obs.TraceHeader, hv)
-	}
-	resp, err := s.proxyc.Do(req)
-	if err != nil {
-		span.SetAttr("outcome", "unreachable")
-		return false
-	}
-	defer resp.Body.Close()
-	// From here the reply is committed: owner-side errors (including its
-	// own 429 shedding) pass through to the caller rather than triggering
-	// a second, duplicate execution here.
-	span.SetAttr("outcome", "proxied")
-	span.SetAttr("status", strconv.Itoa(resp.StatusCode))
-	if ct := resp.Header.Get("Content-Type"); ct != "" {
-		w.Header().Set("Content-Type", ct)
-	}
-	if ra := resp.Header.Get("Retry-After"); ra != "" {
-		w.Header().Set("Retry-After", ra)
-	}
-	w.WriteHeader(resp.StatusCode)
-	io.Copy(w, resp.Body)
-	return true
+	// The owner is unreachable — the forwarder has demoted it for its
+	// cooldown — so serve the request ourselves: correctness never depends
+	// on placement, only efficiency.
+	span.SetAttr("outcome", "unreachable")
+	s.ringResult("fallback")
+	return false
 }

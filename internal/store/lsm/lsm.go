@@ -586,9 +586,9 @@ func (db *DB) Dir() string { return db.dir }
 func (db *DB) ReadOnly() bool { return db.readOnly }
 
 // Scan calls fn for every live key/value pair (newest version of each key),
-// in unspecified order. It is the migration and fixture-audit walk, not a
-// hot path: segments are read oldest-to-newest with later versions
-// overwriting earlier ones in the visit set.
+// in unspecified order. It is the store's open-time warm, not a hot path:
+// segments are read oldest-to-newest with later versions overwriting
+// earlier ones in the visit set.
 func (db *DB) Scan(fn func(key string, value []byte) error) error {
 	db.mu.RLock()
 	defer db.mu.RUnlock()

@@ -8,12 +8,10 @@
 // cache hits. An LRU front keeps hot decoded entries in memory; misses
 // fall to the engine. The store is multi-process by design: one writer
 // owns a directory (advisory flock), while any number of read-only opens
-// follow the writer's published segments. Pre-engine JSONL stores migrate
-// in place on first writer open.
+// follow the writer's published segments.
 package store
 
 import (
-	"bufio"
 	"container/list"
 	"encoding/json"
 	"errors"
@@ -37,19 +35,11 @@ import (
 // silently misreading it (an old log would unmarshal with zeroed fields, or
 // simply never hit, and quietly poison resumed sweeps). The engine swap
 // under v3 did not bump it: keys and measurement bytes are unchanged, only
-// their container moved, and the old container migrates losslessly.
+// their container moved.
 const SchemaVersion = 3
 
 // schemaName is the version marker's file name inside the store directory.
 const schemaName = "schema"
-
-// LogName is the pre-engine JSONL measurement log's file name inside the
-// store directory; a writer open migrates it into the engine and renames
-// it to LogName+migratedSuffix.
-const LogName = "results.jsonl"
-
-// migratedSuffix marks a JSONL log whose contents now live in the engine.
-const migratedSuffix = ".migrated"
 
 // ErrStoreBusy reports a second writer open of a live store directory.
 // Readers are never refused: open with Options.ReadOnly to share a
@@ -108,14 +98,6 @@ type Options struct {
 	OnCompaction func(seconds float64)
 }
 
-// entry is one record of the legacy JSONL log. M stays raw during
-// migration so the measurement bytes written under schema v3 are carried
-// into the engine untouched.
-type entry struct {
-	K string          `json:"k"`
-	M json.RawMessage `json:"m"`
-}
-
 // Store is a content-addressed measurement store: an LSM engine under an
 // in-memory LRU front of decoded measurements. All methods are safe for
 // concurrent use; engine reads from different goroutines proceed in
@@ -126,16 +108,10 @@ type Store struct {
 
 	mu  sync.Mutex
 	lru *lruCache
-
-	// jsonl is a frozen read view of an unmigrated legacy log, consulted
-	// after an engine miss. Only read-only opens populate it (they cannot
-	// migrate); it is immutable after Open, so reads take no lock.
-	jsonl     map[string]json.RawMessage
-	jsonlOnly int // jsonl keys absent from the engine at open
 }
 
-// Open creates dir if needed, migrates any pre-engine JSONL log into the
-// engine, and returns the store. One process owns a directory for writing
+// Open creates dir if needed and returns the store. One process owns a
+// directory for writing
 // at a time: Open takes an advisory flock and fails fast with ErrStoreBusy
 // if another writer holds it (the kernel releases the lock when the holder
 // exits, however it dies, so a killed sweep never wedges the store).
@@ -162,10 +138,6 @@ func Open(dir string, opts Options) (*Store, error) {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	s := &Store{db: db, lru: newLRU(lruMax(opts))}
-	if err := s.migrate(dir); err != nil {
-		db.Close()
-		return nil, err
-	}
 	s.warmLRU()
 	return s, nil
 }
@@ -177,9 +149,7 @@ func lruMax(opts Options) int {
 	return 4096
 }
 
-// openReadOnly opens a reader handle: no lock, no writes, no migration.
-// An unmigrated legacy log (only possible when no writer has opened the
-// directory since the engine landed) is loaded as a frozen read view.
+// openReadOnly opens a reader handle: no lock, no writes.
 func openReadOnly(dir string, opts Options) (*Store, error) {
 	if err := checkSchema(dir, true); err != nil {
 		return nil, err
@@ -191,35 +161,26 @@ func openReadOnly(dir string, opts Options) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	s := &Store{db: db, readOnly: true, lru: newLRU(lruMax(opts))}
-	if view, err := readJSONL(filepath.Join(dir, LogName)); err != nil {
-		db.Close()
-		return nil, err
-	} else if len(view) > 0 {
-		s.jsonl = view
-		for k := range view {
-			if !db.Has(k) {
-				s.jsonlOnly++
-			}
-		}
-	}
-	return s, nil
+	return &Store{db: db, readOnly: true, lru: newLRU(lruMax(opts))}, nil
 }
 
-// checkSchema enforces the on-disk schema version: a store directory with
-// existing results must carry a matching version marker (results without
-// one predate versioning entirely), and an empty directory is stamped with
-// the current version — by writers only; a read-only open of a virgin
-// directory leaves it untouched.
+// checkSchema enforces the on-disk format: a directory still holding the
+// pre-engine measurement log is refused, a store directory with existing
+// results must carry a matching version marker, and an empty directory is
+// stamped with the current version — by writers only; a read-only open of
+// a virgin directory leaves it untouched.
 func checkSchema(dir string, readOnly bool) error {
+	// Serving the engine beside an unread log would silently drop every
+	// measurement the log holds; a log a past release already folded in was
+	// renamed by it and is not looked at.
+	if fi, err := os.Stat(filepath.Join(dir, "results.jsonl")); err == nil && fi.Size() > 0 {
+		return fmt.Errorf("store: %s holds a pre-engine results.jsonl log, which this release no longer migrates; "+
+			"open the directory once with commit 889f72e (PR 13, the last release that does), or delete it to rebuild", dir)
+	}
 	marker := filepath.Join(dir, schemaName)
 	raw, err := os.ReadFile(marker)
 	switch {
 	case os.IsNotExist(err):
-		if fi, serr := os.Stat(filepath.Join(dir, LogName)); serr == nil && fi.Size() > 0 {
-			return fmt.Errorf("store: %s was written before schema versioning (current v%d); delete the directory to rebuild it",
-				dir, SchemaVersion)
-		}
 	case err != nil:
 		return fmt.Errorf("store: %w", err)
 	default:
@@ -238,62 +199,6 @@ func checkSchema(dir string, readOnly bool) error {
 	}
 	if err := os.WriteFile(marker, []byte(strconv.Itoa(SchemaVersion)+"\n"), 0o644); err != nil {
 		return fmt.Errorf("store: %w", err)
-	}
-	return nil
-}
-
-// readJSONL scans a legacy log into a last-write-wins map of raw
-// measurement bytes. Records truncated by a kill mid-append, and any
-// garbage, are skipped — exactly the tolerance the JSONL store had. A
-// missing file yields a nil map.
-func readJSONL(path string) (map[string]json.RawMessage, error) {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	defer f.Close()
-	view := map[string]json.RawMessage{}
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
-	for sc.Scan() {
-		var e entry
-		if err := json.Unmarshal(sc.Bytes(), &e); err != nil || e.K == "" || len(e.M) == 0 {
-			continue
-		}
-		view[e.K] = e.M
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("store: read %s: %w", path, err)
-	}
-	return view, nil
-}
-
-// migrate folds dir's legacy JSONL log into the engine, preserving each
-// measurement's stored bytes, then renames the log out of the way. The
-// rename happens only after the engine has flushed the records to
-// segments, so a kill anywhere re-runs the (idempotent) migration.
-func (s *Store) migrate(dir string) error {
-	path := filepath.Join(dir, LogName)
-	view, err := readJSONL(path)
-	if err != nil {
-		return err
-	}
-	if view == nil {
-		return nil
-	}
-	for k, m := range view {
-		if err := s.db.Put(k, m); err != nil {
-			return fmt.Errorf("store: migrate %s: %w", path, err)
-		}
-	}
-	if err := s.db.Flush(); err != nil {
-		return fmt.Errorf("store: migrate %s: %w", path, err)
-	}
-	if err := os.Rename(path, path+migratedSuffix); err != nil {
-		return fmt.Errorf("store: migrate %s: %w", path, err)
 	}
 	return nil
 }
@@ -329,11 +234,7 @@ func (s *Store) Get(key string) (dse.Measurement, bool) {
 	s.mu.Unlock()
 	raw, ok := s.db.Get(key)
 	if !ok {
-		if r, legacy := s.jsonl[key]; legacy {
-			raw = r
-		} else {
-			return dse.Measurement{}, false
-		}
+		return dse.Measurement{}, false
 	}
 	var m dse.Measurement
 	if err := json.Unmarshal(raw, &m); err != nil {
@@ -346,13 +247,7 @@ func (s *Store) Get(key string) (dse.Measurement, bool) {
 }
 
 // Has reports whether key is stored without touching the LRU.
-func (s *Store) Has(key string) bool {
-	if s.db.Has(key) {
-		return true
-	}
-	_, ok := s.jsonl[key]
-	return ok
-}
+func (s *Store) Has(key string) bool { return s.db.Has(key) }
 
 // Put stores the measurement under key. Each Put is one write to the
 // engine's WAL, so a completed measurement survives a kill immediately
@@ -376,9 +271,7 @@ func (s *Store) Put(key string, m dse.Measurement) error {
 }
 
 // Len returns the number of distinct keys stored.
-func (s *Store) Len() int {
-	return s.db.Len() + s.jsonlOnly
-}
+func (s *Store) Len() int { return s.db.Len() }
 
 // Flush forces buffered writes into a published segment so read-only
 // handles in other processes can see them; the engine also flushes on its

@@ -86,7 +86,7 @@ func TestOpenRefusesPreVersioningLog(t *testing.T) {
 	// measurements would unmarshal with zeroed cluster fields and be served
 	// as hits, so Open must refuse it outright.
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, LogName),
+	if err := os.WriteFile(filepath.Join(dir, "results.jsonl"),
 		[]byte(`{"k":"abc","m":{"App":"hydro","TimeNs":1}}`+"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -300,129 +300,56 @@ func legacyLine(t *testing.T, k string, m dse.Measurement) []byte {
 	return append(raw, '\n')
 }
 
-// writeLegacyStore lays down a schema-v3 JSONL store directory as the
-// previous release would have left it.
-func writeLegacyStore(t *testing.T, dir string, lines ...[]byte) {
-	t.Helper()
-	if err := os.WriteFile(filepath.Join(dir, schemaName),
-		[]byte(fmt.Sprintf("%d\n", SchemaVersion)), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var buf []byte
-	for _, l := range lines {
-		buf = append(buf, l...)
-	}
-	if err := os.WriteFile(filepath.Join(dir, LogName), buf, 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
+// TestOpenRefusesLegacyLog pins what is left of the JSONL era: a directory
+// whose measurements still sit in a results.jsonl log is refused, by
+// writers and readers alike, with an error that says which release still
+// migrates it — and the log is left exactly as it was. The renamed log a
+// past migration left behind is inert: the engine alone serves the store.
+func TestOpenRefusesLegacyLog(t *testing.T) {
+	line := legacyLine(t, testKey("hydro", 2.0), testMeasurement("hydro", 2.0, 7))
+	for _, readOnly := range []bool{false, true} {
+		t.Run(fmt.Sprintf("readOnly=%v", readOnly), func(t *testing.T) {
+			dir := t.TempDir()
+			st, err := Open(dir, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			k := testKey("btmz", 2.0)
+			if err := st.Put(k, testMeasurement("btmz", 2.0, 1)); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
 
-func TestMigrationFoldsJSONLIntoEngine(t *testing.T) {
-	dir := t.TempDir()
-	mOld := testMeasurement("btmz", 2.0, 1)
-	mNew := testMeasurement("btmz", 2.0, 2)
-	mKeep := testMeasurement("spec3d", 2.5, 42)
-	k := testKey("btmz", 2.0)
-	kKeep := testKey("spec3d", 2.5)
-	writeLegacyStore(t, dir,
-		legacyLine(t, k, mOld),
-		legacyLine(t, kKeep, mKeep),
-		legacyLine(t, k, mNew),                    // supersedes mOld
-		[]byte(`{"k":"deadbeef","m":{"App":"tru`), // kill mid-append: dropped
-	)
+			log := filepath.Join(dir, "results.jsonl")
+			if err := os.WriteFile(log, line, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, err = Open(dir, Options{ReadOnly: readOnly})
+			if err == nil {
+				t.Fatalf("Open accepted a directory holding a legacy log")
+			}
+			for _, want := range []string{"results.jsonl", "889f72e"} {
+				if !strings.Contains(err.Error(), want) {
+					t.Fatalf("refusal %q does not name %s", err, want)
+				}
+			}
+			if got, err := os.ReadFile(log); err != nil || string(got) != string(line) {
+				t.Fatalf("refused open touched the log: %v", err)
+			}
 
-	st, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatalf("open of a legacy JSONL store failed: %v", err)
-	}
-	if st.Len() != 2 {
-		t.Fatalf("Len = %d, want 2 after migration", st.Len())
-	}
-	if got, ok := st.Get(k); !ok || got.TimeNs != 2 {
-		t.Fatalf("migrated last-write lost: ok=%v TimeNs=%v", ok, got.TimeNs)
-	}
-	if got, ok := st.Get(kKeep); !ok || !reflect.DeepEqual(got, mKeep) {
-		t.Fatalf("migrated measurement mismatch: ok=%v", ok)
-	}
-	if _, err := os.Stat(filepath.Join(dir, LogName)); !os.IsNotExist(err) {
-		t.Fatal("legacy log still in place after migration")
-	}
-	if _, err := os.Stat(filepath.Join(dir, LogName+migratedSuffix)); err != nil {
-		t.Fatalf("migrated log not preserved: %v", err)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Reopen: migration must not re-run (the renamed log is inert) and the
-	// engine alone serves everything.
-	st2, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st2.Close()
-	if st2.Len() != 2 {
-		t.Fatalf("Len after reopen = %d, want 2", st2.Len())
-	}
-	if got, ok := st2.Get(kKeep); !ok || !reflect.DeepEqual(got, mKeep) {
-		t.Fatal("measurement lost after post-migration reopen")
-	}
-}
-
-// TestMigrationPreservesMeasurementBytes pins the byte-identity contract:
-// the engine must store exactly the measurement bytes the JSONL log held,
-// not a re-marshalled form.
-func TestMigrationPreservesMeasurementBytes(t *testing.T) {
-	dir := t.TempDir()
-	m := testMeasurement("lulesh", 2.0, 123)
-	k := testKey("lulesh", 2.0)
-	line := legacyLine(t, k, m)
-	var rec struct {
-		M json.RawMessage `json:"m"`
-	}
-	if err := json.Unmarshal(line, &rec); err != nil {
-		t.Fatal(err)
-	}
-	writeLegacyStore(t, dir, line)
-
-	st, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	got, ok := st.db.Get(k)
-	if !ok {
-		t.Fatal("migrated key missing from engine")
-	}
-	if string(got) != string(rec.M) {
-		t.Fatalf("measurement bytes changed in migration:\n  was %s\n  now %s", rec.M, got)
-	}
-}
-
-// TestReadOnlyOpenOfUnmigratedStore covers the transition window: a reader
-// cannot migrate (it cannot write), so it serves the legacy log as a frozen
-// read view instead.
-func TestReadOnlyOpenOfUnmigratedStore(t *testing.T) {
-	dir := t.TempDir()
-	m := testMeasurement("hydro", 2.0, 7)
-	k := testKey("hydro", 2.0)
-	writeLegacyStore(t, dir, legacyLine(t, k, m))
-
-	ro, err := Open(dir, Options{ReadOnly: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ro.Close()
-	if got, ok := ro.Get(k); !ok || !reflect.DeepEqual(got, m) {
-		t.Fatalf("read-only handle misses legacy record: ok=%v", ok)
-	}
-	if !ro.Has(k) {
-		t.Fatal("Has misses legacy record")
-	}
-	if ro.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", ro.Len())
-	}
-	if _, err := os.Stat(filepath.Join(dir, LogName)); err != nil {
-		t.Fatal("read-only open must not migrate the log")
+			if err := os.Rename(log, log+".migrated"); err != nil {
+				t.Fatal(err)
+			}
+			st, err = Open(dir, Options{ReadOnly: readOnly})
+			if err != nil {
+				t.Fatalf("a migrated leftover blocks the open: %v", err)
+			}
+			if _, ok := st.Get(k); !ok || st.Len() != 1 {
+				t.Fatalf("store beside a migrated leftover serves %d keys", st.Len())
+			}
+			st.Close()
+		})
 	}
 }

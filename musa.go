@@ -30,7 +30,6 @@ import (
 	"musa/internal/dram"
 	"musa/internal/dse"
 	"musa/internal/net"
-	"musa/internal/node"
 	"musa/internal/rts"
 )
 
@@ -89,8 +88,7 @@ func CacheLabels() []string {
 
 // toPoint converts an Arch into the internal representation. Every failure
 // wraps ErrBadArch — this is the one validation path shared by
-// Experiment.Normalize, the deprecated Simulate* wrappers and the HTTP
-// layer.
+// Experiment.Normalize and the HTTP layer.
 func (a Arch) toPoint() (dse.ArchPoint, error) {
 	coreCfg, err := cpu.ByName(a.CoreType)
 	if err != nil {
@@ -181,35 +179,6 @@ func (o SimOptions) seed() uint64 {
 	return o.Seed
 }
 
-// NodeResult is the outcome of a detailed node simulation.
-type NodeResult = node.Result
-
-// SimulateNode runs the detailed node-level simulation of app on arch with
-// default options.
-//
-// Deprecated: build an Experiment with KindNode and use Client.Run, which
-// validates the request instead of panicking and serves repeated requests
-// from the result store.
-func SimulateNode(app *Application, arch Arch) NodeResult {
-	return SimulateNodeOpts(app, arch, SimOptions{})
-}
-
-// SimulateNodeOpts runs the detailed node-level simulation with explicit
-// options. It panics on invalid architecture parameters (use Arch values
-// from the Table I grid).
-//
-// Deprecated: build an Experiment with KindNode and use Client.Run, which
-// validates the request instead of panicking and serves repeated requests
-// from the result store.
-func SimulateNodeOpts(app *Application, arch Arch, opts SimOptions) NodeResult {
-	p, err := arch.toPoint()
-	if err != nil {
-		panic(err)
-	}
-	cfg := p.NodeConfig(opts.SampleInstrs, opts.WarmupInstrs, opts.seed())
-	return node.Simulate(app, cfg)
-}
-
 // NetworkModel is the Dimemas-like interconnect model.
 type NetworkModel = net.Model
 
@@ -228,20 +197,6 @@ func NetworkNames() []string { return net.ModelNames() }
 // FullAppResult couples node simulation and the cross-rank MPI replay.
 type FullAppResult = core.DetailedResult
 
-// SimulateFullApp runs detailed mode end to end on `ranks` MPI ranks (the
-// paper uses 256) — node simulation plus network replay.
-//
-// Deprecated: build an Experiment with KindFullApp and use Client.Run,
-// which validates the request instead of panicking.
-func SimulateFullApp(app *Application, arch Arch, ranks int, model NetworkModel, opts SimOptions) FullAppResult {
-	p, err := arch.toPoint()
-	if err != nil {
-		panic(err)
-	}
-	cfg := p.NodeConfig(opts.SampleInstrs, opts.WarmupInstrs, opts.seed())
-	return core.DetailedFullApp(app, cfg, ranks, model)
-}
-
 // RegionScaling runs the hardware-agnostic burst-mode scaling analysis of a
 // single compute region (Fig. 2a): speedups versus one core.
 func RegionScaling(app *Application, coreCounts []int) []float64 {
@@ -250,14 +205,6 @@ func RegionScaling(app *Application, coreCounts []int) []float64 {
 
 // FullAppScalingResult is one core-count point of the Fig. 2b analysis.
 type FullAppScalingResult = core.FullAppResult
-
-// FullAppScaling runs the burst-mode whole-application scaling analysis
-// including MPI overheads (Fig. 2b).
-//
-// Deprecated: build an Experiment with KindScaling and use Client.Run.
-func FullAppScaling(app *Application, ranks int, coreCounts []int, model NetworkModel) []FullAppScalingResult {
-	return core.FullAppScaling(app, ranks, coreCounts, model, core.DefaultBurstOptions())
-}
 
 // NewApplication validates and returns a custom application model; see the
 // examples/custom_app example for the knobs.

@@ -1,11 +1,24 @@
 package musa
 
 import (
+	"context"
+	"errors"
 	"testing"
 )
 
-func fastOpts() SimOptions {
-	return SimOptions{SampleInstrs: 60000, WarmupInstrs: 200000, Seed: 1}
+// runFast runs e on a throwaway client at a fidelity that keeps tests quick.
+func runFast(t *testing.T, e Experiment) *Result {
+	t.Helper()
+	c, err := NewClient(ClientOptions{SampleInstrs: 60000, WarmupInstrs: 200000, Seed: 1, SweepWorkers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	res, err := c.Run(context.Background(), e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 func TestAppLookup(t *testing.T) {
@@ -39,16 +52,16 @@ func TestDefaultArchValid(t *testing.T) {
 }
 
 func TestSimulateNode(t *testing.T) {
-	app, _ := App("btmz")
-	res := SimulateNodeOpts(app, DefaultArch(), fastOpts())
-	if res.ComputeNs <= 0 || res.Power.Total() <= 0 {
-		t.Fatalf("degenerate result: %+v", res)
+	arch := DefaultArch()
+	m := runFast(t, Experiment{Kind: KindNode, App: "btmz", Arch: &arch, NoReplay: true}).Measurement
+	if m.TimeNs <= 0 || m.Power.Total() <= 0 {
+		t.Fatalf("degenerate result: %+v", m)
 	}
 }
 
 func TestSimulateFullApp(t *testing.T) {
-	app, _ := App("hydro")
-	res := SimulateFullApp(app, DefaultArch(), 8, MareNostrumNetwork(), fastOpts())
+	arch := DefaultArch()
+	res := runFast(t, Experiment{Kind: KindFullApp, App: "hydro", Arch: &arch, Ranks: 8}).FullApp
 	if res.MakespanNs <= 0 || res.SystemEnergyJ <= 0 {
 		t.Fatalf("degenerate result: %+v", res)
 	}
@@ -63,8 +76,7 @@ func TestRegionScalingAPI(t *testing.T) {
 }
 
 func TestFullAppScalingAPI(t *testing.T) {
-	app, _ := App("lulesh")
-	res := FullAppScaling(app, 16, []int{32}, MareNostrumNetwork())
+	res := runFast(t, Experiment{Kind: KindScaling, App: "lulesh", Ranks: 16, CoreCounts: []int{32}}).Scaling
 	if len(res) != 1 || res[0].Speedup <= 1 {
 		t.Errorf("results = %+v", res)
 	}
@@ -86,16 +98,7 @@ func TestNewApplicationValidates(t *testing.T) {
 }
 
 func TestRunSweepSmall(t *testing.T) {
-	d, err := RunSweep(SweepOptions{
-		AppNames:     []string{"btmz"},
-		SampleInstrs: 40000,
-		WarmupInstrs: 120000,
-		Workers:      2,
-		Seed:         1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := runFast(t, Experiment{Kind: KindSweep, Apps: []string{"btmz"}, Sample: 40000, Warmup: 120000}).Sweep
 	if len(d.Measurements) != 864 {
 		t.Fatalf("%d measurements, want 864", len(d.Measurements))
 	}
@@ -138,8 +141,13 @@ func TestRunSweepSmall(t *testing.T) {
 	if _, err := PCA(d, "btmz"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunSweep(SweepOptions{AppNames: []string{"nope"}}); err == nil {
-		t.Error("unknown app accepted by sweep")
+	c, err := NewClient(ClientOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Run(context.Background(), Experiment{Kind: KindSweep, Apps: []string{"nope"}}); !errors.Is(err, ErrUnknownApp) {
+		t.Errorf("sweep over an unknown app: err = %v, want ErrUnknownApp", err)
 	}
 }
 

@@ -1,6 +1,8 @@
 package musa
 
 import (
+	"net/http"
+
 	"musa/internal/ring"
 	"musa/internal/store"
 )
@@ -53,9 +55,9 @@ func (c *Client) RouteKey(e Experiment) (string, error) {
 		return "", err
 	}
 	if ne.Kind == KindNode {
-		return nodeKey(ne, ne.App, c.customProfile(ne.App), *ne.Arch, nil), nil
+		return nodeKey(ne, ne.App, c.customProfile(ne.App), *ne.Arch), nil
 	}
-	b, err := ne.canonicalJSON(c.customProfile(ne.App), nil)
+	b, err := ne.canonicalJSON(c.customProfile(ne.App))
 	if err != nil {
 		return "", err
 	}
@@ -72,33 +74,29 @@ type ringBlobs struct {
 }
 
 // Get serves key from local storage, else from a peer (read-through). Best
-// effort with a bounded fan-out: the owner and its first fallback are
-// tried, nobody else — a cold ring must degrade to local recompute, not to
-// a full membership sweep per miss. A reply enters through PutBlob, which
-// validates it (schema, key binding, kind, payload), stores it locally and
-// keeps the decoded value: a corrupt or mis-keyed reply is dropped here,
-// and the typed read above finds a good one already decoded.
+// effort with a bounded fan-out: two candidates — the owner and its first
+// fallback — are asked, nobody else: a cold ring must degrade to local
+// recompute, not to a full membership sweep per miss. A reply enters
+// through PutBlob, which validates it (schema, key binding, kind, payload),
+// stores it locally and keeps the decoded value: a corrupt or mis-keyed
+// reply is dropped here, and the typed read above finds a good one already
+// decoded.
 func (b *ringBlobs) Get(key string) ([]byte, error) {
 	blob, err := b.local.Get(key)
-	r := b.c.opts.Ring
-	if err == nil || r.Len() == 0 {
+	if err == nil || b.c.fw.Ring.Len() == 0 {
 		return blob, err
 	}
-	tried := 0
-	for _, peer := range r.Order(key) {
-		if peer == r.Self() || r.StateOf(peer) == ring.Down {
-			continue
-		}
-		if tried++; tried > 2 {
-			break
-		}
-		if blob, perr := getArtifact(b.c.ctx, peer, key); perr == nil && b.c.art.PutBlob(key, blob) == nil {
-			b.c.peerArtifactsFetched.Add(1)
-			return blob, nil
-		}
+	ferr := b.c.fw.Forward(b.c.ctx, key, 2, artifactGet(key), func(_ string, resp *http.Response) bool {
+		var rerr error
+		blob, rerr = readArtifact(resp)
+		return rerr == nil && b.c.art.PutBlob(key, blob) == nil
+	})
+	if ferr != nil {
+		b.c.peerArtifactMisses.Add(1)
+		return nil, err
 	}
-	b.c.peerArtifactMisses.Add(1)
-	return nil, err
+	b.c.peerArtifactsFetched.Add(1)
+	return blob, nil
 }
 
 // Put stores blob locally and pushes it to the owner of its key
@@ -109,15 +107,18 @@ func (b *ringBlobs) Get(key string) ([]byte, error) {
 // nothing else — under the client's lifetime: Close cancels and awaits it.
 func (b *ringBlobs) Put(key string, blob []byte) error {
 	err := b.local.Put(key, blob)
-	r := b.c.opts.Ring
-	owner := r.Owner(key)
-	if r.Self() == "" || owner == "" || owner == r.Self() || r.StateOf(owner) == ring.Down {
-		return err
+	if b.c.fw.Ring.OwnsLocally(key) {
+		return err // the owner, or no replica at all
 	}
 	b.c.bg.Add(1)
 	go func() {
 		defer b.c.bg.Done()
-		if _, perr := putArtifact(b.c.ctx, owner, key, blob); perr == nil {
+		// One attempt: the owner, since this replica is not it.
+		ferr := b.c.fw.Forward(b.c.ctx, key, 1, artifactPut(key, blob), func(_ string, resp *http.Response) bool {
+			_, perr := putOutcome(resp)
+			return perr == nil
+		})
+		if ferr == nil {
 			b.c.peerArtifactsReplicated.Add(1)
 		}
 	}()

@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"musa"
 	"musa/internal/obs"
@@ -228,60 +231,6 @@ func TestRingSimulateCoalesces(t *testing.T) {
 	}
 }
 
-// TestRingRedirect covers the 307 alternative to proxying: the non-owner
-// answers with Location pointing at the owner's /simulate, and following it
-// by hand lands on a replica that executes.
-func TestRingRedirect(t *testing.T) {
-	urls, _ := startRingReplicas(t, 2, func(i int) (musa.ClientOptions, []serve.Option) {
-		return musa.ClientOptions{SweepWorkers: 2, MaxJobs: 2, CacheDir: t.TempDir()},
-			[]serve.Option{serve.WithRingRedirect()}
-	})
-	noFollow := &http.Client{
-		CheckRedirect: func(*http.Request, []*http.Request) error { return http.ErrUseLastResponse },
-	}
-	body := `{"app":"btmz","pointIndex":7,"sample":20000,"warmup":40000,"seed":3,"noReplay":true}`
-
-	codes := map[string]int{}
-	location := ""
-	for _, u := range urls {
-		resp, err := noFollow.Post(u+"/simulate", "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		codes[u] = resp.StatusCode
-		if resp.StatusCode == http.StatusTemporaryRedirect {
-			location = resp.Header.Get("Location")
-		}
-	}
-	redirects, owner := 0, ""
-	for u, code := range codes {
-		switch code {
-		case http.StatusTemporaryRedirect:
-			redirects++
-		case http.StatusOK:
-			owner = u
-		default:
-			t.Fatalf("replica %s answered %d, want 200 or 307", u, code)
-		}
-	}
-	if redirects != 1 || owner == "" {
-		t.Fatalf("codes = %v, want exactly one 307 and one 200", codes)
-	}
-	if location != owner+"/simulate" {
-		t.Fatalf("Location = %q, want %q", location, owner+"/simulate")
-	}
-	// Following the redirect by hand executes on the owner.
-	resp, err := http.Post(location, "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("followed redirect = %d, want 200", resp.StatusCode)
-	}
-}
-
 // TestRingPeerArtifactFetch is the replication read path: a replica whose
 // ring peer already built a shard's annotation pulls it over HTTP instead
 // of re-running the annotate stage. The stage histogram's observation count
@@ -396,5 +345,74 @@ func TestFleetRetryAfter429(t *testing.T) {
 	}
 	if int(st.Remote) != len(want.Sweep.Measurements) {
 		t.Fatalf("remote = %d, want all %d measurements", st.Remote, len(want.Sweep.Measurements))
+	}
+}
+
+// TestRingFleetStalledOwner is ring-mode dispatch with the one pending list
+// under stress: one of two ring workers accepts shards and never answers.
+// The shards it holds are hedged onto the local pool, the ones still pinned
+// to it are taken by the other worker's slots or the local pool, and the
+// merged dataset is byte-identical to the in-process run.
+func TestRingFleetStalledOwner(t *testing.T) {
+	// One point from each of six annotation groups: six shards, so the
+	// stalled worker's two slots cannot hold everything pinned to it.
+	exp := fleetTestExperiment(t)
+	exp.PointIndices = nil
+	groups := map[string]bool{}
+	for i := 0; i < musa.PointCount() && len(groups) < 6; i++ {
+		a, err := musa.PointArch(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g := fmt.Sprint(a.Cores, a.VectorBits, a.CacheLabel, a.HBM); !groups[g] {
+			groups[g] = true
+			exp.PointIndices = append(exp.PointIndices, i)
+		}
+	}
+	ctx := context.Background()
+	local, err := musa.NewClient(musa.ClientOptions{SweepWorkers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer local.Close()
+	want, err := local.Run(ctx, exp)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var stalled atomic.Int32
+	stall := newFleetWorker(t, func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/shard" {
+				stalled.Add(1)
+				io.Copy(io.Discard, r.Body) // unblock disconnect detection
+				<-r.Context().Done()        // accept, never answer
+				return
+			}
+			h.ServeHTTP(w, r)
+		})
+	})
+	healthy := newFleetWorker(t, nil)
+	urls := []string{stall.URL, healthy.URL}
+	coord, err := musa.NewClient(musa.ClientOptions{
+		Workers: urls, SweepWorkers: 2, Ring: musa.NewRing("", urls),
+		ShardTimeout: -1, HedgeAfter: 50 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	got, err := coord.Run(ctx, exp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(canonicalMeasurements(t, got), canonicalMeasurements(t, want)) {
+		t.Fatal("sweep around a stalled ring worker differs from the in-process run")
+	}
+	if stalled.Load() == 0 {
+		t.Fatal("the stalled worker was handed no shard; the test premise is broken")
+	}
+	if st := coord.Stats(); st.Redispatched == 0 {
+		t.Fatalf("no shard held by the stalled worker was hedged: %+v", st)
 	}
 }

@@ -1,152 +1,13 @@
 package musa
 
 import (
-	"context"
-
 	"musa/internal/dse"
-	"musa/internal/net"
 	"musa/internal/stats"
-	"musa/internal/store"
 )
 
 // Sweep exposes the paper's design-space exploration: the Table I grid,
 // the parallel runner, and the per-figure aggregations.
 type Sweep = dse.Dataset
-
-// SweepOptions configures RunSweep.
-//
-// Deprecated: build an Experiment with KindSweep and use Client.Run or
-// Client.RunStream; context.Context replaces the Cancel channel there.
-type SweepOptions struct {
-	// AppNames restricts the sweep (nil = all five applications).
-	AppNames []string
-	// SampleInstrs / WarmupInstrs control detailed-sample fidelity
-	// (0 = package defaults; smaller is faster and noisier).
-	SampleInstrs int64
-	WarmupInstrs int64
-	// Workers for the parallel runner (0 = GOMAXPROCS).
-	Workers int
-	Seed    uint64
-	// Progress, if non-nil, is called with (done, total) measurements.
-	Progress func(done, total int)
-
-	// CacheDir, if non-empty, opens a content-addressed result store there:
-	// each completed measurement is appended to the store's log as it
-	// finishes (so a killed sweep resumes from its checkpoint), and points
-	// already stored under the same (app, arch, sample, warmup, seed,
-	// replay config) are served without recomputation.
-	CacheDir string
-	// Recompute forces fresh simulation even for cached points; the fresh
-	// results overwrite the store.
-	Recompute bool
-	// Cancel, if non-nil, aborts the sweep when closed; RunSweep returns
-	// the partial dataset.
-	Cancel <-chan struct{}
-
-	// ReplayRanks sets the cluster-stage MPI rank counts replayed per
-	// measurement (nil = 64 and 256, the paper's full-app scale).
-	ReplayRanks []int
-	// NoReplay disables the cluster-level replay stage: measurements stop
-	// at node-level ComputeNs and carry no EndToEndNs/MPIFraction.
-	NoReplay bool
-	// Network selects the interconnect model of the replay stage
-	// (nil = MareNostrumNetwork).
-	Network *NetworkModel
-}
-
-// replayConfig converts the sweep options' replay knobs into the runner's
-// normalized form.
-func (o SweepOptions) replayConfig() dse.ReplayConfig {
-	rc := dse.ReplayConfig{Disable: o.NoReplay, Ranks: o.ReplayRanks}
-	if o.Network != nil {
-		rc.Network = *o.Network
-	}
-	return rc.Normalized()
-}
-
-// RunSweep executes the full 864-configuration Table I sweep (per selected
-// application) and returns the dataset every figure is derived from.
-//
-// Deprecated: build an Experiment with KindSweep and use Client.Run or
-// Client.RunStream. RunSweep remains as a thin wrapper over the same
-// pipeline; its store keys are the canonical-experiment keys, so caches are
-// shared with Client and musa-serve.
-func RunSweep(opts SweepOptions) (*Sweep, error) {
-	ctx := context.Background()
-	if opts.Cancel != nil {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithCancel(ctx)
-		defer cancel()
-		go func() {
-			select {
-			case <-opts.Cancel:
-				cancel()
-			case <-ctx.Done():
-			}
-		}()
-	}
-
-	rc := opts.replayConfig()
-	o := dse.Options{
-		SampleInstrs: opts.SampleInstrs,
-		WarmupInstrs: opts.WarmupInstrs,
-		Workers:      opts.Workers,
-		Seed:         opts.Seed,
-		Progress:     opts.Progress,
-		Replay:       rc,
-	}
-	if opts.AppNames != nil {
-		for _, n := range opts.AppNames {
-			p, err := App(n)
-			if err != nil {
-				return nil, err
-			}
-			o.Apps = append(o.Apps, p)
-		}
-	}
-	if opts.CacheDir == "" {
-		return dse.Run(ctx, o), nil
-	}
-
-	st, err := store.Open(opts.CacheDir, store.Options{})
-	if err != nil {
-		return nil, err
-	}
-	flush := store.Bind(st, sweepKeyFunc(o, rc), &o, opts.Recompute)
-	d := dse.Run(ctx, o)
-	err = flush()
-	if cerr := st.Close(); err == nil {
-		err = cerr
-	}
-	return d, err
-}
-
-// sweepKeyFunc maps each sweep point onto its canonical-experiment store
-// key — the same key a single-point Client.Run request computes, so the
-// deprecated wrapper, the Client and musa-serve share one cache. The
-// replay network is encoded as its resolved model, so a custom model (only
-// reachable through this deprecated path) hashes by content rather than
-// colliding with a named scenario.
-func sweepKeyFunc(o dse.Options, rc dse.ReplayConfig) func(app string, p dse.ArchPoint) string {
-	base := Experiment{
-		Kind:   KindNode,
-		Sample: o.SampleInstrs, Warmup: o.WarmupInstrs, Seed: o.Seed,
-	}
-	if o.Seed == 0 {
-		base.Seed = 1
-	}
-	var model *net.Model
-	if rc.Disable {
-		base.NoReplay = true
-	} else {
-		base.ReplayRanks = rc.Ranks
-		m := rc.Network
-		model = &m
-	}
-	return func(app string, p dse.ArchPoint) string {
-		return nodeKey(base, app, nil, archOfPoint(p), model)
-	}
-}
 
 // ClusterMeasurement re-exports the cluster-level replay outcome attached
 // to every sweep measurement (one entry per replayed rank count).
