@@ -179,10 +179,10 @@ func BurstKey(appHash string, ranks int, seed uint64) string {
 	}.key()
 }
 
-// Residency bounds of the run-local stage fronts. Fused traces are the
-// bulkiest stage (tens of MB at full fidelity), but only the current
-// application's vector widths — at most three — are live at once, plus a
-// straggling worker on the previous application near a sort boundary.
+// Residency bounds of the run-local stage fronts. Fused traces (either
+// half) are the bulkiest stage (tens of MB at full fidelity), but only the
+// current application's vector widths — at most three — are live at once,
+// plus a straggling worker on the previous application near a sort boundary.
 // Scalar windows are bounded tighter still: groups are dispatched sorted by
 // application, so older windows cannot be needed again. Evicting early is
 // safe either way: a re-request rebuilds the stage, trading time, never
@@ -252,7 +252,10 @@ type runArtifacts struct {
 	lat     onceMap[string, *dram.LatencyModel] // artifact key -> fitted curve
 	bursts  onceMap[string, *trace.Burst]       // artifact key -> parsed trace
 	scalars onceMap[string, node.ScalarTrace]   // app name -> scalar window
-	fused   onceMap[fusedKey, *node.FusedTrace]
+	fused   onceMap[fusedKey, *node.FusedTrace] // sample half only
+	// walkable holds the fused traces a cache walk asked for: the sample half
+	// above with the warm half added.
+	walkable onceMap[fusedKey, *node.FusedTrace]
 }
 
 func newRunArtifacts(o Options) *runArtifacts {
@@ -262,6 +265,7 @@ func newRunArtifacts(o Options) *runArtifacts {
 	}
 	r.scalars.bound = maxRunScalarTraces
 	r.fused.bound = maxRunFusedTraces
+	r.walkable.bound = maxRunFusedTraces
 	return r
 }
 
@@ -325,19 +329,41 @@ func (r *runArtifacts) burst(ctx context.Context, app *apps.Profile, ranks int) 
 	})
 }
 
-// fusedTrace returns the run-local fused trace of (app, vector width),
-// building it at most once per key. Fused traces are never persisted (see
-// the file comment); the stage histogram counts real stream generations,
-// so its observation count reads as "fused traces built".
+// fusedTrace returns the run-local sample half of the fused trace of (app,
+// vector width) — all an annotation served from a hit-rate table reads —
+// building it at most once per key. Fused traces are never persisted (see the
+// file comment); the stage histogram counts these builds, one per (app,
+// width) per run on the cold and the warm path alike, so its observation
+// count reads as "fused traces built". The scalar window is resolved before
+// the clock starts: generating it is not fusing.
 func (r *runArtifacts) fusedTrace(ctx context.Context, app *apps.Profile, vec int) *node.FusedTrace {
 	return r.fused.get(fusedKey{app.Name, vec}, func() *node.FusedTrace {
+		st := r.scalarTrace(ctx, app)
 		_, span := obs.StartSpan(ctx, "dse.fuse",
 			obs.A("app", app.Name), obs.AInt("vec", vec))
 		defer span.End()
 		start := time.Now()
-		ft := node.FuseScalarTrace(r.scalarTrace(app), app, vec, r.seed)
+		ft := node.FuseSample(st, app, vec, r.seed)
 		observeStage(StageFuse, start)
 		return ft
+	})
+}
+
+// walkableTrace returns the fused trace of (app, vector width) with its warm
+// half: the sample half of fusedTrace, shared, plus the warm window's memory
+// accesses. Only a cache walk reads those, so this is called from the miss
+// branch of annotation alone — a run served from hit-rate tables never
+// builds a warm half, a cold one builds it once per key — and its time
+// belongs to the annotate stage that demanded it.
+func (r *runArtifacts) walkableTrace(ctx context.Context, app *apps.Profile, vec int) *node.FusedTrace {
+	return r.walkable.get(fusedKey{app.Name, vec}, func() *node.FusedTrace {
+		ft := *r.fusedTrace(ctx, app, vec)
+		st := r.scalarTrace(ctx, app)
+		_, span := obs.StartSpan(ctx, "dse.fuse-warm",
+			obs.A("app", app.Name), obs.AInt("vec", vec))
+		defer span.End()
+		ft.WarmOps = node.FuseWarm(st, vec)
+		return &ft
 	})
 }
 
@@ -345,8 +371,10 @@ func (r *runArtifacts) fusedTrace(ctx context.Context, app *apps.Profile, vec in
 // application (fidelity and seed are fixed per run). Every vector width
 // fuses the identical scalar sequence, so generating it once per
 // application removes the generator from all but the first fuse.
-func (r *runArtifacts) scalarTrace(app *apps.Profile) node.ScalarTrace {
+func (r *runArtifacts) scalarTrace(ctx context.Context, app *apps.Profile) node.ScalarTrace {
 	return r.scalars.get(app.Name, func() node.ScalarTrace {
+		_, span := obs.StartSpan(ctx, "dse.scalar-trace", obs.A("app", app.Name))
+		defer span.End()
 		return node.BuildScalarTrace(app, r.sample, r.warmup, r.seed)
 	})
 }
@@ -361,7 +389,7 @@ func (r *runArtifacts) scalarTrace(app *apps.Profile) node.ScalarTrace {
 // that differ only in memory kind share the table through the provider.
 func (r *runArtifacts) annotation(ctx context.Context, app *apps.Profile, g AnnGroup, cfg node.Config) *node.Annotation {
 	key := HitRateKey(r.appHash(app), g.CacheGroup(), r.sample, r.warmup, r.seed)
-	_, span := obs.StartSpan(ctx, "dse.annotate", obs.A("app", app.Name))
+	actx, span := obs.StartSpan(ctx, "dse.annotate", obs.A("app", app.Name))
 	defer span.End()
 	ft := r.fusedTrace(ctx, app, g.Vec)
 	var ann node.Annotation
@@ -373,7 +401,7 @@ func (r *runArtifacts) annotation(ctx context.Context, app *apps.Profile, g AnnG
 			return hrt, ok
 		},
 		func() (hrt node.HitRateTable) {
-			ann, hrt = node.AnnotateTrace(ft, cfg)
+			ann, hrt = node.AnnotateTrace(r.walkableTrace(actx, app, g.Vec), cfg)
 			return hrt
 		}, ArtifactProvider.PutHitRates)
 	ann.Memo = node.NewTimingMemo()

@@ -12,8 +12,8 @@ import (
 // shows up under exactly one of these.
 const (
 	// StageFuse is the fused-trace build of one (application, vector width):
-	// detailed stream generation plus macro-op fusion for the warmup and
-	// sample windows.
+	// macro-op fusion of the sample window, the half every run reads. The
+	// warm window is fused only for a cache walk and is StageAnnotate time.
 	StageFuse = "fuse"
 	// StageAnnotate is the shared cache-hierarchy walk of a cache group (one
 	// warmed hit-rate table per distinct (application, cores, vector width,

@@ -1,5 +1,7 @@
 package isa
 
+import "slices"
+
 // Decoder implements the tracing-side half of the paper's vector model: it
 // breaks every vector instruction (Lanes > 1) into scalar micro-ops that
 // share the original PC as a fusion marker. Memory accesses are split into
@@ -79,20 +81,28 @@ func DefaultFuserConfig(widthBits int) FuserConfig {
 //     the same static instruction fuse only when the block repeats at least
 //     MinRun times in a row, enabling widths beyond the traced 128 bits.
 type Fuser struct {
-	cfg   FuserConfig
-	s     Stream
-	src   []Instr // devirtualized slice source when s is a *SliceStream
+	cfg FuserConfig
+	s   Stream // nil once src holds every micro-op still to come
+	// src[spos:] are the raw micro-ops not yet consumed: the whole stream when
+	// it is a *SliceStream — runs are windows over it, nothing is copied —
+	// and otherwise the lookahead pulled from s so far.
+	src   []Instr
 	spos  int
 	out   []Instr // fused ops ready for delivery
 	opos  int
-	buf   []Instr // lookahead: buffered raw micro-ops
-	eof   bool
 	stats FuserStats
+
+	// Scratch of fuseRun, reused from run to run so that a fuse
+	// allocates a constant number of times, not once per basic-block run.
+	slotOf map[uint32]int32 // static PC -> slot
+	slot   []int32          // slot of each micro-op of the run
+	cur    []int32          // per slot: instance count, then cursor into bySlot
+	bySlot []int32          // run indices grouped by slot, in run order
 }
 
 // FuserStats counts the fusion activity, exposed for tests and reports.
 type FuserStats struct {
-	In     int64 // micro-ops consumed
+	In     int64 // micro-ops consumed by the runs fused so far
 	Out    int64 // ops emitted
 	Fused  int64 // micro-ops that were folded into a wider op
 	Blocks int64 // basic-block runs processed
@@ -111,12 +121,12 @@ func NewFuser(s Stream, cfg FuserConfig) *Fuser {
 	if cfg.MaxBlock <= 0 {
 		cfg.MaxBlock = 4096
 	}
-	f := &Fuser{cfg: cfg, s: s}
+	f := &Fuser{cfg: cfg, s: s, slotOf: map[uint32]int32{}}
 	if ss, ok := s.(*SliceStream); ok {
-		// Pull straight from the slice: one dynamic dispatch and a 32-byte
-		// return copy per instruction is real money on multi-million
-		// instruction windows.
-		f.src, f.spos = ss.Instrs, ss.pos
+		// Window straight over the slice: one dynamic dispatch and a 32-byte
+		// copy per instruction is real money on multi-million instruction
+		// windows.
+		f.s, f.src, f.spos = nil, ss.Instrs, ss.pos
 	}
 	return f
 }
@@ -139,90 +149,72 @@ func (f *Fuser) Next() (Instr, bool) {
 	return in, true
 }
 
-// fetch pulls one raw instruction into buf; returns false at EOF.
-func (f *Fuser) fetch() bool {
-	if f.eof {
+// pull appends the stream's next micro-op to the lookahead; false at EOF.
+func (f *Fuser) pull() bool {
+	if f.s == nil {
 		return false
-	}
-	if f.src != nil {
-		if f.spos >= len(f.src) {
-			f.eof = true
-			return false
-		}
-		f.stats.In++
-		f.buf = append(f.buf, f.src[f.spos])
-		f.spos++
-		return true
 	}
 	in, ok := f.s.Next()
 	if !ok {
-		f.eof = true
+		f.s = nil
 		return false
 	}
-	f.stats.In++
-	f.buf = append(f.buf, in)
+	f.src = append(f.src, in)
 	return true
 }
 
-// fill processes the next basic-block run from buf into out.
+// fill fuses the next basic-block run into out.
 func (f *Fuser) fill() bool {
 	f.out = f.out[:0]
 	f.opos = 0
-	if len(f.buf) == 0 && !f.fetch() {
+	if f.s != nil && f.spos > 0 {
+		// Drop the consumed prefix of the lookahead (at most one micro-op,
+		// the one that ended the previous run, stays).
+		f.src = f.src[:copy(f.src, f.src[f.spos:])]
+		f.spos = 0
+	}
+	if f.spos >= len(f.src) && !f.pull() {
 		return false
 	}
-
-	bb := f.buf[0].BB
-	firstPC := f.buf[0].PC
+	bb, firstPC := f.src[f.spos].BB, f.src[f.spos].PC
 
 	// Gather whole executions ("bodies") of this basic block while it
-	// repeats back-to-back. bodyStarts[i] is the buf index where body i
-	// begins. A body begins whenever firstPC reappears.
-	bodyStarts := []int{0}
-	i := 1
+	// repeats back-to-back. A body begins whenever firstPC reappears.
+	bodies := 1
 	maxNeed := f.MaxLanes() * f.cfg.MinRun * 4 // generous lookahead bound
-	for {
-		if i >= len(f.buf) {
-			if len(f.buf) >= f.cfg.MaxBlock || !f.fetch() {
-				break
-			}
+	n := 1
+	for ; n < f.cfg.MaxBlock; n++ {
+		if f.spos+n >= len(f.src) && !f.pull() {
+			break
 		}
-		in := f.buf[i]
+		in := &f.src[f.spos+n]
 		if in.BB != bb {
 			break
 		}
 		if in.PC == firstPC {
-			if len(bodyStarts) >= maxNeed {
+			if bodies >= maxNeed {
 				break
 			}
-			bodyStarts = append(bodyStarts, i)
+			bodies++
 		}
-		i++
 	}
-	runEnd := i
-	if runEnd > len(f.buf) {
-		runEnd = len(f.buf)
-	}
+	run := f.src[f.spos : f.spos+n]
+	f.spos += n
+	f.stats.In += int64(n)
 	f.stats.Blocks++
 
-	run := f.buf[:runEnd]
-	nBodies := len(bodyStarts)
-
-	if nBodies >= f.cfg.MinRun {
-		f.fuseRun(run, bodyStarts)
+	if bodies >= f.cfg.MinRun {
+		f.fuseRun(run)
 	} else {
-		f.fuseWithinBodies(run, bodyStarts)
+		f.fuseWithinBodies(run)
 	}
-
-	// Shift the consumed prefix out of buf.
-	f.buf = append(f.buf[:0], f.buf[runEnd:]...)
-	return len(f.out) > 0
+	return true
 }
 
 // fuseWithinBodies fuses only adjacent same-PC micro-ops (the scalarized
 // lanes of one traced vector instruction), capped at the traced width. This
 // is the regime for blocks that do not repeat often enough.
-func (f *Fuser) fuseWithinBodies(run []Instr, bodyStarts []int) {
+func (f *Fuser) fuseWithinBodies(run []Instr) {
 	cap128 := TracedWidthBits / ElemBits
 	maxLanes := f.MaxLanes()
 	if maxLanes > cap128 {
@@ -244,7 +236,7 @@ func (f *Fuser) fuseWithinBodies(run []Instr, bodyStarts []int) {
 	}
 }
 
-// fuseRun performs cross-iteration fusion over a run of nBodies executions
+// fuseRun performs cross-iteration fusion over a run of several executions
 // of one basic block: for each static instruction, dynamic instances from
 // consecutive bodies are folded together up to the configured lane count.
 // Every fused op keeps the address and dependencies of its group's first
@@ -252,53 +244,49 @@ func (f *Fuser) fuseWithinBodies(run []Instr, bodyStarts []int) {
 // produced them). Non-vectorizable micro-ops (branches, address arithmetic,
 // pointer chases) are emitted one per instance, preserving their own
 // addresses and producer distances.
-func (f *Fuser) fuseRun(run []Instr, bodyStarts []int) {
-	maxLanes := f.MaxLanes()
-
-	// Slot order = encounter order of static PCs in the first body.
-	end0 := len(run)
-	if len(bodyStarts) > 1 {
-		end0 = bodyStarts[1]
-	}
-	slotOf := map[uint32]int{}
-	var order []uint32
-	for _, in := range run[:end0] {
-		if _, ok := slotOf[in.PC]; !ok {
-			slotOf[in.PC] = len(order)
-			order = append(order, in.PC)
-		}
-	}
-	// Gather instances per slot across the whole run. Instructions whose PC
-	// did not appear in the first body (ragged bodies) get new slots.
-	instances := make([][]Instr, len(order))
-	for _, in := range run {
-		s, ok := slotOf[in.PC]
+func (f *Fuser) fuseRun(run []Instr) {
+	// A slot is a static PC, numbered in encounter order over the run: the
+	// first body's PCs first (it is the run's prefix), then PCs that appear
+	// only in later, ragged bodies.
+	f.slot = slices.Grow(f.slot[:0], len(run))[:len(run)]
+	f.bySlot = slices.Grow(f.bySlot[:0], len(run))[:len(run)]
+	slot, cur := f.slot, f.cur[:0]
+	clear(f.slotOf)
+	for i := range run {
+		s, ok := f.slotOf[run[i].PC]
 		if !ok {
-			s = len(instances)
-			slotOf[in.PC] = s
-			order = append(order, in.PC)
-			instances = append(instances, nil)
+			s = int32(len(cur))
+			f.slotOf[run[i].PC] = s
+			cur = append(cur, 0)
 		}
-		instances[s] = append(instances[s], in)
+		slot[i] = s
+		cur[s]++
 	}
+	// Group the run's indices by slot, stably: a counting sort.
+	var lo int32
+	for s, n := range cur {
+		cur[s] = lo
+		lo += n
+	}
+	for i, s := range slot {
+		f.bySlot[cur[s]] = int32(i)
+		cur[s]++
+	}
+	f.cur = cur
 
-	for s := range instances {
-		ins := instances[s]
-		if len(ins) == 0 {
-			continue
-		}
-		if !ins[0].Vectorizable {
-			for _, in := range ins {
-				f.emit(in, 1)
+	maxLanes := f.MaxLanes()
+	lo = 0
+	for _, hi := range cur { // cur[s] is now the end of slot s
+		ins := f.bySlot[lo:hi]
+		lo = hi
+		if !run[ins[0]].Vectorizable {
+			for _, i := range ins {
+				f.emit(run[i], 1)
 			}
 			continue
 		}
 		for i := 0; i < len(ins); i += maxLanes {
-			lanes := maxLanes
-			if i+lanes > len(ins) {
-				lanes = len(ins) - i
-			}
-			f.emit(ins[i], lanes)
+			f.emit(run[ins[i]], min(maxLanes, len(ins)-i))
 		}
 	}
 }

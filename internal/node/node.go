@@ -238,9 +238,11 @@ func (tm *TimingMemo) put(core cpu.Config, lat cpu.LevelLatencies, r cpu.Result)
 // application at one vector width replays the same trace — so the sweep
 // runner builds it once per such key instead of once per annotation group.
 // All slices are immutable once built and may be aliased by the annotations
-// derived from it.
+// derived from it. The trace has two independently built halves: WarmOps
+// (FuseWarm), and everything else (FuseSample).
 type FusedTrace struct {
-	// WarmOps is the warm window's fused memory accesses in stream order.
+	// WarmOps is the warm window's fused memory accesses in stream order;
+	// nil on a sample-half-only trace, which AnnotateTrace must not be given.
 	WarmOps []WarmOp
 	// SampleOps is the sample window's fused memory accesses in stream
 	// order; Idx locates each in the timing columns below.
@@ -329,32 +331,48 @@ func BuildFusedTrace(app *apps.Profile, vectorBits int, sampleInstrs, warmupInst
 	return FuseScalarTrace(BuildScalarTrace(app, sampleInstrs, warmupInstrs, seed), app, vectorBits, seed)
 }
 
-// FuseScalarTrace fuses a scalar trace at one vector width. Consuming a
-// prebuilt scalar window through slice streams is instruction-for-
+// FuseScalarTrace fuses a scalar trace at one vector width: the sample half
+// (FuseSample) plus the warm half (FuseWarm), which share no state. Consuming
+// a prebuilt scalar window through slice streams is instruction-for-
 // instruction identical to fusing the generator directly (BuildFusedTrace);
 // it exists so the sweep runner can amortize generation across widths.
 func FuseScalarTrace(st ScalarTrace, app *apps.Profile, vectorBits int, seed uint64) *FusedTrace {
-	warmupInstrs := st.Warm
-	sampleInstrs := int64(len(st.Instrs)) - warmupInstrs
-	// The scalar budgets upper-bound the fused counts (fusion only shrinks a
-	// stream), so the columns can be sized once instead of grown.
+	ft := FuseSample(st, app, vectorBits, seed)
+	ft.WarmOps = FuseWarm(st, vectorBits)
+	return ft
+}
+
+// FuseWarm fuses the warm window of a scalar trace into its memory accesses —
+// the half of a fused trace whose only reader is the cache walk
+// (AnnotateTrace). A run that finds its hit-rate tables already built never
+// needs it.
+func FuseWarm(st ScalarTrace, vectorBits int) []WarmOp {
+	// The scalar budget upper-bounds the fused count (fusion only shrinks a
+	// stream), so the column can be sized once instead of grown.
+	ops := make([]WarmOp, 0, st.Warm/2)
+	warm := isa.NewFuser(isa.NewSliceStream(st.Instrs[:st.Warm]), isa.DefaultFuserConfig(vectorBits))
+	for {
+		in, ok := warm.Next()
+		if !ok {
+			return ops
+		}
+		if in.Class.IsMem() {
+			ops = append(ops, WarmOp{Addr: in.Addr, Size: in.Size, Write: in.Class == isa.Store})
+		}
+	}
+}
+
+// FuseSample fuses the sample window of a scalar trace: everything of a
+// FusedTrace but WarmOps, which stays nil. That is all CombineAnnotation and
+// the timing replay read.
+func FuseSample(st ScalarTrace, app *apps.Profile, vectorBits int, seed uint64) *FusedTrace {
+	sampleInstrs := int64(len(st.Instrs)) - st.Warm
 	ft := &FusedTrace{
-		WarmOps:   make([]WarmOp, 0, warmupInstrs/2),
 		SampleOps: make([]SampleOp, 0, sampleInstrs/2),
 		Deps:      make([]uint32, 0, sampleInstrs),
 		Meta:      make([]uint32, 0, sampleInstrs),
 	}
-	warm := isa.NewFuser(isa.NewSliceStream(st.Instrs[:warmupInstrs]), isa.DefaultFuserConfig(vectorBits))
-	for {
-		in, ok := warm.Next()
-		if !ok {
-			break
-		}
-		if in.Class.IsMem() {
-			ft.WarmOps = append(ft.WarmOps, WarmOp{Addr: in.Addr, Size: in.Size, Write: in.Class == isa.Store})
-		}
-	}
-	fu := isa.NewFuser(isa.NewSliceStream(st.Instrs[warmupInstrs:]), isa.DefaultFuserConfig(vectorBits))
+	fu := isa.NewFuser(isa.NewSliceStream(st.Instrs[st.Warm:]), isa.DefaultFuserConfig(vectorBits))
 	rng := xrand.New(seed ^ 0x5eed)
 	rate := app.MispredictRate
 	for {
@@ -383,6 +401,11 @@ func FuseScalarTrace(st ScalarTrace, app *apps.Profile, vectorBits int, seed uin
 // level. It returns both the combined annotation (ready for timing replay)
 // and the hit-rate table that, overlaid on the same trace, reproduces it.
 func AnnotateTrace(ft *FusedTrace, cfg Config) (Annotation, HitRateTable) {
+	if ft.WarmOps == nil {
+		// FuseWarm returns a non-nil column even for an empty warm window;
+		// walking cold caches would persist a wrong hit-rate table silently.
+		panic("node: AnnotateTrace on a fused trace without its warm half")
+	}
 	hier := cfg.hierarchy(0)
 	for _, op := range ft.WarmOps {
 		hier.Access(op.Addr, int(op.Size), op.Write)
@@ -478,6 +501,7 @@ func SimulateAnnotated(app *apps.Profile, cfg Config, annotation Annotation) Res
 	var lastLat cpu.LevelLatencies
 	haveRun := false
 	activeCores := float64(cfg.Cores)
+	graphs := regionGraphs(app, cfg.Seed)
 	for iter := 0; iter < 6; iter++ {
 		res.Iterations = iter + 1
 		// The timing replay is a pure function of (core config, annotation,
@@ -504,7 +528,7 @@ func SimulateAnnotated(app *apps.Profile, cfg Config, annotation Annotation) Res
 
 		// Replay the runtime system to learn how many cores are busy.
 		laneTp := float64(coreRes.LaneWork) / secs
-		scheds, durs := replayRegions(app, cfg, laneTp)
+		scheds, durs := replayRegions(graphs, cfg, laneTp)
 		activeCores = scheduleActiveCores(scheds, durs)
 
 		offered := perCoreBW * activeCores
@@ -541,30 +565,45 @@ func SimulateAnnotated(app *apps.Profile, cfg Config, annotation Annotation) Res
 	return res
 }
 
+// regionGraphs synthesizes the application's task graphs, one per region, at
+// their traced durations. They depend on the seed alone, so a simulation
+// builds them once and replayRegions rescales them at every iteration of the
+// bandwidth fixed point.
+func regionGraphs(app *apps.Profile, seed uint64) []rts.Region {
+	graphs := make([]rts.Region, len(app.Regions))
+	for ri := range graphs {
+		graphs[ri] = app.RegionGraph(ri, seed)
+	}
+	return graphs
+}
+
 // replayRegions rescales the burst task durations with the measured lane
 // throughput and replays each region's task graph on the node's cores.
-// Runtime dispatch costs stay in wall-clock ns (they come from the trace and
-// do not scale with core frequency), reproducing the scheduling bottleneck
-// HYDRO hits above 2.5 GHz.
+// graphs are the unscaled regionGraphs, left untouched. Runtime dispatch
+// costs stay in wall-clock ns (they come from the trace and do not scale
+// with core frequency), reproducing the scheduling bottleneck HYDRO hits
+// above 2.5 GHz.
 //
 // A zero, negative, NaN or infinite lane throughput (a degenerate core
 // sample) would turn the scale factor into ±Inf/NaN and poison every
 // downstream duration, energy and replay result; it is clamped to the
 // reference throughput (scale 1) instead.
-func replayRegions(app *apps.Profile, cfg Config, laneThroughput float64) ([]rts.Schedule, []float64) {
+func replayRegions(graphs []rts.Region, cfg Config, laneThroughput float64) ([]rts.Schedule, []float64) {
 	if laneThroughput <= 0 || math.IsNaN(laneThroughput) || math.IsInf(laneThroughput, 0) {
 		laneThroughput = apps.RefLaneThroughput
 	}
 	scale := apps.RefLaneThroughput / laneThroughput
-	var scheds []rts.Schedule
-	var durs []float64
-	for ri := range app.Regions {
-		g := app.RegionGraph(ri, cfg.Seed)
-		g.SerialNs *= scale
-		for i := range g.Tasks {
-			g.Tasks[i].DurationNs *= scale
-			g.Tasks[i].CriticalNs *= scale
+	scheds := make([]rts.Schedule, 0, len(graphs))
+	durs := make([]float64, 0, len(graphs))
+	var tasks []rts.Task // the scaled copy; Simulate keeps no reference to it
+	for _, g := range graphs {
+		tasks = append(tasks[:0], g.Tasks...)
+		for i := range tasks {
+			tasks[i].DurationNs *= scale
+			tasks[i].CriticalNs *= scale
 		}
+		g.SerialNs *= scale
+		g.Tasks = tasks
 		s := rts.Simulate(g, rts.Options{
 			Threads:    cfg.Cores,
 			DispatchNs: cfg.DispatchNs,

@@ -233,7 +233,7 @@ func TestReplayRegionsDegenerateThroughput(t *testing.T) {
 	app := apps.Hydro()
 	cfg := baseCfg()
 	for _, tp := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
-		_, durs := replayRegions(app, cfg, tp)
+		_, durs := replayRegions(regionGraphs(app, cfg.Seed), cfg, tp)
 		if len(durs) == 0 {
 			t.Fatalf("throughput %v: no regions replayed", tp)
 		}

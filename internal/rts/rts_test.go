@@ -2,6 +2,8 @@ package rts
 
 import (
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -243,6 +245,47 @@ func TestAvgActiveThreads(t *testing.T) {
 func TestPolicyString(t *testing.T) {
 	if FIFOCentral.String() == "" || WorkSteal.String() == "" {
 		t.Error("empty policy names")
+	}
+}
+
+// TestMinQueuePopsInOrder interleaves pushes and pops, ties on the time
+// included, and checks every pop against a sorted reference: the (at, id)
+// order is total, so nothing about the pop sequence is left to the heap.
+func TestMinQueuePopsInOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	var q minQueue
+	var ref []qent
+	pop := func() {
+		sort.Slice(ref, func(i, j int) bool { return ref[i].before(ref[j]) })
+		if got := q.pop(); got != ref[0] {
+			t.Fatalf("popped %+v, want %+v", got, ref[0])
+		}
+		ref = ref[1:]
+	}
+	for id := 0; id < 2000; id++ {
+		e := qent{at: float64(rng.Intn(40)), id: id}
+		q.push(e)
+		ref = append(ref, e)
+		if rng.Intn(3) == 0 {
+			pop()
+		}
+	}
+	for len(ref) > 0 {
+		pop()
+	}
+	if len(q) != 0 {
+		t.Fatalf("%d entries left in the queue", len(q))
+	}
+}
+
+// TestSimulateAllocations pins the scheduler's allocations to its result and
+// bookkeeping slices: nothing per task dispatched. A dependency-free region
+// (all the application models produce) needs nine.
+func TestSimulateAllocations(t *testing.T) {
+	r := ParallelFor("allocs", 4000, 100, 10, 0.3, 1)
+	opts := Options{Threads: 64, DispatchNs: 50, Policy: FIFOCentral}
+	if allocs := testing.AllocsPerRun(10, func() { Simulate(r, opts) }); allocs > 10 {
+		t.Errorf("%v allocations for %d tasks, want at most 10", allocs, len(r.Tasks))
 	}
 }
 

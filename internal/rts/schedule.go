@@ -1,9 +1,6 @@
 package rts
 
-import (
-	"container/heap"
-	"fmt"
-)
+import "fmt"
 
 // Simulate runs the region's task graph on opts.Threads simulated threads
 // and returns the schedule. It panics on an invalid region (regions are
@@ -47,21 +44,21 @@ func Simulate(region Region, opts Options) Schedule {
 
 	// Ready tasks ordered by (readyAt, ID): creation order for ties, which
 	// models a FIFO ready queue.
-	rq := &taskQueue{}
+	rq := make(minQueue, 0, n)
 	for i := 0; i < n; i++ {
 		if indeg[i] == 0 {
-			heap.Push(rq, qent{at: readyAt[i], id: i})
+			rq.push(qent{at: readyAt[i], id: i})
 		}
 	}
 
 	// Thread availability as a min-heap.
-	tq := &threadQueue{}
+	tq := make(minQueue, 0, opts.Threads)
 	for th := 0; th < opts.Threads; th++ {
 		at := 0.0
 		if th == 0 {
 			at = serialEnd
 		}
-		heap.Push(tq, qent{at: at, id: th})
+		tq.push(qent{at: at, id: th})
 	}
 
 	var dispatchGate float64 // FIFO central queue serialization point
@@ -69,12 +66,12 @@ func Simulate(region Region, opts Options) Schedule {
 	remaining := n
 
 	for remaining > 0 {
-		if rq.Len() == 0 {
+		if len(rq) == 0 {
 			panic("rts: deadlock — cyclic dependencies in region " + region.Name)
 		}
-		te := heap.Pop(rq).(qent)
+		te := rq.pop()
 		task := &region.Tasks[te.id]
-		th := heap.Pop(tq).(qent)
+		th := tq.pop()
 
 		start := maxf(te.at, th.at)
 		switch opts.Policy {
@@ -108,14 +105,14 @@ func Simulate(region Region, opts Options) Schedule {
 			s.MakespanNs = end
 		}
 
-		heap.Push(tq, qent{at: end, id: th.id})
+		tq.push(qent{at: end, id: th.id})
 		for _, nx := range succ[te.id] {
 			if readyAt[nx] < end {
 				readyAt[nx] = end
 			}
 			indeg[nx]--
 			if indeg[nx] == 0 {
-				heap.Push(rq, qent{at: readyAt[nx], id: nx})
+				rq.push(qent{at: readyAt[nx], id: nx})
 			}
 		}
 		remaining--
@@ -136,40 +133,57 @@ type qent struct {
 	id int
 }
 
-type taskQueue []qent
-
-func (q taskQueue) Len() int { return len(q) }
-func (q taskQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+func (a qent) before(b qent) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return q[i].id < q[j].id
-}
-func (q taskQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *taskQueue) Push(x any)   { *q = append(*q, x.(qent)) }
-func (q *taskQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	*q = old[:n-1]
-	return e
+	return a.id < b.id
 }
 
-type threadQueue []qent
+// minQueue is a binary min-heap of qent ordered by (at, id), the ready queue
+// and the thread pool alike. It is typed — container/heap would box every
+// entry it pushes and pops, the bulk of a sweep point's allocations — and
+// ids are unique within a queue, so the order is total and the pop sequence
+// does not depend on how the heap is laid out.
+type minQueue []qent
 
-func (q threadQueue) Len() int { return len(q) }
-func (q threadQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+func (q *minQueue) push(e qent) {
+	h := append(*q, e)
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !e.before(h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
 	}
-	return q[i].id < q[j].id
+	h[i] = e
+	*q = h
 }
-func (q threadQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *threadQueue) Push(x any)   { *q = append(*q, x.(qent)) }
-func (q *threadQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	*q = old[:n-1]
-	return e
+
+func (q *minQueue) pop() qent {
+	h := *q
+	top, last := h[0], h[len(h)-1]
+	h = h[:len(h)-1]
+	*q = h
+	i := 0
+	for {
+		child := 2*i + 1
+		if child >= len(h) {
+			break
+		}
+		if child+1 < len(h) && h[child+1].before(h[child]) {
+			child++
+		}
+		if !h[child].before(last) {
+			break
+		}
+		h[i] = h[child]
+		i = child
+	}
+	if len(h) > 0 {
+		h[i] = last
+	}
+	return top
 }
