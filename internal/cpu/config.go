@@ -28,6 +28,10 @@ type Config struct {
 	FPRF        int // floating-point rename registers
 }
 
+// MaxPorts bounds ALUs and FPUs: the timing loop keeps each port class as a
+// fixed file of this many free times.
+const MaxPorts = 8
+
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	if c.ROB <= 0 || c.IssueWidth <= 0 || c.StoreBuffer <= 0 {
@@ -35,6 +39,12 @@ func (c Config) Validate() error {
 	}
 	if c.ALUs <= 0 || c.FPUs <= 0 {
 		return fmt.Errorf("cpu %s: non-positive port counts", c.Name)
+	}
+	if c.ALUs > MaxPorts {
+		return fmt.Errorf("cpu %s: ALUs %d exceeds MaxPorts %d", c.Name, c.ALUs, MaxPorts)
+	}
+	if c.FPUs > MaxPorts {
+		return fmt.Errorf("cpu %s: FPUs %d exceeds MaxPorts %d", c.Name, c.FPUs, MaxPorts)
 	}
 	if c.IntRF <= 0 || c.FPRF <= 0 {
 		return fmt.Errorf("cpu %s: non-positive register files", c.Name)

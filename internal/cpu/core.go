@@ -1,6 +1,8 @@
 package cpu
 
 import (
+	"math"
+
 	"musa/internal/cache"
 	"musa/internal/isa"
 )
@@ -85,124 +87,128 @@ func levelIndex(m uint32) uint8 {
 	return lvl
 }
 
+// The structural resources a micro-op holds from dispatch to completion, as
+// regions of one ring: a store takes a store-buffer entry, every other op a
+// rename register of its kind.
+const (
+	resStore = iota
+	resFP
+	resInt
+	numRes
+)
+
 // RunTiming replays an annotated trace through the one-pass out-of-order
 // timing model (see the package comment) and returns the result. Cache
 // statistics are copied from the annotation. It panics on an invalid
-// configuration.
+// configuration. Meta and Deps must hold PackMeta and PackDeps words: the
+// loop trusts FlagFP to mean an FP class (so never a store) and a non-zero
+// distance to lie inside the trace and the completion window.
 //
 // This is the hottest loop of a sweep (it runs once per fixed-point
-// iteration of every point), so it is written allocation-free and
-// division-free: the ROB/store-buffer/register-file rings are indexed by
-// increment-and-wrap cursors instead of runtime modulo (ring sizes are not
-// powers of two), level latencies come from a direct-indexed table, and the
-// trace is consumed as three dense struct-of-arrays columns.
+// iteration of every point). It is allocation-free past its rings,
+// division-free and has no inner loop, so that its loop-carried scalars stay
+// in registers; DESIGN.md §15 has the measurements. Three invariants make
+// that shape exact rather than approximate:
+//
+//   - Rings need no "has it filled yet" guard. Every ring starts zeroed and
+//     slot s of a ring of n is first written by the ring's n-th op, so until
+//     the resource has saturated the slot read at dispatch holds 0 and
+//     max(dispatchCycle, 0) changes nothing.
+//   - The store buffer and both register files are one ring. Each op reads
+//     one slot of one resource at dispatch and writes that same slot once it
+//     knows when the entry frees (a store's drain time, any other op's
+//     completion), so the resource is an index computed from the meta word,
+//     not a branch.
+//   - Only the multiset of port-free times matters. An op issues on the
+//     earliest-free port of its class and which index held that time never
+//     reaches the result, so each class is kept sorted ascending in MaxPorts
+//     slots (absent ports never free): issue reads slot 0 and re-inserts the
+//     port's next free time with straight-line compare-exchange steps.
 func RunTiming(cfg Config, ann AnnotateResult, lat LevelLatencies) Result {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	var res Result
-
 	latTab := lat.table()
 
 	// Completion cycles of the last depWindow instructions (ring buffer).
 	var complete [depWindow]int64
-	// Commit cycles ring for ROB-full stalls: commitAt[i % ROB].
+	// Commit cycles ring for ROB-full stalls, indexed by an
+	// increment-and-wrap cursor (the ROB size is not a power of two).
 	commitAt := make([]int64, cfg.ROB)
-	// Store-buffer drain cycles ring.
-	sbFree := make([]int64, cfg.StoreBuffer)
-	// Register-file rings: completion cycles of in-flight int/FP producers.
-	intRF := make([]int64, cfg.IntRF)
-	fpRF := make([]int64, cfg.FPRF)
-	var nInt, nFP, nStores int64
-	// Ring cursors, each maintained as counter-mod-length by wrap-on-equal.
-	var robIdx, sbIdx, intIdx, fpIdx int
+	robIdx := 0
 
-	// Port next-free times.
-	aluFree := make([]int64, cfg.ALUs)
-	fpuFree := make([]int64, cfg.FPUs)
+	// The structural ring: region k spans [first[k], end[k]) and next[k] is
+	// its cursor. The arrays are padded to four so k&3 needs no bounds check.
+	var first, end, next [4]int
+	var stall [4]int64
+	slots := 0
+	for k, n := range [numRes]int{resStore: cfg.StoreBuffer, resFP: cfg.FPRF, resInt: cfg.IntRF} {
+		first[k], next[k] = slots, slots
+		slots += n
+		end[k] = slots
+	}
+	ring := make([]int64, slots)
+
+	// Port files: [0] the ALUs, [1] the FPUs, the FlagFP bit indexes them.
+	var ports [2][MaxPorts]int64
+	for u := range MaxPorts {
+		if u >= cfg.ALUs {
+			ports[0][u] = math.MaxInt64
+		}
+		if u >= cfg.FPUs {
+			ports[1][u] = math.MaxInt64
+		}
+	}
+	// Four compare-exchange steps re-sort a file of up to five ports, which
+	// covers Table I; only wider cores pay for the other three.
+	wide := max(cfg.ALUs, cfg.FPUs) > 5
 
 	var dispatchCycle int64 // cycle the next instruction dispatches
 	var inCycle int         // instructions already dispatched this cycle
 	var lastCommit int64    // last in-order commit cycle
 	var commitsInCycle int
+	var stallROB, robOcc int64
 
-	rob := int64(cfg.ROB)
-	sbCap, fpCap, intCap := int64(cfg.StoreBuffer), int64(cfg.FPRF), int64(cfg.IntRF)
 	metas := ann.Meta
 	if len(ann.Deps) < len(metas) {
 		panic("cpu: annotation dep column shorter than meta column")
 	}
 	deps := ann.Deps[:len(metas)] // bounds-check elimination for deps[i64]
 
-	// Stall and occupancy accumulators stay in locals for the duration of
-	// the loop so they can live in registers instead of result-struct
-	// memory.
-	var stallROB, stallSB, stallRF, robOcc int64
-
 	for i64, m := range metas {
 		i := int64(i64)
 		class := isa.Class(m & 0xff)
-		isFP := m&(FlagFP<<MetaFlagsShift) != 0
+		fp := int(m>>MetaFlagsShift) / FlagFP & 1 // the FlagFP bit: 1 for an FP class
+		k := resInt - fp
+		if class == isa.Store {
+			k = resStore
+		}
 
 		// --- Dispatch: in-order, IssueWidth per cycle. ---
 		if inCycle >= cfg.IssueWidth {
 			dispatchCycle++
 			inCycle = 0
 		}
-		// Structural stalls push the dispatch cycle forward. Whether a
-		// resource actually stalls is data-dependent and unpredictable, so
-		// each check is written as max + conditional-move instead of a
-		// branch; the outer saturation conditions are monotone (the
-		// counters never decrease) and predict perfectly.
-		if i >= rob {
-			free := commitAt[robIdx]
-			nd := max(dispatchCycle, free)
-			stallROB += nd - dispatchCycle
-			if nd != dispatchCycle {
-				inCycle = 0
-			}
-			dispatchCycle = nd
+		// Structural stalls push the dispatch cycle forward: first the ROB
+		// entry, then the op's store-buffer or register-file entry. Whether
+		// either stalls is data-dependent and unpredictable, so both are
+		// max + conditional move, not branches.
+		slot := next[k&3]
+		robFree := max(dispatchCycle, commitAt[robIdx])
+		disp := max(robFree, ring[slot])
+		stallROB += robFree - dispatchCycle
+		stall[k&3] += disp - robFree
+		if disp != dispatchCycle {
+			inCycle = 0
 		}
-		switch {
-		case class == isa.Store:
-			if nStores >= sbCap {
-				free := sbFree[sbIdx]
-				nd := max(dispatchCycle, free)
-				stallSB += nd - dispatchCycle
-				if nd != dispatchCycle {
-					inCycle = 0
-				}
-				dispatchCycle = nd
-			}
-		case isFP:
-			if nFP >= fpCap {
-				free := fpRF[fpIdx]
-				nd := max(dispatchCycle, free)
-				stallRF += nd - dispatchCycle
-				if nd != dispatchCycle {
-					inCycle = 0
-				}
-				dispatchCycle = nd
-			}
-		default:
-			if nInt >= intCap {
-				free := intRF[intIdx]
-				nd := max(dispatchCycle, free)
-				stallRF += nd - dispatchCycle
-				if nd != dispatchCycle {
-					inCycle = 0
-				}
-				dispatchCycle = nd
-			}
-		}
-		disp := dispatchCycle
+		dispatchCycle = disp
 		inCycle++
 
 		// --- Ready: wait for producers (validity pre-resolved by PackDeps). ---
-		// Branchless: producer presence is data-dependent and defeats the
-		// branch predictor, so both ring slots are loaded unconditionally
-		// (d == 0 reads the instruction's own slot — a stale value that the
-		// conditional move below discards) and folded in with selects.
+		// Producer presence is data-dependent and defeats the branch
+		// predictor, so both ring slots are loaded unconditionally (d == 0
+		// reads the instruction's own slot, a stale value the conditional
+		// move below discards) and folded in with selects.
 		dp := deps[i64]
 		d1 := int64(dp & 0xffff)
 		d2 := int64(dp >> 16)
@@ -214,44 +220,47 @@ func RunTiming(cfg Config, ann AnnotateResult, lat LevelLatencies) Result {
 		if d2 == 0 {
 			v2 = 0
 		}
-		ready := max(disp, max(v1, v2))
+		ready := max(disp, v1, v2)
 
-		// --- Issue to a port. ---
-		var ports []int64
-		if isFP {
-			ports = fpuFree
+		// --- Issue on the earliest-free port of the class, and bubble the
+		// port's next free time back into the sorted file. ---
+		p := &ports[fp]
+		start := max(ready, p[0])
+		busy := start + occupancy[class]
+		p[0], busy = min(busy, p[1]), max(busy, p[1])
+		p[1], busy = min(busy, p[2]), max(busy, p[2])
+		p[2], busy = min(busy, p[3]), max(busy, p[3])
+		p[3], busy = min(busy, p[4]), max(busy, p[4])
+		if wide {
+			p[4], busy = min(busy, p[5]), max(busy, p[5])
+			p[5], busy = min(busy, p[6]), max(busy, p[6])
+			p[6], busy = min(busy, p[7]), max(busy, p[7])
+			p[7] = busy
 		} else {
-			ports = aluFree
+			p[4] = busy
 		}
-		// Min-scan with the best value in a register: no dependent
-		// ports[unit] reload inside the loop.
-		unit, best := 0, ports[0]
-		for u := 1; u < len(ports); u++ {
-			if v := ports[u]; v < best {
-				unit, best = u, v
-			}
-		}
-		start := max(ready, best)
-		ports[unit] = start + occupancy[class]
 
 		// --- Execute. ---
 		// The memory-level latency is computed unconditionally (a shift and
-		// a table load) so the load case is a select, not a branch.
+		// a table load) so the load and store cases are selects.
 		memLat := latTab[levelIndex(m)]
 		latency := execLatency[class]
 		if class == isa.Load {
 			latency = memLat
 		}
-		if class == isa.Store {
-			// Stores retire into the store buffer quickly; the drain time
-			// (write latency at the annotated level) holds the SB entry.
-			sbFree[sbIdx] = start + memLat
-			nStores++
-			if sbIdx++; sbIdx == cfg.StoreBuffer {
-				sbIdx = 0
-			}
-		}
 		fin := start + latency
+		// The structural entry frees at completion; a store retires into
+		// the store buffer quickly and holds its entry for the drain time
+		// (write latency at the annotated level) instead.
+		freeAt := fin
+		if class == isa.Store {
+			freeAt = start + memLat
+		}
+		ring[slot] = freeAt
+		if slot++; slot == end[k&3] {
+			slot = first[k&3]
+		}
+		next[k&3] = slot
 
 		if m&(FlagMispredict<<MetaFlagsShift) != 0 {
 			// Pipeline flush: dispatch resumes after resolution + refill.
@@ -279,38 +288,30 @@ func RunTiming(cfg Config, ann AnnotateResult, lat LevelLatencies) Result {
 		if robIdx++; robIdx == cfg.ROB {
 			robIdx = 0
 		}
-		if isFP {
-			fpRF[fpIdx] = fin
-			nFP++
-			if fpIdx++; fpIdx == cfg.FPRF {
-				fpIdx = 0
-			}
-		} else if class != isa.Store {
-			intRF[intIdx] = fin
-			nInt++
-			if intIdx++; intIdx == cfg.IntRF {
-				intIdx = 0
-			}
-		}
 		robOcc += cm - disp
 	}
-	res.StallROB, res.StallSB, res.StallRF = stallROB, stallSB, stallRF
-	res.ROBOccupancySum = robOcc
 
 	// Timing-independent aggregates were counted once at trace build.
-	res.Instructions = ann.Counts.Instructions
-	res.LaneWork = ann.Counts.LaneWork
-	res.Mispredicts = ann.Counts.Mispredicts
-	res.ClassOps = ann.Counts.ClassOps
-	res.ClassLanes = ann.Counts.ClassLanes
+	res := Result{
+		Instructions: ann.Counts.Instructions,
+		LaneWork:     ann.Counts.LaneWork,
+		ClassOps:     ann.Counts.ClassOps,
+		ClassLanes:   ann.Counts.ClassLanes,
+		Mispredicts:  ann.Counts.Mispredicts,
+		L1:           ann.L1,
+		L2:           ann.L2,
+		L3:           ann.L3,
+		MemReads:     ann.MemReads,
+		MemWrites:    ann.MemWrites,
+
+		StallROB:        stallROB,
+		StallSB:         stall[resStore],
+		StallRF:         stall[resFP] + stall[resInt],
+		ROBOccupancySum: robOcc,
+	}
 	if res.Instructions > 0 {
 		res.Cycles = lastCommit + 1
 	}
-	res.L1 = ann.L1
-	res.L2 = ann.L2
-	res.L3 = ann.L3
-	res.MemReads = ann.MemReads
-	res.MemWrites = ann.MemWrites
 	return res
 }
 

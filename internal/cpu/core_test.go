@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"strings"
 	"testing"
 
 	"musa/internal/cache"
@@ -45,6 +46,32 @@ func TestConfigsValid(t *testing.T) {
 	bad := Config{Name: "bad"}
 	if bad.Validate() == nil {
 		t.Error("zero config validated")
+	}
+}
+
+func TestValidateRejects(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		edit func(*Config)
+		want string // the field the message must name
+	}{
+		{"no ROB", func(c *Config) { c.ROB = 0 }, "ROB"},
+		{"no ALUs", func(c *Config) { c.ALUs = 0 }, "port"},
+		{"no FP registers", func(c *Config) { c.FPRF = 0 }, "register"},
+		{"too many ALUs", func(c *Config) { c.ALUs = MaxPorts + 1 }, "ALUs 9"},
+		{"too many FPUs", func(c *Config) { c.FPUs = MaxPorts + 1 }, "FPUs 9"},
+	} {
+		cfg := Medium()
+		c.edit(&cfg)
+		err := cfg.Validate()
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %v, want one naming %q", c.name, err, c.want)
+		}
+	}
+	full := Medium()
+	full.ALUs, full.FPUs = MaxPorts, MaxPorts
+	if err := full.Validate(); err != nil {
+		t.Errorf("MaxPorts of each port class rejected: %v", err)
 	}
 }
 

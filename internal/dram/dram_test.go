@@ -199,19 +199,6 @@ func TestLatencyModel(t *testing.T) {
 	}
 }
 
-func TestQuickSelect(t *testing.T) {
-	xs := []sim.Time{5, 1, 9, 3, 7}
-	if got := quickSelect(append([]sim.Time(nil), xs...), 0); got != 1 {
-		t.Errorf("min = %v", got)
-	}
-	if got := quickSelect(append([]sim.Time(nil), xs...), 4); got != 9 {
-		t.Errorf("max = %v", got)
-	}
-	if got := quickSelect(append([]sim.Time(nil), xs...), 2); got != 5 {
-		t.Errorf("median = %v", got)
-	}
-}
-
 func BenchmarkControllerStreaming(b *testing.B) {
 	cfg := ddr4(4)
 	var eng sim.Engine

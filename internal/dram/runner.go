@@ -28,7 +28,6 @@ func NewStreamSource() AddrSource { return &seqSource{} }
 type OpenLoopResult struct {
 	Stats       Stats
 	AvgLatency  sim.Time
-	P95Latency  sim.Time
 	AchievedBW  float64 // bytes/second
 	OfferedBW   float64 // bytes/second
 	Utilization float64 // achieved / peak
@@ -48,23 +47,21 @@ func RunOpenLoop(cfg Config, policy SchedPolicy, offeredBW float64, src AddrSour
 	lineBytes := 64.0
 	meanGap := lineBytes * burst / offeredBW // seconds between bursts
 
-	// Requests come from one slab and each burst shares one completion
-	// closure (all its requests arrive at the same instant) and one engine
-	// event that submits the burst in order. The engine fires same-time
-	// events FIFO, so one event doing four Submits is behaviorally identical
-	// to four same-time events doing one each — it just costs a quarter of
-	// the heap traffic and closures.
+	// Requests come from one slab and each burst shares one engine event
+	// that submits it in order. The engine fires same-time events FIFO, so
+	// one event doing four Submits is behaviorally identical to four
+	// same-time events doing one each — it just costs a quarter of the heap
+	// traffic and closures. No request carries a Done callback: every number
+	// reported below is accumulated by the controller at issue time, so
+	// completion events would only be popped and dropped.
 	reqs := make([]Request, n)
-	latencies := make([]sim.Time, 0, n)
 	t := sim.Time(0)
 	for i := 0; i < n; i += burst {
 		t += sim.FromSeconds(rng.Exponential(meanGap))
 		hi := min(i+burst, n)
-		arrive := t
-		done := func(at sim.Time) { latencies = append(latencies, at-arrive) }
 		for j := i; j < hi; j++ {
 			addr, write := src.Next()
-			reqs[j] = Request{Addr: addr, Write: write, Arrive: arrive, Done: done}
+			reqs[j] = Request{Addr: addr, Write: write, Arrive: t}
 		}
 		b := reqs[i:hi]
 		eng.At(t, func(sim.Time) {
@@ -81,48 +78,8 @@ func RunOpenLoop(cfg Config, policy SchedPolicy, offeredBW float64, src AddrSour
 		AchievedBW: ctl.Stats.AchievedBandwidth(64),
 		OfferedBW:  offeredBW,
 	}
-	if len(latencies) > 0 {
-		// Nth percentile without a stats dependency cycle: simple selection.
-		idx := len(latencies) * 95 / 100
-		res.P95Latency = quickSelect(latencies, idx)
-	}
 	res.Utilization = res.AchievedBW / cfg.PeakBandwidth()
 	return res
-}
-
-// quickSelect returns the k-th smallest element (0-based) of xs, modifying
-// the slice order.
-func quickSelect(xs []sim.Time, k int) sim.Time {
-	lo, hi := 0, len(xs)-1
-	if k > hi {
-		k = hi
-	}
-	rng := xrand.New(uint64(len(xs)))
-	for lo < hi {
-		p := xs[lo+rng.Intn(hi-lo+1)]
-		i, j := lo, hi
-		for i <= j {
-			for xs[i] < p {
-				i++
-			}
-			for xs[j] > p {
-				j--
-			}
-			if i <= j {
-				xs[i], xs[j] = xs[j], xs[i]
-				i++
-				j--
-			}
-		}
-		if k <= j {
-			hi = j
-		} else if k >= i {
-			lo = i
-		} else {
-			break
-		}
-	}
-	return xs[k]
 }
 
 // LatencyModel captures effective memory latency as a function of offered

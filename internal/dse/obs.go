@@ -43,6 +43,19 @@ func observeStage(stage string, start time.Time) {
 		Observe(time.Since(start).Seconds())
 }
 
+// IterationsMetric is the histogram of bandwidth fixed-point iterations per
+// simulated point (node.Result.Iterations, one to six). Every iteration is a
+// full timing replay, so sum/count is the replays a point costs: the figure
+// a change to the fixed point is judged against.
+const IterationsMetric = "musa_dse_fixedpoint_iterations"
+
+// observeIterations records one simulated point's iteration count.
+func observeIterations(n int) {
+	obs.DefaultRegistry().Histogram(IterationsMetric,
+		"Bandwidth fixed-point iterations per simulated sweep point.",
+		[]float64{1, 2, 3, 4, 5, 6}).Observe(float64(n))
+}
+
 // countPoint advances the per-sweep-point outcome counter.
 func countPoint(result string) {
 	obs.DefaultRegistry().Counter("musa_dse_points_total",

@@ -375,6 +375,7 @@ func Run(ctx context.Context, opts Options) *Dataset {
 				simStart := time.Now()
 				res := node.SimulateAnnotated(app, cfg, *ann)
 				observeStage(StageNodeSim, simStart)
+				observeIterations(res.Iterations)
 				simSpan.End()
 				l1, l2, l3 := res.MPKI()
 				m := Measurement{

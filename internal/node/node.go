@@ -481,9 +481,6 @@ func SimulateAnnotated(app *apps.Profile, cfg Config, annotation Annotation) Res
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	if cfg.SampleInstrs <= 0 {
-		cfg.SampleInstrs = apps.SampleSize
-	}
 
 	latModel := cfg.LatModel
 	if latModel == nil {

@@ -257,3 +257,24 @@ func BenchmarkNodeSimulate(b *testing.B) {
 		Simulate(app, cfg)
 	}
 }
+
+// BenchmarkTimingReplay times cpu.RunTiming alone, the loop a sweep spends
+// most of its CPU in: one real 512-bit annotation replayed on each Table I
+// core at a loaded memory latency. ns/uop is host time per simulated
+// micro-op, the figure DESIGN.md §15 tabulates.
+func BenchmarkTimingReplay(b *testing.B) {
+	cfg := baseCfg()
+	cfg.VectorBits = 512
+	cfg.SampleInstrs, cfg.WarmupInstrs = 120000, 240000
+	a := BuildAnnotation(apps.LULESH(), cfg)
+	lat := cpu.LatenciesFor(a.HierCfg, 140, cfg.FreqGHz)
+	for _, core := range cpu.AllConfigs() {
+		b.Run(core.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				cpu.RunTiming(core, a.Ann, lat)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(a.Ann.Len()), "ns/uop")
+		})
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"musa"
 	"musa/internal/apps"
 	"musa/internal/dse"
+	"musa/internal/obs"
 )
 
 // stageDeltas snapshots the observation counts of every dse pipeline stage
@@ -30,6 +31,17 @@ func stageDeltas() func() map[string]uint64 {
 		}
 		return d
 	}
+}
+
+// iterationObservations reads the fixed-point iteration histogram: how many
+// points it has seen and the iterations they took in total.
+func iterationObservations() (points uint64, iterations float64) {
+	for _, f := range obs.DefaultRegistry().Snapshot() {
+		if f.Name == dse.IterationsMetric && len(f.Series) == 1 {
+			return f.Series[0].Count, f.Series[0].Value
+		}
+	}
+	return 0, 0
 }
 
 // TestWarmStagedSweepStageAccounting is the staged sub-result contract seen
@@ -76,11 +88,14 @@ func TestWarmStagedSweepStageAccounting(t *testing.T) {
 	}
 	defer warm.Close()
 	warmDelta := stageDeltas()
+	pointsBefore, itersBefore := iterationObservations()
 	res, err := warm.Run(ctx, exp)
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := warmDelta()
+	points, iters := iterationObservations()
+	points, iters = points-pointsBefore, iters-itersBefore
 	if len(res.Sweep.Measurements) != len(exp.PointIndices) {
 		t.Fatalf("%d measurements, want %d", len(res.Sweep.Measurements), len(exp.PointIndices))
 	}
@@ -100,6 +115,13 @@ func TestWarmStagedSweepStageAccounting(t *testing.T) {
 	if got[dse.StageNodeSim] != uint64(len(exp.PointIndices)) {
 		t.Errorf("warm run simulated %d points, want %d (measurements are re-derived, not replayed from the store)",
 			got[dse.StageNodeSim], len(exp.PointIndices))
+	}
+	// Every simulated point reports its fixed-point iterations, one to six.
+	if points != got[dse.StageNodeSim] {
+		t.Errorf("%s saw %d points, the node-sim stage %d", dse.IterationsMetric, points, got[dse.StageNodeSim])
+	}
+	if iters < float64(points) || iters > 6*float64(points) {
+		t.Errorf("%v fixed-point iterations over %d points, want one to six each", iters, points)
 	}
 }
 
