@@ -149,6 +149,10 @@ type Measurement = dse.Measurement
 // hit/miss/put counts, blob byte traffic, resident entry count).
 type ArtifactStats = store.ArtifactStats
 
+// SampleWindowStats re-exports the counters of the client's sample-window
+// front (requests served from it, windows generated into it, resident bytes).
+type SampleWindowStats = dse.SampleWindowStats
+
 // ErrStoreBusy re-exports the result store's busy error: NewClient returns
 // an error wrapping it when CacheDir is already open for writing by
 // another process. Set StoreReadOnly to share a live writer's store.
@@ -216,6 +220,9 @@ type Client struct {
 	network NetworkModel         // resolved default network
 	sem     chan struct{}
 	fleet   *fleet // nil without Workers
+	// windows is the client-lifetime front of scalar sample windows every
+	// run reads through (nil with NoArtifacts: each run keeps its own).
+	windows *dse.SampleWindows
 	// fw carries every request the client sends to another process. It is
 	// over opts.Ring, or an empty ring: then nothing routes by key.
 	fw *ring.Forwarder
@@ -322,6 +329,7 @@ func NewClient(opts ClientOptions) (*Client, error) {
 			return nil, err
 		}
 		c.art = art
+		c.windows = dse.NewSampleWindows()
 		if opts.Ring != nil {
 			art.Decorate(func(local store.BlobBackend) store.BlobBackend {
 				return &ringBlobs{c: c, local: local}
@@ -620,14 +628,15 @@ func (c *Client) simulateOne(ctx context.Context, app *Application, ne Experimen
 		return Measurement{}, err // unreachable: ne is normalized
 	}
 	d := dse.Run(ctx, dse.Options{
-		Apps:         []*apps.Profile{app},
-		Points:       []dse.ArchPoint{p},
-		SampleInstrs: ne.Sample,
-		WarmupInstrs: ne.Warmup,
-		Workers:      1,
-		Seed:         ne.Seed,
-		Replay:       c.replayOf(ne),
-		Artifacts:    c.artifacts(),
+		Apps:          []*apps.Profile{app},
+		Points:        []dse.ArchPoint{p},
+		SampleInstrs:  ne.Sample,
+		WarmupInstrs:  ne.Warmup,
+		Workers:       1,
+		Seed:          ne.Seed,
+		Replay:        c.replayOf(ne),
+		Artifacts:     c.artifacts(),
+		SampleWindows: c.windows,
 	})
 	if err := ctx.Err(); err != nil {
 		return Measurement{}, err
@@ -678,14 +687,15 @@ func (c *Client) runSweep(ctx context.Context, ne Experiment, watch Observer) (*
 	defer c.release()
 
 	opts := dse.Options{
-		Apps:         selected,
-		Points:       points,
-		SampleInstrs: ne.Sample,
-		WarmupInstrs: ne.Warmup,
-		Workers:      c.opts.SweepWorkers,
-		Seed:         ne.Seed,
-		Replay:       c.replayOf(ne),
-		Artifacts:    c.artifacts(),
+		Apps:          selected,
+		Points:        points,
+		SampleInstrs:  ne.Sample,
+		WarmupInstrs:  ne.Warmup,
+		Workers:       c.opts.SweepWorkers,
+		Seed:          ne.Seed,
+		Replay:        c.replayOf(ne),
+		Artifacts:     c.artifacts(),
+		SampleWindows: c.windows,
 	}
 
 	var cached atomic.Int64
@@ -917,6 +927,15 @@ func (c *Client) RegisterMetrics(reg *obs.Registry) {
 		func() float64 { return float64(c.artifactsSnapshot().Stats.BytesWritten) }, obs.L("direction", "written"))
 	reg.GaugeFunc("musa_artifact_entries", "Distinct artifacts held by the cache.",
 		func() float64 { return float64(c.artifactsSnapshot().Stats.Entries) })
+
+	// The client-lifetime front of scalar sample windows (all zero with
+	// NoArtifacts: each run then keeps its own windows).
+	reg.CounterFunc("musa_dse_sample_windows_total", "Scalar sample-window requests by where the window came from.",
+		func() float64 { return float64(c.windows.Stats().Front) }, obs.L("source", "front"))
+	reg.CounterFunc("musa_dse_sample_windows_total", "Scalar sample-window requests by where the window came from.",
+		func() float64 { return float64(c.windows.Stats().Generated) }, obs.L("source", "generated"))
+	reg.GaugeFunc("musa_dse_sample_window_bytes", "Scalar sample windows resident in the client's front.",
+		func() float64 { return float64(c.windows.Stats().ResidentBytes) })
 }
 
 // runUnconventional simulates the Table II configurations under a job slot.

@@ -389,14 +389,15 @@ func (c *Client) runShardLocal(ctx context.Context, ne Experiment, j *shardJob) 
 		points[k] = grid[i]
 	}
 	d := dse.Run(ctx, dse.Options{
-		Apps:         []*apps.Profile{app},
-		Points:       points,
-		SampleInstrs: ne.Sample,
-		WarmupInstrs: ne.Warmup,
-		Workers:      1,
-		Seed:         ne.Seed,
-		Replay:       c.replayOf(ne),
-		Artifacts:    c.artifacts(),
+		Apps:          []*apps.Profile{app},
+		Points:        points,
+		SampleInstrs:  ne.Sample,
+		WarmupInstrs:  ne.Warmup,
+		Workers:       1,
+		Seed:          ne.Seed,
+		Replay:        c.replayOf(ne),
+		Artifacts:     c.artifacts(),
+		SampleWindows: c.windows,
 	})
 	if err := ctx.Err(); err != nil {
 		return nil, err

@@ -150,6 +150,26 @@ func TestDetailedStreamDeterministic(t *testing.T) {
 	}
 }
 
+// TestDetailedStreamSkip: skipping n micro-ops, in one call or several, leaves
+// the stream where n calls of Next leave it.
+func TestDetailedStreamSkip(t *testing.T) {
+	p := BTMZ()
+	all := isa.Collect(&isa.LimitStream{S: NewDetailedStream(p, 5), N: 3000})
+	for _, skips := range [][]int64{{0}, {1}, {2500}, {7, 0, 1200, 1}} {
+		s := NewDetailedStream(p, 5)
+		var at int64
+		for _, n := range skips {
+			s.Skip(n)
+			at += n
+		}
+		for i := at; i < at+400; i++ {
+			if in, _ := s.Next(); in != all[i] {
+				t.Fatalf("after skipping %v: micro-op %d differs", skips, i)
+			}
+		}
+	}
+}
+
 func TestDetailedStreamScalarMicroOps(t *testing.T) {
 	for _, p := range All() {
 		ins := isa.Collect(&isa.LimitStream{S: NewDetailedStream(p, 1), N: 5000})

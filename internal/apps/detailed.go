@@ -89,6 +89,20 @@ func (s *DetailedStream) Next() (isa.Instr, bool) {
 	return in, true
 }
 
+// Skip advances the stream by n micro-ops without handing them out. The
+// blocks are still generated — their random draws are the stream — but no
+// instruction is copied to a caller.
+func (s *DetailedStream) Skip(n int64) {
+	for n > 0 {
+		for s.pos >= len(s.buf) {
+			s.fill()
+		}
+		k := min(n, int64(len(s.buf)-s.pos))
+		s.pos += int(k)
+		n -= k
+	}
+}
+
 // fill generates the next block of instructions into buf.
 func (s *DetailedStream) fill() {
 	s.buf = s.buf[:0]

@@ -118,7 +118,8 @@ func (p SchedPolicy) String() string {
 }
 
 // Controller is the multi-channel memory controller. Drive it by calling
-// Submit and running the shared engine. It is not safe for concurrent use.
+// Submit and running the shared engine (RunOpenLoop, whose requests carry no
+// Done callback, needs no engine). It is not safe for concurrent use.
 type Controller struct {
 	cfg      Config
 	eng      *sim.Engine
@@ -228,14 +229,13 @@ func (c *Controller) kick(ch *channel) {
 	})
 }
 
-// drain issues as many requests as current timing allows, scheduling a
-// wake-up for the earliest future issue slot otherwise.
+// drain issues the channel's whole queue at now, in policy order: issue
+// computes each request's command schedule analytically, so no request waits
+// for a later event.
 func (c *Controller) drain(ch *channel, now sim.Time) {
 	for len(ch.queue) > 0 {
 		idx := c.pick(ch)
-		req := ch.queue[idx]
-		finish := c.issue(ch, req, now)
-		_ = finish
+		c.issue(ch, ch.queue[idx], now)
 		ch.queue = append(ch.queue[:idx], ch.queue[idx+1:]...)
 	}
 }
@@ -255,11 +255,10 @@ func (c *Controller) pick(ch *channel) int {
 	return 0
 }
 
-// issue computes the command schedule for req and returns its completion
-// time. The model issues PRE/ACT/CAS with the principal DDR4 constraints:
-// tRCD, tCL, tRP, tRAS, tWR, tRTP, tCCD on the shared data bus, tRRD/tFAW
-// between activates, and refresh blackouts.
-func (c *Controller) issue(ch *channel, req *Request, now sim.Time) sim.Time {
+// issue computes the command schedule for req. The model issues PRE/ACT/CAS
+// with the principal DDR4 constraints: tRCD, tCL, tRP, tRAS, tWR, tRTP, tCCD
+// on the shared data bus, tRRD/tFAW between activates, and refresh blackouts.
+func (c *Controller) issue(ch *channel, req *Request, now sim.Time) {
 	spec := c.cfg.Spec
 	_, bIdx, row := c.mapAddr(req.Addr)
 	b := &ch.banks[bIdx]
@@ -278,11 +277,11 @@ func (c *Controller) issue(ch *channel, req *Request, now sim.Time) sim.Time {
 	if b.openRow != row {
 		if b.openRow >= 0 {
 			// PRE then ACT.
-			pre := maxTime(t, b.preAt)
+			pre := max(t, b.preAt)
 			c.Stats.Commands.Pre++
 			t = pre + c.cycles(spec.TRP)
 		}
-		act := maxTime(t, b.actAt, c.fawGate(ch))
+		act := max(t, b.actAt, c.fawGate(ch))
 		c.Stats.Commands.Act++
 		ch.actTimes = append(ch.actTimes, act)
 		if len(ch.actTimes) > 4 {
@@ -294,7 +293,7 @@ func (c *Controller) issue(ch *channel, req *Request, now sim.Time) sim.Time {
 	}
 
 	// Column command: wait for bank column timing and data bus.
-	cas := maxTime(t, b.readyAt, ch.busFreeAt-c.cycles(spec.TCL))
+	cas := max(t, b.readyAt, ch.busFreeAt-c.cycles(spec.TCL))
 	dataStart := cas + c.cycles(spec.TCL)
 	dataEnd := dataStart + c.cycles(spec.TBL)
 	ch.busFreeAt = dataEnd
@@ -324,7 +323,6 @@ func (c *Controller) issue(ch *channel, req *Request, now sim.Time) sim.Time {
 		done := req.Done
 		c.eng.At(dataEnd, func(at sim.Time) { done(at) })
 	}
-	return dataEnd
 }
 
 // fawGate returns the earliest time a new ACT may issue under tFAW.
@@ -333,14 +331,4 @@ func (c *Controller) fawGate(ch *channel) sim.Time {
 		return 0
 	}
 	return ch.actTimes[len(ch.actTimes)-4] + c.cycles(c.cfg.Spec.TFAW)
-}
-
-func maxTime(ts ...sim.Time) sim.Time {
-	m := ts[0]
-	for _, t := range ts[1:] {
-		if t > m {
-			m = t
-		}
-	}
-	return m
 }

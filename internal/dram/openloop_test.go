@@ -60,8 +60,10 @@ func TestOpenLoopPinned(t *testing.T) {
 }
 
 // TestOpenLoopAllocationsScaleWithBursts bounds the allocations of the run
-// node.estimatePower makes once per simulated point: one submit event per
-// burst of four plus the controller's scheduling passes, nothing per request.
+// node.estimatePower makes once per simulated point. Without an event engine
+// there is nothing per request and nothing per burst: the request slab, the
+// controller, the channel queues growing to their high-water mark, and the
+// tFAW window, which reallocates once every few activates.
 func TestOpenLoopAllocationsScaleWithBursts(t *testing.T) {
 	const n = 2000
 	cfg := ddr4(4)
@@ -69,8 +71,8 @@ func TestOpenLoopAllocationsScaleWithBursts(t *testing.T) {
 	allocs := testing.AllocsPerRun(5, func() {
 		RunOpenLoop(cfg, FRFCFS, 0.7*cfg.PeakBandwidth(), src, n, 7)
 	})
-	if allocs >= n {
-		t.Errorf("%v allocations for %d requests, want fewer than one per request", allocs, n)
+	if allocs > n/10 {
+		t.Errorf("%v allocations for %d requests, want at most %d", allocs, n, n/10)
 	}
 	t.Logf("%v allocations for %d requests in %d bursts", allocs, n, n/4)
 }

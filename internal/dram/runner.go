@@ -38,39 +38,48 @@ type OpenLoopResult struct {
 // from src, and returns latency and bandwidth measurements. Arrivals come in
 // small bursts (burst size 4) to mimic the miss clusters an out-of-order
 // core produces, which also gives the FR-FCFS scheduler real choices.
+//
+// It runs without an event engine: no request carries a Done callback and
+// drain issues a whole queue at the instant it runs, so no event would
+// outlive the instant that created it and the request slab is the calendar.
 func RunOpenLoop(cfg Config, policy SchedPolicy, offeredBW float64, src AddrSource, n int, seed uint64) OpenLoopResult {
-	var eng sim.Engine
-	ctl := NewController(&eng, cfg, policy)
+	ctl := NewController(nil, cfg, policy)
 	rng := xrand.New(seed)
 
 	const burst = 4
-	lineBytes := 64.0
-	meanGap := lineBytes * burst / offeredBW // seconds between bursts
-
-	// Requests come from one slab and each burst shares one engine event
-	// that submits it in order. The engine fires same-time events FIFO, so
-	// one event doing four Submits is behaviorally identical to four
-	// same-time events doing one each — it just costs a quarter of the heap
-	// traffic and closures. No request carries a Done callback: every number
-	// reported below is accumulated by the controller at issue time, so
-	// completion events would only be popped and dropped.
+	meanGap := 64.0 * burst / offeredBW // seconds between bursts
 	reqs := make([]Request, n)
 	t := sim.Time(0)
 	for i := 0; i < n; i += burst {
 		t += sim.FromSeconds(rng.Exponential(meanGap))
-		hi := min(i+burst, n)
-		for j := i; j < hi; j++ {
+		for j := i; j < min(i+burst, n); j++ {
 			addr, write := src.Next()
 			reqs[j] = Request{Addr: addr, Write: write, Arrive: t}
 		}
-		b := reqs[i:hi]
-		eng.At(t, func(sim.Time) {
-			for k := range b {
-				ctl.Submit(&b[k])
-			}
-		})
 	}
-	eng.Run()
+
+	// One instant at a time, in the order an engine would fire it: first every
+	// request of the instant is queued (bursts whose gap truncated to 0 ps
+	// meet in the queues, as submit events precede the passes they schedule),
+	// then each touched channel drains, channels in first-touch order.
+	touched := make([]*channel, 0, cfg.Channels)
+	for i := 0; i < n; {
+		now := reqs[i].Arrive
+		for ; i < n && reqs[i].Arrive == now; i++ {
+			chIdx, _, _ := ctl.mapAddr(reqs[i].Addr)
+			ch := ctl.channels[chIdx]
+			ch.queue = append(ch.queue, &reqs[i])
+			if !ch.scheduling {
+				ch.scheduling = true
+				touched = append(touched, ch)
+			}
+		}
+		for _, ch := range touched {
+			ch.scheduling = false
+			ctl.drain(ch, now)
+		}
+		touched = touched[:0]
+	}
 
 	res := OpenLoopResult{
 		Stats:      ctl.Stats,

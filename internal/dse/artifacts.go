@@ -6,11 +6,14 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"musa/internal/apps"
 	"musa/internal/dram"
+	"musa/internal/isa"
 	"musa/internal/node"
 	"musa/internal/obs"
 	"musa/internal/trace"
@@ -22,6 +25,7 @@ import (
 // to fleet workers. The per-point pipeline is factored into staged
 // sub-results, each keyed by exactly the inputs that can change it:
 //
+//	sample window    (app, fidelity, seed)                      client-lifetime
 //	fused trace      (app, vector width, fidelity, seed)        run-local
 //	hit-rate table   (app, cores, vector width, cache, fidelity, seed)
 //	DRAM curve       (app, channels, memory kind, seed)
@@ -31,10 +35,16 @@ import (
 // instead of once per point. The paper's central economy is reuse (one
 // traced execution feeds burst-mode scaling and detailed node simulation,
 // §II); the artifact layer makes that reuse durable and process-spanning.
-// Fused traces stay run-local: they are the bulkiest stage and the cheapest
-// to rebuild per byte, so persisting them would spend store and replication
-// bandwidth to save the least time — the persistent kinds are the compact
-// derived tables.
+//
+// Scalar windows come in two kinds. The sample window — the scalar micro-ops
+// every fuse reads — outlives the run in a SampleWindows front the client
+// owns: in memory only, bounded by bytes, keyed by content. The full window
+// (warm + sample) is read only by a cache walk, is three times the size and
+// stays run-local; building one publishes a copy of its sample part to the
+// front. Fused traces stay run-local too: they are the bulkiest stage and the
+// cheapest to rebuild per byte, so persisting them would spend store and
+// replication bandwidth to save the least time — the persistent kinds are the
+// compact derived tables.
 
 // ArtifactSchemaVersion identifies the artifact key derivation and the
 // serialized artifact encodings. It is bumped whenever a key document, the
@@ -179,35 +189,50 @@ func BurstKey(appHash string, ranks int, seed uint64) string {
 	}.key()
 }
 
-// Residency bounds of the run-local stage fronts. Fused traces (either
-// half) are the bulkiest stage (tens of MB at full fidelity), but only the
-// current application's vector widths — at most three — are live at once,
-// plus a straggling worker on the previous application near a sort boundary.
-// Scalar windows are bounded tighter still: groups are dispatched sorted by
-// application, so older windows cannot be needed again. Evicting early is
-// safe either way: a re-request rebuilds the stage, trading time, never
-// bytes.
+// Residency bounds of the scalar-window and fused-trace fronts. Fused traces
+// (either half) are bulky (tens of MB at full fidelity), but only the current
+// application's vector widths — at most three — are live at once, plus a
+// straggling worker on the previous application near a sort boundary. Scalar
+// windows are bounded tighter still, because groups are dispatched sorted by
+// application, then cores, then width. A full window — the bulkiest object
+// of a run, 26 MB at 120 000/700 000 micro-ops — is read once per width by the
+// application's first groups and is dead weight after, so the next
+// application's replaces it. The sample windows of a run without a client
+// front keep the straggler's too. The client's front is bounded by bytes
+// instead, because its entries differ in size by orders of magnitude (an
+// optimizer rung of 20 000 micro-ops, a 20 M-micro-op request): 64 MiB holds
+// the five built-in applications at default fidelity (300 000 micro-ops x
+// 32 B = 9.6 MB each) with room for a custom profile, and a window larger
+// than the bound is simply not retained. Evicting early is safe everywhere: a
+// re-request rebuilds the stage, trading time, never bytes.
 const (
-	maxRunScalarTraces = 2
-	maxRunFusedTraces  = 8
+	maxRunFullWindows    = 1
+	maxRunSampleWindows  = 2
+	maxRunFusedTraces    = 8
+	maxSampleWindowBytes = 64 << 20
 )
 
-// onceMap is the one run-local front: a map of once-guarded slots, FIFO
-// bounded when bound > 0. The slot insert under the mutex is cheap, the
-// build runs outside it, and concurrent requests for the same key block on
-// the slot's once instead of duplicating work — so a slow build (a latency
-// fit, a cache walk) never stalls lookups of other keys, and each key is
-// built at most once while its slot is resident.
+// onceMap is the one front type: a map of once-guarded slots, FIFO bounded by
+// count when bound > 0 and by the bytes size reports when maxBytes > 0. The
+// slot insert under the mutex is cheap, the build runs outside it, and
+// concurrent requests for the same key block on the slot's once instead of
+// duplicating work — so a slow build (a latency fit, a cache walk) never
+// stalls lookups of other keys, and each key is built at most once while its
+// slot is resident.
 type onceMap[K comparable, V any] struct {
-	mu    sync.Mutex
-	bound int // 0 = unbounded
-	slots map[K]*onceSlot[V]
-	order []K
+	mu       sync.Mutex
+	bound    int           // 0 = no count bound
+	maxBytes int64         // 0 = no byte bound
+	size     func(V) int64 // measures a built value; nil = bytes stay 0
+	bytes    int64         // resident bytes, as measured by size
+	slots    map[K]*onceSlot[V]
+	order    []K
 }
 
 type onceSlot[V any] struct {
-	once sync.Once
-	v    V
+	once  sync.Once
+	v     V
+	bytes int64
 }
 
 func (m *onceMap[K, V]) get(key K, build func() V) V {
@@ -219,17 +244,113 @@ func (m *onceMap[K, V]) get(key K, build func() V) V {
 		}
 		e = &onceSlot[V]{}
 		m.slots[key] = e
-		if m.bound > 0 {
+		if m.bound > 0 || m.maxBytes > 0 {
 			m.order = append(m.order, key)
-			for len(m.order) > m.bound {
-				delete(m.slots, m.order[0])
-				m.order = m.order[1:]
-			}
+			m.evict()
 		}
 	}
 	m.mu.Unlock()
-	e.once.Do(func() { e.v = build() })
+	e.once.Do(func() {
+		e.v = build()
+		if m.size == nil {
+			return
+		}
+		m.mu.Lock()
+		if m.slots[key] == e { // not evicted while it was being built
+			e.bytes = m.size(e.v)
+			m.bytes += e.bytes
+			m.evict()
+		}
+		m.mu.Unlock()
+	})
 	return e.v
+}
+
+// evict drops the oldest slots until both bounds hold; a value larger than
+// maxBytes on its own evicts itself. Holders of an evicted slot keep its value.
+func (m *onceMap[K, V]) evict() {
+	for len(m.order) > 0 && (m.bound > 0 && len(m.order) > m.bound || m.maxBytes > 0 && m.bytes > m.maxBytes) {
+		m.bytes -= m.slots[m.order[0]].bytes
+		delete(m.slots, m.order[0])
+		m.order = m.order[1:]
+	}
+}
+
+// sampleWindowKey addresses a sample window by content: the application
+// profile's hash (never its name — a re-registered custom profile is another
+// application), the effective fidelity and the seed. Both fidelity terms
+// matter: the warm-up length decides where in the stream the sample starts.
+type sampleWindowKey struct {
+	app            string // AppHash
+	sample, warmup int64  // apps.EffectiveFidelity
+	seed           uint64
+}
+
+// SampleWindows is a front of sample windows (node.ScalarTrace with Warm == 0)
+// that outlives a run: the client owns one and hands it to every dse.Run
+// through Options.SampleWindows, so a run after the first generates nothing
+// for an application it has seen at the same fidelity and seed. It is
+// in-memory only, once-guarded (concurrent runs asking for one window build it
+// once) and bounded by bytes. Safe for concurrent use; the windows it hands
+// out are shared and immutable.
+type SampleWindows struct {
+	m                onceMap[sampleWindowKey, node.ScalarTrace]
+	front, generated atomic.Int64
+}
+
+// NewSampleWindows returns an empty front bounded at 64 MiB of windows.
+func NewSampleWindows() *SampleWindows { return newSampleWindows(0, maxSampleWindowBytes) }
+
+// newSampleWindows returns a front bounded by count, by bytes, or both (0 =
+// that bound is off).
+func newSampleWindows(bound int, maxBytes int64) *SampleWindows {
+	w := &SampleWindows{}
+	w.m.bound, w.m.maxBytes = bound, maxBytes
+	instrBytes := int64(reflect.TypeFor[isa.Instr]().Size())
+	w.m.size = func(st node.ScalarTrace) int64 { return int64(len(st.Instrs)) * instrBytes }
+	return w
+}
+
+// SampleWindowStats counts what a SampleWindows front did: Front is the
+// requests served by a window already resident or being built, Generated the
+// windows a generator ran for, ResidentBytes the windows held now.
+type SampleWindowStats struct {
+	Front         int64 `json:"front"`
+	Generated     int64 `json:"generated"`
+	ResidentBytes int64 `json:"residentBytes"`
+}
+
+// Stats returns a snapshot of the front's counters (zero for a nil front).
+func (w *SampleWindows) Stats() SampleWindowStats {
+	if w == nil {
+		return SampleWindowStats{}
+	}
+	w.m.mu.Lock()
+	resident := w.m.bytes
+	w.m.mu.Unlock()
+	return SampleWindowStats{Front: w.front.Load(), Generated: w.generated.Load(), ResidentBytes: resident}
+}
+
+// publish offers the sample part of a freshly generated full window.
+func (w *SampleWindows) publish(key sampleWindowKey, full node.ScalarTrace) {
+	w.m.get(key, func() node.ScalarTrace {
+		w.generated.Add(1)
+		return full.SampleWindow()
+	})
+}
+
+// get returns the window under key, running build if the front lacks it.
+func (w *SampleWindows) get(key sampleWindowKey, build func() node.ScalarTrace) node.ScalarTrace {
+	hit := true
+	st := w.m.get(key, func() node.ScalarTrace {
+		hit = false
+		w.generated.Add(1)
+		return build()
+	})
+	if hit {
+		w.front.Add(1)
+	}
+	return st
 }
 
 // fusedKey addresses a run-local fused trace. The application is identified
@@ -248,11 +369,14 @@ type runArtifacts struct {
 	seed           uint64
 	sample, warmup int64
 
-	hashes  onceMap[string, string]             // app name -> content hash
-	lat     onceMap[string, *dram.LatencyModel] // artifact key -> fitted curve
-	bursts  onceMap[string, *trace.Burst]       // artifact key -> parsed trace
-	scalars onceMap[string, node.ScalarTrace]   // app name -> scalar window
-	fused   onceMap[fusedKey, *node.FusedTrace] // sample half only
+	hashes onceMap[string, string]             // app name -> content hash
+	lat    onceMap[string, *dram.LatencyModel] // artifact key -> fitted curve
+	bursts onceMap[string, *trace.Burst]       // artifact key -> parsed trace
+	// windows is the one front a run reads sample windows through: the
+	// client's, or a run-local one.
+	windows     *SampleWindows
+	fullWindows onceMap[string, node.ScalarTrace]   // app name -> warm+sample window
+	fused       onceMap[fusedKey, *node.FusedTrace] // sample half only
 	// walkable holds the fused traces a cache walk asked for: the sample half
 	// above with the warm half added.
 	walkable onceMap[fusedKey, *node.FusedTrace]
@@ -260,10 +384,13 @@ type runArtifacts struct {
 
 func newRunArtifacts(o Options) *runArtifacts {
 	r := &runArtifacts{
-		backing: o.Artifacts,
-		seed:    o.Seed, sample: o.SampleInstrs, warmup: o.WarmupInstrs,
+		backing: o.Artifacts, windows: o.SampleWindows,
+		seed: o.Seed, sample: o.SampleInstrs, warmup: o.WarmupInstrs,
 	}
-	r.scalars.bound = maxRunScalarTraces
+	if r.windows == nil {
+		r.windows = newSampleWindows(maxRunSampleWindows, 0)
+	}
+	r.fullWindows.bound = maxRunFullWindows
 	r.fused.bound = maxRunFusedTraces
 	r.walkable.bound = maxRunFusedTraces
 	return r
@@ -334,11 +461,11 @@ func (r *runArtifacts) burst(ctx context.Context, app *apps.Profile, ranks int) 
 // building it at most once per key. Fused traces are never persisted (see the
 // file comment); the stage histogram counts these builds, one per (app,
 // width) per run on the cold and the warm path alike, so its observation
-// count reads as "fused traces built". The scalar window is resolved before
+// count reads as "fused traces built". The sample window is resolved before
 // the clock starts: generating it is not fusing.
 func (r *runArtifacts) fusedTrace(ctx context.Context, app *apps.Profile, vec int) *node.FusedTrace {
 	return r.fused.get(fusedKey{app.Name, vec}, func() *node.FusedTrace {
-		st := r.scalarTrace(ctx, app)
+		st := r.sampleWindow(ctx, app)
 		_, span := obs.StartSpan(ctx, "dse.fuse",
 			obs.A("app", app.Name), obs.AInt("vec", vec))
 		defer span.End()
@@ -353,12 +480,14 @@ func (r *runArtifacts) fusedTrace(ctx context.Context, app *apps.Profile, vec in
 // half: the sample half of fusedTrace, shared, plus the warm window's memory
 // accesses. Only a cache walk reads those, so this is called from the miss
 // branch of annotation alone — a run served from hit-rate tables never
-// builds a warm half, a cold one builds it once per key — and its time
-// belongs to the annotate stage that demanded it.
+// builds a full window or a warm half, a cold one builds each once per key —
+// and its time belongs to the annotate stage that demanded it. The full
+// window comes first: building it puts its sample part in the front, where
+// fusedTrace finds it instead of running the generator a second time.
 func (r *runArtifacts) walkableTrace(ctx context.Context, app *apps.Profile, vec int) *node.FusedTrace {
 	return r.walkable.get(fusedKey{app.Name, vec}, func() *node.FusedTrace {
+		st := r.fullWindow(ctx, app)
 		ft := *r.fusedTrace(ctx, app, vec)
-		st := r.scalarTrace(ctx, app)
 		_, span := obs.StartSpan(ctx, "dse.fuse-warm",
 			obs.A("app", app.Name), obs.AInt("vec", vec))
 		defer span.End()
@@ -367,23 +496,44 @@ func (r *runArtifacts) walkableTrace(ctx context.Context, app *apps.Profile, vec
 	})
 }
 
-// scalarTrace returns the run-local scalar instruction window of one
-// application (fidelity and seed are fixed per run). Every vector width
-// fuses the identical scalar sequence, so generating it once per
-// application removes the generator from all but the first fuse.
-func (r *runArtifacts) scalarTrace(ctx context.Context, app *apps.Profile) node.ScalarTrace {
-	return r.scalars.get(app.Name, func() node.ScalarTrace {
-		_, span := obs.StartSpan(ctx, "dse.scalar-trace", obs.A("app", app.Name))
+// sampleWindow returns the scalar sample window of one application at the
+// run's fidelity and seed: every vector width fuses the identical scalar
+// sequence, and so does every later run on the same client. On a front miss
+// the generator runs through the warm window without keeping it.
+func (r *runArtifacts) sampleWindow(ctx context.Context, app *apps.Profile) node.ScalarTrace {
+	return r.windows.get(r.windowKey(app), func() node.ScalarTrace {
+		_, span := obs.StartSpan(ctx, "dse.scalar-trace", obs.A("app", app.Name), obs.A("window", "sample"))
 		defer span.End()
-		return node.BuildScalarTrace(app, r.sample, r.warmup, r.seed)
+		return node.BuildSampleWindow(app, r.sample, r.warmup, r.seed)
 	})
 }
 
+// fullWindow returns the run-local warm+sample window of one application,
+// and publishes a copy of its sample part to the sample-window front — a
+// copy, so the front never pins a warm window. If the front already holds the
+// window (some of the application's tables hit before this one missed) the
+// generator has run twice for the application in this run, never more.
+func (r *runArtifacts) fullWindow(ctx context.Context, app *apps.Profile) node.ScalarTrace {
+	return r.fullWindows.get(app.Name, func() node.ScalarTrace {
+		_, span := obs.StartSpan(ctx, "dse.scalar-trace", obs.A("app", app.Name), obs.A("window", "full"))
+		defer span.End()
+		st := node.BuildScalarTrace(app, r.sample, r.warmup, r.seed)
+		r.windows.publish(r.windowKey(app), st)
+		return st
+	})
+}
+
+func (r *runArtifacts) windowKey(app *apps.Profile) sampleWindowKey {
+	sample, warmup := apps.EffectiveFidelity(r.sample, r.warmup)
+	return sampleWindowKey{app: r.appHash(app), sample: sample, warmup: warmup, seed: r.seed}
+}
+
 // annotation returns the shared annotation of one (app, group): the fused
-// trace overlaid with the group's hit-rate table, consulting the provider
-// for the table before walking the caches. It has no run-local front of its
-// own: the runner asks once per annotation group and holds the result for
-// the group's points, and on the Table I grid (one memory kind) no two
+// trace overlaid with the group's hit-rate table. The provider is asked for
+// the table before any trace is: a hit needs only the sample half, a miss
+// goes through walkableTrace and its full window. It has no run-local front
+// of its own: the runner asks once per annotation group and holds the result
+// for the group's points, and on the Table I grid (one memory kind) no two
 // groups share a hit-rate key, so such a front never hit (0 of 45 lookups
 // per 360-point sweep, 0 of 27 on the full grid — DESIGN.md §10). Groups
 // that differ only in memory kind share the table through the provider.
@@ -391,12 +541,11 @@ func (r *runArtifacts) annotation(ctx context.Context, app *apps.Profile, g AnnG
 	key := HitRateKey(r.appHash(app), g.CacheGroup(), r.sample, r.warmup, r.seed)
 	actx, span := obs.StartSpan(ctx, "dse.annotate", obs.A("app", app.Name))
 	defer span.End()
-	ft := r.fusedTrace(ctx, app, g.Vec)
 	var ann node.Annotation
 	resolve(r, span, StageAnnotate, key,
 		func(p ArtifactProvider, key string) (hrt node.HitRateTable, ok bool) {
 			if hrt, ok = p.HitRates(key); ok {
-				ann, ok = node.CombineAnnotation(ft, hrt)
+				ann, ok = node.CombineAnnotation(r.fusedTrace(ctx, app, g.Vec), hrt)
 			}
 			return hrt, ok
 		},

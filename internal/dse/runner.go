@@ -153,6 +153,11 @@ type Options struct {
 	// equivalent to rebuilding — a warm run's measurements are
 	// byte-identical to a cold run's. Nil keeps the intermediates run-local.
 	Artifacts ArtifactProvider
+	// SampleWindows, if non-nil, is the front the run reads its scalar sample
+	// windows through and leaves them in for later runs (the client owns one
+	// for its lifetime). Nil keeps sample windows run-local. Like Artifacts it
+	// changes what a run builds, never what it returns.
+	SampleWindows *SampleWindows
 
 	// Replay configures the cluster-level MPI replay appended to every
 	// measurement (zero value = replay at 64 and 256 ranks against the

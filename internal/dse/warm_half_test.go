@@ -106,8 +106,12 @@ func TestMixedWarmColdRunFusesEachHalfOnce(t *testing.T) {
 		t.Errorf("mixed run built %d sample halves and %d warm halves, want %d each",
 			spans["dse.fuse"], spans["dse.fuse-warm"], widths)
 	}
-	if spans["dse.scalar-trace"] != 1 {
-		t.Errorf("mixed run generated %d scalar windows, want 1", spans["dse.scalar-trace"])
+	// A primed group asks for the sample window alone and an unprimed one for
+	// the full window, so in a mixed run the generator may run twice for the
+	// application — once per kind of window, whichever group comes first —
+	// and never more.
+	if n := spans["dse.scalar-trace"]; n < 1 || n > 2 {
+		t.Errorf("mixed run generated %d scalar windows, want 1 or 2 (at most one sample and one full window)", n)
 	}
 
 	got, built, spans = tracedRun(t, all, art)

@@ -13,7 +13,6 @@ import (
 	"math"
 	"sort"
 
-	"musa/internal/sim"
 	"musa/internal/trace"
 )
 
@@ -416,7 +415,3 @@ func log2ceil(n int) float64 {
 	}
 	return c
 }
-
-// Stub use of sim to keep the dependency explicit for future event-driven
-// extensions; the relaxation above is equivalent for this event vocabulary.
-var _ = sim.Nanosecond

@@ -15,6 +15,7 @@ package node
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"musa/internal/apps"
@@ -298,6 +299,8 @@ type HitRateTable struct {
 // window, before any width fusion. Every vector width of an application
 // fuses the identical scalar sequence — only the fuser differs — so the
 // sweep runner generates the scalar trace once and replays it per width.
+// A trace with Warm == 0 is a sample window: all FuseSample reads, a
+// quarter of the full window's bytes at the default 2:1 warm-up.
 type ScalarTrace struct {
 	Instrs []isa.Instr
 	// Warm is the number of leading instructions belonging to the warm
@@ -309,17 +312,33 @@ type ScalarTrace struct {
 // (application, fidelity, seed).
 func BuildScalarTrace(app *apps.Profile, sampleInstrs, warmupInstrs int64, seed uint64) ScalarTrace {
 	sampleInstrs, warmupInstrs = apps.EffectiveFidelity(sampleInstrs, warmupInstrs)
+	return generateWindow(apps.NewDetailedStream(app, seed), warmupInstrs, sampleInstrs)
+}
+
+// BuildSampleWindow generates the sample window alone: the generator is
+// stepped through the warm window — its random draws are the stream — without
+// materialising it. The result equals SampleWindow of BuildScalarTrace at the
+// same arguments, instruction for instruction.
+func BuildSampleWindow(app *apps.Profile, sampleInstrs, warmupInstrs int64, seed uint64) ScalarTrace {
+	sampleInstrs, warmupInstrs = apps.EffectiveFidelity(sampleInstrs, warmupInstrs)
 	gen := apps.NewDetailedStream(app, seed)
-	total := warmupInstrs + sampleInstrs
-	instrs := make([]isa.Instr, 0, total)
-	for int64(len(instrs)) < total {
-		in, ok := gen.Next()
-		if !ok {
-			break
-		}
-		instrs = append(instrs, in)
+	gen.Skip(warmupInstrs)
+	return generateWindow(gen, 0, sampleInstrs)
+}
+
+// generateWindow materialises the next warm+sample micro-ops of gen.
+func generateWindow(gen *apps.DetailedStream, warm, sample int64) ScalarTrace {
+	instrs := make([]isa.Instr, warm+sample)
+	for i := range instrs {
+		instrs[i], _ = gen.Next() // the generator is unbounded
 	}
-	return ScalarTrace{Instrs: instrs, Warm: min(warmupInstrs, int64(len(instrs)))}
+	return ScalarTrace{Instrs: instrs, Warm: warm}
+}
+
+// SampleWindow returns a copy of the trace's sample window that shares no
+// memory with it, so holding the copy does not pin the warm window.
+func (st ScalarTrace) SampleWindow() ScalarTrace {
+	return ScalarTrace{Instrs: slices.Clone(st.Instrs[st.Warm:])}
 }
 
 // BuildFusedTrace generates and fuses the detailed instruction stream of one

@@ -1,6 +1,7 @@
-// Package sim implements a small discrete-event simulation kernel shared by
-// the DRAM model and the network replay engine: a time-ordered event queue
-// with stable FIFO ordering for simultaneous events, and a simulation clock.
+// Package sim implements a small discrete-event simulation kernel and the
+// picosecond clock the models share: a time-ordered event queue with stable
+// FIFO ordering for simultaneous events. The DRAM controller is driven through
+// it whenever a request carries a completion callback.
 //
 // Times are int64 picoseconds. Picosecond resolution lets the DRAM model
 // express exact DDR4-2333 bus cycles (857.6 ps) and the core models express

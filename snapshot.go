@@ -53,7 +53,10 @@ type StoreSnapshot struct {
 type ArtifactsSnapshot struct {
 	Enabled bool          `json:"enabled"`
 	Stats   ArtifactStats `json:"stats"`
-	Err     string        `json:"err,omitempty"`
+	// SampleWindows is the client-lifetime front of scalar sample windows:
+	// requests it served, windows it had to generate, bytes it holds.
+	SampleWindows SampleWindowStats `json:"sampleWindows"`
+	Err           string            `json:"err,omitempty"`
 	// Dir is the cache directory ("" for the in-memory cache).
 	Dir string `json:"dir,omitempty"`
 }
@@ -109,7 +112,7 @@ func (c *Client) artifactsSnapshot() ArtifactsSnapshot {
 	if c.art == nil {
 		return ArtifactsSnapshot{}
 	}
-	out := ArtifactsSnapshot{Enabled: true, Stats: c.art.Stats()}
+	out := ArtifactsSnapshot{Enabled: true, Stats: c.art.Stats(), SampleWindows: c.windows.Stats()}
 	if err := c.art.Err(); err != nil {
 		out.Err = err.Error()
 	}
