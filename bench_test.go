@@ -706,3 +706,32 @@ func BenchmarkStoreMixed(b *testing.B) {
 		wg.Wait()
 	}
 }
+
+// BenchmarkExperimentKey measures one batch of store-key derivations — the
+// paper's 864 x 5 (point, application) pairs as node experiments, Normalize
+// then Key each, eight times over so -benchtime 1x reads above a tenth of a
+// second — the canonical-encoding work every request and every sweep point
+// pays before the store can be asked anything.
+func BenchmarkExperimentKey(b *testing.B) {
+	var exps []Experiment
+	for _, a := range Applications() {
+		for i := 0; i < PointCount(); i++ {
+			exps = append(exps, Experiment{Kind: KindNode, App: a.Name, PointIndex: &i, Sample: benchSample, Warmup: benchWarmup})
+		}
+	}
+	const rounds = 8
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N*rounds; i++ {
+		for _, e := range exps {
+			ne, err := e.Normalize()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if k, err := ne.Key(); err != nil || len(k) != 64 {
+				b.Fatalf("key %q: %v", k, err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rounds*len(exps)), "ns/key")
+}

@@ -182,6 +182,24 @@ type Result struct {
 	// Optimize is the KindOptimize outcome. On cancellation it holds the
 	// rung history completed so far.
 	Optimize *OptimizeResult `json:"optimize,omitempty"`
+
+	// reply is Measurement in its POST /simulate form when the result store's
+	// front served it (shared with the front: read-only).
+	reply []byte
+}
+
+// MeasurementJSON returns the KindNode measurement as POST /simulate nests
+// it in its reply (store.ReplyForm). A result served by the result store's
+// front hands out the bytes the front keeps, which the caller must not
+// modify; any other result is encoded on the spot.
+func (r *Result) MeasurementJSON() ([]byte, error) {
+	if r.reply != nil {
+		return r.reply, nil
+	}
+	if r.Measurement == nil {
+		return nil, fmt.Errorf("musa: a %s result carries no measurement", r.Kind)
+	}
+	return store.ReplyForm(*r.Measurement)
 }
 
 // Observer receives streaming callbacks from Client.RunStream. All fields
@@ -408,7 +426,7 @@ func (c *Client) RegisterApplication(p Application) error {
 	if err != nil {
 		return err
 	}
-	if _, err := apps.ByName(cp.Name); err == nil {
+	if apps.IsBuiltin(cp.Name) {
 		return fmt.Errorf("%w: %q shadows a built-in application", ErrExperiment, cp.Name)
 	}
 	c.mu.Lock()
@@ -422,19 +440,24 @@ func (c *Client) resolveApp(name string) (*Application, error) {
 	if a, err := apps.ByName(name); err == nil {
 		return a, nil
 	}
-	c.mu.Lock()
-	a, ok := c.custom[name]
-	c.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("musa: unknown application %q", name)
+	if a := c.customProfile(name); a != nil {
+		return a, nil
 	}
-	return a, nil
+	return nil, fmt.Errorf("musa: unknown application %q", name)
+}
+
+// knowsApp is resolveApp for validation: it builds no profile.
+func (c *Client) knowsApp(name string) error {
+	if apps.IsBuiltin(name) || c.customProfile(name) != nil {
+		return nil
+	}
+	return fmt.Errorf("musa: unknown application %q", name)
 }
 
 // customProfile returns the registered profile when name is not a built-in
 // (nil for built-ins) — the content embedded into store keys.
 func (c *Client) customProfile(name string) *apps.Profile {
-	if _, err := apps.ByName(name); err == nil {
+	if apps.IsBuiltin(name) {
 		return nil
 	}
 	c.mu.Lock()
@@ -511,7 +534,7 @@ func (c *Client) RunStream(ctx context.Context, e Experiment, watch Observer) (*
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	ne, err := c.fill(e).normalize(c.resolveApp)
+	ne, err := c.fill(e).normalize(c.knowsApp)
 	if err != nil {
 		return nil, err
 	}
@@ -542,13 +565,9 @@ func (c *Client) RunStream(ctx context.Context, e Experiment, watch Observer) (*
 // coalescing of identical in-flight requests, then a one-point sweep under
 // a job slot.
 func (c *Client) runNode(ctx context.Context, ne Experiment, watch Observer) (*Result, error) {
-	app, err := c.resolveApp(ne.App)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrUnknownApp, err)
-	}
 	key := nodeKey(ne, ne.App, c.customProfile(ne.App), *ne.Arch)
 
-	finish := func(m Measurement, cached bool) (*Result, error) {
+	finish := func(m Measurement, cached bool, reply []byte) (*Result, error) {
 		if watch.Measurement != nil {
 			watch.Measurement(m)
 		}
@@ -559,15 +578,22 @@ func (c *Client) runNode(ctx context.Context, ne Experiment, watch Observer) (*R
 			}
 			watch.Progress(1, 1, hits)
 		}
-		return &Result{Kind: KindNode, Cached: cached, Measurement: &m}, nil
+		return &Result{Kind: KindNode, Cached: cached, Measurement: &m, reply: reply}, nil
 	}
 
 	if c.st != nil && !ne.Recompute {
-		if m, ok := c.st.Get(key); ok {
+		if m, reply, ok := c.st.GetReply(key); ok {
 			c.storeHits.Add(1)
-			return finish(m, true)
+			return finish(m, true, reply)
 		}
 		c.storeMisses.Add(1)
+	}
+
+	// Past the store the request simulates, and only that needs the profile
+	// itself: a hit was answered from the name.
+	app, err := c.resolveApp(ne.App)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrUnknownApp, err)
 	}
 
 	// Single flight: the first request under a key computes; duplicates
@@ -581,7 +607,7 @@ func (c *Client) runNode(ctx context.Context, ne Experiment, watch Observer) (*R
 			if call.err != nil {
 				return nil, call.err
 			}
-			return finish(call.m, true)
+			return finish(call.m, true, nil)
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
@@ -602,7 +628,7 @@ func (c *Client) runNode(ctx context.Context, ne Experiment, watch Observer) (*R
 	if cl.err != nil {
 		return nil, cl.err
 	}
-	return finish(cl.m, false)
+	return finish(cl.m, false, nil)
 }
 
 // replayOf reconstructs the runner's replay configuration from a
@@ -853,6 +879,10 @@ func (c *Client) RegisterMetrics(reg *obs.Registry) {
 		stat(func(s ClientStats) int64 { return s.StoreMisses }))
 	reg.GaugeFunc("musa_store_entries", "Measurements in the result store.",
 		func() float64 { return float64(c.storeSnapshot().Len) })
+	reg.CounterFunc("musa_store_front_reply_builds_total", "Reply forms the store front encoded (node requests served from the store reuse them).",
+		func() float64 { return float64(c.storeSnapshot().Front.ReplyBuilds) })
+	reg.GaugeFunc("musa_store_front_reply_bytes", "Reply-form bytes resident in the store front.",
+		func() float64 { return float64(c.storeSnapshot().Front.ReplyBytes) })
 
 	// LSM engine internals: memtable occupancy, segment shape, bloom-filter
 	// effectiveness, and maintenance activity. All read the engine's counter

@@ -79,7 +79,7 @@ func (c *Client) runOptimize(ctx context.Context, ne Experiment, watch Observer)
 			probe.Warmup = fullWarmup
 			probe.NoReplay = true
 		}
-		pne, err := probe.normalize(c.resolveApp)
+		pne, err := probe.normalize(c.knowsApp)
 		if err != nil {
 			return nil, err // unreachable: derived from a normalized experiment
 		}

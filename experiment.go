@@ -12,6 +12,7 @@ import (
 	"strings"
 
 	"musa/internal/apps"
+	"musa/internal/jsonenc"
 	"musa/internal/net"
 	"musa/internal/store"
 )
@@ -146,12 +147,19 @@ type Experiment struct {
 	Recompute bool `json:"recompute,omitempty"`
 }
 
-// appResolver maps an application name onto its profile; the package-level
-// resolver knows the five built-ins, a Client's resolver adds registered
-// custom applications.
-type appResolver func(name string) (*Application, error)
+// appResolver reports whether an application name resolves (nil) or why
+// not; the package-level resolver knows the five built-ins, a Client's
+// resolver adds registered custom applications. Validation asks by name
+// only: no profile is built to answer it.
+type appResolver func(name string) error
 
-func builtinApps(name string) (*Application, error) { return apps.ByName(name) }
+func builtinApps(name string) error {
+	if apps.IsBuiltin(name) {
+		return nil
+	}
+	_, err := apps.ByName(name) // the error that lists the built-ins
+	return err
+}
 
 // Normalize validates the experiment and returns its canonical form:
 // defaults applied, lists sorted and deduplicated, PointIndex resolved into
@@ -224,7 +232,7 @@ func (e Experiment) normalize(resolve appResolver) (Experiment, error) {
 		if e.App == "" {
 			return Experiment{}, fmt.Errorf("%w: missing App", ErrUnknownApp)
 		}
-		if _, err := resolve(e.App); err != nil {
+		if err := resolve(e.App); err != nil {
 			return Experiment{}, fmt.Errorf("%w: %v", ErrUnknownApp, err)
 		}
 	case KindSweep:
@@ -235,7 +243,7 @@ func (e Experiment) normalize(resolve appResolver) (Experiment, error) {
 			e.Apps, e.App = []string{e.App}, ""
 		}
 		for _, name := range e.Apps {
-			if _, err := resolve(name); err != nil {
+			if err := resolve(name); err != nil {
 				return Experiment{}, fmt.Errorf("%w: %v", ErrUnknownApp, err)
 			}
 		}
@@ -441,6 +449,94 @@ type canonicalExperiment struct {
 	Optimize *OptimizeSpec `json:"optimize,omitempty"`
 }
 
+// appendCanonical appends the encoding of c to dst: byte for byte what
+// json.Marshal(c) returns (FuzzCanonicalMatchesMarshal holds it to that),
+// written field by field in declaration order instead of reflected, because
+// every store key and ring route key — one per request, one per sweep point
+// — hashes it. Only the two nested user-shaped members, CustomApp and
+// Optimize, go through json.Marshal.
+func appendCanonical(dst []byte, c *canonicalExperiment) []byte {
+	num := func(name string, v int64) { // omitempty
+		if v != 0 {
+			dst = strconv.AppendInt(append(dst, name...), v, 10)
+		}
+	}
+	ints := func(name string, vs []int) { // omitempty; name ends in '['
+		if len(vs) == 0 {
+			return
+		}
+		dst = append(dst, name...)
+		for i, v := range vs {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = strconv.AppendInt(dst, int64(v), 10)
+		}
+		dst = append(dst, ']')
+	}
+	nested := func(name string, v any) {
+		b, err := json.Marshal(v)
+		if err != nil {
+			// Both members are trees of plain exported fields that their
+			// constructors validated; Marshal cannot fail.
+			panic(fmt.Sprintf("musa: marshal canonical experiment: %v", err))
+		}
+		dst = append(append(dst, name...), b...)
+	}
+
+	dst = strconv.AppendInt(append(dst, `{"v":`...), int64(c.V), 10)
+	dst = jsonenc.AppendString(append(dst, `,"kind":`...), string(c.Kind))
+	if c.App != "" {
+		dst = jsonenc.AppendString(append(dst, `,"app":`...), c.App)
+	}
+	if c.CustomApp != nil {
+		nested(`,"customApp":`, c.CustomApp)
+	}
+	if len(c.Apps) > 0 {
+		dst = append(dst, `,"apps":[`...)
+		for i, a := range c.Apps {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = jsonenc.AppendString(dst, a)
+		}
+		dst = append(dst, ']')
+	}
+	if a := c.Arch; a != nil {
+		dst = strconv.AppendInt(append(dst, `,"arch":{"cores":`...), int64(a.Cores), 10)
+		dst = jsonenc.AppendString(append(dst, `,"coreType":`...), a.CoreType)
+		dst = jsonenc.AppendFloat(append(dst, `,"freqGHz":`...), a.FreqGHz)
+		dst = strconv.AppendInt(append(dst, `,"vectorBits":`...), int64(a.VectorBits), 10)
+		dst = jsonenc.AppendString(append(dst, `,"cacheLabel":`...), a.CacheLabel)
+		dst = strconv.AppendInt(append(dst, `,"channels":`...), int64(a.Channels), 10)
+		if a.HBM {
+			dst = append(dst, `,"hbm":true`...)
+		}
+		dst = append(dst, '}')
+	}
+	ints(`,"pointIndices":[`, c.PointIndices)
+	num(`,"sample":`, c.Sample)
+	num(`,"warmup":`, c.Warmup)
+	dst = strconv.AppendUint(append(dst, `,"seed":`...), c.Seed, 10)
+	num(`,"ranks":`, int64(c.Ranks))
+	ints(`,"coreCounts":[`, c.CoreCounts)
+	ints(`,"replayRanks":[`, c.ReplayRanks)
+	if m := c.Network; m != nil {
+		dst = jsonenc.AppendFloat(append(dst, `,"network":{"LatencyNs":`...), m.LatencyNs)
+		dst = jsonenc.AppendFloat(append(dst, `,"BandwidthBps":`...), m.BandwidthBps)
+		dst = strconv.AppendInt(append(dst, `,"EagerBytes":`...), m.EagerBytes, 10)
+		dst = jsonenc.AppendFloat(append(dst, `,"CollectiveLatencyNs":`...), m.CollectiveLatencyNs)
+		dst = append(dst, '}')
+	}
+	if c.NoReplay {
+		dst = append(dst, `,"noReplay":true`...)
+	}
+	if c.Optimize != nil {
+		nested(`,"optimize":`, c.Optimize)
+	}
+	return append(dst, '}')
+}
+
 // CanonicalJSON returns the canonical encoding of the experiment: the
 // normalized form marshaled with a fixed field order and a schema version
 // marker. The encoding is byte-stable across runs and releases of the same
@@ -450,12 +546,13 @@ func (e Experiment) CanonicalJSON() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return ne.canonicalJSON(nil)
+	return ne.appendCanonicalJSON(nil, nil)
 }
 
-// canonicalJSON encodes an already-normalized experiment. custom carries
-// the registered profile when App is not a built-in (Client fills it).
-func (e Experiment) canonicalJSON(custom *apps.Profile) ([]byte, error) {
+// appendCanonicalJSON appends the canonical encoding of an
+// already-normalized experiment to dst. custom carries the registered
+// profile when App is not a built-in (Client fills it).
+func (e Experiment) appendCanonicalJSON(dst []byte, custom *apps.Profile) ([]byte, error) {
 	c := canonicalExperiment{
 		V:    store.SchemaVersion,
 		Kind: e.Kind,
@@ -473,13 +570,7 @@ func (e Experiment) canonicalJSON(custom *apps.Profile) ([]byte, error) {
 		}
 		c.Network = &m
 	}
-	b, err := json.Marshal(c)
-	if err != nil {
-		// canonicalExperiment is a tree of plain exported fields; Marshal
-		// cannot fail.
-		panic(fmt.Sprintf("musa: marshal canonical experiment: %v", err))
-	}
-	return b, nil
+	return appendCanonical(dst, &c), nil
 }
 
 // Key returns the content address of the experiment: the hex SHA-256 of
@@ -496,7 +587,9 @@ func (e Experiment) Key() (string, error) {
 
 func hashKey(canonical []byte) string {
 	sum := sha256.Sum256(canonical)
-	return hex.EncodeToString(sum[:])
+	var digits [2 * sha256.Size]byte
+	hex.Encode(digits[:], sum[:])
+	return string(digits[:])
 }
 
 // nodeKey builds the store key of one measurement of a normalized node or
@@ -509,7 +602,9 @@ func nodeKey(e Experiment, app string, custom *apps.Profile, arch Arch) string {
 		Sample: e.Sample, Warmup: e.Warmup, Seed: e.Seed,
 		ReplayRanks: e.ReplayRanks, NoReplay: e.NoReplay, Network: e.Network,
 	}
-	b, err := ne.canonicalJSON(custom)
+	// A built-in node encoding is ~350 bytes: it is hashed off the stack.
+	var buf [512]byte
+	b, err := ne.appendCanonicalJSON(buf[:0], custom)
 	if err != nil {
 		// e is normalized, so its network name resolves.
 		panic(fmt.Sprintf("musa: node key: %v", err))

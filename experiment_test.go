@@ -3,6 +3,7 @@ package musa
 import (
 	"encoding/json"
 	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -25,6 +26,8 @@ func TestExperimentNormalizeValidation(t *testing.T) {
 	badCore.CoreType = "quantum"
 	negCores := DefaultArch()
 	negCores.Cores = -1
+	nanFreq := DefaultArch()
+	nanFreq.FreqGHz = math.NaN() // no JSON body can say it; a Go caller can
 
 	cases := []struct {
 		name string
@@ -39,6 +42,7 @@ func TestExperimentNormalizeValidation(t *testing.T) {
 		{"bad cache label", Experiment{App: "hydro", Arch: &badArch}, ErrBadArch},
 		{"bad core type", Experiment{App: "hydro", Arch: &badCore}, ErrBadArch},
 		{"negative cores", Experiment{App: "hydro", Arch: &negCores}, ErrBadArch},
+		{"NaN frequency", Experiment{App: "hydro", Arch: &nanFreq}, ErrBadArch},
 		{"missing arch", Experiment{App: "hydro"}, ErrBadArch},
 		{"arch and point index", Experiment{App: "hydro", Arch: archp(), PointIndex: intp(0)}, ErrBadArch},
 		{"point index out of range", Experiment{App: "hydro", PointIndex: intp(100000)}, ErrBadPoint},

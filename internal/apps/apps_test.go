@@ -2,6 +2,7 @@ package apps
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"musa/internal/isa"
@@ -22,13 +23,23 @@ func TestAllProfilesValid(t *testing.T) {
 }
 
 func TestByName(t *testing.T) {
-	for _, name := range []string{"hydro", "spmz", "btmz", "spec3d", "lulesh"} {
-		p, err := ByName(name)
-		if err != nil || p.Name != name {
-			t.Errorf("ByName(%q) = %v, %v", name, p, err)
+	// The table behind ByName and IsBuiltin must cover exactly All().
+	if len(builtins) != len(All()) {
+		t.Errorf("%d constructors for %d applications", len(builtins), len(All()))
+	}
+	for _, want := range All() {
+		p, err := ByName(want.Name)
+		if err != nil || !reflect.DeepEqual(p, want) {
+			t.Errorf("ByName(%q) = %v, %v; want the profile All() lists", want.Name, p, err)
+		}
+		if q, _ := ByName(want.Name); q == p {
+			t.Errorf("ByName(%q) returned a shared pointer: callers may mutate their profile", want.Name)
+		}
+		if !IsBuiltin(want.Name) {
+			t.Errorf("IsBuiltin(%q) = false", want.Name)
 		}
 	}
-	if _, err := ByName("doom"); err == nil {
+	if _, err := ByName("doom"); err == nil || IsBuiltin("doom") || IsBuiltin("") {
 		t.Error("unknown app accepted")
 	}
 }

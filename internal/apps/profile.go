@@ -357,17 +357,26 @@ func LULESH() *Profile {
 	}
 }
 
+// builtins maps each application's paper label to its constructor.
+var builtins = map[string]func() *Profile{
+	"hydro": Hydro, "spmz": SPMZ, "btmz": BTMZ, "spec3d": Spec3D, "lulesh": LULESH,
+}
+
 // All returns the five applications in the paper's plotting order.
 func All() []*Profile {
 	return []*Profile{Hydro(), SPMZ(), BTMZ(), Spec3D(), LULESH()}
 }
 
-// ByName looks an application up by its paper label.
+// ByName looks an application up by its paper label and constructs that one
+// profile; the caller owns it.
 func ByName(name string) (*Profile, error) {
-	for _, p := range All() {
-		if p.Name == name {
-			return p, nil
-		}
+	if build := builtins[name]; build != nil {
+		return build(), nil
 	}
 	return nil, fmt.Errorf("apps: unknown application %q (have hydro, spmz, btmz, spec3d, lulesh)", name)
 }
+
+// IsBuiltin reports whether name is one of the five applications, without
+// constructing a profile — the question request validation and key
+// derivation ask on every request.
+func IsBuiltin(name string) bool { return builtins[name] != nil }

@@ -6,7 +6,7 @@
 package dse
 
 import (
-	"fmt"
+	"strconv"
 
 	"musa/internal/cpu"
 	"musa/internal/dram"
@@ -78,8 +78,16 @@ type ArchPoint struct {
 
 // Label renders the configuration compactly.
 func (a ArchPoint) Label() string {
-	return fmt.Sprintf("%dc/%s/%.1fGHz/%db/%s/%dch%s",
-		a.Cores, a.Core.Name, a.FreqGHz, a.VectorBits, a.Cache.Label, a.Channels, a.Mem)
+	// "%dc/%s/%.1fGHz/%db/%s/%dch%s", appended: every /simulate reply and
+	// every span of a sweep point carries one.
+	b := make([]byte, 0, 48)
+	b = append(strconv.AppendInt(b, int64(a.Cores), 10), "c/"...)
+	b = append(append(b, a.Core.Name...), '/')
+	b = append(strconv.AppendFloat(b, a.FreqGHz, 'f', 1, 64), "GHz/"...)
+	b = append(strconv.AppendInt(b, int64(a.VectorBits), 10), "b/"...)
+	b = append(append(b, a.Cache.Label...), '/')
+	b = append(strconv.AppendInt(b, int64(a.Channels), 10), "ch"...)
+	return string(append(b, a.Mem.String()...))
 }
 
 // NodeConfig converts the point into a node simulator configuration.

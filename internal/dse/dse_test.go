@@ -2,6 +2,7 @@ package dse
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"musa/internal/apps"
@@ -49,6 +50,20 @@ func TestEnumerateIs864(t *testing.T) {
 			t.Fatalf("duplicate point %s", l)
 		}
 		seen[l] = true
+	}
+}
+
+// TestLabelFormat pins the appended label to the format string it replaced.
+func TestLabelFormat(t *testing.T) {
+	pts := Enumerate()
+	odd := pts[0]
+	odd.FreqGHz, odd.Mem, odd.Channels, odd.VectorBits = 2.25, HBM, 16, 2048 // Table II shapes; .1f rounds to even
+	for _, a := range append(pts, odd) {
+		want := fmt.Sprintf("%dc/%s/%.1fGHz/%db/%s/%dch%s",
+			a.Cores, a.Core.Name, a.FreqGHz, a.VectorBits, a.Cache.Label, a.Channels, a.Mem)
+		if got := a.Label(); got != want {
+			t.Fatalf("Label() = %q, want %q", got, want)
+		}
 	}
 }
 

@@ -71,7 +71,7 @@ func (c Config) Validate() error {
 	if err := c.Core.Validate(); err != nil {
 		return err
 	}
-	if c.FreqGHz <= 0 {
+	if !(c.FreqGHz > 0) || math.IsInf(c.FreqGHz, 1) { // NaN fails the first test
 		return fmt.Errorf("node: frequency %v", c.FreqGHz)
 	}
 	if c.VectorBits < 64 {

@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -169,21 +170,15 @@ func DefaultRegistry() *Registry {
 	return defaultReg
 }
 
-// signature returns the canonical label identity (sorted by name).
-func signature(labels []Label) string {
-	if len(labels) == 0 {
-		return ""
+// appendSignature appends the canonical identity of a name-sorted label set.
+func appendSignature(dst []byte, sorted []Label) []byte {
+	for _, l := range sorted {
+		dst = append(dst, l.Name...)
+		dst = append(dst, '=')
+		dst = append(dst, l.Value...)
+		dst = append(dst, ',')
 	}
-	ls := append([]Label(nil), labels...)
-	sort.Slice(ls, func(i, j int) bool { return ls[i].Name < ls[j].Name })
-	var b strings.Builder
-	for _, l := range ls {
-		b.WriteString(l.Name)
-		b.WriteByte('=')
-		b.WriteString(l.Value)
-		b.WriteByte(',')
-	}
-	return b.String()
+	return dst
 }
 
 // series resolves (or creates) the family and series for one identity, then
@@ -192,7 +187,19 @@ func signature(labels []Label) string {
 // the same series always observe one fully-initialized instance. The family
 // type must match across calls; a mismatch panics — it is a programming
 // error, caught by the first scrape in any test.
+//
+// Hot paths re-resolve by name on every event (two series per HTTP request),
+// so finding an existing series allocates nothing: the labels are sorted and
+// signed in stack buffers (up to 8 labels, 128 signature bytes — beyond that
+// the appends spill to the heap and the result is the same), and the map is
+// probed with the bytes.
 func (r *Registry) series(name, help, typ string, labels []Label, init func(*metric)) *metric {
+	var lbuf [8]Label
+	sorted := append(lbuf[:0], labels...)
+	slices.SortStableFunc(sorted, func(a, b Label) int { return strings.Compare(a.Name, b.Name) })
+	var sbuf [128]byte
+	sig := appendSignature(sbuf[:0], sorted)
+
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	f := r.families[name]
@@ -202,13 +209,11 @@ func (r *Registry) series(name, help, typ string, labels []Label, init func(*met
 	} else if f.typ != typ {
 		panic(fmt.Sprintf("obs: metric %s registered as %s and %s", name, f.typ, typ))
 	}
-	sig := signature(labels)
-	m := f.metrics[sig]
+	m := f.metrics[string(sig)]
 	if m == nil {
-		m = &metric{labels: append([]Label(nil), labels...)}
-		sort.Slice(m.labels, func(i, j int) bool { return m.labels[i].Name < m.labels[j].Name })
-		f.metrics[sig] = m
-		f.order = append(f.order, sig)
+		m = &metric{labels: slices.Clone(sorted)}
+		f.metrics[string(sig)] = m
+		f.order = append(f.order, string(sig))
 	}
 	init(m)
 	return m

@@ -42,7 +42,11 @@ func AInt(key string, value int) Attr {
 func newID() string {
 	for {
 		if v := rand.Uint64(); v != 0 {
-			return fmt.Sprintf("%016x", v)
+			var b [16]byte
+			for i := len(b) - 1; i >= 0; i, v = i-1, v>>4 {
+				b[i] = "0123456789abcdef"[v&0xf]
+			}
+			return string(b[:])
 		}
 	}
 }

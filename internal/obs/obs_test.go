@@ -228,6 +228,54 @@ func TestCounterGaugeHistogram(t *testing.T) {
 	}
 }
 
+// TestSeriesLookupDoesNotAllocate pins the hot-path contract of
+// Registry.series: re-resolving an existing series — whatever order the
+// caller lists the labels in — finds the same instance and allocates nothing.
+func TestSeriesLookupDoesNotAllocate(t *testing.T) {
+	reg := NewRegistry()
+	c := reg.Counter("musa_http_requests_total", "help", L("route", "POST /simulate"), L("code", "2xx"))
+	h := reg.Histogram("musa_http_request_duration_seconds", "help", nil, L("route", "POST /simulate"))
+	g := reg.Gauge("musa_plain", "help")
+	if reg.Counter("musa_http_requests_total", "help", L("code", "2xx"), L("route", "POST /simulate")) != c {
+		t.Fatal("label order changed the series identity")
+	}
+	route := "POST /simulate" // not a constant where it matters: the middleware reads it per request
+	allocs := testing.AllocsPerRun(200, func() {
+		if reg.Counter("musa_http_requests_total", "help", L("route", route), L("code", "2xx")) != c ||
+			reg.Histogram("musa_http_request_duration_seconds", "help", nil, L("route", route)) != h ||
+			reg.Gauge("musa_plain", "help") != g {
+			t.Fatal("existing series not found")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("resolving three existing series allocated %v times, want 0", allocs)
+	}
+	// Creation still sorts what the scrape prints.
+	var out bytes.Buffer
+	reg.WritePrometheus(&out)
+	if want := `musa_http_requests_total{code="2xx",route="POST /simulate"} 0`; !strings.Contains(out.String(), want) {
+		t.Errorf("scrape lacks %s:\n%s", want, out.String())
+	}
+	// More labels than the stack buffer holds still resolve to one series.
+	var many []Label
+	for i := 12; i > 0; i-- {
+		many = append(many, L(fmt.Sprintf("l%02d", i), strings.Repeat("v", 20)))
+	}
+	if reg.Counter("musa_many", "help", many...) != reg.Counter("musa_many", "help", many...) {
+		t.Error("a 12-label series resolved to two instances")
+	}
+}
+
+func TestNewIDFormat(t *testing.T) {
+	re := regexp.MustCompile(`^[0-9a-f]{16}$`)
+	for i := 0; i < 1000; i++ {
+		id := newID()
+		if v, err := strconv.ParseUint(id, 16, 64); !re.MatchString(id) || err != nil || v == 0 || fmt.Sprintf("%016x", v) != id {
+			t.Fatalf("newID() = %q, want 16 lower-case hex digits of a non-zero value", id)
+		}
+	}
+}
+
 func TestLogBuckets(t *testing.T) {
 	b := LogBuckets(1e-4, 100, 3)
 	if b[0] != 1e-4 {

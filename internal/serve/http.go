@@ -10,10 +10,12 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"musa"
 	"musa/internal/dse"
+	"musa/internal/jsonenc"
 	"musa/internal/obs"
 	"musa/internal/store"
 )
@@ -214,14 +216,38 @@ func (s *Service) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		httpError(w, experimentStatus(err), err)
 		return
 	}
+	writeSimulateReply(w, res, float64(time.Since(start).Microseconds())/1e3)
+}
+
+// replyPool holds the buffers POST /simulate replies are assembled in.
+var replyPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// writeSimulateReply writes the POST /simulate reply of every outcome — store
+// hit, miss, coalesced follower. The bytes are what writeJSON renders from
+// the map {app, cached, elapsedMs, label, measurement} (keys sorted, two-space
+// indent; TestSimulateReplyMatchesReference holds them to it), but the
+// five-member envelope is appended and the measurement copied in: a hit's
+// measurement bytes come from the store front and are the same for every hit
+// of a key, so nothing is reflected or re-indented per request.
+func writeSimulateReply(w http.ResponseWriter, res *musa.Result, elapsedMs float64) {
+	measurement, err := res.MeasurementJSON()
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, err)
+		return
+	}
 	m := res.Measurement
-	writeJSON(w, http.StatusOK, map[string]any{
-		"app":         m.App,
-		"label":       m.Arch.Label(),
-		"cached":      res.Cached,
-		"elapsedMs":   float64(time.Since(start).Microseconds()) / 1e3,
-		"measurement": m,
-	})
+	buf := replyPool.Get().(*[]byte)
+	b := jsonenc.AppendString(append((*buf)[:0], "{\n  \"app\": "...), m.App)
+	b = strconv.AppendBool(append(b, ",\n  \"cached\": "...), res.Cached)
+	b = jsonenc.AppendFloat(append(b, ",\n  \"elapsedMs\": "...), elapsedMs)
+	b = jsonenc.AppendString(append(b, ",\n  \"label\": "...), m.Arch.Label())
+	b = append(append(b, ",\n  \"measurement\": "...), measurement...)
+	b = append(b, "\n}\n"...)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(b)
+	*buf = b
+	replyPool.Put(buf)
 }
 
 // ndjsonStream commits w to a 200 NDJSON reply and returns its emit

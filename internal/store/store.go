@@ -5,10 +5,12 @@
 // measurements land in an embedded LSM engine (internal/store/lsm): a
 // WAL-backed memtable flushing to bloom-filtered sorted segments, so a
 // killed sweep resumes from its checkpoint and repeated sweeps become
-// cache hits. An LRU front keeps hot decoded entries in memory; misses
-// fall to the engine. The store is multi-process by design: one writer
-// owns a directory (advisory flock), while any number of read-only opens
-// follow the writer's published segments.
+// cache hits. An LRU front keeps hot decoded entries in memory — and, once
+// a single-measurement request has asked for it, each entry's POST /simulate
+// reply form beside the decoded one; misses fall to the engine. The store is
+// multi-process by design: one writer owns a directory (advisory flock),
+// while any number of read-only opens follow the writer's published
+// segments.
 package store
 
 import (
@@ -226,24 +228,67 @@ func (s *Store) warmLRU() {
 // Get returns the measurement stored under key. Engine read errors are
 // reported as misses; the caller recomputes and overwrites.
 func (s *Store) Get(key string) (dse.Measurement, bool) {
+	e, _ := s.entry(key)
+	if e == nil {
+		return dse.Measurement{}, false
+	}
+	return e.m, true
+}
+
+// GetReply is Get plus the measurement in its reply form (see ReplyForm).
+// The front keeps those bytes beside the decoded entry: the first GetReply of
+// a resident measurement encodes them, later ones copy a slice header. The
+// bytes are shared — callers must not modify them — and nil only for a
+// measurement encoding/json refuses.
+func (s *Store) GetReply(key string) (dse.Measurement, []byte, bool) {
+	e, reply := s.entry(key)
+	if e == nil {
+		return dse.Measurement{}, nil, false
+	}
+	if reply != nil {
+		return e.m, reply, true
+	}
+	// Encode outside the lock: two first requests may both get here and
+	// produce the same bytes, and the front keeps the first copy offered.
+	built, err := ReplyForm(e.m)
+	if err != nil {
+		return e.m, nil, true
+	}
 	s.mu.Lock()
-	if m, ok := s.lru.get(key); ok {
+	reply = s.lru.setReply(e, built)
+	s.mu.Unlock()
+	return e.m, reply, true
+}
+
+// ReplyForm encodes m as POST /simulate nests it in a reply: the last member
+// of a two-space-indented object, so indented two spaces under a two-space
+// prefix.
+func ReplyForm(m dse.Measurement) ([]byte, error) {
+	return json.MarshalIndent(m, "  ", "  ")
+}
+
+// entry returns the front's entry for key and its reply form, if built,
+// reading the measurement in from the engine on a front miss.
+func (s *Store) entry(key string) (*lruEntry, []byte) {
+	s.mu.Lock()
+	if e := s.lru.get(key); e != nil {
+		reply := e.reply
 		s.mu.Unlock()
-		return m, true
+		return e, reply
 	}
 	s.mu.Unlock()
 	raw, ok := s.db.Get(key)
 	if !ok {
-		return dse.Measurement{}, false
+		return nil, nil
 	}
 	var m dse.Measurement
 	if err := json.Unmarshal(raw, &m); err != nil {
-		return dse.Measurement{}, false
+		return nil, nil
 	}
 	s.mu.Lock()
-	s.lru.add(key, m)
+	e := s.lru.add(key, m)
 	s.mu.Unlock()
-	return m, true
+	return e, nil
 }
 
 // Has reports whether key is stored without touching the LRU.
@@ -307,43 +352,82 @@ func (s *Store) Close() error {
 	return s.db.Close()
 }
 
+// FrontStats counts the reply forms the front has built and the bytes of
+// them it currently holds.
+type FrontStats struct {
+	ReplyBuilds int64 `json:"replyBuilds"`
+	ReplyBytes  int64 `json:"replyBytes"`
+}
+
+// FrontStats returns a snapshot of the front's reply-form counters.
+func (s *Store) FrontStats() FrontStats {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.lru.stats
+}
+
 // lruCache is a minimal LRU of measurements keyed by content address.
 type lruCache struct {
 	max   int
 	ll    *list.List
 	items map[string]*list.Element
+	stats FrontStats
 }
 
+// lruEntry is one resident measurement. key and m never change once the
+// entry is in the cache — an overwriting add replaces the entry — so m may be
+// read without the store lock; reply is guarded by it.
 type lruEntry struct {
-	key string
-	m   dse.Measurement
+	key   string
+	m     dse.Measurement
+	reply []byte // m's ReplyForm once a GetReply built it
 }
 
 func newLRU(max int) *lruCache {
 	return &lruCache{max: max, ll: list.New(), items: map[string]*list.Element{}}
 }
 
-func (c *lruCache) get(key string) (dse.Measurement, bool) {
+func (c *lruCache) get(key string) *lruEntry {
 	el, ok := c.items[key]
 	if !ok {
-		return dse.Measurement{}, false
+		return nil
 	}
 	c.ll.MoveToFront(el)
-	return el.Value.(*lruEntry).m, true
+	return el.Value.(*lruEntry)
 }
 
-func (c *lruCache) add(key string, m dse.Measurement) {
+// add makes m the resident measurement of key. A measurement it overwrites
+// takes its reply form with it.
+func (c *lruCache) add(key string, m dse.Measurement) *lruEntry {
+	e := &lruEntry{key: key, m: m}
 	if el, ok := c.items[key]; ok {
-		el.Value.(*lruEntry).m = m
+		c.stats.ReplyBytes -= int64(len(el.Value.(*lruEntry).reply))
+		el.Value = e
 		c.ll.MoveToFront(el)
-		return
+		return e
 	}
-	c.items[key] = c.ll.PushFront(&lruEntry{key: key, m: m})
+	c.items[key] = c.ll.PushFront(e)
 	for c.ll.Len() > c.max {
-		last := c.ll.Back()
-		c.ll.Remove(last)
-		delete(c.items, last.Value.(*lruEntry).key)
+		last := c.ll.Remove(c.ll.Back()).(*lruEntry)
+		c.stats.ReplyBytes -= int64(len(last.reply))
+		delete(c.items, last.key)
 	}
+	return e
+}
+
+// setReply keeps built as e's reply form and returns the form to serve: the
+// one a concurrent first request kept, if it was faster. An entry that was
+// evicted or overwritten meanwhile keeps nothing.
+func (c *lruCache) setReply(e *lruEntry, built []byte) []byte {
+	if e.reply != nil {
+		return e.reply
+	}
+	if el, ok := c.items[e.key]; ok && el.Value.(*lruEntry) == e {
+		e.reply = built
+		c.stats.ReplyBuilds++
+		c.stats.ReplyBytes += int64(len(built))
+	}
+	return built
 }
 
 // lruLen reports the resident entry count (used by eviction tests).

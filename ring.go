@@ -50,14 +50,14 @@ func (c *Client) Ring() *Ring { return c.opts.Ring }
 // so replicas must run with identical default flags (the same operational
 // contract fleet shard dispatch already relies on).
 func (c *Client) RouteKey(e Experiment) (string, error) {
-	ne, err := c.fill(e).normalize(c.resolveApp)
+	ne, err := c.fill(e).normalize(c.knowsApp)
 	if err != nil {
 		return "", err
 	}
 	if ne.Kind == KindNode {
 		return nodeKey(ne, ne.App, c.customProfile(ne.App), *ne.Arch), nil
 	}
-	b, err := ne.canonicalJSON(c.customProfile(ne.App))
+	b, err := ne.appendCanonicalJSON(nil, c.customProfile(ne.App))
 	if err != nil {
 		return "", err
 	}

@@ -3,6 +3,7 @@ package musa
 import (
 	"path/filepath"
 
+	"musa/internal/store"
 	"musa/internal/store/lsm"
 )
 
@@ -43,6 +44,9 @@ type StoreSnapshot struct {
 	Engine          lsm.Stats `json:"engine"`
 	MemtableBytes   int64     `json:"memtableBytes"`
 	BlockCacheBytes int64     `json:"blockCacheBytes"`
+	// Front counts the reply forms the decoded front built for node
+	// requests and the bytes of them it holds.
+	Front store.FrontStats `json:"front"`
 	// Dir is the store directory ("" without one).
 	Dir string `json:"dir,omitempty"`
 }
@@ -104,6 +108,7 @@ func (c *Client) storeSnapshot() StoreSnapshot {
 		out.ReadOnly = c.st.ReadOnly()
 		out.Len = c.st.Len()
 		out.Engine = c.st.EngineStats()
+		out.Front = c.st.FrontStats()
 	}
 	return out
 }
