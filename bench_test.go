@@ -130,7 +130,7 @@ func BenchmarkClientSweepReduced(b *testing.B) {
 // cache pre-populated by an untimed priming run, so every iteration
 // re-simulates each point from cached annotations, DRAM latency curves and
 // burst traces instead of rebuilding them. The gap between the two
-// benchmarks in BENCH_9.json is the artifact-reuse speedup;
+// benchmarks in BENCH.json is the artifact-reuse speedup;
 // TestSweepColdVsWarmArtifacts proves the datasets are byte-identical.
 func BenchmarkClientSweepWarmArtifacts(b *testing.B) {
 	artDir := b.TempDir()
@@ -282,7 +282,7 @@ func BenchmarkFigure2bScaling(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		last = map[string][]FullAppScalingResult{}
 		for _, app := range Applications() {
-			last[app.Name] = core.FullAppScaling(app, 256, []int{32, 64}, model, core.DefaultBurstOptions())
+			last[app.Name], _ = core.FullAppScalingCtx(context.Background(), app, 256, []int{32, 64}, model, core.DefaultBurstOptions())
 		}
 	}
 	printOnce("fig2b", func() *report.Table {

@@ -86,9 +86,9 @@ var canonicalSeeds = []string{
 	`{"kind":"optimize","app":"btmz"}`,
 	`{"kind":"optimize","app":"spmz","pointIndices":[0,100,200,300,400,500,600,700],"noReplay":true,"optimize":{"objectives":["edp","time","edp"],"maxPowerW":150.5,"eta":2,"rungs":3,"finalists":2,"minSample":500}}`,
 	`{"app":"a<b&\"c\u2029\\","pointIndex":7}`,
-	`{"app":"caf\u00e9 \ud83d\ude80\u0001\u2028\t","pointIndex":1,"replay":{"ranks":[16],"network":"mn4"}}`,
+	`{"app":"caf\u00e9 \ud83d\ude80\u0001\u2028\t","pointIndex":1,"replayRanks":[16],"network":"mn4"}`,
 	`{"kind":"sweep","apps":["mine>","hydro","\u2029"],"pointIndices":[2]}`,
-	`{"kind":"node","app":"hydro","pointIndex":5,"replay":{"disable":true},"recompute":true}`,
+	`{"kind":"node","app":"hydro","pointIndex":5,"noReplay":true,"recompute":true}`,
 }
 
 // FuzzCanonicalMatchesMarshal is the fuzz target of the first parser on the

@@ -483,12 +483,6 @@ func (c *Client) fill(e Experiment) Experiment {
 	if kind == "" {
 		kind = KindNode
 	}
-	if e.Replay != nil {
-		// A nested replay sub-spec is a complete, explicit configuration:
-		// injecting flat client defaults beside it would either conflict
-		// with it or silently override parts of what the caller spelled out.
-		return e
-	}
 	if e.Network == "" && kind != KindUnconventional {
 		// Unconventional experiments take no network; injecting the client
 		// default would fail their validation.
@@ -631,15 +625,26 @@ func (c *Client) runNode(ctx context.Context, ne Experiment, watch Observer) (*R
 	return finish(cl.m, false, nil)
 }
 
-// replayOf reconstructs the runner's replay configuration from a
-// normalized experiment.
-func (c *Client) replayOf(ne Experiment) dse.ReplayConfig {
+// runOptions assembles the runner options of one run of a normalized
+// experiment: its fidelity, seed and replay configuration, the client's
+// artifact cache and sample windows, one worker.
+func (c *Client) runOptions(ne Experiment, selected []*apps.Profile, points []dse.ArchPoint) dse.Options {
 	rc := dse.ReplayConfig{Disable: ne.NoReplay, Ranks: ne.ReplayRanks}
 	if !rc.Disable && ne.Network != "" {
 		m, _ := net.ByName(ne.Network) // normalized: resolves
 		rc.Network = m
 	}
-	return rc.Normalized()
+	return dse.Options{
+		Apps:          selected,
+		Points:        points,
+		SampleInstrs:  ne.Sample,
+		WarmupInstrs:  ne.Warmup,
+		Workers:       1,
+		Seed:          ne.Seed,
+		Replay:        rc.Normalized(),
+		Artifacts:     c.artifacts(),
+		SampleWindows: c.windows,
+	}
 }
 
 // simulateOne runs a one-point sweep under a job slot and checkpoints the
@@ -653,17 +658,7 @@ func (c *Client) simulateOne(ctx context.Context, app *Application, ne Experimen
 	if err != nil {
 		return Measurement{}, err // unreachable: ne is normalized
 	}
-	d := dse.Run(ctx, dse.Options{
-		Apps:          []*apps.Profile{app},
-		Points:        []dse.ArchPoint{p},
-		SampleInstrs:  ne.Sample,
-		WarmupInstrs:  ne.Warmup,
-		Workers:       1,
-		Seed:          ne.Seed,
-		Replay:        c.replayOf(ne),
-		Artifacts:     c.artifacts(),
-		SampleWindows: c.windows,
-	})
+	d := dse.Run(ctx, c.runOptions(ne, []*apps.Profile{app}, []dse.ArchPoint{p}))
 	if err := ctx.Err(); err != nil {
 		return Measurement{}, err
 	}
@@ -712,17 +707,8 @@ func (c *Client) runSweep(ctx context.Context, ne Experiment, watch Observer) (*
 	}
 	defer c.release()
 
-	opts := dse.Options{
-		Apps:          selected,
-		Points:        points,
-		SampleInstrs:  ne.Sample,
-		WarmupInstrs:  ne.Warmup,
-		Workers:       c.opts.SweepWorkers,
-		Seed:          ne.Seed,
-		Replay:        c.replayOf(ne),
-		Artifacts:     c.artifacts(),
-		SampleWindows: c.windows,
-	}
+	opts := c.runOptions(ne, selected, points)
+	opts.Workers = c.opts.SweepWorkers
 
 	var cached atomic.Int64
 	flush := func() error { return nil }

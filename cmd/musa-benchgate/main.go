@@ -4,7 +4,7 @@
 // Usage:
 //
 //	go test -run '^$' -bench 'ClientSweepReduced|SweepReplayOverhead' -benchtime 1x . | tee bench.txt
-//	musa-benchgate -in bench.txt -out BENCH_4.json -baseline bench/BENCH_baseline.json
+//	musa-benchgate -in bench.txt -out BENCH.json -baseline bench/BENCH_baseline.json
 //
 // The tool parses the standard benchmark lines (name, iterations, ns/op,
 // plus -benchmem's B/op and allocs/op when present), writes them as a JSON

@@ -70,9 +70,6 @@ var (
 	ErrBadFidelity = fmt.Errorf("%w: bad fidelity", ErrExperiment)
 	// ErrBadOptimize reports an invalid or misplaced optimize sub-spec.
 	ErrBadOptimize = fmt.Errorf("%w: bad optimize spec", ErrExperiment)
-	// ErrSpecConflict reports a nested sub-spec (Replay) disagreeing with
-	// the legacy flat aliases of the same fields.
-	ErrSpecConflict = fmt.Errorf("%w: conflicting spec aliases", ErrExperiment)
 )
 
 // Experiment is the one canonical request type of the MUSA-Go pipeline:
@@ -120,23 +117,15 @@ type Experiment struct {
 
 	// ReplayRanks are the cluster-replay rank counts attached to node and
 	// sweep measurements (nil = 64 and 256; an explicit empty list means
-	// node-only, like NoReplay). Flat alias of Replay.Ranks.
+	// node-only, like NoReplay).
 	ReplayRanks []int `json:"replayRanks,omitempty"`
 	// NoReplay disables the cluster replay stage of node/sweep experiments.
-	// Flat alias of Replay.Disable.
 	NoReplay bool `json:"noReplay,omitempty"`
 	// Network names the interconnect scenario: "mn4", "hdr200" or "eth10"
 	// ("" = "mn4"). It drives the cluster replay of node/sweep experiments
-	// and the whole replay of full-app/scaling ones. Flat alias of
-	// Replay.Network.
+	// and the whole replay of full-app/scaling ones.
 	Network string `json:"network,omitempty"`
 
-	// Replay is the nested replay sub-spec — the preferred spelling of the
-	// flat ReplayRanks / NoReplay / Network aliases above. Normalize keeps
-	// both in sync (and rejects a nested spec that contradicts explicitly
-	// set flat fields with ErrSpecConflict), so either spelling produces
-	// the same canonical encoding and store key.
-	Replay *ReplaySpec `json:"replay,omitempty"`
 	// Optimize configures a KindOptimize experiment's successive-halving
 	// search (nil on that kind = all defaults; rejected on every other).
 	Optimize *OptimizeSpec `json:"optimize,omitempty"`
@@ -188,29 +177,6 @@ func (e Experiment) normalize(resolve appResolver) (Experiment, error) {
 	default:
 		return Experiment{}, fmt.Errorf("%w %q (valid: %s, %s, %s, %s, %s, %s)",
 			ErrBadKind, e.Kind, KindNode, KindFullApp, KindScaling, KindSweep, KindUnconventional, KindOptimize)
-	}
-
-	// Fold the nested replay sub-spec into the flat alias fields the rest
-	// of normalization (and the canonical encoding) works on. A flat field
-	// that was set explicitly must agree with the nested spelling.
-	if e.Replay != nil {
-		r := *e.Replay
-		if e.ReplayRanks != nil && !slices.Equal(e.ReplayRanks, r.Ranks) {
-			return Experiment{}, fmt.Errorf("%w: ReplayRanks %v vs Replay.Ranks %v", ErrSpecConflict, e.ReplayRanks, r.Ranks)
-		}
-		if e.NoReplay && !r.Disable {
-			return Experiment{}, fmt.Errorf("%w: NoReplay set but Replay.Disable is not", ErrSpecConflict)
-		}
-		if e.Network != "" && r.Network != "" && e.Network != r.Network {
-			return Experiment{}, fmt.Errorf("%w: Network %q vs Replay.Network %q", ErrSpecConflict, e.Network, r.Network)
-		}
-		if r.Ranks != nil {
-			e.ReplayRanks = r.Ranks
-		}
-		e.NoReplay = e.NoReplay || r.Disable
-		if r.Network != "" {
-			e.Network = r.Network
-		}
 	}
 
 	// Fidelity knobs are kind-independent.
@@ -405,18 +371,6 @@ func (e Experiment) normalize(resolve appResolver) (Experiment, error) {
 		e.Optimize = ns
 	} else if e.Optimize != nil {
 		return Experiment{}, fmt.Errorf("%w: Optimize applies to %s experiments only", ErrBadOptimize, KindOptimize)
-	}
-
-	// The normalized form carries the nested replay spelling alongside the
-	// flat alias fields, mirroring them exactly (Normalize is idempotent:
-	// re-folding an equal mirror is a no-op).
-	switch e.Kind {
-	case KindNode, KindSweep, KindOptimize:
-		e.Replay = &ReplaySpec{Ranks: e.ReplayRanks, Disable: e.NoReplay, Network: e.Network}
-	case KindFullApp, KindScaling:
-		e.Replay = &ReplaySpec{Network: e.Network}
-	default:
-		e.Replay = nil
 	}
 
 	return e, nil

@@ -10,10 +10,10 @@ import (
 	"musa"
 )
 
-// genExperiment builds a pseudo-random valid experiment of the given kind,
-// spelled with the FLAT replay alias fields. The generator only emits
-// well-formed values — the property under test is canonicalization, not
-// validation (experiment_test.go covers rejection paths).
+// genExperiment builds a pseudo-random valid experiment of the given kind.
+// The generator only emits well-formed values — the property under test is
+// canonicalization, not validation (experiment_test.go covers rejection
+// paths).
 func genExperiment(rng *rand.Rand, kind musa.Kind) musa.Experiment {
 	appNames := []string{"lulesh", "spec3d", "btmz", "spmz", "hydro"}
 	networks := []string{"", "mn4", "hdr200", "eth10"}
@@ -97,31 +97,13 @@ func genExperiment(rng *rand.Rand, kind musa.Kind) musa.Experiment {
 	case musa.KindUnconventional:
 		// Only fidelity/seed apply; the zero spec above is already complete.
 	}
-	if e.NoReplay {
-		// A flat spelling with NoReplay keeps ranks/network unset — Normalize
-		// would clear them anyway, but the NESTED alias path must be given an
-		// equivalent (non-contradictory) spelling below.
-		e.ReplayRanks, e.Network = nil, ""
-	}
-	return e
-}
-
-// nestedSpelling rewrites the flat replay alias fields of a generated
-// experiment into the nested Replay sub-spec (the preferred spelling).
-func nestedSpelling(e musa.Experiment) musa.Experiment {
-	switch e.Kind {
-	case musa.KindNode, musa.KindSweep, musa.KindOptimize, musa.KindFullApp, musa.KindScaling:
-		e.Replay = &musa.ReplaySpec{Ranks: e.ReplayRanks, Disable: e.NoReplay, Network: e.Network}
-		e.ReplayRanks, e.NoReplay, e.Network = nil, false, ""
-	}
 	return e
 }
 
 // TestNormalizeProperties is a property-style sweep over every experiment
 // kind: Normalize must be idempotent, the canonical encoding must be
-// byte-stable, and the flat and nested alias spellings (plus a JSON
-// round trip through the wire form) must all produce the same canonical
-// bytes — and therefore the same store key.
+// byte-stable, and a JSON round trip through the wire form must produce
+// the same canonical bytes — and therefore the same store key.
 func TestNormalizeProperties(t *testing.T) {
 	kinds := []musa.Kind{
 		musa.KindNode, musa.KindFullApp, musa.KindScaling,
@@ -166,16 +148,6 @@ func TestNormalizeProperties(t *testing.T) {
 				t.Fatalf("%s case %d: normalized form encodes differently:\nraw  %s\nnorm %s", kind, i, canon, fromNorm)
 			}
 
-			// The nested Replay spelling is an alias: same canonical bytes.
-			nested := nestedSpelling(e)
-			nestedCanon, err := nested.CanonicalJSON()
-			if err != nil {
-				t.Fatalf("%s case %d: nested CanonicalJSON: %v", kind, i, err)
-			}
-			if !bytes.Equal(canon, nestedCanon) {
-				t.Fatalf("%s case %d: nested spelling diverges:\nflat   %s\nnested %s", kind, i, canon, nestedCanon)
-			}
-
 			// A JSON round trip through the wire form (Marshal of the
 			// normalized experiment, Unmarshal, re-canonicalize) holds the key.
 			wire, err := json.Marshal(ne)
@@ -197,9 +169,9 @@ func TestNormalizeProperties(t *testing.T) {
 			// Keys agree by construction of the above, but assert the public
 			// entry point too.
 			k1, _ := e.Key()
-			k2, _ := nested.Key()
+			k2, _ := back.Key()
 			if k1 != k2 {
-				t.Fatalf("%s case %d: Key mismatch across alias spellings: %s vs %s", kind, i, k1, k2)
+				t.Fatalf("%s case %d: Key mismatch across the wire round trip: %s vs %s", kind, i, k1, k2)
 			}
 		}
 	}

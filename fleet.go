@@ -388,17 +388,7 @@ func (c *Client) runShardLocal(ctx context.Context, ne Experiment, j *shardJob) 
 	for k, i := range j.indices {
 		points[k] = grid[i]
 	}
-	d := dse.Run(ctx, dse.Options{
-		Apps:          []*apps.Profile{app},
-		Points:        points,
-		SampleInstrs:  ne.Sample,
-		WarmupInstrs:  ne.Warmup,
-		Workers:       1,
-		Seed:          ne.Seed,
-		Replay:        c.replayOf(ne),
-		Artifacts:     c.artifacts(),
-		SampleWindows: c.windows,
-	})
+	d := dse.Run(ctx, c.runOptions(ne, []*apps.Profile{app}, points))
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

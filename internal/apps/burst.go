@@ -33,7 +33,7 @@ func (p *Profile) RegionGraph(ri int, seed uint64) rts.Region {
 }
 
 // lognormalFactor returns a multiplicative factor with mean 1 and the given
-// coefficient of variation (shared with the rts package's ParallelFor).
+// coefficient of variation.
 func lognormalFactor(rng *xrand.RNG, cv float64) float64 {
 	sigma2 := math.Log1p(cv * cv)
 	return rng.LogNormal(-sigma2/2, math.Sqrt(sigma2))

@@ -198,10 +198,6 @@ func (h *Hierarchy) ResetStats() {
 	h.MemReads, h.MemWrites, h.PrefetchFills = 0, 0, 0
 }
 
-// TotalAccesses returns the number of L1 accesses (i.e. memory instructions'
-// line touches).
-func (h *Hierarchy) TotalAccesses() int64 { return h.l1.Stats.Accesses }
-
 // MemRequests returns the number of DRAM line requests generated (reads plus
 // write-backs), the quantity plotted in Figure 1 as Giga-MemRequest/s once
 // divided by runtime.

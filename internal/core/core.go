@@ -59,17 +59,11 @@ type FullAppResult struct {
 	Replay      net.Result
 }
 
-// FullAppScaling simulates the whole parallel region including MPI overheads
-// (Fig. 2b): the burst trace of `ranks` ranks is replayed with per-node
+// FullAppScalingCtx simulates the whole parallel region including MPI
+// overheads (Fig. 2b): the burst trace of `ranks` ranks is replayed with per-node
 // compute durations rescaled by the node-level speedup obtained from the
-// runtime-system simulation at each core count.
-func FullAppScaling(app *apps.Profile, ranks int, coreCounts []int, model net.Model, opts BurstOptions) []FullAppResult {
-	out, _ := FullAppScalingCtx(context.Background(), app, ranks, coreCounts, model, opts)
-	return out
-}
-
-// FullAppScalingCtx is FullAppScaling with a cancellation checkpoint in
-// every replay pass; it returns ctx.Err() when canceled.
+// runtime-system simulation at each core count. Every replay pass has a
+// cancellation checkpoint; a canceled ctx returns ctx.Err().
 func FullAppScalingCtx(ctx context.Context, app *apps.Profile, ranks int, coreCounts []int, model net.Model, opts BurstOptions) ([]FullAppResult, error) {
 	b := apps.BurstTrace(app, ranks, opts.Seed)
 

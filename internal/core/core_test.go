@@ -41,7 +41,7 @@ func TestFullAppScalingShapes(t *testing.T) {
 	model := net.MareNostrum4()
 	var sum32, sum64 float64
 	for _, p := range apps.All() {
-		res := FullAppScaling(p, 64, []int{32, 64}, model, opts)
+		res, _ := FullAppScalingCtx(context.Background(), p, 64, []int{32, 64}, model, opts)
 		if len(res) != 2 {
 			t.Fatal("wrong result count")
 		}
@@ -69,7 +69,7 @@ func TestHydroBestFullApp(t *testing.T) {
 	model := net.MareNostrum4()
 	effs := map[string]float64{}
 	for _, p := range apps.All() {
-		res := FullAppScaling(p, 32, []int{64}, model, opts)
+		res, _ := FullAppScalingCtx(context.Background(), p, 32, []int{64}, model, opts)
 		effs[p.Name] = res[0].Efficiency
 	}
 	for name, e := range effs {

@@ -35,8 +35,6 @@ type Request struct {
 	Addr   uint64
 	Write  bool
 	Arrive sim.Time
-	// Done, if non-nil, is invoked at completion time.
-	Done func(at sim.Time)
 }
 
 // CommandStats counts issued DRAM commands; the power model converts these
@@ -117,31 +115,27 @@ func (p SchedPolicy) String() string {
 	return "fr-fcfs"
 }
 
-// Controller is the multi-channel memory controller. Drive it by calling
-// Submit and running the shared engine (RunOpenLoop, whose requests carry no
-// Done callback, needs no engine). It is not safe for concurrent use.
+// Controller is the multi-channel memory controller. RunOpenLoop drives it:
+// requests are appended to their channel's queue and drain issues a whole
+// queue at one instant. It is not safe for concurrent use.
 type Controller struct {
 	cfg      Config
-	eng      *sim.Engine
 	channels []*channel
 	policy   SchedPolicy
 	clk      sim.Time
 	Stats    Stats
-	queueCap int
 }
 
-// NewController creates a controller on the given engine; it panics on
-// invalid configuration. Refresh events are scheduled lazily on first use.
-func NewController(eng *sim.Engine, cfg Config, policy SchedPolicy) *Controller {
+// NewController creates a controller; it panics on invalid configuration.
+// Refreshes are accounted lazily on first use.
+func NewController(cfg Config, policy SchedPolicy) *Controller {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	c := &Controller{
-		cfg:      cfg,
-		eng:      eng,
-		policy:   policy,
-		clk:      sim.Time(cfg.Spec.ClockPs()),
-		queueCap: 64,
+		cfg:    cfg,
+		policy: policy,
+		clk:    sim.Time(cfg.Spec.ClockPs()),
 	}
 	for i := 0; i < cfg.Channels; i++ {
 		ch := &channel{banks: make([]bank, cfg.Spec.BanksPerChannel)}
@@ -153,15 +147,11 @@ func NewController(eng *sim.Engine, cfg Config, policy SchedPolicy) *Controller 
 	return c
 }
 
-// Config returns the controller's configuration.
-func (c *Controller) Config() Config { return c.cfg }
-
 func (c *Controller) cycles(n int) sim.Time { return sim.Time(n) * c.clk }
 
-// applyRefresh lazily accounts for all refreshes due up to time t, so that
-// refresh does not need self-perpetuating events that would keep the engine
-// alive forever. A refresh closes every row and blocks the channel for TRFC.
-// It returns t pushed past any refresh blackout in progress.
+// applyRefresh lazily accounts for all refreshes due up to time t. A refresh
+// closes every row and blocks the channel for TRFC. It returns t pushed past
+// any refresh blackout in progress.
 func (c *Controller) applyRefresh(ch *channel, t sim.Time) sim.Time {
 	period := c.cycles(c.cfg.Spec.TREFI)
 	for ch.refreshedTo+period <= t {
@@ -198,40 +188,9 @@ func (c *Controller) mapAddr(addr uint64) (chIdx, bankIdx int, row int64) {
 	return chIdx, bankIdx, row
 }
 
-// QueueLen returns the total number of queued requests (test helper).
-func (c *Controller) QueueLen() int {
-	n := 0
-	for _, ch := range c.channels {
-		n += len(ch.queue)
-	}
-	return n
-}
-
-// Submit enqueues a request at the engine's current time (or req.Arrive if
-// later events have not yet run; the caller normally schedules Submit from
-// an engine event so Now()==Arrive).
-func (c *Controller) Submit(req *Request) {
-	chIdx, _, _ := c.mapAddr(req.Addr)
-	ch := c.channels[chIdx]
-	ch.queue = append(ch.queue, req)
-	c.kick(ch)
-}
-
-// kick ensures a scheduling pass is pending for the channel.
-func (c *Controller) kick(ch *channel) {
-	if ch.scheduling {
-		return
-	}
-	ch.scheduling = true
-	c.eng.After(0, func(now sim.Time) {
-		ch.scheduling = false
-		c.drain(ch, now)
-	})
-}
-
 // drain issues the channel's whole queue at now, in policy order: issue
 // computes each request's command schedule analytically, so no request waits
-// for a later event.
+// for a later instant.
 func (c *Controller) drain(ch *channel, now sim.Time) {
 	for len(ch.queue) > 0 {
 		idx := c.pick(ch)
@@ -318,10 +277,6 @@ func (c *Controller) issue(ch *channel, req *Request, now sim.Time) {
 	c.Stats.DataBusBusy += c.cycles(spec.TBL)
 	if dataEnd > c.Stats.LastFinish {
 		c.Stats.LastFinish = dataEnd
-	}
-	if req.Done != nil {
-		done := req.Done
-		c.eng.At(dataEnd, func(at sim.Time) { done(at) })
 	}
 }
 

@@ -49,15 +49,23 @@ func TestClockAndBandwidth(t *testing.T) {
 	}
 }
 
+// drainCold queues reqs, all arriving at time 0, on a cold one-channel DDR4
+// controller and drains them.
+func drainCold(reqs ...Request) *Controller {
+	ctl := NewController(ddr4(1), FRFCFS)
+	ch := ctl.channels[0]
+	for i := range reqs {
+		ch.queue = append(ch.queue, &reqs[i])
+	}
+	ctl.drain(ch, 0)
+	return ctl
+}
+
 func TestSingleReadLatency(t *testing.T) {
-	var eng sim.Engine
-	ctl := NewController(&eng, ddr4(1), FRFCFS)
-	var done sim.Time
-	ctl.Submit(&Request{Addr: 0, Arrive: 0, Done: func(at sim.Time) { done = at }})
-	eng.Run()
+	ctl := drainCold(Request{Addr: 0})
 	// Cold access: ACT + tRCD + tCL + tBL = (16+16+4)*857ps ~ 30.9 ns.
 	want := sim.Time(36 * 857)
-	if done != want {
+	if done := ctl.Stats.LastFinish; done != want {
 		t.Errorf("cold read completes at %d ps, want %d", done, want)
 	}
 	if ctl.Stats.Commands.Act != 1 || ctl.Stats.Commands.Rd != 1 {
@@ -67,13 +75,7 @@ func TestSingleReadLatency(t *testing.T) {
 
 func TestRowHitFasterThanConflict(t *testing.T) {
 	run := func(second uint64) sim.Time {
-		var eng sim.Engine
-		ctl := NewController(&eng, ddr4(1), FRFCFS)
-		var last sim.Time
-		ctl.Submit(&Request{Addr: 0, Arrive: 0})
-		ctl.Submit(&Request{Addr: second, Arrive: 0, Done: func(at sim.Time) { last = at }})
-		eng.Run()
-		return last
+		return drainCold(Request{Addr: 0}, Request{Addr: second}).Stats.LastFinish
 	}
 	hit := run(64)           // same row, next line
 	conflict := run(1 << 24) // same bank, different row
@@ -170,8 +172,7 @@ func TestCommandAccounting(t *testing.T) {
 }
 
 func TestAddrMappingStripesChannels(t *testing.T) {
-	var eng sim.Engine
-	ctl := NewController(&eng, ddr4(4), FRFCFS)
+	ctl := NewController(ddr4(4), FRFCFS)
 	seen := map[int]bool{}
 	for i := uint64(0); i < 16; i++ {
 		ch, _, _ := ctl.mapAddr(i * 64)
@@ -197,25 +198,4 @@ func TestLatencyModel(t *testing.T) {
 	if m.SustainableBW() <= 0.5*m.PeakBW {
 		t.Errorf("sustainable BW = %v of peak %v", m.SustainableBW(), m.PeakBW)
 	}
-}
-
-func BenchmarkControllerStreaming(b *testing.B) {
-	cfg := ddr4(4)
-	var eng sim.Engine
-	ctl := NewController(&eng, cfg, FRFCFS)
-	src := NewStreamSource()
-	gap := sim.FromSeconds(64 / cfg.PeakBandwidth())
-	t := sim.Time(0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		addr, w := src.Next()
-		t += gap
-		if t < eng.Now() {
-			t = eng.Now()
-		}
-		eng.At(t, func(sim.Time) { ctl.Submit(&Request{Addr: addr, Write: w, Arrive: t}) })
-		eng.RunUntil(t)
-	}
-	eng.Run()
 }

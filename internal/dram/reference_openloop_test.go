@@ -7,27 +7,70 @@ import (
 	"musa/internal/xrand"
 )
 
-// referenceRunOpenLoop is RunOpenLoop as it stood while it still drove the
-// controller through a sim.Engine: one pre-scheduled submit event per burst,
-// Controller.Submit/kick scheduling an After(0) pass per touched channel. The
-// body is kept verbatim; it is the oracle the differential and fuzz tests
-// below compare the engine-free RunOpenLoop against, field for field.
+// calendar is the oracle's event list: a slice kept in scheduling order, so
+// the first entry of the least time is also the earliest scheduled and
+// same-time events fire FIFO.
+type calendar struct {
+	now     sim.Time
+	pending []timedCall
+}
+
+type timedCall struct {
+	when sim.Time
+	fn   func(now sim.Time)
+}
+
+func (c *calendar) at(t sim.Time, fn func(now sim.Time)) {
+	c.pending = append(c.pending, timedCall{t, fn})
+}
+
+// run fires events in time order until none is pending.
+func (c *calendar) run() {
+	for len(c.pending) > 0 {
+		least := 0
+		for i, e := range c.pending {
+			if e.when < c.pending[least].when {
+				least = i
+			}
+		}
+		e := c.pending[least]
+		c.pending = append(c.pending[:least], c.pending[least+1:]...)
+		c.now = e.when
+		e.fn(c.now)
+	}
+}
+
+// referenceRunOpenLoop is the event-driven RunOpenLoop: one pre-scheduled
+// submit event per burst, each submit queueing its request and scheduling a
+// same-instant drain pass for the channel unless one is already pending. It
+// is the oracle the differential and fuzz tests below compare RunOpenLoop's
+// slab walk against, field for field.
 func referenceRunOpenLoop(cfg Config, policy SchedPolicy, offeredBW float64, src AddrSource, n int, seed uint64) OpenLoopResult {
-	var eng sim.Engine
-	ctl := NewController(&eng, cfg, policy)
+	var cal calendar
+	ctl := NewController(cfg, policy)
 	rng := xrand.New(seed)
+	submit := func(req *Request) {
+		chIdx, _, _ := ctl.mapAddr(req.Addr)
+		ch := ctl.channels[chIdx]
+		ch.queue = append(ch.queue, req)
+		if ch.scheduling {
+			return
+		}
+		ch.scheduling = true
+		cal.at(cal.now, func(now sim.Time) {
+			ch.scheduling = false
+			ctl.drain(ch, now)
+		})
+	}
 
 	const burst = 4
 	lineBytes := 64.0
 	meanGap := lineBytes * burst / offeredBW // seconds between bursts
 
-	// Requests come from one slab and each burst shares one engine event
-	// that submits it in order. The engine fires same-time events FIFO, so
-	// one event doing four Submits is behaviorally identical to four
-	// same-time events doing one each — it just costs a quarter of the heap
-	// traffic and closures. No request carries a Done callback: every number
-	// reported below is accumulated by the controller at issue time, so
-	// completion events would only be popped and dropped.
+	// Requests come from one slab and each burst shares one event that
+	// submits it in order: same-time events fire FIFO, so one event doing
+	// four submits is behaviorally identical to four same-time events doing
+	// one each.
 	reqs := make([]Request, n)
 	t := sim.Time(0)
 	for i := 0; i < n; i += burst {
@@ -38,13 +81,13 @@ func referenceRunOpenLoop(cfg Config, policy SchedPolicy, offeredBW float64, src
 			reqs[j] = Request{Addr: addr, Write: write, Arrive: t}
 		}
 		b := reqs[i:hi]
-		eng.At(t, func(sim.Time) {
+		cal.at(t, func(sim.Time) {
 			for k := range b {
-				ctl.Submit(&b[k])
+				submit(&b[k])
 			}
 		})
 	}
-	eng.Run()
+	cal.run()
 
 	res := OpenLoopResult{
 		Stats:      ctl.Stats,

@@ -39,11 +39,11 @@ type OpenLoopResult struct {
 // small bursts (burst size 4) to mimic the miss clusters an out-of-order
 // core produces, which also gives the FR-FCFS scheduler real choices.
 //
-// It runs without an event engine: no request carries a Done callback and
-// drain issues a whole queue at the instant it runs, so no event would
-// outlive the instant that created it and the request slab is the calendar.
+// No event engine is involved: drain issues a whole queue at the instant it
+// runs, so nothing outlives the instant that created it and the request slab
+// is the calendar.
 func RunOpenLoop(cfg Config, policy SchedPolicy, offeredBW float64, src AddrSource, n int, seed uint64) OpenLoopResult {
-	ctl := NewController(nil, cfg, policy)
+	ctl := NewController(cfg, policy)
 	rng := xrand.New(seed)
 
 	const burst = 4
@@ -58,10 +58,11 @@ func RunOpenLoop(cfg Config, policy SchedPolicy, offeredBW float64, src AddrSour
 		}
 	}
 
-	// One instant at a time, in the order an engine would fire it: first every
-	// request of the instant is queued (bursts whose gap truncated to 0 ps
-	// meet in the queues, as submit events precede the passes they schedule),
-	// then each touched channel drains, channels in first-touch order.
+	// One instant at a time, in event-list order (referenceRunOpenLoop is the
+	// event-driven oracle): first every request of the instant is queued
+	// (bursts whose gap truncated to 0 ps meet in the queues, as submit events
+	// precede the passes they schedule), then each touched channel drains,
+	// channels in first-touch order.
 	touched := make([]*channel, 0, cfg.Channels)
 	for i := 0; i < n; {
 		now := reqs[i].Arrive
@@ -94,7 +95,7 @@ func RunOpenLoop(cfg Config, policy SchedPolicy, offeredBW float64, src AddrSour
 // LatencyModel captures effective memory latency as a function of offered
 // load for one (memory config, locality) pair. The node simulator resolves
 // its bandwidth-contention fixed point against this curve instead of
-// re-running the event-driven model inside every iteration.
+// re-running the open-loop model inside every iteration.
 type LatencyModel struct {
 	PeakBW      float64   // bytes/second
 	Points      []float64 // utilization sample points (0..1)

@@ -1,8 +1,9 @@
 // Package dram implements the external memory simulator of the toolflow
 // (the paper integrates Ramulator): a bank-level DDR4/HBM timing model with
-// an FR-FCFS controller per channel, driven by the discrete-event kernel.
-// It reports request latencies, achieved bandwidth, and the command counts
-// that the power package (DRAMPower substitute) converts into energy.
+// an FR-FCFS controller per channel that computes each request's command
+// schedule analytically. It reports request latencies, achieved bandwidth,
+// and the command counts that the power package (DRAMPower substitute)
+// converts into energy.
 package dram
 
 import "fmt"

@@ -241,20 +241,3 @@ func Figure1(d *Dataset) []Fig1Row {
 	}
 	return out
 }
-
-// BestConfig returns the fastest measurement for an application under the
-// given filter (nil = no filter).
-func BestConfig(d *Dataset, app string, filter func(ArchPoint) bool) (Measurement, bool) {
-	var best Measurement
-	found := false
-	for _, m := range d.ByApp(app) {
-		if filter != nil && !filter(m.Arch) {
-			continue
-		}
-		if !found || m.TimeNs < best.TimeNs {
-			best = m
-			found = true
-		}
-	}
-	return best, found
-}

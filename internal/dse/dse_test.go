@@ -233,25 +233,6 @@ func TestRunDeterministic(t *testing.T) {
 	}
 }
 
-func TestBestConfig(t *testing.T) {
-	d := Run(context.Background(), testOpts())
-	best, ok := BestConfig(d, "spmz", func(a ArchPoint) bool { return a.Cores == 64 })
-	if !ok {
-		t.Fatal("no best config")
-	}
-	if best.Arch.Cores != 64 {
-		t.Error("filter ignored")
-	}
-	for _, m := range d.ByApp("spmz") {
-		if m.Arch.Cores == 64 && m.TimeNs < best.TimeNs {
-			t.Error("best is not minimal")
-		}
-	}
-	if _, ok := BestConfig(d, "nope", nil); ok {
-		t.Error("found best for unknown app")
-	}
-}
-
 func TestPCAFor(t *testing.T) {
 	d := Run(context.Background(), testOpts())
 	res, err := PCAFor(d, "lulesh")

@@ -53,7 +53,7 @@ func TestL3PartitionRounding(t *testing.T) {
 			cfg := baseCfg()
 			cfg.Cores = cores
 			cfg.L3MBTotal = l3
-			h := HierarchyForTest(cfg, 60) // panics on invalid config
+			h := cfg.hierarchy(60) // panics on invalid config
 			if h == nil {
 				t.Fatal("nil hierarchy")
 			}

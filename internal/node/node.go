@@ -644,11 +644,6 @@ func scheduleActiveCores(scheds []rts.Schedule, durs []float64) float64 {
 	return busyNs / totalNs
 }
 
-// HierarchyForTest exposes hierarchy construction for debugging and tests.
-func HierarchyForTest(cfg Config, memLatNs float64) *cache.Hierarchy {
-	return cfg.hierarchy(memLatNs)
-}
-
 // dramVisibleProfile filters an application's locality profile down to the
 // regions whose accesses actually reach DRAM (footprints beyond the on-chip
 // caches), so the load-latency curve reflects the post-cache address mix

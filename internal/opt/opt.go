@@ -201,19 +201,3 @@ func Schedule(n, eta, maxRungs, finalists int) []Rung {
 	}
 	return out
 }
-
-// Cost sums the ladder's probe cost in full-fidelity grid-point
-// equivalents (candidates x fraction per rung, with fractions floored at
-// minFraction — the MinSample floor expressed as a fraction of full
-// fidelity). Dividing by n gives the cost ratio vs the exhaustive grid.
-func Cost(ladder []Rung, minFraction float64) float64 {
-	var total float64
-	for _, r := range ladder {
-		f := r.Fraction
-		if f < minFraction {
-			f = minFraction
-		}
-		total += float64(r.Candidates) * f
-	}
-	return total
-}

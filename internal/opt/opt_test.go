@@ -128,7 +128,11 @@ func TestScheduleCostBound(t *testing.T) {
 	for _, n := range []int{48, 96, 200, 864} {
 		for _, eta := range []int{3, 4} {
 			ladder := Schedule(n, eta, 0, 4)
-			ratio := Cost(ladder, 0.05) / float64(n)
+			var cost float64 // in full-fidelity grid-point equivalents
+			for _, r := range ladder {
+				cost += float64(r.Candidates) * max(r.Fraction, 0.05)
+			}
+			ratio := cost / float64(n)
 			if ratio > 0.25 {
 				t.Errorf("n=%d eta=%d: cost ratio %.3f > 0.25", n, eta, ratio)
 			}

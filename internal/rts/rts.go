@@ -1,6 +1,5 @@
 // Package rts simulates the node-level runtime system (the OmpSs/OpenMP
-// layer of MUSA): task graphs with dependencies, parallel-for chunking,
-// critical sections, and the task schedulers that place task instances on
+// layer of MUSA): task graphs with dependencies, critical sections, and the task schedulers that place task instances on
 // simulated cores. Burst-mode simulation (paper §V-A) replays a region's
 // task graph over N threads with durations taken from the trace; detailed
 // mode rescales durations with the core model's results first.
@@ -10,12 +9,7 @@
 // HYDRO scheduling bottleneck above 2.5 GHz (Fig. 9a).
 package rts
 
-import (
-	"fmt"
-	"math"
-
-	"musa/internal/xrand"
-)
+import "fmt"
 
 // Task is one runtime task instance.
 type Task struct {
@@ -59,40 +53,6 @@ func (r Region) Validate() error {
 		}
 	}
 	return nil
-}
-
-// ParallelFor builds a Region for a classic worksharing loop: iters
-// iterations of iterNs each, split into chunks of chunkIters. Imbalance
-// (coefficient of variation) perturbs chunk durations log-normally, seeded
-// deterministically. This implements the "support for OpenMP parallel for
-// constructs" extension of the paper (§III).
-func ParallelFor(name string, iters int, iterNs float64, chunkIters int, imbalanceCV float64, seed uint64) Region {
-	if chunkIters <= 0 {
-		chunkIters = 1
-	}
-	rng := xrand.New(seed)
-	var tasks []Task
-	for start := 0; start < iters; start += chunkIters {
-		n := chunkIters
-		if start+n > iters {
-			n = iters - start
-		}
-		dur := float64(n) * iterNs
-		if imbalanceCV > 0 {
-			dur *= lognormalFactor(rng, imbalanceCV)
-		}
-		tasks = append(tasks, Task{ID: len(tasks), DurationNs: dur})
-	}
-	return Region{Name: name, Tasks: tasks}
-}
-
-// lognormalFactor returns a multiplicative factor with mean 1 and the given
-// coefficient of variation.
-func lognormalFactor(rng *xrand.RNG, cv float64) float64 {
-	// For lognormal: cv^2 = exp(sigma^2)-1; mean=1 requires mu = -sigma^2/2.
-	sigma2 := math.Log1p(cv * cv)
-	mu := -sigma2 / 2
-	return rng.LogNormal(mu, math.Sqrt(sigma2))
 }
 
 // Schedule is the outcome of simulating one region on a thread pool.

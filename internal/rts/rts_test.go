@@ -16,6 +16,18 @@ func flat(n int, durNs float64) Region {
 	return Region{Name: "flat", Tasks: tasks}
 }
 
+// skewed is flat with every duration scaled by a mean-one log-normal factor
+// of the given coefficient of variation.
+func skewed(n int, durNs, cv float64, seed uint64) Region {
+	rng := rand.New(rand.NewSource(int64(seed)))
+	r := flat(n, durNs)
+	sigma2 := math.Log1p(cv * cv)
+	for i := range r.Tasks {
+		r.Tasks[i].DurationNs *= math.Exp(-sigma2/2 + math.Sqrt(sigma2)*rng.NormFloat64())
+	}
+	return r
+}
+
 func TestValidate(t *testing.T) {
 	ok := flat(4, 10)
 	if err := ok.Validate(); err != nil {
@@ -162,35 +174,12 @@ func TestCriticalSectionSerializes(t *testing.T) {
 
 func TestImbalanceHurtsEfficiency(t *testing.T) {
 	// LULESH mechanism: unbalanced chunks leave threads idle at the barrier.
-	bal := ParallelFor("bal", 6400, 100, 100, 0, 1)
-	imb := ParallelFor("imb", 6400, 100, 100, 0.5, 1)
+	bal := flat(64, 10000)
+	imb := skewed(64, 10000, 0.5, 1)
 	sb := Simulate(bal, Options{Threads: 64})
 	si := Simulate(imb, Options{Threads: 64})
 	if si.ParallelEfficiency() >= sb.ParallelEfficiency() {
 		t.Errorf("imbalance did not hurt: %v vs %v", si.ParallelEfficiency(), sb.ParallelEfficiency())
-	}
-}
-
-func TestParallelForChunking(t *testing.T) {
-	r := ParallelFor("pf", 1000, 10, 128, 0, 1)
-	if len(r.Tasks) != 8 { // ceil(1000/128)
-		t.Errorf("chunks = %d, want 8", len(r.Tasks))
-	}
-	if math.Abs(r.TotalWorkNs()-10000) > 1e-9 {
-		t.Errorf("total work = %v, want 10000", r.TotalWorkNs())
-	}
-	// Last chunk is the remainder.
-	last := r.Tasks[len(r.Tasks)-1]
-	if math.Abs(last.DurationNs-(1000-7*128)*10) > 1e-9 {
-		t.Errorf("last chunk = %v", last.DurationNs)
-	}
-}
-
-func TestParallelForImbalancePreservesMeanWork(t *testing.T) {
-	r := ParallelFor("pf", 64000, 100, 100, 0.3, 7)
-	want := 6400000.0
-	if math.Abs(r.TotalWorkNs()-want)/want > 0.05 {
-		t.Errorf("imbalanced work = %v, want ~%v", r.TotalWorkNs(), want)
 	}
 }
 
@@ -199,7 +188,7 @@ func TestWorkConservation(t *testing.T) {
 	f := func(seed uint64) bool {
 		nTasks := int(seed%50) + 1
 		threads := int(seed%7) + 1
-		r := ParallelFor("p", nTasks*10, 50, 10, 0.4, seed)
+		r := skewed(nTasks, 500, 0.4, seed)
 		s := Simulate(r, Options{Threads: threads})
 		var busy float64
 		for _, b := range s.ThreadBusyNs {
@@ -217,7 +206,7 @@ func TestMakespanLowerBounds(t *testing.T) {
 	f := func(seed uint64) bool {
 		nTasks := int(seed%64) + 1
 		threads := int(seed%15) + 1
-		r := ParallelFor("p", nTasks*8, 60, 8, 0.6, seed^0xabc)
+		r := skewed(nTasks, 480, 0.6, seed^0xabc)
 		s := Simulate(r, Options{Threads: threads})
 		var longest float64
 		for _, task := range r.Tasks {
@@ -282,7 +271,7 @@ func TestMinQueuePopsInOrder(t *testing.T) {
 // bookkeeping slices: nothing per task dispatched. A dependency-free region
 // (all the application models produce) needs nine.
 func TestSimulateAllocations(t *testing.T) {
-	r := ParallelFor("allocs", 4000, 100, 10, 0.3, 1)
+	r := skewed(400, 1000, 0.3, 1)
 	opts := Options{Threads: 64, DispatchNs: 50, Policy: FIFOCentral}
 	if allocs := testing.AllocsPerRun(10, func() { Simulate(r, opts) }); allocs > 10 {
 		t.Errorf("%v allocations for %d tasks, want at most 10", allocs, len(r.Tasks))
@@ -290,7 +279,7 @@ func TestSimulateAllocations(t *testing.T) {
 }
 
 func BenchmarkSimulate(b *testing.B) {
-	r := ParallelFor("bench", 64000, 100, 100, 0.3, 1)
+	r := skewed(640, 10000, 0.3, 1)
 	opts := Options{Threads: 64, DispatchNs: 50, Policy: FIFOCentral}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -184,34 +184,58 @@ func readBounded(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	return body, true
 }
 
-// readExperiment reads the experiment an endpoint was POSTed and forces the
-// endpoint's kind onto it. The raw body comes back too: /simulate forwards
-// it byte for byte, the streaming routes read their control fields from it.
-// On ok false the error reply has been written.
-func readExperiment(w http.ResponseWriter, r *http.Request, kind musa.Kind) (e musa.Experiment, body []byte, ok bool) {
+// request is the wire form of a POST body: the experiment, the
+// stream-control fields that ride beside it on /dse and /optimize, and the
+// retired nested "replay" member, decoded only so that it can be refused.
+type request struct {
+	musa.Experiment
+	ProgressEvery int `json:"progressEvery"`
+	// Summary suppresses per-measurement output in /dse's final event.
+	Summary bool            `json:"summary"`
+	Replay  json.RawMessage `json:"replay"`
+}
+
+// decodeRequest decodes the body an endpoint was POSTed and forces the
+// endpoint's kind onto the experiment. A "replay" member is refused, not
+// dropped: ignoring {"replay":{"disable":true}} would run the replay the
+// caller turned off.
+func decodeRequest(body []byte, path string, kind musa.Kind) (request, error) {
+	var req request
+	if err := json.Unmarshal(body, &req); err != nil {
+		return req, err
+	}
+	if req.Replay != nil {
+		return req, fmt.Errorf("%w: the \"replay\" member is retired; spell it replayRanks / noReplay / network", musa.ErrExperiment)
+	}
+	if req.Kind != "" && req.Kind != kind {
+		return req, fmt.Errorf("%w: %s runs %q experiments, got %q", musa.ErrBadKind, path, kind, req.Kind)
+	}
+	req.Kind = kind
+	return req, nil
+}
+
+// readExperiment reads and decodes the request an endpoint was POSTed. The
+// raw body comes back too: /simulate forwards it byte for byte. On ok false
+// the error reply has been written.
+func readExperiment(w http.ResponseWriter, r *http.Request, kind musa.Kind) (req request, body []byte, ok bool) {
 	if body, ok = readBounded(w, r); !ok {
-		return e, nil, false
+		return req, nil, false
 	}
-	if err := json.Unmarshal(body, &e); err != nil {
+	req, err := decodeRequest(body, r.URL.Path, kind)
+	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
-		return e, nil, false
+		return req, nil, false
 	}
-	if e.Kind != "" && e.Kind != kind {
-		httpError(w, http.StatusBadRequest,
-			fmt.Errorf("%w: %s runs %q experiments, got %q", musa.ErrBadKind, r.URL.Path, kind, e.Kind))
-		return e, nil, false
-	}
-	e.Kind = kind
-	return e, body, true
+	return req, body, true
 }
 
 func (s *Service) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	e, body, ok := readExperiment(w, r, musa.KindNode)
-	if !ok || s.routeSimulate(w, r, e, body) {
+	req, body, ok := readExperiment(w, r, musa.KindNode)
+	if !ok || s.routeSimulate(w, r, req.Experiment, body) {
 		return
 	}
 	start := time.Now()
-	res, err := s.c.Run(r.Context(), e)
+	res, err := s.c.Run(r.Context(), req.Experiment)
 	if err != nil {
 		httpError(w, experimentStatus(err), err)
 		return
@@ -275,84 +299,21 @@ func ndjsonStream(w http.ResponseWriter, r *http.Request) (emit func(v any)) {
 	}
 }
 
-func (s *Service) handleDSE(w http.ResponseWriter, r *http.Request) {
-	e, body, ok := readExperiment(w, r, musa.KindSweep)
+// stream runs an NDJSON route: cumulative progress events while the
+// experiment runs, one "rung" event per completed optimize ladder level, then
+// the "result" event built from final's members, or an "error" event. The
+// request is validated before the 200 commits the stream: a malformed one
+// must fail with a plain 400, not a mid-stream error event.
+func (s *Service) stream(w http.ResponseWriter, r *http.Request, kind musa.Kind, final func(req request, res *musa.Result) map[string]any) {
+	req, _, ok := readExperiment(w, r, kind)
 	if !ok {
 		return
 	}
-	// Stream-control fields ride alongside the experiment on the wire.
-	var ctl struct {
-		ProgressEvery int `json:"progressEvery"`
-		// Summary suppresses per-measurement output in the final event.
-		Summary bool `json:"summary"`
-	}
-	if err := json.Unmarshal(body, &ctl); err != nil {
+	if err := req.Validate(); err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	// Validate before committing to the 200 NDJSON stream: a malformed
-	// request must fail with a plain 400, not a mid-stream error event.
-	if err := e.Validate(); err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	every := ctl.ProgressEvery
-	if every <= 0 {
-		every = 50
-	}
-
-	// Progress events while the sweep runs, result last.
-	emit := ndjsonStream(w, r)
-
-	start := time.Now()
-	var done, total, cached int
-	res, err := s.c.RunStream(r.Context(), e, musa.Observer{
-		Progress: func(d, t, c int) {
-			done, total, cached = d, t, c
-			if d%every == 0 || d == t {
-				emit(map[string]any{"type": "progress", "done": d, "total": t, "cached": c})
-			}
-		},
-	})
-	if err != nil {
-		emit(map[string]any{"type": "error", "error": err.Error(),
-			"done": done, "total": total, "cached": cached})
-		return
-	}
-	out := map[string]any{
-		"type":      "result",
-		"count":     len(res.Sweep.Measurements),
-		"cached":    cached,
-		"elapsedMs": float64(time.Since(start).Microseconds()) / 1e3,
-	}
-	if !ctl.Summary {
-		out["measurements"] = res.Sweep.Measurements
-	}
-	emit(out)
-}
-
-// handleOptimize runs a successive-halving search and streams its life as
-// NDJSON: cumulative probe progress, one "rung" event per completed ladder
-// level, then the "result" event carrying the full OptimizeResult (Pareto
-// frontier, recommendation, cost accounting). Like /dse, the request is
-// validated before the 200 status commits the stream.
-func (s *Service) handleOptimize(w http.ResponseWriter, r *http.Request) {
-	e, body, ok := readExperiment(w, r, musa.KindOptimize)
-	if !ok {
-		return
-	}
-	var ctl struct {
-		ProgressEvery int `json:"progressEvery"`
-	}
-	if err := json.Unmarshal(body, &ctl); err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	if err := e.Validate(); err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	every := ctl.ProgressEvery
+	every := req.ProgressEvery
 	if every <= 0 {
 		every = 50
 	}
@@ -361,7 +322,7 @@ func (s *Service) handleOptimize(w http.ResponseWriter, r *http.Request) {
 
 	start := time.Now()
 	var done, total, cached int
-	res, err := s.c.RunStream(r.Context(), e, musa.Observer{
+	res, err := s.c.RunStream(r.Context(), req.Experiment, musa.Observer{
 		Progress: func(d, t, c int) {
 			done, total, cached = d, t, c
 			if d%every == 0 || d == t {
@@ -377,11 +338,29 @@ func (s *Service) handleOptimize(w http.ResponseWriter, r *http.Request) {
 			"done": done, "total": total, "cached": cached})
 		return
 	}
-	emit(map[string]any{
-		"type":      "result",
-		"optimize":  res.Optimize,
-		"cached":    cached,
-		"elapsedMs": float64(time.Since(start).Microseconds()) / 1e3,
+	out := final(req, res)
+	out["type"] = "result"
+	out["cached"] = cached
+	out["elapsedMs"] = float64(time.Since(start).Microseconds()) / 1e3
+	emit(out)
+}
+
+func (s *Service) handleDSE(w http.ResponseWriter, r *http.Request) {
+	s.stream(w, r, musa.KindSweep, func(req request, res *musa.Result) map[string]any {
+		out := map[string]any{"count": len(res.Sweep.Measurements)}
+		if !req.Summary {
+			out["measurements"] = res.Sweep.Measurements
+		}
+		return out
+	})
+}
+
+// handleOptimize runs a successive-halving search; its "result" event
+// carries the full OptimizeResult (Pareto frontier, recommendation, cost
+// accounting).
+func (s *Service) handleOptimize(w http.ResponseWriter, r *http.Request) {
+	s.stream(w, r, musa.KindOptimize, func(_ request, res *musa.Result) map[string]any {
+		return map[string]any{"optimize": res.Optimize}
 	})
 }
 
@@ -392,13 +371,13 @@ func (s *Service) handleOptimize(w http.ResponseWriter, r *http.Request) {
 // Execution goes through the same Client as every other endpoint, so shards
 // hit this worker's store and coalesce with its in-flight work.
 func (s *Service) handleShard(w http.ResponseWriter, r *http.Request) {
-	e, _, ok := readExperiment(w, r, musa.KindSweep)
+	req, _, ok := readExperiment(w, r, musa.KindSweep)
 	if !ok {
 		return
 	}
 	start := time.Now()
 	var cached int
-	res, err := s.c.RunStream(r.Context(), e, musa.Observer{
+	res, err := s.c.RunStream(r.Context(), req.Experiment, musa.Observer{
 		Progress: func(d, t, c int) { cached = c },
 	})
 	if err != nil {

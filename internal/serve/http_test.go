@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -277,6 +278,46 @@ func TestSimulateEndpointRejectsBadRequests(t *testing.T) {
 		if code := postJSON(t, ts.URL+"/simulate", body, nil); code != http.StatusBadRequest {
 			t.Errorf("POST /simulate %s -> %d, want 400", body, code)
 		}
+	}
+}
+
+// TestReplayMemberRefused pins the retired nested spelling as an explicit
+// 400 on every POST route: dropping {"replay":{"disable":true}} silently
+// would run the replay the caller turned off. The check reads members, so an
+// application named "replay" is refused for what it is.
+func TestReplayMemberRefused(t *testing.T) {
+	ts, _ := testServer(t)
+	kinds := map[string]musa.Kind{
+		"/simulate": musa.KindNode, "/dse": musa.KindSweep,
+		"/optimize": musa.KindOptimize, "/shard": musa.KindSweep,
+	}
+	for path, kind := range kinds {
+		for _, body := range []string{
+			`{"replay":{"disable":true}}`,
+			`{"replay":null}`,
+			`{"app":"lulesh","pointIndices":[0],"noReplay":true,"replay":{"disable":true}}`,
+		} {
+			var reply struct{ Error string }
+			if code := postJSON(t, ts.URL+path, body, &reply); code != http.StatusBadRequest {
+				t.Errorf("POST %s %s -> %d, want 400", path, body, code)
+			}
+			if !strings.Contains(reply.Error, `"replay" member`) {
+				t.Errorf("POST %s %s: error %q does not name the member", path, body, reply.Error)
+			}
+			if _, err := decodeRequest([]byte(body), path, kind); !errors.Is(err, musa.ErrExperiment) {
+				t.Errorf("%s %s: error %v does not wrap ErrExperiment", path, body, err)
+			}
+		}
+	}
+
+	const named = `{"app":"replay","pointIndex":0}`
+	if _, err := decodeRequest([]byte(named), "/simulate", musa.KindNode); err != nil {
+		t.Fatalf("an application named replay refused at decode: %v", err)
+	}
+	var reply struct{ Error string }
+	if code := postJSON(t, ts.URL+"/simulate", named, &reply); code != http.StatusBadRequest ||
+		!strings.Contains(reply.Error, "unknown application") {
+		t.Errorf("POST /simulate %s -> %d %q, want 400 unknown application", named, code, reply.Error)
 	}
 }
 

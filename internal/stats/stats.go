@@ -6,7 +6,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Mean returns the arithmetic mean of xs. It returns NaN for empty input.
@@ -38,21 +37,6 @@ func Variance(xs []float64) float64 {
 // StdDev returns the population standard deviation of xs.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
-// GeoMean returns the geometric mean of xs; all values must be positive.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	var s float64
-	for _, x := range xs {
-		if x <= 0 {
-			return math.NaN()
-		}
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(xs)))
-}
-
 // Min returns the minimum of xs; NaN for empty input.
 func Min(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -79,30 +63,6 @@ func Max(xs []float64) float64 {
 		}
 	}
 	return m
-}
-
-// Percentile returns the p-th percentile (0..100) of xs using linear
-// interpolation between closest ranks. xs need not be sorted.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
 // Standardize returns (xs - mean) / stddev. If stddev is zero the centered
@@ -132,47 +92,6 @@ func Covariance(xs, ys []float64) float64 {
 		s += (xs[i] - mx) * (ys[i] - my)
 	}
 	return s / float64(len(xs))
-}
-
-// Correlation returns the Pearson correlation coefficient of xs and ys.
-func Correlation(xs, ys []float64) float64 {
-	sx, sy := StdDev(xs), StdDev(ys)
-	if sx == 0 || sy == 0 {
-		return 0
-	}
-	return Covariance(xs, ys) / (sx * sy)
-}
-
-// Histogram bins xs into n equal-width buckets spanning [min, max] and
-// returns the bucket counts together with the bucket edges (n+1 values).
-func Histogram(xs []float64, n int) (counts []int, edges []float64) {
-	if n <= 0 {
-		panic("stats: Histogram needs n > 0")
-	}
-	counts = make([]int, n)
-	edges = make([]float64, n+1)
-	if len(xs) == 0 {
-		return counts, edges
-	}
-	lo, hi := Min(xs), Max(xs)
-	if hi == lo {
-		hi = lo + 1
-	}
-	w := (hi - lo) / float64(n)
-	for i := range edges {
-		edges[i] = lo + float64(i)*w
-	}
-	for _, x := range xs {
-		b := int((x - lo) / w)
-		if b >= n {
-			b = n - 1
-		}
-		if b < 0 {
-			b = 0
-		}
-		counts[b]++
-	}
-	return counts, edges
 }
 
 // Summary holds the summary statistics reported in the DSE result tables.

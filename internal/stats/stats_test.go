@@ -29,31 +29,10 @@ func TestEmptyInputs(t *testing.T) {
 	}
 }
 
-func TestGeoMean(t *testing.T) {
-	if g := GeoMean([]float64{1, 4, 16}); !almost(g, 4, 1e-12) {
-		t.Errorf("GeoMean = %v, want 4", g)
-	}
-	if !math.IsNaN(GeoMean([]float64{1, -1})) {
-		t.Error("GeoMean of non-positive input should be NaN")
-	}
-}
-
 func TestMinMax(t *testing.T) {
 	xs := []float64{3, -1, 7, 2}
 	if Min(xs) != -1 || Max(xs) != 7 {
 		t.Errorf("Min/Max = %v/%v", Min(xs), Max(xs))
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	cases := []struct{ p, want float64 }{
-		{0, 1}, {25, 2}, {50, 3}, {75, 4}, {100, 5}, {-5, 1}, {110, 5},
-	}
-	for _, c := range cases {
-		if got := Percentile(xs, c.p); !almost(got, c.want, 1e-12) {
-			t.Errorf("Percentile(%v) = %v, want %v", c.p, got, c.want)
-		}
 	}
 }
 
@@ -75,35 +54,15 @@ func TestStandardize(t *testing.T) {
 	}
 }
 
-func TestCovarianceCorrelation(t *testing.T) {
+func TestCovariance(t *testing.T) {
 	xs := []float64{1, 2, 3, 4}
-	ys := []float64{2, 4, 6, 8}
-	if c := Correlation(xs, ys); !almost(c, 1, 1e-12) {
-		t.Errorf("Correlation = %v, want 1", c)
-	}
-	neg := []float64{8, 6, 4, 2}
-	if c := Correlation(xs, neg); !almost(c, -1, 1e-12) {
-		t.Errorf("Correlation = %v, want -1", c)
-	}
-	if c := Correlation(xs, []float64{5, 5, 5, 5}); c != 0 {
-		t.Errorf("Correlation with constant = %v, want 0", c)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	counts, edges := Histogram([]float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, 5)
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	if total != 10 {
-		t.Errorf("histogram dropped values: %v", counts)
-	}
-	if len(edges) != 6 {
-		t.Errorf("edges = %v", edges)
-	}
-	if edges[0] != 0 || edges[5] != 9 {
-		t.Errorf("edge range = [%v,%v]", edges[0], edges[5])
+	for _, c := range []struct {
+		ys   []float64
+		want float64
+	}{{[]float64{2, 4, 6, 8}, 2.5}, {[]float64{8, 6, 4, 2}, -2.5}, {[]float64{5, 5, 5, 5}, 0}} {
+		if got := Covariance(xs, c.ys); !almost(got, c.want, 1e-12) {
+			t.Errorf("Covariance(%v, %v) = %v, want %v", xs, c.ys, got, c.want)
+		}
 	}
 }
 

@@ -109,23 +109,3 @@ func (r *RNG) Geometric(p float64) int {
 	}
 	return int(math.Log(1-r.Float64()) / math.Log(1-p))
 }
-
-// Perm returns a random permutation of [0, n) (Fisher-Yates).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
-// Shuffle permutes the n elements addressed by swap in place.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		swap(i, r.Intn(i+1))
-	}
-}

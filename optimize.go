@@ -5,22 +5,6 @@ import (
 	"slices"
 )
 
-// ReplaySpec is the nested replay sub-spec of an Experiment: the
-// cluster-replay rank counts, the disable switch and the interconnect
-// scenario in one typed group. It is the preferred spelling of the
-// legacy flat fields (ReplayRanks, NoReplay, Network), which remain as
-// aliases; Normalize keeps both in sync and the canonical encoding is
-// identical either way.
-type ReplaySpec struct {
-	// Ranks are the cluster-replay rank counts (nil = 64 and 256; an
-	// explicit empty list means node-only, like Disable).
-	Ranks []int `json:"ranks,omitempty"`
-	// Disable turns the cluster replay stage off.
-	Disable bool `json:"disable,omitempty"`
-	// Network names the interconnect scenario ("" = "mn4").
-	Network string `json:"network,omitempty"`
-}
-
 // Objective names accepted by OptimizeSpec.Objectives. All are minimized.
 const (
 	// ObjectiveTime is node compute time (Measurement.TimeNs).

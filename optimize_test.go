@@ -289,7 +289,7 @@ func TestSnapshotCoherence(t *testing.T) {
 // BenchmarkOptimizeReference times the reference successive-halving search
 // cold (fresh store and artifact cache every iteration) and reports the
 // probe-cost ratio as a custom metric; musa-benchgate carries it into
-// BENCH_9.json as an informational (never gated) number.
+// BENCH.json as an informational (never gated) number.
 func BenchmarkOptimizeReference(b *testing.B) {
 	exp, _ := loadOptimizeReference(b)
 	for i := 0; i < b.N; i++ {
