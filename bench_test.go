@@ -7,6 +7,13 @@
 // Absolute numbers are not expected to match the paper (our substrate is a
 // synthetic-workload simulator, not the BSC toolchain); the comparisons to
 // check are the shapes recorded in EXPERIMENTS.md.
+//
+// Nothing here is gated and no file records these timings. How fast a sweep
+// or a request runs is measured by benchmark/ (BENCHMARK.json's workloads)
+// and held parent-against-change by scripts/benchpair.sh; the ablation and
+// store / key micro benchmarks below are readings for whoever is working on
+// that layer. The one stable number among them, allocations per key, is a
+// test (TestExperimentKeyAllocs).
 package musa
 
 import (
@@ -65,107 +72,6 @@ func benchDataset(b *testing.B) *Sweep {
 	return benchData
 }
 
-// benchReducedIndices returns the Table I indices of the reduced CI sweep:
-// the 64-core, 2 GHz slice (72 configurations).
-func benchReducedIndices(b *testing.B) []int {
-	b.Helper()
-	var idx []int
-	for i := 0; i < PointCount(); i++ {
-		a, err := PointArch(i)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if a.Cores == 64 && a.FreqGHz == 2.0 {
-			idx = append(idx, i)
-		}
-	}
-	return idx
-}
-
-// benchReducedExperiment is the reduced CI sweep shared by the cold and
-// warm client benchmarks. Recompute keeps iterations comparable: the
-// result store is written, never read.
-func benchReducedExperiment(b *testing.B) Experiment {
-	return Experiment{
-		Kind:         KindSweep,
-		Apps:         []string{"lulesh"},
-		PointIndices: benchReducedIndices(b),
-		Sample:       benchSample,
-		Warmup:       benchWarmup,
-		Seed:         1,
-		ReplayRanks:  []int{64},
-		Recompute:    true,
-	}
-}
-
-// BenchmarkClientSweepReduced is the CI regression-gate benchmark: a
-// reduced sweep (one application, the 64-core 2 GHz slice) through the
-// supported Client.Run API with a result store attached, so every
-// iteration pays the canonical-experiment key derivation and store
-// checkpointing of a real run. NoArtifacts keeps it the true cold path —
-// every iteration rebuilds annotations, latency models and burst traces —
-// so it stays the baseline BenchmarkClientSweepWarmArtifacts is read
-// against.
-func BenchmarkClientSweepReduced(b *testing.B) {
-	client, err := NewClient(ClientOptions{CacheDir: b.TempDir(), NoArtifacts: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer client.Close()
-	exp := benchReducedExperiment(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := client.Run(context.Background(), exp)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Sweep.Measurements) != len(exp.PointIndices) {
-			b.Fatalf("%d measurements", len(res.Sweep.Measurements))
-		}
-	}
-}
-
-// BenchmarkClientSweepWarmArtifacts is the warm-start counterpart of
-// BenchmarkClientSweepReduced: the identical experiment over an artifact
-// cache pre-populated by an untimed priming run, so every iteration
-// re-simulates each point from cached annotations, DRAM latency curves and
-// burst traces instead of rebuilding them. The gap between the two
-// benchmarks in BENCH.json is the artifact-reuse speedup;
-// TestSweepColdVsWarmArtifacts proves the datasets are byte-identical.
-func BenchmarkClientSweepWarmArtifacts(b *testing.B) {
-	artDir := b.TempDir()
-	exp := benchReducedExperiment(b)
-	prime, err := NewClient(ClientOptions{CacheDir: b.TempDir(), ArtifactCache: artDir})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := prime.Run(context.Background(), exp); err != nil {
-		b.Fatal(err)
-	}
-	if err := prime.Close(); err != nil {
-		b.Fatal(err)
-	}
-
-	client, err := NewClient(ClientOptions{CacheDir: b.TempDir(), ArtifactCache: artDir})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer client.Close()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := client.Run(context.Background(), exp)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Sweep.Measurements) != len(exp.PointIndices) {
-			b.Fatalf("%d measurements", len(res.Sweep.Measurements))
-		}
-	}
-	if st := client.Snapshot().Artifacts.Stats; st.HitRates.Misses != 0 {
-		b.Fatalf("warm benchmark rebuilt %d hit-rate tables", st.HitRates.Misses)
-	}
-}
-
 var printed sync.Map
 
 // printOnce renders a table to stdout the first time name is seen, so
@@ -218,39 +124,6 @@ func BenchmarkFigure1MPKI(b *testing.B) {
 		}
 		return t
 	})
-}
-
-// BenchmarkSweepReplayOverhead compares the node-only sweep against the
-// replay-enabled sweep (64 + 256 ranks per point) on a reduced grid at the
-// bench sample sizes. The cluster stage shares one parsed burst trace per
-// (app, ranks), so the budget is replay <= 1.5x node-only wall clock.
-func BenchmarkSweepReplayOverhead(b *testing.B) {
-	var pts []dse.ArchPoint
-	for _, p := range dse.Enumerate() {
-		if p.Cores == 64 && p.FreqGHz == 2.0 {
-			pts = append(pts, p)
-		}
-	}
-	for _, mode := range []string{"node-only", "replay"} {
-		b.Run(mode, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				o := dse.Options{
-					Apps:         []*apps.Profile{apps.LULESH()},
-					Points:       pts,
-					SampleInstrs: benchSample,
-					WarmupInstrs: benchWarmup,
-					Seed:         1,
-				}
-				if mode == "node-only" {
-					o.Replay = dse.ReplayConfig{Disable: true}
-				}
-				d := dse.Run(context.Background(), o)
-				if len(d.Measurements) != len(pts) {
-					b.Fatalf("%d measurements", len(d.Measurements))
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkFigure2aScaling regenerates Fig. 2a: hardware-agnostic scaling of
@@ -576,10 +449,10 @@ func BenchmarkAblationPrefetcher(b *testing.B) {
 
 // ---------------------------------------------------------------------------
 // Result-store micro-benchmarks. Each iteration performs storeBenchOps
-// operations (a batch, so -benchtime 1x still yields a stable number in CI);
-// ns/op is therefore the cost of one batch, comparable across storage
-// engines. The store is sized so the working set overflows the LRU front and
-// lookups exercise the on-disk engine, not just the in-memory cache.
+// operations; ns/op is therefore the cost of one batch, comparable across
+// storage engines. The store is sized so the working set overflows the LRU
+// front and lookups exercise the on-disk engine, not just the in-memory
+// cache.
 
 const storeBenchOps = 1024
 
@@ -707,31 +580,55 @@ func BenchmarkStoreMixed(b *testing.B) {
 	}
 }
 
-// BenchmarkExperimentKey measures one batch of store-key derivations — the
-// paper's 864 x 5 (point, application) pairs as node experiments, Normalize
-// then Key each, eight times over so -benchtime 1x reads above a tenth of a
-// second — the canonical-encoding work every request and every sweep point
-// pays before the store can be asked anything.
-func BenchmarkExperimentKey(b *testing.B) {
+// keyBenchExperiments is the paper's 864 x 5 (point, application) pairs as
+// node experiments.
+func keyBenchExperiments() []Experiment {
 	var exps []Experiment
 	for _, a := range Applications() {
 		for i := 0; i < PointCount(); i++ {
 			exps = append(exps, Experiment{Kind: KindNode, App: a.Name, PointIndex: &i, Sample: benchSample, Warmup: benchWarmup})
 		}
 	}
+	return exps
+}
+
+// keyBenchDerive is Normalize then Key of each experiment: the
+// canonical-encoding work every request and every sweep point pays before
+// the store can be asked anything.
+func keyBenchDerive(tb testing.TB, exps []Experiment) {
+	for _, e := range exps {
+		ne, err := e.Normalize()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if k, err := ne.Key(); err != nil || len(k) != 64 {
+			tb.Fatalf("key %q: %v", k, err)
+		}
+	}
+}
+
+// BenchmarkExperimentKey measures one batch of store-key derivations, the
+// whole grid eight times over so one iteration reads above a tenth of a
+// second. TestExperimentKeyAllocs holds its allocations per key.
+func BenchmarkExperimentKey(b *testing.B) {
+	exps := keyBenchExperiments()
 	const rounds = 8
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N*rounds; i++ {
-		for _, e := range exps {
-			ne, err := e.Normalize()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if k, err := ne.Key(); err != nil || len(k) != 64 {
-				b.Fatalf("key %q: %v", k, err)
-			}
-		}
+		keyBenchDerive(b, exps)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rounds*len(exps)), "ns/key")
+}
+
+// TestExperimentKeyAllocs pins what deriving one store key allocates (14.0
+// when written): an appendCanonical that falls back to reflection, or a
+// Normalize that rebuilds an application profile, shows here first.
+func TestExperimentKeyAllocs(t *testing.T) {
+	const ceiling = 15
+	exps := keyBenchExperiments()
+	got := testing.AllocsPerRun(1, func() { keyBenchDerive(t, exps) }) / float64(len(exps))
+	if got >= ceiling {
+		t.Fatalf("%.2f allocations per Normalize + Key, want fewer than %d", got, ceiling)
+	}
 }

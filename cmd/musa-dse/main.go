@@ -67,8 +67,6 @@ func main() {
 	optRungs := flag.Int("opt-rungs", 0, "optimize: fidelity-ladder depth cap (0 = derived)")
 	finalists := flag.Int("finalists", 0, "optimize: full-fidelity finalists (0 = max(4, eta+1))")
 	minSample := flag.Int64("min-sample", 0, "optimize: cheap-rung sample floor in micro-ops (0 = 2000)")
-	memtableBytes := flag.Int("store-memtable-bytes", 0, "LSM memtable flush threshold in bytes (0 = default)")
-	blockCacheBytes := flag.Int64("store-block-cache-bytes", 0, "LSM block cache size in bytes (0 = default, negative = disabled)")
 	obsDump := obs.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 	defer func() {
@@ -113,13 +111,11 @@ func main() {
 	}
 
 	client, err := musa.NewClient(musa.ClientOptions{
-		CacheDir:             *cacheDir,
-		StoreReadOnly:        *readOnly,
-		StoreMemtableBytes:   *memtableBytes,
-		StoreBlockCacheBytes: *blockCacheBytes,
-		ArtifactCache:        *artifactDir,
-		NoArtifacts:          *noArtifacts,
-		SweepWorkers:         *workers,
+		CacheDir:      *cacheDir,
+		StoreReadOnly: *readOnly,
+		ArtifactCache: *artifactDir,
+		NoArtifacts:   *noArtifacts,
+		SweepWorkers:  *workers,
 	})
 	if err != nil {
 		if errors.Is(err, musa.ErrStoreBusy) {

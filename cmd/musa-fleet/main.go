@@ -66,8 +66,6 @@ func main() {
 	shardTimeout := flag.Duration("shard-timeout", 0, "per-shard request bound (0 = 10m, negative = unbounded)")
 	hedgeAfter := flag.Duration("hedge-after", 0, "hedge still-running shards onto the local pool after this long (0 = off)")
 	ringFlag := flag.Bool("ring", false, "dispatch each shard to the worker owning its artifact key (rendezvous ring over -workers; -demo workers form the same ring)")
-	memtableBytes := flag.Int("store-memtable-bytes", 0, "coordinator LSM memtable flush threshold in bytes (0 = default)")
-	blockCacheBytes := flag.Int64("store-block-cache-bytes", 0, "coordinator LSM block cache size in bytes (0 = default, negative = disabled)")
 	verify := flag.Bool("verify", false, "re-run the sweep in process and require byte-identical datasets")
 	quiet := flag.Bool("quiet", false, "suppress progress output")
 	obsDump := obs.RegisterFlags(flag.CommandLine)
@@ -118,15 +116,13 @@ func main() {
 		rg = musa.NewRing("", workers)
 	}
 	coord, err := musa.NewClient(musa.ClientOptions{
-		CacheDir:             *cacheDir,
-		StoreReadOnly:        *readOnly,
-		StoreMemtableBytes:   *memtableBytes,
-		StoreBlockCacheBytes: *blockCacheBytes,
-		ArtifactCache:        *artifactDir,
-		Workers:              workers,
-		ShardTimeout:         *shardTimeout,
-		HedgeAfter:           *hedgeAfter,
-		Ring:                 rg,
+		CacheDir:      *cacheDir,
+		StoreReadOnly: *readOnly,
+		ArtifactCache: *artifactDir,
+		Workers:       workers,
+		ShardTimeout:  *shardTimeout,
+		HedgeAfter:    *hedgeAfter,
+		Ring:          rg,
 	})
 	if err != nil {
 		if errors.Is(err, musa.ErrStoreBusy) {

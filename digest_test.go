@@ -35,7 +35,7 @@ func reducedSweepDigest(t *testing.T, ms []dse.Measurement) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// reducedSweepExperimentT is benchReducedExperiment for tests: the
+// reducedSweepExperimentT is the reduced sweep the golden digest pins: the
 // one-application 64-core 2 GHz slice (72 points) at the bench fidelity.
 func reducedSweepExperimentT(t *testing.T) Experiment {
 	t.Helper()

@@ -217,11 +217,18 @@ func Relay(w http.ResponseWriter, resp *http.Response) {
 	}
 }
 
-// ParseRetryAfter reads a Retry-After header as delay seconds; malformed or
-// absent values fall back to one second.
+// maxRetryAfter is the longest delay ParseRetryAfter reports; the one caller
+// (the fleet's dispatch loop) gives up on a worker long before it.
+const maxRetryAfter = time.Hour
+
+// ParseRetryAfter reads a Retry-After header as delay seconds, clamped to
+// [0, maxRetryAfter] so that no count of seconds can wrap time.Duration into
+// a negative wait; malformed, negative or absent values fall back to one
+// second.
 func ParseRetryAfter(v string) time.Duration {
-	if n, err := strconv.Atoi(strings.TrimSpace(v)); err == nil && n >= 0 {
-		return time.Duration(n) * time.Second
+	n, err := strconv.Atoi(strings.TrimSpace(v))
+	if (err != nil && !errors.Is(err, strconv.ErrRange)) || n < 0 {
+		return time.Second
 	}
-	return time.Second
+	return time.Duration(min(n, int(maxRetryAfter/time.Second))) * time.Second
 }
