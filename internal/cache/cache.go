@@ -1,8 +1,9 @@
 // Package cache implements the node's cache hierarchy: set-associative
-// write-back caches with LRU replacement, a three-level hierarchy (private
-// L1/L2, shared L3 modeled as a per-core partition, matching MUSA's
-// single-rank detailed sampling), and the miss statistics (MPKI) reported in
-// Figure 1 of the paper.
+// write-back caches with LRU replacement (each set's ways kept in recency
+// order, so a lookup is a scan from the most recent way and no way carries
+// an age), a three-level hierarchy (private L1/L2, shared L3 modeled as a
+// per-core partition, matching MUSA's single-rank detailed sampling), and the
+// miss statistics (MPKI) reported in Figure 1 of the paper.
 package cache
 
 import "fmt"
@@ -71,21 +72,21 @@ func (s *Stats) Add(other Stats) {
 	s.Writebacks += other.Writebacks
 }
 
-type line struct {
-	tag   uint64
-	age   uint64
-	valid bool
-	dirty bool
-}
-
 // Cache is a single set-associative write-back, write-allocate cache with
-// true LRU replacement. It is not safe for concurrent use.
+// true LRU replacement. Each set keeps its ways in recency order, most
+// recent first: a lookup stops at its first match, a hit moves its way to
+// the front, and a fill shifts the set down one way, evicting the last.
+// Valid ways are always a prefix of the set, so the first invalid way ends a
+// lookup. It is not safe for concurrent use.
 type Cache struct {
-	cfg     Config
-	sets    [][]line
+	cfg Config
+	// tags holds every set's ways back to back, assoc per set, as tag+1;
+	// 0 marks an invalid way. dirty is the parallel dirty bit.
+	tags    []uint64
+	dirty   []bool
+	assoc   int
 	setMask uint64
 	setBits uint
-	tick    uint64
 	Stats   Stats
 }
 
@@ -95,22 +96,20 @@ func New(cfg Config) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	nSets := cfg.SizeBytes / LineBytes / cfg.Assoc
+	lines := cfg.SizeBytes / LineBytes
+	nSets := lines / cfg.Assoc
 	bits := uint(0)
 	for s := nSets; s > 1; s >>= 1 {
 		bits++
 	}
-	c := &Cache{
+	return &Cache{
 		cfg:     cfg,
-		sets:    make([][]line, nSets),
+		tags:    make([]uint64, lines),
+		dirty:   make([]bool, lines),
+		assoc:   cfg.Assoc,
 		setMask: uint64(nSets - 1),
 		setBits: bits,
 	}
-	store := make([]line, nSets*cfg.Assoc)
-	for i := range c.sets {
-		c.sets[i] = store[i*cfg.Assoc : (i+1)*cfg.Assoc : (i+1)*cfg.Assoc]
-	}
-	return c
 }
 
 // Config returns the cache's configuration.
@@ -124,117 +123,101 @@ type AccessResult struct {
 	EvictedDirty bool // the victim was dirty (a write-back is required)
 }
 
+// set returns the ways of the set holding lineAddr and the line's stored tag
+// (tag+1).
+func (c *Cache) set(lineAddr uint64) ([]uint64, []bool, uint64) {
+	base := int(lineAddr&c.setMask) * c.assoc
+	end := base + c.assoc
+	return c.tags[base:end:end], c.dirty[base:end:end], lineAddr>>c.setBits + 1
+}
+
+// find returns the way holding tag, or -1.
+func find(tags []uint64, tag uint64) int {
+	for i, t := range tags {
+		if t == tag {
+			return i
+		}
+		if t == 0 {
+			break
+		}
+	}
+	return -1
+}
+
+// fill inserts tag at the front of its set, evicting the last way, and
+// reports the eviction.
+func (c *Cache) fill(tags []uint64, dirty []bool, tag, lineAddr uint64, write bool) AccessResult {
+	last := len(tags) - 1
+	var res AccessResult
+	if victim := tags[last]; victim != 0 {
+		res.Evicted = true
+		res.EvictedAddr = (((victim - 1) << c.setBits) | (lineAddr & c.setMask)) << lineShift
+		res.EvictedDirty = dirty[last]
+	}
+	toFront(tags, dirty, last, tag, write)
+	return res
+}
+
+// toFront moves the ways before way i down one, overwriting way i, and puts
+// tag with dirty bit d in the first way.
+func toFront(tags []uint64, dirty []bool, i int, tag uint64, d bool) {
+	for ; i > 0; i-- {
+		tags[i], dirty[i] = tags[i-1], dirty[i-1]
+	}
+	tags[0], dirty[0] = tag, d
+}
+
 // Access looks up the line containing addr, allocating it on a miss and
 // marking it dirty when write is set. It returns the outcome.
 func (c *Cache) Access(addr uint64, write bool) AccessResult {
-	c.tick++
 	c.Stats.Accesses++
 	lineAddr := addr >> lineShift
-	set := c.sets[lineAddr&c.setMask]
-	tag := lineAddr >> c.setBits
-
-	victim, empty := -1, -1
-	for i := range set {
-		if !set[i].valid {
-			if empty < 0 {
-				empty = i
-			}
-			continue
-		}
-		if set[i].tag == tag {
-			set[i].age = c.tick
-			if write {
-				set[i].dirty = true
-			}
-			return AccessResult{Hit: true}
-		}
-		if victim < 0 || set[i].age < set[victim].age {
-			victim = i
-		}
+	tags, dirty, tag := c.set(lineAddr)
+	if i := find(tags, tag); i >= 0 {
+		toFront(tags, dirty, i, tag, dirty[i] || write)
+		return AccessResult{Hit: true}
 	}
-	if empty >= 0 {
-		victim = empty
-	}
-
 	c.Stats.Misses++
-	res := AccessResult{}
-	if set[victim].valid {
+	res := c.fill(tags, dirty, tag, lineAddr, write)
+	if res.Evicted {
 		c.Stats.Evictions++
-		res.Evicted = true
-		res.EvictedAddr = ((set[victim].tag << c.setBits) | (lineAddr & c.setMask)) << lineShift
-		if set[victim].dirty {
+		if res.EvictedDirty {
 			c.Stats.Writebacks++
-			res.EvictedDirty = true
 		}
 	}
-	set[victim] = line{tag: tag, age: c.tick, valid: true, dirty: write}
 	return res
 }
 
 // Insert fills the line holding addr without touching demand statistics
 // (prefetch fills). It reports whether the line was actually inserted (false
-// when already present) and the eviction outcome.
+// when already present, which leaves the recency order alone) and the
+// eviction outcome.
 func (c *Cache) Insert(addr uint64) (AccessResult, bool) {
 	lineAddr := addr >> lineShift
-	set := c.sets[lineAddr&c.setMask]
-	tag := lineAddr >> c.setBits
-	victim, empty := -1, -1
-	for i := range set {
-		if !set[i].valid {
-			if empty < 0 {
-				empty = i
-			}
-			continue
-		}
-		if set[i].tag == tag {
-			return AccessResult{Hit: true}, false
-		}
-		if victim < 0 || set[i].age < set[victim].age {
-			victim = i
-		}
+	tags, dirty, tag := c.set(lineAddr)
+	if find(tags, tag) >= 0 {
+		return AccessResult{Hit: true}, false
 	}
-	if empty >= 0 {
-		victim = empty
-	}
-	res := AccessResult{}
-	if set[victim].valid {
-		res.Evicted = true
-		res.EvictedAddr = ((set[victim].tag << c.setBits) | (lineAddr & c.setMask)) << lineShift
-		res.EvictedDirty = set[victim].dirty
-	}
-	c.tick++
-	set[victim] = line{tag: tag, age: c.tick, valid: true}
-	return res, true
+	return c.fill(tags, dirty, tag, lineAddr, false), true
 }
 
 // MarkDirty sets the dirty bit on the line holding addr if present, without
 // touching LRU state or demand statistics (used for write-backs arriving
 // from the level above). It reports whether the line was found.
 func (c *Cache) MarkDirty(addr uint64) bool {
-	lineAddr := addr >> lineShift
-	set := c.sets[lineAddr&c.setMask]
-	tag := lineAddr >> c.setBits
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			set[i].dirty = true
-			return true
-		}
+	tags, dirty, tag := c.set(addr >> lineShift)
+	i := find(tags, tag)
+	if i >= 0 {
+		dirty[i] = true
 	}
-	return false
+	return i >= 0
 }
 
 // Contains reports whether the line holding addr is present (test helper; it
 // does not update LRU state or statistics).
 func (c *Cache) Contains(addr uint64) bool {
-	lineAddr := addr >> lineShift
-	set := c.sets[lineAddr&c.setMask]
-	tag := lineAddr >> c.setBits
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			return true
-		}
-	}
-	return false
+	tags, _, tag := c.set(addr >> lineShift)
+	return find(tags, tag) >= 0
 }
 
 // ResetStats zeroes the statistics counters without touching cache contents
@@ -243,14 +226,13 @@ func (c *Cache) ResetStats() { c.Stats = Stats{} }
 
 // Flush invalidates all lines and returns the number of dirty lines dropped.
 func (c *Cache) Flush() int {
-	dirty := 0
-	for si := range c.sets {
-		for li := range c.sets[si] {
-			if c.sets[si][li].valid && c.sets[si][li].dirty {
-				dirty++
-			}
-			c.sets[si][li] = line{}
+	n := 0
+	for i, t := range c.tags {
+		if t != 0 && c.dirty[i] {
+			n++
 		}
 	}
-	return dirty
+	clear(c.tags)
+	clear(c.dirty)
+	return n
 }

@@ -1,5 +1,7 @@
 package cache
 
+import "fmt"
+
 // HierarchyConfig describes the three-level hierarchy of one core's view of
 // the node. L3 is shared on the chip; detailed simulation samples one core
 // (as MUSA samples one rank), so the shared L3 is modeled as an equal
@@ -64,6 +66,11 @@ type Hierarchy struct {
 
 // NewHierarchy builds the stack.
 func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
+	return newHierarchy(cfg, New(cfg.L1))
+}
+
+// newHierarchy builds the stack over the given L1.
+func newHierarchy(cfg HierarchyConfig, l1 *Cache) *Hierarchy {
 	deg := cfg.PrefetchDegree
 	if deg == 0 {
 		deg = 4
@@ -73,7 +80,7 @@ func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
 	}
 	return &Hierarchy{
 		cfg:        cfg,
-		l1:         New(cfg.L1),
+		l1:         l1,
 		l2:         New(cfg.L2),
 		l3:         New(cfg.L3),
 		prefDegree: deg,
@@ -93,15 +100,14 @@ func (h *Hierarchy) L3Stats() Stats { return h.l3.Stats }
 // returned level and latency reflect the slowest line touched, which is what
 // gates the consuming instruction. write marks stores.
 func (h *Hierarchy) Access(addr uint64, size int, write bool) (Level, int) {
-	if size <= 0 {
-		size = 1
-	}
-	first := addr >> lineShift
-	last := (addr + uint64(size) - 1) >> lineShift
+	first, last := lineSpan(addr, size)
 	worstLevel := LevelL1
 	worstLat := h.cfg.L1.LatencyCycle
 	for lineAddr := first; lineAddr <= last; lineAddr++ {
-		lvl, lat := h.accessLine(lineAddr<<lineShift, write)
+		a := lineAddr << lineShift
+		lvl, lat := h.below(a, h.l1.Access(a, write))
+		// Strictly slower only: of two lines with equal latency the first
+		// names the level.
 		if lat > worstLat {
 			worstLat = lat
 			worstLevel = lvl
@@ -110,11 +116,21 @@ func (h *Hierarchy) Access(addr uint64, size int, write bool) (Level, int) {
 	return worstLevel, worstLat
 }
 
-// accessLine performs a single-line access through the stack. Dirty victims
-// are written back to the next level down; a dirty line falling out of L3
-// becomes a DRAM write.
-func (h *Hierarchy) accessLine(addr uint64, write bool) (Level, int) {
-	r1 := h.l1.Access(addr, write)
+// lineSpan returns the first and last line address an access of size bytes
+// at addr covers (a size below one counts as one byte).
+func lineSpan(addr uint64, size int) (first, last uint64) {
+	if size <= 0 {
+		size = 1
+	}
+	return addr >> lineShift, (addr + uint64(size) - 1) >> lineShift
+}
+
+// below completes a single-line access whose L1 outcome is r1: the L1
+// victim's write-back, the prefetcher, the L2 and L3 lookups and the DRAM
+// counters. Dirty victims are written back to the next level down; a dirty
+// line falling out of L3 becomes a DRAM write. It never touches the L1,
+// which is what lets several hierarchies share one (SharedL1).
+func (h *Hierarchy) below(addr uint64, r1 AccessResult) (Level, int) {
 	if r1.EvictedDirty {
 		h.writebackBelow(LevelL2, r1.EvictedAddr)
 	}
@@ -202,3 +218,73 @@ func (h *Hierarchy) ResetStats() {
 // write-backs), the quantity plotted in Figure 1 as Giga-MemRequest/s once
 // divided by runtime.
 func (h *Hierarchy) MemRequests() int64 { return h.MemReads + h.MemWrites }
+
+// SharedL1 walks one access stream through several hierarchies whose L1
+// configurations are equal. Every hierarchy's L1 sees the same stream — only
+// misses travel further down — so its contents and statistics are the same in
+// all of them: SharedL1 keeps one L1, looks each line up there once and hands
+// the outcome to every hierarchy's lower levels, which stay separate (their
+// own L2, L3, prefetcher state, write-backs and DRAM counters). Each
+// hierarchy answers exactly as it would walking the stream alone.
+type SharedL1 struct {
+	l1     *Cache
+	hs     []*Hierarchy
+	levels []Level
+	lats   []int
+}
+
+// NewSharedL1 builds one hierarchy per configuration over a single L1. It
+// panics when the configurations' L1s differ or there are none.
+func NewSharedL1(cfgs []HierarchyConfig) *SharedL1 {
+	if len(cfgs) == 0 {
+		panic("cache: SharedL1 without hierarchies")
+	}
+	s := &SharedL1{
+		l1:     New(cfgs[0].L1),
+		hs:     make([]*Hierarchy, len(cfgs)),
+		levels: make([]Level, len(cfgs)),
+		lats:   make([]int, len(cfgs)),
+	}
+	for i, cfg := range cfgs {
+		if cfg.L1 != cfgs[0].L1 {
+			panic(fmt.Sprintf("cache: SharedL1 over L1 %+v and %+v", cfgs[0].L1, cfg.L1))
+		}
+		s.hs[i] = newHierarchy(cfg, s.l1)
+	}
+	return s
+}
+
+// Access performs one access on every hierarchy and returns the level each
+// served it at, under Hierarchy.Access's slowest-line rule. The slice is
+// reused by the next call.
+func (s *SharedL1) Access(addr uint64, size int, write bool) []Level {
+	first, last := lineSpan(addr, size)
+	l1Lat := s.l1.cfg.LatencyCycle
+	for i := range s.levels {
+		s.levels[i], s.lats[i] = LevelL1, l1Lat
+	}
+	for lineAddr := first; lineAddr <= last; lineAddr++ {
+		a := lineAddr << lineShift
+		r1 := s.l1.Access(a, write)
+		if r1.Hit {
+			continue // an L1 hit evicts nothing and is L1 everywhere
+		}
+		for i, h := range s.hs {
+			if lvl, lat := h.below(a, r1); lat > s.lats[i] {
+				s.levels[i], s.lats[i] = lvl, lat
+			}
+		}
+	}
+	return s.levels
+}
+
+// Hierarchies returns the walked hierarchies in configuration order; their
+// L1 statistics are the shared L1's.
+func (s *SharedL1) Hierarchies() []*Hierarchy { return s.hs }
+
+// ResetStats zeroes every hierarchy's statistics, keeping contents warm.
+func (s *SharedL1) ResetStats() {
+	for _, h := range s.hs {
+		h.ResetStats()
+	}
+}

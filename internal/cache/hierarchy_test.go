@@ -229,3 +229,53 @@ func BenchmarkHierarchyAccess(b *testing.B) {
 		h.Access(addr, 8, w)
 	}
 }
+
+// TestSharedL1MatchesSeparateHierarchies walks one mixed stream — streams the
+// prefetcher trains on, random lines, stores, straddling accesses — through
+// three hierarchies of different L2, L3 and memory latency, once over a
+// shared L1 and once each on its own: every access must resolve to the same
+// level and every counter must agree.
+func TestSharedL1MatchesSeparateHierarchies(t *testing.T) {
+	base := testHierCfg()
+	cfgs := []HierarchyConfig{base, base, base}
+	cfgs[1].L2 = Config{Name: "L2", SizeBytes: 512 * 1024, Assoc: 16, LatencyCycle: 11}
+	cfgs[1].MemLatencyCycle = 0 // L3 and DRAM tie, as in a cache walk
+	cfgs[2].L3 = Config{Name: "L3", SizeBytes: 256 * 1024, Assoc: 16, LatencyCycle: 40}
+	cfgs[2].PrefetchDegree = -1
+	shared := NewSharedL1(cfgs)
+	alone := make([]*Hierarchy, len(cfgs))
+	for i, cfg := range cfgs {
+		alone[i] = NewHierarchy(cfg)
+	}
+	g := NewAddressGen(LocalityProfile{Regions: []Region{
+		{Name: "stream", Bytes: 4 << 20, Weight: 2, Pattern: Sequential, WriteFrac: 0.3},
+		{Name: "random", Bytes: 1 << 20, Weight: 1, Pattern: RandomLine, WriteFrac: 0.3},
+		{Name: "hot", Bytes: 16 << 10, Weight: 3, Pattern: RandomLine, WriteFrac: 0.3},
+	}}, xrand.New(7))
+	for n := 0; n < 200000; n++ {
+		if n == 100000 {
+			shared.ResetStats()
+			for _, h := range alone {
+				h.ResetStats()
+			}
+		}
+		addr, w := g.Next()
+		size := 8 << (n % 4) // 8..64 bytes, some straddling
+		addr += uint64(n % 61)
+		got := shared.Access(addr, size, w)
+		for i, h := range alone {
+			if lvl, _ := h.Access(addr, size, w); got[i] != lvl {
+				t.Fatalf("access %d, hierarchy %d: shared walk says %v, alone %v", n, i, got[i], lvl)
+			}
+		}
+	}
+	for i, h := range shared.Hierarchies() {
+		a := alone[i]
+		if h.L1Stats() != a.L1Stats() || h.L2Stats() != a.L2Stats() || h.L3Stats() != a.L3Stats() ||
+			h.MemReads != a.MemReads || h.MemWrites != a.MemWrites || h.PrefetchFills != a.PrefetchFills {
+			t.Errorf("hierarchy %d: shared %+v %+v %+v %d/%d/%d, alone %+v %+v %+v %d/%d/%d", i,
+				h.L1Stats(), h.L2Stats(), h.L3Stats(), h.MemReads, h.MemWrites, h.PrefetchFills,
+				a.L1Stats(), a.L2Stats(), a.L3Stats(), a.MemReads, a.MemWrites, a.PrefetchFills)
+		}
+	}
+}

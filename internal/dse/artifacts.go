@@ -189,15 +189,21 @@ func BurstKey(appHash string, ranks int, seed uint64) string {
 	}.key()
 }
 
-// Residency bounds of the scalar-window and fused-trace fronts. Fused traces
-// (either half) are bulky (tens of MB at full fidelity), but only the current
-// application's vector widths — at most three — are live at once, plus a
-// straggling worker on the previous application near a sort boundary. Scalar
-// windows are bounded tighter still, because groups are dispatched sorted by
-// application, then cores, then width. A full window — the bulkiest object
-// of a run, 26 MB at 120 000/700 000 micro-ops — is read once per width by the
-// application's first groups and is dead weight after, so the next
-// application's replaces it. The sample windows of a run without a client
+// Residency bounds of the scalar-window, fused-trace and hit-rate-table
+// fronts. Groups are dispatched sorted by application, then cores, then cache
+// configuration, then width, so an application's first groups are its
+// distinct widths: the workers fuse and walk different widths side by side,
+// and every later group of the application finds its table in the tables
+// front. Sample-half fused traces (tens of MB at full fidelity) and table sets
+// are held per (application, width), and only the current application's
+// widths — at most three — are live at once, plus a straggling worker on the
+// previous application near a sort boundary; maxRunFusedTraces bounds both.
+// Warm halves are never held: each is built for its one walk and dropped with
+// it, though the walks of three widths may be under way at once. Scalar
+// windows are bounded tighter still. A full window — the bulkiest object of a
+// run, 26 MB at 120 000/700 000 micro-ops — is read by the walks of the
+// application's first groups, one per width, and is dead weight after, so the
+// next application's replaces it. The sample windows of a run without a client
 // front keep the straggler's too. The client's front is bounded by bytes
 // instead, because its entries differ in size by orders of magnitude (an
 // optimizer rung of 20 000 micro-ops, a 20 M-micro-op request): 64 MiB holds
@@ -353,11 +359,26 @@ func (w *SampleWindows) get(key sampleWindowKey, build func() node.ScalarTrace) 
 	return st
 }
 
-// fusedKey addresses a run-local fused trace. The application is identified
-// by name: within one run a name maps to one profile.
+// fusedKey addresses a run-local fused trace, and the hit-rate tables of
+// every cache configuration one walk of it builds. The application is
+// identified by name: within one run a name maps to one profile.
 type fusedKey struct {
 	app string
 	vec int
+}
+
+// cacheTarget is one cache configuration a run sweeps at some (app, width):
+// its group and a node configuration that builds its hierarchy.
+type cacheTarget struct {
+	group CacheGroup
+	cfg   node.Config
+}
+
+// hitRates is one resolved hit-rate table and where it came from: "cache"
+// (the provider) or "built" (a cache walk of this run).
+type hitRates struct {
+	hrt    node.HitRateTable
+	source string
 }
 
 // runArtifacts is the run-local artifact front of one dse.Run: one onceMap
@@ -377,9 +398,11 @@ type runArtifacts struct {
 	windows     *SampleWindows
 	fullWindows onceMap[string, node.ScalarTrace]   // app name -> warm+sample window
 	fused       onceMap[fusedKey, *node.FusedTrace] // sample half only
-	// walkable holds the fused traces a cache walk asked for: the sample half
-	// above with the warm half added.
-	walkable onceMap[fusedKey, *node.FusedTrace]
+	// caches lists the cache configurations the run sweeps per (app, width),
+	// registered by the runner before any worker starts and read-only after;
+	// tables holds their resolved hit-rate tables, one resolution per key.
+	caches map[fusedKey][]cacheTarget
+	tables onceMap[fusedKey, map[CacheGroup]hitRates]
 }
 
 func newRunArtifacts(o Options) *runArtifacts {
@@ -392,8 +415,22 @@ func newRunArtifacts(o Options) *runArtifacts {
 	}
 	r.fullWindows.bound = maxRunFullWindows
 	r.fused.bound = maxRunFusedTraces
-	r.walkable.bound = maxRunFusedTraces
+	r.tables.bound = maxRunFusedTraces
+	r.caches = map[fusedKey][]cacheTarget{}
 	return r
+}
+
+// addCacheGroup registers the cache configuration of one annotation group of
+// app, whose points build their nodes from cfg; groups that differ only in
+// memory kind share it. Called before the run's workers start.
+func (r *runArtifacts) addCacheGroup(app string, g AnnGroup, cfg node.Config) {
+	fk := fusedKey{app, g.Vec}
+	for _, t := range r.caches[fk] {
+		if t.group == g.CacheGroup() {
+			return
+		}
+	}
+	r.caches[fk] = append(r.caches[fk], cacheTarget{g.CacheGroup(), cfg})
 }
 
 // appHash memoizes AppHash per application.
@@ -478,22 +515,19 @@ func (r *runArtifacts) fusedTrace(ctx context.Context, app *apps.Profile, vec in
 
 // walkableTrace returns the fused trace of (app, vector width) with its warm
 // half: the sample half of fusedTrace, shared, plus the warm window's memory
-// accesses. Only a cache walk reads those, so this is called from the miss
-// branch of annotation alone — a run served from hit-rate tables never
-// builds a full window or a warm half, a cold one builds each once per key —
-// and its time belongs to the annotate stage that demanded it. The full
-// window comes first: building it puts its sample part in the front, where
-// fusedTrace finds it instead of running the generator a second time.
+// accesses. Only a cache walk reads those, and a run walks each (app, width)
+// at most once, so the warm half is built there and dropped with the walk: a
+// run served from hit-rate tables never builds a full window or a warm half.
+// The full window comes first: building it puts its sample part in the front,
+// where fusedTrace finds it instead of running the generator a second time.
 func (r *runArtifacts) walkableTrace(ctx context.Context, app *apps.Profile, vec int) *node.FusedTrace {
-	return r.walkable.get(fusedKey{app.Name, vec}, func() *node.FusedTrace {
-		st := r.fullWindow(ctx, app)
-		ft := *r.fusedTrace(ctx, app, vec)
-		_, span := obs.StartSpan(ctx, "dse.fuse-warm",
-			obs.A("app", app.Name), obs.AInt("vec", vec))
-		defer span.End()
-		ft.WarmOps = node.FuseWarm(st, vec)
-		return &ft
-	})
+	st := r.fullWindow(ctx, app)
+	ft := *r.fusedTrace(ctx, app, vec)
+	_, span := obs.StartSpan(ctx, "dse.fuse-warm",
+		obs.A("app", app.Name), obs.AInt("vec", vec))
+	defer span.End()
+	ft.WarmOps = node.FuseWarm(st, vec)
+	return &ft
 }
 
 // sampleWindow returns the scalar sample window of one application at the
@@ -529,30 +563,72 @@ func (r *runArtifacts) windowKey(app *apps.Profile) sampleWindowKey {
 }
 
 // annotation returns the shared annotation of one (app, group): the fused
-// trace overlaid with the group's hit-rate table. The provider is asked for
-// the table before any trace is: a hit needs only the sample half, a miss
-// goes through walkableTrace and its full window. It has no run-local front
-// of its own: the runner asks once per annotation group and holds the result
-// for the group's points, and on the Table I grid (one memory kind) no two
-// groups share a hit-rate key, so such a front never hit (0 of 45 lookups
-// per 360-point sweep, 0 of 27 on the full grid — DESIGN.md §10). Groups
-// that differ only in memory kind share the table through the provider.
-func (r *runArtifacts) annotation(ctx context.Context, app *apps.Profile, g AnnGroup, cfg node.Config) *node.Annotation {
-	key := HitRateKey(r.appHash(app), g.CacheGroup(), r.sample, r.warmup, r.seed)
+// trace overlaid with the group's hit-rate table. The table comes from the
+// run-local tables front, which resolves every cache configuration of the
+// group's (app, width) at once (hitRateTables) the first time any of them is
+// asked for; the runner asks once per annotation group and holds the result
+// for the group's points.
+func (r *runArtifacts) annotation(ctx context.Context, app *apps.Profile, g AnnGroup) *node.Annotation {
 	actx, span := obs.StartSpan(ctx, "dse.annotate", obs.A("app", app.Name))
 	defer span.End()
-	var ann node.Annotation
-	resolve(r, span, StageAnnotate, key,
-		func(p ArtifactProvider, key string) (hrt node.HitRateTable, ok bool) {
-			if hrt, ok = p.HitRates(key); ok {
-				ann, ok = node.CombineAnnotation(r.fusedTrace(ctx, app, g.Vec), hrt)
-			}
-			return hrt, ok
-		},
-		func() (hrt node.HitRateTable) {
-			ann, hrt = node.AnnotateTrace(r.walkableTrace(actx, app, g.Vec), cfg)
-			return hrt
-		}, ArtifactProvider.PutHitRates)
+	tables := r.tables.get(fusedKey{app.Name, g.Vec}, func() map[CacheGroup]hitRates {
+		return r.hitRateTables(actx, app, g.Vec)
+	})
+	t, ok := tables[g.CacheGroup()]
+	if !ok {
+		panic(fmt.Sprintf("dse: %s group %+v was not registered with the run", app.Name, g))
+	}
+	span.SetAttr("source", t.source)
+	ann, _ := node.CombineAnnotation(r.fusedTrace(ctx, app, g.Vec), t.hrt)
 	ann.Memo = node.NewTimingMemo()
 	return &ann
+}
+
+// hitRateTables resolves the hit-rate table of every cache configuration the
+// run sweeps at (app, vector width). The provider is asked for each first; a
+// table it lacks, or one that does not fit the trace, is built, and all of
+// those are built by one cache walk (node.WalkCaches: one L1 pass, each
+// configuration's lower levels beside it) and put to the provider once each.
+// The provider is asked before any trace is built: a hit needs only the
+// sample half, a miss goes through walkableTrace and its full window.
+//
+// The walk records one StageAnnotate observation per table it built, each an
+// equal share of its time, so the stage still counts tables built; the walks
+// themselves are the dse.cache-walk spans.
+func (r *runArtifacts) hitRateTables(ctx context.Context, app *apps.Profile, vec int) map[CacheGroup]hitRates {
+	targets := r.caches[fusedKey{app.Name, vec}]
+	out := make(map[CacheGroup]hitRates, len(targets))
+	var missing []cacheTarget
+	var keys []string
+	for _, t := range targets {
+		key := HitRateKey(r.appHash(app), t.group, r.sample, r.warmup, r.seed)
+		if r.backing != nil {
+			if hrt, ok := r.backing.HitRates(key); ok && len(hrt.Levels) == len(r.fusedTrace(ctx, app, vec).Meta) {
+				out[t.group] = hitRates{hrt, "cache"}
+				continue
+			}
+		}
+		missing = append(missing, t)
+		keys = append(keys, key)
+	}
+	if len(missing) == 0 {
+		return out
+	}
+	wctx, span := obs.StartSpan(ctx, "dse.cache-walk",
+		obs.A("app", app.Name), obs.AInt("vec", vec), obs.AInt("tables", len(missing)))
+	start := time.Now()
+	cfgs := make([]node.Config, len(missing))
+	for i, t := range missing {
+		cfgs[i] = t.cfg
+	}
+	built := node.WalkCaches(r.walkableTrace(wctx, app, vec), cfgs)
+	observeStageShares(StageAnnotate, start, len(built))
+	span.End()
+	for i, hrt := range built {
+		out[missing[i].group] = hitRates{hrt, "built"}
+		if r.backing != nil {
+			r.backing.PutHitRates(keys[i], hrt)
+		}
+	}
+	return out
 }

@@ -15,9 +15,11 @@ const (
 	// macro-op fusion of the sample window, the half every run reads. The
 	// warm window is fused only for a cache walk and is StageAnnotate time.
 	StageFuse = "fuse"
-	// StageAnnotate is the shared cache-hierarchy walk of a cache group (one
-	// warmed hit-rate table per distinct (application, cores, vector width,
-	// cache configuration)).
+	// StageAnnotate is the cache-hierarchy walk: one observation per warmed
+	// hit-rate table built (one per distinct (application, cores, vector
+	// width, cache configuration)). One walk builds every table of an
+	// (application, vector width) the run lacks and records one observation
+	// per table, each an equal share of the walk's time.
 	StageAnnotate = "annotate"
 	// StageLatencyFit is the DRAM load-latency curve fit of one
 	// (application, channels, memory kind).
@@ -37,10 +39,17 @@ const (
 const StageMetric = "musa_dse_stage_seconds"
 
 // observeStage records one stage execution into the default registry.
-func observeStage(stage string, start time.Time) {
-	obs.DefaultRegistry().Histogram(StageMetric,
-		"Time spent per dse pipeline stage.", nil, obs.L("stage", stage)).
-		Observe(time.Since(start).Seconds())
+func observeStage(stage string, start time.Time) { observeStageShares(stage, start, 1) }
+
+// observeStageShares records n executions of a stage that ran as one since
+// start, each an equal share of the time.
+func observeStageShares(stage string, start time.Time, n int) {
+	h := obs.DefaultRegistry().Histogram(StageMetric,
+		"Time spent per dse pipeline stage.", nil, obs.L("stage", stage))
+	share := time.Since(start).Seconds() / float64(n)
+	for range n {
+		h.Observe(share)
+	}
 }
 
 // IterationsMetric is the histogram of bandwidth fixed-point iterations per

@@ -314,11 +314,14 @@ func Run(ctx context.Context, opts Options) *Dataset {
 		if a.Cores != b.Cores {
 			return a.Cores < b.Cores
 		}
-		if a.Vec != b.Vec {
-			return a.Vec < b.Vec
+		if a.Cache != b.Cache {
+			return a.Cache < b.Cache
 		}
-		return a.Cache < b.Cache
+		return a.Vec < b.Vec
 	})
+	for _, k := range keys {
+		art.addCacheGroup(k.app, k.AnnGroup, groups[k][0].NodeConfig(opts.SampleInstrs, opts.WarmupInstrs, opts.Seed))
+	}
 
 	total := 0
 	for _, k := range keys {
@@ -373,7 +376,7 @@ func Run(ctx context.Context, opts Options) *Dataset {
 				}
 				cfg := p.NodeConfig(opts.SampleInstrs, opts.WarmupInstrs, opts.Seed)
 				if ann == nil {
-					ann = art.annotation(pctx, app, k.AnnGroup, cfg)
+					ann = art.annotation(pctx, app, k.AnnGroup)
 				}
 				cfg.LatModel = art.latencyModel(pctx, app, p.Channels, p.Mem)
 				_, simSpan := obs.StartSpan(pctx, "dse.node-sim")

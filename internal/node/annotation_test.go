@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"musa/internal/apps"
+	"musa/internal/cache"
 )
 
 func TestSimulateAnnotatedMatchesSimulate(t *testing.T) {
@@ -53,7 +54,7 @@ func TestL3PartitionRounding(t *testing.T) {
 			cfg := baseCfg()
 			cfg.Cores = cores
 			cfg.L3MBTotal = l3
-			h := cfg.hierarchy(60) // panics on invalid config
+			h := cache.NewHierarchy(cfg.hierarchyConfig(60)) // panics on invalid config
 			if h == nil {
 				t.Fatal("nil hierarchy")
 			}

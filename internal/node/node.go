@@ -124,9 +124,10 @@ func l3Params(mb int) (assoc, latency int) {
 	return 16, lat
 }
 
-// hierarchy builds one core's cache stack. The shared L3 is modeled as an
-// equal per-core partition (MUSA samples a single rank in detailed mode).
-func (c Config) hierarchy(memLatNs float64) *cache.Hierarchy {
+// hierarchyConfig describes one core's cache stack. The shared L3 is modeled
+// as an equal per-core partition (MUSA samples a single rank in detailed
+// mode).
+func (c Config) hierarchyConfig(memLatNs float64) cache.HierarchyConfig {
 	l2a, l2l := l2Params(c.L2KBPerCore)
 	l3a, l3l := l3Params(c.L3MBTotal)
 	l3Share := c.L3MBTotal * 1024 * 1024 / c.Cores
@@ -135,12 +136,12 @@ func (c Config) hierarchy(memLatNs float64) *cache.Hierarchy {
 	if l3Share < 256*1024 {
 		l3Share = 256 * 1024
 	}
-	return cache.NewHierarchy(cache.HierarchyConfig{
+	return cache.HierarchyConfig{
 		L1:              cache.Config{Name: "L1", SizeBytes: 32 * 1024, Assoc: 8, LatencyCycle: 4},
 		L2:              cache.Config{Name: "L2", SizeBytes: c.L2KBPerCore * 1024, Assoc: l2a, LatencyCycle: l2l},
 		L3:              cache.Config{Name: "L3", SizeBytes: l3Share, Assoc: l3a, LatencyCycle: l3l},
 		MemLatencyCycle: int(math.Round(memLatNs * c.FreqGHz)),
-	})
+	}
 }
 
 // Result is the outcome of a node-level detailed simulation.
@@ -243,7 +244,7 @@ func (tm *TimingMemo) put(core cpu.Config, lat cpu.LevelLatencies, r cpu.Result)
 // (FuseWarm), and everything else (FuseSample).
 type FusedTrace struct {
 	// WarmOps is the warm window's fused memory accesses in stream order;
-	// nil on a sample-half-only trace, which AnnotateTrace must not be given.
+	// nil on a sample-half-only trace, which a cache walk must not be given.
 	WarmOps []WarmOp
 	// SampleOps is the sample window's fused memory accesses in stream
 	// order; Idx locates each in the timing columns below.
@@ -345,7 +346,7 @@ func (st ScalarTrace) SampleWindow() ScalarTrace {
 // (application, vector width) at the given fidelity and seed. Branch
 // mispredict outcomes are drawn here — they consume the same seed-derived
 // random sequence whatever the cache configuration — so the cache walk
-// (AnnotateTrace) is purely deterministic replay.
+// (WalkCaches) is purely deterministic replay.
 func BuildFusedTrace(app *apps.Profile, vectorBits int, sampleInstrs, warmupInstrs int64, seed uint64) *FusedTrace {
 	return FuseScalarTrace(BuildScalarTrace(app, sampleInstrs, warmupInstrs, seed), app, vectorBits, seed)
 }
@@ -363,7 +364,7 @@ func FuseScalarTrace(st ScalarTrace, app *apps.Profile, vectorBits int, seed uin
 
 // FuseWarm fuses the warm window of a scalar trace into its memory accesses —
 // the half of a fused trace whose only reader is the cache walk
-// (AnnotateTrace). A run that finds its hit-rate tables already built never
+// (WalkCaches). A run that finds its hit-rate tables already built never
 // needs it.
 func FuseWarm(st ScalarTrace, vectorBits int) []WarmOp {
 	// The scalar budget upper-bounds the fused count (fusion only shrinks a
@@ -418,33 +419,58 @@ func FuseSample(st ScalarTrace, app *apps.Profile, vectorBits int, seed uint64) 
 // AnnotateTrace replays a fused trace through cfg's cache hierarchy: the
 // warm ops populate the caches, then each sample access resolves to its
 // level. It returns both the combined annotation (ready for timing replay)
-// and the hit-rate table that, overlaid on the same trace, reproduces it.
+// and the hit-rate table that, overlaid on the same trace, reproduces it. It
+// is WalkCaches with one configuration.
 func AnnotateTrace(ft *FusedTrace, cfg Config) (Annotation, HitRateTable) {
+	hrt := WalkCaches(ft, []Config{cfg})[0]
+	ann, _ := CombineAnnotation(ft, hrt)
+	return ann, hrt
+}
+
+// WalkCaches replays a fused trace through the cache hierarchies of every
+// configuration at once and returns their hit-rate tables, in order. Every
+// node configuration has the same L1, so the walk looks each line up in one
+// L1 (cache.SharedL1) and runs only the levels below it per configuration;
+// each table equals the one a walk of its configuration alone produces.
+//
+// The hierarchies are built with no memory latency, so an L3 hit and a DRAM
+// access cost the same and an access straddling two lines keeps the level of
+// the first: one whose first line hits the L3 and whose second goes to DRAM
+// is annotated L3 (pinned by TestStraddlingL3AndDRAMAnnotatesL3).
+func WalkCaches(ft *FusedTrace, cfgs []Config) []HitRateTable {
 	if ft.WarmOps == nil {
 		// FuseWarm returns a non-nil column even for an empty warm window;
 		// walking cold caches would persist a wrong hit-rate table silently.
-		panic("node: AnnotateTrace on a fused trace without its warm half")
+		panic("node: cache walk on a fused trace without its warm half")
 	}
-	hier := cfg.hierarchy(0)
+	hcfgs := make([]cache.HierarchyConfig, len(cfgs))
+	for i, cfg := range cfgs {
+		hcfgs[i] = cfg.hierarchyConfig(0)
+	}
+	walk := cache.NewSharedL1(hcfgs)
 	for _, op := range ft.WarmOps {
-		hier.Access(op.Addr, int(op.Size), op.Write)
+		walk.Access(op.Addr, int(op.Size), op.Write)
 	}
-	hier.ResetStats()
-	levels := make([]uint8, len(ft.Meta))
-	meta := make([]uint32, len(ft.Meta))
-	copy(meta, ft.Meta)
+	walk.ResetStats()
+	levels := make([][]uint8, len(cfgs))
+	for i := range levels {
+		levels[i] = make([]uint8, len(ft.Meta))
+	}
 	for _, op := range ft.SampleOps {
-		lvl, _ := hier.Access(op.Addr, int(op.Size), op.Write)
-		levels[op.Idx] = uint8(lvl)
-		meta[op.Idx] |= uint32(lvl) << cpu.MetaLevelShift
+		for i, lvl := range walk.Access(op.Addr, int(op.Size), op.Write) {
+			levels[i][op.Idx] = uint8(lvl)
+		}
 	}
-	hrt := HitRateTable{
-		Levels: levels,
-		L1:     hier.L1Stats(), L2: hier.L2Stats(), L3: hier.L3Stats(),
-		MemReads: hier.MemReads, MemWrites: hier.MemWrites,
-		HierCfg: hier.Config(),
+	tables := make([]HitRateTable, len(cfgs))
+	for i, h := range walk.Hierarchies() {
+		tables[i] = HitRateTable{
+			Levels: levels[i],
+			L1:     h.L1Stats(), L2: h.L2Stats(), L3: h.L3Stats(),
+			MemReads: h.MemReads, MemWrites: h.MemWrites,
+			HierCfg: h.Config(),
+		}
 	}
-	return combine(ft, meta, hrt), hrt
+	return tables
 }
 
 // CombineAnnotation overlays a hit-rate table on the fused trace it was
@@ -481,7 +507,7 @@ func combine(ft *FusedTrace, meta []uint32, hrt HitRateTable) Annotation {
 // BuildAnnotation warms the caches and annotates one detailed sample for
 // the configuration's cache-relevant parameters (cores, vector width, cache
 // sizes, sample sizes, seed) — the single-shot path; sweeps stage it
-// through BuildFusedTrace + AnnotateTrace to share work across points.
+// through BuildFusedTrace + WalkCaches to share work across points.
 func BuildAnnotation(app *apps.Profile, cfg Config) Annotation {
 	ft := BuildFusedTrace(app, cfg.VectorBits, cfg.SampleInstrs, cfg.WarmupInstrs, cfg.Seed)
 	ann, _ := AnnotateTrace(ft, cfg)

@@ -4,6 +4,9 @@
 # end_to_end metric compared with the `better` and `bound` declared there.
 # Exits 1 when a metric is worse than the parent by more than its bound, a
 # run of this tree is not correct, or a larger share of its operations fails.
+# A metric whose parent runs alone spread wider than its bound (interquartile
+# range over median) reads "unresolved", neither ok nor FAIL: the host was too
+# noisy to tell, so run more pairs.
 # Needs bash, git, go and jq; runs and table land in .bench_build/pair/.
 set -euo pipefail
 usage="usage: scripts/benchpair.sh [-p pairs] [-s seconds] <parent-ref> [workload...]"
@@ -42,6 +45,8 @@ for w; do
 done
 jq -rs --slurpfile spec BENCHMARK.json '
   def median: sort | (.[(length - 1) / 2 | floor] + .[length / 2 | floor]) / 2;
+  def q($f): sort | ((length - 1) * $f) as $i | .[$i | floor] + (.[$i | ceil] - .[$i | floor]) * ($i - ($i | floor));
+  def spread: (q(0.75) - q(0.25)) / ([median | fabs, 1e-9] | max);
   def share: (map(.failed) | add) / ([map(.attempted) | add, 1] | max);
   def verdict(bad): if bad then "FAIL" else "ok" end;
   def r: (. * 1e4 | round) / 1e4 + 0;
@@ -51,10 +56,12 @@ jq -rs --slurpfile spec BENCHMARK.json '
    | [$w, "correct", ($p | all(.correct)), ($c | all(.correct)), "-", "true", verdict($c | all(.correct) | not)],
      [$w, "failed_share", ($p | share | r), ($c | share | r), "-", "parent", verdict(($c | share) > ($p | share))],
      ($spec[0].end_to_end[] as $m
-      | ($p | map(.metrics[$m.name].value) | median) as $a | ($c | map(.metrics[$m.name].value) | median) as $b
+      | ($p | map(.metrics[$m.name].value)) as $pv
+      | ($pv | median) as $a | ($c | map(.metrics[$m.name].value) | median) as $b
       | (($b - $a) / ([$a, 1e-9] | max)) as $rel
       | [$w, $m.name, ($a | r), ($b | r), "\($rel * 100 | r)%", "\($m.better) \($m.bound * 100)%",
-         verdict((if $m.better == "higher" then -$rel else $rel end) > $m.bound)]))
+         if ($pv | spread) > $m.bound then "unresolved"
+         else verdict((if $m.better == "higher" then -$rel else $rel end) > $m.bound) end]))
   | . as $row | [15, 19, 12, 12, 14, 11, 0] | to_entries
   | map(.value as $n | $row[.key] | tostring | . + " " * ([$n - length, 1] | max)) | join("") | sub(" +$"; "")' $out/runs.ndjson | tee $out/table.txt
 ! grep -qw FAIL $out/table.txt

@@ -2,12 +2,16 @@ package musa_test
 
 import (
 	"context"
+	"sync"
 	"testing"
 
 	"musa"
 	"musa/internal/apps"
+	"musa/internal/dram"
 	"musa/internal/dse"
+	"musa/internal/node"
 	"musa/internal/obs"
+	"musa/internal/trace"
 )
 
 // stageDeltas snapshots the observation counts of every dse pipeline stage
@@ -125,25 +129,49 @@ func TestWarmStagedSweepStageAccounting(t *testing.T) {
 	}
 }
 
+// putCounter is an artifact provider that holds nothing and counts every
+// hit-rate table put to it, per key.
+type putCounter struct {
+	mu   sync.Mutex
+	puts map[string]int
+}
+
+func (c *putCounter) HitRates(string) (node.HitRateTable, bool) { return node.HitRateTable{}, false }
+func (c *putCounter) PutHitRates(key string, _ node.HitRateTable) {
+	c.mu.Lock()
+	c.puts[key]++
+	c.mu.Unlock()
+}
+func (c *putCounter) LatencyModel(string) (dram.LatencyModel, bool) {
+	return dram.LatencyModel{}, false
+}
+func (c *putCounter) PutLatencyModel(string, dram.LatencyModel) {}
+func (c *putCounter) Burst(string) (*trace.Burst, bool)         { return nil, false }
+func (c *putCounter) PutBurst(string, *trace.Burst)             {}
+
 // TestFullGridStageAccounting runs the complete 864-point Table I grid for
 // one application at test fidelity and asserts each staged sub-result is
 // computed exactly once per distinct stage key: fused traces once per
 // vector width (3), hit-rate tables once per (cores, vector width, cache
-// configuration) group (3*3*3 = 27), DRAM latency curves once per
-// (channels, memory kind) (2*1 = 2) — while the node simulation itself
-// runs once per point. This is the sharing contract of DESIGN.md §15: 864
-// points, 32 sub-result builds.
+// configuration) group (3*3*3 = 27) by one cache walk per vector width (3),
+// DRAM latency curves once per (channels, memory kind) (2*1 = 2) — while the
+// node simulation itself runs once per point. Every table is put to the
+// provider once. This is the sharing contract of DESIGN.md §15: 864 points,
+// 3 fuses, 3 walks, 27 tables and 2 curves.
 func TestFullGridStageAccounting(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full 864-point grid")
 	}
 	delta := stageDeltas()
-	d := dse.Run(context.Background(), dse.Options{
+	rec := obs.NewRecorder(1 << 15)
+	provider := &putCounter{puts: map[string]int{}}
+	d := dse.Run(obs.WithRecorder(context.Background(), rec), dse.Options{
 		Apps:         []*apps.Profile{apps.LULESH()},
 		SampleInstrs: 20000,
 		WarmupInstrs: 40000,
 		Seed:         1,
 		Replay:       dse.ReplayConfig{Disable: true},
+		Artifacts:    provider,
 	})
 	got := delta()
 	if len(d.Measurements) != 864 {
@@ -160,6 +188,23 @@ func TestFullGridStageAccounting(t *testing.T) {
 	for s, w := range want {
 		if got[s] != w {
 			t.Errorf("stage %s: %d observations, want %d", s, got[s], w)
+		}
+	}
+	walks := 0
+	for _, s := range rec.Spans() {
+		if s.Name == "dse.cache-walk" {
+			walks++
+		}
+	}
+	if walks != 3 {
+		t.Errorf("%d cache walks, want 3 (one per vector width, each building nine tables)", walks)
+	}
+	if len(provider.puts) != 27 {
+		t.Errorf("%d distinct hit-rate tables put, want 27", len(provider.puts))
+	}
+	for key, n := range provider.puts {
+		if n != 1 {
+			t.Errorf("hit-rate table %s put %d times, want once", key[:12], n)
 		}
 	}
 }
