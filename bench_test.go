@@ -488,9 +488,8 @@ func storeBenchOpen(b *testing.B) *store.Store {
 			b.Fatal(err)
 		}
 	}
-	// Quiesce: drain in-flight background flushes and compactions so the
-	// measured loop is not sharing the CPU with leftover prefill work.
-	if err := st.Drain(); err != nil {
+	// Read from segments, as a reopened store would, not from the memtable.
+	if err := st.Flush(); err != nil {
 		b.Fatal(err)
 	}
 	return st

@@ -31,13 +31,6 @@ type ClientOptions struct {
 	CacheDir string
 	// LRUEntries bounds the store's in-memory front (0 = store default).
 	LRUEntries int
-	// StoreMemtableBytes overrides the result store's memtable flush
-	// threshold (0 = engine default). With StoreBlockCacheBytes it is the
-	// memory-budget knob of a replica sharing a machine with siblings.
-	StoreMemtableBytes int
-	// StoreBlockCacheBytes overrides the result store's inflated-block
-	// cache bound (0 = engine default, <0 disables the cache).
-	StoreBlockCacheBytes int64
 	// StoreReadOnly opens the result store read-only: no writer lock is
 	// taken, so the handle shares the directory with a live writer in
 	// another process and follows the segments it publishes. Freshly
@@ -319,10 +312,8 @@ func NewClient(opts ClientOptions) (*Client, error) {
 	}
 	if opts.CacheDir != "" {
 		st, err := store.Open(opts.CacheDir, store.Options{
-			LRUEntries:      opts.LRUEntries,
-			ReadOnly:        opts.StoreReadOnly,
-			MemtableBytes:   opts.StoreMemtableBytes,
-			BlockCacheBytes: opts.StoreBlockCacheBytes,
+			LRUEntries: opts.LRUEntries,
+			ReadOnly:   opts.StoreReadOnly,
 			OnCompaction: func(seconds float64) {
 				if h := c.compHist.Load(); h != nil {
 					h.Observe(seconds)

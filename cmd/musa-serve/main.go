@@ -78,8 +78,6 @@ func main() {
 	peers := flag.String("peers", "", "comma-separated replica base URLs forming the ring (including -self)")
 	admit := flag.Int("admit", 0, "max concurrently admitted heavy requests (0 = 4x max-jobs, negative = unlimited)")
 	admitQueue := flag.Int("admit-queue", 64, "max heavy requests waiting for admission before shedding with 429")
-	memtableBytes := flag.Int("store-memtable-bytes", 0, "LSM memtable flush threshold in bytes (0 = default)")
-	blockCacheBytes := flag.Int64("store-block-cache-bytes", 0, "LSM block cache size in bytes (0 = default, negative = disabled)")
 	flag.Parse()
 
 	// The replay flags share one parser with musa-dse: SetReplayFlags on a
@@ -102,22 +100,20 @@ func main() {
 	}
 
 	client, err := musa.NewClient(musa.ClientOptions{
-		CacheDir:             *cacheDir,
-		StoreReadOnly:        *readOnly,
-		StoreMemtableBytes:   *memtableBytes,
-		StoreBlockCacheBytes: *blockCacheBytes,
-		ArtifactCache:        *artifactDir,
-		NoArtifacts:          *noArtifacts,
-		LRUEntries:           *lru,
-		SweepWorkers:         *workers,
-		MaxJobs:              *maxJobs,
-		SampleInstrs:         *sample,
-		WarmupInstrs:         *warmup,
-		Seed:                 *seed,
-		ReplayRanks:          defaults.ReplayRanks,
-		NoReplay:             defaults.NoReplay,
-		Network:              defaults.Network,
-		Ring:                 rg,
+		CacheDir:      *cacheDir,
+		StoreReadOnly: *readOnly,
+		ArtifactCache: *artifactDir,
+		NoArtifacts:   *noArtifacts,
+		LRUEntries:    *lru,
+		SweepWorkers:  *workers,
+		MaxJobs:       *maxJobs,
+		SampleInstrs:  *sample,
+		WarmupInstrs:  *warmup,
+		Seed:          *seed,
+		ReplayRanks:   defaults.ReplayRanks,
+		NoReplay:      defaults.NoReplay,
+		Network:       defaults.Network,
+		Ring:          rg,
 	})
 	if err != nil {
 		if errors.Is(err, musa.ErrStoreBusy) {

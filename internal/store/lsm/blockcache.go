@@ -35,9 +35,6 @@ type blockCacheEntry struct {
 }
 
 func newBlockCache(maxBytes int64) *blockCache {
-	if maxBytes <= 0 {
-		return nil
-	}
 	return &blockCache{max: maxBytes, ll: list.New(), m: map[blockCacheKey]*list.Element{}}
 }
 
@@ -97,24 +94,7 @@ func (c *blockCache) dropSeg(s *segment) {
 }
 
 func (c *blockCache) sizeBytes() int64 {
-	if c == nil {
-		return 0
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.bytes
-}
-
-func (c *blockCache) hitCount() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.hits.Load()
-}
-
-func (c *blockCache) missCount() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.misses.Load()
 }

@@ -9,14 +9,17 @@ import (
 )
 
 // Size-tiered compaction: segments of similar size accumulate as the
-// memtable flushes; once a tier holds CompactAt of them they are merged
-// into one segment of the next tier. Because the engine has no per-record
-// sequence numbers, only segments contiguous in recency order merge —
-// last-write-wins is then simply "the newer segment of the run wins" —
-// which flush order produces naturally. The merge streams block-by-block
-// (bounded memory) into a new segment, commits it in a single MANIFEST
-// replace, then deletes the inputs; a kill at any point leaves the old
-// manifest and therefore a consistent store.
+// memtable flushes; once a tier holds compactAt of them the flush that
+// filled it merges them into one segment of the next tier. Because the
+// engine has no per-record sequence numbers, only segments contiguous in
+// recency order merge — last-write-wins is then simply "the newer segment
+// of the run wins" — which flush order produces naturally. The merge
+// streams block-by-block (bounded memory) into a new segment, commits it in
+// a single MANIFEST replace, then deletes the inputs; a kill at any point
+// leaves the old manifest and therefore a consistent store.
+
+// compactAt is the number of same-tier segments that triggers a merge.
+const compactAt = 4
 
 // tierOf buckets a segment size: tier n covers (1MiB*4^(n-1), 1MiB*4^n].
 func tierOf(bytes int64) int {
@@ -28,17 +31,16 @@ func tierOf(bytes int64) int {
 }
 
 // compactable returns the [lo, hi) bounds of the oldest contiguous run of
-// at least CompactAt same-tier segments, or nil. Caller holds mu.
+// at least compactAt same-tier segments, or nil. Caller is the writer.
 func (db *DB) compactable() []int {
-	need := db.opts.CompactAt
 	segs := db.manifest.Segments
-	for lo := 0; lo+need <= len(segs); {
+	for lo := 0; lo+compactAt <= len(segs); {
 		t := tierOf(segs[lo].Bytes)
 		hi := lo + 1
 		for hi < len(segs) && tierOf(segs[hi].Bytes) == t {
 			hi++
 		}
-		if hi-lo >= need {
+		if hi-lo >= compactAt {
 			return []int{lo, hi}
 		}
 		lo = hi
@@ -79,15 +81,9 @@ func (h mergeHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 func (h *mergeHeap) Push(x any)   { *h = append(*h, x.(*mergeSource)) }
 func (h *mergeHeap) Pop() any     { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
 
-// Compact folds compactable runs together until none remain. It is safe to
-// call concurrently with reads and writes; only one compaction runs at a
-// time. The flush path triggers it automatically unless NoCompact is set.
-func (db *DB) Compact() error {
-	if db.readOnly {
-		return ErrReadOnly
-	}
-	db.maintMu.Lock()
-	defer db.maintMu.Unlock()
+// compact folds compactable runs together until none remain. Caller holds
+// wmu.
+func (db *DB) compact() error {
 	for {
 		did, err := db.compactOnce()
 		if err != nil || !did {
@@ -96,31 +92,21 @@ func (db *DB) Compact() error {
 	}
 }
 
-// compactOnce merges one run; reports whether it did anything.
+// compactOnce merges one run; reports whether it did anything. The merge
+// runs outside mu — only the writer changes the segment set, and it is
+// the caller — and only the swap of the published state takes it.
 func (db *DB) compactOnce() (bool, error) {
-	// Snapshot the run under the lock. Segments are immutable and the list
-	// only ever changes by flush appends (beyond [lo,hi)) or by this
-	// serialized compactor, so the snapshot stays valid while we merge
-	// outside the lock.
-	db.mu.Lock()
-	if db.closed {
-		db.mu.Unlock()
-		return false, nil
-	}
 	r := db.compactable()
 	if r == nil {
-		db.mu.Unlock()
 		return false, nil
 	}
 	lo, hi := r[0], r[1]
-	run := append([]*segment(nil), db.segs[lo:hi]...)
+	run := db.segs[lo:hi]
 	var expect int
 	for _, ms := range db.manifest.Segments[lo:hi] {
 		expect += ms.Keys
 	}
 	id := db.manifest.NextSeg
-	db.manifest.NextSeg++ // reserved; a failed compaction just skips the id
-	db.mu.Unlock()
 
 	start := time.Now()
 	path := filepath.Join(db.dir, segName(id))
@@ -132,8 +118,7 @@ func (db *DB) compactOnce() (bool, error) {
 	for i, s := range run {
 		src := &mergeSource{it: s.iter(), pos: i}
 		if err := src.advance(); err != nil {
-			w.f.Close()
-			os.Remove(w.tmp)
+			w.abort()
 			return false, err
 		}
 		if !src.done {
@@ -147,16 +132,14 @@ func (db *DB) compactOnce() (bool, error) {
 		src := h[0]
 		if keys == 0 || src.key != last {
 			if err := w.add(src.key, src.val); err != nil {
-				w.f.Close()
-				os.Remove(w.tmp)
+				w.abort()
 				return false, err
 			}
 			last = src.key
 			keys++
 		}
 		if err := src.advance(); err != nil {
-			w.f.Close()
-			os.Remove(w.tmp)
+			w.abort()
 			return false, err
 		}
 		if src.done {
@@ -169,43 +152,36 @@ func (db *DB) compactOnce() (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	merged, err := openSegment(path)
+	merged, err := openSegment(path, db.bcache)
 	if err != nil {
+		os.Remove(path)
 		return false, fmt.Errorf("lsm: reopen merged segment: %w", err)
 	}
-	merged.bc = db.bcache
 
 	// Commit: replace the run in manifest and segment list, in one
 	// manifest write.
-	db.mu.Lock()
-	if db.closed {
-		db.mu.Unlock()
-		merged.close()
-		os.Remove(path)
-		return false, nil
-	}
-	newSegs := make([]manifestSegment, 0, len(db.manifest.Segments)-(hi-lo)+1)
-	newSegs = append(newSegs, db.manifest.Segments[:lo]...)
-	newSegs = append(newSegs, manifestSegment{ID: id, Keys: info.keys, Bytes: info.bytes})
-	newSegs = append(newSegs, db.manifest.Segments[hi:]...)
-	oldList := db.manifest.Segments
-	db.manifest.Segments = newSegs
-	if err := db.manifest.commit(db.dir); err != nil {
-		db.manifest.Segments = oldList
-		db.mu.Unlock()
+	man := db.manifest
+	man.NextSeg++
+	man.Segments = make([]manifestSegment, 0, len(db.manifest.Segments)-(hi-lo)+1)
+	man.Segments = append(man.Segments, db.manifest.Segments[:lo]...)
+	man.Segments = append(man.Segments, manifestSegment{ID: id, Keys: info.keys, Bytes: info.bytes})
+	man.Segments = append(man.Segments, db.manifest.Segments[hi:]...)
+	if err := man.commit(db.dir); err != nil {
 		merged.close()
 		os.Remove(path)
 		return false, err
 	}
-	old := db.segs[lo:hi:hi]
 	segs := make([]*segment, 0, len(db.segs)-(hi-lo)+1)
 	segs = append(segs, db.segs[:lo]...)
 	segs = append(segs, merged)
 	segs = append(segs, db.segs[hi:]...)
+	oldList := db.manifest.Segments
+	db.mu.Lock()
+	db.manifest = man
 	db.segs = segs
 	db.mu.Unlock()
 
-	for i, s := range old {
+	for i, s := range run {
 		s.close()
 		os.Remove(filepath.Join(db.dir, segName(oldList[lo+i].ID)))
 	}

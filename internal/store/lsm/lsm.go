@@ -7,7 +7,12 @@
 // segment files: block-compressed key/value runs with a sparse index and a
 // per-segment bloom filter, so the dominant case at serve scale (a miss on
 // a key nobody ever computed) is rejected without touching a data block.
-// Size-tiered background compaction folds accumulated segments together.
+// Size-tiered compaction folds accumulated segments together.
+//
+// The engine starts no goroutine. The Put that fills the WAL to its bound
+// flushes the memtable and, when a size tier is full, compacts it, on its
+// own call; writers serialize on one mutex while readers keep reading, since
+// the segment write and the merge run outside the lock readers take.
 //
 // The engine is single-writer/many-reader by design: exactly one process
 // may open a directory for writing (an advisory flock on wal.lock; a second
@@ -23,6 +28,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"syscall"
@@ -37,14 +43,15 @@ var (
 	ErrReadOnly = errors.New("lsm: store opened read-only")
 )
 
-// Default sizing applied when Options leaves the corresponding knob zero.
-// Exported so the layers above (store, client, /stats) can report the
-// effective configuration without re-stating the numbers.
+var errClosed = errors.New("lsm: store is closed")
+
+// Engine sizing. Exported so the layers above (store, client, /stats) can
+// report the effective configuration without re-stating the numbers.
 const (
-	// DefaultMemtableBytes is the memtable flush threshold.
+	// DefaultMemtableBytes is the WAL bound that triggers a flush.
 	DefaultMemtableBytes = 4 << 20
-	// DefaultBlockCacheBytes bounds the inflated-block LRU cache.
-	DefaultBlockCacheBytes = 8 << 20
+	// BlockCacheBytes bounds the inflated-block LRU cache.
+	BlockCacheBytes = 8 << 20
 )
 
 // Options tunes an engine instance.
@@ -53,20 +60,13 @@ type Options struct {
 	// ErrReadOnly, the WAL is not replayed (a live writer owns its tail),
 	// and the segment set is refreshed from the MANIFEST when it changes.
 	ReadOnly bool
-	// MemtableBytes flushes the memtable to a segment once its payload
-	// exceeds this bound (0 = 4 MiB).
+	// MemtableBytes flushes the memtable to a segment once the WAL written
+	// since the last flush reaches this many bytes (0 = 4 MiB). Every
+	// memtable byte came from a WAL record, so the bound holds for both.
 	MemtableBytes int
-	// BlockCacheBytes bounds the shared cache of inflated segment blocks
-	// that point reads are served through (0 = 8 MiB, <0 disables).
-	BlockCacheBytes int64
-	// CompactAt folds a tier's segments together once the tier holds at
-	// least this many (0 = 4; <0 disables background compaction).
-	CompactAt int
-	// NoCompact disables background compaction (crash tests drive
-	// compaction explicitly).
-	NoCompact bool
 	// OnCompaction, if set, observes each completed compaction's duration
-	// in seconds (the obs bridge registers a histogram here).
+	// in seconds (the obs bridge registers a histogram here). It runs on
+	// the writer's path and must not call back into the DB.
 	OnCompaction func(seconds float64)
 }
 
@@ -115,30 +115,28 @@ type Stats struct {
 }
 
 // DB is one open engine instance. All methods are safe for concurrent use.
+//
+// Two locks: wmu serializes writers (Put, Flush, Close), and only a writer
+// holding it mutates the memtable, the segment list, the manifest or the
+// WAL, so a writer reads all four without mu. mu guards them against
+// readers: writers hold it for write only to insert into the memtable and
+// to swap in a new segment list, manifest and memtable.
 type DB struct {
 	dir      string
 	opts     Options
 	readOnly bool
 
+	wmu    sync.Mutex
+	closed bool // guarded by wmu
+	wal    *wal // guarded by wmu
+	lock   *os.File
+
 	mu       sync.RWMutex
 	mem      *memtable
-	imm      *memtable  // snapshot a background flush is writing; nil otherwise
 	segs     []*segment // recency order: oldest first, newest last
 	manifest manifest
-	wal      *wal
-	lock     *os.File
-	closed   bool
-	// flushErr is the sticky background-flush failure: rotation stops (the
-	// .old log is the snapshot's only durable copy) and the next explicit
-	// Flush retries synchronously and surfaces it.
-	flushErr  error
-	flushCond *sync.Cond // signals imm == nil; lazily bound to &mu
 
-	// maintenance serializes flush-triggered compaction with Close.
-	maintWG sync.WaitGroup
-	maintMu sync.Mutex
-
-	bcache *blockCache // shared inflated-block cache; nil when disabled
+	bcache *blockCache // shared inflated-block cache
 
 	c counters
 }
@@ -147,18 +145,10 @@ type DB struct {
 // dir. A writer replays the WAL tail — tolerating a torn final record — and
 // takes the writer lock; a second writer gets an error wrapping ErrBusy.
 func Open(dir string, opts Options) (*DB, error) {
-	db := &DB{dir: dir, opts: opts, readOnly: opts.ReadOnly}
-	db.flushCond = sync.NewCond(&db.mu)
+	db := &DB{dir: dir, opts: opts, readOnly: opts.ReadOnly, bcache: newBlockCache(BlockCacheBytes)}
 	if opts.MemtableBytes <= 0 {
 		db.opts.MemtableBytes = DefaultMemtableBytes
 	}
-	if opts.CompactAt <= 0 {
-		db.opts.CompactAt = 4
-	}
-	if opts.BlockCacheBytes == 0 {
-		db.opts.BlockCacheBytes = DefaultBlockCacheBytes
-	}
-	db.bcache = newBlockCache(db.opts.BlockCacheBytes)
 	if db.readOnly {
 		return db, db.openReadOnly()
 	}
@@ -177,55 +167,60 @@ func (db *DB) openWriter() error {
 		lock.Close()
 		return fmt.Errorf("lsm: %s: %w", db.dir, ErrBusy)
 	}
+	if err := db.load(); err != nil {
+		lock.Close()
+		return err
+	}
 	db.lock = lock
+	return nil
+}
+
+// load reads the MANIFEST and its segments, sweeps orphans and replays
+// the WAL tail: records beyond the last completed flush. A record torn by
+// a kill mid-append ends the replay at the intact prefix — the store is
+// never refused.
+func (db *DB) load() error {
 	man, err := loadManifest(db.dir)
 	if err != nil {
-		lock.Close()
 		return err
 	}
 	db.manifest = man
 	if err := db.openSegments(); err != nil {
-		lock.Close()
 		return err
 	}
 	db.removeOrphans()
 	db.mem = newMemtable()
-	// Replay the WAL tail: records beyond the last completed flush. The
-	// .old generation (left by a kill mid-flush) replays first, then the
-	// live log on top. A record torn by a kill mid-append ends that
-	// generation's replay at the intact prefix — the store is never
-	// refused.
 	apply := func(k string, v []byte) {
 		if fresh := db.mem.put(k, v); fresh && !db.hasInSegments(k) {
 			db.manifest.Keys++
 		}
 	}
 	walPath := filepath.Join(db.dir, "wal.log")
-	oldReplayed, oldTorn, err := replayWALFile(walPath+walOldSuffix, apply)
-	if err != nil {
-		lock.Close()
-		return err
+	// Earlier releases flushed in the background, and a kill mid-flush left
+	// acknowledged puts in wal.log.old. It replays under the live log and
+	// both fold into a segment before any write lands.
+	oldPath := walPath + ".old"
+	old, err := os.ReadFile(oldPath)
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
+		return fmt.Errorf("lsm: wal: %w", err)
 	}
+	oldIntact, oldReplayed := replayRecords(old, apply)
 	w, replayed, torn, err := openWAL(walPath, apply)
 	if err != nil {
-		lock.Close()
 		return err
 	}
 	db.wal = w
 	db.c.walReplayed.Store(oldReplayed + replayed)
-	if torn || oldTorn {
+	if torn || oldIntact < len(old) {
 		db.c.walTorn.Store(1)
 	}
 	if oldReplayed > 0 {
-		// Fold both generations into a segment now so the .old file (whose
-		// name the next rotation needs) is retired before any writes land.
-		if err := db.flushSyncLocked(); err != nil {
-			lock.Close()
+		if err := db.flush(); err != nil {
+			w.close()
 			return err
 		}
-	} else {
-		os.Remove(walPath + walOldSuffix) // empty or all-torn leftover
 	}
+	os.Remove(oldPath)
 	return nil
 }
 
@@ -244,14 +239,13 @@ func (db *DB) openReadOnly() error {
 func (db *DB) openSegments() error {
 	segs := make([]*segment, 0, len(db.manifest.Segments))
 	for _, ms := range db.manifest.Segments {
-		s, err := openSegment(filepath.Join(db.dir, segName(ms.ID)))
+		s, err := openSegment(filepath.Join(db.dir, segName(ms.ID)), db.bcache)
 		if err != nil {
 			for _, o := range segs {
 				o.close()
 			}
 			return fmt.Errorf("lsm: segment %d: %w", ms.ID, err)
 		}
-		s.bc = db.bcache
 		segs = append(segs, s)
 	}
 	db.segs = segs
@@ -286,15 +280,18 @@ func (db *DB) removeOrphans() {
 // hasInSegments reports whether key exists in any live segment (bloom-
 // guarded; used to keep the exact key count while replaying the WAL and
 // applying puts). It bypasses the read counters so put-path bookkeeping
-// does not pollute the bloom false-positive rate. Caller owns mu or is in
-// Open.
+// does not pollute the bloom false-positive rate. Caller is the writer.
 func (db *DB) hasInSegments(key string) bool {
 	if len(db.segs) == 0 {
 		return false
 	}
 	h1, h2 := bloomHash(key)
 	for i := len(db.segs) - 1; i >= 0; i-- {
-		if v, err := db.segs[i].get(key, h1, h2, nil); err == nil && v != nil {
+		s := db.segs[i]
+		if !s.bloom.test(h1, h2) {
+			continue
+		}
+		if v, err := s.find(key, nil); err == nil && v != nil {
 			return true
 		}
 	}
@@ -305,7 +302,7 @@ func (db *DB) hasInSegments(key string) bool {
 func (db *DB) Get(key string) ([]byte, bool) {
 	db.c.gets.Add(1)
 	db.mu.RLock()
-	if v, ok := db.getFromMemtables(key); ok {
+	if v, ok := db.mem.get(key); ok {
 		db.mu.RUnlock()
 		db.c.memHits.Add(1)
 		db.c.hits.Add(1)
@@ -328,18 +325,6 @@ func (db *DB) Get(key string) ([]byte, bool) {
 	// Misses are derived (gets - hits) so the dominant absent-key path pays
 	// one less atomic.
 	return v, ok
-}
-
-// getFromMemtables checks the mutable memtable, then the immutable flush
-// snapshot. Caller holds mu (read).
-func (db *DB) getFromMemtables(key string) ([]byte, bool) {
-	if v, ok := db.mem.get(key); ok {
-		return v, true
-	}
-	if db.imm != nil {
-		return db.imm.get(key)
-	}
-	return nil, false
 }
 
 // getFromSegments searches newest-to-oldest. The bloom hashes are computed
@@ -370,167 +355,66 @@ func (db *DB) getFromSegments(key string) ([]byte, bool) {
 	return nil, false
 }
 
-// Has reports whether key is stored, at bloom-filter cost for absent keys.
-func (db *DB) Has(key string) bool {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	if _, ok := db.getFromMemtables(key); ok {
-		return true
-	}
-	_, ok := db.getFromSegments(key)
-	return ok
-}
-
 // Put stores value under key: one durable WAL append plus a memtable
-// insert. Once the memtable exceeds its bound it rotates to an immutable
-// snapshot that a background goroutine flushes, so a Put never waits for
-// segment compression.
+// insert. The Put that brings the WAL to its bound also flushes (and, when
+// a tier fills, compacts) before it returns. If that flush fails, Put
+// reports it, but the record is durable in the WAL and served from the
+// memtable, and the next Put or Flush retries.
 func (db *DB) Put(key string, value []byte) error {
 	if db.readOnly {
 		return ErrReadOnly
 	}
-	db.mu.Lock()
+	db.wmu.Lock()
+	defer db.wmu.Unlock()
 	if db.closed {
-		db.mu.Unlock()
-		return errors.New("lsm: store is closed")
+		return errClosed
 	}
 	n, err := db.wal.append(key, value)
 	if err != nil {
-		db.mu.Unlock()
 		return err
 	}
 	db.c.walBytes.Add(int64(n))
-	if fresh := db.mem.put(key, value); fresh {
-		inImm := false
-		if db.imm != nil {
-			_, inImm = db.imm.get(key)
-		}
-		if !inImm && !db.hasInSegments(key) {
-			db.manifest.Keys++
-		}
-	}
-	db.c.puts.Add(1)
-	var rotErr error
-	if db.mem.bytes >= db.opts.MemtableBytes && db.imm == nil && db.flushErr == nil {
-		rotErr = db.rotateLocked()
+	// Off mu: the segment probe may read a block.
+	_, known := db.mem.get(key)
+	known = known || db.hasInSegments(key)
+	db.mu.Lock()
+	db.mem.put(key, value)
+	if !known {
+		db.manifest.Keys++
 	}
 	db.mu.Unlock()
-	return rotErr
-}
-
-// rotateLocked snapshots the memtable for a background flush: the live WAL
-// becomes the .old generation covering the snapshot, a fresh log takes new
-// writes, and a worker compresses the segment outside the lock. Caller
-// holds mu (write); imm must be nil and flushErr clear.
-func (db *DB) rotateLocked() error {
-	if err := db.wal.rotate(); err != nil {
-		return err
+	db.c.puts.Add(1)
+	if db.wal.size < int64(db.opts.MemtableBytes) {
+		return nil
 	}
-	db.imm = db.mem
-	db.mem = newMemtable()
-	db.maintWG.Add(1)
-	go db.flushImm(db.imm)
+	if err := db.flush(); err != nil {
+		return fmt.Errorf("lsm: put logged, flush failed: %w", err)
+	}
 	return nil
 }
 
-// flushImm writes the immutable snapshot out as a segment — the sort and
-// flate compression run outside the lock, so Put and Get never stall
-// behind a flush — then re-locks to publish it. On failure the snapshot
-// folds back into the memtable and the .old log (its only durable copy) is
-// kept; rotation stays off until a successful explicit Flush clears the
-// sticky error.
-func (db *DB) flushImm(imm *memtable) {
-	defer db.maintWG.Done()
-	db.mu.Lock()
-	id := db.manifest.NextSeg
-	db.manifest.NextSeg++ // reserved; a failed flush just skips the id
-	db.mu.Unlock()
-
-	path := filepath.Join(db.dir, segName(id))
-	info, err := writeSegment(path, imm.sorted())
-	var seg *segment
-	if err == nil {
-		if seg, err = openSegment(path); err == nil {
-			seg.bc = db.bcache
-		}
-	}
-
-	db.mu.Lock()
-	defer func() {
-		db.imm = nil
-		db.flushCond.Broadcast()
-		db.mu.Unlock()
-	}()
-	if err == nil {
-		db.manifest.Segments = append(db.manifest.Segments, manifestSegment{
-			ID: id, Keys: info.keys, Bytes: info.bytes,
-		})
-		if cerr := db.manifest.commit(db.dir); cerr != nil {
-			db.manifest.Segments = db.manifest.Segments[:len(db.manifest.Segments)-1]
-			seg.close()
-			err = cerr
-		}
-	}
-	if err != nil {
-		os.Remove(path)
-		db.flushErr = err
-		// Fold the snapshot back under the live memtable: keys written since
-		// the rotation stay newer, everything else becomes visible again.
-		for k, v := range imm.m {
-			if _, ok := db.mem.m[k]; !ok {
-				db.mem.put(k, v)
-			}
-		}
-		return
-	}
-	db.segs = append(db.segs, seg)
-	db.c.flushes.Add(1)
-	os.Remove(db.wal.path + walOldSuffix)
-	if !db.opts.NoCompact && db.compactable() != nil {
-		db.maintWG.Add(1)
-		go func() {
-			defer db.maintWG.Done()
-			db.Compact() // serialized internally; errors surface in Stats via segment counts
-		}()
-	}
-}
-
-// Flush synchronously persists everything buffered in memory: it waits out
-// any in-flight background flush (surfacing its failure by retrying the
-// write), then flushes the live memtable as a segment and truncates the
-// WAL, publishing to concurrent readers via the MANIFEST.
+// Flush persists everything buffered in memory as a segment, publishing it
+// to concurrent readers via the MANIFEST, and truncates the WAL.
 func (db *DB) Flush() error {
 	if db.readOnly {
 		return ErrReadOnly
 	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	for db.imm != nil {
-		db.flushCond.Wait()
-	}
+	db.wmu.Lock()
+	defer db.wmu.Unlock()
 	if db.closed {
-		return errors.New("lsm: store is closed")
+		return errClosed
 	}
-	return db.flushSyncLocked()
+	return db.flush()
 }
 
-// Drain flushes the memtable and then waits for all background
-// maintenance — in-flight flushes and any compactions they trigger — to
-// go idle. Benchmarks and tests quiesce the engine with it so measured
-// loops are not sharing the CPU with leftover write-path work.
-func (db *DB) Drain() error {
-	if err := db.Flush(); err != nil {
-		return err
-	}
-	db.maintWG.Wait()
-	return nil
-}
-
-// flushSyncLocked flushes a non-empty memtable inline and retires both WAL
-// generations; success clears a sticky background-flush error (the failed
-// snapshot was folded back into the memtable, so this write covers it).
-// Caller holds mu (write) and has ensured imm is nil.
-func (db *DB) flushSyncLocked() error {
+// flush writes a non-empty memtable out as a segment, commits a MANIFEST
+// listing it, publishes segment list, manifest and a fresh memtable to
+// readers in one swap, and resets the WAL; then it compacts while a tier
+// is full. Sorting and compression run outside mu, so reads proceed
+// meanwhile. On failure nothing is published: the memtable, the segment
+// list and the manifest stay as they were, the new segment file is
+// removed, and the WAL still covers every record. Caller holds wmu.
+func (db *DB) flush() error {
 	if db.mem.len() == 0 {
 		return nil
 	}
@@ -540,34 +424,31 @@ func (db *DB) flushSyncLocked() error {
 	if err != nil {
 		return err
 	}
-	seg, err := openSegment(path)
+	seg, err := openSegment(path, db.bcache)
 	if err != nil {
-		return err
+		os.Remove(path)
+		return fmt.Errorf("lsm: segment %d: %w", id, err)
 	}
-	seg.bc = db.bcache
-	db.manifest.NextSeg++
-	db.manifest.Segments = append(db.manifest.Segments, manifestSegment{
-		ID: id, Keys: info.keys, Bytes: info.bytes,
-	})
-	if err := db.manifest.commit(db.dir); err != nil {
+	man := db.manifest
+	man.NextSeg++
+	man.Segments = append(slices.Clip(man.Segments), manifestSegment{ID: id, Keys: info.keys, Bytes: info.bytes})
+	if err := man.commit(db.dir); err != nil {
 		seg.close()
+		os.Remove(path)
 		return err
 	}
-	db.segs = append(db.segs, seg)
+	db.mu.Lock()
+	db.manifest = man
+	db.segs = append(slices.Clip(db.segs), seg)
 	db.mem = newMemtable()
+	db.mu.Unlock()
 	db.c.flushes.Add(1)
 	if err := db.wal.reset(); err != nil {
 		return err
 	}
-	os.Remove(db.wal.path + walOldSuffix)
-	db.flushErr = nil
-	if !db.opts.NoCompact && db.compactable() != nil {
-		db.maintWG.Add(1)
-		go func() {
-			defer db.maintWG.Done()
-			db.Compact() // serialized internally; errors surface in Stats via segment counts
-		}()
-	}
+	// A failed merge publishes nothing and leaves the tier full, so the
+	// next flush retries it; the flush itself has succeeded.
+	_ = db.compact()
 	return nil
 }
 
@@ -578,12 +459,6 @@ func (db *DB) Len() int {
 	defer db.mu.RUnlock()
 	return db.manifest.Keys
 }
-
-// Dir returns the directory the engine is rooted at.
-func (db *DB) Dir() string { return db.dir }
-
-// ReadOnly reports whether this handle was opened without the writer lock.
-func (db *DB) ReadOnly() bool { return db.readOnly }
 
 // Scan calls fn for every live key/value pair (newest version of each key),
 // in unspecified order. It is the store's open-time warm, not a hot path:
@@ -599,11 +474,6 @@ func (db *DB) Scan(fn func(key string, value []byte) error) error {
 			return nil
 		}); err != nil {
 			return err
-		}
-	}
-	if db.imm != nil {
-		for k, v := range db.imm.m {
-			seen[k] = v
 		}
 	}
 	for k, v := range db.mem.m {
@@ -625,11 +495,6 @@ func (db *DB) Scan(fn func(key string, value []byte) error) error {
 // Stats returns a snapshot of the engine counters.
 func (db *DB) Stats() Stats {
 	db.mu.RLock()
-	memBytes, memKeys := int64(db.mem.bytes), int64(db.mem.len())
-	if db.imm != nil {
-		memBytes += int64(db.imm.bytes)
-		memKeys += int64(db.imm.len())
-	}
 	gets, hits := db.c.gets.Load(), db.c.hits.Load()
 	st := Stats{
 		Gets:                gets,
@@ -637,15 +502,15 @@ func (db *DB) Stats() Stats {
 		Misses:              gets - hits,
 		Puts:                db.c.puts.Load(),
 		MemtableHits:        db.c.memHits.Load(),
-		MemtableBytes:       memBytes,
-		MemtableKeys:        memKeys,
+		MemtableBytes:       int64(db.mem.bytes),
+		MemtableKeys:        int64(db.mem.len()),
 		BloomChecks:         db.c.bloomChecks.Load(),
 		BloomRejects:        db.c.bloomRejects.Load(),
 		BloomFalsePositives: db.c.bloomFP.Load(),
 		SegmentReads:        db.c.segReads.Load(),
 		Segments:            len(db.segs),
-		BlockCacheHits:      db.bcache.hitCount(),
-		BlockCacheMiss:      db.bcache.missCount(),
+		BlockCacheHits:      db.bcache.hits.Load(),
+		BlockCacheMiss:      db.bcache.misses.Load(),
 		BlockCacheBytes:     db.bcache.sizeBytes(),
 		SegmentsPerTier:     map[int]int{},
 		Flushes:             db.c.flushes.Load(),
@@ -669,35 +534,21 @@ func (db *DB) Stats() Stats {
 
 // Close flushes the memtable (writer) and releases every handle.
 func (db *DB) Close() error {
-	if db.readOnly {
-		db.mu.Lock()
-		defer db.mu.Unlock()
-		if db.closed {
-			return nil
-		}
-		db.closed = true
-		for _, s := range db.segs {
-			s.close()
-		}
-		return nil
-	}
-	db.mu.Lock()
+	db.wmu.Lock()
+	defer db.wmu.Unlock()
 	if db.closed {
-		db.mu.Unlock()
 		return nil
 	}
-	for db.imm != nil {
-		db.flushCond.Wait()
-	}
-	err := db.flushSyncLocked()
 	db.closed = true
-	db.mu.Unlock()
-	db.maintWG.Wait()
+	var err error
+	if !db.readOnly {
+		err = db.flush()
+	}
 	db.mu.Lock()
-	defer db.mu.Unlock()
 	for _, s := range db.segs {
 		s.close()
 	}
+	db.mu.Unlock()
 	if db.wal != nil {
 		if cerr := db.wal.close(); err == nil {
 			err = cerr

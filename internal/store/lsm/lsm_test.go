@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -19,7 +20,7 @@ func tval(i int) []byte {
 // smallOpts keeps the memtable tiny so tests exercise flush and segment
 // paths without bulk data.
 func smallOpts() Options {
-	return Options{MemtableBytes: 4 << 10, NoCompact: true}
+	return Options{MemtableBytes: 4 << 10}
 }
 
 func fill(t testing.TB, db *DB, lo, hi int) {
@@ -64,8 +65,6 @@ func TestRoundTripAcrossFlushAndReopen(t *testing.T) {
 		}
 	}
 	check(db)
-	// Flushes run in the background; an explicit Flush drains any in-flight
-	// one before we assert the counter moved.
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +88,7 @@ func TestRoundTripAcrossFlushAndReopen(t *testing.T) {
 
 func TestWALReplayAfterKill(t *testing.T) {
 	dir := t.TempDir()
-	db, err := Open(dir, Options{MemtableBytes: 1 << 20, NoCompact: true})
+	db, err := Open(dir, Options{MemtableBytes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +117,7 @@ func TestWALReplayAfterKill(t *testing.T) {
 
 func TestTornWALTailIsTolerated(t *testing.T) {
 	dir := t.TempDir()
-	db, err := Open(dir, Options{MemtableBytes: 1 << 20, NoCompact: true})
+	db, err := Open(dir, Options{MemtableBytes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +168,7 @@ func TestTornWALTailIsTolerated(t *testing.T) {
 // cannot be trusted once framing is lost).
 func TestGarbageWALRecordEndsReplayAtIntactPrefix(t *testing.T) {
 	dir := t.TempDir()
-	db, err := Open(dir, Options{MemtableBytes: 1 << 20, NoCompact: true})
+	db, err := Open(dir, Options{MemtableBytes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,12 +310,13 @@ func TestBloomRejectsMissWithoutSegmentReads(t *testing.T) {
 
 func TestCompactionFoldsSegmentsAndKeepsData(t *testing.T) {
 	dir := t.TempDir()
-	db, err := Open(dir, Options{MemtableBytes: 2 << 10, CompactAt: 4, NoCompact: true})
+	db, err := Open(dir, Options{MemtableBytes: 2 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	// Several flushes with overlapping key ranges and overwrites.
+	// Several flushes with overlapping key ranges and overwrites; the flush
+	// that fills a tier merges it.
 	for round := 0; round < 6; round++ {
 		for i := 0; i < 120; i++ {
 			if err := db.Put(tkey(i), []byte(fmt.Sprintf("round-%d-%d", round, i))); err != nil {
@@ -327,16 +327,12 @@ func TestCompactionFoldsSegmentsAndKeepsData(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	before := db.Stats()
-	if before.Segments < 4 {
-		t.Fatalf("only %d segments before compaction", before.Segments)
-	}
-	if err := db.Compact(); err != nil {
-		t.Fatal(err)
-	}
 	after := db.Stats()
-	if after.Segments >= before.Segments {
-		t.Fatalf("compaction did not reduce segments: %d -> %d", before.Segments, after.Segments)
+	if after.Flushes < compactAt {
+		t.Fatalf("only %d segments written", after.Flushes)
+	}
+	if int64(after.Segments) >= after.Flushes {
+		t.Fatalf("compaction did not reduce segments: %d written -> %d live", after.Flushes, after.Segments)
 	}
 	if after.Compactions == 0 || after.CompactionSecs <= 0 {
 		t.Fatalf("compaction counters not updated: %+v", after)
@@ -369,7 +365,7 @@ func TestCompactionFoldsSegmentsAndKeepsData(t *testing.T) {
 // the pre-compaction state and sweeps the orphans.
 func TestKilledCompactionLeavesConsistentManifest(t *testing.T) {
 	dir := t.TempDir()
-	db, err := Open(dir, Options{MemtableBytes: 2 << 10, NoCompact: true})
+	db, err := Open(dir, Options{MemtableBytes: 2 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -484,5 +480,250 @@ func TestConcurrentReadersAndWriter(t *testing.T) {
 	}
 	if db.Len() != 1500 {
 		t.Fatalf("Len = %d, want 1500", db.Len())
+	}
+}
+
+// TestFailedFlushPublishesNothing plants a directory where a flush must
+// write — the MANIFEST temp file, or the next segment — so every flush
+// fails until the plant goes. The failed flushes must publish nothing:
+// every put stays served, the manifest lists exactly the open segments,
+// the retry succeeds, and a reopen serves everything with no segment
+// listed twice.
+func TestFailedFlushPublishesNothing(t *testing.T) {
+	for _, plant := range []string{"manifest-temp", "next-segment"} {
+		t.Run(plant, func(t *testing.T) {
+			dir := t.TempDir()
+			db, err := Open(dir, smallOpts())
+			if err != nil {
+				t.Fatal(err)
+			}
+			fill(t, db, 0, 100)
+			if err := db.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			name := manifestName + ".tmp"
+			if plant == "next-segment" {
+				name = segName(db.manifest.NextSeg)
+			}
+			// Non-empty, so the engine's own cleanup cannot remove it.
+			planted := filepath.Join(dir, name)
+			if err := os.MkdirAll(filepath.Join(planted, "keep"), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			var putErr error
+			for i := 100; i < 200; i++ {
+				if err := db.Put(tkey(i), tval(i)); err != nil && putErr == nil {
+					putErr = err
+				}
+			}
+			if putErr == nil {
+				t.Fatal("no put reported its failed flush")
+			}
+			if err := db.Flush(); err == nil {
+				t.Fatal("flush succeeded through the plant")
+			}
+			check := func(db *DB) {
+				t.Helper()
+				for i := 0; i < 200; i++ {
+					if v, ok := db.Get(tkey(i)); !ok || !bytes.Equal(v, tval(i)) {
+						t.Fatalf("key %d not served", i)
+					}
+				}
+				if db.Len() != 200 {
+					t.Fatalf("Len = %d, want 200", db.Len())
+				}
+				if len(db.manifest.Segments) != len(db.segs) {
+					t.Fatalf("manifest lists %d segments, %d open", len(db.manifest.Segments), len(db.segs))
+				}
+				ids := map[int64]bool{}
+				for _, ms := range db.manifest.Segments {
+					if ids[ms.ID] {
+						t.Fatalf("segment %d listed twice", ms.ID)
+					}
+					ids[ms.ID] = true
+				}
+			}
+			check(db)
+
+			if err := os.RemoveAll(planted); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.Flush(); err != nil {
+				t.Fatalf("retry after the plant went: %v", err)
+			}
+			check(db)
+			if st := db.Stats(); st.MemtableKeys != 0 {
+				t.Fatalf("retry left %d keys in the memtable", st.MemtableKeys)
+			}
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			db2, err := Open(dir, smallOpts())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db2.Close()
+			check(db2)
+		})
+	}
+}
+
+// TestOverwritesKeepWALBounded re-puts the same ten keys, as a sweep that
+// recomputes does: the memtable never grows past its first round, so only
+// a flush triggered by the WAL's own size keeps the log (and the replay
+// at the next open) bounded.
+func TestOverwritesKeepWALBounded(t *testing.T) {
+	dir := t.TempDir()
+	const bound = 4 << 10
+	db, err := Open(dir, Options{MemtableBytes: bound})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	walPath := filepath.Join(dir, "wal.log")
+	for round := 0; round < 50; round++ {
+		for i := 0; i < 10; i++ {
+			if err := db.Put(tkey(i), tval(round)); err != nil {
+				t.Fatal(err)
+			}
+			fi, err := os.Stat(walPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fi.Size() >= 2*bound {
+				t.Fatalf("round %d: wal.log is %d bytes, bound %d", round, fi.Size(), bound)
+			}
+		}
+	}
+	if db.Stats().Flushes == 0 {
+		t.Fatal("overwrites never flushed")
+	}
+	if db.Len() != 10 {
+		t.Fatalf("Len = %d, want 10", db.Len())
+	}
+	for i := 0; i < 10; i++ {
+		if v, ok := db.Get(tkey(i)); !ok || !bytes.Equal(v, tval(49)) {
+			t.Fatalf("key %d: last write lost", i)
+		}
+	}
+}
+
+// writeWALFile writes records framed as the WAL frames them.
+func writeWALFile(t *testing.T, path string, recs []kv) {
+	t.Helper()
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &wal{f: f}
+	for _, r := range recs {
+		if _, err := w.append(r.k, r.v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLeftoverOldWALIsFoldedAtOpen: releases that flushed in the
+// background left a killed flush's acknowledged puts in wal.log.old. Open
+// replays it over the segments and under the live log, folds both into a
+// segment and removes it, and a second open has nothing left to replay.
+func TestLeftoverOldWALIsFoldedAtOpen(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(dir, smallOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		if err := db.Put(tkey(i), []byte(fmt.Sprintf("seg-%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{}
+	for i := 0; i < 5; i++ {
+		want[tkey(i)] = fmt.Sprintf("seg-%d", i)
+	}
+	var old, live []kv
+	for i := 5; i < 15; i++ {
+		old = append(old, kv{k: tkey(i), v: []byte(fmt.Sprintf("old-%d", i))})
+		want[tkey(i)] = fmt.Sprintf("old-%d", i)
+	}
+	for i := 10; i < 13; i++ {
+		live = append(live, kv{k: tkey(i), v: []byte(fmt.Sprintf("live-%d", i))})
+		want[tkey(i)] = fmt.Sprintf("live-%d", i)
+	}
+	walPath := filepath.Join(dir, "wal.log")
+	writeWALFile(t, walPath+".old", old)
+	writeWALFile(t, walPath, live)
+
+	check := func(db *DB) {
+		t.Helper()
+		for k, v := range want {
+			if got, ok := db.Get(k); !ok || string(got) != v {
+				t.Fatalf("%s = %q (ok=%v), want %q", k, got, ok, v)
+			}
+		}
+		if db.Len() != len(want) {
+			t.Fatalf("Len = %d, want %d", db.Len(), len(want))
+		}
+	}
+	db, err = Open(dir, smallOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := db.Stats()
+	if st.WALReplayed != int64(len(old)+len(live)) || st.WALTornTail {
+		t.Fatalf("replayed %d records (torn %v), want %d", st.WALReplayed, st.WALTornTail, len(old)+len(live))
+	}
+	if st.Flushes != 1 || st.MemtableKeys != 0 {
+		t.Fatalf("open folded %d flushes, %d keys left in the memtable; want 1 and 0", st.Flushes, st.MemtableKeys)
+	}
+	if _, err := os.Stat(walPath + ".old"); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("wal.log.old not removed: %v", err)
+	}
+	check(db)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db, err = Open(dir, smallOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if st := db.Stats(); st.WALReplayed != 0 {
+		t.Fatalf("second open replayed %d records", st.WALReplayed)
+	}
+	check(db)
+}
+
+// TestEngineStartsNoGoroutine: flushes and compactions run on the writer's
+// own call, so no goroutine outlives a Put, and none is left after Close.
+func TestEngineStartsNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	db, err := Open(t.TempDir(), Options{MemtableBytes: 2 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 400; i++ {
+		if err := db.Put(tkey(i), tval(i)); err != nil {
+			t.Fatal(err)
+		}
+		if n := runtime.NumGoroutine(); n > before {
+			t.Fatalf("after put %d: %d goroutines, %d before Open", i, n, before)
+		}
+	}
+	if st := db.Stats(); st.Flushes < compactAt || st.Compactions == 0 {
+		t.Fatalf("workload ran %d flushes and %d compactions; want both exercised", st.Flushes, st.Compactions)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("after Close: %d goroutines, %d before Open", n, before)
 	}
 }

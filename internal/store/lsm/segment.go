@@ -147,8 +147,7 @@ func (w *segmentWriter) cutBlock() error {
 // and renames the segment into place.
 func (w *segmentWriter) finish() (segInfo, error) {
 	fail := func(err error) (segInfo, error) {
-		w.f.Close()
-		os.Remove(w.tmp)
+		w.abort()
 		return segInfo{}, err
 	}
 	if err := w.cutBlock(); err != nil {
@@ -185,6 +184,12 @@ func (w *segmentWriter) finish() (segInfo, error) {
 	return segInfo{keys: w.n, bytes: size}, nil
 }
 
+// abort discards a segment that will not be finished.
+func (w *segmentWriter) abort() {
+	w.f.Close()
+	os.Remove(w.tmp)
+}
+
 // writeSegment writes a sorted run as one segment file.
 func writeSegment(path string, run []kv) (segInfo, error) {
 	w, err := newSegmentWriter(path, len(run))
@@ -193,8 +198,7 @@ func writeSegment(path string, run []kv) (segInfo, error) {
 	}
 	for _, e := range run {
 		if err := w.add(e.k, e.v); err != nil {
-			w.f.Close()
-			os.Remove(w.tmp)
+			w.abort()
 			return segInfo{}, err
 		}
 	}
@@ -203,7 +207,7 @@ func writeSegment(path string, run []kv) (segInfo, error) {
 
 // segment is an open read-only view of one segment file: the sparse index
 // and bloom filter live in memory, data blocks are pread on demand through
-// the DB's shared block cache (bc; nil bypasses caching).
+// the DB's shared block cache bc.
 type segment struct {
 	f     *os.File
 	meta  segMeta
@@ -212,8 +216,9 @@ type segment struct {
 	bc    *blockCache
 }
 
-// openSegment opens path and loads its trailer.
-func openSegment(path string) (*segment, error) {
+// openSegment opens path and loads its trailer; its point reads go
+// through bc.
+func openSegment(path string, bc *blockCache) (*segment, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -250,7 +255,7 @@ func openSegment(path string) (*segment, error) {
 		f.Close()
 		return nil, fmt.Errorf("segment meta checksum mismatch")
 	}
-	s := &segment{f: f, size: fi.Size()}
+	s := &segment{f: f, size: fi.Size(), bc: bc}
 	if err := json.Unmarshal(meta, &s.meta); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("segment meta: %w", err)
@@ -264,22 +269,18 @@ func openSegment(path string) (*segment, error) {
 }
 
 func (s *segment) close() {
-	if s.bc != nil {
-		s.bc.dropSeg(s)
-	}
+	s.bc.dropSeg(s)
 	s.f.Close()
 }
 
 // readBlock returns block i inflated, serving from the block cache when it
 // can; only an actual pread counts as a segment read.
 func (s *segment) readBlock(i int, c *counters) ([]byte, error) {
-	if s.bc != nil {
-		if b, ok := s.bc.get(blockCacheKey{seg: s, idx: i}); ok {
-			return b, nil
-		}
+	if b, ok := s.bc.get(blockCacheKey{seg: s, idx: i}); ok {
+		return b, nil
 	}
 	out, err := s.readBlockRaw(i, c)
-	if err == nil && s.bc != nil {
+	if err == nil {
 		s.bc.add(blockCacheKey{seg: s, idx: i}, out)
 	}
 	return out, err
@@ -304,25 +305,10 @@ func (s *segment) readBlockRaw(i int, c *counters) ([]byte, error) {
 	return out, nil
 }
 
-// get returns the value under key, nil when absent. The caller supplies the
-// precomputed bloom hashes so one Get shares them across segments; c may be
-// nil to bypass the read counters.
-func (s *segment) get(key string, h1, h2 uint64, c *counters) ([]byte, error) {
-	if c != nil {
-		c.bloomChecks.Add(1)
-	}
-	if !s.bloom.test(h1, h2) {
-		if c != nil {
-			c.bloomRejects.Add(1)
-		}
-		return nil, nil
-	}
-	return s.find(key, c)
-}
-
-// find looks key up past the bloom filter: sparse-index search, one block
-// read (cache-served when warm), linear scan. The read path probes filters
-// inline and batches its counter updates, so it calls this directly.
+// find looks key up past the bloom filter, returning nil when absent:
+// sparse-index search, one block read (cache-served when warm), linear
+// scan. Callers probe the filter themselves so one lookup shares its hashes
+// across segments; c may be nil to bypass the read counters.
 func (s *segment) find(key string, c *counters) ([]byte, error) {
 	// Last block whose first key <= key.
 	i := sort.SearchStrings(s.meta.FirstKeys, key)
@@ -364,7 +350,8 @@ func scanBlock(block []byte, key string) ([]byte, bool) {
 			break
 		}
 		if string(k) == key {
-			return append([]byte(nil), block[off:off+vlen]...), true
+			// Clone keeps an empty value non-nil: nil means absent.
+			return bytes.Clone(block[off : off+vlen]), true
 		}
 		off += vlen
 	}

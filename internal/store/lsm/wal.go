@@ -10,32 +10,26 @@ import (
 
 // The write-ahead log makes every Put durable before it is acknowledged:
 // one framed, checksummed record per write. The log covers only the
-// memtables — a completed flush persists their contents as a segment and
-// drops the log — so replay cost is bounded by memtable size. A record
-// torn by a kill mid-append fails its length or CRC check; replay keeps
-// the intact prefix and truncates the tail, never refusing the store.
+// memtable: the flush that persists it as a segment truncates the log, and
+// a flush runs once the log reaches its bound, so replay cost is bounded by
+// that bound however often keys are overwritten. A record torn by a kill
+// mid-append fails its length or CRC check; replay keeps the intact prefix
+// and truncates the tail, never refusing the store.
 //
-// Flushes run in the background, so the log exists in up to two
-// generations: when the memtable rotates to its immutable flush snapshot,
-// the live log is renamed to the .old generation (covering the snapshot)
-// and a fresh log takes new writes; the .old file is deleted once the
-// flushed segment's manifest commit lands. Replay order at open is .old
-// first, then the live log.
+// There is one log file, wal.log. Releases that flushed in the background
+// also wrote a wal.log.old generation; Open still replays and retires one
+// (see DB.load).
 //
 // Record framing: [u32 payloadLen][u32 crc32c(payload)][payload], with
 // payload = [u32 keyLen][key][value].
 
 const walMaxRecord = 1 << 30 // sanity bound on a record's claimed length
 
-// walOldSuffix marks the rotated log generation covering the memtable
-// snapshot a background flush is writing out.
-const walOldSuffix = ".old"
-
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 type wal struct {
 	f    *os.File
-	path string
+	size int64 // bytes in the log: the records since the last flush
 }
 
 // openWAL opens (creating if needed) the log at path and replays every
@@ -52,21 +46,8 @@ func openWAL(path string, apply func(key string, value []byte)) (w *wal, replaye
 		f.Close()
 		return nil, 0, false, fmt.Errorf("lsm: wal: %w", err)
 	}
-	var off int
-	for {
-		rec, n, ok := parseRecord(data[off:])
-		if !ok {
-			torn = off < len(data)
-			break
-		}
-		klen := binary.LittleEndian.Uint32(rec)
-		key := string(rec[4 : 4+klen])
-		val := append([]byte(nil), rec[4+klen:]...)
-		apply(key, val)
-		replayed++
-		off += n
-	}
-	if torn {
+	off, replayed := replayRecords(data, apply)
+	if torn = off < len(data); torn {
 		// Drop the torn tail so the next append starts at a record boundary.
 		if err := f.Truncate(int64(off)); err != nil {
 			f.Close()
@@ -77,29 +58,20 @@ func openWAL(path string, apply func(key string, value []byte)) (w *wal, replaye
 		f.Close()
 		return nil, 0, false, fmt.Errorf("lsm: wal: %w", err)
 	}
-	return &wal{f: f, path: path}, replayed, torn, nil
+	return &wal{f: f, size: int64(off)}, replayed, torn, nil
 }
 
-// replayWALFile replays an inert log generation (the .old file left by a
-// kill mid-flush) without opening it for append. A missing file replays
-// nothing.
-func replayWALFile(path string, apply func(key string, value []byte)) (replayed int64, torn bool, err error) {
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return 0, false, nil
-	}
-	if err != nil {
-		return 0, false, fmt.Errorf("lsm: wal: %w", err)
-	}
-	var off int
+// replayRecords applies every intact record at the head of data through
+// apply in write order, and returns the length of that intact prefix and
+// the number of records in it.
+func replayRecords(data []byte, apply func(key string, value []byte)) (off int, replayed int64) {
 	for {
 		rec, n, ok := parseRecord(data[off:])
 		if !ok {
-			return replayed, off < len(data), nil
+			return off, replayed
 		}
 		klen := binary.LittleEndian.Uint32(rec)
-		key := string(rec[4 : 4+klen])
-		apply(key, append([]byte(nil), rec[4+klen:]...))
+		apply(string(rec[4:4+klen]), append([]byte(nil), rec[4+klen:]...))
 		replayed++
 		off += n
 	}
@@ -138,14 +110,16 @@ func (w *wal) append(key string, value []byte) (int, error) {
 	copy(buf[12:], key)
 	copy(buf[12+len(key):], value)
 	binary.LittleEndian.PutUint32(buf[4:], crc32.Checksum(buf[8:], crcTable))
-	if _, err := w.f.Write(buf); err != nil {
+	n, err := w.f.Write(buf)
+	w.size += int64(n)
+	if err != nil {
 		return 0, fmt.Errorf("lsm: wal append: %w", err)
 	}
 	return len(buf), nil
 }
 
-// reset truncates the log after a synchronous flush: its records are now
-// durable in a published segment.
+// reset truncates the log after a flush: its records are now durable in a
+// published segment.
 func (w *wal) reset() error {
 	if err := w.f.Truncate(0); err != nil {
 		return fmt.Errorf("lsm: wal reset: %w", err)
@@ -153,23 +127,7 @@ func (w *wal) reset() error {
 	if _, err := w.f.Seek(0, io.SeekStart); err != nil {
 		return fmt.Errorf("lsm: wal reset: %w", err)
 	}
-	return nil
-}
-
-// rotate moves the live log to the .old generation and starts a fresh one;
-// the caller guarantees no .old file exists (at most one flush in flight).
-func (w *wal) rotate() error {
-	if err := w.f.Close(); err != nil {
-		return fmt.Errorf("lsm: wal rotate: %w", err)
-	}
-	if err := os.Rename(w.path, w.path+walOldSuffix); err != nil {
-		return fmt.Errorf("lsm: wal rotate: %w", err)
-	}
-	f, err := os.OpenFile(w.path, os.O_CREATE|os.O_RDWR|os.O_EXCL, 0o644)
-	if err != nil {
-		return fmt.Errorf("lsm: wal rotate: %w", err)
-	}
-	w.f = f
+	w.size = 0
 	return nil
 }
 

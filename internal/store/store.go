@@ -88,15 +88,8 @@ type Options struct {
 	// Put still populates the LRU front, so a read-only serve replica keeps
 	// its own computed results hot in memory.
 	ReadOnly bool
-	// MemtableBytes overrides the engine's memtable flush threshold
-	// (0 = engine default). Tests use tiny values to exercise flushes.
-	MemtableBytes int
-	// BlockCacheBytes overrides the engine's inflated-block cache bound
-	// (0 = engine default, <0 disables) — the knob replicas tune when they
-	// share a machine's memory budget.
-	BlockCacheBytes int64
-	// OnCompaction, if set, observes each background compaction's duration
-	// in seconds (the metrics bridge).
+	// OnCompaction, if set, observes each compaction's duration in seconds
+	// (the metrics bridge).
 	OnCompaction func(seconds float64)
 }
 
@@ -128,11 +121,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err := checkSchema(dir, false); err != nil {
 		return nil, err
 	}
-	db, err := lsm.Open(dir, lsm.Options{
-		MemtableBytes:   opts.MemtableBytes,
-		BlockCacheBytes: opts.BlockCacheBytes,
-		OnCompaction:    opts.OnCompaction,
-	})
+	db, err := lsm.Open(dir, lsm.Options{OnCompaction: opts.OnCompaction})
 	if err != nil {
 		if errors.Is(err, lsm.ErrBusy) {
 			return nil, fmt.Errorf("store: %s: %w", dir, ErrStoreBusy)
@@ -156,10 +145,7 @@ func openReadOnly(dir string, opts Options) (*Store, error) {
 	if err := checkSchema(dir, true); err != nil {
 		return nil, err
 	}
-	db, err := lsm.Open(dir, lsm.Options{
-		ReadOnly:        true,
-		BlockCacheBytes: opts.BlockCacheBytes,
-	})
+	db, err := lsm.Open(dir, lsm.Options{ReadOnly: true})
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
@@ -291,9 +277,6 @@ func (s *Store) entry(key string) (*lruEntry, []byte) {
 	return e, nil
 }
 
-// Has reports whether key is stored without touching the LRU.
-func (s *Store) Has(key string) bool { return s.db.Has(key) }
-
 // Put stores the measurement under key. Each Put is one write to the
 // engine's WAL, so a completed measurement survives a kill immediately
 // after. On a read-only handle Put only populates the in-memory front —
@@ -320,22 +303,12 @@ func (s *Store) Len() int { return s.db.Len() }
 
 // Flush forces buffered writes into a published segment so read-only
 // handles in other processes can see them; the engine also flushes on its
-// own as the memtable fills.
+// own as the WAL fills.
 func (s *Store) Flush() error {
 	if s.readOnly {
 		return nil
 	}
 	return s.db.Flush()
-}
-
-// Drain flushes buffered writes and waits for the engine's background
-// maintenance (flushes, compactions) to go idle. Benchmarks quiesce the
-// store with it before measuring.
-func (s *Store) Drain() error {
-	if s.readOnly {
-		return nil
-	}
-	return s.db.Drain()
 }
 
 // ReadOnly reports whether this handle was opened read-only.

@@ -35,8 +35,8 @@ type JobsSnapshot struct {
 }
 
 // StoreSnapshot is the result store's state: entry count, writer mode,
-// the LSM engine counters, and the effective engine sizing with defaults
-// resolved (what the store actually runs with, not what the flags said).
+// the LSM engine counters, and the engine's sizing (its flush bound and
+// block-cache bound, both constants).
 type StoreSnapshot struct {
 	Enabled         bool      `json:"enabled"`
 	ReadOnly        bool      `json:"readOnly"`
@@ -87,21 +87,10 @@ func (c *Client) Snapshot() Snapshot {
 }
 
 func (c *Client) storeSnapshot() StoreSnapshot {
-	memtable := int64(c.opts.StoreMemtableBytes)
-	if memtable <= 0 {
-		memtable = lsm.DefaultMemtableBytes
-	}
-	blockCache := c.opts.StoreBlockCacheBytes
-	if blockCache == 0 {
-		blockCache = lsm.DefaultBlockCacheBytes
-	}
-	if blockCache < 0 {
-		blockCache = 0 // disabled
-	}
 	out := StoreSnapshot{
 		Enabled:         c.st != nil,
-		MemtableBytes:   memtable,
-		BlockCacheBytes: blockCache,
+		MemtableBytes:   lsm.DefaultMemtableBytes,
+		BlockCacheBytes: lsm.BlockCacheBytes,
 		Dir:             c.opts.CacheDir,
 	}
 	if c.st != nil {
