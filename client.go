@@ -601,11 +601,21 @@ func (c *Client) runNode(ctx context.Context, ne Experiment, watch Observer) (*R
 	c.flight[key] = cl
 	c.mu.Unlock()
 
-	// The leader computes under a context detached from its own request:
-	// coalesced waiters (and the store) want the result even if the leader
-	// disconnects, and a canceled leader must not hand its ctx error to
-	// waiters whose contexts are live.
-	cl.m, cl.err = c.simulateOne(context.WithoutCancel(ctx), app, ne, key)
+	// A leader that finished between this request's store lookup and its
+	// flight lookup stored its measurement before it left the flight map,
+	// so a second lookup, made once nobody else can lead, finds it; without
+	// it the key would be simulated twice.
+	stored := false
+	if c.st != nil && !ne.Recompute {
+		cl.m, stored = c.st.Get(key)
+	}
+	if !stored {
+		// The leader computes under a context detached from its own request:
+		// coalesced waiters (and the store) want the result even if the
+		// leader disconnects, and a canceled leader must not hand its ctx
+		// error to waiters whose contexts are live.
+		cl.m, cl.err = c.simulateOne(context.WithoutCancel(ctx), app, ne, key)
+	}
 	c.mu.Lock()
 	delete(c.flight, key)
 	c.mu.Unlock()
@@ -613,7 +623,7 @@ func (c *Client) runNode(ctx context.Context, ne Experiment, watch Observer) (*R
 	if cl.err != nil {
 		return nil, cl.err
 	}
-	return finish(cl.m, false, nil)
+	return finish(cl.m, stored, nil)
 }
 
 // runOptions assembles the runner options of one run of a normalized

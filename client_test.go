@@ -5,6 +5,7 @@ import (
 	"errors"
 	"reflect"
 	"testing"
+	"time"
 )
 
 func testClientOpts(dir string) ClientOptions {
@@ -276,4 +277,49 @@ func TestClientNodeMatchesSweep(t *testing.T) {
 		}
 	}
 	t.Fatalf("point %s not found in sweep dataset", label)
+}
+
+// TestNodeLeaderRechecksStore pins the window between a node request's
+// store lookup and its flight lookup. A leader that finishes inside it has
+// stored its measurement and left the flight map, so the late request leads
+// a flight of its own; it must find the stored measurement on a second
+// lookup rather than simulate the key again. The test holds the client's
+// lock to keep the request in that window while the measurement is stored.
+func TestNodeLeaderRechecksStore(t *testing.T) {
+	c := newTestClient(t, t.TempDir())
+	e := Experiment{App: "btmz", PointIndex: intp(5), NoReplay: true}
+	key, err := c.RouteKey(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type ran struct {
+		res *Result
+		err error
+	}
+	done := make(chan ran, 1)
+	c.mu.Lock()
+	go func() {
+		res, err := c.Run(context.Background(), e)
+		done <- ran{res, err}
+	}()
+	for deadline := time.Now().Add(10 * time.Second); c.storeMisses.Load() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			c.mu.Unlock()
+			t.Fatal("the request never missed the store")
+		}
+	}
+	stored := Measurement{App: "btmz", IPC: 1.25}
+	if err := c.st.Put(key, stored); err != nil {
+		c.mu.Unlock()
+		t.Fatal(err)
+	}
+	c.mu.Unlock()
+	r := <-done
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	if n := c.Stats().Simulated; n != 0 || !r.res.Cached || r.res.Measurement.IPC != stored.IPC {
+		t.Fatalf("simulated %d, cached %v, IPC %v: want the stored measurement (IPC %v), not a second simulation",
+			n, r.res.Cached, r.res.Measurement.IPC, stored.IPC)
+	}
 }

@@ -21,8 +21,9 @@ import (
 )
 
 // ringReplica starts one real replica whose ring is itself plus peer, and
-// returns it with a /simulate body whose key peer owns.
-func ringReplica(t *testing.T, peer string) (ts *httptest.Server, svc *Service, reg *obs.Registry, body string) {
+// returns it with three /simulate bodies, for different points, whose keys
+// peer owns.
+func ringReplica(t *testing.T, peer string) (ts *httptest.Server, svc *Service, reg *obs.Registry, bodies []string) {
 	t.Helper()
 	ts = httptest.NewUnstartedServer(nil)
 	self := "http://" + ts.Listener.Addr().String()
@@ -46,10 +47,12 @@ func ringReplica(t *testing.T, peer string) (ts *httptest.Server, svc *Service, 
 			t.Fatal(err)
 		}
 		if c.Ring().Owner(key) == ring.Normalize(peer) {
-			return ts, svc, reg, fmt.Sprintf(`{"app":"btmz","pointIndex":%d}`, i)
+			if bodies = append(bodies, fmt.Sprintf(`{"app":"btmz","pointIndex":%d}`, i)); len(bodies) == 3 {
+				return ts, svc, reg, bodies
+			}
 		}
 	}
-	t.Fatal("the peer owns no btmz point")
+	t.Fatal("the peer owns fewer than three btmz points")
 	return
 }
 
@@ -71,10 +74,10 @@ func TestCanceledCallerIsNotAPeerFailure(t *testing.T) {
 		close(released)
 	}))
 	defer owner.Close()
-	ts, svc, reg, body := ringReplica(t, owner.URL)
+	ts, svc, reg, bodies := ringReplica(t, owner.URL)
 
 	ctx, cancel := context.WithCancel(context.Background())
-	req, _ := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/simulate", strings.NewReader(body))
+	req, _ := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/simulate", strings.NewReader(bodies[0]))
 	go func() { <-arrived; cancel() }()
 	if resp, err := http.DefaultClient.Do(req); err == nil {
 		resp.Body.Close()
@@ -106,9 +109,11 @@ func TestCanceledCallerIsNotAPeerFailure(t *testing.T) {
 }
 
 // TestOwnerUnreachableFallsBackAndRecovers walks the dead-owner path: the
-// request is served locally (result="fallback") and the owner demoted; while
-// the mark holds nobody dials it; once the cooldown has passed — and the
-// owner is back — the next request is relayed to it again.
+// request is served locally (result="fallback") and the owner demoted; the
+// key computed in fallback is then a store hit here (result="hit"); while
+// the mark holds nobody dials the owner, so a key it would own is this
+// replica's (result="local"); once the cooldown has passed — and the owner
+// is back — a key this replica never computed is relayed to it again.
 func TestOwnerUnreachableFallsBackAndRecovers(t *testing.T) {
 	ln, err := stdnet.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -116,7 +121,7 @@ func TestOwnerUnreachableFallsBackAndRecovers(t *testing.T) {
 	}
 	addr := ln.Addr().String()
 	ln.Close() // the owner is down: connections are refused
-	ts, svc, reg, body := ringReplica(t, "http://"+addr)
+	ts, svc, reg, bodies := ringReplica(t, "http://"+addr)
 	rg := svc.Client().Ring()
 	var skew atomic.Int64
 	rg.SetClock(func() time.Time { return time.Now().Add(time.Duration(skew.Load())) })
@@ -124,7 +129,7 @@ func TestOwnerUnreachableFallsBackAndRecovers(t *testing.T) {
 	var reply struct {
 		Cached bool `json:"cached"`
 	}
-	if code := postJSON(t, ts.URL+"/simulate", body, &reply); code != http.StatusOK {
+	if code := postJSON(t, ts.URL+"/simulate", bodies[0], &reply); code != http.StatusOK {
 		t.Fatalf("/simulate with a dead owner -> %d", code)
 	}
 	if n := ownerResults(t, reg, "fallback"); n != 1 {
@@ -133,9 +138,18 @@ func TestOwnerUnreachableFallsBackAndRecovers(t *testing.T) {
 	if st := rg.StateOf("http://" + addr); st != ring.Down {
 		t.Fatalf("dead owner reads %v", st)
 	}
-	// Demoted, the owner no longer owns: the key is this replica's.
-	if code := postJSON(t, ts.URL+"/simulate", body, &reply); code != http.StatusOK || !reply.Cached {
-		t.Fatalf("repeat while demoted -> %d cached=%v", code, reply.Cached)
+	// What fallback computed is stored here, and a hit is served where it
+	// lands.
+	if code := postJSON(t, ts.URL+"/simulate", bodies[0], &reply); code != http.StatusOK || !reply.Cached {
+		t.Fatalf("repeat of the fallback key -> %d cached=%v", code, reply.Cached)
+	}
+	if f, h := ownerResults(t, reg, "fallback"), ownerResults(t, reg, "hit"); f != 1 || h != 1 {
+		t.Fatalf("repeat of the fallback key: fallback %v hit %v, want 1 and 1", f, h)
+	}
+	// Demoted, the owner no longer owns: a miss it would own is this
+	// replica's.
+	if code := postJSON(t, ts.URL+"/simulate", bodies[1], &reply); code != http.StatusOK || reply.Cached {
+		t.Fatalf("new key while demoted -> %d cached=%v", code, reply.Cached)
 	}
 	if f, l := ownerResults(t, reg, "fallback"), ownerResults(t, reg, "local"); f != 1 || l != 1 {
 		t.Fatalf("while demoted: fallback %v local %v, want 1 and 1", f, l)
@@ -153,7 +167,7 @@ func TestOwnerUnreachableFallsBackAndRecovers(t *testing.T) {
 	go owner.Serve(ln)
 	defer owner.Close()
 	skew.Store(int64(ring.DownCooldown))
-	resp, err := http.Post(ts.URL+"/simulate", "application/json", strings.NewReader(body))
+	resp, err := http.Post(ts.URL+"/simulate", "application/json", strings.NewReader(bodies[2]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,6 +178,100 @@ func TestOwnerUnreachableFallsBackAndRecovers(t *testing.T) {
 	}
 	if n := ownerResults(t, reg, "proxied"); n != 1 {
 		t.Fatalf("proxied = %v, want 1", n)
+	}
+}
+
+// TestRelayedReplyKept holds a non-owner to what it keeps of a relayed
+// reply. The owner's 200 is relayed byte for byte either way. It is kept
+// when it carries the requested point's measurement, also when the owner
+// chunks the body (as net/http does past 2 KiB), so the next request is a
+// hit here. A reply carrying another point's measurement is not kept, and
+// the next request is proxied again.
+func TestRelayedReplyKept(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		answer        int // which of ringReplica's bodies the owner answers with
+		chunked       bool
+		proxied, hits float64
+	}{
+		{"chunked", 0, true, 1, 1},
+		{"another point", 1, false, 2, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			answerer, err := musa.NewClient(musa.ClientOptions{
+				NoArtifacts: true, SampleInstrs: testSample, WarmupInstrs: testWarmup, Seed: 1, NoReplay: true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer answerer.Close()
+			answer := NewHandler(New(answerer))
+			var mu sync.Mutex
+			var asked string // the body the owner answers every request with
+			var sent [][]byte
+			owner := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				io.Copy(io.Discard, r.Body)
+				mu.Lock()
+				body := asked
+				mu.Unlock()
+				rec := httptest.NewRecorder()
+				answer.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/simulate", strings.NewReader(body)))
+				reply := rec.Body.Bytes()
+				mu.Lock()
+				sent = append(sent, reply)
+				mu.Unlock()
+				w.Header().Set("Content-Type", "application/json")
+				w.WriteHeader(rec.Code)
+				if tc.chunked {
+					// A flush before the body is complete sends it chunked.
+					w.Write(reply[:len(reply)/2])
+					w.(http.Flusher).Flush()
+					reply = reply[len(reply)/2:]
+				}
+				w.Write(reply)
+			}))
+			defer owner.Close()
+			ts, _, reg, bodies := ringReplica(t, owner.URL)
+			mu.Lock()
+			asked = bodies[tc.answer]
+			mu.Unlock()
+
+			measurement := func(reply []byte) string {
+				var out struct {
+					Measurement json.RawMessage `json:"measurement"`
+				}
+				if err := json.Unmarshal(reply, &out); err != nil {
+					t.Fatal(err)
+				}
+				return string(out.Measurement)
+			}
+			for i := 1; i <= 2; i++ {
+				resp, err := http.Post(ts.URL+"/simulate", "application/json", strings.NewReader(bodies[0]))
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, _ := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("request %d -> %d\n%s", i, resp.StatusCode, got)
+				}
+				mu.Lock()
+				n, last := len(sent), sent[len(sent)-1]
+				mu.Unlock()
+				switch {
+				case n == i && !bytes.Equal(got, last):
+					t.Fatalf("request %d, proxied:\n%s\nwant the owner's reply byte for byte:\n%s", i, got, last)
+				case n < i && measurement(got) != measurement(last):
+					t.Fatalf("request %d, a hit:\n%s\nwant the measurement the owner sent:\n%s", i, got, last)
+				}
+			}
+			if p, h := ownerResults(t, reg, "proxied"), ownerResults(t, reg, "hit"); p != tc.proxied || h != tc.hits {
+				t.Fatalf("proxied %v hit %v, want %v and %v", p, h, tc.proxied, tc.hits)
+			}
+			if n := len(sent); float64(n) != tc.proxied {
+				t.Fatalf("the owner was asked %d times, want %v", n, tc.proxied)
+			}
+		})
 	}
 }
 

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -17,10 +18,11 @@ import (
 	"musa/internal/ring"
 )
 
-// Ring face of one serve replica: deterministic /simulate ownership
-// (non-owners relay to the owner through the ring forwarder, so duplicate
-// requests from any front door coalesce on one machine's single-flight), runtime
-// membership updates over PUT /membership, a GET /healthz state machine
+// Ring face of one serve replica: deterministic /simulate ownership of
+// misses (non-owners relay to the owner through the ring forwarder, so
+// duplicate requests from any front door coalesce on one machine's
+// single-flight, while a key this replica's store holds is answered here),
+// runtime membership updates over PUT /membership, a GET /healthz state machine
 // (ok / draining / overloaded) for routers and load balancers, and load
 // shedding through a bounded admission queue that answers 429 +
 // Retry-After instead of letting an overload grow an unbounded queue.
@@ -245,9 +247,14 @@ func (s *Service) handleMembershipPut(w http.ResponseWriter, r *http.Request) {
 // routeSimulate applies ring ownership to one decoded /simulate request.
 // It returns true when the request was fully answered here (relayed from
 // the owner, or abandoned because the caller hung up); false means the
-// caller should execute locally — because this replica owns the key, the
-// ring is absent, the request already hopped once, or the owner is
-// unreachable (fallback).
+// caller should execute locally — because this replica's store holds the
+// key, this replica owns it, the ring is absent, the request already hopped
+// once, or the owner is unreachable (fallback).
+//
+// Ownership places misses, so that each is computed once, on one replica's
+// single-flight. A hit is the same bytes on every replica and is served
+// where it lands; a relayed reply is kept in the store's front, so the
+// replica asked for a key a second time answers it itself.
 func (s *Service) routeSimulate(w http.ResponseWriter, r *http.Request, e musa.Experiment, body []byte) bool {
 	rg := s.c.Ring()
 	if rg == nil || rg.Self() == "" || rg.Len() < 2 {
@@ -259,11 +266,15 @@ func (s *Service) routeSimulate(w http.ResponseWriter, r *http.Request, e musa.E
 		s.ringResult("local")
 		return false
 	}
-	key, err := s.c.RouteKey(e)
+	rt, err := s.c.Route(e)
 	if err != nil {
 		return false // normalization fails identically below, with a 400
 	}
-	owner := rg.Owner(key)
+	if !e.Recompute && s.c.Stored(rt.Key) {
+		s.ringResult("hit")
+		return false
+	}
+	owner := rg.Owner(rt.Key)
 	if owner == "" || owner == rg.Self() {
 		s.ringResult("local")
 		return false
@@ -274,14 +285,14 @@ func (s *Service) routeSimulate(w http.ResponseWriter, r *http.Request, e musa.E
 	defer span.End()
 	// One attempt: the owner, or nobody. A second replica would compute the
 	// key beside the owner's single-flight; this one may as well do it itself.
-	err = s.fw.Forward(ctx, key, 1,
+	err = s.fw.Forward(ctx, rt.Key, 1,
 		ring.Request{Method: http.MethodPost, Path: "/simulate", Header: r.Header, Body: body},
 		func(_ string, resp *http.Response) bool {
 			// The reply is committed: owner-side errors (including its own
 			// 429 shedding) pass through to the caller rather than
 			// triggering a second, duplicate execution here.
 			span.SetAttr("status", strconv.Itoa(resp.StatusCode))
-			ring.Relay(w, resp)
+			s.relayKept(w, resp, rt)
 			return true
 		})
 	switch {
@@ -301,4 +312,36 @@ func (s *Service) routeSimulate(w http.ResponseWriter, r *http.Request, e musa.E
 	span.SetAttr("outcome", "unreachable")
 	s.ringResult("fallback")
 	return false
+}
+
+// maxKeptReply bounds the owner replies relayKept reads whole; a /simulate
+// reply is a few KiB.
+const maxKeptReply = 1 << 20
+
+// relayKept relays the owner's reply to a /simulate on to the caller
+// unchanged (ring.Relay). A 200 reply of at most maxKeptReply bytes is read
+// whole first, and the measurement it carries kept in this replica's store
+// front when it is the one rt routes (Client.KeepRelayed).
+func (s *Service) relayKept(w http.ResponseWriter, resp *http.Response, rt musa.Route) {
+	if resp.StatusCode == http.StatusOK {
+		reply, err := io.ReadAll(io.LimitReader(resp.Body, maxKeptReply+1))
+		if err != nil {
+			httpError(w, http.StatusBadGateway, fmt.Errorf("serve: reading the owner's reply: %w", err))
+			return
+		}
+		if len(reply) <= maxKeptReply {
+			var out struct {
+				Measurement *musa.Measurement `json:"measurement"`
+			}
+			if json.Unmarshal(reply, &out) == nil && out.Measurement != nil {
+				s.c.KeepRelayed(rt, *out.Measurement)
+			}
+		}
+		// Relay writes what was read, then whatever of an oversize body is left.
+		resp.Body = struct {
+			io.Reader
+			io.Closer
+		}{io.MultiReader(bytes.NewReader(reply), resp.Body), resp.Body}
+	}
+	ring.Relay(w, resp)
 }

@@ -279,9 +279,9 @@ func (s *Store) entry(key string) (*lruEntry, []byte) {
 
 // Put stores the measurement under key. Each Put is one write to the
 // engine's WAL, so a completed measurement survives a kill immediately
-// after. On a read-only handle Put only populates the in-memory front —
-// the result stays served hot locally while the owning writer remains the
-// sole mutator of the directory.
+// after. On a read-only handle Put only keeps it in the in-memory front (see
+// Keep) — the result stays served hot locally while the owning writer
+// remains the sole mutator of the directory.
 func (s *Store) Put(key string, m dse.Measurement) error {
 	if !s.readOnly {
 		raw, err := json.Marshal(m)
@@ -292,10 +292,19 @@ func (s *Store) Put(key string, m dse.Measurement) error {
 			return fmt.Errorf("store: %w", err)
 		}
 	}
+	s.Keep(key, m)
+	return nil
+}
+
+// Keep makes m the front's resident measurement under key and writes
+// nothing to the engine: the measurement is served from memory until the
+// front evicts it, and never survives a reopen. This is how a handle holds
+// what it did not compute and does not own — a read-only handle's own
+// results, a ring replica's relayed replies.
+func (s *Store) Keep(key string, m dse.Measurement) {
 	s.mu.Lock()
 	s.lru.add(key, m)
 	s.mu.Unlock()
-	return nil
 }
 
 // Len returns the number of distinct keys stored.

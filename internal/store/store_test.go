@@ -168,6 +168,46 @@ func TestLRUEvictionFallsBackToDisk(t *testing.T) {
 	}
 }
 
+// TestKeepIsFrontOnly holds Keep to the front: on a writer handle the kept
+// measurement is served from memory, but the engine never sees it — no
+// key, no WAL byte — so it is gone after a reopen, and after an eviction.
+func TestKeepIsFrontOnly(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(dir, Options{LRUEntries: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := testMeasurement("btmz", 2.5, 42)
+	key := testKey(m.App, 2.5)
+	before := st.EngineStats()
+	st.Keep(key, m)
+	if got, ok := st.Get(key); !ok || !reflect.DeepEqual(got, m) {
+		t.Fatalf("Get after Keep = %+v, %v; want the kept measurement", got, ok)
+	}
+	if after := st.EngineStats(); st.Len() != 0 || after.Puts != before.Puts || after.WALBytes != before.WALBytes {
+		t.Fatalf("Keep reached the engine: len %d, puts %d -> %d, WAL bytes %d -> %d",
+			st.Len(), before.Puts, after.Puts, before.WALBytes, after.WALBytes)
+	}
+	for _, f := range []float64{1.5, 3.0} {
+		st.Keep(testKey(m.App, f), testMeasurement(m.App, f, 1))
+	}
+	if _, ok := st.Get(key); ok {
+		t.Fatal("an evicted kept measurement was still served")
+	}
+	st.Keep(key, m)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, err = Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if _, ok := st.Get(key); ok {
+		t.Fatal("a kept measurement survived a reopen")
+	}
+}
+
 func TestSupersededRecordsLastWriteWins(t *testing.T) {
 	dir := t.TempDir()
 	st, err := Open(dir, Options{})

@@ -9,7 +9,9 @@ import (
 
 // This file is the client half of the horizontally scaled serve tier: the
 // replica ring (re-exported from internal/ring), the route-key derivation
-// that maps an experiment onto its owner replica, and the blob-backend
+// that maps an experiment onto its owner replica, the store side of
+// /simulate routing (a stored hit is answered where it lands, a relayed
+// measurement kept in the store front), and the blob-backend
 // decorator that lets any ring participant fetch a missing sweep artifact
 // from the replica that owns its key — and replicate freshly built ones
 // back to the owner — instead of recomputing. The serve layer consults the
@@ -50,18 +52,60 @@ func (c *Client) Ring() *Ring { return c.opts.Ring }
 // so replicas must run with identical default flags (the same operational
 // contract fleet shard dispatch already relies on).
 func (c *Client) RouteKey(e Experiment) (string, error) {
+	rt, err := c.Route(e)
+	return rt.Key, err
+}
+
+// A Route is an experiment's place on a replica ring: Key is its RouteKey.
+// A node experiment's route also holds the application and architecture of
+// the measurement stored under Key, so KeepRelayed checks a reply against
+// the request without deriving the key a second time.
+type Route struct {
+	Key  string
+	app  string
+	arch *Arch // nil for every kind but KindNode
+}
+
+// Route is RouteKey, keeping what KeepRelayed needs of a node experiment.
+func (c *Client) Route(e Experiment) (Route, error) {
 	ne, err := c.fill(e).normalize(c.knowsApp)
 	if err != nil {
-		return "", err
+		return Route{}, err
 	}
 	if ne.Kind == KindNode {
-		return nodeKey(ne, ne.App, c.customProfile(ne.App), *ne.Arch), nil
+		return Route{Key: nodeKey(ne, ne.App, c.customProfile(ne.App), *ne.Arch), app: ne.App, arch: ne.Arch}, nil
 	}
 	b, err := ne.appendCanonicalJSON(nil, c.customProfile(ne.App))
 	if err != nil {
-		return "", err
+		return Route{}, err
 	}
-	return hashKey(b), nil
+	return Route{Key: hashKey(b)}, nil
+}
+
+// Stored reports whether the result store holds a measurement under key.
+// A stored measurement is the same bytes on every replica, so a replica
+// that holds one answers it itself rather than routing it to the key's
+// owner: ownership exists to place misses.
+func (c *Client) Stored(key string) bool {
+	if c.st == nil {
+		return false
+	}
+	_, ok := c.st.Get(key)
+	return ok
+}
+
+// KeepRelayed keeps m, the measurement another ring member answered the
+// node experiment routed by rt with, in the result store's in-memory front,
+// so the next request for it is served here without a hop. Nothing reaches
+// the store's engine: the owner persists what it computed, and what a
+// non-owner relays is gone when it restarts. Nothing is kept when rt is not
+// a node experiment's or m is not its application's measurement at its
+// architecture.
+func (c *Client) KeepRelayed(rt Route, m Measurement) {
+	if c.st == nil || rt.arch == nil || m.App != rt.app || archOfPoint(m.Arch) != *rt.arch {
+		return
+	}
+	c.st.Keep(rt.Key, m)
 }
 
 // ringBlobs decorates a client's local artifact storage with the replica

@@ -231,6 +231,102 @@ func TestRingSimulateCoalesces(t *testing.T) {
 	}
 }
 
+// TestRingHitServedWhereItLands is the ring's hit contract: ownership places
+// misses, a hit is served by the replica it reaches. A non-owner asked for a
+// key the owner has computed relays it once (result="proxied"), keeps the
+// relayed measurement in its store front, and answers the second request
+// itself (result="hit") without asking the owner. Every reply carries the
+// same measurement bytes, a recompute still goes to the owner, and what the
+// non-owner relayed never reaches its engine.
+func TestRingHitServedWhereItLands(t *testing.T) {
+	regs := make([]*obs.Registry, 3)
+	urls, clients := startRingReplicas(t, 3, func(i int) (musa.ClientOptions, []serve.Option) {
+		regs[i] = obs.NewRegistry()
+		return musa.ClientOptions{SweepWorkers: 2, MaxJobs: 2, CacheDir: t.TempDir()},
+			[]serve.Option{serve.WithRegistry(regs[i])}
+	})
+	const body = `{"app":"lulesh","pointIndex":7,"sample":20000,"warmup":40000,"seed":3,"noReplay":true}`
+	var e musa.Experiment
+	if err := json.Unmarshal([]byte(body), &e); err != nil {
+		t.Fatal(err)
+	}
+	key, err := clients[0].RouteKey(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner := -1
+	for i, u := range urls {
+		if clients[0].Ring().Owner(key) == u {
+			owner = i
+		}
+	}
+	if owner < 0 {
+		t.Fatalf("owner %q of the key is no replica", clients[0].Ring().Owner(key))
+	}
+	other := (owner + 1) % len(urls)
+
+	post := func(url, body string) json.RawMessage {
+		t.Helper()
+		resp, err := http.Post(url+"/simulate", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var out struct {
+			Measurement json.RawMessage `json:"measurement"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST %s/simulate -> %d (%v)", url, resp.StatusCode, err)
+		}
+		return out.Measurement
+	}
+	results := func(i int, result string) float64 {
+		return counterValue(regs[i], "musa_ring_owner_requests_total", map[string]string{"result": result})
+	}
+
+	computed := post(urls[owner], body)
+	st := clients[other].Snapshot().Store
+	ownerRuns := clients[owner].Stats().Requests
+
+	relayed := post(urls[other], body)
+	if p, h := results(other, "proxied"), results(other, "hit"); p != 1 || h != 0 {
+		t.Fatalf("first request at a non-owner: proxied %v hit %v, want 1 and 0", p, h)
+	}
+	if n := clients[owner].Stats().Requests; n != ownerRuns+1 {
+		t.Fatalf("owner ran %d requests for the relayed one, want 1", n-ownerRuns)
+	}
+	kept := post(urls[other], body)
+	if p, h := results(other, "proxied"), results(other, "hit"); p != 1 || h != 1 {
+		t.Fatalf("second request at the non-owner: proxied %v hit %v, want 1 and 1", p, h)
+	}
+	if n := clients[owner].Stats().Requests; n != ownerRuns+1 {
+		t.Fatal("the owner was asked for a key the non-owner had kept")
+	}
+	if !bytes.Equal(relayed, computed) || !bytes.Equal(kept, computed) {
+		t.Fatalf("measurement bytes differ:\nowner:\n%s\nrelayed:\n%s\nkept:\n%s", computed, relayed, kept)
+	}
+
+	recompute := strings.Replace(body, `"noReplay":true`, `"noReplay":true,"recompute":true`, 1)
+	if m := post(urls[other], recompute); !bytes.Equal(m, computed) {
+		t.Fatal("a recompute through the non-owner answered other measurement bytes")
+	}
+	if p := results(other, "proxied"); p != 2 {
+		t.Fatalf("recompute at the non-owner: proxied %v, want 2 (a recompute skips the store)", p)
+	}
+	if n := clients[owner].Stats().Requests; n != ownerRuns+2 {
+		t.Fatal("the recompute did not reach the owner")
+	}
+
+	after := clients[other].Snapshot().Store
+	if after.Len != st.Len || after.Engine.WALBytes != st.Engine.WALBytes || after.Engine.Puts != st.Engine.Puts {
+		t.Fatalf("the non-owner's engine moved on what it relayed: len %d -> %d, WAL bytes %d -> %d, puts %d -> %d",
+			st.Len, after.Len, st.Engine.WALBytes, after.Engine.WALBytes, st.Engine.Puts, after.Engine.Puts)
+	}
+	if clients[other].Stats().Simulated != 0 {
+		t.Fatal("the non-owner simulated")
+	}
+}
+
 // TestRingPeerArtifactFetch is the replication read path: a replica whose
 // ring peer already built a shard's annotation pulls it over HTTP instead
 // of re-running the annotate stage. The stage histogram's observation count

@@ -2,6 +2,8 @@ package musa
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -200,5 +202,44 @@ func TestCloseWaitsForReplication(t *testing.T) {
 	if n := runtime.NumGoroutine(); n > baseline {
 		buf := make([]byte, 1<<16)
 		t.Fatalf("%d goroutines after Close, baseline %d\n%s", n, baseline, buf[:runtime.Stack(buf, true)])
+	}
+}
+
+// TestRelayedReplyRoundTrips pins the property a ring replica's kept reply
+// rests on: the measurement decoded from a relayed reply re-encodes to the
+// owner's bytes, so the replica that keeps it answers later requests with
+// what the owner would have sent. It is encoding/json's float round trip,
+// checked on every measurement of a real sweep rather than assumed.
+func TestRelayedReplyRoundTrips(t *testing.T) {
+	exp := reducedSweepExperimentT(t)
+	exp.Sample, exp.Warmup = 20000, 40000
+	c, err := NewClient(ClientOptions{NoArtifacts: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	res, err := c.Run(context.Background(), exp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(res.Sweep.Measurements); n != len(exp.PointIndices) {
+		t.Fatalf("%d measurements, want %d", n, len(exp.PointIndices))
+	}
+	for _, m := range res.Sweep.Measurements {
+		want, err := store.ReplyForm(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back Measurement
+		if err := json.Unmarshal(want, &back); err != nil {
+			t.Fatal(err)
+		}
+		got, err := store.ReplyForm(back)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s at %s does not round-trip:\n%s\nre-encodes to\n%s", m.App, m.Arch.Label(), want, got)
+		}
 	}
 }
