@@ -15,12 +15,13 @@ func (p *Profile) RegionGraph(ri int, seed uint64) rts.Region {
 	spec := p.Regions[ri]
 	rng := xrand.New(seed ^ (uint64(ri+1) * 0x9e3779b97f4a7c15))
 	baseNs := spec.LanesPerTask / RefLaneThroughput * 1e9
+	mu, sigma := lognormalParams(spec.ImbalanceCV)
 
 	tasks := make([]rts.Task, spec.Tasks)
 	for i := range tasks {
 		dur := baseNs
 		if spec.ImbalanceCV > 0 {
-			dur *= lognormalFactor(rng, spec.ImbalanceCV)
+			dur *= rng.LogNormal(mu, sigma)
 		}
 		tasks[i] = rts.Task{
 			ID:         i,
@@ -32,11 +33,11 @@ func (p *Profile) RegionGraph(ri int, seed uint64) rts.Region {
 	return rts.Region{Name: spec.Name, SerialNs: serialNs, Tasks: tasks}
 }
 
-// lognormalFactor returns a multiplicative factor with mean 1 and the given
-// coefficient of variation.
-func lognormalFactor(rng *xrand.RNG, cv float64) float64 {
+// lognormalParams returns the (mu, sigma) of the lognormal with mean 1 and
+// the given coefficient of variation.
+func lognormalParams(cv float64) (mu, sigma float64) {
 	sigma2 := math.Log1p(cv * cv)
-	return rng.LogNormal(-sigma2/2, math.Sqrt(sigma2))
+	return -sigma2 / 2, math.Sqrt(sigma2)
 }
 
 // BurstTrace synthesizes the coarse-grain full-application trace for the
@@ -67,7 +68,7 @@ func BurstTrace(p *Profile, ranks int, seed uint64) *trace.Burst {
 	for r := range mult {
 		mult[r] = 1.0
 		if p.MPI.RankImbalanceCV > 0 {
-			mult[r] = lognormalFactor(rng, p.MPI.RankImbalanceCV)
+			mult[r] = rng.LogNormal(lognormalParams(p.MPI.RankImbalanceCV))
 		}
 	}
 

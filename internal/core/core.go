@@ -65,11 +65,14 @@ type FullAppResult struct {
 // runtime-system simulation at each core count. Every replay pass has a
 // cancellation checkpoint; a canceled ctx returns ctx.Err().
 func FullAppScalingCtx(ctx context.Context, app *apps.Profile, ranks int, coreCounts []int, model net.Model, opts BurstOptions) ([]FullAppResult, error) {
-	b := apps.BurstTrace(app, ranks, opts.Seed)
+	prog, err := net.Compile(apps.BurstTrace(app, ranks, opts.Seed))
+	if err != nil {
+		panic(err) // the application models produce valid traces
+	}
 
 	makespanAt := func(cores int) (float64, net.Result, error) {
 		speedup := nodeSpeedup(app, cores, opts)
-		res, err := net.ReplayCtx(ctx, b, model, func(rank int, traced float64) float64 {
+		res, err := prog.Replay(ctx, model, func(rank int, traced float64) float64 {
 			return traced / speedup
 		})
 		return res.MakespanNs, res, err

@@ -93,8 +93,9 @@ type channel struct {
 	banks         []bank
 	busFreeAt     sim.Time
 	queue         []*Request
-	actTimes      []sim.Time // sliding window for tFAW
-	refreshedTo   sim.Time   // refreshes accounted up to this time
+	actTimes      [4]sim.Time // the last four activates, a ring for tFAW
+	acts          int         // activates issued; acts%4 is the ring's oldest slot
+	refreshedTo   sim.Time    // refreshes accounted up to this time
 	refBlockUntil sim.Time
 	scheduling    bool
 }
@@ -242,10 +243,8 @@ func (c *Controller) issue(ch *channel, req *Request, now sim.Time) {
 		}
 		act := max(t, b.actAt, c.fawGate(ch))
 		c.Stats.Commands.Act++
-		ch.actTimes = append(ch.actTimes, act)
-		if len(ch.actTimes) > 4 {
-			ch.actTimes = ch.actTimes[len(ch.actTimes)-4:]
-		}
+		ch.actTimes[ch.acts%4] = act
+		ch.acts++
 		b.openRow = row
 		b.preAt = act + c.cycles(spec.TRAS)
 		t = act + c.cycles(spec.TRCD)
@@ -282,8 +281,8 @@ func (c *Controller) issue(ch *channel, req *Request, now sim.Time) {
 
 // fawGate returns the earliest time a new ACT may issue under tFAW.
 func (c *Controller) fawGate(ch *channel) sim.Time {
-	if len(ch.actTimes) < 4 {
+	if ch.acts < 4 {
 		return 0
 	}
-	return ch.actTimes[len(ch.actTimes)-4] + c.cycles(c.cfg.Spec.TFAW)
+	return ch.actTimes[ch.acts%4] + c.cycles(c.cfg.Spec.TFAW)
 }

@@ -14,6 +14,7 @@ import (
 	"musa/internal/apps"
 	"musa/internal/dram"
 	"musa/internal/isa"
+	"musa/internal/net"
 	"musa/internal/node"
 	"musa/internal/obs"
 	"musa/internal/trace"
@@ -392,7 +393,7 @@ type runArtifacts struct {
 
 	hashes onceMap[string, string]             // app name -> content hash
 	lat    onceMap[string, *dram.LatencyModel] // artifact key -> fitted curve
-	bursts onceMap[string, *trace.Burst]       // artifact key -> parsed trace
+	bursts onceMap[string, *net.Program]       // artifact key -> compiled trace
 	// windows is the one front a run reads sample windows through: the
 	// client's, or a run-local one.
 	windows     *SampleWindows
@@ -480,16 +481,23 @@ func (r *runArtifacts) latencyModel(ctx context.Context, app *apps.Profile, ch i
 	})
 }
 
-// burst returns the shared burst trace for (app, ranks) — replay only
-// reads it, so every worker replays the same instance.
-func (r *runArtifacts) burst(ctx context.Context, app *apps.Profile, ranks int) *trace.Burst {
+// burst returns the burst trace of (app, ranks) compiled for replay, once per
+// run: a replay only reads the program, so every worker replays the same one
+// with its own compute scale. The provider holds the trace, the front its
+// program.
+func (r *runArtifacts) burst(ctx context.Context, app *apps.Profile, ranks int) *net.Program {
 	key := BurstKey(r.appHash(app), ranks, r.seed)
-	return r.bursts.get(key, func() *trace.Burst {
+	return r.bursts.get(key, func() *net.Program {
 		_, span := obs.StartSpan(ctx, "dse.burst-synthesis",
 			obs.A("app", app.Name), obs.AInt("ranks", ranks))
 		defer span.End()
-		return resolve(r, span, StageBurstSynthesis, key, ArtifactProvider.Burst,
+		b := resolve(r, span, StageBurstSynthesis, key, ArtifactProvider.Burst,
 			func() *trace.Burst { return apps.BurstTrace(app, ranks, r.seed) }, ArtifactProvider.PutBurst)
+		p, err := net.Compile(b)
+		if err != nil {
+			panic(fmt.Sprintf("dse: burst trace %s: %v", key, err)) // providers validate what they serve
+		}
+		return p
 	})
 }
 

@@ -58,11 +58,24 @@ func observeStageShares(stage string, start time.Time, n int) {
 // a change to the fixed point is judged against.
 const IterationsMetric = "musa_dse_fixedpoint_iterations"
 
-// observeIterations records one simulated point's iteration count.
-func observeIterations(n int) {
-	obs.DefaultRegistry().Histogram(IterationsMetric,
+// UnconvergedMetric counts the simulated points whose bandwidth fixed point
+// stopped at the six-iteration cap without meeting its 1 ns tolerance
+// (node.Result.Converged false); IterationsMetric's count is the points
+// simulated.
+const UnconvergedMetric = "musa_dse_fixedpoint_unconverged_total"
+
+// observeFixedPoint records one simulated point's iteration count and
+// whether its fixed point converged.
+func observeFixedPoint(iterations int, converged bool) {
+	reg := obs.DefaultRegistry()
+	reg.Histogram(IterationsMetric,
 		"Bandwidth fixed-point iterations per simulated sweep point.",
-		[]float64{1, 2, 3, 4, 5, 6}).Observe(float64(n))
+		[]float64{1, 2, 3, 4, 5, 6}).Observe(float64(iterations))
+	unconverged := reg.Counter(UnconvergedMetric,
+		"Simulated sweep points whose bandwidth fixed point stopped at the iteration cap unconverged.")
+	if !converged {
+		unconverged.Inc()
+	}
 }
 
 // countPoint advances the per-sweep-point outcome counter.

@@ -245,9 +245,9 @@ func Run(ctx context.Context, opts Options) *Dataset {
 	defer runSpan.End()
 
 	// The run-local artifact front: DRAM latency models per (app, channels,
-	// mem kind) and one parsed burst trace per (app, ranks) are shared
-	// across the whole sweep — replay only reads the trace, so every worker
-	// replays the same instance with a per-point compute scale. With
+	// mem kind) and one compiled burst trace per (app, ranks) are shared
+	// across the whole sweep — replay only reads the program, so every
+	// worker replays the same instance with a per-point compute scale. With
 	// opts.Artifacts set, the front is additionally backed by the
 	// cross-run provider.
 	art := newRunArtifacts(opts)
@@ -273,7 +273,7 @@ func Run(ctx context.Context, opts Options) *Dataset {
 		rescale := func(rank int, traced float64) float64 { return traced * scale }
 		m.Cluster = make([]ClusterStat, 0, len(opts.Replay.Ranks))
 		for _, ranks := range opts.Replay.Ranks {
-			rep, err := net.ReplayCtx(ctx, art.burst(pctx, app, ranks), opts.Replay.Network, rescale)
+			rep, err := art.burst(pctx, app, ranks).Replay(ctx, opts.Replay.Network, rescale)
 			if err != nil {
 				return false
 			}
@@ -383,7 +383,7 @@ func Run(ctx context.Context, opts Options) *Dataset {
 				simStart := time.Now()
 				res := node.SimulateAnnotated(app, cfg, *ann)
 				observeStage(StageNodeSim, simStart)
-				observeIterations(res.Iterations)
+				observeFixedPoint(res.Iterations, res.Converged)
 				simSpan.End()
 				l1, l2, l3 := res.MPKI()
 				m := Measurement{

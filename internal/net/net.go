@@ -171,238 +171,245 @@ func Replay(b *trace.Burst, m Model, scale ComputeScale) Result {
 // pass: when ctx is canceled mid-replay the partial state is discarded and
 // ctx.Err() returned, so a canceled sweep does not block on a large replay.
 // Trace or model validation failures still panic — they are programmer
-// errors, not user input (callers validate requests before replaying).
+// errors, not user input (callers validate requests before replaying). It
+// compiles the trace and replays the program once; a caller that replays one
+// trace many times compiles it once and calls Program.Replay.
 func ReplayCtx(ctx context.Context, b *trace.Burst, m Model, scale ComputeScale) (Result, error) {
+	p, err := Compile(b)
+	if err != nil {
+		panic(err)
+	}
+	return p.Replay(ctx, m, scale)
+}
+
+// Program is a burst trace compiled for replay. Point-to-point matching is
+// FIFO per directed (src, dst) pair — receive #i consumes send #i — so
+// Compile resolves every message once (trace.Burst.Matched, which the trace
+// keeps): a send and the receive that consumes it share one slot of a flat
+// message log. A replay is then
+// arithmetic over the trace's events and the log, with no map and no
+// allocation per message. A Program keeps the trace it was compiled from;
+// both are immutable, and any number of replays may run on them at once.
+type Program struct {
+	trace *trace.Burst
+	msgs  *trace.Matching
+	start []int32 // rank r's first event in msgs.SendID and msgs.RecvID
+	depth float64 // log2ceil(ranks), the collective tree depth
+}
+
+// Compile validates a burst trace and compiles it for replay. The trace keeps
+// its validated matching, so compiling it again — every Replay call does —
+// costs a rank-sized array.
+func Compile(b *trace.Burst) (*Program, error) {
+	mt, err := b.Matched()
+	if err != nil {
+		return nil, err
+	}
+	n := len(b.Ranks)
+	p := &Program{trace: b, msgs: mt, start: make([]int32, n), depth: log2ceil(n)}
+	for r := 1; r < n; r++ {
+		p.start[r] = p.start[r-1] + int32(len(b.Ranks[r-1].Events))
+	}
+	return p, nil
+}
+
+// rankState is one rank's replay cursor.
+type rankState struct {
+	clock    float64
+	collTime float64 // arrival at the current collective
+	cursor   int32   // next event, an index into the rank's events
+	// posted records that the rank's current (blocked) event has already
+	// registered itself: its send or receive-post sits in the log, or its
+	// collective arrival has been counted. Cleared when the cursor advances.
+	posted bool
+}
+
+// slot is one message of the log: the send half and the receive post.
+type slot struct {
+	sendTime float64 // sender clock when the send was posted
+	recvPost float64 // receiver clock when the receive was posted
+	bytes    int64   // the message size, posted with the send
+	sent     bool
+	received bool // the receive has been posted
+}
+
+// Replay runs the program against the network model; see the package-level
+// Replay for the semantics and ReplayCtx for cancellation. It panics on an
+// invalid model and on a deadlock.
+func (p *Program) Replay(ctx context.Context, m Model, scale ComputeScale) (Result, error) {
 	if err := m.Validate(); err != nil {
 		panic(err)
 	}
-	if err := b.Validate(); err != nil {
-		panic(err)
-	}
-	n := len(b.Ranks)
+	n := len(p.start)
 	res := Result{Ranks: make([]RankStats, n)}
+	ranks := make([]rankState, n)
+	log := make([]slot, p.msgs.Messages)
+	collCount := 0 // arrivals at the one collective generation active
 
-	// Replay is performed with a sequential algorithm over per-rank event
-	// cursors (a discrete-event relaxation): point-to-point matching is FIFO
-	// per directed (src, dst) pair — recv #i consumes send #i — and
-	// collectives are global barriers. Each rank keeps a local clock.
-	type sendMsg struct {
-		sendTime float64 // sender clock when the send was posted
-		bytes    int64
-	}
-	// pairState records the posted sends and receive-post times of one
-	// directed pair. Slices only grow and are consumed by index, so there
-	// is no per-message allocation, no map reassignment per event, and no
-	// q[1:] re-slicing that would pin a growing backing array.
-	type pairState struct {
-		sends     []sendMsg
-		recvPosts []float64
-	}
-	channels := map[[2]int]*pairState{}
-	pair := func(key [2]int) *pairState {
-		ps := channels[key]
-		if ps == nil {
-			ps = &pairState{}
-			channels[key] = ps
-		}
-		return ps
-	}
-	clock := make([]float64, n)
-	cursor := make([]int, n)
-	// posted[r] records that rank r's current (blocked) event has already
-	// registered itself — its send/recv sits at pair index postIdx[r]
-	// (and, for EvSendRecv, its receive half at postRecvIdx[r]), or its
-	// collective arrival has been counted. Cleared when the cursor
-	// advances.
-	posted := make([]bool, n)
-	postIdx := make([]int, n)
-	postRecvIdx := make([]int, n)
-	// Collective bookkeeping. Releases are all-at-once, so at any moment a
-	// single collective generation is active across every rank.
-	collTime := make([]float64, n)
-	collCount := 0
-
-	// Iterate until all cursors are exhausted. Process ranks round-robin;
-	// a rank blocks when it needs a peer that has not progressed far enough
-	// — then we move on and come back. Deterministic because matching is
-	// FIFO and postings are monotone.
-	remaining := 0
-	for _, rt := range b.Ranks {
-		remaining += len(rt.Events)
-	}
+	// Ranks are processed round-robin, each until it blocks on a peer that
+	// has not progressed far enough; then the next rank runs and the pass
+	// comes back. Deterministic because matching is FIFO and postings are
+	// monotone.
+	remaining := len(p.msgs.SendID)
 	for remaining > 0 {
 		if err := ctx.Err(); err != nil {
 			return Result{}, err
 		}
 		progressed := false
-		for r := 0; r < n; r++ {
-			for cursor[r] < len(b.Ranks[r].Events) {
-				ev := b.Ranks[r].Events[cursor[r]]
+	ranksLoop:
+		for r := range ranks {
+			rs, st := &ranks[r], &res.Ranks[r]
+			events := p.trace.Ranks[r].Events
+			sendID, recvID := p.msgs.SendID[p.start[r]:], p.msgs.RecvID[p.start[r]:]
+			for int(rs.cursor) < len(events) {
+				ev := &events[rs.cursor]
 				switch ev.Kind {
 				case trace.EvCompute:
 					d := ev.DurationNs
 					if scale != nil {
 						d = scale(r, d)
 					}
-					clock[r] += d
-					res.Ranks[r].ComputeNs += d
+					rs.clock += d
+					st.ComputeNs += d
 
 				case trace.EvSend:
-					ps := pair([2]int{r, ev.Peer})
-					if !posted[r] {
-						posted[r] = true
-						postIdx[r] = len(ps.sends)
-						ps.sends = append(ps.sends, sendMsg{sendTime: clock[r], bytes: ev.Bytes})
+					s := &log[sendID[rs.cursor]]
+					if !rs.posted {
+						rs.posted = true
+						s.sendTime, s.bytes, s.sent = rs.clock, ev.Bytes, true
 						progressed = true // new information for the peer
 					}
 					if ev.Bytes > m.EagerBytes {
 						// Rendezvous: the send blocks until the matching
 						// receive has been posted, then completes after the
 						// handshake latency.
-						i := postIdx[r]
-						if len(ps.recvPosts) <= i {
-							goto nextRank
+						if !s.received {
+							continue ranksLoop
 						}
-						done := math.Max(clock[r], ps.recvPosts[i]) + m.LatencyNs
-						res.Ranks[r].P2PNs += done - clock[r]
-						clock[r] = done
+						done := math.Max(rs.clock, s.recvPost) + m.LatencyNs
+						st.P2PNs += done - rs.clock
+						rs.clock = done
 					} else {
-						clock[r] += m.LatencyNs / 2 // eager injection cost
-						res.Ranks[r].P2PNs += m.LatencyNs / 2
+						rs.clock += m.LatencyNs / 2 // eager injection cost
+						st.P2PNs += m.LatencyNs / 2
 					}
-					posted[r] = false
 
 				case trace.EvRecv:
-					ps := pair([2]int{ev.Peer, r})
-					if !posted[r] {
-						posted[r] = true
-						postIdx[r] = len(ps.recvPosts)
-						ps.recvPosts = append(ps.recvPosts, clock[r])
+					s := &log[recvID[rs.cursor]]
+					if !rs.posted {
+						rs.posted = true
+						s.recvPost, s.received = rs.clock, true
 						progressed = true // unblocks a rendezvous sender
 					}
-					{
-						i := postIdx[r]
-						if len(ps.sends) <= i {
-							// Sender has not posted yet: block this rank
-							// and try other ranks first.
-							goto nextRank
-						}
-						msg := ps.sends[i]
-						arrive := msg.sendTime + m.transferNs(msg.bytes)
-						if msg.bytes > m.EagerBytes {
-							// Rendezvous transfer starts at the match point.
-							arrive = math.Max(msg.sendTime, ps.recvPosts[i]) + m.transferNs(msg.bytes)
-						}
-						if arrive > clock[r] {
-							res.Ranks[r].P2PNs += arrive - clock[r]
-							clock[r] = arrive
-						}
+					if !s.sent {
+						// Sender has not posted yet: block this rank and
+						// try other ranks first.
+						continue ranksLoop
 					}
-					posted[r] = false
+					if arrive := m.arrival(s); arrive > rs.clock {
+						st.P2PNs += arrive - rs.clock
+						rs.clock = arrive
+					}
 
 				case trace.EvSendRecv:
-					// Combined exchange: the receive from RecvPeer is
-					// posted at entry, concurrently with the send to Peer
-					// (MPI_Sendrecv / pre-posted MPI_Irecv). The event
-					// completes when both halves do.
-					{
-						sp := pair([2]int{r, ev.Peer})
-						rp := pair([2]int{ev.RecvPeer, r})
-						if !posted[r] {
-							posted[r] = true
-							postIdx[r] = len(sp.sends)
-							postRecvIdx[r] = len(rp.recvPosts)
-							sp.sends = append(sp.sends, sendMsg{sendTime: clock[r], bytes: ev.Bytes})
-							rp.recvPosts = append(rp.recvPosts, clock[r])
-							progressed = true
-						}
-						si, ri := postIdx[r], postRecvIdx[r]
-						var sendDone float64
-						if ev.Bytes > m.EagerBytes {
-							// Rendezvous send half: blocks until the peer
-							// posts the matching receive.
-							if len(sp.recvPosts) <= si {
-								goto nextRank
-							}
-							sendDone = math.Max(clock[r], sp.recvPosts[si]) + m.LatencyNs
-						} else {
-							sendDone = clock[r] + m.LatencyNs/2
-						}
-						// Receive half: blocks until the matching send is
-						// posted and the message has fully arrived.
-						if len(rp.sends) <= ri {
-							goto nextRank
-						}
-						msg := rp.sends[ri]
-						arrive := msg.sendTime + m.transferNs(msg.bytes)
-						if msg.bytes > m.EagerBytes {
-							arrive = math.Max(msg.sendTime, rp.recvPosts[ri]) + m.transferNs(msg.bytes)
-						}
-						done := math.Max(sendDone, arrive)
-						if done > clock[r] {
-							res.Ranks[r].P2PNs += done - clock[r]
-							clock[r] = done
-						}
+					// Combined exchange: the receive is posted at entry,
+					// concurrently with the send (MPI_Sendrecv / pre-posted
+					// MPI_Irecv). The event completes when both halves do.
+					ss, rcv := &log[sendID[rs.cursor]], &log[recvID[rs.cursor]]
+					if !rs.posted {
+						rs.posted = true
+						ss.sendTime, ss.bytes, ss.sent = rs.clock, ev.Bytes, true
+						rcv.recvPost, rcv.received = rs.clock, true
+						progressed = true
 					}
-					posted[r] = false
+					var sendDone float64
+					if ev.Bytes > m.EagerBytes {
+						// Rendezvous send half: blocks until the peer posts
+						// the matching receive.
+						if !ss.received {
+							continue ranksLoop
+						}
+						sendDone = math.Max(rs.clock, ss.recvPost) + m.LatencyNs
+					} else {
+						sendDone = rs.clock + m.LatencyNs/2
+					}
+					// Receive half: blocks until the matching send is posted
+					// and the message has fully arrived.
+					if !rcv.sent {
+						continue ranksLoop
+					}
+					if done := math.Max(sendDone, m.arrival(rcv)); done > rs.clock {
+						st.P2PNs += done - rs.clock
+						rs.clock = done
+					}
 
 				case trace.EvAllReduce, trace.EvBarrier, trace.EvBcast:
-					if !posted[r] {
-						posted[r] = true
-						collTime[r] = clock[r]
+					if !rs.posted {
+						rs.posted = true
+						rs.collTime = rs.clock
 						collCount++
 						progressed = true
 					}
 					if collCount < n {
 						// Not everyone has arrived; this rank is blocked.
-						goto nextRank
+						continue ranksLoop
 					}
 					// Everyone arrived: release at max + tree cost.
 					maxT := 0.0
-					for _, t := range collTime {
-						if t > maxT {
+					for i := range ranks {
+						if t := ranks[i].collTime; t > maxT {
 							maxT = t
 						}
 					}
-					cost := m.CollectiveLatencyNs * log2ceil(n)
+					cost := m.CollectiveLatencyNs * p.depth
 					if ev.Kind != trace.EvBarrier {
-						cost += m.transferNs(ev.Bytes) * log2ceil(n) / 4
+						cost += m.transferNs(ev.Bytes) * p.depth / 4
 					}
 					release := maxT + cost
 					// Release every rank: collCount == n means all of them
 					// are waiting at this collective.
-					for rr := 0; rr < n; rr++ {
-						if release > clock[rr] {
-							res.Ranks[rr].CollectiveNs += release - clock[rr]
-							clock[rr] = release
+					for rr := range ranks {
+						q := &ranks[rr]
+						if release > q.clock {
+							res.Ranks[rr].CollectiveNs += release - q.clock
+							q.clock = release
 						}
-						posted[rr] = false
-						cursor[rr]++
+						q.posted = false
+						q.cursor++
 						remaining--
 					}
 					collCount = 0
 					progressed = true
 					continue // cursor already advanced for r too
 				}
-				cursor[r]++
+				rs.posted = false
+				rs.cursor++
 				remaining--
 				progressed = true
 			}
-		nextRank:
-			continue
 		}
 		if !progressed {
 			panic("net: replay deadlock — mismatched sends/recvs or collectives")
 		}
 	}
 
-	for r := 0; r < n; r++ {
-		res.Ranks[r].FinishNs = clock[r]
-		if clock[r] > res.MakespanNs {
-			res.MakespanNs = clock[r]
+	for r := range ranks {
+		res.Ranks[r].FinishNs = ranks[r].clock
+		if ranks[r].clock > res.MakespanNs {
+			res.MakespanNs = ranks[r].clock
 		}
 	}
 	return res, nil
+}
+
+// arrival returns when the message in s has fully arrived at its posted
+// receiver: a send's wire time after the send, or, above the eager
+// threshold, after the rendezvous match point.
+func (m Model) arrival(s *slot) float64 {
+	if s.bytes > m.EagerBytes {
+		return math.Max(s.sendTime, s.recvPost) + m.transferNs(s.bytes)
+	}
+	return s.sendTime + m.transferNs(s.bytes)
 }
 
 func log2ceil(n int) float64 {

@@ -156,9 +156,12 @@ type Result struct {
 	OfferedBW float64
 	// Fixed-point iterations taken.
 	Iterations int
+	// Converged reports that the fixed point met its 1 ns tolerance. A point
+	// that reaches the iteration cap without meeting it keeps the last
+	// iterate and reports false; with DisableContention there is no fixed
+	// point to miss and it is true.
+	Converged bool
 
-	// Schedules holds one runtime-system schedule per region.
-	Schedules []rts.Schedule
 	// RegionDurNs is each region's makespan on this node.
 	RegionDurNs []float64
 	// IterationNs is the per-timestep compute duration (sum of regions).
@@ -193,21 +196,33 @@ type Annotation struct {
 	Ann     cpu.AnnotateResult
 	HierCfg cache.HierarchyConfig
 
-	// Memo, when set, caches timing replays across every simulation sharing
-	// this annotation (see TimingMemo). The sweep runner sets it on the
-	// annotations it shares between points.
+	// Memo, when set, caches timing replays and the compiled task graphs
+	// across every simulation sharing this annotation (see TimingMemo). The
+	// sweep runner sets it on the annotations it shares between points.
 	Memo *TimingMemo
 }
 
-// TimingMemo caches timing-replay results across the simulations that share
-// one annotation. RunTiming is a pure function of (core config, annotation,
+// TimingMemo caches what the simulations that share one annotation would
+// each rebuild. RunTiming is a pure function of (core config, annotation,
 // level latencies); points of one annotation group frequently replay
 // identical triples — for example, memory variants that only differ in
 // channel count start their bandwidth fixed point from the same unloaded
 // latency — so the replay is done once and the result is reused verbatim.
+// The application's task graphs at the annotation's seed are compiled by the
+// first simulation and scheduled by all of them. A memo belongs to one
+// annotation, so to one (application, seed): a simulation of another panics.
 type TimingMemo struct {
 	mu sync.Mutex
 	m  map[timingKey]cpu.Result
+
+	graphsOnce sync.Once
+	graphs     compiledGraphs
+	graphsOf   graphsKey // what graphs were compiled for
+}
+
+type graphsKey struct {
+	app  string
+	seed uint64
 }
 
 type timingKey struct {
@@ -231,6 +246,21 @@ func (tm *TimingMemo) put(core cpu.Config, lat cpu.LevelLatencies, r cpu.Result)
 	tm.mu.Lock()
 	tm.m[timingKey{core, lat}] = r
 	tm.mu.Unlock()
+}
+
+// regions returns a fresh replay of the application's task graphs at seed:
+// graphs compiled once per memo, or per call without one.
+func (tm *TimingMemo) regions(app *apps.Profile, seed uint64) *regionReplay {
+	if tm == nil {
+		return regionGraphs(app, seed)
+	}
+	key := graphsKey{app.Name, seed}
+	tm.graphsOnce.Do(func() { tm.graphs, tm.graphsOf = compileGraphs(app, seed), key })
+	if tm.graphsOf != key {
+		panic(fmt.Sprintf("node: a TimingMemo of %s at seed %d used for %s at seed %d",
+			tm.graphsOf.app, tm.graphsOf.seed, app.Name, seed))
+	}
+	return &regionReplay{graphs: tm.graphs}
 }
 
 // FusedTrace is the cache-independent stage of annotation building: the
@@ -543,7 +573,7 @@ func SimulateAnnotated(app *apps.Profile, cfg Config, annotation Annotation) Res
 	var lastLat cpu.LevelLatencies
 	haveRun := false
 	activeCores := float64(cfg.Cores)
-	graphs := regionGraphs(app, cfg.Seed)
+	regions := annotation.Memo.regions(app, cfg.Seed)
 	for iter := 0; iter < 6; iter++ {
 		res.Iterations = iter + 1
 		// The timing replay is a pure function of (core config, annotation,
@@ -570,19 +600,18 @@ func SimulateAnnotated(app *apps.Profile, cfg Config, annotation Annotation) Res
 
 		// Replay the runtime system to learn how many cores are busy.
 		laneTp := float64(coreRes.LaneWork) / secs
-		scheds, durs := replayRegions(graphs, cfg, laneTp)
-		activeCores = scheduleActiveCores(scheds, durs)
+		activeCores, res.RegionDurNs = replayRegions(regions, cfg, laneTp)
 
 		offered := perCoreBW * activeCores
 		newLat := latModel.LatencyNs(offered)
 		res.OfferedBW = offered
-		res.Schedules = scheds
-		res.RegionDurNs = durs
 		if cfg.DisableContention {
+			res.Converged = true
 			break
 		}
 		if math.Abs(newLat-memLatNs) < 1.0 { // converged within 1 ns
 			memLatNs = newLat
+			res.Converged = true
 			break
 		}
 		memLatNs = 0.5*memLatNs + 0.5*newLat
@@ -607,67 +636,72 @@ func SimulateAnnotated(app *apps.Profile, cfg Config, annotation Annotation) Res
 	return res
 }
 
-// regionGraphs synthesizes the application's task graphs, one per region, at
-// their traced durations. They depend on the seed alone, so a simulation
-// builds them once and replayRegions rescales them at every iteration of the
-// bandwidth fixed point.
-func regionGraphs(app *apps.Profile, seed uint64) []rts.Region {
-	graphs := make([]rts.Region, len(app.Regions))
-	for ri := range graphs {
-		graphs[ri] = app.RegionGraph(ri, seed)
+// compiledGraphs is an application's runtime-system task graphs at one seed,
+// one per region, compiled for repeated scheduling: every iteration of a
+// simulation's bandwidth fixed point schedules them. They are immutable and
+// may be shared by concurrent simulations.
+type compiledGraphs []*rts.Compiled
+
+// compileGraphs synthesizes and compiles the application's task graphs at
+// their traced durations.
+func compileGraphs(app *apps.Profile, seed uint64) compiledGraphs {
+	g := make(compiledGraphs, len(app.Regions))
+	for ri := range g {
+		c, err := rts.Compile(app.RegionGraph(ri, seed))
+		if err != nil {
+			panic(err) // the application models produce valid graphs
+		}
+		g[ri] = c
 	}
-	return graphs
+	return g
 }
 
-// replayRegions rescales the burst task durations with the measured lane
-// throughput and replays each region's task graph on the node's cores.
-// graphs are the unscaled regionGraphs, left untouched. Runtime dispatch
-// costs stay in wall-clock ns (they come from the trace and do not scale
-// with core frequency), reproducing the scheduling bottleneck HYDRO hits
-// above 2.5 GHz.
+// regionReplay is one simulation's replay of an application's compiled
+// graphs: the graphs may be shared, the scheduler scratch and the region
+// durations are the simulation's own and are reused at every iteration of
+// its fixed point.
+type regionReplay struct {
+	graphs  compiledGraphs
+	scratch rts.Scratch
+	durs    []float64
+}
+
+// regionGraphs compiles the application's task graphs at seed into a fresh
+// replay.
+func regionGraphs(app *apps.Profile, seed uint64) *regionReplay {
+	return &regionReplay{graphs: compileGraphs(app, seed)}
+}
+
+// replayRegions schedules each region's task graph on the node's cores with
+// the burst task durations rescaled by the measured lane throughput. It
+// returns the makespan-weighted average busy core count and each region's
+// makespan; the durations are rr's memory, overwritten by its next replay.
+// Runtime dispatch costs stay in wall-clock ns (they come from the trace and
+// do not scale with core frequency), reproducing the scheduling bottleneck
+// HYDRO hits above 2.5 GHz.
 //
 // A zero, negative, NaN or infinite lane throughput (a degenerate core
 // sample) would turn the scale factor into ±Inf/NaN and poison every
 // downstream duration, energy and replay result; it is clamped to the
 // reference throughput (scale 1) instead.
-func replayRegions(graphs []rts.Region, cfg Config, laneThroughput float64) ([]rts.Schedule, []float64) {
+func replayRegions(rr *regionReplay, cfg Config, laneThroughput float64) (activeCores float64, durs []float64) {
 	if laneThroughput <= 0 || math.IsNaN(laneThroughput) || math.IsInf(laneThroughput, 0) {
 		laneThroughput = apps.RefLaneThroughput
 	}
 	scale := apps.RefLaneThroughput / laneThroughput
-	scheds := make([]rts.Schedule, 0, len(graphs))
-	durs := make([]float64, 0, len(graphs))
-	var tasks []rts.Task // the scaled copy; Simulate keeps no reference to it
-	for _, g := range graphs {
-		tasks = append(tasks[:0], g.Tasks...)
-		for i := range tasks {
-			tasks[i].DurationNs *= scale
-			tasks[i].CriticalNs *= scale
-		}
-		g.SerialNs *= scale
-		g.Tasks = tasks
-		s := rts.Simulate(g, rts.Options{
-			Threads:    cfg.Cores,
-			DispatchNs: cfg.DispatchNs,
-			Policy:     cfg.RTSPolicy,
-		})
-		scheds = append(scheds, s)
-		durs = append(durs, s.MakespanNs)
-	}
-	return scheds, durs
-}
-
-// scheduleActiveCores returns the makespan-weighted average busy core count.
-func scheduleActiveCores(scheds []rts.Schedule, durs []float64) float64 {
+	opts := rts.Options{Threads: cfg.Cores, DispatchNs: cfg.DispatchNs, Policy: cfg.RTSPolicy}
+	rr.durs = rr.durs[:0]
 	var busyNs, totalNs float64
-	for i, s := range scheds {
-		busyNs += s.AvgActiveThreads() * durs[i]
-		totalNs += durs[i]
+	for _, g := range rr.graphs {
+		s := g.Run(opts, scale, &rr.scratch)
+		rr.durs = append(rr.durs, s.MakespanNs)
+		busyNs += s.AvgActiveThreads() * s.MakespanNs
+		totalNs += s.MakespanNs
 	}
 	if totalNs == 0 {
-		return 0
+		return 0, rr.durs
 	}
-	return busyNs / totalNs
+	return busyNs / totalNs, rr.durs
 }
 
 // dramVisibleProfile filters an application's locality profile down to the

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
@@ -447,4 +448,67 @@ func TestArtifactFrontEviction(t *testing.T) {
 		t.Fatal("hit-rate blob served as a latency model")
 	}
 	_ = cache.Stats{}
+}
+
+// TestUnbalancedBurstRefusedAndRebuilt is the corrupt-artifact repro: a
+// stored burst trace with one receive removed passes every per-event check,
+// and replaying it would deadlock — a panic in a sweep worker, which nothing
+// recovers. The codec refuses it on the disk read and on the push path, the
+// sweep rebuilds the trace, and the measurement equals a run without the
+// cache.
+func TestUnbalancedBurstRefusedAndRebuilt(t *testing.T) {
+	const ranks, seed = 4, 1
+	app := apps.Hydro()
+	corrupt := apps.BurstTrace(app, ranks, seed)
+	dropped := false
+	for i, ev := range corrupt.Ranks[1].Events {
+		if ev.Kind == trace.EvSendRecv {
+			// Keep the send half, drop the receive half.
+			corrupt.Ranks[1].Events[i] = trace.Event{Kind: trace.EvSend, Peer: ev.Peer, Bytes: ev.Bytes}
+			dropped = true
+			break
+		}
+	}
+	if !dropped {
+		t.Fatal("the trace has no exchange to corrupt")
+	}
+	key := dse.BurstKey(dse.AppHash(app), ranks, seed)
+	blob := burstCodec.encode(key, corrupt)
+
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, key+".json"), blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c, err := OpenArtifacts(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.PutBlob(key, blob); err == nil {
+		t.Fatal("a pushed unbalanced burst was accepted")
+	}
+
+	run := func(provider dse.ArtifactProvider) dse.Measurement {
+		t.Helper()
+		d := dse.Run(context.Background(), dse.Options{
+			Apps: []*apps.Profile{app}, Points: dse.Enumerate()[:1],
+			SampleInstrs: 2000, WarmupInstrs: 4000, Seed: seed, Workers: 1,
+			Replay:    dse.ReplayConfig{Ranks: []int{ranks}},
+			Artifacts: provider,
+		})
+		if len(d.Measurements) != 1 {
+			t.Fatalf("%d measurements, want 1", len(d.Measurements))
+		}
+		return d.Measurements[0]
+	}
+	got := run(c)
+	if c.Err() == nil {
+		t.Error("the unbalanced burst was not reported through Err")
+	}
+	if want := run(nil); !reflect.DeepEqual(got, want) {
+		t.Errorf("measurement over the corrupt cache differs from an uncached run:\n%+v\n%+v", got, want)
+	}
+	rebuilt, ok := c.Burst(key)
+	if !ok || !bytes.Equal(burstCodec.encode(key, rebuilt), burstCodec.encode(key, apps.BurstTrace(app, ranks, seed))) {
+		t.Error("the rebuilt trace was not stored in place of the corrupt one")
+	}
 }

@@ -160,3 +160,71 @@ func TestEventKindStrings(t *testing.T) {
 		t.Error("IsCollective wrong")
 	}
 }
+
+// TestValidateRefusesWhatCanOnlyDeadlock covers the balance checks: every
+// per-event check passes, and a replay could only deadlock.
+func TestValidateRefusesWhatCanOnlyDeadlock(t *testing.T) {
+	cases := map[string]func(*Burst){
+		"send without receive": func(b *Burst) {
+			b.Ranks[1].Events[2] = Event{Kind: EvCompute, DurationNs: 1}
+		},
+		"receive without send": func(b *Burst) {
+			b.Ranks[0].Events[1] = Event{Kind: EvCompute, DurationNs: 1}
+		},
+		"sendrecv half unmatched": func(b *Burst) {
+			b.Ranks[0].Events[1] = Event{Kind: EvSendRecv, Peer: 1, RecvPeer: 1, Bytes: 8}
+		},
+		"collective count differs": func(b *Burst) {
+			b.Ranks[1].Events = append(b.Ranks[1].Events, Event{Kind: EvBarrier})
+		},
+	}
+	for name, mutate := range cases {
+		b := sampleBurst()
+		mutate(b)
+		if err := b.Validate(); err == nil {
+			t.Errorf("%s: validated", name)
+		}
+	}
+	// A sendrecv pairs with a plain send and receive as well as with its own
+	// kind: balanced per directed pair, whatever the events.
+	b := sampleBurst()
+	b.Ranks[0].Events[1] = Event{Kind: EvSendRecv, Peer: 1, RecvPeer: 1, Bytes: 8}
+	b.Ranks[0].Events[2] = Event{Kind: EvCompute, DurationNs: 1}
+	if err := b.Validate(); err != nil {
+		t.Errorf("balanced exchange refused: %v", err)
+	}
+}
+
+// TestMatchPairsFIFO checks the message numbering: receive #k of a pair
+// consumes send #k of the pair, whichever rank's events come first.
+func TestMatchPairsFIFO(t *testing.T) {
+	b := &Burst{App: "fifo", Ranks: []RankTrace{
+		{Rank: 0, Events: []Event{
+			{Kind: EvRecv, Peer: 2, Bytes: 1},
+			{Kind: EvSend, Peer: 1, Bytes: 1},
+			{Kind: EvSend, Peer: 1, Bytes: 2},
+		}},
+		{Rank: 1, Events: []Event{
+			{Kind: EvRecv, Peer: 0, Bytes: 1},
+			{Kind: EvSendRecv, Peer: 2, RecvPeer: 0, Bytes: 3},
+		}},
+		{Rank: 2, Events: []Event{
+			{Kind: EvSend, Peer: 0, Bytes: 1},
+			{Kind: EvRecv, Peer: 1, Bytes: 3},
+		}},
+	}}
+	m, err := b.Match()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Messages != 4 {
+		t.Fatalf("%d messages, want 4", m.Messages)
+	}
+	// Events in rank order: 0:recv, 0:send, 0:send, 1:recv, 1:sendrecv,
+	// 2:send, 2:recv.
+	sends := []int32{-1, 0, 1, -1, 2, 3, -1}
+	recvs := []int32{3, -1, -1, 0, 1, -1, 2}
+	if !reflect.DeepEqual(m.SendID, sends) || !reflect.DeepEqual(m.RecvID, recvs) {
+		t.Errorf("send ids %v, receive ids %v; want %v and %v", m.SendID, m.RecvID, sends, recvs)
+	}
+}
