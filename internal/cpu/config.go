@@ -28,14 +28,24 @@ type Config struct {
 	FPRF        int // floating-point rename registers
 }
 
-// MaxPorts bounds ALUs and FPUs: the timing loop keeps each port class as a
-// fixed file of this many free times.
-const MaxPorts = 8
+// The timing loop keeps its state in fixed arrays on its stack, so three
+// bounds apply: MaxPorts to ALUs and to FPUs (each port class is a file of
+// this many free times), MaxROB to the reorder buffer (its commit ring), and
+// MaxStructural to the store buffer and both register files together (one
+// ring holds all three).
+const (
+	MaxPorts      = 8
+	MaxROB        = 512
+	MaxStructural = 1024
+)
 
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	if c.ROB <= 0 || c.IssueWidth <= 0 || c.StoreBuffer <= 0 {
 		return fmt.Errorf("cpu %s: non-positive ROB/width/store buffer", c.Name)
+	}
+	if c.ROB > MaxROB {
+		return fmt.Errorf("cpu %s: ROB %d exceeds MaxROB %d", c.Name, c.ROB, MaxROB)
 	}
 	if c.ALUs <= 0 || c.FPUs <= 0 {
 		return fmt.Errorf("cpu %s: non-positive port counts", c.Name)
@@ -48,6 +58,9 @@ func (c Config) Validate() error {
 	}
 	if c.IntRF <= 0 || c.FPRF <= 0 {
 		return fmt.Errorf("cpu %s: non-positive register files", c.Name)
+	}
+	if n := c.StoreBuffer + c.IntRF + c.FPRF; n > MaxStructural {
+		return fmt.Errorf("cpu %s: store buffer + register files %d exceed MaxStructural %d", c.Name, n, MaxStructural)
 	}
 	return nil
 }

@@ -76,20 +76,10 @@ func (r Result) MemRequestsPerCycle() float64 {
 // the completion ring is indexed with a mask.
 const depWindow = 512
 
-// levelIndex extracts a meta word's cache level as an index into a
-// LevelLatencies table, mapping out-of-range values (a corrupt artifact) to
-// 0 — the same L1 fallback LevelLatencies.Latency applies.
-func levelIndex(m uint32) uint8 {
-	lvl := uint8(m >> MetaLevelShift)
-	if lvl > uint8(cache.LevelMem) {
-		return 0
-	}
-	return lvl
-}
-
 // The structural resources a micro-op holds from dispatch to completion, as
 // regions of one ring: a store takes a store-buffer entry, every other op a
-// rename register of its kind.
+// rename register of its kind. The port file an op issues on is kind&1: the
+// FPUs for resFP, the ALUs otherwise.
 const (
 	resStore = iota
 	resFP
@@ -97,28 +87,91 @@ const (
 	numRes
 )
 
+// timing is the whole state of one replay. The Validate bounds fix every
+// size, so it lives in RunTiming's frame: a replay allocates nothing, and
+// the loop addresses each array off the stack pointer instead of keeping a
+// base pointer live per array.
+type timing struct {
+	// complete holds op i's completion cycle at i&(depWindow-1); zeroSlot,
+	// above those, is never written.
+	complete [2 * depWindow]int64
+	// commitAt holds op i's commit cycle at i&(MaxROB-1); op i reads op
+	// i-ROB's at (i-ROB)&(MaxROB-1) before writing its own.
+	commitAt [MaxROB]int64
+	// ring is the structural ring: region k spans [first[k], end[k]) and
+	// next[k] is its cursor; stall[k] accumulates the cycles it held
+	// dispatch. The arrays are padded to four so k&3 needs no bounds check.
+	ring             [MaxStructural]int64
+	first, end, next [4]int
+	stall            [4]int64
+	// stallROB and robOcc accumulate the cycles the ROB held dispatch and
+	// the ROB occupancy.
+	stallROB, robOcc int64
+	// ports are the two port files, [0] the ALUs and [1] the FPUs, each
+	// sorted ascending (absent ports never free).
+	ports [2][MaxPorts]int64
+	// lat, free and occ are indexed by an op word's selector: the op's
+	// execution latency, the cycles after issue its structural entry frees,
+	// and the cycles it blocks its port.
+	lat, free, occ [numSel]int64
+}
+
+// setup prepares the state for one replay on cfg at the given level
+// latencies; t must be zero.
+func (t *timing) setup(cfg Config, lat LevelLatencies) {
+	slots := 0
+	for k, n := range [numRes]int{resStore: cfg.StoreBuffer, resFP: cfg.FPRF, resInt: cfg.IntRF} {
+		t.first[k], t.next[k] = slots, slots
+		slots += n
+		t.end[k] = slots
+	}
+	for u := range MaxPorts {
+		if u >= cfg.ALUs {
+			t.ports[0][u] = math.MaxInt64
+		}
+		if u >= cfg.FPUs {
+			t.ports[1][u] = math.MaxInt64
+		}
+	}
+	// A non-memory op's entry frees when it completes; so does a load's,
+	// after the latency of its level. A store completes in execLatency
+	// and holds its store-buffer entry for the drain time (write latency
+	// at its level) instead.
+	set := func(sel uint32, class isa.Class, latency, free int64) {
+		t.lat[sel], t.free[sel], t.occ[sel] = latency, free, occupancy[class]
+	}
+	for c := isa.IntALU; c <= isa.FPFMA; c++ {
+		set(uint32(c), c, execLatency[c], execLatency[c])
+	}
+	set(selBranch, isa.Branch, execLatency[isa.Branch], execLatency[isa.Branch])
+	for l, ml := range [numLevels]int64{lat.L1, lat.L2, lat.L3, lat.Mem} {
+		set(selLoad+uint32(l), isa.Load, ml, ml)
+		set(selStore+uint32(l), isa.Store, execLatency[isa.Store], ml)
+	}
+}
+
 // RunTiming replays an annotated trace through the one-pass out-of-order
 // timing model (see the package comment) and returns the result. Cache
 // statistics are copied from the annotation. It panics on an invalid
-// configuration. Meta and Deps must hold PackMeta and PackDeps words: the
-// loop trusts FlagFP to mean an FP class (so never a store) and a non-zero
-// distance to lie inside the trace and the completion window.
+// configuration. Ops must hold Compile words.
 //
 // This is the hottest loop of a sweep (it runs once per fixed-point
-// iteration of every point). It is allocation-free past its rings,
-// division-free and has no inner loop, so that its loop-carried scalars stay
-// in registers; DESIGN.md §15 has the measurements. Three invariants make
-// that shape exact rather than approximate:
+// iteration of every point). It reads one op word per instruction, is
+// allocation-free, division-free and has no inner loop, so that its
+// loop-carried scalars stay in registers; DESIGN.md §15 has the
+// measurements. Three invariants make that shape exact rather than
+// approximate:
 //
 //   - Rings need no "has it filled yet" guard. Every ring starts zeroed and
 //     slot s of a ring of n is first written by the ring's n-th op, so until
 //     the resource has saturated the slot read at dispatch holds 0 and
-//     max(dispatchCycle, 0) changes nothing.
+//     max(dispatchCycle, 0) changes nothing. The same holds for the ROB
+//     ring: until op ROB, (i-ROB)&(MaxROB-1) is a slot not yet written.
 //   - The store buffer and both register files are one ring. Each op reads
 //     one slot of one resource at dispatch and writes that same slot once it
 //     knows when the entry frees (a store's drain time, any other op's
-//     completion), so the resource is an index computed from the meta word,
-//     not a branch.
+//     completion), so the resource is an index carried in the op word, not
+//     a branch.
 //   - Only the multiset of port-free times matters. An op issues on the
 //     earliest-free port of its class and which index held that time never
 //     reaches the result, so each class is kept sorted ascending in MaxPorts
@@ -128,37 +181,9 @@ func RunTiming(cfg Config, ann AnnotateResult, lat LevelLatencies) Result {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	latTab := lat.table()
-
-	// Completion cycles of the last depWindow instructions (ring buffer).
-	var complete [depWindow]int64
-	// Commit cycles ring for ROB-full stalls, indexed by an
-	// increment-and-wrap cursor (the ROB size is not a power of two).
-	commitAt := make([]int64, cfg.ROB)
-	robIdx := 0
-
-	// The structural ring: region k spans [first[k], end[k]) and next[k] is
-	// its cursor. The arrays are padded to four so k&3 needs no bounds check.
-	var first, end, next [4]int
-	var stall [4]int64
-	slots := 0
-	for k, n := range [numRes]int{resStore: cfg.StoreBuffer, resFP: cfg.FPRF, resInt: cfg.IntRF} {
-		first[k], next[k] = slots, slots
-		slots += n
-		end[k] = slots
-	}
-	ring := make([]int64, slots)
-
-	// Port files: [0] the ALUs, [1] the FPUs, the FlagFP bit indexes them.
-	var ports [2][MaxPorts]int64
-	for u := range MaxPorts {
-		if u >= cfg.ALUs {
-			ports[0][u] = math.MaxInt64
-		}
-		if u >= cfg.FPUs {
-			ports[1][u] = math.MaxInt64
-		}
-	}
+	var t timing
+	t.setup(cfg, lat)
+	width, rob := cfg.IssueWidth, cfg.ROB
 	// Four compare-exchange steps re-sort a file of up to five ports, which
 	// covers Table I; only wider cores pay for the other three.
 	wide := max(cfg.ALUs, cfg.FPUs) > 5
@@ -167,25 +192,14 @@ func RunTiming(cfg Config, ann AnnotateResult, lat LevelLatencies) Result {
 	var inCycle int         // instructions already dispatched this cycle
 	var lastCommit int64    // last in-order commit cycle
 	var commitsInCycle int
-	var stallROB, robOcc int64
-
-	metas := ann.Meta
-	if len(ann.Deps) < len(metas) {
-		panic("cpu: annotation dep column shorter than meta column")
-	}
-	deps := ann.Deps[:len(metas)] // bounds-check elimination for deps[i64]
-
-	for i64, m := range metas {
-		i := int64(i64)
-		class := isa.Class(m & 0xff)
-		fp := int(m>>MetaFlagsShift) / FlagFP & 1 // the FlagFP bit: 1 for an FP class
-		k := resInt - fp
-		if class == isa.Store {
-			k = resStore
-		}
+	for i, w := range ann.Ops {
+		k := int(w>>opKindShift) & 3
+		sel := w >> opSelShift & (numSel - 1)
+		p1, p2 := w&opSlotMask, w>>opDep2Shift&opSlotMask
+		mispredict := w&opMispredict != 0
 
 		// --- Dispatch: in-order, IssueWidth per cycle. ---
-		if inCycle >= cfg.IssueWidth {
+		if inCycle >= width {
 			dispatchCycle++
 			inCycle = 0
 		}
@@ -193,40 +207,25 @@ func RunTiming(cfg Config, ann AnnotateResult, lat LevelLatencies) Result {
 		// entry, then the op's store-buffer or register-file entry. Whether
 		// either stalls is data-dependent and unpredictable, so both are
 		// max + conditional move, not branches.
-		slot := next[k&3]
-		robFree := max(dispatchCycle, commitAt[robIdx])
-		disp := max(robFree, ring[slot])
-		stallROB += robFree - dispatchCycle
-		stall[k&3] += disp - robFree
+		slot := t.next[k] & (MaxStructural - 1) // a no-op mask: drops the bounds check
+		robFree := max(dispatchCycle, t.commitAt[(i-rob)&(MaxROB-1)])
+		disp := max(robFree, t.ring[slot])
+		t.stallROB += robFree - dispatchCycle
+		t.stall[k] += disp - robFree
 		if disp != dispatchCycle {
 			inCycle = 0
 		}
 		dispatchCycle = disp
 		inCycle++
 
-		// --- Ready: wait for producers (validity pre-resolved by PackDeps). ---
-		// Producer presence is data-dependent and defeats the branch
-		// predictor, so both ring slots are loaded unconditionally (d == 0
-		// reads the instruction's own slot, a stale value the conditional
-		// move below discards) and folded in with selects.
-		dp := deps[i64]
-		d1 := int64(dp & 0xffff)
-		d2 := int64(dp >> 16)
-		v1 := complete[(i-d1)&(depWindow-1)]
-		v2 := complete[(i-d2)&(depWindow-1)]
-		if d1 == 0 {
-			v1 = 0
-		}
-		if d2 == 0 {
-			v2 = 0
-		}
-		ready := max(disp, v1, v2)
+		// --- Ready: wait for producers. An absent one reads zeroSlot. ---
+		ready := max(disp, t.complete[p1], t.complete[p2])
 
 		// --- Issue on the earliest-free port of the class, and bubble the
 		// port's next free time back into the sorted file. ---
-		p := &ports[fp]
+		p := &t.ports[k&1]
 		start := max(ready, p[0])
-		busy := start + occupancy[class]
+		busy := start + t.occ[sel]
 		p[0], busy = min(busy, p[1]), max(busy, p[1])
 		p[1], busy = min(busy, p[2]), max(busy, p[2])
 		p[2], busy = min(busy, p[3]), max(busy, p[3])
@@ -240,29 +239,15 @@ func RunTiming(cfg Config, ann AnnotateResult, lat LevelLatencies) Result {
 			p[4] = busy
 		}
 
-		// --- Execute. ---
-		// The memory-level latency is computed unconditionally (a shift and
-		// a table load) so the load and store cases are selects.
-		memLat := latTab[levelIndex(m)]
-		latency := execLatency[class]
-		if class == isa.Load {
-			latency = memLat
+		// --- Execute, and free the structural entry. ---
+		fin := start + t.lat[sel]
+		t.ring[slot] = start + t.free[sel]
+		if slot++; slot == t.end[k] {
+			slot = t.first[k]
 		}
-		fin := start + latency
-		// The structural entry frees at completion; a store retires into
-		// the store buffer quickly and holds its entry for the drain time
-		// (write latency at the annotated level) instead.
-		freeAt := fin
-		if class == isa.Store {
-			freeAt = start + memLat
-		}
-		ring[slot] = freeAt
-		if slot++; slot == end[k&3] {
-			slot = first[k&3]
-		}
-		next[k&3] = slot
+		t.next[k] = slot
 
-		if m&(FlagMispredict<<MetaFlagsShift) != 0 {
+		if mispredict {
 			// Pipeline flush: dispatch resumes after resolution + refill.
 			if fin+mispredictPenalty > dispatchCycle {
 				dispatchCycle = fin + mispredictPenalty
@@ -271,7 +256,7 @@ func RunTiming(cfg Config, ann AnnotateResult, lat LevelLatencies) Result {
 		}
 
 		// --- Commit: in-order, IssueWidth per cycle. ---
-		if commitsInCycle >= cfg.IssueWidth {
+		if commitsInCycle >= width {
 			lastCommit++
 			commitsInCycle = 0
 		}
@@ -283,12 +268,9 @@ func RunTiming(cfg Config, ann AnnotateResult, lat LevelLatencies) Result {
 		commitsInCycle++
 
 		// --- Bookkeeping. ---
-		complete[i&(depWindow-1)] = fin
-		commitAt[robIdx] = cm
-		if robIdx++; robIdx == cfg.ROB {
-			robIdx = 0
-		}
-		robOcc += cm - disp
+		t.complete[i&(depWindow-1)] = fin
+		t.commitAt[i&(MaxROB-1)] = cm
+		t.robOcc += cm - disp
 	}
 
 	// Timing-independent aggregates were counted once at trace build.
@@ -304,10 +286,10 @@ func RunTiming(cfg Config, ann AnnotateResult, lat LevelLatencies) Result {
 		MemReads:     ann.MemReads,
 		MemWrites:    ann.MemWrites,
 
-		StallROB:        stallROB,
-		StallSB:         stall[resStore],
-		StallRF:         stall[resFP] + stall[resInt],
-		ROBOccupancySum: robOcc,
+		StallROB:        t.stallROB,
+		StallSB:         t.stall[resStore],
+		StallRF:         t.stall[resFP] + t.stall[resInt],
+		ROBOccupancySum: t.robOcc,
 	}
 	if res.Instructions > 0 {
 		res.Cycles = lastCommit + 1

@@ -60,6 +60,9 @@ func TestValidateRejects(t *testing.T) {
 		{"no FP registers", func(c *Config) { c.FPRF = 0 }, "register"},
 		{"too many ALUs", func(c *Config) { c.ALUs = MaxPorts + 1 }, "ALUs 9"},
 		{"too many FPUs", func(c *Config) { c.FPUs = MaxPorts + 1 }, "FPUs 9"},
+		{"ROB past its ring", func(c *Config) { c.ROB = MaxROB + 1 }, "ROB 513 exceeds MaxROB 512"},
+		{"structures past their ring", func(c *Config) { c.StoreBuffer, c.IntRF, c.FPRF = 325, 400, 300 },
+			"1025 exceed MaxStructural 1024"},
 	} {
 		cfg := Medium()
 		c.edit(&cfg)
@@ -70,8 +73,10 @@ func TestValidateRejects(t *testing.T) {
 	}
 	full := Medium()
 	full.ALUs, full.FPUs = MaxPorts, MaxPorts
+	full.ROB = MaxROB
+	full.StoreBuffer, full.IntRF, full.FPRF = 324, 400, 300
 	if err := full.Validate(); err != nil {
-		t.Errorf("MaxPorts of each port class rejected: %v", err)
+		t.Errorf("every bound met exactly rejected: %v", err)
 	}
 }
 

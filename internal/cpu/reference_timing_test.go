@@ -6,10 +6,12 @@ import "musa/internal/isa"
 // branchless and then restructured for register pressure: one plain pass with
 // a branch per stall check, runtime-modulo ring indices, a linear port scan
 // and counters updated in the result struct. Only the instruction fetch is
-// adapted — it unpacks the Deps/Meta columns where the original read a
-// struct per instruction; everything after is verbatim. It is the oracle the
-// differential and fuzz tests compare RunTiming against, field for field.
-func referenceRunTiming(cfg Config, ann AnnotateResult, lat LevelLatencies) Result {
+// adapted — it unpacks a PackDeps and a PackMeta column (deps, meta: the
+// trace before Compile) where the original read a struct per instruction;
+// everything after is verbatim, with the cache statistics taken from ann. It
+// is the oracle the differential and fuzz tests compare RunTiming against,
+// field for field.
+func referenceRunTiming(cfg Config, deps, meta []uint32, ann AnnotateResult, lat LevelLatencies) Result {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
@@ -35,7 +37,7 @@ func referenceRunTiming(cfg Config, ann AnnotateResult, lat LevelLatencies) Resu
 	var lastCommit int64    // last in-order commit cycle
 	var commitsInCycle int
 
-	for i64, m := range ann.Meta {
+	for i64, m := range meta {
 		i := int64(i64)
 		in := struct {
 			Class      isa.Class
@@ -45,7 +47,7 @@ func referenceRunTiming(cfg Config, ann AnnotateResult, lat LevelLatencies) Resu
 			Dep1, Dep2 int32
 		}{
 			MetaClass(m), MetaLanes(m), MetaLevel(m), MetaFlags(m),
-			int32(ann.Deps[i64] & 0xffff), int32(ann.Deps[i64] >> 16),
+			int32(deps[i64] & 0xffff), int32(deps[i64] >> 16),
 		}
 
 		// --- Dispatch: in-order, IssueWidth per cycle. ---

@@ -12,16 +12,55 @@ import (
 	"musa/internal/rts"
 )
 
-// diffTiming replays one annotation through RunTiming and the reference and
+// trace is one annotated trace in both of its forms: the PackDeps and
+// level-overlaid PackMeta columns the reference reads, and the annotation
+// compiled from them that RunTiming reads.
+type trace struct {
+	deps, meta []uint32
+	ann        cpu.AnnotateResult
+}
+
+// compiled overlays a hit-rate table on a fused trace both ways: the meta
+// column by hand for the reference, the annotation through
+// node.CombineAnnotation, the compile path of every sweep.
+func compiled(t testing.TB, ft *node.FusedTrace, hrt node.HitRateTable) trace {
+	t.Helper()
+	a, ok := node.CombineAnnotation(ft, hrt)
+	if !ok {
+		t.Fatalf("table of %d levels does not fit a trace of %d ops", len(hrt.Levels), len(ft.Meta))
+	}
+	meta := make([]uint32, len(ft.Meta))
+	for i, m := range ft.Meta {
+		meta[i] = m | uint32(hrt.Levels[i])<<cpu.MetaLevelShift
+	}
+	return trace{deps: ft.Deps, meta: meta, ann: a.Ann}
+}
+
+// diffTiming replays one trace through RunTiming and the reference and
 // fails on any field of the result that differs, stall and occupancy sums
 // included.
-func diffTiming(t testing.TB, cfg cpu.Config, ann cpu.AnnotateResult, lat cpu.LevelLatencies) cpu.Result {
+func diffTiming(t testing.TB, cfg cpu.Config, tr trace, lat cpu.LevelLatencies) cpu.Result {
 	t.Helper()
-	got, want := cpu.RunTiming(cfg, ann, lat), cpu.ReferenceRunTiming(cfg, ann, lat)
+	got, want := cpu.RunTiming(cfg, tr.ann, lat), cpu.ReferenceRunTiming(cfg, tr.deps, tr.meta, tr.ann, lat)
 	if got != want {
-		t.Fatalf("cfg %+v, lat %+v, %d ops:\n got %+v\nwant %+v", cfg, lat, ann.Len(), got, want)
+		t.Fatalf("cfg %+v, lat %+v, %d ops:\n got %+v\nwant %+v", cfg, lat, tr.ann.Len(), got, want)
 	}
 	return got
+}
+
+// appTrace builds one application's real annotation at a Table I width the
+// way a sweep does: fuse, walk the caches, compile the overlay.
+func appTrace(t testing.TB, app *apps.Profile, bits int) (*node.FusedTrace, node.HitRateTable, trace) {
+	ncfg := node.Config{
+		Cores: 64, Core: cpu.Medium(), FreqGHz: 2.0, VectorBits: bits,
+		L2KBPerCore: 512, L3MBTotal: 64,
+		Mem:        dram.Config{Spec: dram.DDR4_2333(), Channels: 4},
+		DispatchNs: 100, RTSPolicy: rts.FIFOCentral,
+		SampleInstrs: 30000, WarmupInstrs: 60000, Seed: 1,
+	}
+	ft := node.BuildFusedTrace(app, bits, ncfg.SampleInstrs, ncfg.WarmupInstrs, ncfg.Seed)
+	hrt := node.WalkCaches(ft, []node.Config{ncfg})[0]
+	return ft, hrt, compiled(t, ft, hrt)
 }
 
 // TestRunTimingMatchesReferenceOnApplications replays the five applications'
@@ -30,19 +69,51 @@ func diffTiming(t testing.TB, cfg cpu.Config, ann cpu.AnnotateResult, lat cpu.Le
 func TestRunTimingMatchesReferenceOnApplications(t *testing.T) {
 	for _, app := range apps.All() {
 		for _, bits := range []int{128, 256, 512} {
-			ncfg := node.Config{
-				Cores: 64, Core: cpu.Medium(), FreqGHz: 2.0, VectorBits: bits,
-				L2KBPerCore: 512, L3MBTotal: 64,
-				Mem:        dram.Config{Spec: dram.DDR4_2333(), Channels: 4},
-				DispatchNs: 100, RTSPolicy: rts.FIFOCentral,
-				SampleInstrs: 30000, WarmupInstrs: 60000, Seed: 1,
-			}
-			a := node.BuildAnnotation(app, ncfg)
+			_, hrt, tr := appTrace(t, app, bits)
 			for _, core := range cpu.AllConfigs() {
 				for _, mem := range []struct{ ns, ghz float64 }{{55, 1.5}, {140, 2.0}, {900, 3.0}} {
-					diffTiming(t, core, a.Ann, cpu.LatenciesFor(a.HierCfg, mem.ns, mem.ghz))
+					diffTiming(t, core, tr, cpu.LatenciesFor(hrt.HierCfg, mem.ns, mem.ghz))
 				}
 			}
+		}
+	}
+}
+
+// TestRunTimingMatchesReferenceOnCorruptLevels overlays real traces with
+// tables no cache walk produces — levels 5 to 7, past memory, and non-zero
+// levels on non-memory ops — and replays the compiled result against the
+// reference on the overlaid meta: an out-of-range level reads as L1 and a
+// non-memory op ignores its level, in both.
+func TestRunTimingMatchesReferenceOnCorruptLevels(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	for _, app := range apps.All() {
+		ft, hrt, _ := appTrace(t, app, 256)
+		var sawHigh, sawNonMem bool
+		hrt.Levels = make([]uint8, len(ft.Meta))
+		for i, m := range ft.Meta {
+			hrt.Levels[i] = uint8(rng.Intn(8))
+			sawHigh = sawHigh || hrt.Levels[i] > 4 && cpu.MetaClass(m).IsMem()
+			sawNonMem = sawNonMem || hrt.Levels[i] != 0 && !cpu.MetaClass(m).IsMem()
+		}
+		if !sawHigh || !sawNonMem {
+			t.Fatalf("%s: the table has no out-of-range memory level (%v) or no levelled non-memory op (%v)",
+				app.Name, sawHigh, sawNonMem)
+		}
+		tr := compiled(t, ft, hrt)
+		for _, core := range cpu.AllConfigs() {
+			diffTiming(t, core, tr, cpu.LatenciesFor(hrt.HierCfg, 140, 2.0))
+		}
+	}
+}
+
+// TestRunTimingAllocatesNothing pins the replay's state to its stack frame:
+// a call on any Table I core makes no heap allocation.
+func TestRunTimingAllocatesNothing(t *testing.T) {
+	_, hrt, tr := appTrace(t, apps.LULESH(), 512)
+	lat := cpu.LatenciesFor(hrt.HierCfg, 140, 2.0)
+	for _, core := range cpu.AllConfigs() {
+		if allocs := testing.AllocsPerRun(10, func() { cpu.RunTiming(core, tr.ann, lat) }); allocs != 0 {
+			t.Errorf("%s: %v allocations per replay, want 0", core.Name, allocs)
 		}
 	}
 }
@@ -55,24 +126,24 @@ type rawOp struct {
 	d1, d2       int32
 }
 
-// annotationOf packs raw ops the way Annotate does: through PackMeta and
-// PackDeps, the only constructors of the two columns, with the aggregates
-// counted from the result.
-func annotationOf(ops []rawOp) cpu.AnnotateResult {
-	ann := cpu.AnnotateResult{
-		Deps: make([]uint32, len(ops)),
-		Meta: make([]uint32, len(ops)),
-	}
+// annotationOf packs raw ops the way a sweep does: a fused trace through
+// PackMeta and PackDeps, the only constructors of its two columns, with the
+// aggregates counted from the result, and a hit-rate table of the ops'
+// levels, overlaid and compiled by node.CombineAnnotation.
+func annotationOf(t testing.TB, ops []rawOp) trace {
+	ft := &node.FusedTrace{Deps: make([]uint32, len(ops)), Meta: make([]uint32, len(ops))}
+	hrt := node.HitRateTable{Levels: make([]uint8, len(ops))}
 	for i, op := range ops {
 		var flags uint8
 		if op.mispredict {
 			flags = cpu.FlagMispredict
 		}
-		ann.Deps[i] = cpu.PackDeps(int64(i), op.d1, op.d2)
-		ann.Meta[i] = cpu.PackMeta(op.class, op.lanes, op.level, flags)
+		ft.Deps[i] = cpu.PackDeps(int64(i), op.d1, op.d2)
+		ft.Meta[i] = cpu.PackMeta(op.class, op.lanes, 0, flags)
+		hrt.Levels[i] = op.level
 	}
-	ann.Counts = cpu.CountMeta(ann.Meta)
-	return ann
+	ft.Counts = cpu.CountMeta(ft.Meta)
+	return compiled(t, ft, hrt)
 }
 
 // randomOps draws a stream in one of several regimes so every structure of
@@ -139,14 +210,14 @@ func TestRunTimingMatchesReferenceOnRandomStreams(t *testing.T) {
 		case 1:
 			n = 1 + rng.Intn(40) // shorter than most ROBs
 		}
-		ann := annotationOf(randomOps(rng, n))
+		tr := annotationOf(t, randomOps(rng, n))
 		for k := 0; k < 4; k++ {
 			cfg := randomConfig(rng)
 			lat := cpu.LevelLatencies{
 				L1: int64(1 + rng.Intn(5)), L2: int64(5 + rng.Intn(15)),
 				L3: int64(20 + rng.Intn(60)), Mem: int64(80 + rng.Intn(600)),
 			}
-			res := diffTiming(t, cfg, ann, lat)
+			res := diffTiming(t, cfg, tr, lat)
 			sawROB = sawROB || res.StallROB > 0
 			sawSB = sawSB || res.StallSB > 0
 			sawRF = sawRF || res.StallRF > 0
@@ -187,7 +258,7 @@ func fuzzOps(data []byte) []rawOp {
 }
 
 // FuzzRunTimingMatchesReference looks for a stream and a core on which the
-// restructured timing loop and the reference disagree. The seed corpus under
+// compiled timing replay — compile and loop — and the reference disagree. The seed corpus under
 // testdata/fuzz holds one input per structure of the model: each ring
 // saturating, both sides of the five-port boundary, a flush, dead distances.
 func FuzzRunTimingMatchesReference(f *testing.F) {
@@ -199,6 +270,6 @@ func FuzzRunTimingMatchesReference(f *testing.F) {
 			IntRF: 1 + int(intRF%220), FPRF: 1 + int(fpRF%220),
 		}
 		lat := cpu.LevelLatencies{L1: 4, L2: 11, L3: 68, Mem: 68 + int64(memLat%2000)}
-		diffTiming(t, cfg, annotationOf(fuzzOps(data)), lat)
+		diffTiming(t, cfg, annotationOf(t, fuzzOps(data)), lat)
 	})
 }

@@ -53,10 +53,17 @@ func observeStageShares(stage string, start time.Time, n int) {
 }
 
 // IterationsMetric is the histogram of bandwidth fixed-point iterations per
-// simulated point (node.Result.Iterations, one to six). Every iteration is a
-// full timing replay, so sum/count is the replays a point costs: the figure
-// a change to the fixed point is judged against.
+// simulated point (node.Result.Iterations, one to six): the figure a change
+// to the fixed point is judged against. An iteration is not always a timing
+// replay — one whose latency table repeats the previous iteration's, or that
+// the annotation group's memo already replayed, reuses that result — so the
+// replays run are ReplaysMetric, at most the iteration sum.
 const IterationsMetric = "musa_dse_fixedpoint_iterations"
+
+// ReplaysMetric counts the timing replays (cpu.RunTiming calls) the
+// simulated points ran (node.Result.Replays). Host time per replayed
+// micro-op is a replay's time over this count times the sample's length.
+const ReplaysMetric = "musa_dse_timing_replays_total"
 
 // UnconvergedMetric counts the simulated points whose bandwidth fixed point
 // stopped at the six-iteration cap without meeting its 1 ns tolerance
@@ -64,13 +71,15 @@ const IterationsMetric = "musa_dse_fixedpoint_iterations"
 // simulated.
 const UnconvergedMetric = "musa_dse_fixedpoint_unconverged_total"
 
-// observeFixedPoint records one simulated point's iteration count and
-// whether its fixed point converged.
-func observeFixedPoint(iterations int, converged bool) {
+// observeFixedPoint records one simulated point's iteration count, the
+// timing replays they ran and whether its fixed point converged.
+func observeFixedPoint(iterations, replays int, converged bool) {
 	reg := obs.DefaultRegistry()
 	reg.Histogram(IterationsMetric,
 		"Bandwidth fixed-point iterations per simulated sweep point.",
 		[]float64{1, 2, 3, 4, 5, 6}).Observe(float64(iterations))
+	reg.Counter(ReplaysMetric,
+		"Timing replays run by simulated sweep points; iterations that reuse a replay are not counted.").Add(int64(replays))
 	unconverged := reg.Counter(UnconvergedMetric,
 		"Simulated sweep points whose bandwidth fixed point stopped at the iteration cap unconverged.")
 	if !converged {

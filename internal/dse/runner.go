@@ -383,7 +383,7 @@ func Run(ctx context.Context, opts Options) *Dataset {
 				simStart := time.Now()
 				res := node.SimulateAnnotated(app, cfg, *ann)
 				observeStage(StageNodeSim, simStart)
-				observeFixedPoint(res.Iterations, res.Converged)
+				observeFixedPoint(res.Iterations, res.Replays, res.Converged)
 				simSpan.End()
 				l1, l2, l3 := res.MPKI()
 				m := Measurement{

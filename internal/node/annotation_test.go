@@ -1,11 +1,48 @@
 package node
 
 import (
+	"reflect"
 	"testing"
 
 	"musa/internal/apps"
 	"musa/internal/cache"
+	"musa/internal/cpu"
+	"musa/internal/isa"
 )
+
+// TestCompiledColumnsAgree builds the op column of every application at the
+// three Table I widths under the nine Table I (cores, cache) hierarchies
+// both ways: the node way, a fused trace overlaid with its hit-rate table
+// (CombineAnnotation), and the cpu way, the same fused sample stream
+// annotated single-shot through a warmed private hierarchy (cpu.Annotate),
+// with the fused trace's mispredict draws. The two annotations must be
+// equal, op column, counts and cache statistics alike.
+func TestCompiledColumnsAgree(t *testing.T) {
+	const seed = 1
+	for _, app := range apps.All() {
+		st := BuildScalarTrace(app, 20000, 40000, seed)
+		for _, vec := range []int{128, 256, 512} {
+			ft := FuseScalarTrace(st, app, vec, seed)
+			cfgs := tableICacheConfigs(vec)
+			for i, hrt := range WalkCaches(ft, cfgs) {
+				nodeWay, ok := CombineAnnotation(ft, hrt)
+				if !ok {
+					t.Fatal("a table does not fit the trace it was walked from")
+				}
+				hier := cache.NewHierarchy(hrt.HierCfg)
+				for _, op := range ft.WarmOps {
+					hier.Access(op.Addr, int(op.Size), op.Write)
+				}
+				sample := isa.NewFuser(isa.NewSliceStream(st.Instrs[st.Warm:]), isa.DefaultFuserConfig(vec))
+				cpuWay := cpu.Annotate(sample, hier, app.MispredictRate, seed^mispredictSalt, 0)
+				if !reflect.DeepEqual(nodeWay.Ann, cpuWay) {
+					t.Errorf("%s %d-bit, %d cores %d/%d: the node and cpu op columns differ",
+						app.Name, vec, cfgs[i].Cores, cfgs[i].L2KBPerCore, cfgs[i].L3MBTotal)
+				}
+			}
+		}
+	}
+}
 
 func TestSimulateAnnotatedMatchesSimulate(t *testing.T) {
 	// Simulate must be exactly the composition of BuildAnnotation and

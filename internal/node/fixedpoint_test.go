@@ -74,3 +74,57 @@ func TestTimingMemoKeepsItsGraphs(t *testing.T) {
 		}()
 	}
 }
+
+// TestReplaysCountRunTimingCalls pins Result.Replays to the timing replays a
+// simulation runs. Every replay under a memo puts one entry no earlier
+// replay put, so over points of one annotation simulated one after another
+// the replays sum to the memo's entries, each point's to no more than its
+// iterations, and simulating the points again replays nothing. Without a
+// memo a point replays at least once, and once only when there is no fixed
+// point to iterate.
+func TestReplaysCountRunTimingCalls(t *testing.T) {
+	app := apps.SPMZ()
+	cfg := baseCfg()
+	cfg.SampleInstrs, cfg.WarmupInstrs = 20000, 40000
+	lm := BuildLatencyModel(app, cfg.Mem, cfg.DRAMPolicy, cfg.Seed)
+	cfg.LatModel = &lm
+	ann := BuildAnnotation(app, cfg)
+	ann.Memo = NewTimingMemo()
+	var cfgs []Config
+	for _, core := range cpu.AllConfigs() {
+		for _, ghz := range []float64{1.5, 2.0, 3.0} {
+			c := cfg
+			c.Core, c.FreqGHz = core, ghz
+			cfgs = append(cfgs, c)
+		}
+	}
+	replays, iterations := 0, 0
+	for _, c := range cfgs {
+		r := SimulateAnnotated(app, c, ann)
+		if r.Replays > r.Iterations {
+			t.Errorf("%s at %v GHz: %d replays in %d iterations", c.Core.Name, c.FreqGHz, r.Replays, r.Iterations)
+		}
+		replays += r.Replays
+		iterations += r.Iterations
+	}
+	if entries := len(ann.Memo.m); replays != entries || replays == 0 {
+		t.Errorf("%d replays counted, the memo holds %d", replays, entries)
+	}
+	if replays >= iterations {
+		t.Errorf("%d replays in %d iterations: no iteration reused a replay", replays, iterations)
+	}
+	for _, c := range cfgs {
+		if r := SimulateAnnotated(app, c, ann); r.Replays != 0 {
+			t.Errorf("%s at %v GHz: %d replays with every latency table in the memo", c.Core.Name, c.FreqGHz, r.Replays)
+		}
+	}
+
+	ann.Memo = nil
+	if r := SimulateAnnotated(app, cfg, ann); r.Replays < 1 || r.Replays > r.Iterations {
+		t.Errorf("without a memo: %d replays in %d iterations", r.Replays, r.Iterations)
+	}
+	cfg.DisableContention = true
+	if r := SimulateAnnotated(app, cfg, ann); r.Replays != 1 {
+		t.Errorf("without contention: %d replays, want 1", r.Replays)
+	}
+}

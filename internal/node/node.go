@@ -156,6 +156,11 @@ type Result struct {
 	OfferedBW float64
 	// Fixed-point iterations taken.
 	Iterations int
+	// Replays is the timing replays (cpu.RunTiming calls) the fixed point
+	// ran: at most Iterations, fewer when an iteration's latency table
+	// repeated the previous one or hit the annotation's memo. It feeds the
+	// replay counter and is in no reply.
+	Replays int `json:"-"`
 	// Converged reports that the fixed point met its 1 ns tolerance. A point
 	// that reaches the iteration cap without meeting it keeps the last
 	// iterate and reports false; with DisableContention there is no fixed
@@ -279,10 +284,10 @@ type FusedTrace struct {
 	// SampleOps is the sample window's fused memory accesses in stream
 	// order; Idx locates each in the timing columns below.
 	SampleOps []SampleOp
-	// Deps/Meta are the sample's timing columns in the cpu.AnnotateResult
-	// layout with cache levels still zero: overlaying a hit-rate table's
-	// levels yields a complete annotated trace without revisiting the
-	// instruction stream.
+	// Deps/Meta are the sample's cpu.PackDeps and cpu.PackMeta columns with
+	// cache levels still zero: overlaying a hit-rate table's levels
+	// (CombineAnnotation) yields a complete annotated trace without
+	// revisiting the instruction stream.
 	Deps []uint32
 	Meta []uint32
 	// Counts are the trace's timing-independent aggregates, counted once
@@ -412,6 +417,10 @@ func FuseWarm(st ScalarTrace, vectorBits int) []WarmOp {
 	}
 }
 
+// mispredictSalt derives the seed of a fused trace's mispredict draws from
+// the trace's seed.
+const mispredictSalt = 0x5eed
+
 // FuseSample fuses the sample window of a scalar trace: everything of a
 // FusedTrace but WarmOps, which stays nil. That is all CombineAnnotation and
 // the timing replay read.
@@ -423,7 +432,7 @@ func FuseSample(st ScalarTrace, app *apps.Profile, vectorBits int, seed uint64) 
 		Meta:      make([]uint32, 0, sampleInstrs),
 	}
 	fu := isa.NewFuser(isa.NewSliceStream(st.Instrs[st.Warm:]), isa.DefaultFuserConfig(vectorBits))
-	rng := xrand.New(seed ^ 0x5eed)
+	rng := xrand.New(seed ^ mispredictSalt)
 	rate := app.MispredictRate
 	for {
 		in, ok := fu.Next()
@@ -505,33 +514,24 @@ func WalkCaches(ft *FusedTrace, cfgs []Config) []HitRateTable {
 
 // CombineAnnotation overlays a hit-rate table on the fused trace it was
 // built from, reconstructing the annotation without a cache walk — the
-// warm-artifact path. It reports false on a length mismatch (a table from a
-// different trace), which callers treat as a cache miss.
+// warm-artifact path. The overlay is compiled as it is built: each op's
+// dependence and meta words, with the table's level, become the one op word
+// the timing replay reads (cpu.Compile), so the group's replays decode
+// nothing. The trace counts are copied: a level never changes the class,
+// lane or flag bytes they count. It reports false on a length mismatch (a
+// table from a different trace), which callers treat as a cache miss.
 func CombineAnnotation(ft *FusedTrace, hrt HitRateTable) (Annotation, bool) {
 	if len(hrt.Levels) != len(ft.Meta) {
 		return Annotation{}, false
 	}
-	meta := make([]uint32, len(ft.Meta))
-	for i, m := range ft.Meta {
-		meta[i] = m | uint32(hrt.Levels[i])<<cpu.MetaLevelShift
-	}
-	return combine(ft, meta, hrt), true
-}
-
-// combine assembles the annotation from a trace's dependence column, the
-// level-overlaid meta column and a hit-rate table's statistics. The
-// dependence column and counts alias/copy the trace (immutable by
-// contract); the level overlay never touches the class, lane or flag bytes,
-// so the trace counts hold for the overlaid column too.
-func combine(ft *FusedTrace, meta []uint32, hrt HitRateTable) Annotation {
 	return Annotation{
 		Ann: cpu.AnnotateResult{
-			Deps: ft.Deps, Meta: meta, Counts: ft.Counts,
+			Ops: cpu.Compile(ft.Deps, ft.Meta, hrt.Levels), Counts: ft.Counts,
 			L1: hrt.L1, L2: hrt.L2, L3: hrt.L3,
 			MemReads: hrt.MemReads, MemWrites: hrt.MemWrites,
 		},
 		HierCfg: hrt.HierCfg,
-	}
+	}, true
 }
 
 // BuildAnnotation warms the caches and annotates one detailed sample for
@@ -587,10 +587,12 @@ func SimulateAnnotated(app *apps.Profile, cfg Config, annotation Annotation) Res
 				var ok bool
 				if coreRes, ok = memo.get(cfg.Core, lat); !ok {
 					coreRes = cpu.RunTiming(cfg.Core, ann, lat)
+					res.Replays++
 					memo.put(cfg.Core, lat, coreRes)
 				}
 			} else {
 				coreRes = cpu.RunTiming(cfg.Core, ann, lat)
+				res.Replays++
 			}
 			lastLat, haveRun = lat, true
 		}

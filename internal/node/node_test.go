@@ -260,13 +260,27 @@ func BenchmarkNodeSimulate(b *testing.B) {
 
 // BenchmarkTimingReplay times cpu.RunTiming alone, the loop a sweep spends
 // most of its CPU in: one real 512-bit annotation replayed on each Table I
-// core at a loaded memory latency. ns/uop is host time per simulated
-// micro-op, the figure DESIGN.md §15 tabulates.
+// core at a loaded memory latency, and, as "compile", the build of that
+// annotation's op column from its fused trace and hit-rate table
+// (CombineAnnotation, once per annotation group). ns/uop is host time per
+// simulated micro-op, the figure DESIGN.md §15 tabulates.
 func BenchmarkTimingReplay(b *testing.B) {
 	cfg := baseCfg()
 	cfg.VectorBits = 512
 	cfg.SampleInstrs, cfg.WarmupInstrs = 120000, 240000
-	a := BuildAnnotation(apps.LULESH(), cfg)
+	ft := BuildFusedTrace(apps.LULESH(), cfg.VectorBits, cfg.SampleInstrs, cfg.WarmupInstrs, cfg.Seed)
+	hrt := WalkCaches(ft, []Config{cfg})[0]
+	a, _ := CombineAnnotation(ft, hrt)
+	perUop := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(a.Ann.Len()), "ns/uop")
+	}
+	b.Run("compile", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			CombineAnnotation(ft, hrt)
+		}
+		perUop(b)
+	})
 	lat := cpu.LatenciesFor(a.HierCfg, 140, cfg.FreqGHz)
 	for _, core := range cpu.AllConfigs() {
 		b.Run(core.Name, func(b *testing.B) {
@@ -274,7 +288,7 @@ func BenchmarkTimingReplay(b *testing.B) {
 			for b.Loop() {
 				cpu.RunTiming(core, a.Ann, lat)
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(a.Ann.Len()), "ns/uop")
+			perUop(b)
 		})
 	}
 }

@@ -13,7 +13,7 @@ import (
 // referenceAnnotateTrace is the per-configuration cache walk WalkCaches
 // replaced, kept as the plain implementation the shared walk is checked
 // against: one private hierarchy, every access through Hierarchy.Access, the
-// meta column overlaid as the walk goes.
+// meta column overlaid as the walk goes and then compiled.
 func referenceAnnotateTrace(ft *FusedTrace, cfg Config) (Annotation, HitRateTable) {
 	hier := cache.NewHierarchy(cfg.hierarchyConfig(0))
 	for _, op := range ft.WarmOps {
@@ -34,7 +34,14 @@ func referenceAnnotateTrace(ft *FusedTrace, cfg Config) (Annotation, HitRateTabl
 		MemReads: hier.MemReads, MemWrites: hier.MemWrites,
 		HierCfg: hier.Config(),
 	}
-	return combine(ft, meta, hrt), hrt
+	return Annotation{
+		Ann: cpu.AnnotateResult{
+			Ops: cpu.Compile(ft.Deps, meta, make([]uint8, len(meta))), Counts: ft.Counts,
+			L1: hrt.L1, L2: hrt.L2, L3: hrt.L3,
+			MemReads: hrt.MemReads, MemWrites: hrt.MemWrites,
+		},
+		HierCfg: hrt.HierCfg,
+	}, hrt
 }
 
 // tableICacheConfigs returns the nine (cores, cache) combinations of Table I
