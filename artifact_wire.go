@@ -10,19 +10,13 @@ import (
 )
 
 // This file is the one place artifact blobs cross the wire from the client
-// side: GET and PUT /artifact/{key} against a musa-serve (the handlers are
-// in internal/serve). Ring peer fetch, ring write-behind replication and
-// fleet coordinator pushes all build their request and read their reply
-// here, so the timeout, the size limit and the status classification are
-// written once; the ring forwarder (internal/ring) carries them.
+// side: fleet coordinator pushes, PUT /artifact/{key} against a musa-serve
+// (the handlers are in internal/serve). The request and the classification
+// of its reply are written once; the ring forwarder (internal/ring) carries
+// them.
 
-const (
-	// artifactWireWindow bounds one artifact transfer, either direction.
-	artifactWireWindow = time.Minute
-	// maxWireArtifactBytes bounds one artifact download, mirroring the
-	// serve-side PUT bound.
-	maxWireArtifactBytes = 256 << 20
-)
+// artifactWireWindow bounds one artifact upload.
+const artifactWireWindow = time.Minute
 
 // artifactHTTP carries the forwarded traffic — artifacts and fleet shards —
 // of every client in the process.
@@ -31,27 +25,9 @@ var artifactHTTP = &http.Client{}
 // jsonHeader is the header of every JSON body a client sends. Read-only.
 var jsonHeader = http.Header{"Content-Type": {"application/json"}}
 
-func artifactGet(key string) ring.Request {
-	return ring.Request{Method: http.MethodGet, Path: "/artifact/" + key, Timeout: artifactWireWindow}
-}
-
 func artifactPut(key string, blob []byte) ring.Request {
 	return ring.Request{Method: http.MethodPut, Path: "/artifact/" + key,
 		Header: jsonHeader, Body: blob, Timeout: artifactWireWindow}
-}
-
-// readArtifact reads the reply to an artifactGet. The bytes are
-// unvalidated: callers hand them to ArtifactCache.PutBlob.
-func readArtifact(resp *http.Response) ([]byte, error) {
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<12))
-		return nil, fmt.Errorf("musa: %s: %s", resp.Request.URL, resp.Status)
-	}
-	blob, err := io.ReadAll(io.LimitReader(resp.Body, maxWireArtifactBytes+1))
-	if err == nil && len(blob) > maxWireArtifactBytes {
-		err = fmt.Errorf("musa: %s: exceeds %d bytes", resp.Request.URL, maxWireArtifactBytes)
-	}
-	return blob, err
 }
 
 // putOutcome classifies the reply to an artifactPut. unsupported reports

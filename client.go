@@ -76,12 +76,9 @@ type ClientOptions struct {
 	// Ring, when set, is the serve tier's replica membership. A coordinator
 	// with Workers dispatches each shard to the ring owner of its
 	// annotation-group key (instead of any free worker), so identical sweeps
-	// from many coordinators coalesce on the same replicas; on any client
-	// holding an artifact cache, a cache miss is retried against the peer
-	// that owns the artifact key before the artifact is rebuilt, and a
-	// replica (NewRing with a non-empty self) replicates freshly built
-	// artifacts to their owners. serve handlers additionally use the ring
-	// for /simulate ownership routing.
+	// from many coordinators coalesce on the same replicas. serve handlers
+	// use the ring for /simulate ownership routing, by the same key
+	// (RouteKey).
 	Ring *Ring
 
 	// SampleInstrs / WarmupInstrs / Seed are applied to experiments that
@@ -123,14 +120,19 @@ type ClientStats struct {
 	// ShardRetries counts 429-shed shard dispatches retried against a
 	// worker (after honoring its Retry-After) before any local fallback.
 	ShardRetries int64
-	// PeerArtifactsFetched counts artifacts pulled from ring peers on a
-	// local cache miss instead of being recomputed.
+	// PeerArtifactsFetched counted artifacts pulled from ring peers.
+	//
+	// Deprecated: always zero, since ring replicas no longer move
+	// artifacts between each other. The field goes with the benchmark's
+	// ring.peer_* metrics.
 	PeerArtifactsFetched int64
-	// PeerArtifactMisses counts local artifact misses no ring peer could
-	// serve either (the artifact was then rebuilt locally).
+	// PeerArtifactMisses counted artifact misses no ring peer could serve.
+	//
+	// Deprecated: always zero, as PeerArtifactsFetched.
 	PeerArtifactMisses int64
-	// PeerArtifactsReplicated counts freshly built artifacts this replica
-	// pushed to their ring owners.
+	// PeerArtifactsReplicated counted artifacts pushed to their ring owners.
+	//
+	// Deprecated: always zero, as PeerArtifactsFetched.
 	PeerArtifactsReplicated int64
 }
 
@@ -238,16 +240,9 @@ type Client struct {
 	// over opts.Ring, or an empty ring: then nothing routes by key.
 	fw *ring.Forwarder
 
-	// ctx is the client's lifetime: background work the client starts
-	// (write-behind artifact replication) runs under it and is counted in
-	// bg, so Close can cancel it and wait for it.
-	ctx    context.Context
-	cancel context.CancelFunc
-	bg     sync.WaitGroup
-
 	mu     sync.Mutex
 	flight map[string]*call
-	custom map[string]*Application
+	custom map[string]customApp
 
 	// compHist is the registered compaction-duration histogram; the store's
 	// OnCompaction hook feeds it. Atomic because compactions run on engine
@@ -260,8 +255,6 @@ type Client struct {
 
 	requests, storeHits, storeMisses, coalesced, simulated atomic.Int64
 	remote, redispatched, artifactsPushed, shardRetries    atomic.Int64
-	peerArtifactsFetched, peerArtifactMisses               atomic.Int64
-	peerArtifactsReplicated                                atomic.Int64
 	optProbesCheap, optProbesFull                          atomic.Int64
 }
 
@@ -295,7 +288,7 @@ func NewClient(opts ClientOptions) (*Client, error) {
 		network: network,
 		sem:     make(chan struct{}, maxJobs),
 		flight:  map[string]*call{},
-		custom:  map[string]*Application{},
+		custom:  map[string]customApp{},
 	}
 	rg := opts.Ring
 	if rg == nil {
@@ -339,22 +332,13 @@ func NewClient(opts ClientOptions) (*Client, error) {
 		}
 		c.art = art
 		c.windows = dse.NewSampleWindows()
-		if opts.Ring != nil {
-			art.Decorate(func(local store.BlobBackend) store.BlobBackend {
-				return &ringBlobs{c: c, local: local}
-			})
-		}
 	}
-	c.ctx, c.cancel = context.WithCancel(context.Background())
 	return c, nil
 }
 
-// Close stops the client's background work — in-flight artifact
-// replication is canceled and waited for — and releases the result store
-// (if any). The client must not be used afterwards.
+// Close releases the result store (if any). The client must not be used
+// afterwards.
 func (c *Client) Close() error {
-	c.cancel()
-	c.bg.Wait()
 	if c.st == nil {
 		return nil
 	}
@@ -372,17 +356,12 @@ func (c *Client) Stats() ClientStats {
 		Remote:          c.remote.Load(),
 		Redispatched:    c.redispatched.Load(),
 		ArtifactsPushed: c.artifactsPushed.Load(),
-
-		ShardRetries:            c.shardRetries.Load(),
-		PeerArtifactsFetched:    c.peerArtifactsFetched.Load(),
-		PeerArtifactMisses:      c.peerArtifactMisses.Load(),
-		PeerArtifactsReplicated: c.peerArtifactsReplicated.Load(),
+		ShardRetries:    c.shardRetries.Load(),
 	}
 }
 
 // artifacts returns the client's artifact provider for dse.Options without
-// producing a typed-nil interface when the cache is disabled. Ring peers,
-// when configured, are reached beneath it (see ringBlobs).
+// producing a typed-nil interface when the cache is disabled.
 func (c *Client) artifacts() dse.ArtifactProvider {
 	if c.art == nil {
 		return nil
@@ -420,10 +399,17 @@ func (c *Client) RegisterApplication(p Application) error {
 	if apps.IsBuiltin(cp.Name) {
 		return fmt.Errorf("%w: %q shadows a built-in application", ErrExperiment, cp.Name)
 	}
+	hash := dse.AppHash(cp)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.custom[cp.Name] = cp
+	c.custom[cp.Name] = customApp{cp, hash}
 	return nil
+}
+
+// customApp is a registered application: its profile and dse.AppHash of it.
+type customApp struct {
+	profile *Application
+	hash    string
 }
 
 // resolveApp resolves built-ins first, then the client registry.
@@ -453,7 +439,28 @@ func (c *Client) customProfile(name string) *apps.Profile {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.custom[name]
+	return c.custom[name].profile
+}
+
+// builtinHashes is dse.AppHash of every built-in application, by name:
+// computed once per process.
+var builtinHashes = sync.OnceValue(func() map[string]string {
+	hashes := map[string]string{}
+	for _, p := range apps.All() {
+		hashes[p.Name] = dse.AppHash(p)
+	}
+	return hashes
+})
+
+// appHash returns dse.AppHash of a known application: a built-in's from
+// builtinHashes, a registered profile's as RegisterApplication derived it.
+func (c *Client) appHash(name string) string {
+	if h, ok := builtinHashes()[name]; ok {
+		return h
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.custom[name].hash
 }
 
 // fill applies the client defaults to an experiment before normalization.
@@ -842,12 +849,6 @@ func (c *Client) RegisterMetrics(reg *obs.Registry) {
 		stat(func(s ClientStats) int64 { return s.ArtifactsPushed }))
 	reg.CounterFunc("musa_client_shard_retries_total", "429-shed shard dispatches retried after Retry-After.",
 		stat(func(s ClientStats) int64 { return s.ShardRetries }))
-	reg.CounterFunc("musa_ring_artifact_fetch_total", "Ring peer artifact fetches by outcome.",
-		stat(func(s ClientStats) int64 { return s.PeerArtifactsFetched }), obs.L("result", "hit"))
-	reg.CounterFunc("musa_ring_artifact_fetch_total", "Ring peer artifact fetches by outcome.",
-		stat(func(s ClientStats) int64 { return s.PeerArtifactMisses }), obs.L("result", "miss"))
-	reg.CounterFunc("musa_ring_artifact_replicated_total", "Artifacts replicated to their ring owners.",
-		stat(func(s ClientStats) int64 { return s.PeerArtifactsReplicated }))
 	reg.GaugeFunc("musa_jobs_in_flight", "Simulation jobs currently holding a pool slot.",
 		func() float64 { return float64(len(c.sem)) })
 	reg.GaugeFunc("musa_jobs_max", "Concurrent-job bound of the pool (the /capacity advertisement).",

@@ -288,10 +288,11 @@ func TestClientNodeMatchesSweep(t *testing.T) {
 func TestNodeLeaderRechecksStore(t *testing.T) {
 	c := newTestClient(t, t.TempDir())
 	e := Experiment{App: "btmz", PointIndex: intp(5), NoReplay: true}
-	key, err := c.RouteKey(e)
+	rt, err := c.Route(e)
 	if err != nil {
 		t.Fatal(err)
 	}
+	key := rt.Key
 	type ran struct {
 		res *Result
 		err error

@@ -88,9 +88,9 @@ func main() {
 	}
 
 	// A ring makes this replica one of several equivalent front doors: it
-	// proxies /simulate requests it does not own to their owner and pulls
-	// missing artifacts from peers before recomputing. The key-derivation
-	// contract requires identical default flags on every replica.
+	// proxies /simulate misses it does not own to their owner, the replica
+	// of their cache group. The key-derivation contract requires identical
+	// default flags on every replica.
 	var rg *musa.Ring
 	if *peers != "" {
 		if *self == "" {

@@ -256,11 +256,10 @@ func planShards(appNames []string, remaining map[string][]int, keyOf func(app st
 // replayed rank count. The keys match what dse.Run derives on the worker —
 // fidelity is normalized identically on both sides.
 func shardArtifactKeys(ne Experiment, j *shardJob) []string {
-	app, err := apps.ByName(j.app)
-	if err != nil {
+	hash, ok := builtinHashes()[j.app]
+	if !ok {
 		return nil // custom applications never reach the fleet
 	}
-	hash := dse.AppHash(app)
 	grid := tableIGrid()
 	g := grid[j.indices[0]].AnnGroup()
 	keys := []string{dse.HitRateKey(hash, g.CacheGroup(), ne.Sample, ne.Warmup, ne.Seed)}
@@ -631,9 +630,8 @@ func (c *Client) runSweepFleet(ctx context.Context, ne Experiment, watch Observe
 
 		// Every advertised slot of every reachable worker runs one loop: take
 		// the next shard — this worker's own first, then anybody's, which is
-		// stealing from a slower peer; a stolen shard still resolves its
-		// artifacts through the ring's peer fetch, so stealing costs one
-		// transfer, not a rebuild — and dispatch it.
+		// stealing from a slower peer; a stolen shard's worker gets what
+		// the pushes ahead of it carry, else rebuilds — and dispatch it.
 		var wg sync.WaitGroup
 		for _, base := range c.fleet.bases {
 			for s := 0; s < slots[base]; s++ {

@@ -44,7 +44,7 @@ import (
 // stays run-local; building one publishes a copy of its sample part to the
 // front. Fused traces stay run-local too: they are the bulkiest stage and the
 // cheapest to rebuild per byte, so persisting them would spend store and
-// replication bandwidth to save the least time — the persistent kinds are the
+// transfer bandwidth to save the least time — the persistent kinds are the
 // compact derived tables.
 
 // ArtifactSchemaVersion identifies the artifact key derivation and the

@@ -16,10 +16,10 @@ import (
 
 // This file is the one way a request moves to another ring member. Every
 // process that routes into a ring — a replica proxying a /simulate it does
-// not own, the L7 router, a client fetching or replicating an artifact, the
-// fleet coordinator posting a shard — sends through a Forwarder, so which
-// member gets a key, what counts as that member failing and when it is tried
-// again are decided here and nowhere else.
+// not own, the L7 router, the fleet coordinator pushing an artifact or
+// posting a shard — sends through a Forwarder, so which member gets a key,
+// what counts as that member failing and when it is tried again are decided
+// here and nowhere else.
 
 // HopHeader marks a request already routed once by a ring participant. A
 // replica receiving it executes locally whatever its ring says: during a

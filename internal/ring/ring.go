@@ -293,14 +293,3 @@ func (r *Ring) Owner(key string) string {
 	}
 	return rs[0].url
 }
-
-// OwnsLocally reports whether this process should execute key itself:
-// it is the owner, it has no self identity to proxy from, or the ring is
-// empty. A non-member self (coordinator, router) never owns locally.
-func (r *Ring) OwnsLocally(key string) bool {
-	if r.self == "" {
-		return true
-	}
-	owner := r.Owner(key)
-	return owner == "" || owner == r.self
-}

@@ -137,18 +137,12 @@ func TestNormalizeAndDedup(t *testing.T) {
 	if r.Self() != "http://a:1" {
 		t.Errorf("Self = %q, want normalized http://a:1", r.Self())
 	}
-	if !r.OwnsLocally("anything") && r.Owner("anything") == "http://a:1" {
-		t.Error("OwnsLocally disagrees with Owner")
-	}
 }
 
 func TestEmptyRing(t *testing.T) {
 	r := New("", nil)
 	if got := r.Owner("k"); got != "" {
 		t.Errorf("Owner on empty ring = %q, want \"\"", got)
-	}
-	if !r.OwnsLocally("k") {
-		t.Error("empty ring must execute locally")
 	}
 	if got := len(r.Order("k")); got != 0 {
 		t.Errorf("Order on empty ring has %d entries", got)

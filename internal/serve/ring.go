@@ -252,9 +252,11 @@ func (s *Service) handleMembershipPut(w http.ResponseWriter, r *http.Request) {
 // once, or the owner is unreachable (fallback).
 //
 // Ownership places misses, so that each is computed once, on one replica's
-// single-flight. A hit is the same bytes on every replica and is served
-// where it lands; a relayed reply is kept in the store's front, so the
-// replica asked for a key a second time answers it itself.
+// single-flight, and every point of one cache group on the replica that
+// holds the group's hit-rate table (Client.RingKey). A hit is the same
+// bytes on every replica and is served where it lands; a relayed reply is
+// kept in the store's front, so the replica asked for a key a second time
+// answers it itself.
 func (s *Service) routeSimulate(w http.ResponseWriter, r *http.Request, e musa.Experiment, body []byte) bool {
 	rg := s.c.Ring()
 	if rg == nil || rg.Self() == "" || rg.Len() < 2 {
@@ -274,7 +276,9 @@ func (s *Service) routeSimulate(w http.ResponseWriter, r *http.Request, e musa.E
 		s.ringResult("hit")
 		return false
 	}
-	owner := rg.Owner(rt.Key)
+	// Only a miss derives the key it is placed by: its cache group's.
+	key := s.c.RingKey(rt)
+	owner := rg.Owner(key)
 	if owner == "" || owner == rg.Self() {
 		s.ringResult("local")
 		return false
@@ -285,7 +289,7 @@ func (s *Service) routeSimulate(w http.ResponseWriter, r *http.Request, e musa.E
 	defer span.End()
 	// One attempt: the owner, or nobody. A second replica would compute the
 	// key beside the owner's single-flight; this one may as well do it itself.
-	err = s.fw.Forward(ctx, rt.Key, 1,
+	err = s.fw.Forward(ctx, key, 1,
 		ring.Request{Method: http.MethodPost, Path: "/simulate", Header: r.Header, Body: body},
 		func(_ string, resp *http.Response) bool {
 			// The reply is committed: owner-side errors (including its own

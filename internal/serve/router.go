@@ -14,7 +14,7 @@ import (
 // the request to the ring's candidates for that key, so duplicate requests
 // from many clients converge on one replica's single-flight and store.
 //
-//	POST /simulate           by the experiment's node store key
+//	POST /simulate           by the hit-rate key of the point's cache group
 //	POST /dse, /shard        by the hash of the canonical sweep encoding
 //	GET|PUT /artifact/{key}  by the artifact key itself
 //	everything else          to the healthiest replica (ops endpoints, figures)

@@ -47,25 +47,18 @@ const (
 	maxResidentRawBytes = 256 << 20
 )
 
-// BlobBackend is where encoded artifacts live: two methods over opaque
-// bytes, so storage (a directory, a bounded map) and transport (a ring
-// decorator that reads through to peers and replicates behind writes, see
-// musa.Client) compose without knowing a codec. ArtifactCache is the only
-// type that decodes. Implementations must be safe for concurrent use.
-type BlobBackend interface {
+// localBlobs is where encoded artifacts live, this process's own storage:
+// opaque bytes by key, so it knows no codec (ArtifactCache is the only type
+// that decodes). Besides serving bytes it can drop a corrupt blob and count
+// what it holds (for a directory by listing it — when statistics are asked
+// for, never on a lookup). The on-disk implementation is *lsm.Blobs, one
+// "<key>.json" file per artifact. Implementations must be safe for
+// concurrent use.
+type localBlobs interface {
 	// Get returns the blob under key; a miss is an error matching
 	// fs.ErrNotExist, anything else is a fault worth reporting.
 	Get(key string) ([]byte, error)
 	Put(key string, blob []byte) error
-}
-
-// localBlobs is a backend that is this process's own storage: besides
-// serving bytes it can drop a corrupt blob and count what it holds (for a
-// directory by listing it — when statistics are asked for, never on a
-// lookup). The on-disk implementation is *lsm.Blobs, one "<key>.json" file
-// per artifact.
-type localBlobs interface {
-	BlobBackend
 	Remove(key string) error
 	Count() (int, error)
 }
@@ -137,8 +130,8 @@ type ArtifactStats struct {
 	HitRates      ArtifactKindStats `json:"hitRates"`
 	LatencyModels ArtifactKindStats `json:"latencyModels"`
 	Bursts        ArtifactKindStats `json:"bursts"`
-	// BytesRead / BytesWritten count encoded blob traffic through the
-	// backend (disk, the in-memory map or a ring peer), not decoded sizes.
+	// BytesRead / BytesWritten count encoded blob traffic through local
+	// storage (disk or the in-memory map), not decoded sizes.
 	BytesRead    int64 `json:"bytesRead"`
 	BytesWritten int64 `json:"bytesWritten"`
 	// Entries is the number of distinct artifacts held locally (on disk or
@@ -280,24 +273,19 @@ type admitter interface {
 func (f *front[T]) admit(c *ArtifactCache, key string, payload, blob []byte) error {
 	v, err := f.decode(payload)
 	if err == nil {
-		keep(c, f, c.local, key, blob, v)
+		keep(c, f, key, blob, v)
 	}
 	return err
 }
 
 // ArtifactCache is the process-wide artifact cache and the one typed face
-// of the artifact path: per kind, a bounded front of decoded values over a
-// blob backend. The cache's own storage is a directory heap, or a bounded
+// of the artifact path: per kind, a bounded front of decoded values over
+// local blob storage. The storage is a directory heap, or a bounded
 // in-memory map when opened without a directory — raw blobs are retained
 // either way so they can be served to fleet workers and over HTTP. All
 // methods are safe for concurrent use. It implements dse.ArtifactProvider.
 type ArtifactCache struct {
 	local localBlobs
-	// blobs is what typed reads and writes go through: local, or whatever
-	// Decorate wrapped around it. Blob and PutBlob — the faces peers and
-	// coordinators reach over HTTP — always address local, so a decorator
-	// that talks to peers is never re-entered by a peer's request.
-	blobs BlobBackend
 
 	kinds map[dse.ArtifactKind]admitter
 
@@ -307,7 +295,7 @@ type ArtifactCache struct {
 	burst    front[*trace.Burst]
 	firstErr error
 
-	read, written atomic.Int64 // encoded bytes out of / into a backend
+	read, written atomic.Int64 // encoded bytes out of / into local
 }
 
 var _ dse.ArtifactProvider = (*ArtifactCache)(nil)
@@ -333,16 +321,8 @@ func OpenArtifacts(dir string) (*ArtifactCache, error) {
 		}
 		c.local = heap
 	}
-	c.blobs = c.local
 	c.kinds = map[dse.ArtifactKind]admitter{c.hit.kind: &c.hit, c.lat.kind: &c.lat, c.burst.kind: &c.burst}
 	return c, nil
-}
-
-// Decorate wraps the backend typed reads and writes go through. wrap
-// receives the cache's own storage and returns the backend to use in its
-// place. Call it before the cache is shared between goroutines.
-func (c *ArtifactCache) Decorate(wrap func(local BlobBackend) BlobBackend) {
-	c.blobs = wrap(c.local)
 }
 
 // checkArtifactSchema stamps an empty directory with the current artifact
@@ -423,10 +403,10 @@ func (c *ArtifactCache) noteErr(err error) {
 	}
 }
 
-// fetch reads the blob under key from b, outside the lock — a multi-MB
-// file read must not stall concurrent lookups from sweep workers.
-func (c *ArtifactCache) fetch(b BlobBackend, key string) ([]byte, bool) {
-	blob, err := b.Get(key)
+// fetch reads the blob under key, outside the lock — a multi-MB file read
+// must not stall concurrent lookups from sweep workers.
+func (c *ArtifactCache) fetch(key string) ([]byte, bool) {
+	blob, err := c.local.Get(key)
 	if err != nil {
 		if !errors.Is(err, fs.ErrNotExist) {
 			c.noteErr(fmt.Errorf("store: artifacts: %w", err))
@@ -437,9 +417,9 @@ func (c *ArtifactCache) fetch(b BlobBackend, key string) ([]byte, bool) {
 	return blob, true
 }
 
-// persist writes blob under key to b, outside the lock.
-func (c *ArtifactCache) persist(b BlobBackend, key string, blob []byte) {
-	if err := b.Put(key, blob); err != nil {
+// persist writes blob under key, outside the lock.
+func (c *ArtifactCache) persist(key string, blob []byte) {
+	if err := c.local.Put(key, blob); err != nil {
 		c.noteErr(fmt.Errorf("store: artifacts: %w", err))
 		return
 	}
@@ -464,11 +444,11 @@ func (c *ArtifactCache) Blob(key string) ([]byte, bool) {
 	if !ValidArtifactKey(key) { // the directory backend turns keys into file names
 		return nil, false
 	}
-	return c.fetch(c.local, key)
+	return c.fetch(key)
 }
 
 // PutBlob validates and stores an encoded artifact received from outside
-// (PUT /artifact/{key}, a peer's reply to a ring fetch): the blob must
+// (PUT /artifact/{key}, a fleet coordinator's push): the blob must
 // parse as a current-schema envelope bound to key with a payload its kind's
 // codec accepts, so a corrupt or stale upload is refused at the boundary
 // rather than poisoning later sweeps.
@@ -487,7 +467,7 @@ func (c *ArtifactCache) PutBlob(key string, blob []byte) error {
 	return f.admit(c, key, env.Data, blob)
 }
 
-// get is the one typed read: the decoded front, else the backend's blob
+// get is the one typed read: the decoded front, else the stored blob
 // decoded and validated through the kind's codec. A blob of another kind
 // under the key is a miss; one that fails validation is evicted.
 func get[T any](c *ArtifactCache, f *front[T], key string) (T, bool) {
@@ -502,10 +482,9 @@ func get[T any](c *ArtifactCache, f *front[T], key string) (T, bool) {
 	if v, ok := resident(); ok {
 		return v, true
 	}
-	if blob, ok := c.fetch(c.blobs, key); ok {
-		// The read ran outside the lock and the key may be decoded by now:
-		// by a concurrent lookup, or by a decorating backend that admitted a
-		// peer's reply through PutBlob.
+	if blob, ok := c.fetch(key); ok {
+		// The read ran outside the lock and the key may be decoded by now,
+		// by a concurrent lookup or a PutBlob.
 		if v, ok := resident(); ok {
 			return v, true
 		}
@@ -533,10 +512,10 @@ func get[T any](c *ArtifactCache, f *front[T], key string) (T, bool) {
 	return zero, false
 }
 
-// keep is the one write: blob goes to the backend b, its decoded value v
+// keep is the one write: blob goes to local storage, its decoded value v
 // into the front.
-func keep[T any](c *ArtifactCache, f *front[T], b BlobBackend, key string, blob []byte, v T) {
-	c.persist(b, key, blob)
+func keep[T any](c *ArtifactCache, f *front[T], key string, blob []byte, v T) {
+	c.persist(key, blob)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	f.insert(key, v)
@@ -544,7 +523,7 @@ func keep[T any](c *ArtifactCache, f *front[T], b BlobBackend, key string, blob 
 }
 
 func put[T any](c *ArtifactCache, f *front[T], key string, v T) {
-	keep(c, f, c.blobs, key, f.encode(key, v), v)
+	keep(c, f, key, f.encode(key, v), v)
 }
 
 // The six methods of dse.ArtifactProvider.

@@ -1,23 +1,21 @@
 package musa
 
 import (
-	"net/http"
-
+	"musa/internal/dse"
 	"musa/internal/ring"
-	"musa/internal/store"
 )
 
 // This file is the client half of the horizontally scaled serve tier: the
 // replica ring (re-exported from internal/ring), the route-key derivation
-// that maps an experiment onto its owner replica, the store side of
+// that maps an experiment onto its owner replica, and the store side of
 // /simulate routing (a stored hit is answered where it lands, a relayed
-// measurement kept in the store front), and the blob-backend
-// decorator that lets any ring participant fetch a missing sweep artifact
-// from the replica that owns its key — and replicate freshly built ones
-// back to the owner — instead of recomputing. The serve layer consults the
-// same ring for /simulate ownership (internal/serve), the fleet scheduler
-// for shard placement (fleet.go), and cmd/musa-router for thin L7 routing,
-// so every front door converges duplicate work on one machine.
+// measurement kept in the store front). A node experiment is placed by its
+// cache group's hit-rate key, the key the fleet scheduler pins that group's
+// shards by (fleet.go), so the points that share one cache walk are
+// simulated on the replica that holds its table. The serve layer consults
+// the same ring for /simulate ownership (internal/serve), and
+// cmd/musa-router for thin L7 routing, so every front door converges
+// duplicate work on one machine.
 
 // Ring is the rendezvous-hashed replica membership a serve tier shares;
 // see internal/ring for ownership and health semantics.
@@ -44,42 +42,59 @@ func NewRing(self string, members []string) *Ring { return ring.New(self, member
 // /simulate ownership and PUT /membership updates.
 func (c *Client) Ring() *Ring { return c.opts.Ring }
 
-// RouteKey returns the content address under which the experiment is
-// routed across a replica ring — for node experiments the result-store key
-// itself, so a proxied request coalesces with the owner's local
-// single-flight and store; for every other kind the hash of the canonical
-// encoding. The key is derived after the client's defaults are applied,
-// so replicas must run with identical default flags (the same operational
-// contract fleet shard dispatch already relies on).
+// RouteKey returns the key under which the experiment is placed on a
+// replica ring. A node experiment is placed by the hit-rate key of its
+// application and cache group at its fidelity and seed (dse.HitRateKey), so
+// every point of one cache group, and every request for one point,
+// meets on one replica's single-flight and artifact cache; every other kind
+// by the hash of its canonical encoding. The key is derived after the
+// client's defaults are applied, so replicas must run with identical
+// default flags (the same operational contract fleet shard dispatch already
+// relies on).
 func (c *Client) RouteKey(e Experiment) (string, error) {
 	rt, err := c.Route(e)
-	return rt.Key, err
+	return c.RingKey(rt), err
 }
 
-// A Route is an experiment's place on a replica ring: Key is its RouteKey.
-// A node experiment's route also holds the application and architecture of
-// the measurement stored under Key, so KeepRelayed checks a reply against
-// the request without deriving the key a second time.
+// A Route is an experiment's place in a replica ring's serve tier. Key is
+// the store key a node experiment's measurement lives under (for every
+// other kind, its RouteKey). A node experiment's route also holds what
+// RingKey and KeepRelayed need of it, so a replica that holds Key answers
+// without deriving the ring key at all.
 type Route struct {
-	Key  string
-	app  string
-	arch *Arch // nil for every kind but KindNode
+	Key    string
+	app    string
+	arch   *Arch // nil for every kind but KindNode
+	sample int64
+	warmup int64
+	seed   uint64
 }
 
-// Route is RouteKey, keeping what KeepRelayed needs of a node experiment.
+// Route derives the experiment's store key, keeping what RingKey and
+// KeepRelayed need of a node experiment.
 func (c *Client) Route(e Experiment) (Route, error) {
 	ne, err := c.fill(e).normalize(c.knowsApp)
 	if err != nil {
 		return Route{}, err
 	}
 	if ne.Kind == KindNode {
-		return Route{Key: nodeKey(ne, ne.App, c.customProfile(ne.App), *ne.Arch), app: ne.App, arch: ne.Arch}, nil
+		return Route{Key: nodeKey(ne, ne.App, c.customProfile(ne.App), *ne.Arch), app: ne.App, arch: ne.Arch,
+			sample: ne.Sample, warmup: ne.Warmup, seed: ne.Seed}, nil
 	}
 	b, err := ne.appendCanonicalJSON(nil, c.customProfile(ne.App))
 	if err != nil {
 		return Route{}, err
 	}
 	return Route{Key: hashKey(b)}, nil
+}
+
+// RingKey returns the key rt is placed on a replica ring by: its RouteKey.
+func (c *Client) RingKey(rt Route) string {
+	if rt.arch == nil {
+		return rt.Key
+	}
+	g := dse.CacheGroup{Cores: rt.arch.Cores, Vec: rt.arch.VectorBits, Cache: rt.arch.CacheLabel}
+	return dse.HitRateKey(c.appHash(rt.app), g, rt.sample, rt.warmup, rt.seed)
 }
 
 // Stored reports whether the result store holds a measurement under key.
@@ -106,65 +121,4 @@ func (c *Client) KeepRelayed(rt Route, m Measurement) {
 		return
 	}
 	c.st.Keep(rt.Key, m)
-}
-
-// ringBlobs decorates a client's local artifact storage with the replica
-// ring, at blob level: the client's store.ArtifactCache sits on top and
-// stays the one place artifacts are decoded, and local storage stays the
-// source of truth for the running sweep.
-type ringBlobs struct {
-	c     *Client
-	local store.BlobBackend
-}
-
-// Get serves key from local storage, else from a peer (read-through). Best
-// effort with a bounded fan-out: two candidates — the owner and its first
-// fallback — are asked, nobody else: a cold ring must degrade to local
-// recompute, not to a full membership sweep per miss. A reply enters
-// through PutBlob, which validates it (schema, key binding, kind, payload),
-// stores it locally and keeps the decoded value: a corrupt or mis-keyed
-// reply is dropped here, and the typed read above finds a good one already
-// decoded.
-func (b *ringBlobs) Get(key string) ([]byte, error) {
-	blob, err := b.local.Get(key)
-	if err == nil || b.c.fw.Ring.Len() == 0 {
-		return blob, err
-	}
-	ferr := b.c.fw.Forward(b.c.ctx, key, 2, artifactGet(key), func(_ string, resp *http.Response) bool {
-		var rerr error
-		blob, rerr = readArtifact(resp)
-		return rerr == nil && b.c.art.PutBlob(key, blob) == nil
-	})
-	if ferr != nil {
-		b.c.peerArtifactMisses.Add(1)
-		return nil, err
-	}
-	b.c.peerArtifactsFetched.Add(1)
-	return blob, nil
-}
-
-// Put stores blob locally and pushes it to the owner of its key
-// (write-behind), so the next replica that misses fetches it from where
-// the ring says it lives. Only replicas replicate (self != ""):
-// coordinators already push shard artifacts ahead of dispatch.
-// Asynchronous and best effort — a lost push costs one future recompute,
-// nothing else — under the client's lifetime: Close cancels and awaits it.
-func (b *ringBlobs) Put(key string, blob []byte) error {
-	err := b.local.Put(key, blob)
-	if b.c.fw.Ring.OwnsLocally(key) {
-		return err // the owner, or no replica at all
-	}
-	b.c.bg.Add(1)
-	go func() {
-		defer b.c.bg.Done()
-		// One attempt: the owner, since this replica is not it.
-		ferr := b.c.fw.Forward(b.c.ctx, key, 1, artifactPut(key, blob), func(_ string, resp *http.Response) bool {
-			_, perr := putOutcome(resp)
-			return perr == nil
-		})
-		if ferr == nil {
-			b.c.peerArtifactsReplicated.Add(1)
-		}
-	}()
-	return err
 }

@@ -327,67 +327,88 @@ func TestRingHitServedWhereItLands(t *testing.T) {
 	}
 }
 
-// TestRingPeerArtifactFetch is the replication read path: a replica whose
-// ring peer already built a shard's annotation pulls it over HTTP instead
-// of re-running the annotate stage. The stage histogram's observation count
-// is the proof — it must not advance on the second replica's run.
-func TestRingPeerArtifactFetch(t *testing.T) {
-	// The builder is a plain ringless worker: it never replicates, so the
-	// artifact can only reach the replica through the peer fetch.
-	w, _ := newFleetWorkerClient(t, musa.ClientOptions{SweepWorkers: 2, MaxJobs: 2}, nil)
-
-	srv := httptest.NewUnstartedServer(nil)
-	r1URL := "http://" + srv.Listener.Addr().String()
-	c1, err := musa.NewClient(musa.ClientOptions{
-		SweepWorkers: 2, MaxJobs: 2,
-		Ring: musa.NewRing(r1URL, []string{r1URL, w.URL}),
+// TestRingGroupOnOneReplica is the placement contract of /simulate: the
+// points of one cache group share one hit-rate table, so the ring places
+// them all on one replica. Three replicas are asked in turn for every point
+// of one (application, cache group); every miss is simulated on the same
+// replica, the group's table is built once in total, and every reply is the
+// bytes a ringless client answers.
+func TestRingGroupOnOneReplica(t *testing.T) {
+	_, clients := startRingReplicas(t, 3, func(i int) (musa.ClientOptions, []serve.Option) {
+		return musa.ClientOptions{SweepWorkers: 2, MaxJobs: 2, CacheDir: t.TempDir()}, nil
 	})
+	urls := make([]string, len(clients))
+	for i, c := range clients {
+		urls[i] = c.Ring().Self()
+	}
+	first, err := musa.PointArch(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { c1.Close() })
-	srv.Config.Handler = serve.NewHandler(serve.New(c1))
-	srv.Start()
-	t.Cleanup(srv.Close)
-
-	shard := `{"apps":["btmz"],"pointIndices":[0,1,2],"sample":20000,"warmup":40000,"seed":1,"noReplay":true}`
-	runShard := func(url string) string {
-		t.Helper()
-		resp, err := http.Post(url+"/shard", "application/json", strings.NewReader(shard))
+	var group []int
+	for i := 0; i < musa.PointCount(); i++ {
+		a, err := musa.PointArch(i)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("/shard = %d, want 200", resp.StatusCode)
+		if a.Cores == first.Cores && a.VectorBits == first.VectorBits && a.CacheLabel == first.CacheLabel {
+			group = append(group, i)
 		}
-		var out struct {
-			Measurements json.RawMessage `json:"measurements"`
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	}
+	before := stageObservations("annotate")
+	bodies := make([]string, len(group))
+	replies := make([]json.RawMessage, len(group))
+	for k, i := range group {
+		bodies[k] = fmt.Sprintf(`{"app":"spmz","pointIndex":%d,"sample":20000,"warmup":40000,"seed":1,"noReplay":true}`, i)
+		resp, err := http.Post(urls[k%len(urls)]+"/simulate", "application/json", strings.NewReader(bodies[k]))
+		if err != nil {
 			t.Fatal(err)
 		}
-		return string(out.Measurements)
+		var out struct {
+			Measurement json.RawMessage `json:"measurement"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&out)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("point %d: /simulate -> %d (%v)", i, resp.StatusCode, err)
+		}
+		replies[k] = out.Measurement
+	}
+	if built := stageObservations("annotate") - before; built != 1 {
+		t.Fatalf("the ring built the group's hit-rate table %d times, want once", built)
+	}
+	simulated := make([]int64, len(clients))
+	var simulating int
+	for i, c := range clients {
+		if simulated[i] = c.Stats().Simulated; simulated[i] > 0 {
+			simulating++
+		}
+	}
+	if simulating != 1 || simulated[0]+simulated[1]+simulated[2] != int64(len(group)) {
+		t.Fatalf("replicas simulated %v of the group's %d points, want all on one replica", simulated, len(group))
 	}
 
-	before := stageObservations("annotate")
-	fromBuilder := runShard(w.URL)
-	mid := stageObservations("annotate")
-	if mid == before {
-		t.Fatal("builder ran no annotate stage; the test premise is broken")
+	ringless, err := musa.NewClient(musa.ClientOptions{})
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	fromReplica := runShard(r1URL)
-	if after := stageObservations("annotate"); after != mid {
-		t.Fatalf("replica re-ran annotate (%d new observations) instead of fetching from its peer; stats %+v",
-			after-mid, c1.Stats())
-	}
-	if st := c1.Stats(); st.PeerArtifactsFetched < 1 || st.PeerArtifactMisses != 0 {
-		t.Fatalf("peer fetches = %d with %d misses, want >= 1 with 0 (every artifact came from the peer)",
-			st.PeerArtifactsFetched, st.PeerArtifactMisses)
-	}
-	if fromReplica != fromBuilder {
-		t.Fatal("shard run on the replica differs from the builder's")
+	defer ringless.Close()
+	for k, body := range bodies {
+		var e musa.Experiment
+		if err := json.Unmarshal([]byte(body), &e); err != nil {
+			t.Fatal(err)
+		}
+		res, err := ringless.Run(context.Background(), e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := res.MeasurementJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(replies[k], want) {
+			t.Fatalf("point %d: the ring answered\n%s\na ringless client\n%s", group[k], replies[k], want)
+		}
 	}
 }
 
