@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -176,6 +177,38 @@ func TestDetailedStreamSkip(t *testing.T) {
 		for i := at; i < at+400; i++ {
 			if in, _ := s.Next(); in != all[i] {
 				t.Fatalf("after skipping %v: micro-op %d differs", skips, i)
+			}
+		}
+	}
+}
+
+// TestDetailedStreamReadMatchesNext: bulk reads in chunks of odd sizes —
+// one micro-op, less than a block, several blocks — interleaved with Next and
+// Skip, hand out exactly the sequence Next alone does, on every application.
+func TestDetailedStreamReadMatchesNext(t *testing.T) {
+	const n = 20000
+	for _, p := range All() {
+		all := isa.Collect(&isa.LimitStream{S: NewDetailedStream(p, 3), N: n})
+		s := NewDetailedStream(p, 3)
+		s.Skip(37)
+		var at int
+		check := func(got []isa.Instr, how string) {
+			for i, in := range got {
+				if in != all[37+at+i] {
+					t.Fatalf("%s: %s at micro-op %d differs from Next's", p.Name, how, 37+at+i)
+				}
+			}
+			at += len(got)
+		}
+		for i := 0; 37+at < n-1000; i++ {
+			chunk := make([]isa.Instr, []int{1, 3, 17, 0, 129, 997}[i%6])
+			s.Read(chunk)
+			check(chunk, fmt.Sprintf("Read of %d", len(chunk)))
+			in, _ := s.Next()
+			check([]isa.Instr{in}, "Next after Read")
+			if i%4 == 3 {
+				s.Skip(5)
+				at += 5
 			}
 		}
 	}

@@ -89,6 +89,20 @@ func (s *DetailedStream) Next() (isa.Instr, bool) {
 	return in, true
 }
 
+// Read fills dst with the stream's next len(dst) micro-ops — the same
+// sequence len(dst) calls of Next return — copying each generated block in
+// one piece instead of one micro-op per call.
+func (s *DetailedStream) Read(dst []isa.Instr) {
+	for len(dst) > 0 {
+		for s.pos >= len(s.buf) {
+			s.fill()
+		}
+		k := copy(dst, s.buf[s.pos:])
+		s.pos += k
+		dst = dst[k:]
+	}
+}
+
 // Skip advances the stream by n micro-ops without handing them out. The
 // blocks are still generated — their random draws are the stream — but no
 // instruction is copied to a caller.

@@ -186,6 +186,9 @@ func TestAddrMappingStripesChannels(t *testing.T) {
 func TestLatencyModel(t *testing.T) {
 	cfg := ddr4(1)
 	m := BuildLatencyModel(cfg, FRFCFS, func() AddrSource { return NewStreamSource() }, 4000, 11)
+	if err := m.Validate(); err != nil {
+		t.Errorf("a fitted curve fails validation: %v", err)
+	}
 	lo := m.LatencyNs(0.01 * m.PeakBW)
 	hi := m.LatencyNs(1.1 * m.PeakBW)
 	if lo <= 0 || hi <= lo {

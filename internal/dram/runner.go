@@ -1,6 +1,9 @@
 package dram
 
 import (
+	"fmt"
+	"math"
+
 	"musa/internal/sim"
 	"musa/internal/xrand"
 )
@@ -138,6 +141,49 @@ func (m LatencyModel) LatencyNs(offeredBW float64) float64 {
 	}
 	last := m.LatenciesNs[len(m.LatenciesNs)-1]
 	return last * (u / m.Points[len(m.Points)-1])
+}
+
+// Bounds of a latency curve LatencyNs can answer from. They lie orders of
+// magnitude past any fitted curve (peaks of 1e10–1e12 B/s, sample points
+// 0.05–1.3, latencies of tens to thousands of ns) and keep every latency the
+// curve interpolates or extrapolates finite.
+const (
+	maxCurveBW        = 1e18 // bytes/second
+	maxCurvePoint     = 1e6  // utilization
+	minCurveLastPoint = 1e-6 // utilization
+	maxCurveLatencyNs = 1e12
+)
+
+// Validate reports why m is not a curve LatencyNs can answer from, or nil.
+// PeakBW is positive and SatBW non-negative, both finite; there is one
+// latency per sample point and at least one point; the points are
+// non-negative and strictly increasing — interpolation divides by their gaps
+// and extrapolation by the last, which must be positive; the latencies are
+// non-negative; and everything lies within the curve bounds above. A fitted
+// curve always passes; a decoded one must be checked before its first use.
+func (m LatencyModel) Validate() error {
+	finite := func(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+	switch {
+	case !finite(m.PeakBW) || m.PeakBW <= 0 || m.PeakBW > maxCurveBW:
+		return fmt.Errorf("dram: latency curve peak bandwidth %v", m.PeakBW)
+	case !finite(m.SatBW) || m.SatBW < 0 || m.SatBW > maxCurveBW:
+		return fmt.Errorf("dram: latency curve saturation bandwidth %v", m.SatBW)
+	case len(m.Points) == 0 || len(m.Points) != len(m.LatenciesNs):
+		return fmt.Errorf("dram: latency curve of %d points and %d latencies", len(m.Points), len(m.LatenciesNs))
+	case m.Points[len(m.Points)-1] < minCurveLastPoint:
+		return fmt.Errorf("dram: latency curve ends at utilization %v", m.Points[len(m.Points)-1])
+	}
+	for i, u := range m.Points {
+		if !finite(u) || u < 0 || u > maxCurvePoint || i > 0 && u <= m.Points[i-1] {
+			return fmt.Errorf("dram: latency curve point %d at utilization %v", i, u)
+		}
+	}
+	for i, ns := range m.LatenciesNs {
+		if !finite(ns) || ns < 0 || ns > maxCurveLatencyNs {
+			return fmt.Errorf("dram: latency curve point %d at %v ns", i, ns)
+		}
+	}
+	return nil
 }
 
 // SustainableBW returns the bandwidth the device actually sustains, which

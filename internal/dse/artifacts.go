@@ -191,21 +191,24 @@ func BurstKey(appHash string, ranks int, seed uint64) string {
 }
 
 // Residency bounds of the scalar-window, fused-trace and hit-rate-table
-// fronts. Groups are dispatched sorted by application, then cores, then cache
-// configuration, then width, so an application's first groups are its
-// distinct widths: the workers fuse and walk different widths side by side,
-// and every later group of the application finds its table in the tables
-// front. Sample-half fused traces (tens of MB at full fidelity) and table sets
-// are held per (application, width), and only the current application's
-// widths — at most three — are live at once, plus a straggling worker on the
-// previous application near a sort boundary; maxRunFusedTraces bounds both.
-// Warm halves are never held: each is built for its one walk and dropped with
-// it, though the walks of three widths may be under way at once. Scalar
-// windows are bounded tighter still. A full window — the bulkiest object of a
-// run, 26 MB at 120 000/700 000 micro-ops — is read by the walks of the
-// application's first groups, one per width, and is dead weight after, so the
-// next application's replaces it. The sample windows of a run without a client
-// front keep the straggler's too. The client's front is bounded by bytes
+// fronts. Groups are sorted by application, then cores, cache configuration
+// and width, so an application's first groups are its distinct widths: the
+// workers fuse and walk different widths side by side, and every later group
+// of the application finds its table in the tables front. They are
+// dispatched in that order except that each application's first group goes
+// out before the previous application's last two groups, though never before
+// one of its walk-starting groups (dispatchOrder): so near an application
+// boundary two applications are live at once. Sample-half fused traces (tens
+// of MB at full fidelity) and table sets are held per (application, width),
+// at most three per application, six across the boundary;
+// maxRunFusedTraces bounds both. Warm halves are never held: each is built
+// for its one walk and dropped with it, though the walks of three widths may
+// be under way at once. Scalar windows are bounded tighter still. A full
+// window — the bulkiest object of a run, 26 MB at 120 000/700 000 micro-ops —
+// is read by the walks of the application's first groups, one per width, and
+// is dead weight after, so the next application's replaces it: every walk of
+// the previous application has been handed out by then. The sample windows
+// of a run without a client front keep the previous application's too. The client's front is bounded by bytes
 // instead, because its entries differ in size by orders of magnitude (an
 // optimizer rung of 20 000 micro-ops, a 20 M-micro-op request): 64 MiB holds
 // the five built-in applications at default fidelity (300 000 micro-ops x

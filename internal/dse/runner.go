@@ -1,6 +1,7 @@
 package dse
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"runtime"
@@ -306,19 +307,7 @@ func Run(ctx context.Context, opts Options) *Dataset {
 	for k := range groups {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.app != b.app {
-			return a.app < b.app
-		}
-		if a.Cores != b.Cores {
-			return a.Cores < b.Cores
-		}
-		if a.Cache != b.Cache {
-			return a.Cache < b.Cache
-		}
-		return a.Vec < b.Vec
-	})
+	slices.SortFunc(keys, compareGroups)
 	for _, k := range keys {
 		art.addCacheGroup(k.app, k.AnnGroup, groups[k][0].NodeConfig(opts.SampleInstrs, opts.WarmupInstrs, opts.Seed))
 	}
@@ -422,7 +411,7 @@ func Run(ctx context.Context, opts Options) *Dataset {
 		go worker()
 	}
 	go func() {
-		for _, k := range keys {
+		for _, k := range dispatchOrder(keys) {
 			jobs <- k
 		}
 		close(jobs)
@@ -440,4 +429,59 @@ func Run(ctx context.Context, opts Options) *Dataset {
 		return all[i].Arch.Label() < all[j].Arch.Label()
 	})
 	return &Dataset{Measurements: all}
+}
+
+// compareGroups orders annotation groups by application, then cores, cache
+// configuration, width and memory kind: an application's first groups are
+// its widths, so the workers fuse and walk different traces side by side.
+func compareGroups(a, b annGroupKey) int {
+	return cmp.Or(cmp.Compare(a.app, b.app), cmp.Compare(a.Cores, b.Cores),
+		cmp.Compare(a.Cache, b.Cache), cmp.Compare(a.Vec, b.Vec), cmp.Compare(a.Mem, b.Mem))
+}
+
+// dispatchOrder is the order a run hands its annotation groups to the
+// workers: keys, sorted by application, then cores, cache configuration,
+// width and memory kind, with each application's first group moved up into
+// the previous application's groups. It goes out after every group of the
+// previous application that starts a cache walk (its first group of each
+// width) and before that application's last two groups, so the next full
+// window is generated while the other worker still replays, instead of one
+// worker generating it while the other waits for it. Not earlier: the run
+// holds one full window at a time, and a walk-starting group handed out after
+// the next application's window would regenerate its own; and two windows
+// live at once cost peak memory for no time.
+func dispatchOrder(keys []annGroupKey) []annGroupKey {
+	var byApp [][]annGroupKey
+	for i, j := 0, 0; i < len(keys); i = j {
+		for j = i + 1; j < len(keys) && keys[j].app == keys[i].app; j++ {
+		}
+		byApp = append(byApp, keys[i:j])
+	}
+	order := make([]annGroupKey, 0, len(keys))
+	for a, groups := range byApp {
+		rest := groups // the groups still to place
+		if a > 0 {
+			rest = groups[1:] // the first went out with the previous application
+		}
+		at := max(walkEnd(groups)-(len(groups)-len(rest)), len(rest)-2, 0)
+		order = append(order, rest[:at]...)
+		if a+1 < len(byApp) {
+			order = append(order, byApp[a+1][0])
+		}
+		order = append(order, rest[at:]...)
+	}
+	return order
+}
+
+// walkEnd returns one past the last of an application's groups that starts a
+// cache walk: the first group of each width asks for the width's hit-rate
+// tables first.
+func walkEnd(groups []annGroupKey) int {
+	end := 0
+	for i, k := range groups {
+		if !slices.ContainsFunc(groups[:i], func(o annGroupKey) bool { return o.Vec == k.Vec }) {
+			end = i + 1
+		}
+	}
+	return end
 }

@@ -14,32 +14,84 @@ import (
 type opaque struct{ isa.Stream }
 
 // diffFuse drains Fuser and the reference over the same micro-ops, through
-// both the slice window and the generic stream path, and reports the first
-// op or counter on which they differ.
+// both the slice window and the generic stream path, each drained op by op,
+// run by run, and alternating the two, and reports the first op or counter
+// on which they differ.
 func diffFuse(t testing.TB, instrs []isa.Instr, cfg isa.FuserConfig) {
 	t.Helper()
 	ref := isa.NewReferenceFuser(isa.NewSliceStream(instrs), cfg)
 	want := isa.Collect(ref)
 	for _, path := range []struct {
 		name string
-		src  isa.Stream
+		src  func() isa.Stream
 	}{
-		{"slice", isa.NewSliceStream(instrs)},
-		{"stream", opaque{isa.NewSliceStream(instrs)}},
+		{"slice", func() isa.Stream { return isa.NewSliceStream(instrs) }},
+		{"stream", func() isa.Stream { return opaque{isa.NewSliceStream(instrs)} }},
 	} {
-		fu := isa.NewFuser(path.src, cfg)
-		got := isa.Collect(fu)
-		for i := 0; i < len(got) && i < len(want); i++ {
-			if got[i] != want[i] {
-				t.Fatalf("%s path, cfg %+v: op %d = %v, reference %v", path.name, cfg, i, got[i], want[i])
+		for _, drain := range []struct {
+			name  string
+			drain func(t testing.TB, fu *isa.Fuser) []isa.Instr
+		}{
+			{"next", func(_ testing.TB, fu *isa.Fuser) []isa.Instr { return isa.Collect(fu) }},
+			{"runs", drainRuns},
+			{"alternating", drainAlternating},
+		} {
+			fu := isa.NewFuser(path.src(), cfg)
+			got := drain.drain(t, fu)
+			for i := 0; i < len(got) && i < len(want); i++ {
+				if got[i] != want[i] {
+					t.Fatalf("%s path drained %s, cfg %+v: op %d = %v, reference %v",
+						path.name, drain.name, cfg, i, got[i], want[i])
+				}
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%s path drained %s, cfg %+v: %d ops, reference %d",
+					path.name, drain.name, cfg, len(got), len(want))
+			}
+			if fu.Stats() != ref.Stats() {
+				t.Fatalf("%s path drained %s, cfg %+v: stats %+v, reference %+v",
+					path.name, drain.name, cfg, fu.Stats(), ref.Stats())
 			}
 		}
-		if len(got) != len(want) {
-			t.Fatalf("%s path, cfg %+v: %d ops, reference %d", path.name, cfg, len(got), len(want))
+	}
+}
+
+// drainRuns collects a fuser run by run; no run is empty.
+func drainRuns(t testing.TB, fu *isa.Fuser) []isa.Instr {
+	var out []isa.Instr
+	for {
+		run, ok := fu.NextRun()
+		if !ok {
+			return out
 		}
-		if fu.Stats() != ref.Stats() {
-			t.Fatalf("%s path, cfg %+v: stats %+v, reference %+v", path.name, cfg, fu.Stats(), ref.Stats())
+		if len(run) == 0 {
+			t.Fatal("NextRun returned an empty run")
 		}
+		out = append(out, run...)
+	}
+}
+
+// drainAlternating collects a fuser calling Next and NextRun in turn, so a
+// run call often finds part of its run handed out already.
+func drainAlternating(t testing.TB, fu *isa.Fuser) []isa.Instr {
+	var out []isa.Instr
+	for i := 0; ; i++ {
+		if i%2 == 0 {
+			in, ok := fu.Next()
+			if !ok {
+				return out
+			}
+			out = append(out, in)
+			continue
+		}
+		run, ok := fu.NextRun()
+		if !ok {
+			return out
+		}
+		if len(run) == 0 {
+			t.Fatal("NextRun returned an empty run")
+		}
+		out = append(out, run...)
 	}
 }
 
@@ -58,8 +110,9 @@ func TestFuserMatchesReferenceOnApplications(t *testing.T) {
 // randomBlocks builds a stream of basic-block runs shaped to reach every
 // branch of the fuser: bodies that drop their tail or grow an instruction the
 // first body never had, runs shorter than MinRun, single bodies longer than
-// MaxBlock, a block that never repeats its first PC, and the same block
-// resuming after an interruption.
+// MaxBlock, a block that never repeats its first PC, the same block resuming
+// after an interruption, and bodies whose PCs span more than the fuser's
+// slot table, so that it numbers their slots through its map.
 func randomBlocks(rng *rand.Rand, n int) []isa.Instr {
 	classes := []isa.Class{isa.Load, isa.Store, isa.FPAdd, isa.FPFMA, isa.IntALU, isa.Branch}
 	var out []isa.Instr
@@ -78,6 +131,7 @@ func randomBlocks(rng *rand.Rand, n int) []isa.Instr {
 		bodyLen := 1 + rng.Intn(9)
 		reps := 1 + rng.Intn(40)
 		vecMask := rng.Uint32()
+		stride := uint32(1)
 		switch rng.Intn(8) {
 		case 0: // one huge body: exceeds small MaxBlock settings
 			bodyLen, reps = 40+rng.Intn(200), 1
@@ -85,6 +139,8 @@ func randomBlocks(rng *rand.Rand, n int) []isa.Instr {
 			reps = 1 + rng.Intn(3)
 		case 2: // far beyond the lookahead bound of narrow widths
 			reps = 200 + rng.Intn(400)
+		case 3: // PCs spanning more than the slot table's 64
+			bodyLen, stride = 3+rng.Intn(7), uint32(33+rng.Intn(64))
 		}
 		ragged, extra, dup := rng.Intn(3) == 0, rng.Intn(3) == 0, rng.Intn(4) == 0
 		for r := 0; r < reps; r++ {
@@ -92,7 +148,7 @@ func randomBlocks(rng *rand.Rand, n int) []isa.Instr {
 				if ragged && r%3 == 2 && j == bodyLen-1 && j > 0 {
 					continue // this body loses its tail
 				}
-				pc := bb*64 + uint32(j)
+				pc := bb*64 + uint32(j)*stride
 				emit(bb, pc, vecMask>>uint(j)&1 == 1)
 				if dup && j == 1 {
 					emit(bb, pc, vecMask>>uint(j)&1 == 1) // scalarized lane pair

@@ -94,11 +94,16 @@ type Fuser struct {
 
 	// Scratch of fuseRun, reused from run to run so that a fuse
 	// allocates a constant number of times, not once per basic-block run.
-	slotOf map[uint32]int32 // static PC -> slot
-	slot   []int32          // slot of each micro-op of the run
-	cur    []int32          // per slot: instance count, then cursor into bySlot
-	bySlot []int32          // run indices grouped by slot, in run order
+	slotAt [slotTableSize]int32 // PC - the run's lowest PC -> slot+1 (0: none yet)
+	slotOf map[uint32]int32     // static PC -> slot, for runs slotAt cannot span
+	slot   []int32              // slot of each micro-op of the run
+	cur    []int32              // per slot: instance count, then cursor into bySlot
+	bySlot []int32              // run indices grouped by slot, in run order
 }
+
+// slotTableSize is the PC span fuseRun numbers slots through a table instead
+// of a map: every basic block DetailedStream emits spans at most 64 PCs.
+const slotTableSize = 64
 
 // FuserStats counts the fusion activity, exposed for tests and reports.
 type FuserStats struct {
@@ -147,6 +152,21 @@ func (f *Fuser) Next() (Instr, bool) {
 	in := f.out[f.opos]
 	f.opos++
 	return in, true
+}
+
+// NextRun returns the fused ops of the next basic-block run — or, after Next
+// has handed out part of a run, the rest of it — in the order Next returns
+// them; false at end of stream. The slice is the fuser's own buffer: it is
+// valid until the next call of Next or NextRun, and must not be written.
+func (f *Fuser) NextRun() ([]Instr, bool) {
+	for f.opos >= len(f.out) {
+		if !f.fill() {
+			return nil, false
+		}
+	}
+	run := f.out[f.opos:]
+	f.opos = len(f.out)
+	return run, true
 }
 
 // pull appends the stream's next micro-op to the lookahead; false at EOF.
@@ -200,14 +220,17 @@ func (f *Fuser) fill() bool {
 	}
 	run := f.src[f.spos : f.spos+n]
 	f.spos += n
-	f.stats.In += int64(n)
-	f.stats.Blocks++
 
 	if bodies >= f.cfg.MinRun {
 		f.fuseRun(run)
 	} else {
 		f.fuseWithinBodies(run)
 	}
+	// Every micro-op of the run is a lane of exactly one emitted op.
+	f.stats.In += int64(n)
+	f.stats.Out += int64(len(f.out))
+	f.stats.Fused += int64(n - len(f.out))
+	f.stats.Blocks++
 	return true
 }
 
@@ -220,10 +243,11 @@ func (f *Fuser) fuseWithinBodies(run []Instr) {
 	if maxLanes > cap128 {
 		maxLanes = cap128
 	}
+	out := f.out
 	for i := 0; i < len(run); {
-		in := run[i]
+		in := &run[i]
 		if !in.Vectorizable || maxLanes == 1 {
-			f.emit(in, 1)
+			out = appendFused(out, in, 1)
 			i++
 			continue
 		}
@@ -231,9 +255,10 @@ func (f *Fuser) fuseWithinBodies(run []Instr) {
 		for j < len(run) && j-i < maxLanes && run[j].PC == in.PC && run[j].Vectorizable {
 			j++
 		}
-		f.emit(in, j-i)
+		out = appendFused(out, in, j-i)
 		i = j
 	}
+	f.out = out
 }
 
 // fuseRun performs cross-iteration fusion over a run of several executions
@@ -247,20 +272,42 @@ func (f *Fuser) fuseWithinBodies(run []Instr) {
 func (f *Fuser) fuseRun(run []Instr) {
 	// A slot is a static PC, numbered in encounter order over the run: the
 	// first body's PCs first (it is the run's prefix), then PCs that appear
-	// only in later, ragged bodies.
+	// only in later, ragged bodies. A run whose PCs span less than the slot
+	// table looks them up by offset from its lowest PC; a wider one, in the
+	// map. Both number the same slots.
 	f.slot = slices.Grow(f.slot[:0], len(run))[:len(run)]
 	f.bySlot = slices.Grow(f.bySlot[:0], len(run))[:len(run)]
 	slot, cur := f.slot, f.cur[:0]
-	clear(f.slotOf)
+	pcLo, pcHi := run[0].PC, run[0].PC
 	for i := range run {
-		s, ok := f.slotOf[run[i].PC]
-		if !ok {
-			s = int32(len(cur))
-			f.slotOf[run[i].PC] = s
-			cur = append(cur, 0)
+		pcLo, pcHi = min(pcLo, run[i].PC), max(pcHi, run[i].PC)
+	}
+	if pcHi-pcLo < slotTableSize {
+		at := &f.slotAt
+		for i := range run {
+			k := run[i].PC - pcLo
+			s := at[k] - 1
+			if s < 0 {
+				s = int32(len(cur))
+				at[k] = s + 1
+				cur = append(cur, 0)
+			}
+			slot[i] = s
+			cur[s]++
 		}
-		slot[i] = s
-		cur[s]++
+		clear(at[:pcHi-pcLo+1])
+	} else {
+		clear(f.slotOf)
+		for i := range run {
+			s, ok := f.slotOf[run[i].PC]
+			if !ok {
+				s = int32(len(cur))
+				f.slotOf[run[i].PC] = s
+				cur = append(cur, 0)
+			}
+			slot[i] = s
+			cur[s]++
+		}
 	}
 	// Group the run's indices by slot, stably: a counting sort.
 	var lo int32
@@ -275,30 +322,32 @@ func (f *Fuser) fuseRun(run []Instr) {
 	f.cur = cur
 
 	maxLanes := f.MaxLanes()
+	out := f.out
 	lo = 0
 	for _, hi := range cur { // cur[s] is now the end of slot s
 		ins := f.bySlot[lo:hi]
 		lo = hi
 		if !run[ins[0]].Vectorizable {
 			for _, i := range ins {
-				f.emit(run[i], 1)
+				out = appendFused(out, &run[i], 1)
 			}
 			continue
 		}
 		for i := 0; i < len(ins); i += maxLanes {
-			f.emit(run[ins[i]], min(maxLanes, len(ins)-i))
+			out = appendFused(out, &run[ins[i]], min(maxLanes, len(ins)-i))
 		}
 	}
+	f.out = out
 }
 
-// emit writes one (possibly fused) op to the output buffer.
-func (f *Fuser) emit(in Instr, lanes int) {
-	out := in
-	out.Lanes = uint8(lanes)
+// appendFused appends in to out as one op of the given lane count. The
+// fusers build their output in a local slice and store it back once per run:
+// appending to f.out itself reloads and stores its header per op.
+func appendFused(out []Instr, in *Instr, lanes int) []Instr {
+	op := *in
+	op.Lanes = uint8(lanes)
 	if in.Class.IsMem() {
-		out.Size = uint16(lanes * (ElemBits / 8))
+		op.Size = uint16(lanes * (ElemBits / 8))
 	}
-	f.out = append(f.out, out)
-	f.stats.Out++
-	f.stats.Fused += int64(lanes - 1)
+	return append(out, op)
 }

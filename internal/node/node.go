@@ -365,9 +365,7 @@ func BuildSampleWindow(app *apps.Profile, sampleInstrs, warmupInstrs int64, seed
 // generateWindow materialises the next warm+sample micro-ops of gen.
 func generateWindow(gen *apps.DetailedStream, warm, sample int64) ScalarTrace {
 	instrs := make([]isa.Instr, warm+sample)
-	for i := range instrs {
-		instrs[i], _ = gen.Next() // the generator is unbounded
-	}
+	gen.Read(instrs)
 	return ScalarTrace{Instrs: instrs, Warm: warm}
 }
 
@@ -407,12 +405,14 @@ func FuseWarm(st ScalarTrace, vectorBits int) []WarmOp {
 	ops := make([]WarmOp, 0, st.Warm/2)
 	warm := isa.NewFuser(isa.NewSliceStream(st.Instrs[:st.Warm]), isa.DefaultFuserConfig(vectorBits))
 	for {
-		in, ok := warm.Next()
+		run, ok := warm.NextRun()
 		if !ok {
 			return ops
 		}
-		if in.Class.IsMem() {
-			ops = append(ops, WarmOp{Addr: in.Addr, Size: in.Size, Write: in.Class == isa.Store})
+		for i := range run {
+			if in := &run[i]; in.Class.IsMem() {
+				ops = append(ops, WarmOp{Addr: in.Addr, Size: in.Size, Write: in.Class == isa.Store})
+			}
 		}
 	}
 }
@@ -435,21 +435,24 @@ func FuseSample(st ScalarTrace, app *apps.Profile, vectorBits int, seed uint64) 
 	rng := xrand.New(seed ^ mispredictSalt)
 	rate := app.MispredictRate
 	for {
-		in, ok := fu.Next()
+		run, ok := fu.NextRun()
 		if !ok {
 			break
 		}
-		var flags uint8
-		if in.Class == isa.Branch && rate > 0 && rng.Bernoulli(rate) {
-			flags = cpu.FlagMispredict
+		for i := range run {
+			in := &run[i]
+			var flags uint8
+			if in.Class == isa.Branch && rate > 0 && rng.Bernoulli(rate) {
+				flags = cpu.FlagMispredict
+			}
+			if in.Class.IsMem() {
+				ft.SampleOps = append(ft.SampleOps, SampleOp{
+					Addr: in.Addr, Idx: int32(len(ft.Meta)), Size: in.Size, Write: in.Class == isa.Store,
+				})
+			}
+			ft.Deps = append(ft.Deps, cpu.PackDeps(int64(len(ft.Meta)), in.Dep1, in.Dep2))
+			ft.Meta = append(ft.Meta, cpu.PackMeta(in.Class, in.Lanes, 0, flags))
 		}
-		if in.Class.IsMem() {
-			ft.SampleOps = append(ft.SampleOps, SampleOp{
-				Addr: in.Addr, Idx: int32(len(ft.Meta)), Size: in.Size, Write: in.Class == isa.Store,
-			})
-		}
-		ft.Deps = append(ft.Deps, cpu.PackDeps(int64(len(ft.Meta)), in.Dep1, in.Dep2))
-		ft.Meta = append(ft.Meta, cpu.PackMeta(in.Class, in.Lanes, 0, flags))
 	}
 	ft.Counts = cpu.CountMeta(ft.Meta)
 	return ft

@@ -58,3 +58,56 @@ func BenchmarkSampleWindow(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkColdFrontEnd times what a cold sweep builds per (application,
+// width) before its first timing replay, stage by stage, on LULESH at the
+// benchmark's fidelity (120 000 sample after 700 000 warm-up micro-ops) and
+// the 256-bit width: generating the full scalar window, fusing its sample
+// and its warm half, and walking the fused trace through the three Table I
+// cache configurations of a 64-core node at once. The generate and fuse
+// rungs report host ns per scalar micro-op they read, the walk ns per warm
+// access it replays.
+func BenchmarkColdFrontEnd(b *testing.B) {
+	const sample, warmup, width = 120000, 700000, 256
+	app := apps.LULESH()
+	st := BuildScalarTrace(app, sample, warmup, 1)
+	perOp := func(b *testing.B, n int, unit string) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), unit)
+	}
+	b.Run("generate", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			BuildScalarTrace(app, sample, warmup, 1)
+		}
+		perOp(b, len(st.Instrs), "ns/uop")
+	})
+	b.Run("fuse-sample", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			FuseSample(st, app, width, 1)
+		}
+		perOp(b, sample, "ns/uop")
+	})
+	b.Run("fuse-warm", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			FuseWarm(st, width)
+		}
+		perOp(b, warmup, "ns/uop")
+	})
+	ft := FuseScalarTrace(st, app, width, 1)
+	cfgs := make([]Config, 0, 3)
+	for _, c := range [][2]int{{256, 32}, {512, 64}, {1024, 96}} {
+		cfg := baseCfg()
+		cfg.VectorBits, cfg.L2KBPerCore, cfg.L3MBTotal = width, c[0], c[1]
+		cfg.SampleInstrs, cfg.WarmupInstrs = sample, warmup
+		cfgs = append(cfgs, cfg)
+	}
+	b.Run("walk", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			WalkCaches(ft, cfgs)
+		}
+		perOp(b, len(ft.WarmOps), "ns/access")
+	})
+}

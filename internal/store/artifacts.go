@@ -179,8 +179,11 @@ var (
 			return nil
 		},
 	}
-	latencyCodec = codec[dram.LatencyModel]{kind: dse.ArtifactLatencyModel, bound: 4096}
-	burstCodec   = codec[*trace.Burst]{
+	latencyCodec = codec[dram.LatencyModel]{
+		kind: dse.ArtifactLatencyModel, bound: 4096,
+		validate: dram.LatencyModel.Validate,
+	}
+	burstCodec = codec[*trace.Burst]{
 		kind: dse.ArtifactBurst, bound: 128,
 		validate: func(b *trace.Burst) error {
 			if b == nil { // a literal JSON null

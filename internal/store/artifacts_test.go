@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -103,6 +104,12 @@ func codecRows() []codecRow {
 	badLevel := hrt
 	badLevel.Levels = []uint8{0, uint8(cache.LevelMem) + 1}
 	lm := dram.LatencyModel{PeakBW: 1e9, Points: []float64{0.05, 1}, LatenciesNs: []float64{80.5, 120.25}, SatBW: 9e8}
+	lmWith := func(edit func(*dram.LatencyModel)) dram.LatencyModel {
+		m := lm
+		m.Points, m.LatenciesNs = slices.Clone(lm.Points), slices.Clone(lm.LatenciesNs)
+		edit(&m)
+		return m
+	}
 	burst := &trace.Burst{App: "fixture", Ranks: []trace.RankTrace{
 		{Rank: 0, Events: []trace.Event{{Kind: trace.EvSend, Peer: 1, Bytes: 8}, {Kind: trace.EvBarrier}}},
 		{Rank: 1, Events: []trace.Event{{Kind: trace.EvRecv, Peer: 0, Bytes: 8}, {Kind: trace.EvBarrier}}},
@@ -112,7 +119,17 @@ func codecRows() []codecRow {
 			map[string]any{"out-of-range level": badLevel, "undecodable": "x"},
 			(*ArtifactCache).PutHitRates, (*ArtifactCache).HitRates),
 		newCodecRow(&latencyCodec, "1eaf9ead0f0f31c56161e8ed7adf0a7c404662c2447681ff526e3c28e82d2ded", lm,
-			map[string]any{"undecodable": "x"},
+			map[string]any{
+				// The first LatencyNs of this one indexed an empty column.
+				"mismatched columns": dram.LatencyModel{PeakBW: 1e9, Points: []float64{0.5, 0.7}, LatenciesNs: []float64{}},
+				"no points":          dram.LatencyModel{PeakBW: 1e9, SatBW: 9e8},
+				"points not increasing": lmWith(func(m *dram.LatencyModel) {
+					m.Points[1] = m.Points[0]
+				}),
+				"zero peak":        lmWith(func(m *dram.LatencyModel) { m.PeakBW = 0 }),
+				"negative latency": lmWith(func(m *dram.LatencyModel) { m.LatenciesNs[0] = -1 }),
+				"undecodable":      "x",
+			},
 			(*ArtifactCache).PutLatencyModel, (*ArtifactCache).LatencyModel),
 		newCodecRow(&burstCodec, "93c8fb78919275c9cfe921112fd5358765ecc1e1827359229017068636699ec2", burst,
 			map[string]any{

@@ -100,8 +100,8 @@ func stageObservations(stage string) uint64 {
 
 // TestRingSweepByteIdentical is the acceptance contract for the scaled
 // serve tier: a sweep dispatched through a 3-replica ring (owner-pinned
-// shards, peer artifact fetch) merges into a dataset byte-identical to the
-// in-process run.
+// shards, each replica building the artifacts of the groups it owns) merges
+// into a dataset byte-identical to the in-process run.
 func TestRingSweepByteIdentical(t *testing.T) {
 	exp := fleetTestExperiment(t)
 	ctx := context.Background()
