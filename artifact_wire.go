@@ -10,7 +10,7 @@ import (
 )
 
 // This file is the one place artifact blobs cross the wire from the client
-// side: fleet coordinator pushes, PUT /artifact/{key} against a musa-serve
+// side: fleet coordinator pushes, PUT /artifact/{key} against a `musa serve`
 // (the handlers are in internal/serve). The request and the classification
 // of its reply are written once; the ring forwarder (internal/ring) carries
 // them.

@@ -38,7 +38,7 @@ import (
 )
 
 // Reduced-but-meaningful sample sizes for the shared benchmark sweep; the
-// cmd/musa-dse tool uses the full defaults.
+// `musa dse` command uses the full defaults.
 const (
 	benchSample = 120000
 	benchWarmup = 700000

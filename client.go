@@ -57,7 +57,7 @@ type ClientOptions struct {
 	// requests (0 = 2). Requests beyond the bound queue.
 	MaxJobs int
 
-	// Workers lists remote musa-serve base URLs (e.g. "http://h1:8080").
+	// Workers lists remote `musa serve` base URLs (e.g. "http://h1:8080").
 	// When non-empty, sweep experiments are split into per-annotation-group
 	// shards and dispatched across the fleet over the /shard endpoint, with
 	// the local process as the retry/hedge pool; all other kinds, and sweeps

@@ -569,7 +569,7 @@ func nodeKey(e Experiment, app string, custom *apps.Profile, arch Arch) string {
 // SetReplayFlags parses the shared CLI replay flags — a comma-separated
 // rank-count list, a no-replay switch and a network scenario name — into
 // the experiment's replay fields. It is the one flag parser behind
-// musa-dse and musa-serve; validation beyond syntax happens in Normalize.
+// `musa dse` and `musa serve`; validation beyond syntax happens in Normalize.
 func (e *Experiment) SetReplayFlags(ranksCSV string, noReplay bool, network string) error {
 	ranks, err := ParseReplayRanks(ranksCSV)
 	if err != nil {

@@ -275,7 +275,7 @@ func TestExperimentWireDecoding(t *testing.T) {
 }
 
 // TestSetReplayFlags is the table-driven test of the one CLI replay-flag
-// parser shared by musa-dse and musa-serve.
+// parser shared by `musa dse` and `musa serve`.
 func TestSetReplayFlags(t *testing.T) {
 	cases := []struct {
 		name      string

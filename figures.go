@@ -58,8 +58,8 @@ func RankTimeline(appName string, ranks int, network NetworkModel, opts SimOptio
 }
 
 // Figure builds the table data behind one evaluation figure from a sweep
-// dataset. It is the single figure pipeline shared by the musa-dse CLI and
-// the musa-serve /figures/{n} endpoint. Figure 4 replays its own rank
+// dataset. It is the single figure pipeline shared by `musa dse` and the
+// /figures/{n} endpoint of `musa serve`. Figure 4 replays its own rank
 // timeline (LULESH at 64 ranks, the paper's view) and Figure 11 runs its
 // own Table II simulations; both are driven by opts and ignore d. Every
 // other figure is an aggregation of d and ignores opts.
@@ -107,19 +107,27 @@ func Figure(d *Sweep, n int, opts SimOptions) (*report.Figure, error) {
 		}
 		return fig, nil
 	case 10:
+		// One table per application the dataset holds, in Applications()
+		// order; an application without the 64-core, 2 GHz slice is an error.
 		fig := &report.Figure{N: n, Title: "PCA of the design space"}
-		for _, app := range []string{"hydro", "lulesh"} {
-			res, err := PCA(d, app)
+		for _, app := range Applications() {
+			if len(d.ByApp(app.Name)) == 0 {
+				continue
+			}
+			res, err := PCA(d, app.Name)
 			if err != nil {
 				return nil, err
 			}
 			t := report.NewTable(fmt.Sprintf("Figure 10: PCA for %s (PC0 %.1f%%, PC1 %.1f%% of variance)",
-				app, res.Explained[0]*100, res.Explained[1]*100),
+				app.Name, res.Explained[0]*100, res.Explained[1]*100),
 				"variable", "PC0", "PC1")
 			for v, l := range res.Labels {
 				t.AddRow(l, res.Loadings[0][v], res.Loadings[1][v])
 			}
 			fig.Tables = append(fig.Tables, t)
+		}
+		if len(fig.Tables) == 0 {
+			return nil, fmt.Errorf("musa: figure 10: the dataset holds no application")
 		}
 		return fig, nil
 	case 11:

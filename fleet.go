@@ -25,7 +25,7 @@ import (
 
 // This file is the distributed sweep scheduler: a sweep experiment is split
 // into per-(application, annotation-group) shards, each shard is dispatched
-// to a musa-serve worker over POST /shard, and the results are merged back
+// to a `musa serve` worker over POST /shard, and the results are merged back
 // into the same deterministic (app, arch-label) order the in-process runner
 // produces. The local process is the retry and hedge pool: a shard whose
 // worker fails, times out or runs past HedgeAfter is re-dispatched in

@@ -16,7 +16,7 @@ import (
 	"musa/internal/serve"
 )
 
-// newFleetWorker spins up an in-process musa-serve worker: a real
+// newFleetWorker spins up an in-process `musa serve` worker: a real
 // serve.NewHandler over its own Client, optionally wrapped by mw.
 func newFleetWorker(t *testing.T, mw func(http.Handler) http.Handler) *httptest.Server {
 	t.Helper()
@@ -196,7 +196,7 @@ func TestFleetShardMergeDeterminism(t *testing.T) {
 
 // TestFleetWorkerDefaultsCannotSkew pins the wire contract of
 // shardExperiment: a worker configured with its own fidelity defaults
-// (as if started `musa-serve -sample 5000`) must still compute exactly the
+// (as if started `musa serve -sample 5000`) must still compute exactly the
 // measurements the coordinator and the local pool would, even when the
 // coordinator's sweep leaves fidelity implicit — the shard carries the
 // materialized package defaults, so the worker's fill never applies.

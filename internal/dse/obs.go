@@ -7,7 +7,7 @@ import (
 )
 
 // Observability wiring of the sweep pipeline. Stage names are the contract
-// between the runner's instrumentation, the musa-dse -v breakdown table and
+// between the runner's instrumentation, the `musa dse -v` breakdown table and
 // the dashboards scraping /metrics: every expensive phase of a sweep point
 // shows up under exactly one of these.
 const (
@@ -35,7 +35,7 @@ const (
 )
 
 // StageMetric is the per-stage duration histogram every Stage* constant
-// labels; its per-series sum/count feed the musa-dse -v breakdown.
+// labels; its per-series sum/count feed the `musa dse -v` breakdown.
 const StageMetric = "musa_dse_stage_seconds"
 
 // observeStage records one stage execution into the default registry.

@@ -70,7 +70,7 @@ type Instr struct {
 	Vectorizable bool
 }
 
-// String renders a compact human-readable form, used by musa-trace.
+// String renders a compact human-readable form, used by `musa trace`.
 func (in Instr) String() string {
 	s := fmt.Sprintf("pc=%d bb=%d %s x%d", in.PC, in.BB, in.Class, in.Lanes)
 	if in.Class.IsMem() {

@@ -20,8 +20,9 @@ import (
 //	-memprofile FILE  pprof heap profile written at exit (after a GC)
 //
 // The returned dump performs the exports against the package defaults;
-// mains defer it after flag.Parse. Every musa binary registers the same
-// set, so "add -cpuprofile" works identically across the CLI surface.
+// the caller runs it once the command is done, failed or not. Every
+// subcommand of the musa binary registers the same set, so "add
+// -cpuprofile" works identically across the CLI surface.
 func RegisterFlags(fs *flag.FlagSet) func() error {
 	metrics := fs.String("metrics", "",
 		"write Prometheus text metrics to this file at exit")

@@ -313,7 +313,7 @@ func (r *Registry) copyFamilies() []famCopy {
 }
 
 // Snapshot returns every family's current values, sorted by name — the
-// programmatic read the musa-dse -v stage table uses.
+// programmatic read the `musa dse -v` stage table uses.
 func (r *Registry) Snapshot() []FamilySnapshot {
 	fams := r.copyFamilies()
 	out := make([]FamilySnapshot, 0, len(fams))

@@ -109,7 +109,7 @@ func (t *Table) WriteJSON(w io.Writer) error {
 }
 
 // Figure bundles the table data behind one evaluation figure — the JSON
-// payload of the musa-serve /figures/{n} endpoint.
+// payload of the `musa serve` /figures/{n} endpoint.
 type Figure struct {
 	N      int      `json:"figure"`
 	Title  string   `json:"title"`

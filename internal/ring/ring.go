@@ -1,4 +1,4 @@
-// Package ring turns N musa-serve replicas into one logical service by
+// Package ring turns N `musa serve` replicas into one logical service by
 // deterministic key ownership: rendezvous (highest-random-weight) hashing
 // maps every content-addressed key — result-store keys, artifact keys —
 // onto an owner replica, so duplicate requests arriving at any front door

@@ -20,7 +20,7 @@ import (
 	"musa/internal/store"
 )
 
-// NewHandler returns the musa-serve HTTP API:
+// NewHandler returns the `musa serve` HTTP API:
 //
 //	GET  /apps         the five application models
 //	GET  /points       the Table I design space

@@ -35,7 +35,7 @@ type Option func(*handlerConfig)
 // WithAdmission bounds the heavy endpoints (POST /simulate, /dse, /shard):
 // at most limit requests execute concurrently, at most queue more wait,
 // and the rest are shed with 429 + Retry-After. limit <= 0 disables
-// admission control (the library default; cmd/musa-serve enables it).
+// admission control (the library default; `musa serve` enables it).
 func WithAdmission(limit, queue int) Option {
 	return func(c *handlerConfig) { c.admitLimit, c.admitQueue = limit, queue }
 }
@@ -47,7 +47,7 @@ func WithRetryAfter(d time.Duration) Option {
 
 // WithPprof exposes the runtime profiler under GET /debug/pprof/. Off by
 // default: profiles reveal memory contents, so the operator opts in
-// (musa-serve -pprof).
+// (`musa serve -pprof`).
 func WithPprof() Option { return func(c *handlerConfig) { c.pprof = true } }
 
 // WithAccessLog logs one line per completed request to l.

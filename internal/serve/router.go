@@ -9,7 +9,7 @@ import (
 	"musa/internal/ring"
 )
 
-// NewRouter returns the handler of cmd/musa-router, the storeless L7 front
+// NewRouter returns the handler of `musa router`, the storeless L7 front
 // door of a replica ring: it derives each request's route key and forwards
 // the request to the ring's candidates for that key, so duplicate requests
 // from many clients converge on one replica's single-flight and store.

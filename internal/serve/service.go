@@ -2,8 +2,8 @@
 // decode requests straight into musa.Experiment — the one validated request
 // type of the public API — and execute them through musa.Client, which owns
 // the content-addressed result store, single-flight coalescing of duplicate
-// in-flight requests and the bounded job pool. cmd/musa-serve and the
-// musa-dse CLI therefore share one pipeline and one cache.
+// in-flight requests and the bounded job pool. `musa serve` and
+// `musa dse` therefore share one pipeline and one cache.
 package serve
 
 import (

@@ -26,7 +26,7 @@ import (
 // tables, DRAM latency models, burst traces), sitting alongside the
 // measurement log. Keys are the canonical artifact addresses of internal/dse
 // (HitRateKey, LatencyModelKey, BurstKey); blobs are self-describing
-// JSON envelopes, so they can travel over HTTP (musa-serve's
+// JSON envelopes, so they can travel over HTTP (`musa serve`'s
 // GET/PUT /artifact/{key}) byte-for-byte.
 //
 // Unlike the measurement store, the artifact directory is not flock'd to

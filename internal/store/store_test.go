@@ -270,7 +270,7 @@ func TestOpenIsExclusivePerProcessForWriters(t *testing.T) {
 
 // TestWriterAndReaderShareDirectory exercises the store-level multi-process
 // contract: a second, read-only handle on the same directory — what a warm
-// musa-serve replica holds while a sweep writes — serves measurements the
+// `musa serve` replica holds while a sweep writes — serves measurements the
 // writer publishes, without a lock.
 func TestWriterAndReaderShareDirectory(t *testing.T) {
 	dir := t.TempDir()

@@ -3,6 +3,7 @@ package musa
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 )
 
@@ -140,6 +141,21 @@ func TestRunSweepSmall(t *testing.T) {
 	}
 	if _, err := PCA(d, "btmz"); err != nil {
 		t.Fatal(err)
+	}
+	// Fig. 10 draws one PCA table per application the dataset holds; an
+	// application without the 64-core, 2 GHz slice is an error naming it.
+	fig, err := Figure(d, 10, SimOptions{})
+	if err != nil || len(fig.Tables) != 1 || !strings.Contains(fig.Tables[0].Title, "btmz") {
+		t.Fatalf("Figure 10 on a btmz-only dataset: %v, %+v", err, fig)
+	}
+	var no64 Sweep
+	for _, m := range d.Measurements {
+		if m.Arch.Cores != 64 {
+			no64.Measurements = append(no64.Measurements, m)
+		}
+	}
+	if _, err := Figure(&no64, 10, SimOptions{}); err == nil || !strings.Contains(err.Error(), "btmz") {
+		t.Fatalf("Figure 10 without the 64-core slice: err = %v, want one naming btmz", err)
 	}
 	c, err := NewClient(ClientOptions{})
 	if err != nil {

@@ -14,7 +14,7 @@ import (
 // shards by (fleet.go), so the points that share one cache walk are
 // simulated on the replica that holds its table. The serve layer consults
 // the same ring for /simulate ownership (internal/serve), and
-// cmd/musa-router for thin L7 routing, so every front door converges
+// `musa router` for thin L7 routing, so every front door converges
 // duplicate work on one machine.
 
 // Ring is the rendezvous-hashed replica membership a serve tier shares;
@@ -33,7 +33,7 @@ const (
 )
 
 // NewRing builds a replica ring over the member base URLs. self is this
-// process's own URL when it is itself a replica (musa-serve -self), empty
+// process's own URL when it is itself a replica (`musa serve -self`), empty
 // for coordinators and routers that only dispatch into the ring.
 func NewRing(self string, members []string) *Ring { return ring.New(self, members) }
 

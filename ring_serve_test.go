@@ -19,7 +19,7 @@ import (
 	"musa/internal/serve"
 )
 
-// startRingReplicas spins up n in-process musa-serve replicas that all know
+// startRingReplicas spins up n in-process `musa serve` replicas that all know
 // the full ring membership (including themselves) from the start: every
 // listener binds before any client is built, mirroring how real deployments
 // pass -self/-peers. The opts callback customizes each replica; nil gets

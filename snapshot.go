@@ -27,7 +27,7 @@ type Snapshot struct {
 }
 
 // JobsSnapshot is the job pool's occupancy: Max is the concurrent-job
-// bound a musa-serve worker advertises on /capacity, InFlight how many
+// bound a `musa serve` worker advertises on /capacity, InFlight how many
 // jobs currently hold a slot.
 type JobsSnapshot struct {
 	Max      int `json:"max"`

@@ -25,7 +25,7 @@ func ValidateReplayRanks(ranks []int) error { return dse.ValidateReplayRanks(ran
 
 // ParseReplayRanks parses a comma-separated rank-count list ("" = nil,
 // meaning the default) and validates it — the shared flag parser behind
-// Experiment.SetReplayFlags and therefore the musa-dse and musa-serve
+// Experiment.SetReplayFlags and therefore the `musa dse` and `musa serve`
 // CLIs. Failures wrap ErrBadReplayRanks.
 func ParseReplayRanks(s string) ([]int, error) { return parseReplayRanks(s) }
 
