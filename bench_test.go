@@ -287,7 +287,7 @@ var (
 // BenchmarkTable2Unconventional regenerates Table II's configurations.
 func BenchmarkTable2Unconventional(b *testing.B) {
 	unconvOnce.Do(func() {
-		unconvRows = Unconventional(SimOptions{SampleInstrs: benchSample, WarmupInstrs: benchWarmup, Seed: 1})
+		unconvRows, _ = Unconventional(SimOptions{SampleInstrs: benchSample, WarmupInstrs: benchWarmup, Seed: 1})
 	})
 	var labels int
 	for i := 0; i < b.N; i++ {
@@ -309,7 +309,7 @@ func BenchmarkTable2Unconventional(b *testing.B) {
 // configurations' relative performance/power/energy.
 func BenchmarkFigure11Unconventional(b *testing.B) {
 	unconvOnce.Do(func() {
-		unconvRows = Unconventional(SimOptions{SampleInstrs: benchSample, WarmupInstrs: benchWarmup, Seed: 1})
+		unconvRows, _ = Unconventional(SimOptions{SampleInstrs: benchSample, WarmupInstrs: benchWarmup, Seed: 1})
 	})
 	var sum float64
 	for i := 0; i < b.N; i++ {

@@ -82,7 +82,7 @@ var canonicalSeeds = []string{
 	`{"kind":"scaling","app":"hydro","coreCounts":[1,2,1024],"seed":18446744073709551615}`,
 	`{"kind":"sweep"}`,
 	`{"kind":"sweep","app":"lulesh","pointIndices":[863],"noReplay":true}`,
-	`{"kind":"unconventional","sample":1000,"warmup":9223372036854775807}`,
+	`{"kind":"unconventional","sample":1000,"warmup":33553432}`,
 	`{"kind":"optimize","app":"btmz"}`,
 	`{"kind":"optimize","app":"spmz","pointIndices":[0,100,200,300,400,500,600,700],"noReplay":true,"optimize":{"objectives":["edp","time","edp"],"maxPowerW":150.5,"eta":2,"rungs":3,"finalists":2,"minSample":500}}`,
 	`{"app":"a<b&\"c\u2029\\","pointIndex":7}`,

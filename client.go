@@ -114,9 +114,6 @@ type ClientStats struct {
 	// Redispatched counts sweep shards re-dispatched onto the local pool
 	// after a fleet worker failed, timed out or was hedged.
 	Redispatched int64
-	// ArtifactsPushed counts artifacts this coordinator shipped to fleet
-	// workers ahead of shard dispatch.
-	ArtifactsPushed int64
 	// ShardRetries counts 429-shed shard dispatches retried against a
 	// worker (after honoring its Retry-After) before any local fallback.
 	ShardRetries int64
@@ -254,7 +251,7 @@ type Client struct {
 	optRungHist atomic.Pointer[obs.Histogram]
 
 	requests, storeHits, storeMisses, coalesced, simulated atomic.Int64
-	remote, redispatched, artifactsPushed, shardRetries    atomic.Int64
+	remote, redispatched, shardRetries                     atomic.Int64
 	optProbesCheap, optProbesFull                          atomic.Int64
 }
 
@@ -294,7 +291,7 @@ func NewClient(opts ClientOptions) (*Client, error) {
 	if rg == nil {
 		rg = ring.New("", nil)
 	}
-	c.fw = &ring.Forwarder{Ring: rg, HTTP: artifactHTTP}
+	c.fw = &ring.Forwarder{Ring: rg, HTTP: fleetHTTP}
 	if len(opts.Workers) > 0 {
 		f, err := newFleet(opts.Workers, opts.ShardTimeout, opts.HedgeAfter)
 		if err != nil {
@@ -348,15 +345,14 @@ func (c *Client) Close() error {
 // Stats returns a snapshot of the client counters.
 func (c *Client) Stats() ClientStats {
 	return ClientStats{
-		Requests:        c.requests.Load(),
-		StoreHits:       c.storeHits.Load(),
-		StoreMisses:     c.storeMisses.Load(),
-		Coalesced:       c.coalesced.Load(),
-		Simulated:       c.simulated.Load(),
-		Remote:          c.remote.Load(),
-		Redispatched:    c.redispatched.Load(),
-		ArtifactsPushed: c.artifactsPushed.Load(),
-		ShardRetries:    c.shardRetries.Load(),
+		Requests:     c.requests.Load(),
+		StoreHits:    c.storeHits.Load(),
+		StoreMisses:  c.storeMisses.Load(),
+		Coalesced:    c.coalesced.Load(),
+		Simulated:    c.simulated.Load(),
+		Remote:       c.remote.Load(),
+		Redispatched: c.redispatched.Load(),
+		ShardRetries: c.shardRetries.Load(),
 	}
 }
 
@@ -367,24 +363,6 @@ func (c *Client) artifacts() dse.ArtifactProvider {
 		return nil
 	}
 	return c.art
-}
-
-// ArtifactBlob returns the encoded artifact stored under key, byte for
-// byte — the GET /artifact/{key} payload.
-func (c *Client) ArtifactBlob(key string) ([]byte, bool) {
-	if c.art == nil {
-		return nil, false
-	}
-	return c.art.Blob(key)
-}
-
-// ArtifactPut validates and stores an encoded artifact received from
-// outside (PUT /artifact/{key}, fleet coordinator pushes).
-func (c *Client) ArtifactPut(key string, blob []byte) error {
-	if c.art == nil {
-		return errors.New("musa: artifact cache disabled")
-	}
-	return c.art.PutBlob(key, blob)
 }
 
 // RegisterApplication adds a custom application model to the client's
@@ -845,8 +823,6 @@ func (c *Client) RegisterMetrics(reg *obs.Registry) {
 		stat(func(s ClientStats) int64 { return s.Remote }))
 	reg.CounterFunc("musa_client_redispatched_total", "Fleet shards re-dispatched onto the local pool.",
 		stat(func(s ClientStats) int64 { return s.Redispatched }))
-	reg.CounterFunc("musa_client_artifacts_pushed_total", "Artifacts shipped to fleet workers ahead of shards.",
-		stat(func(s ClientStats) int64 { return s.ArtifactsPushed }))
 	reg.CounterFunc("musa_client_shard_retries_total", "429-shed shard dispatches retried after Retry-After.",
 		stat(func(s ClientStats) int64 { return s.ShardRetries }))
 	reg.GaugeFunc("musa_jobs_in_flight", "Simulation jobs currently holding a pool slot.",

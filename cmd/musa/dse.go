@@ -248,9 +248,9 @@ func runSweep(ctx context.Context, client *musa.Client, exp musa.Experiment, fle
 	}
 	elapsed := time.Since(start)
 	st := client.Stats()
-	log.Printf("merged %d measurements in %v across %d workers (remote %d, local %d, cached %d, redispatched %d shards, %d artifacts pushed)",
+	log.Printf("merged %d measurements in %v across %d workers (remote %d, local %d, cached %d, redispatched %d shards)",
 		len(res.Sweep.Measurements), elapsed.Round(time.Millisecond), fleetSize,
-		st.Remote, st.Simulated, st.StoreHits, st.Redispatched, st.ArtifactsPushed)
+		st.Remote, st.Simulated, st.StoreHits, st.Redispatched)
 	if !verify {
 		return res.Sweep, nil
 	}

@@ -184,6 +184,9 @@ func (e Experiment) normalize(resolve appResolver) (Experiment, error) {
 		return Experiment{}, fmt.Errorf("%w: negative sample/warmup (%d/%d)",
 			ErrBadFidelity, e.Sample, e.Warmup)
 	}
+	if err := checkWindow(e.Sample, e.Warmup); err != nil {
+		return Experiment{}, err
+	}
 	if e.Seed == 0 {
 		e.Seed = 1
 	}
@@ -368,12 +371,29 @@ func (e Experiment) normalize(resolve appResolver) (Experiment, error) {
 		if err != nil {
 			return Experiment{}, err
 		}
+		// A cheap rung samples at least MinSample after the full warmup.
+		_, warmup := apps.EffectiveFidelity(e.Sample, e.Warmup)
+		if err := checkWindow(ns.MinSample, warmup); err != nil {
+			return Experiment{}, err
+		}
 		e.Optimize = ns
 	} else if e.Optimize != nil {
 		return Experiment{}, fmt.Errorf("%w: Optimize applies to %s experiments only", ErrBadOptimize, KindOptimize)
 	}
 
 	return e, nil
+}
+
+// checkWindow refuses a fidelity whose effective window exceeds
+// apps.MaxWindow: the window is allocated whole, inside a sweep worker, so
+// an unbounded one would take the process down.
+func checkWindow(sample, warmup int64) error {
+	s, w := apps.EffectiveFidelity(sample, warmup)
+	if s > apps.MaxWindow || w > apps.MaxWindow || s+w > apps.MaxWindow {
+		return fmt.Errorf("%w: sample %d + warmup %d exceeds the %d-micro-op window",
+			ErrBadFidelity, s, w, apps.MaxWindow)
+	}
+	return nil
 }
 
 // canonicalExperiment is the deterministic encoding of a normalized

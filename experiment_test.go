@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"musa/internal/apps"
 )
 
 func intp(i int) *int { return &i }
@@ -51,6 +53,11 @@ func TestExperimentNormalizeValidation(t *testing.T) {
 		{"point indices on node", Experiment{App: "hydro", Arch: archp(), PointIndices: []int{0}}, ErrBadPoint},
 		{"negative sample", Experiment{App: "hydro", Arch: archp(), Sample: -1}, ErrBadFidelity},
 		{"negative warmup", Experiment{App: "hydro", Arch: archp(), Warmup: -1}, ErrBadFidelity},
+		// Its window would be allocated whole: an out-of-memory crash.
+		{"unbounded sample", Experiment{App: "btmz", PointIndex: intp(0), Sample: 1 << 40, NoReplay: true}, ErrBadFidelity},
+		{"unbounded warmup", Experiment{Kind: KindSweep, Warmup: apps.MaxWindow}, ErrBadFidelity},
+		{"unbounded optimize rung", Experiment{Kind: KindOptimize, App: "btmz",
+			Optimize: &OptimizeSpec{MinSample: apps.MaxWindow}}, ErrBadFidelity},
 		{"negative replay rank", Experiment{App: "hydro", Arch: archp(), ReplayRanks: []int{-1}}, ErrBadReplayRanks},
 		{"replay rank of one", Experiment{App: "hydro", Arch: archp(), ReplayRanks: []int{1}}, ErrBadReplayRanks},
 		{"huge replay rank", Experiment{App: "hydro", Arch: archp(), ReplayRanks: []int{1 << 30}}, ErrBadReplayRanks},

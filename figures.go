@@ -131,9 +131,13 @@ func Figure(d *Sweep, n int, opts SimOptions) (*report.Figure, error) {
 		}
 		return fig, nil
 	case 11:
+		rows, err := Unconventional(opts)
+		if err != nil {
+			return nil, err
+		}
 		t := report.NewTable("Table II / Figure 11: unconventional configurations",
 			"app", "config", "perf", "power", "energy")
-		for _, r := range Unconventional(opts) {
+		for _, r := range rows {
 			energy := fmt.Sprintf("%.3f", r.RelEnergy)
 			if !r.EnergyKnown {
 				energy = "n/a (no HBM power data)"

@@ -71,6 +71,13 @@ func (e *retryAfterError) Error() string {
 	return fmt.Sprintf("musa: %s/shard: 429 Too Many Requests (retry after %s)", e.base, e.after)
 }
 
+// fleetHTTP carries the fleet traffic — capacity probes and shards — of
+// every client in the process.
+var fleetHTTP = &http.Client{}
+
+// jsonHeader is the header of every JSON body a client sends. Read-only.
+var jsonHeader = http.Header{"Content-Type": {"application/json"}}
+
 // fleet is the validated remote-worker configuration of a Client.
 type fleet struct {
 	bases      []string // normalized base URLs, no trailing slash
@@ -250,72 +257,18 @@ func planShards(appNames []string, remaining map[string][]int, keyOf func(app st
 	return out
 }
 
-// shardArtifactKeys lists the content addresses of every artifact a shard's
-// worker would otherwise build: the group's shared hit-rate table, one DRAM
-// latency curve per distinct channel count, and the burst trace of each
-// replayed rank count. The keys match what dse.Run derives on the worker —
-// fidelity is normalized identically on both sides.
-func shardArtifactKeys(ne Experiment, j *shardJob) []string {
+// shardKey is the key a -ring fleet pins a shard by: its annotation
+// group's hit-rate table key, the same key a /simulate of any of its
+// points routes by (RouteKey), so a group's requests and shards meet on
+// one replica. Empty for a custom application, which never reaches the
+// fleet.
+func shardKey(ne Experiment, j *shardJob) string {
 	hash, ok := builtinHashes()[j.app]
 	if !ok {
-		return nil // custom applications never reach the fleet
+		return ""
 	}
-	grid := tableIGrid()
-	g := grid[j.indices[0]].AnnGroup()
-	keys := []string{dse.HitRateKey(hash, g.CacheGroup(), ne.Sample, ne.Warmup, ne.Seed)}
-	chSeen := map[int]bool{}
-	for _, i := range j.indices {
-		if ch := grid[i].Channels; !chSeen[ch] {
-			chSeen[ch] = true
-			keys = append(keys, dse.LatencyModelKey(hash, ch, g.Mem, ne.Seed))
-		}
-	}
-	if !ne.NoReplay {
-		for _, r := range ne.ReplayRanks {
-			keys = append(keys, dse.BurstKey(hash, r, ne.Seed))
-		}
-	}
-	return keys
-}
-
-// pushShardArtifacts ships the shard's locally available artifacts to the
-// worker ahead of dispatch, so the worker decodes coordinator-built
-// annotations instead of recomputing them per shard. Best effort: a failed
-// push just means the worker rebuilds. pushed dedupes per (worker, key)
-// across the whole dispatch; a worker that cannot take artifacts at all
-// (-no-artifacts answering 503, an older binary answering 404) is marked
-// so later shards do not re-upload multi-MB blobs into a guaranteed
-// rejection, while transient failures stay retryable on later shards.
-func (c *Client) pushShardArtifacts(ctx context.Context, base string, ne Experiment, j *shardJob, pushed *sync.Map) {
-	if c.art == nil {
-		return
-	}
-	if _, refused := pushed.Load(base); refused {
-		return
-	}
-	for _, key := range shardArtifactKeys(ne, j) {
-		id := base + "\x00" + key
-		if _, done := pushed.Load(id); done {
-			continue
-		}
-		blob, ok := c.art.Blob(key)
-		if !ok {
-			continue
-		}
-		var unsupported bool
-		var perr error
-		serr := c.fw.Send(ctx, base, artifactPut(key, blob), func(resp *http.Response) {
-			unsupported, perr = putOutcome(resp)
-		})
-		switch {
-		case serr == nil && perr == nil:
-			pushed.Store(id, true)
-			c.artifactsPushed.Add(1)
-		case unsupported:
-			pushed.Store(base, true) // worker takes no artifacts: stop pushing to it
-			return
-		}
-	}
+	g := tableIGrid()[j.indices[0]].AnnGroup()
+	return dse.HitRateKey(hash, g.CacheGroup(), ne.Sample, ne.Warmup, ne.Seed)
 }
 
 // validateShardReply checks a worker's measurements against the shard: one
@@ -500,8 +453,6 @@ func (c *Client) runSweepFleet(ctx context.Context, ne Experiment, watch Observe
 		defer cancelDispatch()
 
 		redo := make(chan *shardJob, len(shards))
-		// pushed dedupes artifact uploads per (worker, key) for this run.
-		var pushed sync.Map
 
 		var remainingShards atomic.Int64
 		remainingShards.Store(int64(len(shards)))
@@ -564,21 +515,19 @@ func (c *Client) runSweepFleet(ctx context.Context, ne Experiment, watch Observe
 		// converge on one replica. Without a ring Pick finds nobody and every
 		// shard is anybody's.
 		for _, j := range shards {
-			if keys := shardArtifactKeys(ne, j); len(keys) > 0 {
-				j.prefer = c.fw.Ring.Pick(keys[0], func(m string) bool { return slots[m] > 0 })
+			if key := shardKey(ne, j); key != "" {
+				j.prefer = c.fw.Ring.Pick(key, func(m string) bool { return slots[m] > 0 })
 			}
 		}
 		pending := &pendingShards{items: shards}
 
 		// dispatchOne runs one shard against one worker: hedge timer, span,
-		// artifact pre-push, the POST, and — when the worker sheds with 429 —
-		// one retry honoring its Retry-After hint before the local fallback.
+		// the POST, and — when the worker sheds with 429 — one retry
+		// honoring its Retry-After hint before the local fallback.
 		dispatchOne := func(base string, j *shardJob) {
-			// The hedge timer starts before the artifact pushes: a worker
-			// that stalls on PUT bodies must not hold the shard past the
-			// hedge deadline unprotected. It also spans the Retry-After wait,
-			// so an overloaded worker's backoff never delays the sweep beyond
-			// the hedge policy.
+			// The hedge timer spans the Retry-After wait too, so an
+			// overloaded worker's backoff never delays the sweep beyond the
+			// hedge policy.
 			var hedge *time.Timer
 			if c.fleet.hedgeAfter > 0 {
 				hedge = time.AfterFunc(c.fleet.hedgeAfter, func() { redispatch(j) })
@@ -587,10 +536,6 @@ func (c *Client) runSweepFleet(ctx context.Context, ne Experiment, watch Observe
 				obs.A("worker", base), obs.A("app", j.app),
 				obs.AInt("points", len(j.indices)))
 			dispatchStart := time.Now()
-			// Ship the artifacts this shard needs (and the coordinator has)
-			// before dispatching it, so the worker reuses instead of
-			// rebuilding.
-			c.pushShardArtifacts(dctx, base, ne, j, &pushed)
 			ms, err := c.fleet.postShard(dctx, base, shardExperiment(ne, j))
 			var ra *retryAfterError
 			if errors.As(err, &ra) && dispatchCtx.Err() == nil && !j.done.Load() {
@@ -630,8 +575,8 @@ func (c *Client) runSweepFleet(ctx context.Context, ne Experiment, watch Observe
 
 		// Every advertised slot of every reachable worker runs one loop: take
 		// the next shard — this worker's own first, then anybody's, which is
-		// stealing from a slower peer; a stolen shard's worker gets what
-		// the pushes ahead of it carry, else rebuilds — and dispatch it.
+		// stealing from a slower peer, whose worker then builds the
+		// group's artifacts itself — and dispatch it.
 		var wg sync.WaitGroup
 		for _, base := range c.fleet.bases {
 			for s := 0; s < slots[base]; s++ {

@@ -25,14 +25,6 @@ func newFleetWorker(t *testing.T, mw func(http.Handler) http.Handler) *httptest.
 
 func newFleetWorkerOpts(t *testing.T, opts musa.ClientOptions, mw func(http.Handler) http.Handler) *httptest.Server {
 	t.Helper()
-	ts, _ := newFleetWorkerClient(t, opts, mw)
-	return ts
-}
-
-// newFleetWorkerClient is newFleetWorkerOpts exposing the worker's Client,
-// so tests can assert on its counters (artifact reuse, store size).
-func newFleetWorkerClient(t *testing.T, opts musa.ClientOptions, mw func(http.Handler) http.Handler) (*httptest.Server, *musa.Client) {
-	t.Helper()
 	c, err := musa.NewClient(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -44,7 +36,7 @@ func newFleetWorkerClient(t *testing.T, opts musa.ClientOptions, mw func(http.Ha
 	}
 	ts := httptest.NewServer(h)
 	t.Cleanup(ts.Close)
-	return ts, c
+	return ts
 }
 
 // fleetTestExperiment spans at least two annotation groups (so the planner
@@ -358,63 +350,6 @@ func TestFleetHedgeSlowWorker(t *testing.T) {
 	}
 	if st := coord.Stats(); st.Redispatched == 0 {
 		t.Fatal("no shard was hedged")
-	}
-}
-
-// TestFleetWorkerReusesCoordinatorArtifacts proves the artifact exchange
-// end to end: a coordinator whose artifact cache was warmed by a local run
-// pushes annotations, latency models and burst traces to the worker ahead
-// of each shard, and the worker serves the whole sweep without rebuilding
-// a single annotation — zero annotation misses on the worker's cache.
-func TestFleetWorkerReusesCoordinatorArtifacts(t *testing.T) {
-	exp := fleetTestExperiment(t)
-	artDir := t.TempDir()
-	ctx := context.Background()
-
-	// Warm the artifact directory with an in-process run.
-	local, err := musa.NewClient(musa.ClientOptions{SweepWorkers: 2, ArtifactCache: artDir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := local.Run(ctx, exp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := local.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	worker, workerClient := newFleetWorkerClient(t, musa.ClientOptions{SweepWorkers: 2, MaxJobs: 2}, nil)
-	coord, err := musa.NewClient(musa.ClientOptions{
-		Workers: []string{worker.URL}, SweepWorkers: 2, ArtifactCache: artDir,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-
-	res, err := coord.Run(ctx, exp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := canonicalMeasurements(t, res), canonicalMeasurements(t, want); string(got) != string(want) {
-		t.Fatal("artifact-warmed fleet dataset differs from the in-process run")
-	}
-	if st := coord.Stats(); st.Remote != int64(len(exp.PointIndices)) {
-		t.Fatalf("remote = %d, want %d (shards must have run on the worker)", st.Remote, len(exp.PointIndices))
-	}
-	if st := coord.Stats(); st.ArtifactsPushed == 0 {
-		t.Fatal("coordinator pushed no artifacts")
-	}
-	ws := workerClient.Snapshot().Artifacts.Stats
-	if ws.HitRates.Misses != 0 {
-		t.Fatalf("worker rebuilt %d hit-rate tables despite coordinator pushes: %+v", ws.HitRates.Misses, ws)
-	}
-	if ws.HitRates.Hits == 0 || ws.HitRates.Puts == 0 {
-		t.Fatalf("worker did not receive/reuse pushed hit-rate tables: %+v", ws.HitRates)
-	}
-	if ws.LatencyModels.Misses != 0 || ws.Bursts.Misses != 0 {
-		t.Fatalf("worker rebuilt latency models or bursts: %+v", ws)
 	}
 }
 

@@ -241,6 +241,12 @@ func (s *DetailedStream) emit(in isa.Instr) { s.buf = append(s.buf, in) }
 // same role and is long enough for cache and IPC statistics to stabilize.
 const SampleSize = 300000
 
+// MaxWindow bounds the effective window — sample plus warmup, as
+// EffectiveFidelity resolves them — in scalar micro-ops. A window is
+// generated whole, 32 bytes per isa.Instr, so the bound is 1 GiB; the
+// default window is 0.9 M.
+const MaxWindow = 32 << 20
+
 // EffectiveFidelity resolves the sample-size defaulting rule in one place:
 // a non-positive sample means SampleSize, a non-positive warmup means 2x
 // the (resolved) sample. node.BuildAnnotation applies it before simulating,

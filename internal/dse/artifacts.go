@@ -22,8 +22,8 @@ import (
 
 // This file is the artifact layer of the sweep runner: the expensive
 // intermediates a sweep builds on the way to its measurements, addressed by
-// content so they can be cached across runs, served over HTTP and shipped
-// to fleet workers. The per-point pipeline is factored into staged
+// content so they can be cached across runs and shared by the processes of
+// one host through an artifact directory. The per-point pipeline is factored into staged
 // sub-results, each keyed by exactly the inputs that can change it:
 //
 //	sample window    (app, fidelity, seed)                      client-lifetime

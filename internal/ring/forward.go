@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -16,8 +15,8 @@ import (
 
 // This file is the one way a request moves to another ring member. Every
 // process that routes into a ring — a replica proxying a /simulate it does
-// not own, the L7 router, the fleet coordinator pushing an artifact or
-// posting a shard — sends through a Forwarder, so which member gets a key,
+// not own, the L7 router, the fleet coordinator probing a worker or posting
+// a shard — sends through a Forwarder, so which member gets a key,
 // what counts as that member failing and when it is tried again are decided
 // here and nowhere else.
 
@@ -39,11 +38,8 @@ type Request struct {
 	// Header supplies Content-Type, Accept and — when ctx carries no span of
 	// its own — the trace header; nothing else is copied.
 	Header http.Header
-	// Body is a buffered body, sent again on every attempt.
+	// Body is sent again on every attempt.
 	Body []byte
-	// Stream is an unbuffered body. The first attempt consumes it, so a walk
-	// never advances past that attempt: a half-read body is not replayed.
-	Stream io.Reader
 	// Timeout bounds one attempt, response body included (0 = only ctx). A
 	// member that runs into it has failed; a ctx that ends has not.
 	Timeout time.Duration
@@ -118,9 +114,6 @@ func (f *Forwarder) Forward(ctx context.Context, key string, limit int, req Requ
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
-		if req.Stream != nil {
-			break
-		}
 	}
 	return ErrUnreachable
 }
@@ -147,11 +140,7 @@ func (f *Forwarder) attempt(ctx context.Context, member string, req Request) (*h
 	if req.Timeout > 0 {
 		actx, cancel = context.WithTimeout(ctx, req.Timeout)
 	}
-	body := req.Stream
-	if req.Body != nil {
-		body = bytes.NewReader(req.Body)
-	}
-	hr, err := http.NewRequestWithContext(actx, req.Method, member+req.Path, body)
+	hr, err := http.NewRequestWithContext(actx, req.Method, member+req.Path, bytes.NewReader(req.Body))
 	if err != nil {
 		cancel()
 		return nil, nil, err

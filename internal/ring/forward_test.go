@@ -193,32 +193,6 @@ func TestForwarderWalk(t *testing.T) {
 		}
 	})
 
-	t.Run("a streamed body is attempted once", func(t *testing.T) {
-		// The preferred member reads some of the upload and drops the
-		// connection; what it consumed is gone, so nobody else is asked.
-		drop := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			io.ReadFull(r.Body, make([]byte, 4))
-			conn, _, _ := w.(http.Hijacker).Hijack()
-			conn.Close()
-		}))
-		defer drop.Close()
-		p := newFakePeers(t, 2)
-		r := New("", append([]string{drop.URL}, p.urls...))
-		f := &Forwarder{Ring: r, HTTP: http.DefaultClient}
-		body := &countingReader{r: strings.NewReader(strings.Repeat("streamed", 1<<10))}
-		err := f.Forward(context.Background(), keyOwnedBy(r, drop.URL), 0,
-			Request{Method: http.MethodPut, Path: "/artifact/k", Stream: body}, accept)
-		if !errors.Is(err, ErrUnreachable) {
-			t.Fatalf("err = %v, want ErrUnreachable after the one attempt", err)
-		}
-		if got := p.hits(); len(got) != 0 {
-			t.Fatalf("a half-consumed stream was replayed against %v", got)
-		}
-		if body.reads == 0 || r.StateOf(drop.URL) != Down {
-			t.Fatalf("after %d reads the dropping member reads %v", body.reads, r.StateOf(drop.URL))
-		}
-	})
-
 	t.Run("caller cancellation marks nobody and stops the walk", func(t *testing.T) {
 		arrived := make(chan struct{})
 		stall := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -289,13 +263,6 @@ func newFakePeersDeadAt(t *testing.T, n int, key string) *fakePeers {
 		}
 	}
 }
-
-type countingReader struct {
-	r     io.Reader
-	reads int
-}
-
-func (c *countingReader) Read(b []byte) (int, error) { c.reads++; return c.r.Read(b) }
 
 // TestForwarderHeaders checks what every forwarded request carries: the hop
 // marker, the caller's Content-Type and Accept, and a trace header — the

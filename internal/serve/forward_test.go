@@ -294,6 +294,8 @@ func TestOversizeBodiesAreRefused(t *testing.T) {
 // TestRouterRoutesByKey checks the router's key derivation route by route:
 // each request must land on the replica the ring ranks first for the key
 // that route is documented to use, with its body intact and the hop marked.
+// Every body is buffered, so one whose first candidate refuses connections
+// reaches the next candidate whole.
 func TestRouterRoutesByKey(t *testing.T) {
 	type arrival struct {
 		replica, method, uri, body, hop string
@@ -338,8 +340,8 @@ func TestRouterRoutesByKey(t *testing.T) {
 		}
 		return k
 	}
-	artifact := strings.Repeat("ab", 32)
 	sweep := `{"apps":["btmz"],"pointIndices":[0,1,2]}`
+	members := `{"members":["` + strings.Join(urls, `","`) + `"]}`
 	cases := []struct {
 		method, uri, body, key string
 	}{
@@ -348,8 +350,7 @@ func TestRouterRoutesByKey(t *testing.T) {
 		{"POST", "/dse", sweep, keyOf(musa.KindSweep, sweep)},
 		{"POST", "/shard", sweep, keyOf(musa.KindSweep, sweep)},
 		{"POST", "/simulate", `not json`, ""}, // no key: by health alone, the replica answers
-		{"GET", "/artifact/" + artifact, "", artifact},
-		{"PUT", "/artifact/" + artifact, strings.Repeat("blob", 1<<12), artifact},
+		{"PUT", "/membership", members, ""},
 		{"GET", "/stats?x=1", "", ""},
 	}
 	for _, tc := range cases {
@@ -385,5 +386,38 @@ func TestRouterRoutesByKey(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusRequestEntityTooLarge || len(got) != 0 {
 		t.Fatalf("oversize body -> %d with %d forwards, want 413 and none", resp.StatusCode, len(got))
+	}
+
+	// A fourth member that refuses connections and ranks first for the
+	// health-routed key.
+	var dead string
+	for dead == "" || musa.NewRing("", append(urls[:3:3], dead)).Owner("") != dead {
+		l, err := stdnet.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		dead = "http://" + l.Addr().String()
+		l.Close()
+	}
+	deadRing := musa.NewRing("", append(urls[:3:3], dead))
+	next := deadRing.Order("")[1]
+	deadKeyer, err := musa.NewClient(musa.ClientOptions{NoArtifacts: true, Ring: deadRing})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer deadKeyer.Close()
+	deadRouter := httptest.NewServer(NewRouter(deadKeyer))
+	defer deadRouter.Close()
+	req, _ := http.NewRequest(http.MethodPut, deadRouter.URL+"/membership", strings.NewReader(members))
+	if resp, err = http.DefaultClient.Do(req); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	mu.Lock()
+	defer mu.Unlock()
+	want := arrival{next, http.MethodPut, "/membership", members, "1"}
+	if resp.StatusCode != http.StatusTeapot || len(got) != 1 || got[0] != want {
+		t.Fatalf("PUT /membership past a refusing owner -> %d, arrivals %+v; want one at %s with the whole body",
+			resp.StatusCode, got, next)
 	}
 }

@@ -30,9 +30,6 @@ import (
 //	POST /optimize     successive-halving search; streams NDJSON progress and
 //	                   rung events, then the OptimizeResult
 //	POST /shard        sweep subset for a fleet coordinator; plain JSON reply
-//	GET  /artifact/{key}  one encoded sweep artifact from the artifact cache
-//	PUT  /artifact/{key}  store an artifact (fleet coordinators push these
-//	                      ahead of shards so workers reuse instead of rebuild)
 //	GET  /figures/{n}  JSON figure data (1, 4-11; 4 is the rank timeline)
 //	GET  /stats        client, store and artifact-cache counters, replay config
 //	GET  /healthz      replica health: ok / draining / overloaded (non-ok is 503)
@@ -148,8 +145,6 @@ func NewHandler(svc *Service, opts ...Option) http.Handler {
 	mux.HandleFunc("GET /healthz", svc.handleHealthz)
 	mux.HandleFunc("GET /membership", svc.handleMembershipGet)
 	mux.HandleFunc("PUT /membership", svc.handleMembershipPut)
-	mux.HandleFunc("GET /artifact/{key}", svc.handleArtifactGet)
-	mux.HandleFunc("PUT /artifact/{key}", svc.handleArtifactPut)
 	mux.HandleFunc("GET /figures/{n}", svc.handleFigure)
 	registerObsRoutes(mux, cfg)
 	return instrument(mux, cfg)
@@ -404,62 +399,6 @@ func NewServer(addr string, h http.Handler) *http.Server {
 	}
 }
 
-// maxArtifactBytes bounds one PUT /artifact upload: the largest legitimate
-// artifact (a default-fidelity annotation) is a few tens of MB encoded. A
-// variable only so tests can exercise the oversize rejection without
-// shipping a quarter-gigabyte body.
-var maxArtifactBytes int64 = 256 << 20
-
-// handleArtifactGet serves one encoded artifact byte for byte — the read
-// half of the fleet's artifact exchange, also handy for warming a fresh
-// worker from a long-lived one.
-func (s *Service) handleArtifactGet(w http.ResponseWriter, r *http.Request) {
-	key := r.PathValue("key")
-	if !store.ValidArtifactKey(key) {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("serve: bad artifact key %q", key))
-		return
-	}
-	blob, ok := s.c.ArtifactBlob(key)
-	if !ok {
-		httpError(w, http.StatusNotFound, fmt.Errorf("serve: no artifact %s", key))
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	w.Write(blob)
-}
-
-// handleArtifactPut stores a pushed artifact. The blob is validated at the
-// boundary (schema version, kind, decodable payload) so a corrupt upload is
-// refused with 400 instead of poisoning later sweeps; with the artifact
-// cache disabled the endpoint answers 503.
-func (s *Service) handleArtifactPut(w http.ResponseWriter, r *http.Request) {
-	key := r.PathValue("key")
-	if !store.ValidArtifactKey(key) {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("serve: bad artifact key %q", key))
-		return
-	}
-	if !s.c.Snapshot().Artifacts.Enabled {
-		httpError(w, http.StatusServiceUnavailable, errors.New("serve: artifact cache disabled"))
-		return
-	}
-	blob, err := io.ReadAll(io.LimitReader(r.Body, maxArtifactBytes+1))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	if int64(len(blob)) > maxArtifactBytes {
-		httpError(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("serve: artifact exceeds %d bytes", maxArtifactBytes))
-		return
-	}
-	if err := s.c.ArtifactPut(key, blob); err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
 func (s *Service) handleFigure(w http.ResponseWriter, r *http.Request) {
 	n, err := strconv.Atoi(r.PathValue("n"))
 	if err != nil {
@@ -536,7 +475,7 @@ func (s *Service) handleFigure(w http.ResponseWriter, r *http.Request) {
 	}
 	fig, err := musa.Figure(d, n, simOpts)
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, err)
+		httpError(w, experimentStatus(err), err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")

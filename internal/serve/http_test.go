@@ -6,11 +6,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -465,6 +462,10 @@ func TestFigureEndpoint(t *testing.T) {
 	if code := getJSON(t, ts.URL+"/figures/11?apps=hydro", nil); code != http.StatusBadRequest {
 		t.Fatalf("/figures/11?apps=hydro -> %d, want 400", code)
 	}
+	// A window past the bound is refused before anything is allocated.
+	if code := getJSON(t, ts.URL+"/figures/11?sample=1099511627776", nil); code != http.StatusBadRequest {
+		t.Fatalf("/figures/11?sample=2^40 -> %d, want 400", code)
+	}
 }
 
 func TestStatsEndpoint(t *testing.T) {
@@ -551,103 +552,4 @@ func TestShardEndpoint(t *testing.T) {
 	if code := postJSON(t, ts.URL+"/shard", `not json`, nil); code != http.StatusBadRequest {
 		t.Fatalf("/shard with bad body -> %d, want 400", code)
 	}
-}
-
-// TestArtifactEndpoints drives the artifact exchange over HTTP: bad keys
-// are 400, absent artifacts 404, a pushed blob (as a fleet coordinator
-// sends it) round-trips byte-identically, and /stats reports the traffic.
-func TestArtifactEndpoints(t *testing.T) {
-	ts, svc := testServer(t)
-	key := strings.Repeat("ab", 32)
-
-	for _, path := range []string{"/artifact/nothex", "/artifact/" + key[:10]} {
-		if code := getJSON(t, ts.URL+path, nil); code != http.StatusBadRequest {
-			t.Fatalf("GET %s = %d, want 400", path, code)
-		}
-	}
-	if code := getJSON(t, ts.URL+"/artifact/"+key, nil); code != http.StatusNotFound {
-		t.Fatalf("GET absent artifact = %d, want 404", code)
-	}
-
-	put := func(k string, body []byte) int {
-		req, err := http.NewRequest(http.MethodPut, ts.URL+"/artifact/"+k, bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		return resp.StatusCode
-	}
-	if code := put(key, []byte("not an artifact")); code != http.StatusBadRequest {
-		t.Fatalf("PUT garbage = %d, want 400", code)
-	}
-
-	// A real blob: run a one-group sweep on a second client with a shared
-	// artifact dir, then push what it produced.
-	artDir := t.TempDir()
-	builder, err := musa.NewClient(musa.ClientOptions{ArtifactCache: artDir, SweepWorkers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer builder.Close()
-	if _, err := builder.Run(t.Context(), musa.Experiment{
-		Kind: musa.KindSweep, Apps: []string{"btmz"}, PointIndices: []int{0},
-		Sample: 5000, Warmup: 10000, Seed: 1, NoReplay: true,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	// Find one stored artifact key by scanning the directory.
-	ents, err := os.ReadDir(artDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var blobKey string
-	var blob []byte
-	for _, e := range ents {
-		if k, ok := strings.CutSuffix(e.Name(), ".json"); ok {
-			blobKey = k
-			blob, err = os.ReadFile(filepath.Join(artDir, e.Name()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			break
-		}
-	}
-	if blobKey == "" {
-		t.Fatal("builder persisted no artifacts")
-	}
-	if code := put(blobKey, blob); code != http.StatusNoContent {
-		t.Fatalf("PUT artifact = %d, want 204", code)
-	}
-	resp, err := http.Get(ts.URL + "/artifact/" + blobKey)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET pushed artifact: %d, %v", resp.StatusCode, err)
-	}
-	if !bytes.Equal(got, blob) {
-		t.Fatal("artifact did not round-trip byte-identically over HTTP")
-	}
-
-	var stats struct {
-		Artifacts struct {
-			Enabled bool `json:"enabled"`
-			Cache   struct {
-				Entries int `json:"entries"`
-			} `json:"cache"`
-		} `json:"artifacts"`
-	}
-	if code := getJSON(t, ts.URL+"/stats", &stats); code != http.StatusOK {
-		t.Fatalf("GET /stats = %d", code)
-	}
-	if !stats.Artifacts.Enabled || stats.Artifacts.Cache.Entries == 0 {
-		t.Fatalf("/stats does not report the pushed artifact: %+v", stats.Artifacts)
-	}
-	_ = svc
 }

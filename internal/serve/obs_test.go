@@ -260,58 +260,6 @@ func TestDebugTraceEndpoint(t *testing.T) {
 	}
 }
 
-// TestArtifactErrorPaths exercises the PUT/GET /artifact rejection paths —
-// malformed key, mis-keyed envelope, oversized body — and asserts the
-// artifact-cache counters do not advance for any of them.
-func TestArtifactErrorPaths(t *testing.T) {
-	ts, svc, _, _ := obsServer(t)
-	before := svc.Client().Snapshot().Artifacts.Stats
-
-	put := func(key, body string) int {
-		req, err := http.NewRequest(http.MethodPut, ts.URL+"/artifact/"+key, strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		return resp.StatusCode
-	}
-
-	keyA := strings.Repeat("aa", 32)
-	keyB := strings.Repeat("bb", 32)
-
-	// Malformed keys: wrong length, non-hex, uppercase hex.
-	for _, bad := range []string{"zz", keyA[:40], strings.ToUpper(keyA)} {
-		if code := getJSON(t, ts.URL+"/artifact/"+bad, nil); code != http.StatusBadRequest {
-			t.Fatalf("GET bad key %q = %d, want 400", bad, code)
-		}
-		if code := put(bad, "{}"); code != http.StatusBadRequest {
-			t.Fatalf("PUT bad key %q = %d, want 400", bad, code)
-		}
-	}
-
-	// A well-formed envelope bound to a different key must be refused: the
-	// content address is the integrity check of the whole exchange.
-	misKeyed := fmt.Sprintf(`{"schema":1,"key":%q,"kind":"latency-model","data":{}}`, keyB)
-	if code := put(keyA, misKeyed); code != http.StatusBadRequest {
-		t.Fatalf("PUT mis-keyed envelope = %d, want 400", code)
-	}
-
-	// Oversized body: shrink the cap rather than shipping 256 MB.
-	defer func(old int64) { maxArtifactBytes = old }(maxArtifactBytes)
-	maxArtifactBytes = 64
-	if code := put(keyA, strings.Repeat("x", 100)); code != http.StatusRequestEntityTooLarge {
-		t.Fatalf("PUT oversized body = %d, want 413", code)
-	}
-
-	if after := svc.Client().Snapshot().Artifacts.Stats; after != before {
-		t.Fatalf("artifact counters advanced on error paths:\nbefore %+v\nafter  %+v", before, after)
-	}
-}
-
 // TestHTTPErrorSanitizesInternal asserts the satellite contract of
 // httpError: 4xx messages reach the client verbatim (validation feedback),
 // 5xx bodies carry only the status text while the full error goes to the

@@ -7,7 +7,6 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -26,97 +25,19 @@ import (
 // tables, DRAM latency models, burst traces), sitting alongside the
 // measurement log. Keys are the canonical artifact addresses of internal/dse
 // (HitRateKey, LatencyModelKey, BurstKey); blobs are self-describing
-// JSON envelopes, so they can travel over HTTP (`musa serve`'s
-// GET/PUT /artifact/{key}) byte-for-byte.
+// JSON envelopes.
 //
-// Unlike the measurement store, the artifact directory is not flock'd to
-// one process: blobs are multi-MB and multi-writer (the coordinator, local
-// CLIs and demo workers share one directory), so they live in the engine's
-// value-separated blob heap (lsm.Blobs) — whole files published by atomic
-// rename, a reader sees a complete artifact or none — rather than in the
-// single-writer LSM tree.
+// The directory is the only way an artifact leaves the process that built
+// it. Unlike the measurement store, it is not flock'd to one process:
+// blobs are multi-MB and multi-writer (local CLIs, serve replicas and demo
+// workers on one host may share one directory), so they live in the
+// engine's value-separated blob heap (lsm.Blobs) — whole files published by
+// atomic rename, a reader sees a complete artifact or none — rather than in
+// the single-writer LSM tree.
 
 // artifactSchemaName is the version marker's file name inside the artifact
 // directory (the marker value is dse.ArtifactSchemaVersion).
 const artifactSchemaName = "schema"
-
-// Bounds of the memory-only blob map: by count, and by size so a long-lived
-// client cannot pin hundreds of MB of encoded blobs.
-const (
-	maxResidentRawBlobs = 256
-	maxResidentRawBytes = 256 << 20
-)
-
-// localBlobs is where encoded artifacts live, this process's own storage:
-// opaque bytes by key, so it knows no codec (ArtifactCache is the only type
-// that decodes). Besides serving bytes it can drop a corrupt blob and count
-// what it holds (for a directory by listing it — when statistics are asked
-// for, never on a lookup). The on-disk implementation is *lsm.Blobs, one
-// "<key>.json" file per artifact. Implementations must be safe for
-// concurrent use.
-type localBlobs interface {
-	// Get returns the blob under key; a miss is an error matching
-	// fs.ErrNotExist, anything else is a fault worth reporting.
-	Get(key string) ([]byte, error)
-	Put(key string, blob []byte) error
-	Remove(key string) error
-	Count() (int, error)
-}
-
-// memBlobs is the memory-only backend: encoded blobs are retained so a
-// client without a directory can still serve them to fleet workers and over
-// HTTP, FIFO bounded by count and bytes.
-type memBlobs struct {
-	mu    sync.Mutex
-	blobs map[string][]byte
-	order []string // the keys of blobs, oldest write first
-	bytes int64
-}
-
-func (m *memBlobs) Get(key string) ([]byte, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if b, ok := m.blobs[key]; ok {
-		return b, nil
-	}
-	return nil, fs.ErrNotExist
-}
-
-// Put may evict the just-written key if it alone busts the byte bound.
-func (m *memBlobs) Put(key string, blob []byte) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.drop(key)
-	m.blobs[key] = blob
-	m.order = append(m.order, key)
-	m.bytes += int64(len(blob))
-	for len(m.order) > maxResidentRawBlobs || m.bytes > maxResidentRawBytes {
-		m.drop(m.order[0])
-	}
-	return nil
-}
-
-// drop forgets key if it is held. Caller holds mu.
-func (m *memBlobs) drop(key string) {
-	if b, ok := m.blobs[key]; ok {
-		m.bytes -= int64(len(b))
-		delete(m.blobs, key)
-		m.order = slices.DeleteFunc(m.order, func(k string) bool { return k == key })
-	}
-}
-
-func (m *memBlobs) Remove(key string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.drop(key)
-	return nil
-}
-
-func (m *memBlobs) Count() (int, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.blobs), nil
-}
 
 // ArtifactKindStats counts one artifact kind's traffic.
 type ArtifactKindStats struct {
@@ -130,12 +51,12 @@ type ArtifactStats struct {
 	HitRates      ArtifactKindStats `json:"hitRates"`
 	LatencyModels ArtifactKindStats `json:"latencyModels"`
 	Bursts        ArtifactKindStats `json:"bursts"`
-	// BytesRead / BytesWritten count encoded blob traffic through local
-	// storage (disk or the in-memory map), not decoded sizes.
+	// BytesRead / BytesWritten count encoded blob traffic through the
+	// directory, not decoded sizes; a memory-only cache encodes nothing.
 	BytesRead    int64 `json:"bytesRead"`
 	BytesWritten int64 `json:"bytesWritten"`
-	// Entries is the number of distinct artifacts held locally (on disk or
-	// in the in-memory map).
+	// Entries is the number of distinct artifacts in the directory, or for
+	// a memory-only cache the decoded values resident in its fronts.
 	Entries int `json:"entries"`
 }
 
@@ -143,9 +64,9 @@ type ArtifactStats struct {
 // the content address the blob was built for, the kind, and the
 // kind-specific payload. Key is embedded because an artifact key hashes
 // build *inputs*, not the blob — without it, a structurally valid blob
-// stored under the wrong key (a buggy pusher, a renamed file) would be
+// stored under the wrong key (a buggy writer, a renamed file) would be
 // served as a different artifact and silently poison measurements.
-// PutBlob and every typed read check it.
+// Every typed read checks it.
 type artifactEnvelope struct {
 	Schema int              `json:"schema"`
 	Key    string           `json:"key"`
@@ -264,33 +185,13 @@ func (f *front[T]) insert(key string, v T) {
 	f.vals[key] = v
 }
 
-// admitter is a front with its value type erased: what PutBlob needs of
-// the front that a blob's own kind names.
-type admitter interface {
-	admit(c *ArtifactCache, key string, payload, blob []byte) error
-}
-
-// admit stores a validated envelope of this front's kind that arrived as
-// bytes: the payload is decoded before any lock is taken, and the decoded
-// value is kept, so a pushed artifact is served without a second decode.
-func (f *front[T]) admit(c *ArtifactCache, key string, payload, blob []byte) error {
-	v, err := f.decode(payload)
-	if err == nil {
-		keep(c, f, key, blob, v)
-	}
-	return err
-}
-
 // ArtifactCache is the process-wide artifact cache and the one typed face
-// of the artifact path: per kind, a bounded front of decoded values over
-// local blob storage. The storage is a directory heap, or a bounded
-// in-memory map when opened without a directory — raw blobs are retained
-// either way so they can be served to fleet workers and over HTTP. All
-// methods are safe for concurrent use. It implements dse.ArtifactProvider.
+// of the artifact path: per kind, a bounded front of decoded values over a
+// directory heap. Opened without a directory it is the fronts alone, and
+// encodes nothing. All methods are safe for concurrent use. It implements
+// dse.ArtifactProvider.
 type ArtifactCache struct {
-	local localBlobs
-
-	kinds map[dse.ArtifactKind]admitter
+	dir *lsm.Blobs // nil: memory only
 
 	mu       sync.Mutex
 	hit      front[node.HitRateTable]
@@ -298,7 +199,7 @@ type ArtifactCache struct {
 	burst    front[*trace.Burst]
 	firstErr error
 
-	read, written atomic.Int64 // encoded bytes out of / into local
+	read, written atomic.Int64 // encoded bytes out of / into dir
 }
 
 var _ dse.ArtifactProvider = (*ArtifactCache)(nil)
@@ -313,18 +214,16 @@ func OpenArtifacts(dir string) (*ArtifactCache, error) {
 		burst: newFront(&burstCodec),
 	}
 	if dir == "" {
-		c.local = &memBlobs{blobs: map[string][]byte{}}
-	} else {
-		heap, err := lsm.OpenBlobs(dir, ".json")
-		if err != nil {
-			return nil, fmt.Errorf("store: artifacts: %w", err)
-		}
-		if err := checkArtifactSchema(dir); err != nil {
-			return nil, err
-		}
-		c.local = heap
+		return c, nil
 	}
-	c.kinds = map[dse.ArtifactKind]admitter{c.hit.kind: &c.hit, c.lat.kind: &c.lat, c.burst.kind: &c.burst}
+	heap, err := lsm.OpenBlobs(dir, ".json")
+	if err != nil {
+		return nil, fmt.Errorf("store: artifacts: %w", err)
+	}
+	if err := checkArtifactSchema(dir); err != nil {
+		return nil, err
+	}
+	c.dir = heap
 	return c, nil
 }
 
@@ -354,9 +253,9 @@ func checkArtifactSchema(dir string) error {
 	return nil
 }
 
-// ValidArtifactKey reports whether key is a well-formed artifact content
-// address (hex SHA-256): the HTTP layer and PutBlob share this gate.
-func ValidArtifactKey(key string) bool {
+// validArtifactKey reports whether key is a well-formed artifact content
+// address (hex SHA-256), and so safe to turn into a file name.
+func validArtifactKey(key string) bool {
 	if len(key) != 64 {
 		return false
 	}
@@ -389,9 +288,15 @@ func (c *ArtifactCache) Stats() ArtifactStats {
 	}
 }
 
-// Len returns the number of distinct artifacts held locally.
+// Len returns the number of distinct artifacts in the directory, or the
+// decoded values resident in a memory-only cache.
 func (c *ArtifactCache) Len() int {
-	n, err := c.local.Count()
+	if c.dir == nil {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return len(c.hit.vals) + len(c.lat.vals) + len(c.burst.vals)
+	}
+	n, err := c.dir.Count()
 	if err != nil {
 		c.noteErr(fmt.Errorf("store: artifacts: %w", err))
 	}
@@ -409,7 +314,10 @@ func (c *ArtifactCache) noteErr(err error) {
 // fetch reads the blob under key, outside the lock — a multi-MB file read
 // must not stall concurrent lookups from sweep workers.
 func (c *ArtifactCache) fetch(key string) ([]byte, bool) {
-	blob, err := c.local.Get(key)
+	if c.dir == nil {
+		return nil, false
+	}
+	blob, err := c.dir.Get(key)
 	if err != nil {
 		if !errors.Is(err, fs.ErrNotExist) {
 			c.noteErr(fmt.Errorf("store: artifacts: %w", err))
@@ -422,7 +330,7 @@ func (c *ArtifactCache) fetch(key string) ([]byte, bool) {
 
 // persist writes blob under key, outside the lock.
 func (c *ArtifactCache) persist(key string, blob []byte) {
-	if err := c.local.Put(key, blob); err != nil {
+	if err := c.dir.Put(key, blob); err != nil {
 		c.noteErr(fmt.Errorf("store: artifacts: %w", err))
 		return
 	}
@@ -435,39 +343,18 @@ func (c *ArtifactCache) persist(key string, blob []byte) {
 // simply rewrites it.
 func (c *ArtifactCache) evict(key string, err error) {
 	c.noteErr(fmt.Errorf("store: artifacts: corrupt blob %s: %w", key, err))
-	if rerr := c.local.Remove(key); rerr != nil {
+	if rerr := c.dir.Remove(key); rerr != nil {
 		c.noteErr(fmt.Errorf("store: artifacts: %w", rerr))
 	}
 }
 
-// Blob returns the encoded artifact under key, byte-for-byte as stored
-// locally — the payload of GET /artifact/{key} and of coordinator-to-worker
-// pushes.
+// Blob returns the encoded artifact under key, byte-for-byte as the
+// directory holds it; a memory-only cache holds none.
 func (c *ArtifactCache) Blob(key string) ([]byte, bool) {
-	if !ValidArtifactKey(key) { // the directory backend turns keys into file names
+	if !validArtifactKey(key) {
 		return nil, false
 	}
 	return c.fetch(key)
-}
-
-// PutBlob validates and stores an encoded artifact received from outside
-// (PUT /artifact/{key}, a fleet coordinator's push): the blob must
-// parse as a current-schema envelope bound to key with a payload its kind's
-// codec accepts, so a corrupt or stale upload is refused at the boundary
-// rather than poisoning later sweeps.
-func (c *ArtifactCache) PutBlob(key string, blob []byte) error {
-	if !ValidArtifactKey(key) {
-		return fmt.Errorf("store: artifacts: bad key %q", key)
-	}
-	env, err := decodeEnvelope(key, blob)
-	if err != nil {
-		return err
-	}
-	f, ok := c.kinds[env.Kind]
-	if !ok {
-		return fmt.Errorf("store: artifacts: unknown kind %q", env.Kind)
-	}
-	return f.admit(c, key, env.Data, blob)
 }
 
 // get is the one typed read: the decoded front, else the stored blob
@@ -487,7 +374,7 @@ func get[T any](c *ArtifactCache, f *front[T], key string) (T, bool) {
 	}
 	if blob, ok := c.fetch(key); ok {
 		// The read ran outside the lock and the key may be decoded by now,
-		// by a concurrent lookup or a PutBlob.
+		// by a concurrent lookup or put.
 		if v, ok := resident(); ok {
 			return v, true
 		}
@@ -515,18 +402,16 @@ func get[T any](c *ArtifactCache, f *front[T], key string) (T, bool) {
 	return zero, false
 }
 
-// keep is the one write: blob goes to local storage, its decoded value v
-// into the front.
-func keep[T any](c *ArtifactCache, f *front[T], key string, blob []byte, v T) {
-	c.persist(key, blob)
+// put is the one write: v goes into the front, and its encoding into the
+// directory when there is one.
+func put[T any](c *ArtifactCache, f *front[T], key string, v T) {
+	if c.dir != nil {
+		c.persist(key, f.encode(key, v))
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	f.insert(key, v)
 	f.stats.Puts++
-}
-
-func put[T any](c *ArtifactCache, f *front[T], key string, v T) {
-	keep(c, f, key, f.encode(key, v), v)
 }
 
 // The six methods of dse.ArtifactProvider.

@@ -39,17 +39,18 @@ func encodeHitRates(key string, t node.HitRateTable) []byte { return hitRatesCod
 
 // TestHitRatesRoundTrip is the contract the warm-equals-cold guarantee
 // rests on, on a structurally real table: it survives the round trip
-// through its envelope exactly, and overlaying the decoded table on the
-// fused trace reconstructs the same annotation a direct cache walk
-// produces. (Refusals and wire bytes: TestArtifactCodecTable.)
+// through its envelope and a directory exactly, and overlaying the decoded
+// table on the fused trace reconstructs the same annotation a direct cache
+// walk produces. (Refusals and wire bytes: TestArtifactCodecTable.)
 func TestHitRatesRoundTrip(t *testing.T) {
 	ft, hrt := testHitRates(t)
 	key := fmt.Sprintf("%064x", 99)
-	c, err := OpenArtifacts("")
-	if err != nil {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, key+".json"), encodeHitRates(key, hrt), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.PutBlob(key, encodeHitRates(key, hrt)); err != nil {
+	c, err := OpenArtifacts(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
 	got, ok := c.HitRates(key)
@@ -144,10 +145,9 @@ func codecRows() []codecRow {
 
 // TestArtifactCodecTable drives every row of the codec table through the
 // same checks: the encoded envelope is pinned, a round trip through a
-// directory and a second handle is bitwise, and every byte boundary — the
-// PutBlob push path and the typed read of a stored file — refuses a blob
-// with the wrong key, schema or kind or with a payload the row's codec
-// rejects.
+// directory and a second handle is bitwise, and the typed read of a
+// stored file refuses a blob with the wrong key or schema or with a payload
+// the row's codec rejects, and serves one of an unknown kind as absent.
 func TestArtifactCodecTable(t *testing.T) {
 	rows := codecRows()
 	key := strings.Repeat("ab", 32)
@@ -209,17 +209,7 @@ func TestArtifactCodecTable(t *testing.T) {
 				refused[name] = envelope(blob, map[string]any{"data": payload})
 			}
 			for name, bad := range refused {
-				mem, err := OpenArtifacts("")
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := mem.PutBlob(key, bad); err == nil {
-					t.Errorf("%s: pushed blob accepted", name)
-				}
-				if name == "unknown kind" {
-					continue // a typed read treats another kind as absent, not corrupt
-				}
-				// The same bytes as a file another writer left behind.
+				// The bytes as a file another writer left behind.
 				dir := t.TempDir()
 				if err := os.WriteFile(filepath.Join(dir, key+".json"), bad, 0o644); err != nil {
 					t.Fatal(err)
@@ -228,7 +218,16 @@ func TestArtifactCodecTable(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if _, ok := row.get(disk, key); ok || disk.Err() == nil || disk.Len() != 0 {
+				_, ok := row.get(disk, key)
+				if name == "unknown kind" {
+					// A typed read treats another kind as absent, not corrupt.
+					if ok || disk.Err() != nil || disk.Len() != 1 {
+						t.Errorf("%s: stored blob served=%v err=%v entries=%d, want absent and kept",
+							name, ok, disk.Err(), disk.Len())
+					}
+					continue
+				}
+				if ok || disk.Err() == nil || disk.Len() != 0 {
 					t.Errorf("%s: stored blob served=%v err=%v entries=%d, want refused, reported and evicted",
 						name, ok, disk.Err(), disk.Len())
 				}
@@ -321,7 +320,11 @@ func TestArtifactCachePersistence(t *testing.T) {
 		t.Fatal("miss not counted")
 	}
 
-	// Raw blobs travel byte-identically (the HTTP payload contract).
+	// Raw blobs read byte-identically; a key that is no content address
+	// names no file.
+	if _, ok := c2.Blob("../" + strings.Repeat("0", 61)); ok {
+		t.Fatal("a malformed key was read")
+	}
 	blob, ok := c2.Blob("a" + strings.Repeat("0", 63))
 	if !ok {
 		t.Fatal("no raw blob")
@@ -347,49 +350,30 @@ func TestArtifactCacheSchemaRefused(t *testing.T) {
 	}
 }
 
-// TestArtifactPutBlobValidates drives the HTTP-facing boundary: bad keys,
-// bad envelopes, stale schemas and undecodable payloads are refused; a
-// valid pushed blob is immediately served typed (no rebuild) and raw
-// (byte-identical).
-func TestArtifactPutBlobValidates(t *testing.T) {
-	c, err := OpenArtifacts("") // memory-only, like a worker without a dir
+// TestArtifactMemoryOnly pins the cache opened without a directory: its
+// fronts hold the decoded values, which round-trip, and nothing is ever
+// encoded — no bytes written, no blob to read.
+func TestArtifactMemoryOnly(t *testing.T) {
+	c, err := OpenArtifacts("")
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := "d" + strings.Repeat("1", 63)
-	if err := c.PutBlob("not-a-key", []byte("{}")); err == nil {
-		t.Fatal("bad key accepted")
+	rows := codecRows()
+	for i, row := range rows {
+		key := fmt.Sprintf("%064x", i+1)
+		row.put(c, key)
+		if got, ok := row.get(c, key); !ok || !reflect.DeepEqual(got, row.value) {
+			t.Fatalf("%s: round trip through the front: %+v, %v", row.kind, got, ok)
+		}
+		if _, ok := c.Blob(key); ok {
+			t.Fatalf("%s: a memory-only cache served a blob", row.kind)
+		}
 	}
-	if err := c.PutBlob(key, []byte("not json")); err == nil {
-		t.Fatal("bad envelope accepted")
+	if st := c.Stats(); st.BytesWritten != 0 || st.BytesRead != 0 || st.Entries != len(rows) {
+		t.Fatalf("stats %+v, want no bytes and %d entries", st, len(rows))
 	}
-	stale, _ := json.Marshal(map[string]any{"schema": 999, "kind": "hit-rates", "data": map[string]any{}})
-	if err := c.PutBlob(key, stale); err == nil {
-		t.Fatal("stale schema accepted")
-	}
-	wrong, _ := json.Marshal(map[string]any{"schema": dse.ArtifactSchemaVersion, "kind": "hit-rates", "data": "x"})
-	if err := c.PutBlob(key, wrong); err == nil {
-		t.Fatal("undecodable payload accepted")
-	}
-
-	_, hrt := testHitRates(t)
-	blob := encodeHitRates(key, hrt)
-	if err := c.PutBlob(key, blob); err != nil {
-		t.Fatal(err)
-	}
-	// The same valid blob under a different key is refused: the envelope
-	// binds the payload to the address it was built for, so a mis-keyed
-	// push cannot poison later sweeps.
-	if err := c.PutBlob("e"+strings.Repeat("2", 63), blob); err == nil {
-		t.Fatal("blob accepted under a key it was not built for")
-	}
-	got, ok := c.HitRates(key)
-	if !ok || !reflect.DeepEqual(got, hrt) {
-		t.Fatal("pushed hit-rate table not served")
-	}
-	raw, ok := c.Blob(key)
-	if !ok || !bytes.Equal(raw, blob) {
-		t.Fatal("pushed blob not served byte-identically")
+	if c.Err() != nil {
+		t.Fatal(c.Err())
 	}
 }
 
@@ -470,9 +454,8 @@ func TestArtifactFrontEviction(t *testing.T) {
 // TestUnbalancedBurstRefusedAndRebuilt is the corrupt-artifact repro: a
 // stored burst trace with one receive removed passes every per-event check,
 // and replaying it would deadlock — a panic in a sweep worker, which nothing
-// recovers. The codec refuses it on the disk read and on the push path, the
-// sweep rebuilds the trace, and the measurement equals a run without the
-// cache.
+// recovers. The codec refuses it on the disk read, the sweep rebuilds the
+// trace, and the measurement equals a run without the cache.
 func TestUnbalancedBurstRefusedAndRebuilt(t *testing.T) {
 	const ranks, seed = 4, 1
 	app := apps.Hydro()
@@ -499,9 +482,6 @@ func TestUnbalancedBurstRefusedAndRebuilt(t *testing.T) {
 	c, err := OpenArtifacts(dir)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if err := c.PutBlob(key, blob); err == nil {
-		t.Fatal("a pushed unbalanced burst was accepted")
 	}
 
 	run := func(provider dse.ArtifactProvider) dse.Measurement {

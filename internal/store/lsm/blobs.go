@@ -18,8 +18,8 @@ import (
 // writers from any number of processes can share one directory and a
 // reader always sees a whole blob or none, including one another process
 // published a moment ago. The store's artifact namespace (multi-MB
-// annotation and trace blobs written by coordinators, CLIs and fleet
-// workers at once) rides on it.
+// annotation and trace blobs written by CLIs, serve replicas and demo
+// workers on one host at once) rides on it.
 type Blobs struct {
 	dir, ext string
 }

@@ -7,7 +7,7 @@ import (
 )
 
 // FuzzReadBurst feeds arbitrary bytes to the burst-trace parser, the one
-// every stored, fetched or pushed burst artifact goes through. It must never
+// every stored burst artifact goes through. It must never
 // panic; a trace it accepts must survive a write/read round trip, and its
 // matching must pair every message exactly once: one send half and one
 // receive half per message id. The seed corpus is in

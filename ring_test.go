@@ -36,7 +36,7 @@ func TestPlacementAgreesWithFleet(t *testing.T) {
 	shards := planShards(ne.Apps, remaining, func(string, int) string { return "" })
 	points := 0
 	for _, j := range shards {
-		want := shardArtifactKeys(ne, j)[0]
+		want := shardKey(ne, j)
 		for _, i := range j.indices {
 			got, err := c.RouteKey(Experiment{Kind: KindNode, App: j.app, PointIndex: &i,
 				Sample: exp.Sample, Warmup: exp.Warmup, Seed: exp.Seed, ReplayRanks: exp.ReplayRanks})

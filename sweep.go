@@ -88,7 +88,10 @@ type UnconventionalRow = dse.UnconventionalRow
 
 // Unconventional simulates the Table II application-specific configurations
 // (SPMZ Vector+/Vector++, LULESH MEM+/MEM++) against their DSE-Best
-// baselines.
-func Unconventional(opts SimOptions) []UnconventionalRow {
-	return dse.Unconventional(opts.SampleInstrs, opts.WarmupInstrs, opts.seed())
+// baselines. A window over apps.MaxWindow is refused with ErrBadFidelity.
+func Unconventional(opts SimOptions) ([]UnconventionalRow, error) {
+	if err := checkWindow(opts.SampleInstrs, opts.WarmupInstrs); err != nil {
+		return nil, err
+	}
+	return dse.Unconventional(opts.SampleInstrs, opts.WarmupInstrs, opts.seed()), nil
 }
