@@ -174,20 +174,11 @@ type Result struct {
 	// Optimize is the KindOptimize outcome. On cancellation it holds the
 	// rung history completed so far.
 	Optimize *OptimizeResult `json:"optimize,omitempty"`
-
-	// reply is Measurement in its POST /simulate form when the result store's
-	// front served it (shared with the front: read-only).
-	reply []byte
 }
 
 // MeasurementJSON returns the KindNode measurement as POST /simulate nests
-// it in its reply (store.ReplyForm). A result served by the result store's
-// front hands out the bytes the front keeps, which the caller must not
-// modify; any other result is encoded on the spot.
+// it in its reply (store.ReplyForm).
 func (r *Result) MeasurementJSON() ([]byte, error) {
-	if r.reply != nil {
-		return r.reply, nil
-	}
 	if r.Measurement == nil {
 		return nil, fmt.Errorf("musa: a %s result carries no measurement", r.Kind)
 	}
@@ -537,7 +528,7 @@ func (c *Client) RunStream(ctx context.Context, e Experiment, watch Observer) (*
 func (c *Client) runNode(ctx context.Context, ne Experiment, watch Observer) (*Result, error) {
 	key := nodeKey(ne, ne.App, c.customProfile(ne.App), *ne.Arch)
 
-	finish := func(m Measurement, cached bool, reply []byte) (*Result, error) {
+	finish := func(m Measurement, cached bool) (*Result, error) {
 		if watch.Measurement != nil {
 			watch.Measurement(m)
 		}
@@ -548,13 +539,13 @@ func (c *Client) runNode(ctx context.Context, ne Experiment, watch Observer) (*R
 			}
 			watch.Progress(1, 1, hits)
 		}
-		return &Result{Kind: KindNode, Cached: cached, Measurement: &m, reply: reply}, nil
+		return &Result{Kind: KindNode, Cached: cached, Measurement: &m}, nil
 	}
 
 	if c.st != nil && !ne.Recompute {
-		if m, reply, ok := c.st.GetReply(key); ok {
+		if m, ok := c.st.Get(key); ok {
 			c.storeHits.Add(1)
-			return finish(m, true, reply)
+			return finish(m, true)
 		}
 		c.storeMisses.Add(1)
 	}
@@ -577,7 +568,7 @@ func (c *Client) runNode(ctx context.Context, ne Experiment, watch Observer) (*R
 			if call.err != nil {
 				return nil, call.err
 			}
-			return finish(call.m, true, nil)
+			return finish(call.m, true)
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
@@ -608,7 +599,7 @@ func (c *Client) runNode(ctx context.Context, ne Experiment, watch Observer) (*R
 	if cl.err != nil {
 		return nil, cl.err
 	}
-	return finish(cl.m, stored, nil)
+	return finish(cl.m, stored)
 }
 
 // runOptions assembles the runner options of one run of a normalized

@@ -2,6 +2,17 @@ package cache
 
 import "testing"
 
+// fuzzAddr is the address two bytes of a fuzzed operation name: one of
+// 1 024 lines, an offset inside it, and the top of the address space when
+// the second byte's two high bits are set.
+func fuzzAddr(b1, b2 byte) uint64 {
+	a := (uint64(b1)|uint64(b2&3)<<8)<<lineShift | uint64(b2>>2&15)*4
+	if b2>>6 == 3 {
+		a |= 0xffff << 48
+	}
+	return a
+}
+
 // diffCache replays data against a Cache and the referenceCache on one
 // configuration and fails at the first result, statistic or residency they
 // disagree on. Each three bytes are one operation: the first picks it
@@ -11,15 +22,8 @@ import "testing"
 func diffCache(t *testing.T, cfg Config, data []byte) {
 	t.Helper()
 	got, want := New(cfg), newReferenceCache(cfg)
-	addrOf := func(b1, b2 byte) uint64 {
-		a := (uint64(b1)|uint64(b2&3)<<8)<<lineShift | uint64(b2>>2&15)*4
-		if b2>>6 == 3 {
-			a |= 0xffff << 48
-		}
-		return a
-	}
 	for i := 0; i+3 <= len(data); i += 3 {
-		op, addr := data[i]%16, addrOf(data[i+1], data[i+2])
+		op, addr := data[i]%16, fuzzAddr(data[i+1], data[i+2])
 		switch {
 		case op < 6:
 			if g, w := got.Access(addr, false), want.Access(addr, false); g != w {
@@ -54,7 +58,7 @@ func diffCache(t *testing.T, cfg Config, data []byte) {
 	for b1 := 0; b1 < 256; b1++ {
 		for b2 := 0; b2 < 4; b2++ {
 			for _, hi := range []byte{0, 0xc0} {
-				addr := addrOf(byte(b1), byte(b2)|hi)
+				addr := fuzzAddr(byte(b1), byte(b2)|hi)
 				if g, w := got.Contains(addr), want.Contains(addr); g != w {
 					t.Fatalf("end: contains %#x: %v, reference %v", addr, g, w)
 				}

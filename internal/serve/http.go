@@ -224,45 +224,74 @@ func readExperiment(w http.ResponseWriter, r *http.Request, kind musa.Kind) (req
 	return req, body, true
 }
 
+// handleSimulate resolves the request once (Client.Route: normalized, keyed)
+// and answers a store hit right here, from the reply bytes the store front
+// keeps. Only a miss goes on to ring placement and Client.Run.
 func (s *Service) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	req, body, ok := readExperiment(w, r, musa.KindNode)
-	if !ok || s.routeSimulate(w, r, req.Experiment, body) {
+	if !ok {
 		return
 	}
 	start := time.Now()
+	rt, err := s.c.Route(req.Experiment)
+	if err != nil {
+		httpError(w, experimentStatus(err), err)
+		return
+	}
+	if reply, ok := s.c.StoredReply(rt); ok {
+		if s.placed(r) {
+			s.ringResult("hit")
+		}
+		writeSimulateReply(w, rt.App(), true, elapsedMs(start), rt.Label(), reply)
+		return
+	}
+	if s.routeSimulate(w, r, rt, body) {
+		return
+	}
+	start = time.Now()
 	res, err := s.c.Run(r.Context(), req.Experiment)
 	if err != nil {
 		httpError(w, experimentStatus(err), err)
 		return
 	}
-	writeSimulateReply(w, res, float64(time.Since(start).Microseconds())/1e3)
-}
-
-// replyPool holds the buffers POST /simulate replies are assembled in.
-var replyPool = sync.Pool{New: func() any { return new([]byte) }}
-
-// writeSimulateReply writes the POST /simulate reply of every outcome — store
-// hit, miss, coalesced follower. The bytes are what writeJSON renders from
-// the map {app, cached, elapsedMs, label, measurement} (keys sorted, two-space
-// indent; TestSimulateReplyMatchesReference holds them to it), but the
-// five-member envelope is appended and the measurement copied in: a hit's
-// measurement bytes come from the store front and are the same for every hit
-// of a key, so nothing is reflected or re-indented per request.
-func writeSimulateReply(w http.ResponseWriter, res *musa.Result, elapsedMs float64) {
 	measurement, err := res.MeasurementJSON()
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, err)
 		return
 	}
 	m := res.Measurement
+	writeSimulateReply(w, m.App, res.Cached, elapsedMs(start), m.Arch.Label(), measurement)
+}
+
+// elapsedMs is the time since start in milliseconds, to the microsecond.
+func elapsedMs(start time.Time) float64 {
+	return float64(time.Since(start).Microseconds()) / 1e3
+}
+
+// replyPool holds the buffers POST /simulate replies are assembled in.
+var replyPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// jsonContentType is the Content-Type header value of a JSON reply, shared by
+// every reply that sets it: the header map holds the slice, nobody writes it.
+var jsonContentType = []string{"application/json"}
+
+// writeSimulateReply writes the POST /simulate reply of every outcome — store
+// hit, miss, coalesced follower. The bytes are what writeJSON renders from
+// the map {app, cached, elapsedMs, label, measurement} (keys sorted, two-space
+// indent; TestSimulateReplyMatchesReference holds them to it), but the
+// five-member envelope is appended and the measurement, already in its reply
+// form (store.ReplyForm), copied in: a hit's measurement bytes come from the
+// store front and are the same for every hit of a key, so nothing is
+// reflected or re-indented per request.
+func writeSimulateReply(w http.ResponseWriter, app string, cached bool, elapsedMs float64, label string, measurement []byte) {
 	buf := replyPool.Get().(*[]byte)
-	b := jsonenc.AppendString(append((*buf)[:0], "{\n  \"app\": "...), m.App)
-	b = strconv.AppendBool(append(b, ",\n  \"cached\": "...), res.Cached)
+	b := jsonenc.AppendString(append((*buf)[:0], "{\n  \"app\": "...), app)
+	b = strconv.AppendBool(append(b, ",\n  \"cached\": "...), cached)
 	b = jsonenc.AppendFloat(append(b, ",\n  \"elapsedMs\": "...), elapsedMs)
-	b = jsonenc.AppendString(append(b, ",\n  \"label\": "...), m.Arch.Label())
+	b = jsonenc.AppendString(append(b, ",\n  \"label\": "...), label)
 	b = append(append(b, ",\n  \"measurement\": "...), measurement...)
 	b = append(b, "\n}\n"...)
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(http.StatusOK)
 	w.Write(b)
 	*buf = b
@@ -336,7 +365,7 @@ func (s *Service) stream(w http.ResponseWriter, r *http.Request, kind musa.Kind,
 	out := final(req, res)
 	out["type"] = "result"
 	out["cached"] = cached
-	out["elapsedMs"] = float64(time.Since(start).Microseconds()) / 1e3
+	out["elapsedMs"] = elapsedMs(start)
 	emit(out)
 }
 
@@ -382,7 +411,7 @@ func (s *Service) handleShard(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
 		"count":        len(res.Sweep.Measurements),
 		"cached":       cached,
-		"elapsedMs":    float64(time.Since(start).Microseconds()) / 1e3,
+		"elapsedMs":    elapsedMs(start),
 		"measurements": res.Sweep.Measurements,
 	})
 }

@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strconv"
+	"sync"
 	"time"
 
 	"musa/internal/obs"
@@ -100,11 +101,51 @@ func statusClass(status int) string {
 	return strconv.Itoa(status/100) + "xx"
 }
 
+// routeClass is a route and a status class (status/100).
+type routeClass struct {
+	route string
+	class int
+}
+
+// routeSeries is the request counter of one (route, status class) and the
+// duration histogram of its route.
+type routeSeries struct {
+	requests *obs.Counter
+	duration *obs.Histogram
+}
+
+// routeSeriesCache resolves each (route, status class)'s series in the
+// registry once; every later request of the pair finds them in its map.
+type routeSeriesCache struct {
+	reg *obs.Registry
+	mu  sync.Mutex
+	m   map[routeClass]routeSeries
+}
+
+func (c *routeSeriesCache) of(route string, status int) routeSeries {
+	k := routeClass{route, status / 100}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	rs, ok := c.m[k]
+	if !ok {
+		rs = routeSeries{
+			requests: c.reg.Counter("musa_http_requests_total",
+				"HTTP requests served, by route and status class.",
+				obs.L("route", route), obs.L("code", statusClass(status))),
+			duration: c.reg.Histogram("musa_http_request_duration_seconds",
+				"HTTP request duration by route.", nil, obs.L("route", route)),
+		}
+		c.m[k] = rs
+	}
+	return rs
+}
+
 // instrument wraps the routing mux with the request span, the per-route
 // metrics and the access log.
 func instrument(next http.Handler, cfg *handlerConfig) http.Handler {
 	inFlight := cfg.reg.Gauge("musa_http_requests_in_flight",
 		"HTTP requests currently being served.")
+	series := &routeSeriesCache{reg: cfg.reg, m: map[routeClass]routeSeries{}}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		ctx := obs.WithRecorder(r.Context(), cfg.rec)
 		if tid, sid, ok := obs.ParseTraceHeader(r.Header.Get(obs.TraceHeader)); ok {
@@ -129,12 +170,9 @@ func instrument(next http.Handler, cfg *handlerConfig) http.Handler {
 		if route == "" {
 			route = "unmatched"
 		}
-		cfg.reg.Counter("musa_http_requests_total",
-			"HTTP requests served, by route and status class.",
-			obs.L("route", route), obs.L("code", statusClass(status))).Inc()
-		cfg.reg.Histogram("musa_http_request_duration_seconds",
-			"HTTP request duration by route.", nil, obs.L("route", route)).
-			Observe(dur.Seconds())
+		rs := series.of(route, status)
+		rs.requests.Inc()
+		rs.duration.Observe(dur.Seconds())
 		span.SetAttr("route", route)
 		span.SetAttr("status", strconv.Itoa(status))
 		span.End()

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
+	stdnet "net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -13,6 +15,7 @@ import (
 	"time"
 
 	"musa"
+	"musa/internal/ring"
 )
 
 // referenceReply is the POST /simulate reply as the route rendered it before
@@ -192,12 +195,175 @@ func TestSimulateReplyElapsedForms(t *testing.T) {
 		t.Fatalf("second run: cached %v, err %v", hit != nil && hit.Cached, err)
 	}
 	for _, res := range []*musa.Result{fresh, hit} {
+		measurement, err := res.MeasurementJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := res.Measurement
 		for _, ms := range []float64{0, 0.001, 12.345, 1e21, 3e-7, 1234} {
 			w := httptest.NewRecorder()
-			writeSimulateReply(w, res, ms)
+			writeSimulateReply(w, m.App, res.Cached, ms, m.Arch.Label(), measurement)
 			if want := referenceReply(t, *res.Measurement, res.Cached, ms); w.Code != http.StatusOK || !bytes.Equal(w.Body.Bytes(), want) {
 				t.Errorf("cached %v, elapsedMs %v: status %d, reply\n%s\nwant\n%s", res.Cached, ms, w.Code, w.Body.Bytes(), want)
 			}
 		}
 	}
+}
+
+// TestDoorReplyMatchesRunPath holds a store hit answered at the door —
+// Client.Route, Client.StoredReply and the envelope from the route — to the
+// reply the Client.Run path writes for the same stored measurement, over
+// TestSimulateReplyMatchesReference's bodies: grid points with and without a
+// replay, the non-grid HBM architecture and the custom application whose
+// name needs escaping. The replica opens the store another client filled
+// with a one-entry front, so each door hit indents the engine's bytes and
+// the Run after it decodes the entry the door left. Each hit is counted as
+// Run counts one, and a recompute of a stored key is simulated again.
+func TestDoorReplyMatchesRunPath(t *testing.T) {
+	custom, err := musa.App("btmz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	custom.Name = "a<b&\"c \u2028"
+	nameJSON, _ := json.Marshal(custom.Name)
+	bodies := []string{
+		`{"app":"hydro","pointIndex":3}`,
+		`{"app":"lulesh","pointIndex":500,"noReplay":true}`,
+		`{"app":"spmz","arch":{"cores":64,"coreType":"high","freqGHz":2.5,"vectorBits":512,"cacheLabel":"96M:1M","channels":16,"hbm":true}}`,
+		`{"app":` + string(nameJSON) + `,"pointIndex":7,"noReplay":true}`,
+	}
+	experiment := func(body string) musa.Experiment {
+		t.Helper()
+		var e musa.Experiment
+		if err := json.Unmarshal([]byte(body), &e); err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	opts := musa.ClientOptions{
+		CacheDir: t.TempDir(), MaxJobs: 2, SampleInstrs: testSample, WarmupInstrs: testWarmup,
+		Seed: 1, ReplayRanks: []int{8, 16},
+	}
+	open := func(o musa.ClientOptions) *musa.Client {
+		t.Helper()
+		c, err := musa.NewClient(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		if err := c.RegisterApplication(*custom); err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	ctx := context.Background()
+	filler := open(opts)
+	for _, body := range bodies {
+		if _, err := filler.Run(ctx, experiment(body)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	filler.Close()
+
+	opts.LRUEntries = 1
+	c := open(opts)
+	ts := httptest.NewServer(NewHandler(New(c)))
+	defer ts.Close()
+	for round := 0; round < 2; round++ {
+		for _, body := range bodies {
+			before := c.Stats()
+			raw, cached, elapsedMs := simulateRaw(t, ts.URL, body)
+			after := c.Stats()
+			if !cached || after.Requests != before.Requests+1 || after.StoreHits != before.StoreHits+1 ||
+				after.Simulated != before.Simulated {
+				t.Fatalf("%s: cached %v, requests +%d, store hits +%d, simulated +%d; want a hit counted as Run counts one",
+					body, cached, after.Requests-before.Requests, after.StoreHits-before.StoreHits, after.Simulated-before.Simulated)
+			}
+			res, err := c.Run(ctx, experiment(body))
+			if err != nil || !res.Cached {
+				t.Fatalf("%s: Run after the door hit: cached %v, err %v", body, res != nil && res.Cached, err)
+			}
+			measurement, err := res.MeasurementJSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := httptest.NewRecorder()
+			writeSimulateReply(w, res.Measurement.App, res.Cached, elapsedMs, res.Measurement.Arch.Label(), measurement)
+			if !bytes.Equal(raw, w.Body.Bytes()) {
+				t.Errorf("%s: the door's reply differs from the Run path's\ndoor:\n%s\nRun:\n%s", body, raw, w.Body.Bytes())
+			}
+		}
+	}
+	if gets := c.Snapshot().Store.Engine.Gets; gets < int64(2*len(bodies)) {
+		t.Errorf("engine served %d gets, want every door hit to reach it", gets)
+	}
+
+	simulated := c.Stats().Simulated
+	recompute := strings.Replace(bodies[0], "{", `{"recompute":true,`, 1)
+	if _, cached, _ := simulateRaw(t, ts.URL, recompute); cached || c.Stats().Simulated != simulated+1 {
+		t.Errorf("recompute of a stored key: cached %v, simulated +%d; want it simulated again",
+			cached, c.Stats().Simulated-simulated)
+	}
+}
+
+// TestDoorAtRingReplica: at a ring replica a hit is answered at the door and
+// counted result="hit", one a peer already routed here is answered there too
+// and counted "local", and a recompute of a stored key the replica owns is
+// simulated here again.
+func TestDoorAtRingReplica(t *testing.T) {
+	ln, err := stdnet.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer := "http://" + ln.Addr().String()
+	ln.Close() // never asked: every key below is owned here
+	ts, svc, reg, _ := ringReplica(t, peer)
+	c := svc.Client()
+	body := ""
+	for i := 0; i < musa.PointCount() && body == ""; i++ {
+		key, err := c.RouteKey(musa.Experiment{App: "btmz", PointIndex: &i})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.Ring().Owner(key) == ring.Normalize(ts.URL) {
+			body = fmt.Sprintf(`{"app":"btmz","pointIndex":%d}`, i)
+		}
+	}
+	if body == "" {
+		t.Fatal("the replica owns no btmz point")
+	}
+	check := func(step string, req *http.Request, wantCached bool, local, hit float64, simulated int64) {
+		t.Helper()
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out struct {
+			Cached bool `json:"cached"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&out)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK || out.Cached != wantCached {
+			t.Fatalf("%s: %d cached %v (%v), want 200 cached %v", step, resp.StatusCode, out.Cached, err, wantCached)
+		}
+		l, h, s := ownerResults(t, reg, "local"), ownerResults(t, reg, "hit"), c.Stats().Simulated
+		if l != local || h != hit || s != simulated || ownerResults(t, reg, "proxied") != 0 {
+			t.Fatalf("%s: local %v hit %v simulated %d, want %v, %v and %d, nothing proxied", step, l, h, s, local, hit, simulated)
+		}
+	}
+	post := func(body string, hop bool) *http.Request {
+		req, err := http.NewRequest(http.MethodPost, ts.URL+"/simulate", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hop {
+			req.Header.Set(ring.HopHeader, "1")
+		}
+		return req
+	}
+	check("first request", post(body, false), false, 1, 0, 1)
+	check("hit", post(body, false), true, 1, 1, 1)
+	check("hit routed here by a peer", post(body, true), true, 2, 1, 1)
+	recompute := strings.Replace(body, "{", `{"recompute":true,`, 1)
+	check("recompute", post(recompute, false), false, 3, 1, 2)
 }

@@ -244,38 +244,40 @@ func (s *Service) handleMembershipPut(w http.ResponseWriter, r *http.Request) {
 	s.handleMembershipGet(w, r)
 }
 
-// routeSimulate applies ring ownership to one decoded /simulate request.
-// It returns true when the request was fully answered here (relayed from
-// the owner, or abandoned because the caller hung up); false means the
-// caller should execute locally — because this replica's store holds the
-// key, this replica owns it, the ring is absent, the request already hopped
-// once, or the owner is unreachable (fallback).
-//
-// Ownership places misses, so that each is computed once, on one replica's
-// single-flight, and every point of one cache group on the replica that
-// holds the group's hit-rate table (Client.RingKey). A hit is the same
-// bytes on every replica and is served where it lands; a relayed reply is
-// kept in the store's front, so the replica asked for a key a second time
-// answers it itself.
-func (s *Service) routeSimulate(w http.ResponseWriter, r *http.Request, e musa.Experiment, body []byte) bool {
+// placed reports whether ring ownership places r: this replica is a member
+// of a ring of two or more, and r was not already routed here by a peer. A
+// routed request is counted "local": it is owned here even if membership
+// skew says otherwise, so requests can never ping-pong.
+func (s *Service) placed(r *http.Request) bool {
 	rg := s.c.Ring()
 	if rg == nil || rg.Self() == "" || rg.Len() < 2 {
 		return false
 	}
 	if r.Header.Get(ring.HopHeader) != "" {
-		// Already routed by a peer: own it here even if membership skew
-		// says otherwise, so requests can never ping-pong.
 		s.ringResult("local")
 		return false
 	}
-	rt, err := s.c.Route(e)
-	if err != nil {
-		return false // normalization fails identically below, with a 400
-	}
-	if !e.Recompute && s.c.Stored(rt.Key) {
-		s.ringResult("hit")
+	return true
+}
+
+// routeSimulate applies ring ownership to one /simulate miss, resolved to
+// rt. It returns true when the request was fully answered here (relayed from
+// the owner, or abandoned because the caller hung up); false means the
+// caller should execute locally — because this replica owns the key, the
+// ring is absent, the request already hopped once, or the owner is
+// unreachable (fallback).
+//
+// Ownership places misses, so that each is computed once, on one replica's
+// single-flight, and every point of one cache group on the replica that
+// holds the group's hit-rate table (Client.RingKey). A hit is the same
+// bytes on every replica and is served where it lands (handleSimulate); a
+// relayed reply is kept in the store's front, so the replica asked for a key
+// a second time answers it itself.
+func (s *Service) routeSimulate(w http.ResponseWriter, r *http.Request, rt musa.Route, body []byte) bool {
+	if !s.placed(r) {
 		return false
 	}
+	rg := s.c.Ring()
 	// Only a miss derives the key it is placed by: its cache group's.
 	key := s.c.RingKey(rt)
 	owner := rg.Owner(key)
@@ -289,7 +291,7 @@ func (s *Service) routeSimulate(w http.ResponseWriter, r *http.Request, e musa.E
 	defer span.End()
 	// One attempt: the owner, or nobody. A second replica would compute the
 	// key beside the owner's single-flight; this one may as well do it itself.
-	err = s.fw.Forward(ctx, key, 1,
+	err := s.fw.Forward(ctx, key, 1,
 		ring.Request{Method: http.MethodPost, Path: "/simulate", Header: r.Header, Body: body},
 		func(_ string, resp *http.Response) bool {
 			// The reply is committed: owner-side errors (including its own

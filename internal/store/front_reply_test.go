@@ -25,20 +25,22 @@ func wantReply(t *testing.T, m dse.Measurement) []byte {
 	return bytes.TrimSuffix(bytes.TrimPrefix(buf.Bytes(), []byte("{\n  \"measurement\": ")), []byte("\n}\n"))
 }
 
+// getReply asks for key's reply form, then for its measurement, which an
+// entry the reply built from engine bytes decodes from that form.
 func getReply(t *testing.T, st *Store, key string, want dse.Measurement) []byte {
 	t.Helper()
-	m, reply, ok := st.GetReply(key)
-	if !ok || !reflect.DeepEqual(m, want) {
-		t.Fatalf("GetReply(%s) = %+v, %v; want the stored measurement", key, m, ok)
+	reply, ok := st.Reply(key)
+	if w := wantReply(t, want); !ok || !bytes.Equal(reply, w) {
+		t.Fatalf("Reply(%s) = %v, reply form:\n%s\nwant:\n%s", key, ok, reply, w)
 	}
-	if w := wantReply(t, want); !bytes.Equal(reply, w) {
-		t.Fatalf("GetReply(%s) reply form:\n%s\nwant:\n%s", key, reply, w)
+	if m, ok := st.Get(key); !ok || !reflect.DeepEqual(m, want) {
+		t.Fatalf("Get(%s) = %+v, %v; want the stored measurement", key, m, ok)
 	}
 	return reply
 }
 
 // TestFrontReplyLifecycle follows one key's reply form through the front:
-// built by the first GetReply, shared by the next, reset by an overwriting
+// built by the first Reply, shared by the next, reset by an overwriting
 // Put, dropped on eviction — with the two counters agreeing at every step.
 func TestFrontReplyLifecycle(t *testing.T) {
 	st, err := Open(t.TempDir(), Options{LRUEntries: 2})
@@ -56,8 +58,8 @@ func TestFrontReplyLifecycle(t *testing.T) {
 			t.Fatalf("FrontStats = %+v, want %d builds and %d resident bytes", got, builds, bytes)
 		}
 	}
-	if _, _, ok := st.GetReply("absent"); ok {
-		t.Fatal("GetReply of an absent key hit")
+	if _, ok := st.Reply("absent"); ok {
+		t.Fatal("Reply of an absent key hit")
 	}
 
 	k1, m1 := testKey("hydro", 1.5), testMeasurement("hydro", 1.5, 100)
@@ -71,7 +73,7 @@ func TestFrontReplyLifecycle(t *testing.T) {
 	first := getReply(t, st, k1, m1)
 	stats(1, first)
 	if again := getReply(t, st, k1, m1); &again[0] != &first[0] {
-		t.Error("second GetReply re-encoded instead of sharing the front's bytes")
+		t.Error("second Reply re-encoded instead of sharing the front's bytes")
 	}
 	stats(1, first)
 
@@ -161,7 +163,7 @@ func TestFrontReplyConcurrentFirstRequests(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				_, replies[i], _ = st.GetReply(k)
+				replies[i], _ = st.Reply(k)
 			}()
 		}
 		wg.Wait()

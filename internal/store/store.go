@@ -5,15 +5,16 @@
 // measurements land in an embedded LSM engine (internal/store/lsm): a
 // WAL-backed memtable flushing to bloom-filtered sorted segments, so a
 // killed sweep resumes from its checkpoint and repeated sweeps become
-// cache hits. An LRU front keeps hot decoded entries in memory — and, once
-// a single-measurement request has asked for it, each entry's POST /simulate
-// reply form beside the decoded one; misses fall to the engine. The store is
+// cache hits. An LRU front keeps hot entries in memory: decoded, in their
+// POST /simulate reply form once a single-measurement request has asked for
+// it, or both; misses fall to the engine. The store is
 // multi-process by design: one writer owns a directory (advisory flock),
 // while any number of read-only opens follow the writer's published
 // segments.
 package store
 
 import (
+	"bytes"
 	"container/list"
 	"encoding/json"
 	"errors"
@@ -94,7 +95,7 @@ type Options struct {
 }
 
 // Store is a content-addressed measurement store: an LSM engine under an
-// in-memory LRU front of decoded measurements. All methods are safe for
+// in-memory LRU front of measurements. All methods are safe for
 // concurrent use; engine reads from different goroutines proceed in
 // parallel (mu guards only the LRU).
 type Store struct {
@@ -204,7 +205,7 @@ func (s *Store) warmLRU() {
 		}
 		var m dse.Measurement
 		if json.Unmarshal(v, &m) == nil {
-			s.lru.add(k, m)
+			s.lru.add(&lruEntry{key: k, m: m, decoded: true})
 			n++
 		}
 		return nil
@@ -214,67 +215,82 @@ func (s *Store) warmLRU() {
 // Get returns the measurement stored under key. Engine read errors are
 // reported as misses; the caller recomputes and overwrites.
 func (s *Store) Get(key string) (dse.Measurement, bool) {
-	e, _ := s.entry(key)
-	if e == nil {
-		return dse.Measurement{}, false
-	}
-	return e.m, true
-}
-
-// GetReply is Get plus the measurement in its reply form (see ReplyForm).
-// The front keeps those bytes beside the decoded entry: the first GetReply of
-// a resident measurement encodes them, later ones copy a slice header. The
-// bytes are shared — callers must not modify them — and nil only for a
-// measurement encoding/json refuses.
-func (s *Store) GetReply(key string) (dse.Measurement, []byte, bool) {
-	e, reply := s.entry(key)
-	if e == nil {
-		return dse.Measurement{}, nil, false
-	}
-	if reply != nil {
-		return e.m, reply, true
-	}
-	// Encode outside the lock: two first requests may both get here and
-	// produce the same bytes, and the front keeps the first copy offered.
-	built, err := ReplyForm(e.m)
-	if err != nil {
-		return e.m, nil, true
-	}
-	s.mu.Lock()
-	reply = s.lru.setReply(e, built)
-	s.mu.Unlock()
-	return e.m, reply, true
-}
-
-// ReplyForm encodes m as POST /simulate nests it in a reply: the last member
-// of a two-space-indented object, so indented two spaces under a two-space
-// prefix.
-func ReplyForm(m dse.Measurement) ([]byte, error) {
-	return json.MarshalIndent(m, "  ", "  ")
-}
-
-// entry returns the front's entry for key and its reply form, if built,
-// reading the measurement in from the engine on a front miss.
-func (s *Store) entry(key string) (*lruEntry, []byte) {
 	s.mu.Lock()
 	if e := s.lru.get(key); e != nil {
-		reply := e.reply
+		m, ok := e.measurement()
 		s.mu.Unlock()
-		return e, reply
+		return m, ok
 	}
 	s.mu.Unlock()
 	raw, ok := s.db.Get(key)
 	if !ok {
-		return nil, nil
+		return dse.Measurement{}, false
 	}
 	var m dse.Measurement
 	if err := json.Unmarshal(raw, &m); err != nil {
-		return nil, nil
+		return dse.Measurement{}, false
+	}
+	s.Keep(key, m)
+	return m, true
+}
+
+// Reply returns the measurement stored under key in its reply form (see
+// ReplyForm), for a caller that passes the bytes on without reading them.
+// The front keeps the form beside its entry: the first Reply of a resident
+// measurement encodes it, later ones copy a slice header. A front miss
+// indents the engine's bytes instead of decoding and re-encoding them — the
+// engine holds json.Marshal of the measurement, and MarshalIndent is Marshal
+// then Indent, so the bytes are the same — and the entry it leaves holds only
+// them until a Get decodes them. The bytes are shared: callers must not
+// modify them.
+func (s *Store) Reply(key string) ([]byte, bool) {
+	var m dse.Measurement
+	s.mu.Lock()
+	e := s.lru.get(key)
+	var reply []byte
+	if e != nil {
+		if reply = e.reply; reply == nil {
+			m = e.m // an entry without a reply form was added decoded
+		}
+	}
+	s.mu.Unlock()
+	switch {
+	case reply != nil:
+		return reply, true
+	case e != nil:
+		// Encode outside the lock: two first requests may both get here and
+		// produce the same bytes, and the front keeps the first copy offered.
+		built, err := ReplyForm(m)
+		if err != nil {
+			return nil, false
+		}
+		s.mu.Lock()
+		reply = s.lru.setReply(e, built)
+		s.mu.Unlock()
+		return reply, true
+	}
+	raw, ok := s.db.Get(key)
+	if !ok {
+		return nil, false
+	}
+	// A measurement indents to ≈ 1.47 times its compact size.
+	buf := bytes.NewBuffer(make([]byte, 0, len(raw)+len(raw)/2))
+	if json.Indent(buf, raw, replyPrefix, replyIndent) != nil {
+		return nil, false
 	}
 	s.mu.Lock()
-	e := s.lru.add(key, m)
+	reply = s.lru.addReply(key, buf.Bytes())
 	s.mu.Unlock()
-	return e, nil
+	return reply, true
+}
+
+// replyPrefix and replyIndent shape the reply form: the last member of a
+// two-space-indented object, so indented two spaces under a two-space prefix.
+const replyPrefix, replyIndent = "  ", "  "
+
+// ReplyForm encodes m as POST /simulate nests it in a reply (see Reply).
+func ReplyForm(m dse.Measurement) ([]byte, error) {
+	return json.MarshalIndent(m, replyPrefix, replyIndent)
 }
 
 // Put stores the measurement under key. Each Put is one write to the
@@ -303,7 +319,7 @@ func (s *Store) Put(key string, m dse.Measurement) error {
 // results, a ring replica's relayed replies.
 func (s *Store) Keep(key string, m dse.Measurement) {
 	s.mu.Lock()
-	s.lru.add(key, m)
+	s.lru.add(&lruEntry{key: key, m: m, decoded: true})
 	s.mu.Unlock()
 }
 
@@ -356,13 +372,29 @@ type lruCache struct {
 	stats FrontStats
 }
 
-// lruEntry is one resident measurement. key and m never change once the
-// entry is in the cache — an overwriting add replaces the entry — so m may be
-// read without the store lock; reply is guarded by it.
+// lruEntry is one resident measurement: decoded, in its reply form, or
+// both. key never changes once the entry is in the cache — an overwriting add
+// replaces the entry — and the other fields are guarded by the store lock.
+// An entry added decoded keeps its m; one built from engine bytes by Reply
+// holds only reply until its first Get decodes m from it.
 type lruEntry struct {
-	key   string
-	m     dse.Measurement
-	reply []byte // m's ReplyForm once a GetReply built it
+	key     string
+	m       dse.Measurement
+	decoded bool
+	reply   []byte // m's ReplyForm once a Reply built it
+}
+
+// measurement returns e's measurement, decoding it from the reply form the
+// first time it is asked for one. Call under the store lock.
+func (e *lruEntry) measurement() (dse.Measurement, bool) {
+	if !e.decoded {
+		var m dse.Measurement
+		if err := json.Unmarshal(e.reply, &m); err != nil {
+			return dse.Measurement{}, false
+		}
+		e.m, e.decoded = m, true
+	}
+	return e.m, true
 }
 
 func newLRU(max int) *lruCache {
@@ -378,23 +410,22 @@ func (c *lruCache) get(key string) *lruEntry {
 	return el.Value.(*lruEntry)
 }
 
-// add makes m the resident measurement of key. A measurement it overwrites
+// add makes e the resident entry of its key. A measurement it overwrites
 // takes its reply form with it.
-func (c *lruCache) add(key string, m dse.Measurement) *lruEntry {
-	e := &lruEntry{key: key, m: m}
-	if el, ok := c.items[key]; ok {
+func (c *lruCache) add(e *lruEntry) {
+	c.stats.ReplyBytes += int64(len(e.reply))
+	if el, ok := c.items[e.key]; ok {
 		c.stats.ReplyBytes -= int64(len(el.Value.(*lruEntry).reply))
 		el.Value = e
 		c.ll.MoveToFront(el)
-		return e
+		return
 	}
-	c.items[key] = c.ll.PushFront(e)
+	c.items[e.key] = c.ll.PushFront(e)
 	for c.ll.Len() > c.max {
 		last := c.ll.Remove(c.ll.Back()).(*lruEntry)
 		c.stats.ReplyBytes -= int64(len(last.reply))
 		delete(c.items, last.key)
 	}
-	return e
 }
 
 // setReply keeps built as e's reply form and returns the form to serve: the
@@ -409,6 +440,22 @@ func (c *lruCache) setReply(e *lruEntry, built []byte) []byte {
 		c.stats.ReplyBuilds++
 		c.stats.ReplyBytes += int64(len(built))
 	}
+	return built
+}
+
+// addReply makes built, the reply form of key's engine bytes, key's entry
+// and returns the form to serve. An entry that became resident meanwhile is
+// left as it is: its reply form is served if it has one, and built, kept
+// nowhere, if not.
+func (c *lruCache) addReply(key string, built []byte) []byte {
+	if e := c.get(key); e != nil {
+		if e.reply != nil {
+			return e.reply
+		}
+		return built
+	}
+	c.stats.ReplyBuilds++
+	c.add(&lruEntry{key: key, reply: built})
 	return built
 }
 

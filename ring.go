@@ -59,19 +59,20 @@ func (c *Client) RouteKey(e Experiment) (string, error) {
 // A Route is an experiment's place in a replica ring's serve tier. Key is
 // the store key a node experiment's measurement lives under (for every
 // other kind, its RouteKey). A node experiment's route also holds what
-// RingKey and KeepRelayed need of it, so a replica that holds Key answers
-// without deriving the ring key at all.
+// StoredReply, RingKey and KeepRelayed need of it, so a replica that holds
+// Key answers without deriving the ring key or decoding the measurement.
 type Route struct {
-	Key    string
-	app    string
-	arch   *Arch // nil for every kind but KindNode
-	sample int64
-	warmup int64
-	seed   uint64
+	Key       string
+	app       string
+	arch      *Arch // nil for every kind but KindNode
+	sample    int64
+	warmup    int64
+	seed      uint64
+	recompute bool
 }
 
-// Route derives the experiment's store key, keeping what RingKey and
-// KeepRelayed need of a node experiment.
+// Route derives the experiment's store key, keeping what StoredReply,
+// RingKey and KeepRelayed need of a node experiment.
 func (c *Client) Route(e Experiment) (Route, error) {
 	ne, err := c.fill(e).normalize(c.knowsApp)
 	if err != nil {
@@ -79,7 +80,7 @@ func (c *Client) Route(e Experiment) (Route, error) {
 	}
 	if ne.Kind == KindNode {
 		return Route{Key: nodeKey(ne, ne.App, c.customProfile(ne.App), *ne.Arch), app: ne.App, arch: ne.Arch,
-			sample: ne.Sample, warmup: ne.Warmup, seed: ne.Seed}, nil
+			sample: ne.Sample, warmup: ne.Warmup, seed: ne.Seed, recompute: ne.Recompute}, nil
 	}
 	b, err := ne.appendCanonicalJSON(nil, c.customProfile(ne.App))
 	if err != nil {
@@ -97,16 +98,38 @@ func (c *Client) RingKey(rt Route) string {
 	return dse.HitRateKey(c.appHash(rt.app), g, rt.sample, rt.warmup, rt.seed)
 }
 
-// Stored reports whether the result store holds a measurement under key.
-// A stored measurement is the same bytes on every replica, so a replica
-// that holds one answers it itself rather than routing it to the key's
-// owner: ownership exists to place misses.
-func (c *Client) Stored(key string) bool {
-	if c.st == nil {
-		return false
+// App is the application a node experiment's route names ("" for every
+// other kind): the app of the measurement stored under its Key.
+func (rt Route) App() string { return rt.app }
+
+// Label is the architecture label of a node experiment's route ("" for
+// every other kind): the label of the measurement stored under its Key.
+func (rt Route) Label() string {
+	if rt.arch == nil {
+		return ""
 	}
-	_, ok := c.st.Get(key)
-	return ok
+	p, _ := rt.arch.toPoint() // normalized: valid
+	return p.Label()
+}
+
+// StoredReply returns the measurement the result store holds for the node
+// experiment routed by rt in its POST /simulate reply form (store.Reply),
+// counted as Run counts a store hit; it has nothing for an experiment that
+// asks to Recompute. A stored measurement is the same bytes on every
+// replica, so a replica that holds one answers it itself rather than
+// routing it to the key's owner: ownership exists to place misses. The
+// bytes are shared with the store's front and must not be modified.
+func (c *Client) StoredReply(rt Route) ([]byte, bool) {
+	if c.st == nil || rt.arch == nil || rt.recompute {
+		return nil, false
+	}
+	reply, ok := c.st.Reply(rt.Key)
+	if !ok {
+		return nil, false
+	}
+	c.requests.Add(1)
+	c.storeHits.Add(1)
+	return reply, true
 }
 
 // KeepRelayed keeps m, the measurement another ring member answered the
