@@ -8,7 +8,6 @@
 //	musa dse     -fig 5 -apps hydro,lulesh           # the Table I sweep and its figures
 //	musa dse     -demo 2 -apps btmz -points 0-31 -verify   # a sweep sharded over a fleet
 //	musa serve   -addr :8080 -cache-dir musa-cache   # the HTTP API
-//	musa router  -addr :8079 -replicas URLS          # the L7 front door of a replica ring
 //	musa scaling -mode full -ranks 256               # Figs. 2a/2b
 //	musa trace   -app spec3d -timeline threads       # Fig. 3, trace dumps
 //
@@ -47,7 +46,6 @@ var commands = []command{
 	{"sim", "simulate one application on one configuration", runSim},
 	{"dse", "run the design space sweep, its figures or an optimizer search", runDSE},
 	{"serve", "serve the simulation pipeline over HTTP", runServe},
-	{"router", "route requests to the owners in a ring of serve replicas", runRouter},
 	{"scaling", "burst-mode scaling analysis (Figs. 2a/2b)", runScaling},
 	{"trace", "synthesize, inspect and draw traces (Fig. 3)", runTrace},
 }

@@ -62,6 +62,27 @@ func TestFailingCommandStillWritesMetrics(t *testing.T) {
 	}
 }
 
+// A ring needs both halves: this replica's own URL and the members. Either
+// alone is refused before anything opens, and the error names both flags.
+func TestServeRingFlagsComeTogether(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "store")
+	for _, args := range [][]string{
+		{"serve", "-self", "http://127.0.0.1:1", "-cache-dir", dir},
+		{"serve", "-peers", "http://127.0.0.1:1,http://127.0.0.1:2", "-cache-dir", dir},
+	} {
+		var out bytes.Buffer
+		if status := run(args, &out); status == 0 {
+			t.Fatalf("musa %q: status 0, want a refusal", args)
+		}
+		if !strings.Contains(out.String(), "-self") || !strings.Contains(out.String(), "-peers") {
+			t.Errorf("musa %q: the error does not name -self and -peers: %q", args, out.String())
+		}
+		if _, err := os.Stat(dir); !os.IsNotExist(err) {
+			t.Fatalf("musa %q opened the store before refusing: %v", args, err)
+		}
+	}
+}
+
 func TestParsePoints(t *testing.T) {
 	for _, tc := range []struct {
 		in   string

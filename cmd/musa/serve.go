@@ -1,18 +1,13 @@
 package main
 
 import (
-	"context"
-	"encoding/json"
 	"errors"
 	"flag"
-	"io"
 	"log"
 	"net/http"
 	"os"
-	"time"
 
 	"musa"
-	"musa/internal/ring"
 	"musa/internal/serve"
 )
 
@@ -68,10 +63,12 @@ func runServe(fs *flag.FlagSet, args []string) error {
 	// of their cache group. The key-derivation contract requires identical
 	// default flags on every replica.
 	var rg *musa.Ring
-	if *peers != "" {
-		if *self == "" {
-			return errors.New("-peers requires -self (this replica's own URL in the ring)")
-		}
+	switch {
+	case *peers != "" && *self == "":
+		return errors.New("-peers requires -self (this replica's own URL in the ring)")
+	case *self != "" && *peers == "":
+		return errors.New("-self requires -peers (the ring's members, -self included)")
+	case *peers != "":
 		rg = musa.NewRing(*self, splitList(*peers))
 	}
 	client, err := openClient(musa.ClientOptions{
@@ -117,7 +114,7 @@ func runServe(fs *flag.FlagSet, args []string) error {
 	}
 	svc, h := replicaHandler(client, *admit, *admitQueue, opts...)
 	log.Printf("listening on %s", *addr)
-	// Draining first: /healthz flips to 503 so routers stop sending work
+	// Draining first: /healthz flips to 503 so load balancers stop sending work
 	// and new heavy requests shed, while the shutdown lets in-flight NDJSON
 	// streams run to completion (sweeps checkpoint through the store, so
 	// stopping them loses nothing beyond the points in flight).
@@ -154,105 +151,4 @@ func replicaHandler(c *musa.Client, admit, admitQueue int, opts ...serve.Option)
 	}
 	svc := serve.New(c)
 	return svc, serve.NewHandler(svc, opts...)
-}
-
-// runRouter is `musa router`: a thin L7 front door for a ring of serve
-// replicas. It derives the content-addressed route key of each request
-// (serve.NewRouter) and forwards it to the replica the rendezvous ring
-// ranks highest, so duplicate requests from many clients converge on one
-// replica's single-flight and store whichever front door they entered
-// through. It holds no store and runs no simulations, so any number of
-// routers can run behind one DNS name.
-//
-//	musa router -addr :8079 -replicas http://h1:8080,http://h2:8080,http://h3:8080
-//
-// Replicas that fail a probe or a forward are routed around until they
-// pass again; a replica whose /healthz says draining or overloaded gets no
-// new work but keeps its in-flight streams. The route-key contract
-// requires the router to run with the replicas' default-fidelity flags
-// (-sample, -warmup, -seed, -replay-ranks, -no-replay, -network).
-func runRouter(fs *flag.FlagSet, args []string) error {
-	addr := fs.String("addr", ":8079", "listen address")
-	replicas := fs.String("replicas", "", "comma-separated serve replica base URLs (required)")
-	sample := fs.Int64("sample", 0, "default detailed sample micro-ops — must match the replicas")
-	warmup := fs.Int64("warmup", 0, "default warmup micro-ops — must match the replicas")
-	seed := fs.Uint64("seed", 1, "default seed — must match the replicas")
-	replayRanks := fs.String("replay-ranks", "", "default cluster-stage rank counts — must match the replicas")
-	noReplay := fs.Bool("no-replay", false, "default replay disablement — must match the replicas")
-	network := fs.String("network", "", "default interconnect model — must match the replicas")
-	probeEvery := fs.Duration("probe-interval", 3*time.Second, "healthz probe period per replica")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	members := splitList(*replicas)
-	if len(members) == 0 {
-		return errors.New("no replicas: pass -replicas URLS")
-	}
-	var defaults musa.Experiment
-	if err := defaults.SetReplayFlags(*replayRanks, *noReplay, *network); err != nil {
-		return err
-	}
-	// The client exists only to derive route keys with the normalization
-	// the replicas apply; it never opens a store or runs a simulation.
-	rg := musa.NewRing("", members)
-	keyer, err := openClient(musa.ClientOptions{
-		NoArtifacts:  true,
-		SampleInstrs: *sample,
-		WarmupInstrs: *warmup,
-		Seed:         *seed,
-		ReplayRanks:  defaults.ReplayRanks,
-		NoReplay:     defaults.NoReplay,
-		Network:      defaults.Network,
-		Ring:         rg,
-	})
-	if err != nil {
-		return err
-	}
-	ctx, stopProbe := context.WithCancel(context.Background())
-	defer stopProbe()
-	go probe(ctx, rg, *probeEvery)
-	log.Printf("routing %d replicas on %s", rg.Len(), *addr)
-	return serveUntilSignal(serve.NewServer(*addr, serve.NewRouter(keyer)), func() {
-		stopProbe()
-		log.Print("shutting down")
-	})
-}
-
-// probe polls every replica's /healthz on a fixed period, until ctx ends,
-// and feeds the result into the ring's health states, which reorder routing
-// preferences without changing key ownership. It is the only source of the
-// Overloaded and Draining states, and its verdict replaces a forward's
-// transport-failure mark (ring.MarkDown) either way.
-func probe(ctx context.Context, rg *musa.Ring, every time.Duration) {
-	httpc := &http.Client{Timeout: 2 * time.Second}
-	for {
-		for _, m := range rg.Members() {
-			rg.SetState(m.URL, probeOne(httpc, m.URL))
-		}
-		select {
-		case <-ctx.Done():
-			return
-		case <-time.After(every):
-		}
-	}
-}
-
-func probeOne(httpc *http.Client, base string) musa.RingState {
-	resp, err := httpc.Get(base + "/healthz")
-	if err != nil {
-		return musa.RingDown
-	}
-	defer resp.Body.Close()
-	var body struct {
-		Status string `json:"status"`
-	}
-	// An undecodable body leaves Status empty, which ParseState refuses.
-	_ = json.NewDecoder(io.LimitReader(resp.Body, 1<<12)).Decode(&body)
-	if st, err := ring.ParseState(body.Status); err == nil {
-		return st
-	}
-	if resp.StatusCode == http.StatusOK {
-		return musa.RingOk
-	}
-	return musa.RingDown
 }

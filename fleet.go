@@ -87,7 +87,9 @@ type fleet struct {
 }
 
 // newFleet validates the worker base URLs (http/https with a host) and
-// normalizes the dispatch knobs.
+// normalizes the dispatch knobs. A worker listed twice, with or without a
+// trailing slash, is one worker: the dispatch loop runs its advertised
+// capacity once.
 func newFleet(workers []string, shardTimeout, hedgeAfter time.Duration) (*fleet, error) {
 	f := &fleet{timeout: shardTimeout, hedgeAfter: hedgeAfter}
 	if f.timeout == 0 {
@@ -101,7 +103,9 @@ func newFleet(workers []string, shardTimeout, hedgeAfter time.Duration) (*fleet,
 		if (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
 			return nil, fmt.Errorf("%w %q: want http(s)://host[:port]", ErrBadWorker, w)
 		}
-		f.bases = append(f.bases, u.String())
+		if base := u.String(); !slices.Contains(f.bases, base) {
+			f.bases = append(f.bases, base)
+		}
 	}
 	return f, nil
 }

@@ -2,6 +2,7 @@ package musa
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -175,5 +176,18 @@ func TestFleetOptionsNormalization(t *testing.T) {
 	}
 	if f.timeout != -1 || f.hedgeAfter != 50*time.Millisecond {
 		t.Fatalf("fleet knobs = %v/%v", f.timeout, f.hedgeAfter)
+	}
+}
+
+// A worker listed twice is one worker: the dispatch loop starts one
+// goroutine per advertised slot per base, so a duplicate base would get
+// twice its /capacity of in-flight shards.
+func TestFleetDedupesWorkers(t *testing.T) {
+	f, err := newFleet([]string{"http://h:1", "http://h:2/", "http://h:1/", "http://h:2", "http://h:1"}, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"http://h:1", "http://h:2"}; !slices.Equal(f.bases, want) {
+		t.Fatalf("bases = %q, want %q in first-seen order", f.bases, want)
 	}
 }

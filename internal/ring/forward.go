@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -14,21 +15,17 @@ import (
 )
 
 // This file is the one way a request moves to another ring member. Every
-// process that routes into a ring — a replica proxying a /simulate it does
-// not own, the L7 router, the fleet coordinator probing a worker or posting
-// a shard — sends through a Forwarder, so which member gets a key,
-// what counts as that member failing and when it is tried again are decided
-// here and nowhere else.
+// process that sends into a ring — a replica proxying a /simulate miss to
+// its owner, the fleet coordinator probing a worker or posting a shard —
+// sends through a Forwarder, so which member gets a key, what counts as
+// that member failing and when it is tried again are decided here and
+// nowhere else.
 
 // HopHeader marks a request already routed once by a ring participant. A
 // replica receiving it executes locally whatever its ring says: during a
 // membership change two replicas may briefly disagree about ownership, and
 // one hop of imprecise placement beats a proxy loop.
 const HopHeader = "X-Musa-Ring-Hop"
-
-// ErrUnreachable reports that no candidate produced a response the caller
-// accepted.
-var ErrUnreachable = errors.New("ring: no member reachable")
 
 // Request is what a Forwarder sends to a member.
 type Request struct {
@@ -38,8 +35,7 @@ type Request struct {
 	// Header supplies Content-Type, Accept and — when ctx carries no span of
 	// its own — the trace header; nothing else is copied.
 	Header http.Header
-	// Body is sent again on every attempt.
-	Body []byte
+	Body   []byte
 	// Timeout bounds one attempt, response body included (0 = only ctx). A
 	// member that runs into it has failed; a ctx that ends has not.
 	Timeout time.Duration
@@ -55,9 +51,9 @@ type Forwarder struct {
 	HTTP *http.Client
 }
 
-// candidates is the walk order for key: the health-ranked order without
-// this process and without members marked Down — or with them when nobody
-// else is left, since a local mark may simply be stale.
+// candidates is the placement order for key: the health-ranked order
+// without this process and without members marked Down — or with them when
+// nobody else is left, since a local mark may simply be stale.
 func (r *Ring) candidates(key string) []string {
 	rs := r.rank(key)
 	out := make([]string, 0, len(rs))
@@ -78,8 +74,8 @@ func (r *Ring) candidates(key string) []string {
 }
 
 // Pick returns the first candidate for key that ok accepts ("" when none
-// does): placement by the same order Forward walks, for callers that hold
-// work for a member instead of sending it at once.
+// does), for callers that hold work for a member instead of sending it at
+// once.
 func (r *Ring) Pick(key string, ok func(member string) bool) string {
 	for _, m := range r.candidates(key) {
 		if ok(m) {
@@ -89,83 +85,41 @@ func (r *Ring) Pick(key string, ok func(member string) bool) string {
 	return ""
 }
 
-// Forward sends req to the candidates for key, in order, until handle
-// accepts a response: handle sees every response obtained, whatever its
-// status, and returns false to have the next candidate tried (the member
-// answered, so it is not marked). At most limit members are attempted
-// (0 = all). The response body is closed when handle returns. Forward
-// returns nil once handle accepted, ctx.Err() as soon as ctx ends, and
-// ErrUnreachable when the candidates ran out.
-func (f *Forwarder) Forward(ctx context.Context, key string, limit int, req Request,
-	handle func(member string, resp *http.Response) bool) error {
-	for i, m := range f.Ring.candidates(key) {
-		if limit > 0 && i == limit {
-			break
-		}
-		resp, cancel, err := f.attempt(ctx, m, req)
-		if err == nil {
-			done := handle(m, resp)
-			resp.Body.Close()
-			cancel()
-			if done {
-				return nil
-			}
-		}
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-	}
-	return ErrUnreachable
-}
-
-// Send makes one attempt against one named member, with Forward's headers
-// and failure marking. handle reads the response; its body is closed when
-// handle returns.
+// Send makes one attempt against one named member: hop and trace headers
+// set, a transport failure turned into a Down mark. handle reads the
+// response, whatever its status; its body is closed when handle returns.
 func (f *Forwarder) Send(ctx context.Context, member string, req Request, handle func(resp *http.Response)) error {
-	resp, cancel, err := f.attempt(ctx, member, req)
-	if err != nil {
-		return err
-	}
-	defer cancel()
-	defer resp.Body.Close()
-	handle(resp)
-	return nil
-}
-
-// attempt is the one place a request leaves for a member: hop and trace
-// headers set, transport failure turned into a Down mark. cancel releases
-// the attempt's deadline and must be called once the response is consumed.
-func (f *Forwarder) attempt(ctx context.Context, member string, req Request) (*http.Response, context.CancelFunc, error) {
 	actx, cancel := ctx, context.CancelFunc(func() {})
 	if req.Timeout > 0 {
 		actx, cancel = context.WithTimeout(ctx, req.Timeout)
 	}
+	defer cancel()
 	hr, err := http.NewRequestWithContext(actx, req.Method, member+req.Path, bytes.NewReader(req.Body))
 	if err != nil {
-		cancel()
-		return nil, nil, err
+		return err
 	}
 	for _, h := range [...]string{"Content-Type", "Accept", obs.TraceHeader} {
 		if v := req.Header.Get(h); v != "" {
 			hr.Header.Set(h, v)
 		}
 	}
-	// The hop that is leaving parents the receiver's span tree; an inbound
-	// trace header (a router has no span of its own) passes through above.
+	// The hop that is leaving parents the receiver's span tree; without a
+	// span in ctx, an inbound trace header passes through above.
 	if hv := obs.SpanFrom(ctx).HeaderValue(); hv != "" {
 		hr.Header.Set(obs.TraceHeader, hv)
 	}
 	hr.Header.Set(HopHeader, "1")
 	resp, err := f.HTTP.Do(hr)
 	if err != nil {
-		cancel()
 		if ctx.Err() == nil {
 			// The caller is still there, so the failure is the member's.
 			f.Ring.MarkDown(member)
 		}
-		return nil, nil, err
+		return err
 	}
-	return resp, cancel, nil
+	defer resp.Body.Close()
+	handle(resp)
+	return nil
 }
 
 // relayBufs holds the copy buffers of Relay: a proxied reply is relayed on
@@ -174,9 +128,7 @@ func (f *Forwarder) attempt(ctx context.Context, member string, req Request) (*h
 var relayBufs = sync.Pool{New: func() any { return new([32 << 10]byte) }}
 
 // Relay copies a member's response to w: status, the headers a caller acts
-// on (Content-Type, Retry-After, Location) and the body. A body of unknown
-// length is a stream — NDJSON progress events — and is flushed chunk by
-// chunk so events reach the caller as the member emits them.
+// on (Content-Type, Retry-After, Location) and the body.
 func Relay(w http.ResponseWriter, resp *http.Response) {
 	for _, h := range [...]string{"Content-Type", "Retry-After", "Location"} {
 		if v := resp.Header.Get(h); v != "" {
@@ -184,26 +136,9 @@ func Relay(w http.ResponseWriter, resp *http.Response) {
 		}
 	}
 	w.WriteHeader(resp.StatusCode)
-	var flusher http.Flusher
-	if resp.ContentLength < 0 {
-		flusher, _ = w.(http.Flusher)
-	}
 	buf := relayBufs.Get().(*[32 << 10]byte)
 	defer relayBufs.Put(buf)
-	for {
-		n, err := resp.Body.Read(buf[:])
-		if n > 0 {
-			if _, werr := w.Write(buf[:n]); werr != nil {
-				return // the caller hung up; the reply is committed
-			}
-			if flusher != nil {
-				flusher.Flush()
-			}
-		}
-		if err != nil {
-			return
-		}
-	}
+	io.CopyBuffer(w, resp.Body, buf[:]) // an error is the caller hanging up: the reply is committed
 }
 
 // maxRetryAfter is the longest delay ParseRetryAfter reports; the one caller

@@ -1,7 +1,6 @@
 package ring
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -10,7 +9,6 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"slices"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -60,12 +58,13 @@ func (p *fakePeers) hits() []int {
 	return out
 }
 
-// TestForwarderWalk drives the candidate walk against fake members: which
-// member is asked, in what order, who gets marked, and when the walk stops.
+// TestForwarderWalk drives a key's way to a member against fake members:
+// which member Owner and Pick place the key on, who gets marked Down by a
+// failed Send, and when the mark lapses.
 func TestForwarderWalk(t *testing.T) {
 	const key = "some-key"
-	accept := func(string, *http.Response) bool { return true }
 	post := Request{Method: http.MethodPost, Path: "/x", Body: []byte("b")}
+	read := func(*http.Response) {}
 
 	// order maps the ring's preference for key onto member indices.
 	order := func(p *fakePeers, r *Ring) []int {
@@ -81,41 +80,15 @@ func TestForwarderWalk(t *testing.T) {
 		r := New("", p.urls)
 		want := order(p, r)[:1]
 		f := &Forwarder{Ring: r, HTTP: http.DefaultClient}
-		if err := f.Forward(context.Background(), key, 0, post, accept); err != nil {
+		var got string
+		if err := f.Send(context.Background(), r.Owner(key), post, func(resp *http.Response) {
+			b, _ := io.ReadAll(resp.Body)
+			got = string(b)
+		}); err != nil {
 			t.Fatal(err)
 		}
-		if got := p.hits(); !slices.Equal(got, want) {
-			t.Fatalf("reached %v, want only the owner %v", got, want)
-		}
-	})
-
-	t.Run("refusing handler advances in order, unmarked", func(t *testing.T) {
-		p := newFakePeers(t, 3)
-		r := New("", p.urls)
-		want := order(p, r)
-		f := &Forwarder{Ring: r, HTTP: http.DefaultClient}
-		err := f.Forward(context.Background(), key, 0, post, func(string, *http.Response) bool { return false })
-		if !errors.Is(err, ErrUnreachable) {
-			t.Fatalf("err = %v, want ErrUnreachable", err)
-		}
-		if got := p.hits(); !slices.Equal(got, want) {
-			t.Fatalf("reached %v, want the full order %v", got, want)
-		}
-		for _, u := range p.urls {
-			if r.StateOf(u) != Ok {
-				t.Fatalf("%s marked %v for an answer the caller refused", u, r.StateOf(u))
-			}
-		}
-	})
-
-	t.Run("limit bounds the attempts", func(t *testing.T) {
-		p := newFakePeers(t, 3)
-		r := New("", p.urls)
-		want := order(p, r)[:2]
-		f := &Forwarder{Ring: r, HTTP: http.DefaultClient}
-		f.Forward(context.Background(), key, 2, post, func(string, *http.Response) bool { return false })
-		if got := p.hits(); !slices.Equal(got, want) {
-			t.Fatalf("reached %v, want %v", got, want)
+		if hits := p.hits(); !slices.Equal(hits, want) || got != fmt.Sprintf("%d b", want[0]) {
+			t.Fatalf("reached %v answering %q, want only the owner %v", hits, got, want)
 		}
 	})
 
@@ -123,29 +96,24 @@ func TestForwarderWalk(t *testing.T) {
 		p := newFakePeers(t, 3)
 		all := order(p, New("", p.urls))
 		r := New(p.urls[all[0]], p.urls) // the owner is this process
-		r.SetState(p.urls[all[1]], Down)
-		f := &Forwarder{Ring: r, HTTP: http.DefaultClient}
-		if err := f.Forward(context.Background(), key, 0, post, accept); err != nil {
-			t.Fatal(err)
-		}
-		if got := p.hits(); !slices.Equal(got, all[2:]) {
-			t.Fatalf("reached %v, want only %v", got, all[2:])
+		r.MarkDown(p.urls[all[1]])
+		if got := r.Pick(key, func(string) bool { return true }); got != p.urls[all[2]] {
+			t.Fatalf("Pick = %s, want the only Ok other member %s", got, p.urls[all[2]])
 		}
 	})
 
 	t.Run("all Down are tried anyway", func(t *testing.T) {
 		p := newFakePeers(t, 2)
 		r := New("", p.urls)
-		want := order(p, r)[:1]
+		want := r.Order(key)[0]
 		for _, u := range p.urls {
-			r.SetState(u, Down)
+			r.MarkDown(u)
 		}
-		f := &Forwarder{Ring: r, HTTP: http.DefaultClient}
-		if err := f.Forward(context.Background(), key, 0, post, accept); err != nil {
-			t.Fatalf("a ring marked all Down was not tried: %v", err)
+		if got := r.Pick(key, func(string) bool { return true }); got != want {
+			t.Fatalf("Pick on a ring marked all Down = %q, want %s", got, want)
 		}
-		if got := p.hits(); !slices.Equal(got, want) {
-			t.Fatalf("reached %v, want %v", got, want)
+		if got := r.Owner(key); got != want {
+			t.Fatalf("Owner on a ring marked all Down = %q, want %s", got, want)
 		}
 	})
 
@@ -159,14 +127,14 @@ func TestForwarderWalk(t *testing.T) {
 		f := &Forwarder{Ring: r, HTTP: http.DefaultClient}
 
 		goroutines := runtime.NumGoroutine()
-		if err := f.Forward(context.Background(), key, 0, post, accept); err != nil {
-			t.Fatal(err)
+		if err := f.Send(context.Background(), dead, post, read); err == nil {
+			t.Fatal("Send to a member that refuses connections succeeded")
 		}
-		if got := p.hits(); !slices.Equal(got, ord[1:2]) {
-			t.Fatalf("reached %v, want the first fallback %v", got, ord[1:2])
+		if r.StateOf(dead) != Down {
+			t.Fatalf("dead member reads %v", r.StateOf(dead))
 		}
-		if r.StateOf(dead) != Down || r.Order(key)[0] == dead {
-			t.Fatalf("dead member reads %v and still leads the order", r.StateOf(dead))
+		if got := r.Order(key); got[len(got)-1] != dead || r.Owner(key) != p.urls[ord[1]] {
+			t.Fatalf("order %v, owner %s: want %s last and %s owning", got, r.Owner(key), dead, p.urls[ord[1]])
 		}
 		// Nothing is left behind to clear the mark: no timer, no goroutine.
 		http.DefaultClient.CloseIdleConnections()
@@ -174,7 +142,7 @@ func TestForwarderWalk(t *testing.T) {
 			time.Sleep(5 * time.Millisecond)
 		}
 		if n := runtime.NumGoroutine(); n > goroutines {
-			t.Fatalf("%d goroutines after a failed forward, %d before", n, goroutines)
+			t.Fatalf("%d goroutines after a failed send, %d before", n, goroutines)
 		}
 
 		now = now.Add(DownCooldown - time.Nanosecond)
@@ -182,18 +150,12 @@ func TestForwarderWalk(t *testing.T) {
 			t.Fatal("mark lapsed before the cooldown")
 		}
 		now = now.Add(time.Nanosecond)
-		if r.StateOf(dead) != Ok || r.Order(key)[0] != dead || r.Members()[slices.Index(sorted(p.urls), dead)].State != "ok" {
+		if r.StateOf(dead) != Ok || r.Owner(key) != dead || r.Members()[slices.Index(sorted(p.urls), dead)].State != "ok" {
 			t.Fatalf("mark did not lapse at the cooldown: %v, order %v", r.StateOf(dead), r.Order(key))
-		}
-		// A prober's verdict is not a transport mark: it holds until replaced.
-		r.SetState(dead, Down)
-		now = now.Add(10 * DownCooldown)
-		if r.StateOf(dead) != Down {
-			t.Fatal("SetState(Down) lapsed like a MarkDown")
 		}
 	})
 
-	t.Run("caller cancellation marks nobody and stops the walk", func(t *testing.T) {
+	t.Run("caller cancellation marks nobody", func(t *testing.T) {
 		arrived := make(chan struct{})
 		stall := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			io.Copy(io.Discard, r.Body)
@@ -201,21 +163,15 @@ func TestForwarderWalk(t *testing.T) {
 			<-r.Context().Done()
 		}))
 		defer stall.Close()
-		other := newFakePeers(t, 1)
-		r := New("", []string{stall.URL, other.urls[0]})
-		k := keyOwnedBy(r, stall.URL)
+		r := New("", []string{stall.URL})
 		ctx, cancel := context.WithCancel(context.Background())
 		go func() { <-arrived; cancel() }()
 		f := &Forwarder{Ring: r, HTTP: http.DefaultClient}
-		err := f.Forward(ctx, k, 0, post, accept)
-		if !errors.Is(err, context.Canceled) {
+		if err := f.Send(ctx, stall.URL, post, read); !errors.Is(err, context.Canceled) {
 			t.Fatalf("err = %v, want context.Canceled", err)
 		}
 		if r.StateOf(stall.URL) != Ok {
 			t.Fatal("a healthy member was marked Down because the caller hung up")
-		}
-		if got := other.hits(); len(got) != 0 {
-			t.Fatal("the walk went on with a dead context")
 		}
 	})
 
@@ -227,8 +183,8 @@ func TestForwarderWalk(t *testing.T) {
 		r := New("", []string{stall.URL})
 		f := &Forwarder{Ring: r, HTTP: http.DefaultClient}
 		req := Request{Method: http.MethodGet, Path: "/x", Timeout: 20 * time.Millisecond}
-		if err := f.Forward(context.Background(), "k", 0, req, accept); !errors.Is(err, ErrUnreachable) {
-			t.Fatalf("err = %v, want ErrUnreachable", err)
+		if err := f.Send(context.Background(), stall.URL, req, read); !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 		}
 		if r.StateOf(stall.URL) != Down {
 			t.Fatal("a member that ran into the attempt timeout was not marked")
@@ -240,15 +196,6 @@ func sorted(s []string) []string {
 	out := slices.Clone(s)
 	slices.Sort(out)
 	return out
-}
-
-// keyOwnedBy finds a key the ring ranks member first for.
-func keyOwnedBy(r *Ring, member string) string {
-	for i := 0; ; i++ {
-		if k := fmt.Sprintf("key-%d", i); r.Owner(k) == member {
-			return k
-		}
-	}
 }
 
 // newFakePeersDeadAt builds n members of which the one the ring prefers for
@@ -307,34 +254,22 @@ func TestForwarderHeaders(t *testing.T) {
 	}
 }
 
-// TestRelay checks the reply side: status and the three headers a caller
-// acts on are copied, and a body of unknown length is flushed as it comes —
-// the first NDJSON event is readable while the member still holds the
-// stream open.
+// TestRelay checks the reply side: status, the three headers a caller acts
+// on and the body are copied, and nothing else.
 func TestRelay(t *testing.T) {
-	release := make(chan struct{})
 	member := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		switch r.URL.Path {
-		case "/shed":
-			w.Header().Set("Content-Type", "application/json")
-			w.Header().Set("Retry-After", "7")
-			w.Header().Set("Location", "http://elsewhere/simulate")
-			w.Header().Set("X-Private", "stays")
-			w.WriteHeader(http.StatusTooManyRequests)
-			io.WriteString(w, `{"error":"busy"}`)
-		case "/stream":
-			w.Header().Set("Content-Type", "application/x-ndjson")
-			io.WriteString(w, "{\"type\":\"progress\"}\n")
-			w.(http.Flusher).Flush()
-			<-release
-			io.WriteString(w, "{\"type\":\"result\"}\n")
-		}
+		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("Retry-After", "7")
+		w.Header().Set("Location", "http://elsewhere/simulate")
+		w.Header().Set("X-Private", "stays")
+		w.WriteHeader(http.StatusTooManyRequests)
+		io.WriteString(w, `{"error":"busy"}`)
 	}))
 	defer member.Close()
 	f := &Forwarder{Ring: New("", []string{member.URL}), HTTP: http.DefaultClient}
 	front := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		f.Forward(r.Context(), "k", 0, Request{Method: r.Method, Path: r.URL.Path},
-			func(_ string, resp *http.Response) bool { Relay(w, resp); return true })
+		f.Send(r.Context(), member.URL, Request{Method: r.Method, Path: r.URL.Path},
+			func(resp *http.Response) { Relay(w, resp) })
 	}))
 	defer front.Close()
 
@@ -361,27 +296,6 @@ func TestRelay(t *testing.T) {
 		if got := ParseRetryAfter(v); got != want {
 			t.Errorf("ParseRetryAfter(%q) = %v, want %v", v, got, want)
 		}
-	}
-
-	resp, err = http.Get(front.URL + "/stream")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	lines := bufio.NewReader(resp.Body)
-	first := make(chan string, 1)
-	go func() { l, _ := lines.ReadString('\n'); first <- l }()
-	select {
-	case l := <-first:
-		if !strings.Contains(l, "progress") {
-			t.Fatalf("first event = %q", l)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("the first event was held back until the stream ended")
-	}
-	close(release)
-	if l, _ := lines.ReadString('\n'); !strings.Contains(l, "result") {
-		t.Fatalf("last event = %q", l)
 	}
 }
 

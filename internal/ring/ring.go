@@ -4,26 +4,25 @@
 // onto an owner replica, so duplicate requests arriving at any front door
 // converge on one machine's single-flight and one artifact cache instead
 // of N redundant computations. Membership is a flat set of replica base
-// URLs; every participant (replica, fleet coordinator, L7 router) derives
+// URLs; every participant (replica, fleet coordinator) derives
 // the same owner from the same membership without coordination, and a
 // membership change of one replica only remaps the keys that replica
 // owned — the rendezvous property that makes rolling restarts cheap.
 //
 // Ownership is overlaid with local health knowledge: each process marks
-// members it observed failing (or advertising /healthz degradation), and
-// the fallback ordering demotes degraded members behind healthy ones
-// without changing the hash. Health is deliberately local, not gossiped:
-// when everyone is healthy every process agrees on the owner, and when a
-// process sees a member down it alone reroutes until the member recovers.
+// Down, for DownCooldown, a member it failed to reach, and the fallback
+// ordering demotes Down members behind Ok ones without changing the hash.
+// Health is deliberately local, not gossiped: when everyone is reachable
+// every process agrees on the owner, and when a process fails to reach a
+// member it alone reroutes until the mark lapses.
 //
 // Moving a request to the member a key hashes to — which member, what
 // counts as that member failing, and when it is tried again — is the
-// Forwarder in forward.go; every process that routes into a ring uses it.
+// Forwarder in forward.go.
 package ring
 
 import (
 	"cmp"
-	"fmt"
 	"slices"
 	"strings"
 	"sync"
@@ -34,48 +33,19 @@ import (
 type State int32
 
 const (
-	// Ok is a healthy member: eligible as owner.
+	// Ok is a member eligible as owner.
 	Ok State = iota
-	// Overloaded is a member shedding load (healthz "overloaded"): still
-	// preferred over draining or down members — its queue drains in
-	// seconds and moving its keys would forfeit coalescing — but demoted
-	// behind healthy ones.
-	Overloaded
-	// Draining is a member finishing in-flight work before shutdown: new
-	// work routes elsewhere.
-	Draining
-	// Down is a member that failed a request or probe entirely.
+	// Down is a member a request failed to reach in the last DownCooldown
+	// (Ring.MarkDown): ranked behind every Ok member.
 	Down
 )
 
-// String returns the healthz wire name of the state.
+// String returns the state's wire name in Members.
 func (s State) String() string {
-	switch s {
-	case Ok:
-		return "ok"
-	case Overloaded:
-		return "overloaded"
-	case Draining:
-		return "draining"
-	case Down:
+	if s == Down {
 		return "down"
 	}
-	return fmt.Sprintf("state(%d)", int32(s))
-}
-
-// ParseState maps a healthz wire name back onto its State.
-func ParseState(s string) (State, error) {
-	switch s {
-	case "ok":
-		return Ok, nil
-	case "overloaded":
-		return Overloaded, nil
-	case "draining":
-		return Draining, nil
-	case "down":
-		return Down, nil
-	}
-	return Down, fmt.Errorf("ring: unknown state %q", s)
+	return "ok"
 }
 
 // Member is one replica and its locally observed state.
@@ -87,24 +57,17 @@ type Member struct {
 // DownCooldown is how long a transport failure (MarkDown) keeps a member
 // demoted before it is optimistically tried again. Long enough that a dead
 // member costs one failed dial per cooldown rather than one per request,
-// short enough that a restarted one is back within a prober period or five.
+// short enough that a restarted one is back within seconds.
 const DownCooldown = 15 * time.Second
 
-// health is one member's observed state. A zero until means the state
-// holds until somebody reports another; a non-zero until (only ever set
-// together with Down, by MarkDown) is the instant the mark lapses.
-type health struct {
-	state State
-	until time.Time
-}
-
-// at is the state in force at now: a Down mark past its deadline reads Ok.
-// Expiry is computed on read, so no timer or goroutine exists to clear it.
-func (h health) at(now time.Time) State {
-	if h.state == Down && !h.until.IsZero() && !now.Before(h.until) {
-		return Ok
+// stateAt is the state of a member whose last MarkDown lapses at until
+// (zero: never marked), read at now. Expiry is computed on read, so no
+// timer or goroutine exists to clear a mark.
+func stateAt(until, now time.Time) State {
+	if now.Before(until) {
+		return Down
 	}
-	return h.state
+	return Ok
 }
 
 // Ring is a rendezvous-hashed membership set. The zero value is unusable;
@@ -114,8 +77,8 @@ type Ring struct {
 	now  func() time.Time // time.Now outside tests
 
 	mu      sync.RWMutex
-	members []string // sorted, unique, normalized (no trailing slash)
-	state   map[string]health
+	members []string             // sorted, unique, normalized (no trailing slash)
+	down    map[string]time.Time // every member -> when its MarkDown lapses (zero: never marked)
 }
 
 // Normalize canonicalizes one member URL the way the ring stores it: the
@@ -126,11 +89,10 @@ func Normalize(member string) string {
 }
 
 // New builds a ring over members. self names this process's own entry
-// (empty for pure routers and coordinators that are not themselves
-// replicas); it need not appear in members. Duplicates and empty entries
-// are dropped.
+// (empty for coordinators that are not themselves replicas); it need not
+// appear in members. Duplicates and empty entries are dropped.
 func New(self string, members []string) *Ring {
-	r := &Ring{self: Normalize(self), now: time.Now, state: map[string]health{}}
+	r := &Ring{self: Normalize(self), now: time.Now, down: map[string]time.Time{}}
 	r.SetMembers(members)
 	return r
 }
@@ -142,8 +104,9 @@ func (r *Ring) SetClock(now func() time.Time) { r.now = now }
 // Self returns this process's own member URL ("" when not a replica).
 func (r *Ring) Self() string { return r.self }
 
-// SetMembers replaces the membership. States of retained members survive;
-// new members start Ok. The slice is normalized, deduplicated and sorted.
+// SetMembers replaces the membership. Down marks of retained members
+// survive; new members start Ok. The slice is normalized, deduplicated and
+// sorted.
 func (r *Ring) SetMembers(members []string) {
 	seen := map[string]bool{}
 	var clean []string
@@ -158,12 +121,12 @@ func (r *Ring) SetMembers(members []string) {
 	slices.Sort(clean)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	state := make(map[string]health, len(clean))
+	down := make(map[string]time.Time, len(clean))
 	for _, m := range clean {
-		state[m] = r.state[m] // absent -> Ok (zero value)
+		down[m] = r.down[m] // absent -> zero: Ok
 	}
 	r.members = clean
-	r.state = state
+	r.down = down
 }
 
 // Members returns the membership with each member's observed state,
@@ -174,7 +137,7 @@ func (r *Ring) Members() []Member {
 	now := r.now()
 	out := make([]Member, len(r.members))
 	for i, m := range r.members {
-		out[i] = Member{URL: m, State: r.state[m].at(now).String()}
+		out[i] = Member{URL: m, State: stateAt(r.down[m], now).String()}
 	}
 	return out
 }
@@ -186,36 +149,28 @@ func (r *Ring) Len() int {
 	return len(r.members)
 }
 
-// SetState records a member's observed health, until the next report.
-// Unknown members are ignored (a stale probe must not resurrect a removed
-// member).
-func (r *Ring) SetState(member string, s State) { r.set(member, health{state: s}) }
-
 // MarkDown records that a request to member failed in transport: the
-// member reads Down for DownCooldown and then Ok again, unless a SetState
-// (a health prober that knows better) overrides the mark first.
+// member reads Down for DownCooldown and then Ok again. Non-members are
+// ignored (a late failure must not resurrect a removed member).
 func (r *Ring) MarkDown(member string) {
-	r.set(member, health{state: Down, until: r.now().Add(DownCooldown)})
-}
-
-func (r *Ring) set(member string, h health) {
 	member = Normalize(member)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, ok := r.state[member]; ok {
-		r.state[member] = h
+	if _, ok := r.down[member]; ok {
+		r.down[member] = r.now().Add(DownCooldown)
 	}
 }
 
 // StateOf returns a member's observed state (Down for non-members).
 func (r *Ring) StateOf(member string) State {
+	member = Normalize(member)
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	h, ok := r.state[Normalize(member)]
+	until, ok := r.down[member]
 	if !ok {
 		return Down
 	}
-	return h.at(r.now())
+	return stateAt(until, r.now())
 }
 
 // score is the rendezvous weight of (member, key): FNV-1a over both with
@@ -245,10 +200,9 @@ func score(member, key string) uint64 {
 }
 
 // Order returns the full fallback order for key: every member sorted by
-// descending rendezvous score, then stably demoted by observed state
-// (Ok, Overloaded, Draining, Down). With uniform health the order is
-// identical on every process; degraded members sink only in the eyes of
-// whoever observed the degradation.
+// descending rendezvous score, with members marked Down after every Ok
+// one. With uniform health the order is identical on every process; a
+// Down member sinks only in the eyes of whoever marked it.
 func (r *Ring) Order(key string) []string {
 	rs := r.rank(key)
 	out := make([]string, len(rs))
@@ -271,7 +225,7 @@ func (r *Ring) rank(key string) []ranked {
 	now := r.now()
 	rs := make([]ranked, len(r.members))
 	for i, m := range r.members {
-		rs[i] = ranked{url: m, score: score(m, key), state: r.state[m].at(now)}
+		rs[i] = ranked{url: m, score: score(m, key), state: stateAt(r.down[m], now)}
 	}
 	r.mu.RUnlock()
 	slices.SortFunc(rs, func(a, b ranked) int {
@@ -284,8 +238,8 @@ func (r *Ring) rank(key string) []ranked {
 	return rs
 }
 
-// Owner returns the key's owner: the highest-scoring member among the
-// healthiest state class ("" on an empty ring).
+// Owner returns the key's owner: the highest-scoring Ok member, or the
+// highest-scoring member when all are Down ("" on an empty ring).
 func (r *Ring) Owner(key string) string {
 	rs := r.rank(key)
 	if len(rs) == 0 {

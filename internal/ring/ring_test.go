@@ -2,7 +2,9 @@ package ring
 
 import (
 	"fmt"
+	"slices"
 	"testing"
+	"time"
 )
 
 func urls(n int) []string {
@@ -74,40 +76,44 @@ func TestMinimalRemapOnMembershipChange(t *testing.T) {
 	}
 }
 
+// TestHealthDemotesOwner: a member marked Down sinks behind every Ok one
+// for DownCooldown, and the rendezvous order is back once the mark lapses.
 func TestHealthDemotesOwner(t *testing.T) {
 	r := New("", urls(3))
+	now := time.Unix(1000, 0)
+	r.SetClock(func() time.Time { return now })
 	k := keys(1)[0]
 	owner := r.Owner(k)
 	order := r.Order(k)
 	if order[0] != owner {
 		t.Fatalf("Order[0] = %s, Owner = %s", order[0], owner)
 	}
-	r.SetState(owner, Down)
+	r.MarkDown(owner)
 	if got := r.Owner(k); got == owner {
 		t.Fatalf("down member %s still owns %s", owner, k)
 	} else if got != order[1] {
 		t.Fatalf("fallback owner = %s, want next-in-order %s", got, order[1])
 	}
-	// Overloaded members sink below Ok but above Draining and Down.
-	r.SetState(owner, Ok)
-	r.SetState(order[1], Overloaded)
-	r.SetState(order[2], Draining)
-	wantTail := []string{order[1], order[2]}
-	gotOrder := r.Order(k)
-	if gotOrder[0] != owner || gotOrder[1] != wantTail[0] || gotOrder[2] != wantTail[1] {
-		t.Fatalf("state-ranked order = %v, want [%s %s %s]", gotOrder, owner, wantTail[0], wantTail[1])
+	if got := r.Order(k); !slices.Equal(got, []string{order[1], order[2], owner}) {
+		t.Fatalf("order with the owner Down = %v, want [%s %s %s]", got, order[1], order[2], owner)
+	}
+	// Two Down members keep their rendezvous order behind the Ok one.
+	r.MarkDown(order[1])
+	if got := r.Order(k); !slices.Equal(got, []string{order[2], owner, order[1]}) {
+		t.Fatalf("order with two Down = %v, want [%s %s %s]", got, order[2], owner, order[1])
 	}
 	// Recovery restores the original rendezvous order.
-	r.SetState(order[1], Ok)
-	r.SetState(order[2], Ok)
-	if got := r.Owner(k); got != owner {
-		t.Fatalf("owner after recovery = %s, want %s", got, owner)
+	now = now.Add(DownCooldown)
+	if got := r.Order(k); !slices.Equal(got, order) {
+		t.Fatalf("order after the cooldown = %v, want %v", got, order)
 	}
 }
 
 func TestSetMembersKeepsStates(t *testing.T) {
 	r := New("", urls(3))
-	r.SetState("http://replica-1:8080", Down)
+	now := time.Unix(1000, 0)
+	r.SetClock(func() time.Time { return now })
+	r.MarkDown("http://replica-1:8080")
 	r.SetMembers(append(urls(3), "http://replica-9:8080"))
 	if got := r.StateOf("http://replica-1:8080"); got != Down {
 		t.Errorf("retained member state = %v, want Down", got)
@@ -118,14 +124,22 @@ func TestSetMembersKeepsStates(t *testing.T) {
 	if r.Len() != 4 {
 		t.Errorf("Len = %d, want 4", r.Len())
 	}
-	// A state report for a removed member must not resurrect it.
+	// The retained mark still lapses on its own deadline.
+	now = now.Add(DownCooldown)
+	if got := r.StateOf("http://replica-1:8080"); got != Ok {
+		t.Errorf("retained mark after the cooldown = %v, want Ok", got)
+	}
+	// A failure reported for a removed member must not resurrect it.
 	r.SetMembers(urls(2))
-	r.SetState("http://replica-2:8080", Ok)
+	r.MarkDown("http://replica-2:8080")
 	if r.Len() != 2 {
 		t.Errorf("Len after shrink = %d, want 2", r.Len())
 	}
 	if got := r.StateOf("http://replica-2:8080"); got != Down {
 		t.Errorf("non-member state = %v, want Down", got)
+	}
+	if ms := r.Members(); len(ms) != 2 || ms[0].State != "ok" || ms[1].State != "ok" {
+		t.Errorf("members after shrink = %v", ms)
 	}
 }
 
@@ -146,17 +160,5 @@ func TestEmptyRing(t *testing.T) {
 	}
 	if got := len(r.Order("k")); got != 0 {
 		t.Errorf("Order on empty ring has %d entries", got)
-	}
-}
-
-func TestStateRoundTrip(t *testing.T) {
-	for _, s := range []State{Ok, Overloaded, Draining, Down} {
-		got, err := ParseState(s.String())
-		if err != nil || got != s {
-			t.Errorf("ParseState(%q) = %v, %v", s.String(), got, err)
-		}
-	}
-	if _, err := ParseState("nope"); err == nil {
-		t.Error("ParseState accepted garbage")
 	}
 }

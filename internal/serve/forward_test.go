@@ -290,134 +290,3 @@ func TestOversizeBodiesAreRefused(t *testing.T) {
 		}
 	}
 }
-
-// TestRouterRoutesByKey checks the router's key derivation route by route:
-// each request must land on the replica the ring ranks first for the key
-// that route is documented to use, with its body intact and the hop marked.
-// Every body is buffered, so one whose first candidate refuses connections
-// reaches the next candidate whole.
-func TestRouterRoutesByKey(t *testing.T) {
-	type arrival struct {
-		replica, method, uri, body, hop string
-	}
-	var mu sync.Mutex
-	var got []arrival
-	var urls []string
-	for i := 0; i < 3; i++ {
-		srv := httptest.NewUnstartedServer(nil)
-		url := "http://" + srv.Listener.Addr().String()
-		srv.Config.Handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			body, _ := io.ReadAll(r.Body)
-			mu.Lock()
-			got = append(got, arrival{url, r.Method, r.URL.RequestURI(), string(body), r.Header.Get(ring.HopHeader)})
-			mu.Unlock()
-			w.WriteHeader(http.StatusTeapot) // whatever a replica says is relayed
-		})
-		srv.Start()
-		defer srv.Close()
-		urls = append(urls, url)
-	}
-	rg := musa.NewRing("", urls)
-	keyer, err := musa.NewClient(musa.ClientOptions{
-		NoArtifacts: true, SampleInstrs: testSample, WarmupInstrs: testWarmup, Seed: 1, Ring: rg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer keyer.Close()
-	router := httptest.NewServer(NewRouter(keyer))
-	defer router.Close()
-
-	keyOf := func(kind musa.Kind, body string) string {
-		var e musa.Experiment
-		if err := json.Unmarshal([]byte(body), &e); err != nil {
-			t.Fatal(err)
-		}
-		e.Kind = kind
-		k, err := keyer.RouteKey(e)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return k
-	}
-	sweep := `{"apps":["btmz"],"pointIndices":[0,1,2]}`
-	members := `{"members":["` + strings.Join(urls, `","`) + `"]}`
-	cases := []struct {
-		method, uri, body, key string
-	}{
-		{"POST", "/simulate", `{"app":"btmz","pointIndex":3}`, keyOf(musa.KindNode, `{"app":"btmz","pointIndex":3}`)},
-		{"POST", "/simulate", `{"app":"lulesh","pointIndex":99}`, keyOf(musa.KindNode, `{"app":"lulesh","pointIndex":99}`)},
-		{"POST", "/dse", sweep, keyOf(musa.KindSweep, sweep)},
-		{"POST", "/shard", sweep, keyOf(musa.KindSweep, sweep)},
-		{"POST", "/simulate", `not json`, ""}, // no key: by health alone, the replica answers
-		{"PUT", "/membership", members, ""},
-		{"GET", "/stats?x=1", "", ""},
-	}
-	for _, tc := range cases {
-		req, _ := http.NewRequest(tc.method, router.URL+tc.uri, strings.NewReader(tc.body))
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusTeapot {
-			t.Fatalf("%s %s -> %d, want the replica's status relayed", tc.method, tc.uri, resp.StatusCode)
-		}
-		mu.Lock()
-		a := got[len(got)-1]
-		n := len(got)
-		got = nil
-		mu.Unlock()
-		want := arrival{rg.Owner(tc.key), tc.method, tc.uri, tc.body, "1"}
-		if n != 1 || a != want {
-			t.Errorf("%s %s: %d arrivals, last at %s (%s %s, %d body bytes, hop %q); want one at %s",
-				tc.method, tc.uri, n, a.replica, a.method, a.uri, len(a.body), a.hop, want.replica)
-		}
-	}
-	if sk, dk := cases[0].key, cases[2].key; sk == dk || sk == "" {
-		t.Fatalf("node and sweep keys not distinct: %q %q", sk, dk)
-	}
-
-	big := bytes.Repeat([]byte(" "), maxExperimentBody+1)
-	resp, err := http.Post(router.URL+"/simulate", "application/json", bytes.NewReader(big))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusRequestEntityTooLarge || len(got) != 0 {
-		t.Fatalf("oversize body -> %d with %d forwards, want 413 and none", resp.StatusCode, len(got))
-	}
-
-	// A fourth member that refuses connections and ranks first for the
-	// health-routed key.
-	var dead string
-	for dead == "" || musa.NewRing("", append(urls[:3:3], dead)).Owner("") != dead {
-		l, err := stdnet.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		dead = "http://" + l.Addr().String()
-		l.Close()
-	}
-	deadRing := musa.NewRing("", append(urls[:3:3], dead))
-	next := deadRing.Order("")[1]
-	deadKeyer, err := musa.NewClient(musa.ClientOptions{NoArtifacts: true, Ring: deadRing})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer deadKeyer.Close()
-	deadRouter := httptest.NewServer(NewRouter(deadKeyer))
-	defer deadRouter.Close()
-	req, _ := http.NewRequest(http.MethodPut, deadRouter.URL+"/membership", strings.NewReader(members))
-	if resp, err = http.DefaultClient.Do(req); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	mu.Lock()
-	defer mu.Unlock()
-	want := arrival{next, http.MethodPut, "/membership", members, "1"}
-	if resp.StatusCode != http.StatusTeapot || len(got) != 1 || got[0] != want {
-		t.Fatalf("PUT /membership past a refusing owner -> %d, arrivals %+v; want one at %s with the whole body",
-			resp.StatusCode, got, next)
-	}
-}

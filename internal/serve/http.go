@@ -56,7 +56,7 @@ func NewHandler(svc *Service, opts ...Option) http.Handler {
 	svc.reg = cfg.reg
 	svc.adm = newAdmission(cfg.admitLimit, cfg.admitQueue, cfg.retryAfter)
 	cfg.reg.GaugeFunc("musa_serve_health_state",
-		"Replica health (0 ok, 1 overloaded, 2 draining, 3 down).",
+		"Replica health (0 ok, 1 overloaded, 2 draining).",
 		func() float64 { return float64(svc.healthState()) })
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /apps", func(w http.ResponseWriter, r *http.Request) {

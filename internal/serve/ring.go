@@ -20,10 +20,10 @@ import (
 
 // Ring face of one serve replica: deterministic /simulate ownership of
 // misses (non-owners relay to the owner through the ring forwarder, so
-// duplicate requests from any front door coalesce on one machine's
+// duplicate requests arriving at any replica coalesce on one machine's
 // single-flight, while a key this replica's store holds is answered here),
-// runtime membership updates over PUT /membership, a GET /healthz state machine
-// (ok / draining / overloaded) for routers and load balancers, and load
+// runtime membership updates over PUT /membership, a GET /healthz state
+// machine (ok / overloaded / draining) for load balancers, and load
 // shedding through a bounded admission queue that answers 429 +
 // Retry-After instead of letting an overload grow an unbounded queue.
 
@@ -105,19 +105,38 @@ func (a *admission) retryAfterSeconds() string {
 	return strconv.Itoa(s)
 }
 
+// health is a replica's /healthz classification; its value is the
+// musa_serve_health_state gauge's.
+type health int
+
+const (
+	healthOk health = iota
+	// healthOverloaded: every admission slot is taken and the queue is
+	// full, so the next request is shed (transient).
+	healthOverloaded
+	// healthDraining: the replica finishes in-flight work before shutdown
+	// and refuses new heavy requests (terminal).
+	healthDraining
+)
+
+// String returns the /healthz "status" of the state.
+func (h health) String() string {
+	return [...]string{"ok", "overloaded", "draining"}[h]
+}
+
 // healthState is the replica's current healthz classification.
-func (s *Service) healthState() ring.State {
+func (s *Service) healthState() health {
 	if s.draining.Load() {
-		return ring.Draining
+		return healthDraining
 	}
 	if s.adm != nil && s.adm.saturated() {
-		return ring.Overloaded
+		return healthOverloaded
 	}
-	return ring.Ok
+	return healthOk
 }
 
 // StartDraining flips the replica into the draining state: /healthz
-// reports it (503, so routers and load balancers stop sending work), new
+// reports it (503, so load balancers stop sending work), new
 // heavy requests are refused with 503 + Retry-After, and everything
 // already in flight — including streaming /dse responses — runs to
 // completion under the server's graceful shutdown. Idempotent.
@@ -176,10 +195,10 @@ func (s *Service) ringResult(result string) {
 func (s *Service) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	state := s.healthState()
 	status := http.StatusOK
-	if state != ring.Ok {
+	if state != healthOk {
 		// Non-200 takes the replica out of naive LB rotation; the body
 		// still distinguishes draining (terminal) from overloaded
-		// (transient) for ring-aware callers.
+		// (transient).
 		status = http.StatusServiceUnavailable
 	}
 	c := s.c
@@ -213,7 +232,7 @@ func (s *Service) handleMembershipGet(w http.ResponseWriter, r *http.Request) {
 // handleMembershipPut replaces the replica's view of the ring membership:
 // the operational hook for scaling the tier without restarts. The body is
 // {"members": ["http://h1:8080", ...]}; the reply echoes the resulting
-// membership. Health states of retained members survive the update.
+// membership. Down marks of retained members survive the update.
 func (s *Service) handleMembershipPut(w http.ResponseWriter, r *http.Request) {
 	rg := s.c.Ring()
 	if rg == nil {
@@ -291,15 +310,14 @@ func (s *Service) routeSimulate(w http.ResponseWriter, r *http.Request, rt musa.
 	defer span.End()
 	// One attempt: the owner, or nobody. A second replica would compute the
 	// key beside the owner's single-flight; this one may as well do it itself.
-	err := s.fw.Forward(ctx, key, 1,
+	err := s.fw.Send(ctx, owner,
 		ring.Request{Method: http.MethodPost, Path: "/simulate", Header: r.Header, Body: body},
-		func(_ string, resp *http.Response) bool {
+		func(resp *http.Response) {
 			// The reply is committed: owner-side errors (including its own
 			// 429 shedding) pass through to the caller rather than
 			// triggering a second, duplicate execution here.
 			span.SetAttr("status", strconv.Itoa(resp.StatusCode))
 			s.relayKept(w, resp, rt)
-			return true
 		})
 	switch {
 	case err == nil:
@@ -312,7 +330,7 @@ func (s *Service) routeSimulate(w http.ResponseWriter, r *http.Request, rt musa.
 		span.SetAttr("outcome", "canceled")
 		return true
 	}
-	// The owner is unreachable — the forwarder has demoted it for its
+	// The owner is unreachable — the forwarder has marked it Down for its
 	// cooldown — so serve the request ourselves: correctness never depends
 	// on placement, only efficiency.
 	span.SetAttr("outcome", "unreachable")

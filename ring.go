@@ -13,32 +13,20 @@ import (
 // cache group's hit-rate key, the key the fleet scheduler pins that group's
 // shards by (fleet.go), so the points that share one cache walk are
 // simulated on the replica that holds its table. The serve layer consults
-// the same ring for /simulate ownership (internal/serve), and
-// `musa router` for thin L7 routing, so every front door converges
-// duplicate work on one machine.
+// the same ring for /simulate ownership (internal/serve), so every replica
+// is a front door that converges duplicate work on one machine.
 
 // Ring is the rendezvous-hashed replica membership a serve tier shares;
 // see internal/ring for ownership and health semantics.
 type Ring = ring.Ring
 
-// RingState is one member's locally observed health state.
-type RingState = ring.State
-
-// Re-exported ring health states.
-const (
-	RingOk         = ring.Ok
-	RingOverloaded = ring.Overloaded
-	RingDraining   = ring.Draining
-	RingDown       = ring.Down
-)
-
 // NewRing builds a replica ring over the member base URLs. self is this
 // process's own URL when it is itself a replica (`musa serve -self`), empty
-// for coordinators and routers that only dispatch into the ring.
+// for coordinators that only dispatch into the ring.
 func NewRing(self string, members []string) *Ring { return ring.New(self, members) }
 
 // Ring returns the client's replica ring (nil when the client is not part
-// of, or routing into, a serve tier). The serve handlers read it for
+// of, or dispatching into, a serve tier). The serve handlers read it for
 // /simulate ownership and PUT /membership updates.
 func (c *Client) Ring() *Ring { return c.opts.Ring }
 
