@@ -14,7 +14,6 @@ import (
 	"musa/internal/dse"
 	"musa/internal/net"
 	"musa/internal/obs"
-	"musa/internal/ring"
 	"musa/internal/store"
 	"musa/internal/store/lsm"
 )
@@ -59,26 +58,17 @@ type ClientOptions struct {
 
 	// Workers lists remote `musa serve` base URLs (e.g. "http://h1:8080").
 	// When non-empty, sweep experiments are split into per-annotation-group
-	// shards and dispatched across the fleet over the /shard endpoint, with
-	// the local process as the retry/hedge pool; all other kinds, and sweeps
-	// over client-registered custom applications, still run in process. The
+	// shards, each placed by a ring over the workers and given one attempt
+	// over the /shard endpoint, with the local process running every shard
+	// whose attempt failed; all other kinds, and sweeps over
+	// client-registered custom applications, still run in process. The
 	// merged dataset is byte-identical to the in-process run.
 	Workers []string
-	// ShardTimeout bounds one remote shard request; a shard that times out
-	// is re-dispatched onto the local pool (0 = 10m, negative = unbounded).
+	// ShardTimeout bounds one remote shard attempt; a shard that times out
+	// runs in the local pool (<= 0 = 10m).
 	ShardTimeout time.Duration
-	// HedgeAfter, if positive, re-dispatches a still-running remote shard
-	// onto the local pool after this long, and lets the local pool start
-	// draining still-queued shards after the same delay; the first result
-	// per shard wins and the merged dataset still holds exactly one
-	// measurement per point.
-	HedgeAfter time.Duration
-	// Ring, when set, is the serve tier's replica membership. A coordinator
-	// with Workers dispatches each shard to the ring owner of its
-	// annotation-group key (instead of any free worker), so identical sweeps
-	// from many coordinators coalesce on the same replicas. serve handlers
-	// use the ring for /simulate ownership routing, by the same key
-	// (RouteKey).
+	// Ring, when set, is the serve tier's replica membership: serve
+	// handlers use it for /simulate ownership routing, by RouteKey.
 	Ring *Ring
 
 	// SampleInstrs / WarmupInstrs / Seed are applied to experiments that
@@ -112,11 +102,8 @@ type ClientStats struct {
 	// this client's sweeps.
 	Remote int64
 	// Redispatched counts sweep shards re-dispatched onto the local pool
-	// after a fleet worker failed, timed out or was hedged.
+	// after their one attempt at a fleet worker failed or timed out.
 	Redispatched int64
-	// ShardRetries counts 429-shed shard dispatches retried against a
-	// worker (after honoring its Retry-After) before any local fallback.
-	ShardRetries int64
 	// PeerArtifactsFetched counted artifacts pulled from ring peers.
 	//
 	// Deprecated: always zero, since ring replicas no longer move
@@ -224,9 +211,6 @@ type Client struct {
 	// windows is the client-lifetime front of scalar sample windows every
 	// run reads through (nil with NoArtifacts: each run keeps its own).
 	windows *dse.SampleWindows
-	// fw carries every request the client sends to another process. It is
-	// over opts.Ring, or an empty ring: then nothing routes by key.
-	fw *ring.Forwarder
 
 	mu     sync.Mutex
 	flight map[string]*call
@@ -242,7 +226,7 @@ type Client struct {
 	optRungHist atomic.Pointer[obs.Histogram]
 
 	requests, storeHits, storeMisses, coalesced, simulated atomic.Int64
-	remote, redispatched, shardRetries                     atomic.Int64
+	remote, redispatched                                   atomic.Int64
 	optProbesCheap, optProbesFull                          atomic.Int64
 }
 
@@ -278,17 +262,11 @@ func NewClient(opts ClientOptions) (*Client, error) {
 		flight:  map[string]*call{},
 		custom:  map[string]customApp{},
 	}
-	rg := opts.Ring
-	if rg == nil {
-		rg = ring.New("", nil)
-	}
-	c.fw = &ring.Forwarder{Ring: rg, HTTP: fleetHTTP}
 	if len(opts.Workers) > 0 {
-		f, err := newFleet(opts.Workers, opts.ShardTimeout, opts.HedgeAfter)
+		f, err := newFleet(opts.Workers, opts.ShardTimeout)
 		if err != nil {
 			return nil, err
 		}
-		f.fw = c.fw
 		c.fleet = f
 	}
 	if opts.CacheDir != "" {
@@ -343,7 +321,6 @@ func (c *Client) Stats() ClientStats {
 		Simulated:    c.simulated.Load(),
 		Remote:       c.remote.Load(),
 		Redispatched: c.redispatched.Load(),
-		ShardRetries: c.shardRetries.Load(),
 	}
 }
 
@@ -814,8 +791,6 @@ func (c *Client) RegisterMetrics(reg *obs.Registry) {
 		stat(func(s ClientStats) int64 { return s.Remote }))
 	reg.CounterFunc("musa_client_redispatched_total", "Fleet shards re-dispatched onto the local pool.",
 		stat(func(s ClientStats) int64 { return s.Redispatched }))
-	reg.CounterFunc("musa_client_shard_retries_total", "429-shed shard dispatches retried after Retry-After.",
-		stat(func(s ClientStats) int64 { return s.ShardRetries }))
 	reg.GaugeFunc("musa_jobs_in_flight", "Simulation jobs currently holding a pool slot.",
 		func() float64 { return float64(len(c.sem)) })
 	reg.GaugeFunc("musa_jobs_max", "Concurrent-job bound of the pool (the /capacity advertisement).",

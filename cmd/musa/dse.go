@@ -32,7 +32,7 @@ import (
 //	musa dse -fig 4 -apps spmz -ranks 16 -network hdr200   # rank timeline
 //	musa dse -optimize -apps btmz -max-power 150           # search, not sweep
 //	musa dse -fleet http://h1:8080,http://h2:8080 -apps hydro -points 0-95
-//	musa dse -demo 3 -ring -apps btmz -points 0-31 -verify
+//	musa dse -demo 3 -apps btmz -points 0-31 -verify
 //
 // The sweep is one KindSweep experiment run through musa.Client; with no
 // -fig, -all, -list or -optimize it runs alone and logs a one-line summary.
@@ -40,9 +40,10 @@ import (
 // result store `musa serve` uses, so a killed sweep resumes and a repeated
 // one is served from the store; -resume=false recomputes. With -fleet (or
 // -demo N loopback workers) the sweep is sharded per annotation group over
-// serve replicas' POST /shard and merged into the same dataset; -ring sends
-// each shard to the worker owning its key, and -verify re-runs the sweep in
-// process and requires byte-identical measurements.
+// serve replicas' POST /shard, each shard placed by a ring over the workers
+// and run locally when its one attempt fails, and merged into the same
+// dataset; -verify re-runs the sweep in process and requires byte-identical
+// measurements.
 func runDSE(fs *flag.FlagSet, args []string) error {
 	list := fs.Bool("list", false, "list the design space and exit")
 	figure := fs.Int("fig", 0, "figure to regenerate (1, 4, 5, 6, 7, 8, 9, 10, 11)")
@@ -68,9 +69,7 @@ func runDSE(fs *flag.FlagSet, args []string) error {
 	timelineRanks := fs.Int("ranks", 64, "rank count for the -fig 4 timeline")
 	fleet := fs.String("fleet", "", "comma-separated serve replica base URLs to shard the sweep over")
 	demo := fs.Int("demo", 0, "spawn N in-process serve workers on loopback instead of -fleet")
-	ringFlag := fs.Bool("ring", false, "dispatch each shard to the worker owning its artifact key (rendezvous ring over the fleet)")
-	shardTimeout := fs.Duration("shard-timeout", 0, "per-shard request bound (0 = 10m, negative = unbounded)")
-	hedgeAfter := fs.Duration("hedge-after", 0, "hedge still-running shards onto the local pool after this long (0 = off)")
+	shardTimeout := fs.Duration("shard-timeout", 0, "per-shard request bound; a shard past it runs locally (<= 0 = 10m)")
 	verify := fs.Bool("verify", false, "re-run the sweep in process and require byte-identical datasets")
 	optimize := fs.Bool("optimize", false, "run a successive-halving search over the design space instead of figures")
 	objectives := fs.String("objectives", "", "optimize: comma-separated objectives from time,energy,edp (default all)")
@@ -121,20 +120,9 @@ func runDSE(fs *flag.FlagSet, args []string) error {
 			return errors.New("give -fleet or -demo, not both")
 		}
 		var err error
-		if urls, err = spawnDemoWorkers(*demo, *ringFlag); err != nil {
+		if urls, err = spawnDemoWorkers(*demo); err != nil {
 			return err
 		}
-	}
-	// With -ring the coordinator routes each shard to the worker the
-	// rendezvous ring ranks highest for its annotation key (self stays
-	// empty: the coordinator dispatches into the ring without being a
-	// member).
-	var rg *musa.Ring
-	if *ringFlag {
-		if len(urls) == 0 {
-			return errors.New("-ring needs -fleet URLS or -demo N")
-		}
-		rg = musa.NewRing("", urls)
 	}
 	// Opened after the demo workers, whose handlers register their own
 	// clients' metrics, so a -metrics dump reports this client's counters.
@@ -146,8 +134,6 @@ func runDSE(fs *flag.FlagSet, args []string) error {
 		SweepWorkers:  *workers,
 		Workers:       urls,
 		ShardTimeout:  *shardTimeout,
-		HedgeAfter:    *hedgeAfter,
-		Ring:          rg,
 	})
 	if err != nil {
 		return err
@@ -279,26 +265,16 @@ func runSweep(ctx context.Context, client *musa.Client, exp musa.Experiment, fle
 
 // spawnDemoWorkers starts n in-process serve replicas on loopback
 // ephemeral ports, built by the same replicaHandler as `musa serve`, and
-// returns their base URLs. The listeners all bind before any worker is
-// built, so with ringMode every worker knows the full membership
-// (including itself) from the start.
-func spawnDemoWorkers(n int, ringMode bool) ([]string, error) {
-	lns := make([]net.Listener, n)
+// returns their base URLs.
+func spawnDemoWorkers(n int) ([]string, error) {
 	urls := make([]string, n)
-	for i := range lns {
+	for i := range urls {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			return nil, err
 		}
-		lns[i] = ln
 		urls[i] = "http://" + ln.Addr().String()
-	}
-	for i, ln := range lns {
-		var rg *musa.Ring
-		if ringMode {
-			rg = musa.NewRing(urls[i], urls)
-		}
-		c, err := openClient(musa.ClientOptions{MaxJobs: 2, Ring: rg})
+		c, err := openClient(musa.ClientOptions{MaxJobs: 2})
 		if err != nil {
 			return nil, err
 		}

@@ -14,7 +14,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"musa/internal/apps"
@@ -27,18 +26,18 @@ import (
 // into per-(application, annotation-group) shards, each shard is dispatched
 // to a `musa serve` worker over POST /shard, and the results are merged back
 // into the same deterministic (app, arch-label) order the in-process runner
-// produces. The local process is the retry and hedge pool: a shard whose
-// worker fails, times out or runs past HedgeAfter is re-dispatched in
-// process exactly once, and the first result per shard wins, so the merged
-// dataset holds exactly one measurement per point either way.
+// produces. The dispatch policy is one rule: a ring over the fleet's own
+// workers pins each shard, the shard gets one attempt at a worker, and on
+// any failure it runs once in the local pool. A shard is taken from the
+// pending list once and fails at most once, so it completes exactly once
+// and the merged dataset holds exactly one measurement per point.
 
 // ErrBadWorker reports an unusable fleet worker URL in ClientOptions.
 var ErrBadWorker = errors.New("musa: bad fleet worker URL")
 
 // observeShard records one shard execution into the fleet shard-duration
-// histogram. path distinguishes the remote dispatch from the local
-// retry/hedge pool, so a dashboard can tell worker latency from fallback
-// latency.
+// histogram. path distinguishes the remote dispatch from the local pool,
+// so a dashboard can tell worker latency from fallback latency.
 func observeShard(path string, start time.Time) {
 	obs.DefaultRegistry().Histogram("musa_fleet_shard_seconds",
 		"Time to complete one fleet shard, by execution path.", nil,
@@ -51,25 +50,10 @@ const (
 	// maxWorkerSlots clamps an advertised /capacity so a misconfigured
 	// worker cannot make the coordinator open hundreds of connections.
 	maxWorkerSlots = 16
-	// maxRetryAfterWait caps how long a dispatch slot honors a worker's
-	// Retry-After hint before giving the shard to the local pool instead: a
-	// worker advertising a multi-minute backoff is effectively down for this
-	// shard.
-	maxRetryAfterWait = 30 * time.Second
+	// maxShardReplyPerPoint bounds a /shard reply per requested point: a
+	// measurement encodes to about 1.2 KB (4 KB with 16 replay rank counts).
+	maxShardReplyPerPoint = 64 << 10
 )
-
-// retryAfterError reports a worker shedding load with 429 + Retry-After.
-// Unlike a transport failure or a 5xx, this is the worker explicitly asking
-// to be retried — the dispatch loop honors the hint with one bounded wait
-// before falling back to the local pool.
-type retryAfterError struct {
-	base  string
-	after time.Duration
-}
-
-func (e *retryAfterError) Error() string {
-	return fmt.Sprintf("musa: %s/shard: 429 Too Many Requests (retry after %s)", e.base, e.after)
-}
 
 // fleetHTTP carries the fleet traffic — capacity probes and shards — of
 // every client in the process.
@@ -80,19 +64,21 @@ var jsonHeader = http.Header{"Content-Type": {"application/json"}}
 
 // fleet is the validated remote-worker configuration of a Client.
 type fleet struct {
-	bases      []string // normalized base URLs, no trailing slash
-	timeout    time.Duration
-	hedgeAfter time.Duration
-	fw         *ring.Forwarder // the owning client's
+	bases   []string      // normalized base URLs, no trailing slash
+	timeout time.Duration // one shard attempt's bound
+	// fw sends every probe and shard over a ring of bases, which places
+	// the shards and keeps the workers' Down marks.
+	fw *ring.Forwarder
 }
 
 // newFleet validates the worker base URLs (http/https with a host) and
-// normalizes the dispatch knobs. A worker listed twice, with or without a
+// builds the ring over them. A worker listed twice, with or without a
 // trailing slash, is one worker: the dispatch loop runs its advertised
-// capacity once.
-func newFleet(workers []string, shardTimeout, hedgeAfter time.Duration) (*fleet, error) {
-	f := &fleet{timeout: shardTimeout, hedgeAfter: hedgeAfter}
-	if f.timeout == 0 {
+// capacity once. A shard timeout <= 0 is the default: with one attempt per
+// shard, an unbounded attempt at a stalled worker would hang the sweep.
+func newFleet(workers []string, shardTimeout time.Duration) (*fleet, error) {
+	f := &fleet{timeout: shardTimeout}
+	if f.timeout <= 0 {
 		f.timeout = defaultShardTimeout
 	}
 	for _, w := range workers {
@@ -107,6 +93,7 @@ func newFleet(workers []string, shardTimeout, hedgeAfter time.Duration) (*fleet,
 			f.bases = append(f.bases, base)
 		}
 	}
+	f.fw = &ring.Forwarder{Ring: ring.New("", f.bases), HTTP: fleetHTTP}
 	return f, nil
 }
 
@@ -133,10 +120,11 @@ func (f *fleet) capacity(ctx context.Context, base string) (n int, err error) {
 }
 
 // postShard sends one shard sub-experiment to a worker and returns its
-// measurements. The request is bounded by the fleet's shard timeout, and
-// the forwarder stamps it with the dispatch span, so the worker's request
-// span (and the whole worker-side tree under it) parents into this
-// coordinator trace.
+// measurements. The request is bounded by the fleet's shard timeout and
+// the reply by maxShardReplyPerPoint per point, and the forwarder stamps it
+// with the dispatch span, so the worker's request span (and the whole
+// worker-side tree under it) parents into this coordinator trace. Any
+// status but 200 — a 429 shed included — is an error.
 func (f *fleet) postShard(ctx context.Context, base string, e Experiment) (ms []Measurement, err error) {
 	body, err := json.Marshal(e)
 	if err != nil {
@@ -149,13 +137,14 @@ func (f *fleet) postShard(ctx context.Context, base string, e Experiment) (ms []
 			var out struct {
 				Measurements []Measurement `json:"measurements"`
 			}
-			if err = json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			limit := int64(len(e.PointIndices)) * maxShardReplyPerPoint
+			lr := &io.LimitedReader{R: resp.Body, N: limit}
+			if err = json.NewDecoder(lr).Decode(&out); err != nil && lr.N == 0 {
+				err = fmt.Errorf("musa: %s/shard: reply over %d bytes", base, limit)
+			} else if err != nil {
 				err = fmt.Errorf("musa: %s/shard: %v", base, err)
 			}
 			ms = out.Measurements
-		case http.StatusTooManyRequests:
-			io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<10))
-			err = &retryAfterError{base: base, after: ring.ParseRetryAfter(resp.Header.Get("Retry-After"))}
 		default:
 			msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<10))
 			err = fmt.Errorf("musa: %s/shard: %s: %s", base, resp.Status, strings.TrimSpace(string(msg)))
@@ -173,34 +162,25 @@ type shardJob struct {
 	app     string
 	indices []int             // ascending Table I grid indices
 	keys    map[string]string // arch label -> store key, also the expected-point set
-	// prefer is the worker this shard is pinned to: with a ring, the first
-	// reachable worker in the ring's order for the shard's annotation key,
-	// so the whole tier executes a group where its artifacts live. Empty
-	// without a ring, or when that order names no reachable worker: any
-	// consumer takes the shard.
+	// prefer is the worker this shard is pinned to: the first reachable
+	// worker in the fleet ring's order for the shard's annotation key, so
+	// the whole tier executes a group where its artifacts live. Empty when
+	// that order names no reachable worker: any worker takes the shard.
 	prefer string
-
-	// done guards completion: the first finisher (remote or the local
-	// retry/hedge) records the shard's measurements, every later finisher
-	// is dropped, so each point is measured exactly once in the merge.
-	done atomic.Bool
-	// redone guards re-dispatch: a shard is handed to the local pool at
-	// most once, whether because its worker failed, timed out, or ran past
-	// the hedge deadline.
-	redone atomic.Bool
 }
 
 // pendingShards is the one dispatch structure: the planned shards nobody
-// has taken yet, in plan order. A consumer takes its first preferred shard,
-// else the first shard at all — which is a shared FIFO when nothing is
-// pinned and work stealing when something is. Shards are only ever removed.
+// has taken yet, in plan order. A worker slot takes its first preferred
+// shard, else the first shard at all — which is a shared FIFO when nothing
+// is pinned and work stealing when something is. Shards are only ever
+// removed.
 type pendingShards struct {
 	mu    sync.Mutex
 	items []*shardJob
 }
 
-// take removes and returns the next shard for worker ("" = the local pool,
-// which no shard prefers); nil when none is left.
+// take removes and returns the next shard for worker; nil when none is
+// left.
 func (p *pendingShards) take(worker string) *shardJob {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -261,7 +241,7 @@ func planShards(appNames []string, remaining map[string][]int, keyOf func(app st
 	return out
 }
 
-// shardKey is the key a -ring fleet pins a shard by: its annotation
+// shardKey is the key the fleet ring pins a shard by: its annotation
 // group's hit-rate table key, the same key a /simulate of any of its
 // points routes by (RouteKey), so a group's requests and shards meet on
 // one replica. Empty for a custom application, which never reaches the
@@ -277,7 +257,7 @@ func shardKey(ne Experiment, j *shardJob) string {
 
 // validateShardReply checks a worker's measurements against the shard: one
 // measurement per requested point, no strays, no duplicates. A mismatching
-// reply is treated like a failed worker and the shard is re-dispatched.
+// reply is treated like a failed worker and the shard runs locally.
 func (j *shardJob) validateShardReply(ms []Measurement) error {
 	if len(ms) != len(j.indices) {
 		return fmt.Errorf("musa: shard %s: %d measurements for %d points", j.app, len(ms), len(j.indices))
@@ -331,7 +311,7 @@ func (c *Client) fleetEligible(ne Experiment) bool {
 	return true
 }
 
-// runShardLocal executes one shard in process — the retry and hedge path.
+// runShardLocal executes one shard in process — the fallback path.
 // The shard is one annotation group, which dse.Run walks sequentially, so
 // parallelism comes from the number of local pool goroutines instead.
 func (c *Client) runShardLocal(ctx context.Context, ne Experiment, j *shardJob) ([]Measurement, error) {
@@ -451,20 +431,10 @@ func (c *Client) runSweepFleet(ctx context.Context, ne Experiment, watch Observe
 	planSpan.SetAttr("shards", fmt.Sprint(len(shards)))
 	planSpan.End()
 	if len(shards) > 0 {
-		// dispatchCtx kills straggler requests (lost hedges, slower
-		// duplicates) as soon as every shard has completed once.
-		dispatchCtx, cancelDispatch := context.WithCancel(ctx)
-		defer cancelDispatch()
-
+		// redo is buffered for every shard, so handing one to the local
+		// pool never blocks a worker loop.
 		redo := make(chan *shardJob, len(shards))
-
-		var remainingShards atomic.Int64
-		remainingShards.Store(int64(len(shards)))
-		allDone := make(chan struct{})
-		complete := func(j *shardJob, ms []Measurement, err error) bool {
-			if !j.done.CompareAndSwap(false, true) {
-				return false
-			}
+		complete := func(j *shardJob, ms []Measurement, err error) {
 			var putErr error
 			if err == nil && c.st != nil {
 				for _, m := range ms {
@@ -474,23 +444,6 @@ func (c *Client) runSweepFleet(ctx context.Context, ne Experiment, watch Observe
 				}
 			}
 			record(ms, false, errors.Join(err, putErr))
-			if remainingShards.Add(-1) == 0 {
-				close(allDone)
-			}
-			return true
-		}
-		// redispatch hands a shard to the local pool at most once; redo is
-		// buffered for every shard, so this never blocks a worker loop.
-		redispatch := func(j *shardJob) {
-			if j.redone.CompareAndSwap(false, true) {
-				c.redispatched.Add(1)
-				// Zero-length marker span: makes every hedge/retry decision
-				// visible in the trace timeline at the moment it was taken.
-				_, sp := obs.StartSpan(ctx, "fleet.redispatch",
-					obs.A("app", j.app), obs.AInt("points", len(j.indices)))
-				sp.End()
-				redo <- j
-			}
 		}
 
 		// Probe worker capacities concurrently; an unreachable worker takes
@@ -502,7 +455,7 @@ func (c *Client) runSweepFleet(ctx context.Context, ne Experiment, watch Observe
 		answers := make(chan probed, len(c.fleet.bases))
 		for _, base := range c.fleet.bases {
 			go func() {
-				n, _ := c.fleet.capacity(dispatchCtx, base) // 0 when it failed
+				n, _ := c.fleet.capacity(ctx, base) // 0 when it failed
 				answers <- probed{base, n}
 			}()
 		}
@@ -513,81 +466,65 @@ func (c *Client) runSweepFleet(ctx context.Context, ne Experiment, watch Observe
 			}
 		}
 
-		// With a ring over the worker fleet each shard is pinned, once, to
-		// the reachable worker the ring ranks first for its annotation key,
-		// so a group's /simulate traffic, artifact cache and shard execution
-		// converge on one replica. Without a ring Pick finds nobody and every
-		// shard is anybody's.
+		// The fleet ring pins each shard, once, to the reachable worker it
+		// ranks first for the shard's annotation key, so a group's /simulate
+		// traffic, artifact cache and shard execution converge on one
+		// replica. With no reachable worker every shard runs locally.
 		for _, j := range shards {
-			if key := shardKey(ne, j); key != "" {
-				j.prefer = c.fw.Ring.Pick(key, func(m string) bool { return slots[m] > 0 })
+			if len(slots) == 0 {
+				redo <- j
+			} else if key := shardKey(ne, j); key != "" {
+				j.prefer = c.fleet.fw.Ring.Pick(key, func(m string) bool { return slots[m] > 0 })
 			}
 		}
 		pending := &pendingShards{items: shards}
 
-		// dispatchOne runs one shard against one worker: hedge timer, span,
-		// the POST, and — when the worker sheds with 429 — one retry
-		// honoring its Retry-After hint before the local fallback.
+		// dispatchOne gives one shard its one attempt at a worker; on any
+		// failure — transport, timeout, a non-200 status, a reply over its
+		// bound or one validateShardReply refuses — the shard goes to the
+		// local pool.
 		dispatchOne := func(base string, j *shardJob) {
-			// The hedge timer spans the Retry-After wait too, so an
-			// overloaded worker's backoff never delays the sweep beyond the
-			// hedge policy.
-			var hedge *time.Timer
-			if c.fleet.hedgeAfter > 0 {
-				hedge = time.AfterFunc(c.fleet.hedgeAfter, func() { redispatch(j) })
-			}
-			dctx, dspan := obs.StartSpan(dispatchCtx, "fleet.dispatch",
+			dctx, dspan := obs.StartSpan(ctx, "fleet.dispatch",
 				obs.A("worker", base), obs.A("app", j.app),
 				obs.AInt("points", len(j.indices)))
+			defer dspan.End()
 			dispatchStart := time.Now()
 			ms, err := c.fleet.postShard(dctx, base, shardExperiment(ne, j))
-			var ra *retryAfterError
-			if errors.As(err, &ra) && dispatchCtx.Err() == nil && !j.done.Load() {
-				wait := min(ra.after, maxRetryAfterWait)
-				dspan.SetAttr("retryAfter", wait.String())
-				c.shardRetries.Add(1)
-				select {
-				case <-time.After(wait):
-					ms, err = c.fleet.postShard(dctx, base, shardExperiment(ne, j))
-				case <-dispatchCtx.Done():
-				}
-			}
-			if hedge != nil {
-				hedge.Stop()
-			}
 			if err == nil {
 				err = j.validateShardReply(ms)
 			}
 			if err != nil {
 				dspan.SetAttr("outcome", "error")
-				dspan.End()
-				if dispatchCtx.Err() != nil {
+				if ctx.Err() != nil {
 					return
 				}
-				redispatch(j)
+				c.redispatched.Add(1)
+				// Zero-length marker span: makes every fallback visible in
+				// the trace timeline at the moment it was taken.
+				_, sp := obs.StartSpan(ctx, "fleet.redispatch",
+					obs.A("app", j.app), obs.AInt("points", len(j.indices)))
+				sp.End()
+				redo <- j
 				return
 			}
 			observeShard("remote", dispatchStart)
-			if complete(j, ms, nil) {
-				dspan.SetAttr("outcome", "won")
-				c.remote.Add(int64(len(ms)))
-			} else {
-				dspan.SetAttr("outcome", "lost")
-			}
-			dspan.End()
+			dspan.SetAttr("outcome", "ok")
+			c.remote.Add(int64(len(ms)))
+			complete(j, ms, nil)
 		}
 
 		// Every advertised slot of every reachable worker runs one loop: take
 		// the next shard — this worker's own first, then anybody's, which is
 		// stealing from a slower peer, whose worker then builds the
-		// group's artifacts itself — and dispatch it.
-		var wg sync.WaitGroup
+		// group's artifacts itself — and dispatch it. When the last loop
+		// ends no shard can fail any more, and the redo queue closes.
+		var slotLoops sync.WaitGroup
 		for _, base := range c.fleet.bases {
 			for s := 0; s < slots[base]; s++ {
-				wg.Add(1)
+				slotLoops.Add(1)
 				go func() {
-					defer wg.Done()
-					for dispatchCtx.Err() == nil {
+					defer slotLoops.Done()
+					for ctx.Err() == nil {
 						j := pending.take(base)
 						if j == nil {
 							return
@@ -597,76 +534,45 @@ func (c *Client) runSweepFleet(ctx context.Context, ne Experiment, watch Observe
 				}()
 			}
 		}
+		go func() {
+			slotLoops.Wait()
+			close(redo)
+		}()
 
-		// The local pool drains the redo queue; with no reachable worker it
-		// is also the only taker of pending shards, so the sweep always
-		// completes. With hedging enabled it additionally starts taking
-		// pending shards after the hedge delay — otherwise shards still
-		// waiting behind stalled workers would starve (hedge timers only
-		// cover picked-up shards).
+		// The local pool runs every shard handed to it, each once.
 		nLocal := c.opts.SweepWorkers
 		if nLocal <= 0 {
 			nLocal = runtime.GOMAXPROCS(0)
 		}
+		var local sync.WaitGroup
 		for w := 0; w < nLocal; w++ {
-			wg.Add(1)
+			local.Add(1)
 			go func() {
-				defer wg.Done()
-				joined := len(slots) == 0
-				var join <-chan time.Time
-				if !joined && c.fleet.hedgeAfter > 0 {
-					join = time.After(c.fleet.hedgeAfter)
-				}
-				for {
-					var j *shardJob
-					if joined {
-						j = pending.take("")
+				defer local.Done()
+				for j := range redo {
+					if ctx.Err() != nil {
+						continue // drain: the sweep is canceled
 					}
-					if j == nil {
-						select {
-						case <-dispatchCtx.Done():
-							return
-						case <-allDone:
-							return
-						case <-join:
-							joined, join = true, nil
-							continue
-						case j = <-redo:
-						}
-					}
-					if j.done.Load() {
-						continue // lost hedge: the remote reply already won
-					}
-					lctx, lspan := obs.StartSpan(dispatchCtx, "fleet.local-shard",
+					lctx, lspan := obs.StartSpan(ctx, "fleet.local-shard",
 						obs.A("app", j.app), obs.AInt("points", len(j.indices)))
 					localStart := time.Now()
 					ms, err := c.runShardLocal(lctx, ne, j)
 					if err != nil {
 						lspan.SetAttr("outcome", "error")
 						lspan.End()
-						if dispatchCtx.Err() != nil {
-							return
+						if ctx.Err() == nil {
+							complete(j, nil, err) // local execution cannot be retried
 						}
-						complete(j, nil, err) // local execution cannot be retried
 						continue
 					}
 					observeShard("local", localStart)
-					if complete(j, ms, nil) {
-						lspan.SetAttr("outcome", "won")
-					} else {
-						lspan.SetAttr("outcome", "lost")
-					}
+					lspan.SetAttr("outcome", "ok")
 					lspan.End()
+					complete(j, ms, nil)
 				}
 			}()
 		}
-
-		select {
-		case <-allDone:
-		case <-ctx.Done():
-		}
-		cancelDispatch()
-		wg.Wait()
+		local.Wait()
 	}
 
 	resMu.Lock()

@@ -1,6 +1,7 @@
 package musa_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -306,50 +307,65 @@ func TestFleetWorkerFailure(t *testing.T) {
 	}
 }
 
-// TestFleetHedgeSlowWorker drives the hedge path: a worker that accepts
-// shards but never answers is out-raced by the local pool after HedgeAfter,
-// each point still measured exactly once.
-func TestFleetHedgeSlowWorker(t *testing.T) {
+// TestFleetOversizedShardReply checks the reply bound: a worker whose
+// genuine /shard reply is padded with leading whitespace past
+// MaxShardReplyPerPoint per point has failed its attempt, so that shard
+// runs locally once and the dataset is still byte-identical to the
+// in-process run.
+func TestFleetOversizedShardReply(t *testing.T) {
 	exp := fleetTestExperiment(t)
 	ctx := context.Background()
 
-	slow := newFleetWorker(t, func(h http.Handler) http.Handler {
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.URL.Path == "/shard" {
-				io.Copy(io.Discard, r.Body) // unblock disconnect detection
-				<-r.Context().Done()        // accept, never answer
+	local, err := musa.NewClient(musa.ClientOptions{SweepWorkers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer local.Close()
+	want, err := local.Run(ctx, exp)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// No shard holds more points than the sweep, so this padding is past
+	// the bound of whichever shard gets it.
+	pad := bytes.Repeat([]byte(" "), len(exp.PointIndices)*musa.MaxShardReplyPerPoint)
+	var padded atomic.Bool
+	w := newFleetWorker(t, func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+			if r.URL.Path != "/shard" || !padded.CompareAndSwap(false, true) {
+				h.ServeHTTP(rw, r)
 				return
 			}
-			h.ServeHTTP(w, r)
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, r)
+			if rec.Code != http.StatusOK {
+				t.Errorf("worker answered its shard with %d", rec.Code)
+			}
+			rw.Header().Set("Content-Type", "application/json")
+			rw.Write(pad)
+			rw.Write(rec.Body.Bytes())
 		})
 	})
-	coord, err := musa.NewClient(musa.ClientOptions{
-		Workers: []string{slow.URL}, SweepWorkers: 2,
-		ShardTimeout: -1, // isolate hedging from the timeout path
-		HedgeAfter:   50 * time.Millisecond,
-	})
+
+	coord, err := musa.NewClient(musa.ClientOptions{Workers: []string{w.URL}, SweepWorkers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer coord.Close()
-
-	res, err := coord.Run(ctx, exp)
+	got, err := coord.Run(ctx, exp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := len(res.Sweep.Measurements); n != len(exp.PointIndices) {
-		t.Fatalf("%d measurements, want %d", n, len(exp.PointIndices))
+	if !bytes.Equal(canonicalMeasurements(t, got), canonicalMeasurements(t, want)) {
+		t.Fatal("sweep with an oversized shard reply differs from the in-process run")
 	}
-	seen := map[string]bool{}
-	for _, m := range res.Sweep.Measurements {
-		id := m.App + "/" + m.Arch.Label()
-		if seen[id] {
-			t.Fatalf("duplicate measurement %s after hedging", id)
-		}
-		seen[id] = true
+	st := coord.Stats()
+	if st.Redispatched != 1 {
+		t.Fatalf("redispatched = %d, want 1 (the oversized reply's shard)", st.Redispatched)
 	}
-	if st := coord.Stats(); st.Redispatched == 0 {
-		t.Fatal("no shard was hedged")
+	if n := len(want.Sweep.Measurements); int(st.Remote) >= n || int(st.Remote+st.Simulated) != n {
+		t.Fatalf("remote %d + local %d, want the %d points split with the oversized shard local",
+			st.Remote, st.Simulated, n)
 	}
 }
 

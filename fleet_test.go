@@ -169,25 +169,41 @@ func TestShardExperimentCarriesNormalizedFields(t *testing.T) {
 	}
 }
 
+// A shard timeout <= 0 is the default bound: every attempt at a worker
+// ends, so a stalled worker cannot hang the sweep.
 func TestFleetOptionsNormalization(t *testing.T) {
-	f, err := newFleet([]string{"http://h:1"}, -1, 50*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
+	for _, d := range []time.Duration{0, -1} {
+		f, err := newFleet([]string{"http://h:1"}, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.timeout != defaultShardTimeout {
+			t.Fatalf("shard timeout %v normalized to %v, want %v", d, f.timeout, defaultShardTimeout)
+		}
 	}
-	if f.timeout != -1 || f.hedgeAfter != 50*time.Millisecond {
-		t.Fatalf("fleet knobs = %v/%v", f.timeout, f.hedgeAfter)
+	if f, err := newFleet([]string{"http://h:1"}, time.Second); err != nil || f.timeout != time.Second {
+		t.Fatalf("explicit shard timeout: %v, %v", f, err)
 	}
 }
 
 // A worker listed twice is one worker: the dispatch loop starts one
 // goroutine per advertised slot per base, so a duplicate base would get
-// twice its /capacity of in-flight shards.
+// twice its /capacity of in-flight shards. The fleet ring is built from the
+// same normalized bases, so a worker spelled "HTTP://h:1/" is both placed
+// and marked Down under the name its slots are counted by.
 func TestFleetDedupesWorkers(t *testing.T) {
-	f, err := newFleet([]string{"http://h:1", "http://h:2/", "http://h:1/", "http://h:2", "http://h:1"}, 0, 0)
+	f, err := newFleet([]string{"HTTP://h:1/", "http://h:2/", "http://h:1", "http://h:2", "http://h:1/"}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := []string{"http://h:1", "http://h:2"}; !slices.Equal(f.bases, want) {
 		t.Fatalf("bases = %q, want %q in first-seen order", f.bases, want)
+	}
+	var members []string
+	for _, m := range f.fw.Ring.Members() {
+		members = append(members, m.URL)
+	}
+	if !slices.Equal(members, slices.Sorted(slices.Values(f.bases))) {
+		t.Fatalf("ring members = %q, want the bases %q", members, f.bases)
 	}
 }

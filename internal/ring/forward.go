@@ -3,11 +3,8 @@ package ring
 import (
 	"bytes"
 	"context"
-	"errors"
 	"io"
 	"net/http"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -44,8 +41,7 @@ type Request struct {
 // Forwarder sends requests to ring members and keeps the ring's health
 // marks: a transport failure — refused, reset, timed out — marks the member
 // Down for DownCooldown (Ring.MarkDown); the caller's own context ending
-// marks nobody. The ring may have no members: Send still works and marks
-// are ignored, which is how the fleet reaches workers outside any ring.
+// marks nobody.
 type Forwarder struct {
 	Ring *Ring
 	HTTP *http.Client
@@ -75,7 +71,7 @@ func (r *Ring) candidates(key string) []string {
 
 // Pick returns the first candidate for key that ok accepts ("" when none
 // does), for callers that hold work for a member instead of sending it at
-// once.
+// once: the fleet coordinator places its shards with it.
 func (r *Ring) Pick(key string, ok func(member string) bool) string {
 	for _, m := range r.candidates(key) {
 		if ok(m) {
@@ -139,20 +135,4 @@ func Relay(w http.ResponseWriter, resp *http.Response) {
 	buf := relayBufs.Get().(*[32 << 10]byte)
 	defer relayBufs.Put(buf)
 	io.CopyBuffer(w, resp.Body, buf[:]) // an error is the caller hanging up: the reply is committed
-}
-
-// maxRetryAfter is the longest delay ParseRetryAfter reports; the one caller
-// (the fleet's dispatch loop) gives up on a worker long before it.
-const maxRetryAfter = time.Hour
-
-// ParseRetryAfter reads a Retry-After header as delay seconds, clamped to
-// [0, maxRetryAfter] so that no count of seconds can wrap time.Duration into
-// a negative wait; malformed, negative or absent values fall back to one
-// second.
-func ParseRetryAfter(v string) time.Duration {
-	n, err := strconv.Atoi(strings.TrimSpace(v))
-	if (err != nil && !errors.Is(err, strconv.ErrRange)) || n < 0 {
-		return time.Second
-	}
-	return time.Duration(min(n, int(maxRetryAfter/time.Second))) * time.Second
 }

@@ -284,19 +284,6 @@ func TestRelay(t *testing.T) {
 		resp.Header.Get("Location") != "http://elsewhere/simulate" || resp.Header.Get("X-Private") != "" {
 		t.Fatalf("relayed %d %q %v", resp.StatusCode, body, resp.Header)
 	}
-	for v, want := range map[string]time.Duration{
-		resp.Header.Get("Retry-After"): 7 * time.Second,
-		" 7 ":                          7 * time.Second,
-		"soon":                         time.Second,
-		"":                             time.Second,
-		"-1":                           time.Second,
-		"9223372037":                   maxRetryAfter, // seconds that wrap time.Duration negative
-		"99999999999999999999":         maxRetryAfter, // does not fit an int at all
-	} {
-		if got := ParseRetryAfter(v); got != want {
-			t.Errorf("ParseRetryAfter(%q) = %v, want %v", v, got, want)
-		}
-	}
 }
 
 // TestPick checks placement: the first candidate the caller accepts, none
@@ -318,19 +305,4 @@ func TestPick(t *testing.T) {
 	if got := New("", nil).Pick(k, func(string) bool { return true }); got != "" {
 		t.Fatalf("Pick on an empty ring = %q", got)
 	}
-}
-
-// FuzzParseRetryAfter: whatever a peer writes into Retry-After, the wait is
-// never negative (time.After would fire at once and the coordinator would
-// re-post to the worker that asked it to back off) and never past the
-// ceiling. The seeds run under plain `go test`.
-func FuzzParseRetryAfter(f *testing.F) {
-	for _, v := range []string{"7", " 7 ", "", "soon", "-1", "+3", "9223372036", "9223372037", "18446744073709551616", "-9223372036854775809", "1e9", "0x10"} {
-		f.Add(v)
-	}
-	f.Fuzz(func(t *testing.T, v string) {
-		if got := ParseRetryAfter(v); got < 0 || got > maxRetryAfter {
-			t.Fatalf("ParseRetryAfter(%q) = %v, outside [0, %v]", v, got, maxRetryAfter)
-		}
-	})
 }

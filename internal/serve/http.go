@@ -54,7 +54,7 @@ func NewHandler(svc *Service, opts ...Option) http.Handler {
 	// Serve-tier state lives on the Service so the signal handler can reach
 	// StartDraining through it.
 	svc.reg = cfg.reg
-	svc.adm = newAdmission(cfg.admitLimit, cfg.admitQueue, cfg.retryAfter)
+	svc.adm = newAdmission(cfg.admitLimit, cfg.admitQueue)
 	cfg.reg.GaugeFunc("musa_serve_health_state",
 		"Replica health (0 ok, 1 overloaded, 2 draining).",
 		func() float64 { return float64(svc.healthState()) })

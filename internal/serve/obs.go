@@ -27,7 +27,6 @@ type handlerConfig struct {
 	accessLog  *log.Logger
 	admitLimit int
 	admitQueue int
-	retryAfter time.Duration
 }
 
 // Option configures NewHandler.
@@ -35,15 +34,10 @@ type Option func(*handlerConfig)
 
 // WithAdmission bounds the heavy endpoints (POST /simulate, /dse, /shard):
 // at most limit requests execute concurrently, at most queue more wait,
-// and the rest are shed with 429 + Retry-After. limit <= 0 disables
+// and the rest are shed with 429 + Retry-After: 1. limit <= 0 disables
 // admission control (the library default; `musa serve` enables it).
 func WithAdmission(limit, queue int) Option {
 	return func(c *handlerConfig) { c.admitLimit, c.admitQueue = limit, queue }
-}
-
-// WithRetryAfter sets the Retry-After hint on shed responses (default 1s).
-func WithRetryAfter(d time.Duration) Option {
-	return func(c *handlerConfig) { c.retryAfter = d }
 }
 
 // WithPprof exposes the runtime profiler under GET /debug/pprof/. Off by

@@ -11,7 +11,6 @@ import (
 	"net/url"
 	"strconv"
 	"sync/atomic"
-	"time"
 
 	"musa"
 	"musa/internal/obs"
@@ -45,23 +44,18 @@ type admission struct {
 	sem        chan struct{}
 	queueDepth int64
 	waiting    atomic.Int64
-	retryAfter time.Duration
 }
 
-func newAdmission(limit, queue int, retryAfter time.Duration) *admission {
+func newAdmission(limit, queue int) *admission {
 	if limit <= 0 {
 		return nil
 	}
 	if queue < 0 {
 		queue = 0
 	}
-	if retryAfter <= 0 {
-		retryAfter = time.Second
-	}
 	return &admission{
 		sem:        make(chan struct{}, limit),
 		queueDepth: int64(queue),
-		retryAfter: retryAfter,
 	}
 }
 
@@ -93,16 +87,6 @@ func (a *admission) release() { <-a.sem }
 // "overloaded" healthz condition.
 func (a *admission) saturated() bool {
 	return len(a.sem) == cap(a.sem) && a.waiting.Load() >= a.queueDepth
-}
-
-// retryAfterSeconds is the Retry-After header value: whole seconds,
-// rounded up so "0.3s" does not tell clients to retry immediately.
-func (a *admission) retryAfterSeconds() string {
-	s := int(a.retryAfter.Seconds())
-	if time.Duration(s)*time.Second < a.retryAfter {
-		s++
-	}
-	return strconv.Itoa(s)
 }
 
 // health is a replica's /healthz classification; its value is the
@@ -155,7 +139,7 @@ func (s *Service) gate(route string, h http.HandlerFunc) http.HandlerFunc {
 		if s.adm != nil {
 			switch s.adm.acquire(r.Context()) {
 			case admitShed:
-				w.Header().Set("Retry-After", s.adm.retryAfterSeconds())
+				w.Header().Set("Retry-After", "1")
 				s.shed(route, "queue-full")
 				httpError(w, http.StatusTooManyRequests,
 					errors.New("serve: admission queue full, retry later"))

@@ -27,12 +27,12 @@ func scrape(t *testing.T, reg *obs.Registry) string {
 
 // TestAdmissionSheds drives the overload path end to end: with one
 // execution slot held and a zero-length wait queue, a heavy request is
-// shed with 429 + Retry-After, /healthz flips to overloaded (503), the
+// shed with 429 + Retry-After: 1, /healthz flips to overloaded (503), the
 // shed counter increments, and releasing the slot restores ok.
 func TestAdmissionSheds(t *testing.T) {
 	reg := obs.NewRegistry()
 	svc := testService(t, t.TempDir())
-	ts := httptest.NewServer(NewHandler(svc, WithAdmission(1, 0), WithRetryAfter(2*time.Second), WithRegistry(reg)))
+	ts := httptest.NewServer(NewHandler(svc, WithAdmission(1, 0), WithRegistry(reg)))
 	defer ts.Close()
 
 	var hz struct {
@@ -56,8 +56,8 @@ func TestAdmissionSheds(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("saturated /simulate = %d, want 429", resp.StatusCode)
 	}
-	if ra := resp.Header.Get("Retry-After"); ra != "2" {
-		t.Fatalf("Retry-After = %q, want \"2\"", ra)
+	if ra := resp.Header.Get("Retry-After"); ra != "1" {
+		t.Fatalf("Retry-After = %q, want \"1\"", ra)
 	}
 	if code := getJSON(t, ts.URL+"/healthz", &hz); code != http.StatusServiceUnavailable || hz.Status != "overloaded" {
 		t.Fatalf("saturated healthz = %d %q, want 503 overloaded", code, hz.Status)

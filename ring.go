@@ -22,12 +22,12 @@ type Ring = ring.Ring
 
 // NewRing builds a replica ring over the member base URLs. self is this
 // process's own URL when it is itself a replica (`musa serve -self`), empty
-// for coordinators that only dispatch into the ring.
+// for a process that only sends into the ring.
 func NewRing(self string, members []string) *Ring { return ring.New(self, members) }
 
-// Ring returns the client's replica ring (nil when the client is not part
-// of, or dispatching into, a serve tier). The serve handlers read it for
-// /simulate ownership and PUT /membership updates.
+// Ring returns the client's replica ring (nil when the client is not a
+// replica of a serve tier). The serve handlers read it for /simulate
+// ownership and PUT /membership updates.
 func (c *Client) Ring() *Ring { return c.opts.Ring }
 
 // RouteKey returns the key under which the experiment is placed on a
