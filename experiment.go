@@ -241,12 +241,13 @@ func (e Experiment) normalize(resolve appResolver) (Experiment, error) {
 			e.Arch, e.PointIndex = &a, nil
 		case e.Arch == nil:
 			return Experiment{}, fmt.Errorf("%w: missing Arch or PointIndex", ErrBadArch)
+		default:
+			a := *e.Arch // canonical form owns its copy
+			e.Arch = &a
 		}
 		if _, err := e.Arch.toPoint(); err != nil {
 			return Experiment{}, err
 		}
-		a := *e.Arch // canonical form owns its copy
-		e.Arch = &a
 		if e.PointIndices != nil {
 			return Experiment{}, fmt.Errorf("%w: PointIndices is a sweep field", ErrBadPoint)
 		}
@@ -428,7 +429,9 @@ type canonicalExperiment struct {
 // written field by field in declaration order instead of reflected, because
 // every store key and ring route key — one per request, one per sweep point
 // — hashes it. Only the two nested user-shaped members, CustomApp and
-// Optimize, go through json.Marshal.
+// Optimize, go through json.Marshal, and each as a copy: handing Marshal a
+// pointer read from c would move everything c points to onto the heap in
+// every caller, the node key's Arch and network model included.
 func appendCanonical(dst []byte, c *canonicalExperiment) []byte {
 	num := func(name string, v int64) { // omitempty
 		if v != 0 {
@@ -464,7 +467,8 @@ func appendCanonical(dst []byte, c *canonicalExperiment) []byte {
 		dst = jsonenc.AppendString(append(dst, `,"app":`...), c.App)
 	}
 	if c.CustomApp != nil {
-		nested(`,"customApp":`, c.CustomApp)
+		custom := *c.CustomApp
+		nested(`,"customApp":`, &custom)
 	}
 	if len(c.Apps) > 0 {
 		dst = append(dst, `,"apps":[`...)
@@ -506,7 +510,8 @@ func appendCanonical(dst []byte, c *canonicalExperiment) []byte {
 		dst = append(dst, `,"noReplay":true`...)
 	}
 	if c.Optimize != nil {
-		nested(`,"optimize":`, c.Optimize)
+		spec := *c.Optimize
+		nested(`,"optimize":`, &spec)
 	}
 	return append(dst, '}')
 }
@@ -538,9 +543,11 @@ func (e Experiment) appendCanonicalJSON(dst []byte, custom *apps.Profile) ([]byt
 		Optimize: e.Optimize,
 	}
 	if e.Network != "" {
-		m, err := net.ByName(e.Network)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadNetwork, err)
+		// Normalize resolved the name. An error naming it would move e, and
+		// the Arch it points to, onto the heap in every caller.
+		m, ok := net.Lookup(e.Network)
+		if !ok {
+			return nil, fmt.Errorf("%w: unresolved network", ErrBadNetwork)
 		}
 		c.Network = &m
 	}

@@ -580,12 +580,7 @@ func (c *Client) runSweepFleet(ctx context.Context, ne Experiment, watch Observe
 	err := firstErr
 	resMu.Unlock()
 	_, mergeSpan := obs.StartSpan(ctx, "fleet.merge", obs.AInt("measurements", len(ms)))
-	sort.Slice(ms, func(i, j int) bool {
-		if ms[i].App != ms[j].App {
-			return ms[i].App < ms[j].App
-		}
-		return ms[i].Arch.Label() < ms[j].Arch.Label()
-	})
+	dse.SortMeasurements(ms)
 	mergeSpan.End()
 	res := &Result{Kind: KindSweep, Sweep: &Sweep{Measurements: ms}}
 	if cerr := ctx.Err(); cerr != nil {

@@ -78,16 +78,21 @@ type ArchPoint struct {
 
 // Label renders the configuration compactly.
 func (a ArchPoint) Label() string {
-	// "%dc/%s/%.1fGHz/%db/%s/%dch%s", appended: every /simulate reply and
-	// every span of a sweep point carries one.
-	b := make([]byte, 0, 48)
-	b = append(strconv.AppendInt(b, int64(a.Cores), 10), "c/"...)
+	var b [48]byte
+	return string(a.AppendLabel(b[:0]))
+}
+
+// AppendLabel appends the point's label to dst: "%dc/%s/%.1fGHz/%db/%s/%dch%s",
+// field by field. Every /simulate reply and every span of a sweep point
+// carries one; the reply appends it in place.
+func (a ArchPoint) AppendLabel(dst []byte) []byte {
+	b := append(strconv.AppendInt(dst, int64(a.Cores), 10), "c/"...)
 	b = append(append(b, a.Core.Name...), '/')
 	b = append(strconv.AppendFloat(b, a.FreqGHz, 'f', 1, 64), "GHz/"...)
 	b = append(strconv.AppendInt(b, int64(a.VectorBits), 10), "b/"...)
 	b = append(append(b, a.Cache.Label...), '/')
 	b = append(strconv.AppendInt(b, int64(a.Channels), 10), "ch"...)
-	return string(append(b, a.Mem.String()...))
+	return append(b, a.Mem.String()...)
 }
 
 // NodeConfig converts the point into a node simulator configuration.

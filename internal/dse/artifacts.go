@@ -385,6 +385,19 @@ type hitRates struct {
 	source string
 }
 
+// latKey names one run's DRAM curve: the application and the memory system.
+type latKey struct {
+	app      string
+	channels int
+	mem      MemKind
+}
+
+// burstKey names one run's burst trace: the application and the rank count.
+type burstKey struct {
+	app   string
+	ranks int
+}
+
 // runArtifacts is the run-local artifact front of one dse.Run: one onceMap
 // per stage, layered over the optional cross-run ArtifactProvider. Each
 // stage is built at most once per distinct stage-key per run, whatever the
@@ -394,9 +407,12 @@ type runArtifacts struct {
 	seed           uint64
 	sample, warmup int64
 
+	// The curve and burst fronts are keyed by stage coordinates, not by
+	// artifact key: within one run an app name has one AppHash, so the two
+	// agree, and only a miss pays for deriving the key the provider needs.
 	hashes onceMap[string, string]             // app name -> content hash
-	lat    onceMap[string, *dram.LatencyModel] // artifact key -> fitted curve
-	bursts onceMap[string, *net.Program]       // artifact key -> compiled trace
+	lat    onceMap[latKey, *dram.LatencyModel] // (app, channels, mem) -> fitted curve
+	bursts onceMap[burstKey, *net.Program]     // (app, ranks) -> compiled trace
 	// windows is the one front a run reads sample windows through: the
 	// client's, or a run-local one.
 	windows     *SampleWindows
@@ -471,8 +487,8 @@ func resolve[V any](r *runArtifacts, span *obs.Span, stage, key string,
 // kind), consulting the run front, then the provider, then building. ctx
 // parents the stage span.
 func (r *runArtifacts) latencyModel(ctx context.Context, app *apps.Profile, ch int, mem MemKind) *dram.LatencyModel {
-	key := LatencyModelKey(r.appHash(app), ch, mem, r.seed)
-	return r.lat.get(key, func() *dram.LatencyModel {
+	return r.lat.get(latKey{app.Name, ch, mem}, func() *dram.LatencyModel {
+		key := LatencyModelKey(r.appHash(app), ch, mem, r.seed)
 		_, span := obs.StartSpan(ctx, "dse.latency-fit",
 			obs.A("app", app.Name), obs.AInt("channels", ch), obs.A("mem", mem.String()))
 		defer span.End()
@@ -489,8 +505,8 @@ func (r *runArtifacts) latencyModel(ctx context.Context, app *apps.Profile, ch i
 // with its own compute scale. The provider holds the trace, the front its
 // program.
 func (r *runArtifacts) burst(ctx context.Context, app *apps.Profile, ranks int) *net.Program {
-	key := BurstKey(r.appHash(app), ranks, r.seed)
-	return r.bursts.get(key, func() *net.Program {
+	return r.bursts.get(burstKey{app.Name, ranks}, func() *net.Program {
+		key := BurstKey(r.appHash(app), ranks, r.seed)
 		_, span := obs.StartSpan(ctx, "dse.burst-synthesis",
 			obs.A("app", app.Name), obs.AInt("ranks", ranks))
 		defer span.End()

@@ -422,13 +422,32 @@ func Run(ctx context.Context, opts Options) *Dataset {
 		all = append(all, <-results...)
 	}
 
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].App != all[j].App {
-			return all[i].App < all[j].App
-		}
-		return all[i].Arch.Label() < all[j].Arch.Label()
-	})
+	SortMeasurements(all)
 	return &Dataset{Measurements: all}
+}
+
+// SortMeasurements orders ms by application, then architecture label: the
+// order of every dataset Run returns and a fleet merges. Each label is built
+// once, not twice per comparison; the (label, measurement) pairs see the
+// comparisons the measurements would, so a tie lands where it did.
+func SortMeasurements(ms []Measurement) {
+	type labeled struct {
+		label string
+		m     Measurement
+	}
+	ls := make([]labeled, len(ms))
+	for i := range ms {
+		ls[i] = labeled{ms[i].Arch.Label(), ms[i]}
+	}
+	sort.Slice(ls, func(i, j int) bool {
+		if ls[i].m.App != ls[j].m.App {
+			return ls[i].m.App < ls[j].m.App
+		}
+		return ls[i].label < ls[j].label
+	})
+	for i := range ls {
+		ms[i] = ls[i].m
+	}
 }
 
 // compareGroups orders annotation groups by application, then cores, cache

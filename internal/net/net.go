@@ -75,9 +75,17 @@ func namedModels() map[string]Model {
 	}
 }
 
+// Lookup resolves a named network scenario, reporting whether it exists.
+// Unlike ByName it keeps no reference to name, so a caller's string stays
+// where it is.
+func Lookup(name string) (Model, bool) {
+	m, ok := namedModels()[name]
+	return m, ok
+}
+
 // ByName resolves a named network scenario ("mn4", "hdr200", "eth10").
 func ByName(name string) (Model, error) {
-	if m, ok := namedModels()[name]; ok {
+	if m, ok := Lookup(name); ok {
 		return m, nil
 	}
 	return Model{}, fmt.Errorf("net: unknown network model %q (have %v)", name, ModelNames())

@@ -19,7 +19,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand/v2"
-	"strings"
 )
 
 // Attr is one key=value span annotation.
@@ -36,19 +35,52 @@ func AInt(key string, value int) Attr {
 	return Attr{Key: key, Value: fmt.Sprintf("%d", value)}
 }
 
-// newID returns a 16-hex-digit identifier. Trace and span IDs only need to
-// be unique within a trace ring, not unguessable, so the shared PRNG is
-// plenty (and never zero, which marks "no parent").
+// idDigits is the length of a trace or span ID: 16 lower-case hex digits.
+const idDigits = 16
+
+// putID writes a non-zero random 64-bit value into b as idDigits hex
+// digits. Trace and span IDs only need to be unique within a trace ring, not
+// unguessable, so the shared PRNG is plenty (and never zero, which marks
+// "no parent").
+func putID(b []byte) {
+	v := rand.Uint64()
+	for v == 0 {
+		v = rand.Uint64()
+	}
+	for i := idDigits - 1; i >= 0; i, v = i-1, v>>4 {
+		b[i] = "0123456789abcdef"[v&0xf]
+	}
+}
+
+// newID returns one 16-hex-digit identifier: a child span's ID.
 func newID() string {
-	for {
-		if v := rand.Uint64(); v != 0 {
-			var b [16]byte
-			for i := len(b) - 1; i >= 0; i, v = i-1, v>>4 {
-				b[i] = "0123456789abcdef"[v&0xf]
-			}
-			return string(b[:])
+	var b [idDigits]byte
+	putID(b[:])
+	return string(b[:])
+}
+
+// newRootIDs returns a root span's trace and span IDs, sliced from one
+// 32-hex-digit string: one allocation where two newID calls take two.
+func newRootIDs() (traceID, spanID string) {
+	var b [2 * idDigits]byte
+	putID(b[:idDigits])
+	putID(b[idDigits:])
+	s := string(b[:])
+	return s[:idDigits], s[idDigits:]
+}
+
+// isID reports whether s has the form of a trace or span ID: exactly 16
+// lower-case hex digits.
+func isID(s string) bool {
+	if len(s) != idDigits {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
 		}
 	}
+	return true
 }
 
 type ctxKey int
@@ -59,16 +91,21 @@ const (
 )
 
 // WithRecorder returns a context whose spans record into r instead of the
-// package default ring. A nil r disables recording for the subtree.
+// recorder they would otherwise use (their parent span's, else the package
+// default ring). A nil r disables recording for the subtree.
 func WithRecorder(ctx context.Context, r *Recorder) context.Context {
 	return context.WithValue(ctx, recorderKey, r)
 }
 
-// recorderFrom resolves the recorder for a new span: the context's, falling
-// back to the package default. WithRecorder(ctx, nil) yields nil (disabled).
-func recorderFrom(ctx context.Context) *Recorder {
+// recorderFrom resolves the recorder for a new span under parent: the
+// context's explicit WithRecorder value, else the parent's, else the package
+// default. WithRecorder(ctx, nil) yields nil (disabled).
+func recorderFrom(ctx context.Context, parent *Span) *Recorder {
 	if v, ok := ctx.Value(recorderKey).(*Recorder); ok {
 		return v
+	}
+	if parent != nil && parent.rec != nil {
+		return parent.rec
 	}
 	return Default()
 }
@@ -94,10 +131,16 @@ func ContextWithRemote(ctx context.Context, traceID, spanID string) context.Cont
 }
 
 // ParseTraceHeader splits an X-Musa-Trace value into its trace and parent
-// span IDs.
+// span IDs. It accepts only what HeaderValue renders: two IDs of exactly 16
+// lower-case hex digits. Anything else is refused, so a peer cannot make
+// every span of a request (and the ring holding them) carry an arbitrarily
+// long ID.
 func ParseTraceHeader(v string) (traceID, spanID string, ok bool) {
-	traceID, spanID, found := strings.Cut(v, ":")
-	if !found || traceID == "" || spanID == "" {
+	if len(v) != 2*idDigits+1 || v[idDigits] != ':' {
+		return "", "", false
+	}
+	traceID, spanID = v[:idDigits], v[idDigits+1:]
+	if !isID(traceID) || !isID(spanID) {
 		return "", "", false
 	}
 	return traceID, spanID, true

@@ -100,6 +100,81 @@ func TestTraceHeaderRoundTrip(t *testing.T) {
 	}
 }
 
+// FuzzParseTraceHeader feeds arbitrary header values to the parser: an
+// accepted value splits into two IDs of 16 lower-case hex digits, and a span
+// grafted from it renders the same value back.
+func FuzzParseTraceHeader(f *testing.F) {
+	for _, s := range []string{"", ":", "00000000000000aa:00000000000000bb",
+		"00000000000000AA:00000000000000bb", "00000000000000aa:00000000000000bb:",
+		"aaaa:bbbb", strings.Repeat("a", 40) + ":" + strings.Repeat("b", 40)} {
+		f.Add(s)
+	}
+	id := regexp.MustCompile(`^[0-9a-f]{16}$`)
+	f.Fuzz(func(t *testing.T, v string) {
+		tr, sp, ok := ParseTraceHeader(v)
+		if !ok {
+			if tr != "" || sp != "" {
+				t.Fatalf("refused %q but returned %q %q", v, tr, sp)
+			}
+			return
+		}
+		if !id.MatchString(tr) || !id.MatchString(sp) {
+			t.Fatalf("accepted %q as %q %q", v, tr, sp)
+		}
+		rec := NewRecorder(4)
+		_, s := rec.StartSpan(ContextWithRemote(context.Background(), tr, sp), "graft")
+		s.End()
+		got := rec.Spans()[0]
+		if (&Span{TraceID: got.TraceID, SpanID: got.Parent}).HeaderValue() != v || got.TraceID != tr {
+			t.Fatalf("%q grafted as trace %q parent %q", v, got.TraceID, got.Parent)
+		}
+	})
+}
+
+// TestRecorderFollowsParent: a span started on a recorder passes it to the
+// spans nested under it without a context value; an explicit WithRecorder
+// still wins, and WithRecorder(ctx, nil) still disables the subtree.
+func TestRecorderFollowsParent(t *testing.T) {
+	rec, other := NewRecorder(8), NewRecorder(8)
+	ctx, root := rec.StartSpan(context.Background(), "root")
+	_, child := StartSpan(ctx, "child")
+	child.End()
+	_, redirected := StartSpan(WithRecorder(ctx, other), "redirected")
+	redirected.End()
+	if _, off := StartSpan(WithRecorder(ctx, nil), "off"); off != nil {
+		t.Error("WithRecorder(ctx, nil) under a span still records")
+	}
+	root.End()
+	if got := rec.Spans(); len(got) != 2 || got[0].Name != "child" || got[1].Name != "root" ||
+		got[0].Parent != got[1].SpanID || got[0].TraceID != got[1].TraceID {
+		t.Errorf("recorder holds %+v, want child under root", got)
+	}
+	if got := other.Spans(); len(got) != 1 || got[0].Name != "redirected" || got[0].TraceID != root.TraceID {
+		t.Errorf("explicit recorder holds %+v, want redirected in root's trace", got)
+	}
+	if _, s := (*Recorder)(nil).StartSpan(context.Background(), "nil"); s != nil {
+		t.Error("a nil recorder started a span")
+	}
+}
+
+// TestRootSpanAllocs pins what the HTTP middleware's request span costs: a
+// root span with two attributes, two SetAttr calls and End allocates its
+// context value, the span, one string holding both IDs and one attribute
+// slice (6 before IDs were cut from one string and attrs copied once).
+func TestRootSpanAllocs(t *testing.T) {
+	rec := NewRecorder(16)
+	method, path := "POST", "/simulate"
+	allocs := testing.AllocsPerRun(200, func() {
+		_, s := rec.StartSpan(context.Background(), "http.request", A("method", method), A("path", path))
+		s.SetAttr("route", "POST /simulate")
+		s.SetAttr("status", "200")
+		s.End()
+	})
+	if allocs > 4 {
+		t.Errorf("a root span allocated %v times, want at most 4", allocs)
+	}
+}
+
 func TestRecorderRingWraps(t *testing.T) {
 	rec := NewRecorder(4)
 	ctx := WithRecorder(context.Background(), rec)
@@ -269,9 +344,11 @@ func TestSeriesLookupDoesNotAllocate(t *testing.T) {
 func TestNewIDFormat(t *testing.T) {
 	re := regexp.MustCompile(`^[0-9a-f]{16}$`)
 	for i := 0; i < 1000; i++ {
-		id := newID()
-		if v, err := strconv.ParseUint(id, 16, 64); !re.MatchString(id) || err != nil || v == 0 || fmt.Sprintf("%016x", v) != id {
-			t.Fatalf("newID() = %q, want 16 lower-case hex digits of a non-zero value", id)
+		tr, sp := newRootIDs()
+		for _, id := range []string{newID(), tr, sp} {
+			if v, err := strconv.ParseUint(id, 16, 64); !re.MatchString(id) || err != nil || v == 0 || fmt.Sprintf("%016x", v) != id {
+				t.Fatalf("ID %q, want 16 lower-case hex digits of a non-zero value", id)
+			}
 		}
 	}
 }

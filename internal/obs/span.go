@@ -30,26 +30,39 @@ type Span struct {
 
 // StartSpan opens a span named name under the context's current span (a new
 // trace root when there is none) and returns the child context carrying it.
-// Recording goes to the context's recorder, defaulting to the package ring;
-// with recording disabled it returns (ctx, nil), and every method of a nil
-// *Span is a no-op, so call sites never branch.
+// Recording goes to the context's WithRecorder recorder, else the parent
+// span's, else the package ring; with recording disabled it returns (ctx,
+// nil), and every method of a nil *Span is a no-op, so call sites never
+// branch.
 func StartSpan(ctx context.Context, name string, attrs ...Attr) (context.Context, *Span) {
-	rec := recorderFrom(ctx)
-	if rec == nil {
+	parent := SpanFrom(ctx)
+	return recorderFrom(ctx, parent).start(ctx, parent, name, attrs)
+}
+
+// StartSpan opens a span like the package StartSpan but records it into r,
+// whatever recorder the context resolves; the spans nested under it record
+// into r too unless the context carries a WithRecorder value. A nil r
+// records nothing and returns (ctx, nil).
+func (r *Recorder) StartSpan(ctx context.Context, name string, attrs ...Attr) (context.Context, *Span) {
+	return r.start(ctx, SpanFrom(ctx), name, attrs)
+}
+
+// start opens a span recording into r under parent (nil for a new trace).
+// The attrs are copied into a slice with room for two SetAttr calls, so the
+// caller's variadic slice stays on its stack and the usual annotations
+// after the fact (a route, a status, an outcome) do not grow it.
+func (r *Recorder) start(ctx context.Context, parent *Span, name string, attrs []Attr) (context.Context, *Span) {
+	if r == nil {
 		return ctx, nil
 	}
-	s := &Span{
-		SpanID: newID(),
-		Name:   name,
-		Start:  time.Now(),
-		Attrs:  attrs,
-		rec:    rec,
+	s := &Span{Name: name, Start: time.Now(), rec: r}
+	if len(attrs) > 0 {
+		s.Attrs = append(make([]Attr, 0, len(attrs)+2), attrs...)
 	}
-	if parent := SpanFrom(ctx); parent != nil {
-		s.TraceID = parent.TraceID
-		s.Parent = parent.SpanID
+	if parent != nil {
+		s.TraceID, s.Parent, s.SpanID = parent.TraceID, parent.SpanID, newID()
 	} else {
-		s.TraceID = newID()
+		s.TraceID, s.SpanID = newRootIDs()
 	}
 	return context.WithValue(ctx, spanKey, s), s
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -164,19 +165,45 @@ func experimentStatus(err error) int {
 // keeps a hostile or broken client from making a replica buffer gigabytes.
 const maxExperimentBody = 1 << 20
 
-// readBounded reads a request body of at most maxExperimentBody bytes,
-// answering 413 for a longer one and 400 for a broken one itself.
-func readBounded(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxExperimentBody))
-	if err != nil {
+// A post is one POSTed experiment: the raw body and its decoded request.
+// Both are scratch that a sync.Pool recycles across requests: the handler
+// that read it releases it once it has returned everything derived from it,
+// so a store hit reads and decodes without allocating either.
+type post struct {
+	body bytes.Buffer
+	req  request
+}
+
+var posts = sync.Pool{New: func() any { return new(post) }}
+
+// maxPooledBody bounds the body buffers the pool keeps: a rare large
+// request is read into a buffer the pool then drops, so the pool never
+// holds megabytes of capacity for the next small one.
+const maxPooledBody = 64 << 10
+
+// release hands p back to the pool; neither its body nor its request may
+// be used afterwards.
+func (p *post) release() {
+	p.req = request{}
+	if p.body.Cap() > maxPooledBody {
+		return
+	}
+	p.body.Reset()
+	posts.Put(p)
+}
+
+// readBounded reads a request body of at most maxExperimentBody bytes into
+// p.body, answering 413 for a longer one and 400 for a broken one itself.
+func (p *post) readBounded(w http.ResponseWriter, r *http.Request) bool {
+	if _, err := p.body.ReadFrom(http.MaxBytesReader(w, r.Body, maxExperimentBody)); err != nil {
 		status := http.StatusBadRequest
 		if tooBig := new(http.MaxBytesError); errors.As(err, &tooBig) {
 			status = http.StatusRequestEntityTooLarge
 		}
 		httpError(w, status, err)
-		return nil, false
+		return false
 	}
-	return body, true
+	return true
 }
 
 // request is the wire form of a POST body: the experiment, the
@@ -190,50 +217,53 @@ type request struct {
 	Replay  json.RawMessage `json:"replay"`
 }
 
-// decodeRequest decodes the body an endpoint was POSTed and forces the
-// endpoint's kind onto the experiment. A "replay" member is refused, not
-// dropped: ignoring {"replay":{"disable":true}} would run the replay the
-// caller turned off.
-func decodeRequest(body []byte, path string, kind musa.Kind) (request, error) {
-	var req request
-	if err := json.Unmarshal(body, &req); err != nil {
-		return req, err
+// decode decodes the body an endpoint was POSTed into req, which must be
+// the zero request, and forces the endpoint's kind onto the experiment. A
+// "replay" member is refused, not dropped: ignoring
+// {"replay":{"disable":true}} would run the replay the caller turned off.
+func (req *request) decode(body []byte, path string, kind musa.Kind) error {
+	if err := json.Unmarshal(body, req); err != nil {
+		return err
 	}
 	if req.Replay != nil {
-		return req, fmt.Errorf("%w: the \"replay\" member is retired; spell it replayRanks / noReplay / network", musa.ErrExperiment)
+		return fmt.Errorf("%w: the \"replay\" member is retired; spell it replayRanks / noReplay / network", musa.ErrExperiment)
 	}
 	if req.Kind != "" && req.Kind != kind {
-		return req, fmt.Errorf("%w: %s runs %q experiments, got %q", musa.ErrBadKind, path, kind, req.Kind)
+		return fmt.Errorf("%w: %s runs %q experiments, got %q", musa.ErrBadKind, path, kind, req.Kind)
 	}
 	req.Kind = kind
-	return req, nil
+	return nil
 }
 
-// readExperiment reads and decodes the request an endpoint was POSTed. The
-// raw body comes back too: /simulate forwards it byte for byte. On ok false
-// the error reply has been written.
-func readExperiment(w http.ResponseWriter, r *http.Request, kind musa.Kind) (req request, body []byte, ok bool) {
-	if body, ok = readBounded(w, r); !ok {
-		return req, nil, false
+// readExperiment reads and decodes the request an endpoint was POSTed into
+// a pooled post, which the caller releases once it has returned. The raw
+// body is in it too: /simulate forwards it. On ok false the error reply has
+// been written and the post released.
+func readExperiment(w http.ResponseWriter, r *http.Request, kind musa.Kind) (p *post, ok bool) {
+	p = posts.Get().(*post)
+	if !p.readBounded(w, r) {
+		p.release()
+		return nil, false
 	}
-	req, err := decodeRequest(body, r.URL.Path, kind)
-	if err != nil {
+	if err := p.req.decode(p.body.Bytes(), r.URL.Path, kind); err != nil {
 		httpError(w, http.StatusBadRequest, err)
-		return req, nil, false
+		p.release()
+		return nil, false
 	}
-	return req, body, true
+	return p, true
 }
 
 // handleSimulate resolves the request once (Client.Route: normalized, keyed)
 // and answers a store hit right here, from the reply bytes the store front
 // keeps. Only a miss goes on to ring placement and Client.Run.
 func (s *Service) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	req, body, ok := readExperiment(w, r, musa.KindNode)
+	p, ok := readExperiment(w, r, musa.KindNode)
 	if !ok {
 		return
 	}
+	defer p.release()
 	start := time.Now()
-	rt, err := s.c.Route(req.Experiment)
+	rt, err := s.c.Route(p.req.Experiment)
 	if err != nil {
 		httpError(w, experimentStatus(err), err)
 		return
@@ -242,14 +272,15 @@ func (s *Service) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		if s.placed(r) {
 			s.ringResult("hit")
 		}
-		writeSimulateReply(w, rt.App(), true, elapsedMs(start), rt.Label(), reply)
+		var label [64]byte
+		writeSimulateReply(w, rt.App(), true, elapsedMs(start), rt.AppendLabel(label[:0]), reply)
 		return
 	}
-	if s.routeSimulate(w, r, rt, body) {
+	if s.routeSimulate(w, r, rt, p.body.Bytes()) {
 		return
 	}
 	start = time.Now()
-	res, err := s.c.Run(r.Context(), req.Experiment)
+	res, err := s.c.Run(r.Context(), p.req.Experiment)
 	if err != nil {
 		httpError(w, experimentStatus(err), err)
 		return
@@ -260,7 +291,8 @@ func (s *Service) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	m := res.Measurement
-	writeSimulateReply(w, m.App, res.Cached, elapsedMs(start), m.Arch.Label(), measurement)
+	var label [64]byte
+	writeSimulateReply(w, m.App, res.Cached, elapsedMs(start), m.Arch.AppendLabel(label[:0]), measurement)
 }
 
 // elapsedMs is the time since start in milliseconds, to the microsecond.
@@ -282,13 +314,16 @@ var jsonContentType = []string{"application/json"}
 // five-member envelope is appended and the measurement, already in its reply
 // form (store.ReplyForm), copied in: a hit's measurement bytes come from the
 // store front and are the same for every hit of a key, so nothing is
-// reflected or re-indented per request.
-func writeSimulateReply(w http.ResponseWriter, app string, cached bool, elapsedMs float64, label string, measurement []byte) {
+// reflected or re-indented per request. label is the measurement's
+// architecture label (dse.ArchPoint.AppendLabel): digits, Table I names,
+// '.', ':' and '/', none of which JSON escapes, so it is copied between
+// the quotes as it is.
+func writeSimulateReply(w http.ResponseWriter, app string, cached bool, elapsedMs float64, label, measurement []byte) {
 	buf := replyPool.Get().(*[]byte)
 	b := jsonenc.AppendString(append((*buf)[:0], "{\n  \"app\": "...), app)
 	b = strconv.AppendBool(append(b, ",\n  \"cached\": "...), cached)
 	b = jsonenc.AppendFloat(append(b, ",\n  \"elapsedMs\": "...), elapsedMs)
-	b = jsonenc.AppendString(append(b, ",\n  \"label\": "...), label)
+	b = append(append(append(b, ",\n  \"label\": \""...), label...), '"')
 	b = append(append(b, ",\n  \"measurement\": "...), measurement...)
 	b = append(b, "\n}\n"...)
 	w.Header()["Content-Type"] = jsonContentType
@@ -329,10 +364,12 @@ func ndjsonStream(w http.ResponseWriter, r *http.Request) (emit func(v any)) {
 // request is validated before the 200 commits the stream: a malformed one
 // must fail with a plain 400, not a mid-stream error event.
 func (s *Service) stream(w http.ResponseWriter, r *http.Request, kind musa.Kind, final func(req request, res *musa.Result) map[string]any) {
-	req, _, ok := readExperiment(w, r, kind)
+	p, ok := readExperiment(w, r, kind)
 	if !ok {
 		return
 	}
+	defer p.release()
+	req := p.req
 	if err := req.Validate(); err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
@@ -395,13 +432,14 @@ func (s *Service) handleOptimize(w http.ResponseWriter, r *http.Request) {
 // Execution goes through the same Client as every other endpoint, so shards
 // hit this worker's store and coalesce with its in-flight work.
 func (s *Service) handleShard(w http.ResponseWriter, r *http.Request) {
-	req, _, ok := readExperiment(w, r, musa.KindSweep)
+	p, ok := readExperiment(w, r, musa.KindSweep)
 	if !ok {
 		return
 	}
+	defer p.release()
 	start := time.Now()
 	var cached int
-	res, err := s.c.RunStream(r.Context(), req.Experiment, musa.Observer{
+	res, err := s.c.RunStream(r.Context(), p.req.Experiment, musa.Observer{
 		Progress: func(d, t, c int) { cached = c },
 	})
 	if err != nil {

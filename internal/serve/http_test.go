@@ -301,14 +301,14 @@ func TestReplayMemberRefused(t *testing.T) {
 			if !strings.Contains(reply.Error, `"replay" member`) {
 				t.Errorf("POST %s %s: error %q does not name the member", path, body, reply.Error)
 			}
-			if _, err := decodeRequest([]byte(body), path, kind); !errors.Is(err, musa.ErrExperiment) {
+			if err := new(request).decode([]byte(body), path, kind); !errors.Is(err, musa.ErrExperiment) {
 				t.Errorf("%s %s: error %v does not wrap ErrExperiment", path, body, err)
 			}
 		}
 	}
 
 	const named = `{"app":"replay","pointIndex":0}`
-	if _, err := decodeRequest([]byte(named), "/simulate", musa.KindNode); err != nil {
+	if err := new(request).decode([]byte(named), "/simulate", musa.KindNode); err != nil {
 		t.Fatalf("an application named replay refused at decode: %v", err)
 	}
 	var reply struct{ Error string }

@@ -65,6 +65,10 @@ type respWriter struct {
 	bytes  int64
 }
 
+// respWriters holds the middleware's respWriters: one per request, back in
+// the pool once the handler has returned and the request is accounted.
+var respWriters = sync.Pool{New: func() any { return new(respWriter) }}
+
 func (w *respWriter) WriteHeader(code int) {
 	if w.status == 0 {
 		w.status = code
@@ -93,6 +97,33 @@ func (w *respWriter) Flush() {
 // statusClass folds a status code into its Prometheus label ("2xx", "4xx").
 func statusClass(status int) string {
 	return strconv.Itoa(status/100) + "xx"
+}
+
+// statusText renders a status code for the request span's "status"
+// attribute: a constant for every status the handlers write, so the span
+// does not allocate one per request.
+func statusText(status int) string {
+	switch status {
+	case http.StatusOK:
+		return "200"
+	case http.StatusBadRequest:
+		return "400"
+	case http.StatusNotFound:
+		return "404"
+	case http.StatusMethodNotAllowed:
+		return "405"
+	case http.StatusRequestEntityTooLarge:
+		return "413"
+	case http.StatusTooManyRequests:
+		return "429"
+	case http.StatusInternalServerError:
+		return "500"
+	case http.StatusBadGateway:
+		return "502"
+	case http.StatusServiceUnavailable:
+		return "503"
+	}
+	return strconv.Itoa(status)
 }
 
 // routeClass is a route and a status class (status/100).
@@ -135,21 +166,25 @@ func (c *routeSeriesCache) of(route string, status int) routeSeries {
 }
 
 // instrument wraps the routing mux with the request span, the per-route
-// metrics and the access log.
+// metrics and the access log. The request span records into cfg.rec, and
+// every span nested under it finds the recorder through it. A well-formed
+// X-Musa-Trace header grafts the span under the sender's; any other value
+// is ignored and the request starts a trace of its own.
 func instrument(next http.Handler, cfg *handlerConfig) http.Handler {
 	inFlight := cfg.reg.Gauge("musa_http_requests_in_flight",
 		"HTTP requests currently being served.")
 	series := &routeSeriesCache{reg: cfg.reg, m: map[routeClass]routeSeries{}}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		ctx := obs.WithRecorder(r.Context(), cfg.rec)
+		ctx := r.Context()
 		if tid, sid, ok := obs.ParseTraceHeader(r.Header.Get(obs.TraceHeader)); ok {
 			ctx = obs.ContextWithRemote(ctx, tid, sid)
 		}
-		ctx, span := obs.StartSpan(ctx, "http.request",
+		ctx, span := cfg.rec.StartSpan(ctx, "http.request",
 			obs.A("method", r.Method), obs.A("path", r.URL.Path))
 		inFlight.Add(1)
 		start := time.Now()
-		rw := &respWriter{ResponseWriter: w}
+		rw := respWriters.Get().(*respWriter)
+		*rw = respWriter{ResponseWriter: w}
 		// The mux sets r.Pattern on this request in place, so the matched
 		// route is readable here once ServeHTTP returns.
 		r = r.WithContext(ctx)
@@ -168,13 +203,15 @@ func instrument(next http.Handler, cfg *handlerConfig) http.Handler {
 		rs.requests.Inc()
 		rs.duration.Observe(dur.Seconds())
 		span.SetAttr("route", route)
-		span.SetAttr("status", strconv.Itoa(status))
+		span.SetAttr("status", statusText(status))
 		span.End()
 		if cfg.accessLog != nil {
 			cfg.accessLog.Printf("%s %s %d %dB %s route=%q trace=%s",
 				r.Method, r.URL.Path, status, rw.bytes,
 				dur.Round(time.Microsecond), route, span.HeaderValue())
 		}
+		*rw = respWriter{}
+		respWriters.Put(rw)
 	})
 }
 

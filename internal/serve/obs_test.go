@@ -216,6 +216,44 @@ func TestTracePropagation(t *testing.T) {
 	}
 }
 
+// TestOversizedTraceHeaderIgnored: a /simulate carrying a 64 KiB
+// X-Musa-Trace value is served, and its request span starts a trace of its
+// own instead of carrying the value into the span ring, the exports, the
+// access log and the next hop.
+func TestOversizedTraceHeaderIgnored(t *testing.T) {
+	ts, _, _, rec := obsServer(t)
+	half := strings.Repeat("a", 32<<10)
+	value := half + ":" + half[1:]
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/simulate",
+		strings.NewReader(`{"app":"lulesh","pointIndex":1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set(obs.TraceHeader, value)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST /simulate = %d", resp.StatusCode)
+	}
+	id := regexp.MustCompile(`^[0-9a-f]{16}$`)
+	var reqSpan *obs.Span
+	spans := rec.Spans()
+	for i := range spans {
+		if spans[i].Name == "http.request" {
+			reqSpan = &spans[i]
+		}
+	}
+	if reqSpan == nil {
+		t.Fatalf("no http.request span among %d", len(spans))
+	}
+	if !id.MatchString(reqSpan.TraceID) || strings.Contains(value, reqSpan.TraceID) || reqSpan.Parent != "" {
+		t.Fatalf("request span trace %.40q parent %.40q, want a new 16-hex-digit root", reqSpan.TraceID, reqSpan.Parent)
+	}
+}
+
 // TestDebugTraceEndpoint checks both export formats of the span ring.
 func TestDebugTraceEndpoint(t *testing.T) {
 	ts, _, _, _ := obsServer(t)

@@ -15,6 +15,9 @@ import (
 	"time"
 
 	"musa"
+	"musa/internal/dse"
+	"musa/internal/jsonenc"
+	"musa/internal/obs"
 	"musa/internal/ring"
 )
 
@@ -202,12 +205,72 @@ func TestSimulateReplyElapsedForms(t *testing.T) {
 		m := res.Measurement
 		for _, ms := range []float64{0, 0.001, 12.345, 1e21, 3e-7, 1234} {
 			w := httptest.NewRecorder()
-			writeSimulateReply(w, m.App, res.Cached, ms, m.Arch.Label(), measurement)
+			writeSimulateReply(w, m.App, res.Cached, ms, m.Arch.AppendLabel(nil), measurement)
 			if want := referenceReply(t, *res.Measurement, res.Cached, ms); w.Code != http.StatusOK || !bytes.Equal(w.Body.Bytes(), want) {
 				t.Errorf("cached %v, elapsedMs %v: status %d, reply\n%s\nwant\n%s", res.Cached, ms, w.Code, w.Body.Bytes(), want)
 			}
 		}
 	}
+}
+
+// TestArchLabelsNeedNoEscaping holds writeSimulateReply's premise: every
+// label a measurement can carry (each Table I point, with either memory) is
+// its own JSON string body, so the envelope copies it between the quotes.
+func TestArchLabelsNeedNoEscaping(t *testing.T) {
+	for _, p := range dse.Enumerate() {
+		for _, mem := range []dse.MemKind{dse.DDR4, dse.HBM} {
+			p.Mem = mem
+			label := p.Label()
+			if got := string(jsonenc.AppendString(nil, label)); got != `"`+label+`"` {
+				t.Fatalf("label %s encodes as %s", label, got)
+			}
+		}
+	}
+}
+
+// TestConcurrentHitsKeepTheirOwnRequest sends store hits for eight points
+// from eight goroutines at once through the whole handler, a malformed body
+// after each: every reply names its own request's point, so no pooled body,
+// decoded request or response writer is shared by two requests in flight.
+func TestConcurrentHitsKeepTheirOwnRequest(t *testing.T) {
+	c := testClient(t, t.TempDir())
+	points := indices(8)
+	if _, err := c.Run(context.Background(), musa.Experiment{
+		Kind: musa.KindSweep, Apps: []string{"lulesh"}, PointIndices: points,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	h := NewHandler(New(c), WithRegistry(obs.NewRegistry()), WithRecorder(obs.NewRecorder(0)))
+	var wg sync.WaitGroup
+	for g := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 50 {
+				p := points[(g+i)%len(points)]
+				w := httptest.NewRecorder()
+				h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/simulate",
+					strings.NewReader(fmt.Sprintf(`{"app":"lulesh","pointIndex":%d}`, p))))
+				var reply struct {
+					Cached bool
+					Label  string
+				}
+				want, _ := musa.PointLabel(p)
+				if err := json.Unmarshal(w.Body.Bytes(), &reply); err != nil || w.Code != http.StatusOK ||
+					!reply.Cached || reply.Label != want {
+					t.Errorf("point %d: status %d, reply %+v (%v), want a hit labeled %s", p, w.Code, reply, err, want)
+					return
+				}
+				bad := httptest.NewRecorder()
+				h.ServeHTTP(bad, httptest.NewRequest(http.MethodPost, "/simulate", strings.NewReader(`{"app":`)))
+				if bad.Code != http.StatusBadRequest {
+					t.Errorf("malformed body: status %d, want 400", bad.Code)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestDoorReplyMatchesRunPath holds a store hit answered at the door —
@@ -288,7 +351,7 @@ func TestDoorReplyMatchesRunPath(t *testing.T) {
 				t.Fatal(err)
 			}
 			w := httptest.NewRecorder()
-			writeSimulateReply(w, res.Measurement.App, res.Cached, elapsedMs, res.Measurement.Arch.Label(), measurement)
+			writeSimulateReply(w, res.Measurement.App, res.Cached, elapsedMs, res.Measurement.Arch.AppendLabel(nil), measurement)
 			if !bytes.Equal(raw, w.Body.Bytes()) {
 				t.Errorf("%s: the door's reply differs from the Run path's\ndoor:\n%s\nRun:\n%s", body, raw, w.Body.Bytes())
 			}

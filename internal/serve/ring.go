@@ -294,8 +294,10 @@ func (s *Service) routeSimulate(w http.ResponseWriter, r *http.Request, rt musa.
 	defer span.End()
 	// One attempt: the owner, or nobody. A second replica would compute the
 	// key beside the owner's single-flight; this one may as well do it itself.
+	// The hop gets its own copy of body: a transport may still read a
+	// request body after the round trip returns, and body is pooled scratch.
 	err := s.fw.Send(ctx, owner,
-		ring.Request{Method: http.MethodPost, Path: "/simulate", Header: r.Header, Body: body},
+		ring.Request{Method: http.MethodPost, Path: "/simulate", Header: r.Header, Body: bytes.Clone(body)},
 		func(resp *http.Response) {
 			// The reply is committed: owner-side errors (including its own
 			// 429 shedding) pass through to the caller rather than

@@ -90,14 +90,15 @@ func (c *Client) RingKey(rt Route) string {
 // other kind): the app of the measurement stored under its Key.
 func (rt Route) App() string { return rt.app }
 
-// Label is the architecture label of a node experiment's route ("" for
-// every other kind): the label of the measurement stored under its Key.
-func (rt Route) Label() string {
+// AppendLabel appends the architecture label of a node experiment's route
+// to dst (nothing for every other kind): the label of the measurement stored
+// under its Key.
+func (rt Route) AppendLabel(dst []byte) []byte {
 	if rt.arch == nil {
-		return ""
+		return dst
 	}
 	p, _ := rt.arch.toPoint() // normalized: valid
-	return p.Label()
+	return p.AppendLabel(dst)
 }
 
 // StoredReply returns the measurement the result store holds for the node

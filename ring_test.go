@@ -12,8 +12,8 @@ import (
 
 // TestPlacementAgreesWithFleet pins the one placement the serve tier
 // shares: a /simulate of any point of the 360-point slice is routed by the
-// key the -ring fleet pins the shard holding that point by, so a group's
-// requests, shards and artifacts meet on one replica.
+// key a fleet pins the shard holding that point by, so a group's requests,
+// shards and artifacts meet on one replica.
 func TestPlacementAgreesWithFleet(t *testing.T) {
 	c, err := NewClient(ClientOptions{NoArtifacts: true})
 	if err != nil {
