@@ -343,7 +343,7 @@ func BenchmarkAblationDRAMSched(b *testing.B) {
 			var bw float64
 			for i := 0; i < b.N; i++ {
 				m := node.BuildLatencyModel(app, dram.Config{Spec: dram.DDR4_2333(), Channels: 4}, policy, 1)
-				bw = m.SustainableBW()
+				bw = m.SatBW
 			}
 			b.ReportMetric(bw/1e9, "GB/s-sustained")
 		})

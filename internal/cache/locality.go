@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"slices"
 
 	"musa/internal/xrand"
 )
@@ -84,35 +85,49 @@ func (p LocalityProfile) Validate() error {
 // never alias.
 type AddressGen struct {
 	profile LocalityProfile
-	pick    *xrand.Discrete
+	pick    xrand.Discrete
 	rng     *xrand.RNG
-	bases   []uint64
+	weights []float64 // the regions' weights, the table pick is rebuilt from
 	cursors []uint64
 	blocks  []uint64 // current block base offset for RandomBlock regions
 }
 
-// regionSegment spaces region base addresses 1 GiB apart.
+// regionSegment spaces region base addresses 1 GiB apart: region i starts at
+// base(i).
 const regionSegment = 1 << 30
+
+func base(i int) uint64 { return uint64(i+1) * regionSegment }
 
 // NewAddressGen builds a generator; it panics on an invalid profile.
 func NewAddressGen(p LocalityProfile, rng *xrand.RNG) *AddressGen {
+	g := &AddressGen{}
+	g.Reset(p, rng)
+	return g
+}
+
+// Reset makes g, whatever it generated before, the generator
+// NewAddressGen(p, rng) returns, reusing its tables when they are large
+// enough; it panics on an invalid profile.
+func (g *AddressGen) Reset(p LocalityProfile, rng *xrand.RNG) {
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
-	weights := make([]float64, len(p.Regions))
-	bases := make([]uint64, len(p.Regions))
-	for i, r := range p.Regions {
-		weights[i] = r.Weight
-		bases[i] = uint64(i+1) * regionSegment
+	g.weights = slices.Grow(g.weights[:0], len(p.Regions))
+	for _, r := range p.Regions {
+		g.weights = append(g.weights, r.Weight)
 	}
-	return &AddressGen{
-		profile: p,
-		pick:    xrand.NewDiscrete(weights),
-		rng:     rng,
-		bases:   bases,
-		cursors: make([]uint64, len(p.Regions)),
-		blocks:  make([]uint64, len(p.Regions)),
-	}
+	g.pick.Reset(g.weights)
+	g.profile, g.rng = p, rng
+	g.cursors = zeroed(g.cursors, len(p.Regions))
+	g.blocks = zeroed(g.blocks, len(p.Regions))
+}
+
+// zeroed returns s resized to n zeros, reusing its backing array when it is
+// large enough.
+func zeroed(s []uint64, n int) []uint64 {
+	s = slices.Grow(s[:0], n)[:n]
+	clear(s)
+	return s
 }
 
 // Next returns the next access: its byte address and whether it is a store.
@@ -125,14 +140,14 @@ func (g *AddressGen) Next() (addr uint64, write bool) {
 		if stride <= 0 {
 			stride = 8
 		}
-		addr = g.bases[i] + g.cursors[i]
+		addr = base(i) + g.cursors[i]
 		g.cursors[i] = (g.cursors[i] + uint64(stride)) % uint64(r.Bytes)
 	case RandomLine:
 		lines := r.Bytes / LineBytes
 		if lines < 1 {
 			lines = 1
 		}
-		addr = g.bases[i] + uint64(g.rng.Int63n(lines))*LineBytes + uint64(g.rng.Intn(LineBytes/8))*8
+		addr = base(i) + uint64(g.rng.Int63n(lines))*LineBytes + uint64(g.rng.Intn(LineBytes/8))*8
 	case RandomBlock:
 		block := r.BlockBytes
 		if block <= 0 {
@@ -153,7 +168,7 @@ func (g *AddressGen) Next() (addr uint64, write bool) {
 			}
 			g.blocks[i] = uint64(g.rng.Int63n(nBlocks)) * uint64(block)
 		}
-		addr = g.bases[i] + g.blocks[i] + g.cursors[i]
+		addr = base(i) + g.blocks[i] + g.cursors[i]
 		g.cursors[i] = (g.cursors[i] + uint64(stride)) % uint64(block)
 	}
 	write = g.rng.Bernoulli(r.WriteFrac)
@@ -170,7 +185,7 @@ func (g *AddressGen) NextIn(i int) uint64 {
 	if lines < 1 {
 		lines = 1
 	}
-	return g.bases[i] + uint64(g.rng.Int63n(lines))*LineBytes
+	return base(i) + uint64(g.rng.Int63n(lines))*LineBytes
 }
 
 // RegionIndex returns the index of the named region, or -1.

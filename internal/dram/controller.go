@@ -2,6 +2,7 @@ package dram
 
 import (
 	"fmt"
+	"slices"
 
 	"musa/internal/sim"
 )
@@ -121,31 +122,31 @@ func (p SchedPolicy) String() string {
 // queue at one instant. It is not safe for concurrent use.
 type Controller struct {
 	cfg      Config
-	channels []*channel
+	channels []channel
 	policy   SchedPolicy
 	clk      sim.Time
 	Stats    Stats
 }
 
-// NewController creates a controller; it panics on invalid configuration.
-// Refreshes are accounted lazily on first use.
-func NewController(cfg Config, policy SchedPolicy) *Controller {
+// reset makes c a cold controller for cfg: every channel and bank field and
+// every Stats counter zero, every row closed, refreshes accounted lazily from
+// time 0. It keeps the channels, banks and queue backing arrays c already
+// has, so a reused controller allocates nothing once it has run the largest
+// configuration. It panics on invalid configuration.
+func (c *Controller) reset(cfg Config, policy SchedPolicy) {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	c := &Controller{
-		cfg:    cfg,
-		policy: policy,
-		clk:    sim.Time(cfg.Spec.ClockPs()),
-	}
-	for i := 0; i < cfg.Channels; i++ {
-		ch := &channel{banks: make([]bank, cfg.Spec.BanksPerChannel)}
-		for b := range ch.banks {
-			ch.banks[b].openRow = -1
+	c.cfg, c.policy, c.clk, c.Stats = cfg, policy, sim.Time(cfg.Spec.ClockPs()), Stats{}
+	c.channels = slices.Grow(c.channels[:0], cfg.Channels)[:cfg.Channels]
+	for i := range c.channels {
+		ch := &c.channels[i]
+		banks := ch.banks[:0]
+		for range cfg.Spec.BanksPerChannel {
+			banks = append(banks, bank{openRow: -1})
 		}
-		c.channels = append(c.channels, ch)
+		*ch = channel{banks: banks, queue: ch.queue[:0]}
 	}
-	return c
 }
 
 func (c *Controller) cycles(n int) sim.Time { return sim.Time(n) * c.clk }

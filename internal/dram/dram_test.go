@@ -53,7 +53,7 @@ func TestClockAndBandwidth(t *testing.T) {
 // controller and drains them.
 func drainCold(reqs ...Request) *Controller {
 	ctl := NewController(ddr4(1), FRFCFS)
-	ch := ctl.channels[0]
+	ch := &ctl.channels[0]
 	for i := range reqs {
 		ch.queue = append(ch.queue, &reqs[i])
 	}
@@ -198,7 +198,7 @@ func TestLatencyModel(t *testing.T) {
 	if over <= hi {
 		t.Errorf("overload latency %v not beyond saturation %v", over, hi)
 	}
-	if m.SustainableBW() <= 0.5*m.PeakBW {
-		t.Errorf("sustainable BW = %v of peak %v", m.SustainableBW(), m.PeakBW)
+	if m.SatBW <= 0.5*m.PeakBW {
+		t.Errorf("sustainable BW = %v of peak %v", m.SatBW, m.PeakBW)
 	}
 }

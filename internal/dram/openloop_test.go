@@ -59,14 +59,23 @@ func TestOpenLoopPinned(t *testing.T) {
 	}
 }
 
+// raceEnabled is set by race_test.go: allocation pins skip under -race,
+// where sync.Pool deliberately drops a share of its Puts.
+var raceEnabled bool
+
 // TestOpenLoopAllocationsScaleWithBursts bounds the allocations of the run
 // node.estimatePower makes once per simulated point. Without an event engine
-// there is nothing per request and nothing per burst: the request slab, the
-// controller and the channel queues growing to their high-water mark, 26 in
-// all. The tFAW window is a fixed ring inside the channel and allocates
-// nothing.
+// there is nothing per request and nothing per burst, and the request slab,
+// the controller with its channels and banks, the RNG, the channel queues and
+// the touched list come from a pooled scratch reset in place: once the pool
+// holds a scratch that has run this configuration, a run allocates nothing
+// (26 before the scratch was pooled). The tFAW window is a fixed ring inside
+// the channel.
 func TestOpenLoopAllocationsScaleWithBursts(t *testing.T) {
-	const n, bound = 2000, 30
+	if raceEnabled {
+		t.Skip("sync.Pool drops a quarter of its Puts under the race detector, and the runner pools its working set")
+	}
+	const n, bound = 2000, 0
 	cfg := ddr4(4)
 	src := mixedSource()
 	allocs := testing.AllocsPerRun(5, func() {

@@ -1,6 +1,7 @@
 package dram
 
 import (
+	"sync"
 	"testing"
 
 	"musa/internal/sim"
@@ -51,7 +52,7 @@ func referenceRunOpenLoop(cfg Config, policy SchedPolicy, offeredBW float64, src
 	rng := xrand.New(seed)
 	submit := func(req *Request) {
 		chIdx, _, _ := ctl.mapAddr(req.Addr)
-		ch := ctl.channels[chIdx]
+		ch := &ctl.channels[chIdx]
 		ch.queue = append(ch.queue, req)
 		if ch.scheduling {
 			return
@@ -144,6 +145,85 @@ func TestOpenLoopMatchesReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// reuseCase is one run of the reuse-safety sequence and the reference's
+// result for it.
+type reuseCase struct {
+	cfg    Config
+	policy SchedPolicy
+	load   float64
+	n      int
+	stream bool
+	want   OpenLoopResult
+}
+
+// reuseCases is the cross product the reuse-safety tests run, shuffled with a
+// fixed seed so that every kind of run follows every other kind: one, four,
+// eight and sixteen DDR4 channels and sixteen of HBM2, both policies, idle to
+// 50x peak, empty to ragged request counts, both sources. Each case carries
+// referenceRunOpenLoop's result on a fresh source, computed once for both
+// tests.
+var reuseCases = sync.OnceValue(func() []reuseCase {
+	var cases []reuseCase
+	for _, cfg := range []Config{ddr4(1), ddr4(4), ddr4(8), ddr4(16), {Spec: HBM2(), Channels: 16}} {
+		for _, policy := range []SchedPolicy{FRFCFS, FCFS} {
+			for _, load := range []float64{0.05, 0.5, 1.0, 1.3, 50} {
+				for _, n := range []int{0, 1, 3, 2000, 3001} {
+					for _, stream := range []bool{false, true} {
+						want := referenceRunOpenLoop(cfg, policy, load*cfg.PeakBandwidth(), openLoopSource(stream), n, 7)
+						cases = append(cases, reuseCase{cfg, policy, load, n, stream, want})
+					}
+				}
+			}
+		}
+	}
+	rng := xrand.New(43)
+	for i := len(cases) - 1; i > 0; i-- {
+		j := rng.Intn(i + 1)
+		cases[i], cases[j] = cases[j], cases[i]
+	}
+	return cases
+})
+
+// checkReuse runs c on the pooled runner with a fresh source and compares the
+// whole result with the reference's.
+func checkReuse(t *testing.T, i int, c reuseCase) {
+	t.Helper()
+	got := RunOpenLoop(c.cfg, c.policy, c.load*c.cfg.PeakBandwidth(), openLoopSource(c.stream), c.n, 7)
+	if got != c.want {
+		t.Errorf("run %d, %s x%d %v at %v of peak, n=%d, stream=%v, after reuse:\n got %+v\nwant %+v",
+			i, c.cfg.Spec.Name, c.cfg.Channels, c.policy, c.load, c.n, c.stream, got, c.want)
+	}
+}
+
+// TestOpenLoopReuseMatchesReference drives RunOpenLoop's pooled scratch
+// through the shuffled sequence: a run that inherits a controller from a
+// larger, longer or more loaded run — open rows, activate history, refreshes
+// accounted far ahead, counters — must still equal the reference's fresh one.
+func TestOpenLoopReuseMatchesReference(t *testing.T) {
+	for i, c := range reuseCases() {
+		checkReuse(t, i, c)
+	}
+}
+
+// TestOpenLoopReuseConcurrent runs the same sequence split over eight
+// goroutines, so scratches pass between goroutines through the pool (run it
+// under -race).
+func TestOpenLoopReuseConcurrent(t *testing.T) {
+	const workers = 8
+	cases := reuseCases()
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := w; i < len(cases); i += workers {
+				checkReuse(t, i, cases[i])
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestOpenLoopOverloadSharesInstants guards the premise of the 50x-peak rows:

@@ -3,6 +3,8 @@ package dram
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 
 	"musa/internal/sim"
 	"musa/internal/xrand"
@@ -15,18 +17,6 @@ type AddrSource interface {
 	Next() (addr uint64, write bool)
 }
 
-// seqSource is a trivial streaming source used as a default.
-type seqSource struct{ next uint64 }
-
-func (s *seqSource) Next() (uint64, bool) {
-	a := s.next
-	s.next += 64
-	return a, false
-}
-
-// NewStreamSource returns an AddrSource that walks memory sequentially.
-func NewStreamSource() AddrSource { return &seqSource{} }
-
 // OpenLoopResult summarizes an open-loop experiment.
 type OpenLoopResult struct {
 	Stats       Stats
@@ -36,6 +26,20 @@ type OpenLoopResult struct {
 	Utilization float64 // achieved / peak
 }
 
+// openLoopScratch is one RunOpenLoop's working set: the controller with its
+// channels, banks and queues, the RNG, the request slab and the touched list.
+// RunOpenLoop takes one from openLoopScratches and resets what it uses, so a
+// run allocates nothing once the pool holds a scratch that has run the
+// largest configuration and request count.
+type openLoopScratch struct {
+	ctl     Controller
+	rng     xrand.RNG
+	reqs    []Request
+	touched []*channel
+}
+
+var openLoopScratches = sync.Pool{New: func() any { return new(openLoopScratch) }}
+
 // RunOpenLoop injects n line requests with exponential inter-arrival times
 // targeting the given offered bandwidth (bytes/second), with addresses drawn
 // from src, and returns latency and bandwidth measurements. Arrivals come in
@@ -44,14 +48,21 @@ type OpenLoopResult struct {
 //
 // No event engine is involved: drain issues a whole queue at the instant it
 // runs, so nothing outlives the instant that created it and the request slab
-// is the calendar.
+// is the calendar. The working set comes from a pool and is reset in place;
+// the result holds none of it. RunOpenLoop is safe for concurrent use with
+// distinct sources.
 func RunOpenLoop(cfg Config, policy SchedPolicy, offeredBW float64, src AddrSource, n int, seed uint64) OpenLoopResult {
-	ctl := NewController(cfg, policy)
-	rng := xrand.New(seed)
+	sc := openLoopScratches.Get().(*openLoopScratch)
+	defer openLoopScratches.Put(sc)
+	ctl := &sc.ctl
+	ctl.reset(cfg, policy)
+	rng := &sc.rng
+	rng.Seed(seed)
 
 	const burst = 4
 	meanGap := 64.0 * burst / offeredBW // seconds between bursts
-	reqs := make([]Request, n)
+	sc.reqs = slices.Grow(sc.reqs[:0], n)[:n]
+	reqs := sc.reqs
 	t := sim.Time(0)
 	for i := 0; i < n; i += burst {
 		t += sim.FromSeconds(rng.Exponential(meanGap))
@@ -66,12 +77,12 @@ func RunOpenLoop(cfg Config, policy SchedPolicy, offeredBW float64, src AddrSour
 	// (bursts whose gap truncated to 0 ps meet in the queues, as submit events
 	// precede the passes they schedule), then each touched channel drains,
 	// channels in first-touch order.
-	touched := make([]*channel, 0, cfg.Channels)
+	touched := sc.touched[:0]
 	for i := 0; i < n; {
 		now := reqs[i].Arrive
 		for ; i < n && reqs[i].Arrive == now; i++ {
 			chIdx, _, _ := ctl.mapAddr(reqs[i].Addr)
-			ch := ctl.channels[chIdx]
+			ch := &ctl.channels[chIdx]
 			ch.queue = append(ch.queue, &reqs[i])
 			if !ch.scheduling {
 				ch.scheduling = true
@@ -84,6 +95,7 @@ func RunOpenLoop(cfg Config, policy SchedPolicy, offeredBW float64, src AddrSour
 		}
 		touched = touched[:0]
 	}
+	sc.touched = touched
 
 	res := OpenLoopResult{
 		Stats:      ctl.Stats,
@@ -185,7 +197,3 @@ func (m LatencyModel) Validate() error {
 	}
 	return nil
 }
-
-// SustainableBW returns the bandwidth the device actually sustains, which
-// caps application throughput in the node model.
-func (m LatencyModel) SustainableBW() float64 { return m.SatBW }

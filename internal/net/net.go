@@ -11,7 +11,9 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"sync"
 
 	"musa/internal/trace"
 )
@@ -241,6 +243,24 @@ type slot struct {
 	received bool // the receive has been posted
 }
 
+// replayScratch is a replay's working state, the per-rank cursors and the
+// message log. Replay takes one from replayScratches and zeroes the part it
+// uses, so only the result's per-rank stats are allocated per replay.
+type replayScratch struct {
+	ranks []rankState
+	log   []slot
+}
+
+var replayScratches = sync.Pool{New: func() any { return new(replayScratch) }}
+
+// zeroed returns s resized to n zero values, reusing its backing array when
+// it is large enough.
+func zeroed[T any](s []T, n int) []T {
+	s = slices.Grow(s[:0], n)[:n]
+	clear(s)
+	return s
+}
+
 // Replay runs the program against the network model; see the package-level
 // Replay for the semantics and ReplayCtx for cancellation. It panics on an
 // invalid model and on a deadlock.
@@ -250,8 +270,10 @@ func (p *Program) Replay(ctx context.Context, m Model, scale ComputeScale) (Resu
 	}
 	n := len(p.start)
 	res := Result{Ranks: make([]RankStats, n)}
-	ranks := make([]rankState, n)
-	log := make([]slot, p.msgs.Messages)
+	sc := replayScratches.Get().(*replayScratch)
+	defer replayScratches.Put(sc)
+	sc.ranks, sc.log = zeroed(sc.ranks, n), zeroed(sc.log, p.msgs.Messages)
+	ranks, log := sc.ranks, sc.log
 	collCount := 0 // arrivals at the one collective generation active
 
 	// Ranks are processed round-robin, each until it blocks on a peer that

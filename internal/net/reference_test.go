@@ -377,10 +377,18 @@ func FuzzReplayMatchesReference(f *testing.F) {
 	})
 }
 
-// TestCompiledReplayAllocations pins the replay's allocations to its result
-// and its working state: the same handful at 64 ranks as at 1024, nothing
-// per message.
+// raceEnabled is set by race_test.go: allocation pins skip under -race,
+// where sync.Pool deliberately drops a share of its Puts.
+var raceEnabled bool
+
+// TestCompiledReplayAllocations pins the replay's allocations to its result:
+// the per-rank cursors and the message log come from a pooled scratch, so a
+// replay allocates only its per-rank stats (3 before the scratch was pooled),
+// the same at 64 ranks as at 1024, nothing per message.
 func TestCompiledReplayAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a quarter of its Puts under the race detector, and the replay pools its working state")
+	}
 	var counts []float64
 	for _, n := range []int{64, 1024} {
 		p, err := Compile(apps.BurstTrace(apps.BTMZ(), n, 1))
@@ -390,8 +398,8 @@ func TestCompiledReplayAllocations(t *testing.T) {
 		scale := testScales["by-rank"]
 		counts = append(counts, testing.AllocsPerRun(3, func() { p.Replay(t.Context(), model(), scale) }))
 	}
-	if counts[0] != counts[1] || counts[1] > 3 {
-		t.Errorf("allocations per replay at 64 and 1024 ranks: %v, want the same, at most 3", counts)
+	if counts[0] != counts[1] || counts[1] > 1 {
+		t.Errorf("allocations per replay at 64 and 1024 ranks: %v, want the same, at most 1", counts)
 	}
 }
 

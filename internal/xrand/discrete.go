@@ -1,6 +1,9 @@
 package xrand
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // Discrete samples from a finite discrete distribution given by weights.
 // It precomputes a cumulative table and samples by binary search, which is
@@ -13,18 +16,26 @@ type Discrete struct {
 // NewDiscrete builds a sampler over len(weights) outcomes. Weights must be
 // non-negative with a positive sum.
 func NewDiscrete(weights []float64) *Discrete {
-	d := &Discrete{cum: make([]float64, len(weights))}
-	for i, w := range weights {
+	d := &Discrete{}
+	d.Reset(weights)
+	return d
+}
+
+// Reset rebuilds d in place as a sampler over weights, reusing its
+// cumulative table when it is large enough. Weights must be non-negative with
+// a positive sum.
+func (d *Discrete) Reset(weights []float64) {
+	d.cum, d.total = slices.Grow(d.cum[:0], len(weights)), 0
+	for _, w := range weights {
 		if w < 0 {
 			panic("xrand: negative weight")
 		}
 		d.total += w
-		d.cum[i] = d.total
+		d.cum = append(d.cum, d.total)
 	}
 	if d.total <= 0 {
 		panic("xrand: weights sum to zero")
 	}
-	return d
 }
 
 // Sample draws an outcome index using r.

@@ -8,7 +8,8 @@ package xrand
 
 import "math"
 
-// RNG is a xoshiro256** generator. The zero value is not valid; use New.
+// RNG is a xoshiro256** generator. The zero value is not valid; use New or
+// Seed.
 type RNG struct {
 	s [4]uint64
 }
@@ -17,6 +18,13 @@ type RNG struct {
 // as recommended by the xoshiro authors. Any seed, including zero, is valid.
 func New(seed uint64) *RNG {
 	r := &RNG{}
+	r.Seed(seed)
+	return r
+}
+
+// Seed resets r in place to the stream New(seed) starts, so a generator held
+// by value can be reused without allocating.
+func (r *RNG) Seed(seed uint64) {
 	sm := seed
 	for i := range r.s {
 		sm += 0x9e3779b97f4a7c15
@@ -25,7 +33,6 @@ func New(seed uint64) *RNG {
 		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 		r.s[i] = z ^ (z >> 31)
 	}
-	return r
 }
 
 // Split derives an independent generator from r. The derived stream is

@@ -14,6 +14,22 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
+// TestSeedMatchesNew reseeds a generator that has already drawn from another
+// stream: it must restart exactly where New(seed) starts.
+func TestSeedMatchesNew(t *testing.T) {
+	r := New(99)
+	for i := 0; i < 17; i++ {
+		r.Uint64()
+	}
+	r.Seed(42)
+	want := New(42)
+	for i := 0; i < 1000; i++ {
+		if g, w := r.Uint64(), want.Uint64(); g != w {
+			t.Fatalf("draw %d: reseeded %#x, New %#x", i, g, w)
+		}
+	}
+}
+
 func TestDifferentSeedsDiffer(t *testing.T) {
 	a, b := New(1), New(2)
 	same := 0
@@ -141,6 +157,25 @@ func TestDiscreteSampling(t *testing.T) {
 		got := float64(counts[i]) / n
 		if math.Abs(got-want) > 0.01 {
 			t.Errorf("outcome %d: freq %v, want ~%v", i, got, want)
+		}
+	}
+}
+
+// TestDiscreteResetMatchesNew rebuilds a sampler over a longer table, then a
+// shorter one: each must draw what a fresh NewDiscrete over its weights draws.
+func TestDiscreteResetMatchesNew(t *testing.T) {
+	d := NewDiscrete([]float64{1, 2, 7})
+	for _, w := range [][]float64{{3, 0, 1, 4, 2}, {5, 1}} {
+		d.Reset(w)
+		fresh := NewDiscrete(w)
+		if d.N() != fresh.N() {
+			t.Fatalf("reset over %v: N = %d, want %d", w, d.N(), fresh.N())
+		}
+		a, b := New(31), New(31)
+		for i := 0; i < 1000; i++ {
+			if g, want := d.Sample(a), fresh.Sample(b); g != want {
+				t.Fatalf("reset over %v: draw %d = %d, want %d", w, i, g, want)
+			}
 		}
 	}
 }
