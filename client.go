@@ -57,15 +57,15 @@ type ClientOptions struct {
 	MaxJobs int
 
 	// Workers lists remote `musa serve` base URLs (e.g. "http://h1:8080").
-	// When non-empty, sweep experiments are split into per-annotation-group
-	// shards, each placed by a ring over the workers and given one attempt
-	// over the /shard endpoint, with the local process running every shard
-	// whose attempt failed; all other kinds, and sweeps over
-	// client-registered custom applications, still run in process. The
-	// merged dataset is byte-identical to the in-process run.
+	// When non-empty, a sweep gives each annotation group's uncached points
+	// one attempt at a worker over the /shard endpoint, placed by a ring
+	// over the workers, and simulates in process every group whose attempt
+	// failed; all other kinds, and sweeps over client-registered custom
+	// applications, run in process. The dataset is byte-identical to the
+	// in-process run.
 	Workers []string
-	// ShardTimeout bounds one remote shard attempt; a shard that times out
-	// runs in the local pool (<= 0 = 10m).
+	// ShardTimeout bounds one remote shard attempt; a group whose attempt
+	// times out is simulated in process (<= 0 = 10m).
 	ShardTimeout time.Duration
 	// Ring, when set, is the serve tier's replica membership: serve
 	// handlers use it for /simulate ownership routing, by RouteKey.
@@ -101,8 +101,8 @@ type ClientStats struct {
 	// Remote counts measurements computed by fleet workers on behalf of
 	// this client's sweeps.
 	Remote int64
-	// Redispatched counts sweep shards re-dispatched onto the local pool
-	// after their one attempt at a fleet worker failed or timed out.
+	// Redispatched counts sweep shards (annotation groups) simulated in
+	// process after their one attempt at a fleet worker failed or timed out.
 	Redispatched int64
 	// PeerArtifactsFetched counted artifacts pulled from ring peers.
 	//
@@ -634,12 +634,6 @@ func (c *Client) simulateOne(ctx context.Context, app *Application, ne Experimen
 // an error wrapping context.Canceled, so callers keep what was computed
 // and a repeated run resumes from the checkpoint.
 func (c *Client) runSweep(ctx context.Context, ne Experiment, watch Observer) (*Result, error) {
-	// A configured fleet takes over built-in-application sweeps; custom
-	// applications are registered only on this client, so the workers could
-	// not resolve them — those sweeps stay in process.
-	if c.fleet != nil && c.fleetEligible(ne) {
-		return c.runSweepFleet(ctx, ne, watch)
-	}
 	var selected []*apps.Profile
 	for _, name := range ne.Apps {
 		a, err := c.resolveApp(name)
@@ -699,12 +693,23 @@ func (c *Client) runSweep(ctx context.Context, ne Experiment, watch Observer) (*
 		}
 	}
 	checkpoint := opts.OnMeasurement
-	opts.OnMeasurement = func(m Measurement) {
-		c.simulated.Add(1)
+	keep := func(m Measurement) {
 		if checkpoint != nil {
 			checkpoint(m)
 		}
 		deliver(m)
+	}
+	opts.OnMeasurement = func(m Measurement) {
+		c.simulated.Add(1)
+		keep(m)
+	}
+	// A configured fleet gives each annotation group one attempt at a
+	// worker, with as many runner workers as the healthy workers have
+	// slots.
+	if c.fleet != nil {
+		if fs, slots := c.newFleetSweep(ctx, ne, keep); fs != nil {
+			opts.Remote, opts.Workers = fs.remote, slots
+		}
 	}
 	if watch.Progress != nil {
 		opts.Progress = func(done, total int) {
@@ -789,11 +794,11 @@ func (c *Client) RegisterMetrics(reg *obs.Registry) {
 		stat(func(s ClientStats) int64 { return s.Coalesced }))
 	reg.CounterFunc("musa_client_remote_total", "Measurements computed by fleet workers.",
 		stat(func(s ClientStats) int64 { return s.Remote }))
-	reg.CounterFunc("musa_client_redispatched_total", "Fleet shards re-dispatched onto the local pool.",
+	reg.CounterFunc("musa_client_redispatched_total", "Fleet shards simulated in process after their attempt at a worker failed.",
 		stat(func(s ClientStats) int64 { return s.Redispatched }))
 	reg.GaugeFunc("musa_jobs_in_flight", "Simulation jobs currently holding a pool slot.",
 		func() float64 { return float64(len(c.sem)) })
-	reg.GaugeFunc("musa_jobs_max", "Concurrent-job bound of the pool (the /capacity advertisement).",
+	reg.GaugeFunc("musa_jobs_max", "Concurrent-job bound of the pool (the /healthz maxJobs).",
 		func() float64 { return float64(cap(c.sem)) })
 
 	reg.CounterFunc("musa_opt_probes_total", "Optimize-search probes dispatched, by fidelity rung class.",

@@ -39,10 +39,10 @@ import (
 // With -cache-dir every completed measurement is checkpointed into the
 // result store `musa serve` uses, so a killed sweep resumes and a repeated
 // one is served from the store; -resume=false recomputes. With -fleet (or
-// -demo N loopback workers) the sweep is sharded per annotation group over
-// serve replicas' POST /shard, each shard placed by a ring over the workers
-// and run locally when its one attempt fails, and merged into the same
-// dataset; -verify re-runs the sweep in process and requires byte-identical
+// -demo N loopback workers) each annotation group is one shard, sent to a
+// serve replica's POST /shard, placed by a ring over the workers and
+// simulated in process when its one attempt fails, so the dataset is the
+// same; -verify re-runs the sweep in process and requires byte-identical
 // measurements.
 func runDSE(fs *flag.FlagSet, args []string) error {
 	list := fs.Bool("list", false, "list the design space and exit")
@@ -69,7 +69,7 @@ func runDSE(fs *flag.FlagSet, args []string) error {
 	timelineRanks := fs.Int("ranks", 64, "rank count for the -fig 4 timeline")
 	fleet := fs.String("fleet", "", "comma-separated serve replica base URLs to shard the sweep over")
 	demo := fs.Int("demo", 0, "spawn N in-process serve workers on loopback instead of -fleet")
-	shardTimeout := fs.Duration("shard-timeout", 0, "per-shard request bound; a shard past it runs locally (<= 0 = 10m)")
+	shardTimeout := fs.Duration("shard-timeout", 0, "per-shard request bound; a shard past it is simulated in process (<= 0 = 10m)")
 	verify := fs.Bool("verify", false, "re-run the sweep in process and require byte-identical datasets")
 	optimize := fs.Bool("optimize", false, "run a successive-halving search over the design space instead of figures")
 	objectives := fs.String("objectives", "", "optimize: comma-separated objectives from time,energy,edp (default all)")

@@ -99,7 +99,7 @@ func runServe(fs *flag.FlagSet, args []string) error {
 	if snap.Artifacts.Enabled {
 		log.Printf("artifact cache: %d artifacts", snap.Artifacts.Stats.Entries)
 	}
-	log.Printf("advertising capacity: %d concurrent jobs (/capacity)", snap.Jobs.Max)
+	log.Printf("advertising %d concurrent jobs (/healthz maxJobs)", snap.Jobs.Max)
 
 	var opts []serve.Option
 	if *pprofFlag {

@@ -8,10 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"runtime"
 	"slices"
-	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -22,60 +19,59 @@ import (
 	"musa/internal/ring"
 )
 
-// This file is the distributed sweep scheduler: a sweep experiment is split
-// into per-(application, annotation-group) shards, each shard is dispatched
-// to a `musa serve` worker over POST /shard, and the results are merged back
-// into the same deterministic (app, arch-label) order the in-process runner
-// produces. The dispatch policy is one rule: a ring over the fleet's own
-// workers pins each shard, the shard gets one attempt at a worker, and on
-// any failure it runs once in the local pool. A shard is taken from the
-// pending list once and fails at most once, so it completes exactly once
-// and the merged dataset holds exactly one measurement per point.
+// This file is the fleet half of a distributed sweep. A sweep over remote
+// `musa serve` workers is the ordinary in-process sweep (runSweep, dse.Run)
+// with one hook set, dse.Options.Remote: every annotation group's points
+// that the store does not hold get one attempt at a worker over POST /shard,
+// placed by a ring over the workers under the key a /simulate of any of
+// those points routes by (Client.RingKey). On any failure the dse.Run
+// worker that holds the group simulates it in place, so the group completes
+// exactly once and the dataset holds exactly one measurement per point.
 
 // ErrBadWorker reports an unusable fleet worker URL in ClientOptions.
 var ErrBadWorker = errors.New("musa: bad fleet worker URL")
 
-// observeShard records one shard execution into the fleet shard-duration
-// histogram. path distinguishes the remote dispatch from the local pool,
-// so a dashboard can tell worker latency from fallback latency.
-func observeShard(path string, start time.Time) {
-	obs.DefaultRegistry().Histogram("musa_fleet_shard_seconds",
-		"Time to complete one fleet shard, by execution path.", nil,
-		obs.L("path", path)).Observe(time.Since(start).Seconds())
-}
-
 const (
 	defaultShardTimeout = 10 * time.Minute
-	capacityProbeWindow = 5 * time.Second
-	// maxWorkerSlots clamps an advertised /capacity so a misconfigured
-	// worker cannot make the coordinator open hundreds of connections.
+	healthProbeWindow   = 5 * time.Second
+	// maxWorkerSlots clamps the maxJobs a worker's /healthz advertises, so
+	// a misconfigured worker cannot make the coordinator open hundreds of
+	// connections.
 	maxWorkerSlots = 16
 	// maxShardReplyPerPoint bounds a /shard reply per requested point: a
 	// measurement encodes to about 1.2 KB (4 KB with 16 replay rank counts).
 	maxShardReplyPerPoint = 64 << 10
 )
 
-// fleetHTTP carries the fleet traffic — capacity probes and shards — of
-// every client in the process.
-var fleetHTTP = &http.Client{}
-
 // jsonHeader is the header of every JSON body a client sends. Read-only.
 var jsonHeader = http.Header{"Content-Type": {"application/json"}}
+
+// gridIndex maps a Table I point's label onto its grid index: a shard names
+// its points by index on the wire.
+var gridIndex = sync.OnceValue(func() map[string]int {
+	grid := tableIGrid()
+	m := make(map[string]int, len(grid))
+	for i, p := range grid {
+		m[p.Label()] = i
+	}
+	return m
+})
 
 // fleet is the validated remote-worker configuration of a Client.
 type fleet struct {
 	bases   []string      // normalized base URLs, no trailing slash
 	timeout time.Duration // one shard attempt's bound
 	// fw sends every probe and shard over a ring of bases, which places
-	// the shards and keeps the workers' Down marks.
+	// the groups and keeps the workers' Down marks; its client shares the
+	// process's default transport and connection pool.
 	fw *ring.Forwarder
 }
 
 // newFleet validates the worker base URLs (http/https with a host) and
 // builds the ring over them. A worker listed twice, with or without a
-// trailing slash, is one worker: the dispatch loop runs its advertised
-// capacity once. A shard timeout <= 0 is the default: with one attempt per
-// shard, an unbounded attempt at a stalled worker would hang the sweep.
+// trailing slash, is one worker: its advertised slots count once. A shard
+// timeout <= 0 is the default: with one attempt per group, an unbounded
+// attempt at a stalled worker would hang the sweep.
 func newFleet(workers []string, shardTimeout time.Duration) (*fleet, error) {
 	f := &fleet{timeout: shardTimeout}
 	if f.timeout <= 0 {
@@ -93,22 +89,23 @@ func newFleet(workers []string, shardTimeout time.Duration) (*fleet, error) {
 			f.bases = append(f.bases, base)
 		}
 	}
-	f.fw = &ring.Forwarder{Ring: ring.New("", f.bases), HTTP: fleetHTTP}
+	f.fw = &ring.Forwarder{Ring: ring.New("", f.bases), HTTP: &http.Client{}}
 	return f, nil
 }
 
-// capacity probes GET {base}/capacity and returns the advertised concurrent
-// job count, clamped to [1, maxWorkerSlots].
-func (f *fleet) capacity(ctx context.Context, base string) (n int, err error) {
-	req := ring.Request{Method: http.MethodGet, Path: "/capacity", Timeout: capacityProbeWindow}
+// slots probes GET {base}/healthz and returns the worker's maxJobs, clamped
+// to [1, maxWorkerSlots]. Only a healthy worker has slots: a draining or
+// overloaded one answers 503 and would refuse every shard.
+func (f *fleet) slots(ctx context.Context, base string) (n int, err error) {
+	req := ring.Request{Method: http.MethodGet, Path: "/healthz", Timeout: healthProbeWindow}
 	serr := f.fw.Send(ctx, base, req, func(resp *http.Response) {
 		var out struct {
 			MaxJobs int `json:"maxJobs"`
 		}
 		if resp.StatusCode != http.StatusOK {
-			err = fmt.Errorf("musa: %s/capacity: %s", base, resp.Status)
+			err = fmt.Errorf("musa: %s/healthz: %s", base, resp.Status)
 		} else if derr := json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&out); derr != nil {
-			err = fmt.Errorf("musa: %s/capacity: %v", base, derr)
+			err = fmt.Errorf("musa: %s/healthz: %v", base, derr)
 		} else {
 			n = min(max(out.MaxJobs, 1), maxWorkerSlots)
 		}
@@ -156,436 +153,148 @@ func (f *fleet) postShard(ctx context.Context, base string, e Experiment) (ms []
 	return ms, err
 }
 
-// shardJob is one dispatch unit: the points of one (application,
-// annotation-group) pair that were not already in the result store.
-type shardJob struct {
-	app     string
-	indices []int             // ascending Table I grid indices
-	keys    map[string]string // arch label -> store key, also the expected-point set
-	// prefer is the worker this shard is pinned to: the first reachable
-	// worker in the fleet ring's order for the shard's annotation key, so
-	// the whole tier executes a group where its artifacts live. Empty when
-	// that order names no reachable worker: any worker takes the shard.
-	prefer string
-}
-
-// pendingShards is the one dispatch structure: the planned shards nobody
-// has taken yet, in plan order. A worker slot takes its first preferred
-// shard, else the first shard at all — which is a shared FIFO when nothing
-// is pinned and work stealing when something is. Shards are only ever
-// removed.
-type pendingShards struct {
-	mu    sync.Mutex
-	items []*shardJob
-}
-
-// take removes and returns the next shard for worker; nil when none is
-// left.
-func (p *pendingShards) take(worker string) *shardJob {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if len(p.items) == 0 {
-		return nil
+// validateShardReply checks a worker's measurements against the group it
+// was sent: one measurement of app per point, no strays, no duplicates. A
+// mismatching reply is a failed attempt, and the group is simulated here.
+func validateShardReply(app string, points []dse.ArchPoint, ms []Measurement) error {
+	if len(ms) != len(points) {
+		return fmt.Errorf("musa: shard %s: %d measurements for %d points", app, len(ms), len(points))
 	}
-	i := max(0, slices.IndexFunc(p.items, func(j *shardJob) bool { return j.prefer == worker }))
-	j := p.items[i]
-	p.items = slices.Delete(p.items, i, i+1)
-	return j
-}
-
-// planShards groups each application's remaining grid indices into
-// per-annotation-group shards (dse.AnnGroup — the grouping under which
-// dse.Run shares one annotation pass, so dispatching a whole group keeps a
-// remote worker as efficient as the local runner). The plan is
-// deterministic and ordered for artifact locality: applications first,
-// then memory kind, cores, vector width and cache label — shards that
-// share burst traces (same app) and DRAM latency curves (same app and
-// memory kind) sit adjacent in the dispatch queue, so consecutive pulls by
-// the same worker reuse its freshest artifacts. keyOf maps a unit onto its
-// store key; the shard keeps the label->key map both to warm the
-// coordinator store and to validate a worker's reply.
-func planShards(appNames []string, remaining map[string][]int, keyOf func(app string, i int) string) []*shardJob {
-	grid := tableIGrid()
-	var out []*shardJob
-	for _, app := range appNames {
-		groups := map[dse.AnnGroup]*shardJob{}
-		for _, i := range remaining[app] {
-			gk := grid[i].AnnGroup()
-			j := groups[gk]
-			if j == nil {
-				j = &shardJob{app: app, keys: map[string]string{}}
-				groups[gk] = j
-				out = append(out, j)
-			}
-			j.indices = append(j.indices, i)
-			j.keys[grid[i].Label()] = keyOf(app, i)
-		}
+	pending := make(map[string]bool, len(points))
+	for _, p := range points {
+		pending[p.Label()] = true
 	}
-	sort.SliceStable(out, func(a, b int) bool {
-		ja, jb := out[a], out[b]
-		if ja.app != jb.app {
-			return ja.app < jb.app
-		}
-		ga, gb := grid[ja.indices[0]].AnnGroup(), grid[jb.indices[0]].AnnGroup()
-		if ga.Mem != gb.Mem {
-			return ga.Mem < gb.Mem
-		}
-		if ga.Cores != gb.Cores {
-			return ga.Cores < gb.Cores
-		}
-		if ga.Vec != gb.Vec {
-			return ga.Vec < gb.Vec
-		}
-		return ga.Cache < gb.Cache
-	})
-	return out
-}
-
-// shardKey is the key the fleet ring pins a shard by: its annotation
-// group's hit-rate table key, the same key a /simulate of any of its
-// points routes by (RouteKey), so a group's requests and shards meet on
-// one replica. Empty for a custom application, which never reaches the
-// fleet.
-func shardKey(ne Experiment, j *shardJob) string {
-	hash, ok := builtinHashes()[j.app]
-	if !ok {
-		return ""
-	}
-	g := tableIGrid()[j.indices[0]].AnnGroup()
-	return dse.HitRateKey(hash, g.CacheGroup(), ne.Sample, ne.Warmup, ne.Seed)
-}
-
-// validateShardReply checks a worker's measurements against the shard: one
-// measurement per requested point, no strays, no duplicates. A mismatching
-// reply is treated like a failed worker and the shard runs locally.
-func (j *shardJob) validateShardReply(ms []Measurement) error {
-	if len(ms) != len(j.indices) {
-		return fmt.Errorf("musa: shard %s: %d measurements for %d points", j.app, len(ms), len(j.indices))
-	}
-	seen := make(map[string]bool, len(ms))
 	for _, m := range ms {
 		label := m.Arch.Label()
-		if m.App != j.app {
-			return fmt.Errorf("musa: shard %s: stray app %q", j.app, m.App)
+		if m.App != app {
+			return fmt.Errorf("musa: shard %s: stray app %q", app, m.App)
 		}
-		if _, ok := j.keys[label]; !ok {
-			return fmt.Errorf("musa: shard %s: stray point %s", j.app, label)
+		p, ok := pending[label]
+		if !ok {
+			return fmt.Errorf("musa: shard %s: stray point %s", app, label)
 		}
-		if seen[label] {
-			return fmt.Errorf("musa: shard %s: duplicate point %s", j.app, label)
+		if !p {
+			return fmt.Errorf("musa: shard %s: duplicate point %s", app, label)
 		}
-		seen[label] = true
+		pending[label] = false
 	}
 	return nil
 }
 
-// shardExperiment builds the wire sub-experiment of a shard: the normalized
-// sweep restricted to the shard's application and points. Every field a
-// worker could otherwise default is explicit — seed, replay ranks and
-// network come normalized, and an implicit (zero) fidelity is materialized
-// to the package defaults the local pool would simulate with — so a worker
-// started with its own -sample/-warmup/-replay defaults computes exactly
-// the measurements the coordinator expects.
-func shardExperiment(ne Experiment, j *shardJob) Experiment {
-	// The one defaulting rule the node simulator applies and the artifact
-	// keys hash — materialized on the wire so a worker's own defaults
-	// never apply.
+// shardExperiment builds the wire sub-experiment of a group: the normalized
+// sweep restricted to one application and the group's points, named by
+// grid index. Every field a worker could otherwise default is explicit —
+// seed, replay ranks and network come normalized, and an implicit (zero)
+// fidelity is materialized to the package defaults the node simulator and
+// the artifact keys apply — so a worker started with its own
+// -sample/-warmup/-replay defaults computes exactly the measurements the
+// coordinator expects.
+func shardExperiment(ne Experiment, app string, points []dse.ArchPoint) Experiment {
+	indices := make([]int, len(points))
+	for k, p := range points {
+		indices[k] = gridIndex()[p.Label()]
+	}
 	sample, warmup := apps.EffectiveFidelity(ne.Sample, ne.Warmup)
 	return Experiment{
-		Kind: KindSweep, Apps: []string{j.app}, PointIndices: j.indices,
+		Kind: KindSweep, Apps: []string{app}, PointIndices: indices,
 		Sample: sample, Warmup: warmup, Seed: ne.Seed,
 		ReplayRanks: ne.ReplayRanks, NoReplay: ne.NoReplay, Network: ne.Network,
 		Recompute: ne.Recompute,
 	}
 }
 
-// fleetEligible reports whether a normalized sweep can be dispatched to the
-// fleet: every application must be a built-in (workers cannot resolve this
-// client's registered custom profiles).
-func (c *Client) fleetEligible(ne Experiment) bool {
+// fleetSweep is one sweep's use of the fleet: the free slots of the workers
+// whose /healthz answered, and what a group's measurements are kept by.
+type fleetSweep struct {
+	c    *Client
+	ne   Experiment
+	keep func(Measurement) // checkpoint and deliver, as for a simulated point
+	mu   sync.Mutex
+	free map[string]int
+}
+
+// newFleetSweep probes every worker's /healthz concurrently and returns the
+// sweep's use of the fleet and its slot total. It returns nil and 0, and
+// the sweep runs in process, when no worker is healthy or the sweep names a
+// custom application: those are registered only on this client, so the
+// workers could not resolve them.
+func (c *Client) newFleetSweep(ctx context.Context, ne Experiment, keep func(Measurement)) (*fleetSweep, int) {
 	for _, name := range ne.Apps {
 		if c.customProfile(name) != nil {
-			return false
+			return nil, 0
 		}
 	}
-	return true
-}
-
-// runShardLocal executes one shard in process — the fallback path.
-// The shard is one annotation group, which dse.Run walks sequentially, so
-// parallelism comes from the number of local pool goroutines instead.
-func (c *Client) runShardLocal(ctx context.Context, ne Experiment, j *shardJob) ([]Measurement, error) {
-	app, err := c.resolveApp(j.app)
-	if err != nil {
-		return nil, err // unreachable: ne is normalized
-	}
-	grid := tableIGrid()
-	points := make([]dse.ArchPoint, len(j.indices))
-	for k, i := range j.indices {
-		points[k] = grid[i]
-	}
-	d := dse.Run(ctx, c.runOptions(ne, []*apps.Profile{app}, points))
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if len(d.Measurements) != len(points) {
-		return nil, fmt.Errorf("musa: local shard %s: %d measurements for %d points",
-			j.app, len(d.Measurements), len(points))
-	}
-	c.simulated.Add(int64(len(d.Measurements)))
-	return d.Measurements, nil
-}
-
-// runSweepFleet is the distributed counterpart of runSweep. The store is
-// consulted up front (cached points are never dispatched), the remaining
-// points are sharded and spread across the fleet with per-worker bounded
-// in-flight requests, and every completed shard — remote or local — is
-// checkpointed into the coordinator's store under the same node keys the
-// in-process runner writes. On cancellation it returns the partial dataset
-// with an error wrapping ctx.Err(), exactly like the in-process path.
-func (c *Client) runSweepFleet(ctx context.Context, ne Experiment, watch Observer) (*Result, error) {
-	appNames := ne.Apps
-	if appNames == nil {
-		for _, a := range apps.All() {
-			appNames = append(appNames, a.Name)
-		}
-		sort.Strings(appNames)
-	}
-	indices := ne.PointIndices
-	if indices == nil {
-		indices = make([]int, PointCount())
-		for i := range indices {
-			indices[i] = i
-		}
-	}
-	grid := tableIGrid()
-	// keyOf is memoized: the store pre-check and the shard planner both ask
-	// for every key, and each derivation is a canonical-JSON marshal + hash.
-	// Only runSweepFleet's goroutine calls it, so a plain map suffices.
-	keyMemo := make(map[string]string, len(appNames)*len(indices))
-	keyOf := func(app string, i int) string {
-		mk := app + "\x00" + strconv.Itoa(i)
-		if k, ok := keyMemo[mk]; ok {
-			return k
-		}
-		k := nodeKey(ne, app, nil, archOfPoint(grid[i]))
-		keyMemo[mk] = k
-		return k
-	}
-
-	if err := c.acquire(ctx); err != nil {
-		return nil, err
-	}
-	defer c.release()
-
-	// Serialized observer delivery and shared result assembly.
-	total := len(appNames) * len(indices)
-	var resMu sync.Mutex
-	var collected []Measurement
-	var done, cachedCount int
-	var firstErr error
-	record := func(ms []Measurement, cached bool, err error) {
-		resMu.Lock()
-		collected = append(collected, ms...)
-		done += len(ms)
-		if cached {
-			cachedCount += len(ms)
-		}
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-		// Both callbacks run under the lock: the Observer contract promises
-		// each is serialized with itself.
-		if watch.Measurement != nil {
-			for _, m := range ms {
-				watch.Measurement(m)
-			}
-		}
-		if watch.Progress != nil && len(ms) > 0 {
-			watch.Progress(done, total, cachedCount)
-		}
-		resMu.Unlock()
-	}
-
-	// Store pre-check: known points are served locally and never dispatched.
-	_, planSpan := obs.StartSpan(ctx, "fleet.plan",
-		obs.AInt("apps", len(appNames)), obs.AInt("points", total))
-	remaining := map[string][]int{}
-	for _, app := range appNames {
-		var hits []Measurement
-		for _, i := range indices {
-			if c.st != nil && !ne.Recompute {
-				if m, ok := c.st.Get(keyOf(app, i)); ok {
-					c.storeHits.Add(1)
-					hits = append(hits, m)
-					continue
-				}
-				c.storeMisses.Add(1)
-			}
-			remaining[app] = append(remaining[app], i)
-		}
-		record(hits, true, nil)
-	}
-
-	shards := planShards(appNames, remaining, keyOf)
-	planSpan.SetAttr("shards", fmt.Sprint(len(shards)))
-	planSpan.End()
-	if len(shards) > 0 {
-		// redo is buffered for every shard, so handing one to the local
-		// pool never blocks a worker loop.
-		redo := make(chan *shardJob, len(shards))
-		complete := func(j *shardJob, ms []Measurement, err error) {
-			var putErr error
-			if err == nil && c.st != nil {
-				for _, m := range ms {
-					if e := c.st.Put(j.keys[m.Arch.Label()], m); e != nil && putErr == nil {
-						putErr = e
-					}
-				}
-			}
-			record(ms, false, errors.Join(err, putErr))
-		}
-
-		// Probe worker capacities concurrently; an unreachable worker takes
-		// no shards this run (its would-be shards just spread elsewhere).
-		type probed struct {
-			base string
-			n    int
-		}
-		answers := make(chan probed, len(c.fleet.bases))
-		for _, base := range c.fleet.bases {
-			go func() {
-				n, _ := c.fleet.capacity(ctx, base) // 0 when it failed
-				answers <- probed{base, n}
-			}()
-		}
-		slots := map[string]int{} // reachable workers only
-		for range c.fleet.bases {
-			if p := <-answers; p.n > 0 {
-				slots[p.base] = p.n
-			}
-		}
-
-		// The fleet ring pins each shard, once, to the reachable worker it
-		// ranks first for the shard's annotation key, so a group's /simulate
-		// traffic, artifact cache and shard execution converge on one
-		// replica. With no reachable worker every shard runs locally.
-		for _, j := range shards {
-			if len(slots) == 0 {
-				redo <- j
-			} else if key := shardKey(ne, j); key != "" {
-				j.prefer = c.fleet.fw.Ring.Pick(key, func(m string) bool { return slots[m] > 0 })
-			}
-		}
-		pending := &pendingShards{items: shards}
-
-		// dispatchOne gives one shard its one attempt at a worker; on any
-		// failure — transport, timeout, a non-200 status, a reply over its
-		// bound or one validateShardReply refuses — the shard goes to the
-		// local pool.
-		dispatchOne := func(base string, j *shardJob) {
-			dctx, dspan := obs.StartSpan(ctx, "fleet.dispatch",
-				obs.A("worker", base), obs.A("app", j.app),
-				obs.AInt("points", len(j.indices)))
-			defer dspan.End()
-			dispatchStart := time.Now()
-			ms, err := c.fleet.postShard(dctx, base, shardExperiment(ne, j))
-			if err == nil {
-				err = j.validateShardReply(ms)
-			}
-			if err != nil {
-				dspan.SetAttr("outcome", "error")
-				if ctx.Err() != nil {
-					return
-				}
-				c.redispatched.Add(1)
-				// Zero-length marker span: makes every fallback visible in
-				// the trace timeline at the moment it was taken.
-				_, sp := obs.StartSpan(ctx, "fleet.redispatch",
-					obs.A("app", j.app), obs.AInt("points", len(j.indices)))
-				sp.End()
-				redo <- j
-				return
-			}
-			observeShard("remote", dispatchStart)
-			dspan.SetAttr("outcome", "ok")
-			c.remote.Add(int64(len(ms)))
-			complete(j, ms, nil)
-		}
-
-		// Every advertised slot of every reachable worker runs one loop: take
-		// the next shard — this worker's own first, then anybody's, which is
-		// stealing from a slower peer, whose worker then builds the
-		// group's artifacts itself — and dispatch it. When the last loop
-		// ends no shard can fail any more, and the redo queue closes.
-		var slotLoops sync.WaitGroup
-		for _, base := range c.fleet.bases {
-			for s := 0; s < slots[base]; s++ {
-				slotLoops.Add(1)
-				go func() {
-					defer slotLoops.Done()
-					for ctx.Err() == nil {
-						j := pending.take(base)
-						if j == nil {
-							return
-						}
-						dispatchOne(base, j)
-					}
-				}()
-			}
-		}
+	slots := make([]int, len(c.fleet.bases))
+	var wg sync.WaitGroup
+	for i, base := range c.fleet.bases {
+		wg.Add(1)
 		go func() {
-			slotLoops.Wait()
-			close(redo)
+			defer wg.Done()
+			slots[i], _ = c.fleet.slots(ctx, base) // 0 when it failed
 		}()
-
-		// The local pool runs every shard handed to it, each once.
-		nLocal := c.opts.SweepWorkers
-		if nLocal <= 0 {
-			nLocal = runtime.GOMAXPROCS(0)
-		}
-		var local sync.WaitGroup
-		for w := 0; w < nLocal; w++ {
-			local.Add(1)
-			go func() {
-				defer local.Done()
-				for j := range redo {
-					if ctx.Err() != nil {
-						continue // drain: the sweep is canceled
-					}
-					lctx, lspan := obs.StartSpan(ctx, "fleet.local-shard",
-						obs.A("app", j.app), obs.AInt("points", len(j.indices)))
-					localStart := time.Now()
-					ms, err := c.runShardLocal(lctx, ne, j)
-					if err != nil {
-						lspan.SetAttr("outcome", "error")
-						lspan.End()
-						if ctx.Err() == nil {
-							complete(j, nil, err) // local execution cannot be retried
-						}
-						continue
-					}
-					observeShard("local", localStart)
-					lspan.SetAttr("outcome", "ok")
-					lspan.End()
-					complete(j, ms, nil)
-				}
-			}()
-		}
-		local.Wait()
 	}
-
-	resMu.Lock()
-	ms := collected
-	err := firstErr
-	resMu.Unlock()
-	_, mergeSpan := obs.StartSpan(ctx, "fleet.merge", obs.AInt("measurements", len(ms)))
-	dse.SortMeasurements(ms)
-	mergeSpan.End()
-	res := &Result{Kind: KindSweep, Sweep: &Sweep{Measurements: ms}}
-	if cerr := ctx.Err(); cerr != nil {
-		return res, fmt.Errorf("musa: sweep canceled with %d of the measurements: %w",
-			len(ms), errors.Join(cerr, err))
+	wg.Wait()
+	s := &fleetSweep{c: c, ne: ne, keep: keep, free: map[string]int{}}
+	total := 0
+	for i, n := range slots {
+		s.free[c.fleet.bases[i]] = n
+		total += n
 	}
-	return res, err
+	if total == 0 {
+		return nil, 0
+	}
+	return s, total
+}
+
+// take claims a slot at the first worker in key's ring order that has one
+// free: the group's owner, another worker only while the owner is full.
+// Empty when none has.
+func (s *fleetSweep) take(key string) string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	w := s.c.fleet.fw.Ring.Pick(key, func(m string) bool { return s.free[m] > 0 })
+	if w != "" {
+		s.free[w]--
+	}
+	return w
+}
+
+// remote is the sweep's dse.Options.Remote: one attempt at a worker for
+// one annotation group's uncached points. A failed, timed-out, shed or
+// refused attempt counts one redispatch and reports false, as does a
+// group no worker has a free slot for, without counting.
+func (s *fleetSweep) remote(ctx context.Context, app string, points []dse.ArchPoint) ([]Measurement, bool) {
+	w := s.take(s.c.groupKey(s.ne, app, points[0]))
+	if w == "" {
+		return nil, false
+	}
+	defer func() {
+		s.mu.Lock()
+		s.free[w]++
+		s.mu.Unlock()
+	}()
+	dctx, span := obs.StartSpan(ctx, "fleet.dispatch",
+		obs.A("worker", w), obs.A("app", app), obs.AInt("points", len(points)))
+	defer span.End()
+	start := time.Now()
+	ms, err := s.c.fleet.postShard(dctx, w, shardExperiment(s.ne, app, points))
+	if err == nil {
+		err = validateShardReply(app, points, ms)
+	}
+	if err != nil {
+		span.SetAttr("outcome", "error")
+		if ctx.Err() == nil {
+			s.c.redispatched.Add(1)
+		}
+		return nil, false
+	}
+	obs.DefaultRegistry().Histogram("musa_fleet_shard_seconds",
+		"Time to complete one fleet shard, by execution path.", nil,
+		obs.L("path", "remote")).Observe(time.Since(start).Seconds())
+	span.SetAttr("outcome", "ok")
+	s.c.remote.Add(int64(len(ms)))
+	for _, m := range ms {
+		s.keep(m)
+	}
+	return ms, true
 }

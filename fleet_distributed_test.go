@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -40,8 +41,8 @@ func newFleetWorkerOpts(t *testing.T, opts musa.ClientOptions, mw func(http.Hand
 	return ts
 }
 
-// fleetTestExperiment spans at least two annotation groups (so the planner
-// produces multiple shards) while staying small enough for test time: the
+// fleetTestExperiment spans at least two annotation groups (so the sweep
+// sends more than one shard) while staying small enough for test time: the
 // first points of the grid plus the first point of a different group.
 func fleetTestExperiment(t *testing.T) musa.Experiment {
 	t.Helper()
@@ -66,8 +67,8 @@ func fleetTestExperiment(t *testing.T) musa.Experiment {
 	}
 }
 
-// shardCountOf mirrors the planner's grouping to predict how many shards an
-// experiment splits into, using only public API.
+// shardCountOf mirrors the annotation grouping to predict how many shards
+// an experiment splits into, using only public API.
 func shardCountOf(t *testing.T, e musa.Experiment) int {
 	t.Helper()
 	groups := map[string]bool{}
@@ -419,5 +420,155 @@ func TestFleetCancelMidDispatch(t *testing.T) {
 	}
 	if n := len(res.Sweep.Measurements); n == 0 || n >= len(exp.PointIndices) {
 		t.Fatalf("partial dataset has %d of %d measurements", n, len(exp.PointIndices))
+	}
+}
+
+// TestFleetShardBodiesOneGroupEach records every /shard body the workers
+// receive over two sweeps on one coordinator store: a first sweep over one
+// point of each annotation group, then the whole experiment. Each body
+// holds the uncached points of exactly one annotation group, of one
+// application, and no point is ever sent twice: the second sweep sends
+// only what the first left out, and every point is sent once in total.
+func TestFleetShardBodiesOneGroupEach(t *testing.T) {
+	exp := fleetTestExperiment(t)
+	var mu sync.Mutex
+	var bodies []musa.Experiment
+	record := func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/shard" {
+				b, err := io.ReadAll(r.Body)
+				if err != nil {
+					t.Error(err)
+				}
+				var e musa.Experiment
+				if err := json.Unmarshal(b, &e); err != nil {
+					t.Errorf("shard body %s: %v", b, err)
+				}
+				mu.Lock()
+				bodies = append(bodies, e)
+				mu.Unlock()
+				r.Body = io.NopCloser(bytes.NewReader(b))
+			}
+			h.ServeHTTP(w, r)
+		})
+	}
+	urls := []string{newFleetWorker(t, record).URL, newFleetWorker(t, record).URL}
+	coord, err := musa.NewClient(musa.ClientOptions{Workers: urls, SweepWorkers: 2, CacheDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+
+	group := func(i int) string {
+		a, err := musa.PointArch(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprintf("%d/%d/%s/%v", a.Cores, a.VectorBits, a.CacheLabel, a.HBM)
+	}
+	first := exp
+	first.PointIndices = nil
+	seen := map[string]bool{}
+	for _, i := range exp.PointIndices {
+		if g := group(i); !seen[g] {
+			seen[g] = true
+			first.PointIndices = append(first.PointIndices, i)
+		}
+	}
+	sent := map[int]int{}
+	for _, e := range []musa.Experiment{first, exp} {
+		uncached := map[string]bool{}
+		for _, i := range e.PointIndices {
+			if sent[i] == 0 {
+				uncached[group(i)] = true
+			}
+		}
+		bodies = nil
+		if _, err := coord.Run(context.Background(), e); err != nil {
+			t.Fatal(err)
+		}
+		groups := map[string]bool{}
+		for _, b := range bodies {
+			if len(b.Apps) != 1 || b.Apps[0] != "btmz" || len(b.PointIndices) == 0 {
+				t.Fatalf("shard body names apps %q and points %v, want one application's points", b.Apps, b.PointIndices)
+			}
+			g := group(b.PointIndices[0])
+			if groups[g] {
+				t.Fatalf("group %s sent in two bodies", g)
+			}
+			groups[g] = true
+			for _, i := range b.PointIndices {
+				if group(i) != g {
+					t.Fatalf("shard body %v mixes annotation groups %s and %s", b.PointIndices, g, group(i))
+				}
+				if sent[i]++; sent[i] > 1 {
+					t.Fatalf("point %d sent twice", i)
+				}
+			}
+		}
+		if len(groups) != len(uncached) {
+			t.Fatalf("%d shard bodies for the %d groups with uncached points", len(groups), len(uncached))
+		}
+	}
+	if len(sent) != len(exp.PointIndices) {
+		t.Fatalf("%d of the %d points were sent", len(sent), len(exp.PointIndices))
+	}
+	if st := coord.Stats(); st.Remote != int64(len(exp.PointIndices)) || st.Simulated != 0 || st.Redispatched != 0 {
+		t.Fatalf("stats %+v, want every point computed remotely once", st)
+	}
+}
+
+// TestFleetSkipsDrainingWorker checks where a fleet takes its slots from: a
+// worker that has started draining answers /healthz with 503, so it gets no
+// slots and no /shard request, nothing is refused and run again here, and
+// the dataset is byte-identical to the in-process run.
+func TestFleetSkipsDrainingWorker(t *testing.T) {
+	exp := fleetTestExperiment(t)
+	ctx := context.Background()
+	local, err := musa.NewClient(musa.ClientOptions{SweepWorkers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer local.Close()
+	want, err := local.Run(ctx, exp)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	c, err := musa.NewClient(musa.ClientOptions{SweepWorkers: 2, MaxJobs: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	svc := serve.New(c)
+	svc.StartDraining()
+	var drainingShards atomic.Int32
+	inner := serve.NewHandler(svc)
+	draining := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/shard" {
+			drainingShards.Add(1)
+		}
+		inner.ServeHTTP(w, r)
+	}))
+	defer draining.Close()
+	healthy := newFleetWorker(t, nil)
+
+	coord, err := musa.NewClient(musa.ClientOptions{Workers: []string{draining.URL, healthy.URL}, SweepWorkers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	got, err := coord.Run(ctx, exp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(canonicalMeasurements(t, got), canonicalMeasurements(t, want)) {
+		t.Fatal("sweep beside a draining worker differs from the in-process run")
+	}
+	if n := drainingShards.Load(); n != 0 {
+		t.Fatalf("the draining worker received %d /shard requests, want 0", n)
+	}
+	if st := coord.Stats(); st.Redispatched != 0 {
+		t.Fatalf("redispatched = %d, want 0: no group was sent where it would be refused", st.Redispatched)
 	}
 }

@@ -31,91 +31,14 @@ func TestNewClientRejectsBadWorkerURLs(t *testing.T) {
 	}
 }
 
-// TestPlanShardsPartition checks the shard planner's contract: every
-// remaining (app, index) unit lands in exactly one shard, shards are grouped
-// by annotation signature (cores, vector width, cache, memory kind), and
-// the plan is deterministic.
-func TestPlanShardsPartition(t *testing.T) {
-	apps := []string{"btmz", "lulesh"}
-	remaining := map[string][]int{}
-	for _, app := range apps {
-		for i := 0; i < PointCount(); i++ {
-			remaining[app] = append(remaining[app], i)
-		}
-	}
-	keyOf := func(app string, i int) string { return app + "/" + pointLabelMust(i) }
-
-	shards := planShards(apps, remaining, keyOf)
-
-	seen := map[string]map[int]bool{}
-	for _, j := range shards {
-		if len(j.indices) == 0 {
-			t.Fatal("empty shard")
-		}
-		sig := func(i int) dse.AnnGroup {
-			return tableIGrid()[i].AnnGroup()
-		}
-		want := sig(j.indices[0])
-		for _, i := range j.indices {
-			if sig(i) != want {
-				t.Fatalf("shard mixes annotation groups: %v vs %v", sig(i), want)
-			}
-			if seen[j.app] == nil {
-				seen[j.app] = map[int]bool{}
-			}
-			if seen[j.app][i] {
-				t.Fatalf("point (%s, %d) planned twice", j.app, i)
-			}
-			seen[j.app][i] = true
-		}
-		if len(j.keys) != len(j.indices) {
-			t.Fatalf("shard has %d keys for %d indices", len(j.keys), len(j.indices))
-		}
-	}
-	for _, app := range apps {
-		if len(seen[app]) != PointCount() {
-			t.Fatalf("%s: planned %d of %d points", app, len(seen[app]), PointCount())
-		}
-	}
-	// The Table I grid sweeps 3 core counts x 3 vector widths x 3 cache
-	// configurations on DDR4: 27 annotation groups per application.
-	if len(shards) != 27*len(apps) {
-		t.Fatalf("%d shards, want %d", len(shards), 27*len(apps))
-	}
-
-	again := planShards(apps, remaining, keyOf)
-	if len(again) != len(shards) {
-		t.Fatalf("plan not deterministic: %d vs %d shards", len(again), len(shards))
-	}
-	for i := range shards {
-		if shards[i].app != again[i].app || !reflect.DeepEqual(shards[i].indices, again[i].indices) {
-			t.Fatalf("plan not deterministic at shard %d", i)
-		}
-	}
-}
-
-// pointLabelMust is a test helper: PointLabel or panic.
-func pointLabelMust(i int) string {
-	l, err := PointLabel(i)
-	if err != nil {
-		panic(err)
-	}
-	return l
-}
-
 func TestValidateShardReply(t *testing.T) {
-	remaining := map[string][]int{"btmz": {0, 1}}
-	shards := planShards([]string{"btmz"}, remaining, func(string, int) string { return "k" })
-	if len(shards) != 1 {
-		t.Fatalf("%d shards", len(shards))
-	}
-	j := shards[0]
 	grid := tableIGrid()
+	points := []dse.ArchPoint{grid[0], grid[1]}
 	good := []Measurement{
 		{App: "btmz", Arch: grid[0]},
 		{App: "btmz", Arch: grid[1]},
 	}
-	if err := j.validateShardReply(good); err != nil {
+	if err := validateShardReply("btmz", points, good); err != nil {
 		t.Fatalf("valid reply rejected: %v", err)
 	}
 	cases := map[string][]Measurement{
@@ -125,7 +48,7 @@ func TestValidateShardReply(t *testing.T) {
 		"duplicate": {good[0], good[0]},
 	}
 	for name, ms := range cases {
-		if err := j.validateShardReply(ms); err == nil {
+		if err := validateShardReply("btmz", points, ms); err == nil {
 			t.Errorf("%s reply accepted", name)
 		}
 	}
@@ -139,8 +62,11 @@ func TestShardExperimentCarriesNormalizedFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j := &shardJob{app: "btmz", indices: []int{3, 4}}
-	sub := shardExperiment(ne, j)
+	grid := tableIGrid()
+	sub := shardExperiment(ne, "btmz", []dse.ArchPoint{grid[3], grid[4]})
+	if !slices.Equal(sub.PointIndices, []int{3, 4}) {
+		t.Fatalf("shard experiment names points %v, want [3 4]", sub.PointIndices)
+	}
 	if sub.Seed != 1 || sub.Network != "mn4" || len(sub.ReplayRanks) != 1 {
 		t.Fatalf("shard experiment lost normalized defaults: %+v", sub)
 	}
@@ -149,7 +75,6 @@ func TestShardExperimentCarriesNormalizedFields(t *testing.T) {
 	}
 	// The shard's node keys must match the coordinator's: same fidelity,
 	// seed and replay fields means nodeKey agrees for every point.
-	grid := tableIGrid()
 	if nodeKey(sub, "btmz", nil, archOfPoint(grid[3])) !=
 		nodeKey(ne, "btmz", nil, archOfPoint(grid[3])) {
 		t.Fatal("shard and coordinator node keys diverge")
@@ -163,7 +88,7 @@ func TestShardExperimentCarriesNormalizedFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub2 := shardExperiment(ne2, j)
+	sub2 := shardExperiment(ne2, "btmz", []dse.ArchPoint{grid[3], grid[4]})
 	if sub2.Sample != apps.SampleSize || sub2.Warmup != 2*apps.SampleSize {
 		t.Fatalf("implicit fidelity not materialized: sample=%d warmup=%d", sub2.Sample, sub2.Warmup)
 	}
@@ -186,9 +111,9 @@ func TestFleetOptionsNormalization(t *testing.T) {
 	}
 }
 
-// A worker listed twice is one worker: the dispatch loop starts one
-// goroutine per advertised slot per base, so a duplicate base would get
-// twice its /capacity of in-flight shards. The fleet ring is built from the
+// A worker listed twice is one worker: a sweep counts each base's
+// advertised slots, so a duplicate base would get twice its maxJobs of
+// in-flight shards. The fleet ring is built from the
 // same normalized bases, so a worker spelled "HTTP://h:1/" is both placed
 // and marked Down under the name its slots are counted by.
 func TestFleetDedupesWorkers(t *testing.T) {

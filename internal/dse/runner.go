@@ -146,6 +146,14 @@ type Options struct {
 	// the incremental-checkpoint write path. Called concurrently from
 	// workers.
 	OnMeasurement func(m Measurement)
+	// Remote, if non-nil, gets one attempt at each annotation group's
+	// points that Lookup does not hold, before the worker simulates any of
+	// them: it computes them somewhere else and returns one measurement per
+	// point, or false, and the worker simulates the group itself. What it
+	// returns is counted and merged like a simulated point but not passed
+	// to OnMeasurement: the hook keeps its own. Called concurrently from
+	// workers; only a distributed sweep sets it.
+	Remote func(ctx context.Context, app string, points []ArchPoint) ([]Measurement, bool)
 
 	// Artifacts, if non-nil, backs the run's expensive intermediates
 	// (hit-rate tables, DRAM latency models, burst traces): the runner consults
@@ -205,9 +213,9 @@ func (d *Dataset) ByApp(app string) []Measurement {
 // AnnGroup identifies configurations that share cache behavior and can
 // therefore share one annotation pass: same core count (L3 partition),
 // vector width (fused footprints), cache configuration and memory kind
-// (the latency model). The fleet shard planner groups dispatch units by
-// it, so this is the one definition of "annotation group" — growing it
-// here keeps remote shards exactly as efficient as the local runner.
+// (the latency model). A distributed sweep hands Options.Remote one group
+// at a time, so this is the one definition of "annotation group" — growing
+// it here keeps remote work exactly as efficient as the local runner.
 type AnnGroup struct {
 	Cores int
 	Vec   int
@@ -266,7 +274,7 @@ func Run(ctx context.Context, opts Options) *Dataset {
 		if tracedIter <= 0 {
 			return true
 		}
-		_, span := obs.StartSpan(pctx, "dse.replay",
+		span := obs.StartLeaf(pctx, "dse.replay",
 			obs.AInt("rankCounts", len(opts.Replay.Ranks)))
 		start := time.Now()
 		defer func() { observeStage(StageReplay, start); span.End() }()
@@ -338,6 +346,36 @@ func Run(ctx context.Context, opts Options) *Dataset {
 		doneMu.Unlock()
 	}
 
+	// remote gives the group's points that Lookup does not hold their one
+	// attempt at opts.Remote, appending what it serves to ms. It returns
+	// the points still to simulate here: none when the attempt succeeded.
+	remote := func(k annGroupKey, points []ArchPoint, ms []Measurement) ([]ArchPoint, []Measurement) {
+		var misses []ArchPoint
+		for _, p := range points {
+			if opts.Lookup != nil {
+				if m, ok := opts.Lookup(k.app, p); ok {
+					ms = append(ms, m)
+					countPoint("cached")
+					bump()
+					continue
+				}
+			}
+			misses = append(misses, p)
+		}
+		if len(misses) == 0 || canceled() {
+			return nil, ms
+		}
+		rms, ok := opts.Remote(ctx, k.app, misses)
+		if !ok {
+			return misses, ms
+		}
+		for range rms {
+			countPoint("remote")
+			bump()
+		}
+		return nil, append(ms, rms...)
+	}
+
 	worker := func() {
 		for k := range jobs {
 			app := appByName[k.app]
@@ -347,14 +385,19 @@ func Run(ctx context.Context, opts Options) *Dataset {
 			var ann *node.Annotation
 
 			ms := make([]Measurement, 0, len(points))
+			lookup := opts.Lookup
+			if opts.Remote != nil {
+				points, ms = remote(k, points, ms)
+				lookup = nil // remote looked every point up
+			}
 			for _, p := range points {
 				if canceled() {
 					break
 				}
 				pctx, psp := obs.StartSpan(ctx, "dse.point",
 					obs.A("app", k.app), obs.A("arch", p.Label()))
-				if opts.Lookup != nil {
-					if m, ok := opts.Lookup(k.app, p); ok {
+				if lookup != nil {
+					if m, ok := lookup(k.app, p); ok {
 						ms = append(ms, m)
 						countPoint("cached")
 						psp.SetAttr("result", "cached")
@@ -368,7 +411,7 @@ func Run(ctx context.Context, opts Options) *Dataset {
 					ann = art.annotation(pctx, app, k.AnnGroup)
 				}
 				cfg.LatModel = art.latencyModel(pctx, app, p.Channels, p.Mem)
-				_, simSpan := obs.StartSpan(pctx, "dse.node-sim")
+				simSpan := obs.StartLeaf(pctx, "dse.node-sim")
 				simStart := time.Now()
 				res := node.SimulateAnnotated(app, cfg, *ann)
 				observeStage(StageNodeSim, simStart)
@@ -422,15 +465,15 @@ func Run(ctx context.Context, opts Options) *Dataset {
 		all = append(all, <-results...)
 	}
 
-	SortMeasurements(all)
+	sortMeasurements(all)
 	return &Dataset{Measurements: all}
 }
 
-// SortMeasurements orders ms by application, then architecture label: the
-// order of every dataset Run returns and a fleet merges. Each label is built
-// once, not twice per comparison; the (label, measurement) pairs see the
-// comparisons the measurements would, so a tie lands where it did.
-func SortMeasurements(ms []Measurement) {
+// sortMeasurements orders ms by application, then architecture label: the
+// order of every dataset Run returns. Each label is built once, not twice
+// per comparison; the (label, measurement) pairs see the comparisons the
+// measurements would, so a tie lands where it did.
+func sortMeasurements(ms []Measurement) {
 	type labeled struct {
 		label string
 		m     Measurement

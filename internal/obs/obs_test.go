@@ -175,6 +175,35 @@ func TestRootSpanAllocs(t *testing.T) {
 	}
 }
 
+// TestLeafSpanAllocs pins what a leaf span saves — the per-point
+// dse.node-sim and dse.replay spans of a sweep: started with StartLeaf
+// under the same parent, it allocates one fewer time than a child span,
+// the context StartSpan returns. It is the same span: same parent, same
+// recorder.
+func TestLeafSpanAllocs(t *testing.T) {
+	rec := NewRecorder(16)
+	ctx, root := rec.StartSpan(context.Background(), "dse.point")
+	defer root.End()
+	child := testing.AllocsPerRun(200, func() {
+		_, s := StartSpan(ctx, "dse.replay", AInt("rankCounts", 2))
+		s.End()
+	})
+	leaf := testing.AllocsPerRun(200, func() {
+		s := StartLeaf(ctx, "dse.replay", AInt("rankCounts", 2))
+		s.End()
+	})
+	if leaf != child-1 {
+		t.Errorf("a leaf span allocated %v times, a child span %v: want one fewer", leaf, child)
+	}
+	got := rec.Spans()
+	if last := got[len(got)-1]; last.Name != "dse.replay" || last.Parent != root.SpanID || last.TraceID != root.TraceID {
+		t.Errorf("leaf span %+v, want dse.replay under the root", last)
+	}
+	if s := StartLeaf(WithRecorder(ctx, nil), "off"); s != nil {
+		t.Error("StartLeaf with recording disabled returned a span")
+	}
+}
+
 func TestRecorderRingWraps(t *testing.T) {
 	rec := NewRecorder(4)
 	ctx := WithRecorder(context.Background(), rec)

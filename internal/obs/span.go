@@ -39,6 +39,13 @@ func StartSpan(ctx context.Context, name string, attrs ...Attr) (context.Context
 	return recorderFrom(ctx, parent).start(ctx, parent, name, attrs)
 }
 
+// StartLeaf opens a span like StartSpan for an operation nothing nests
+// under: it returns no context, so it allocates no context value.
+func StartLeaf(ctx context.Context, name string, attrs ...Attr) *Span {
+	parent := SpanFrom(ctx)
+	return recorderFrom(ctx, parent).open(parent, name, attrs)
+}
+
 // StartSpan opens a span like the package StartSpan but records it into r,
 // whatever recorder the context resolves; the spans nested under it record
 // into r too unless the context carries a WithRecorder value. A nil r
@@ -47,13 +54,23 @@ func (r *Recorder) StartSpan(ctx context.Context, name string, attrs ...Attr) (c
 	return r.start(ctx, SpanFrom(ctx), name, attrs)
 }
 
-// start opens a span recording into r under parent (nil for a new trace).
+// start opens a span recording into r under parent (nil for a new trace)
+// and returns the context carrying it.
+func (r *Recorder) start(ctx context.Context, parent *Span, name string, attrs []Attr) (context.Context, *Span) {
+	s := r.open(parent, name, attrs)
+	if s == nil {
+		return ctx, nil
+	}
+	return context.WithValue(ctx, spanKey, s), s
+}
+
+// open opens a span recording into r under parent (nil for a new trace).
 // The attrs are copied into a slice with room for two SetAttr calls, so the
 // caller's variadic slice stays on its stack and the usual annotations
 // after the fact (a route, a status, an outcome) do not grow it.
-func (r *Recorder) start(ctx context.Context, parent *Span, name string, attrs []Attr) (context.Context, *Span) {
+func (r *Recorder) open(parent *Span, name string, attrs []Attr) *Span {
 	if r == nil {
-		return ctx, nil
+		return nil
 	}
 	s := &Span{Name: name, Start: time.Now(), rec: r}
 	if len(attrs) > 0 {
@@ -64,7 +81,7 @@ func (r *Recorder) start(ctx context.Context, parent *Span, name string, attrs [
 	} else {
 		s.TraceID, s.SpanID = newRootIDs()
 	}
-	return context.WithValue(ctx, spanKey, s), s
+	return s
 }
 
 // SetAttr appends a key=value annotation.

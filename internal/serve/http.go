@@ -25,7 +25,6 @@ import (
 //
 //	GET  /apps         the five application models
 //	GET  /points       the Table I design space
-//	GET  /capacity     advertised MaxJobs and in-flight jobs (fleet probe)
 //	POST /simulate     one node experiment (store-backed, coalesced)
 //	POST /dse          sweep experiment; streams NDJSON progress then the result
 //	POST /optimize     successive-halving search; streams NDJSON progress and
@@ -34,6 +33,7 @@ import (
 //	GET  /figures/{n}  JSON figure data (1, 4-11; 4 is the rank timeline)
 //	GET  /stats        client, store and artifact-cache counters, replay config
 //	GET  /healthz      replica health: ok / draining / overloaded (non-ok is 503)
+//	                   and maxJobs, the job slots a fleet coordinator uses
 //	GET  /membership   the replica ring this instance routes across
 //	PUT  /membership   replace the ring membership at runtime
 //	GET  /metrics      Prometheus text exposition of the process registry
@@ -129,14 +129,6 @@ func NewHandler(svc *Service, opts ...Option) http.Handler {
 			},
 			"schemaVersion":         store.SchemaVersion,
 			"artifactSchemaVersion": dse.ArtifactSchemaVersion,
-		})
-	})
-	mux.HandleFunc("GET /capacity", func(w http.ResponseWriter, r *http.Request) {
-		snap := svc.Client().Snapshot()
-		writeJSON(w, http.StatusOK, map[string]any{
-			"maxJobs":  snap.Jobs.Max,
-			"inFlight": snap.Jobs.InFlight,
-			"stored":   snap.Store.Len,
 		})
 	})
 	mux.HandleFunc("POST /simulate", svc.gate("simulate", svc.handleSimulate))

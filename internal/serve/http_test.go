@@ -492,21 +492,27 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 }
 
-func TestCapacityEndpoint(t *testing.T) {
+// TestHealthzAdvertisesJobs pins what a fleet coordinator reads off a
+// healthy worker's /healthz: 200, and maxJobs the job bound its sweep slots
+// come from.
+func TestHealthzAdvertisesJobs(t *testing.T) {
 	ts, svc := testServer(t)
-	var cap struct {
-		MaxJobs  int `json:"maxJobs"`
-		InFlight int `json:"inFlight"`
-		Stored   int `json:"stored"`
+	var hz struct {
+		Status   string `json:"status"`
+		MaxJobs  int    `json:"maxJobs"`
+		InFlight int    `json:"inFlight"`
 	}
-	if code := getJSON(t, ts.URL+"/capacity", &cap); code != http.StatusOK {
-		t.Fatalf("/capacity -> %d", code)
+	if code := getJSON(t, ts.URL+"/healthz", &hz); code != http.StatusOK || hz.Status != "ok" {
+		t.Fatalf("/healthz -> %d %q, want 200 ok", code, hz.Status)
 	}
-	if jobs := svc.Client().Snapshot().Jobs; cap.MaxJobs != jobs.Max || cap.MaxJobs != 4 {
-		t.Fatalf("/capacity maxJobs = %d, want %d", cap.MaxJobs, jobs.Max)
+	if jobs := svc.Client().Snapshot().Jobs; hz.MaxJobs != jobs.Max || hz.MaxJobs != 4 {
+		t.Fatalf("/healthz maxJobs = %d, want %d", hz.MaxJobs, jobs.Max)
 	}
-	if cap.InFlight != 0 {
-		t.Fatalf("/capacity inFlight = %d on an idle server", cap.InFlight)
+	if hz.InFlight != 0 {
+		t.Fatalf("/healthz inFlight = %d on an idle server", hz.InFlight)
+	}
+	if code := getJSON(t, ts.URL+"/capacity", nil); code != http.StatusNotFound && code != http.StatusMethodNotAllowed {
+		t.Fatalf("GET /capacity -> %d, want the route gone", code)
 	}
 }
 

@@ -10,8 +10,8 @@ import (
 // that maps an experiment onto its owner replica, and the store side of
 // /simulate routing (a stored hit is answered where it lands, a relayed
 // measurement kept in the store front). A node experiment is placed by its
-// cache group's hit-rate key, the key the fleet scheduler pins that group's
-// shards by (fleet.go), so the points that share one cache walk are
+// cache group's hit-rate key, the key a fleet sweep places that group's
+// shards by (groupKey), so the points that share one cache walk are
 // simulated on the replica that holds its table. The serve layer consults
 // the same ring for /simulate ownership (internal/serve), so every replica
 // is a front door that converges duplicate work on one machine.
@@ -37,7 +37,7 @@ func (c *Client) Ring() *Ring { return c.opts.Ring }
 // meets on one replica's single-flight and artifact cache; every other kind
 // by the hash of its canonical encoding. The key is derived after the
 // client's defaults are applied, so replicas must run with identical
-// default flags (the same operational contract fleet shard dispatch already
+// default flags (the same operational contract a fleet sweep already
 // relies on).
 func (c *Client) RouteKey(e Experiment) (string, error) {
 	rt, err := c.Route(e)
@@ -84,6 +84,14 @@ func (c *Client) RingKey(rt Route) string {
 	}
 	g := dse.CacheGroup{Cores: rt.arch.Cores, Vec: rt.arch.VectorBits, Cache: rt.arch.CacheLabel}
 	return dse.HitRateKey(c.appHash(rt.app), g, rt.sample, rt.warmup, rt.seed)
+}
+
+// groupKey is the ring key an annotation group of the normalized sweep ne
+// is placed by: the RingKey of a /simulate of p, any point of the group, so
+// a group's requests and shards meet on one replica.
+func (c *Client) groupKey(ne Experiment, app string, p dse.ArchPoint) string {
+	a := archOfPoint(p)
+	return c.RingKey(Route{app: app, arch: &a, sample: ne.Sample, warmup: ne.Warmup, seed: ne.Seed})
 }
 
 // App is the application a node experiment's route names ("" for every

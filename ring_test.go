@@ -7,12 +7,14 @@ import (
 	"testing"
 
 	"musa/internal/apps"
+	"musa/internal/dse"
 	"musa/internal/store"
 )
 
 // TestPlacementAgreesWithFleet pins the one placement the serve tier
 // shares: a /simulate of any point of the 360-point slice is routed by the
-// key a fleet pins the shard holding that point by, so a group's requests,
+// key a fleet sweep places that point's annotation group by, whichever of
+// the group's points the key is derived from, so a group's requests,
 // shards and artifacts meet on one replica.
 func TestPlacementAgreesWithFleet(t *testing.T) {
 	c, err := NewClient(ClientOptions{NoArtifacts: true})
@@ -29,22 +31,26 @@ func TestPlacementAgreesWithFleet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	remaining := map[string][]int{}
-	for _, app := range ne.Apps {
-		remaining[app] = ne.PointIndices
-	}
-	shards := planShards(ne.Apps, remaining, func(string, int) string { return "" })
+	grid := tableIGrid()
 	points := 0
-	for _, j := range shards {
-		want := shardKey(ne, j)
-		for _, i := range j.indices {
-			got, err := c.RouteKey(Experiment{Kind: KindNode, App: j.app, PointIndex: &i,
+	for _, app := range ne.Apps {
+		first := map[dse.AnnGroup]dse.ArchPoint{}
+		for _, i := range ne.PointIndices {
+			g := grid[i].AnnGroup()
+			if _, ok := first[g]; !ok {
+				first[g] = grid[i]
+			}
+			want := c.groupKey(ne, app, first[g])
+			got, err := c.RouteKey(Experiment{Kind: KindNode, App: app, PointIndex: &i,
 				Sample: exp.Sample, Warmup: exp.Warmup, Seed: exp.Seed, ReplayRanks: exp.ReplayRanks})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got != want {
-				t.Fatalf("%s point %d routes by %s, its shard is pinned by %s", j.app, i, got, want)
+				t.Fatalf("%s point %d routes by %s, its group is placed by %s", app, i, got, want)
+			}
+			if own := c.groupKey(ne, app, grid[i]); own != want {
+				t.Fatalf("%s point %d: its group's key depends on the point it is derived from", app, i)
 			}
 			points++
 		}
