@@ -430,7 +430,7 @@ func BenchmarkAblationPrefetcher(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var ipc float64
 			for i := 0; i < b.N; i++ {
-				hier := cache.NewHierarchy(cache.HierarchyConfig{
+				hier := newHierarchy(cache.HierarchyConfig{
 					L1:              cache.Config{Name: "L1", SizeBytes: 32 * 1024, Assoc: 8, LatencyCycle: 4},
 					L2:              cache.Config{Name: "L2", SizeBytes: 512 * 1024, Assoc: 16, LatencyCycle: 11},
 					L3:              cache.Config{Name: "L3", SizeBytes: 1 << 20, Assoc: 16, LatencyCycle: 70},
@@ -654,4 +654,9 @@ func TestExperimentKeyAllocs(t *testing.T) {
 	if got >= ceiling {
 		t.Fatalf("%.2f allocations per Normalize + Key, want fewer than %d", got, ceiling)
 	}
+}
+
+// newHierarchy builds one cache hierarchy: a SharedL1 over one configuration.
+func newHierarchy(cfg cache.HierarchyConfig) *cache.Hierarchy {
+	return cache.NewSharedL1([]cache.HierarchyConfig{cfg}).Hierarchies()[0]
 }

@@ -242,9 +242,11 @@ func (s *DetailedStream) emit(in isa.Instr) { s.buf = append(s.buf, in) }
 const SampleSize = 300000
 
 // MaxWindow bounds the effective window — sample plus warmup, as
-// EffectiveFidelity resolves them — in scalar micro-ops. A window is
-// generated whole, 32 bytes per isa.Instr, so the bound is 1 GiB; the
-// default window is 0.9 M.
+// EffectiveFidelity resolves them — in scalar micro-ops: 1 GiB of isa.Instr
+// at 32 bytes each, the default window being 0.9 M. A run holds its sample
+// window whole and streams the warm window two 64 Ki-micro-op chunks at a
+// time (node.ColdPass), so what a run keeps is the sample window and two
+// chunks; the bound also caps the time one request's generator runs.
 const MaxWindow = 32 << 20
 
 // EffectiveFidelity resolves the sample-size defaulting rule in one place:

@@ -64,11 +64,6 @@ type Hierarchy struct {
 	PrefetchFills int64
 }
 
-// NewHierarchy builds the stack.
-func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
-	return newHierarchy(cfg, New(cfg.L1))
-}
-
 // newHierarchy builds the stack over the given L1.
 func newHierarchy(cfg HierarchyConfig, l1 *Cache) *Hierarchy {
 	deg := cfg.PrefetchDegree
@@ -213,11 +208,6 @@ func (h *Hierarchy) ResetStats() {
 	h.l3.ResetStats()
 	h.MemReads, h.MemWrites, h.PrefetchFills = 0, 0, 0
 }
-
-// MemRequests returns the number of DRAM line requests generated (reads plus
-// write-backs), the quantity plotted in Figure 1 as Giga-MemRequest/s once
-// divided by runtime.
-func (h *Hierarchy) MemRequests() int64 { return h.MemReads + h.MemWrites }
 
 // SharedL1 walks one access stream through several hierarchies whose L1
 // configurations are equal. Every hierarchy's L1 sees the same stream — only

@@ -9,12 +9,12 @@ import (
 )
 
 func testHier() *cache.Hierarchy {
-	return cache.NewHierarchy(cache.HierarchyConfig{
+	return cache.NewSharedL1([]cache.HierarchyConfig{{
 		L1:              cache.Config{Name: "L1", SizeBytes: 32 * 1024, Assoc: 8, LatencyCycle: 4},
 		L2:              cache.Config{Name: "L2", SizeBytes: 256 * 1024, Assoc: 8, LatencyCycle: 9},
 		L3:              cache.Config{Name: "L3", SizeBytes: 1 << 20, Assoc: 16, LatencyCycle: 68},
 		MemLatencyCycle: 200,
-	})
+	}}).Hierarchies()[0]
 }
 
 func run(cfg Config, ins []isa.Instr) Result {

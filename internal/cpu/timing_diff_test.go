@@ -58,7 +58,7 @@ func appTrace(t testing.TB, app *apps.Profile, bits int) (*node.FusedTrace, node
 		DispatchNs: 100, RTSPolicy: rts.FIFOCentral,
 		SampleInstrs: 30000, WarmupInstrs: 60000, Seed: 1,
 	}
-	ft := node.BuildFusedTrace(app, bits, ncfg.SampleInstrs, ncfg.WarmupInstrs, ncfg.Seed)
+	ft := node.FuseScalarTrace(node.BuildScalarTrace(app, ncfg.SampleInstrs, ncfg.WarmupInstrs, ncfg.Seed), app, bits, ncfg.Seed)
 	hrt := node.WalkCaches(ft, []node.Config{ncfg})[0]
 	return ft, hrt, compiled(t, ft, hrt)
 }

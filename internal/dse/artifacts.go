@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,7 +28,7 @@ import (
 // sub-results, each keyed by exactly the inputs that can change it:
 //
 //	sample window    (app, fidelity, seed)                      client-lifetime
-//	fused trace      (app, vector width, fidelity, seed)        run-local
+//	fused trace      (app, vector width, fidelity, seed)        run-local, sample half
 //	hit-rate table   (app, cores, vector width, cache, fidelity, seed)
 //	DRAM curve       (app, channels, memory kind, seed)
 //	burst trace      (app, rank count, seed)
@@ -37,15 +38,15 @@ import (
 // traced execution feeds burst-mode scaling and detailed node simulation,
 // §II); the artifact layer makes that reuse durable and process-spanning.
 //
-// Scalar windows come in two kinds. The sample window — the scalar micro-ops
-// every fuse reads — outlives the run in a SampleWindows front the client
-// owns: in memory only, bounded by bytes, keyed by content. The full window
-// (warm + sample) is read only by a cache walk, is three times the size and
-// stays run-local; building one publishes a copy of its sample part to the
-// front. Fused traces stay run-local too: they are the bulkiest stage and the
-// cheapest to rebuild per byte, so persisting them would spend store and
-// transfer bandwidth to save the least time — the persistent kinds are the
-// compact derived tables.
+// The sample window — the scalar micro-ops every fuse reads — outlives the
+// run in a SampleWindows front the client owns: in memory only, bounded by
+// bytes, keyed by content. The warm window is never kept: the tables an
+// application lacks are built by one node.ColdPass, which streams the warm
+// window through every width's fuser and caches a chunk at a time and leaves
+// its sample window in the front. Fused traces stay run-local: they are the
+// bulkiest stage and the cheapest to rebuild per byte, so persisting them
+// would spend store and transfer bandwidth to save the least time — the
+// persistent kinds are the compact derived tables.
 
 // ArtifactSchemaVersion identifies the artifact key derivation and the
 // serialized artifact encodings. It is bumped whenever a key document, the
@@ -157,7 +158,7 @@ func (d artifactKeyDoc) key() string {
 // HitRateKey returns the content address of the hit-rate table of one
 // (application, cache group) at the given fidelity and seed. appHash is
 // AppHash of the profile. Implicit fidelity is resolved through
-// apps.EffectiveFidelity — the same rule node.BuildFusedTrace simulates
+// apps.EffectiveFidelity — the same rule node.ColdPass simulates
 // with and shardExperiment materializes on the fleet wire — so a run that
 // leaves fidelity implicit and one that spells out the defaults address
 // the same artifact.
@@ -190,40 +191,32 @@ func BurstKey(appHash string, ranks int, seed uint64) string {
 	}.key()
 }
 
-// Residency bounds of the scalar-window, fused-trace and hit-rate-table
-// fronts. Groups are sorted by application, then cores, cache configuration
-// and width, so an application's first groups are its distinct widths: the
-// workers fuse and walk different widths side by side, and every later group
-// of the application finds its table in the tables front. They are
-// dispatched in that order except that each application's first group goes
-// out before the previous application's last two groups, though never before
-// one of its walk-starting groups (dispatchOrder): so near an application
-// boundary two applications are live at once. Sample-half fused traces (tens
-// of MB at full fidelity) and table sets are held per (application, width),
-// at most three per application, six across the boundary;
-// maxRunFusedTraces bounds both. Warm halves are never held: each is built
-// for its one walk and dropped with it, though the walks of three widths may
-// be under way at once. Scalar windows are bounded tighter still. A full
-// window — the bulkiest object of a run, 26 MB at 120 000/700 000 micro-ops —
-// is read by the walks of the application's first groups, one per width, and
-// is dead weight after, so the next application's replaces it: every walk of
-// the previous application has been handed out by then. The sample windows
-// of a run without a client front keep the previous application's too. The client's front is bounded by bytes
-// instead, because its entries differ in size by orders of magnitude (an
-// optimizer rung of 20 000 micro-ops, a 20 M-micro-op request): 64 MiB holds
-// the five built-in applications at default fidelity (300 000 micro-ops x
-// 32 B = 9.6 MB each) with room for a custom profile, and a window larger
-// than the bound is simply not retained. Evicting early is safe everywhere: a
-// re-request rebuilds the stage, trading time, never bytes.
+// Residency of the scalar-window, fused-trace and hit-rate-table fronts.
+// Groups are sorted by application, then cores, cache configuration, width
+// and memory kind, and dispatched in that order except that each
+// application's first group goes out before the previous application's last
+// two (dispatchOrder): so near an application boundary two applications are
+// live at once. An application's first group resolves all its tables, by one
+// cold pass if any is missing; the other groups wait for it. The fused and
+// tables fronts keep an application's entries — a sample-half fused trace per
+// width (a few MB at 120 000 micro-ops) and every table — until its last
+// group is done (runArtifacts.groupDone). The sample windows of a run without
+// a client front are bounded by count, two: the previous application's and
+// the current one's. The client's front is bounded by bytes instead, because
+// its entries differ in size by orders of magnitude (an optimizer rung of
+// 20 000 micro-ops, a 20 M-micro-op request): 64 MiB holds the five built-in
+// applications at default fidelity (300 000 micro-ops x 32 B = 9.6 MB each)
+// with room for a custom profile, and a window larger than the bound is
+// simply not retained. Evicting early is safe everywhere: a re-request
+// rebuilds the stage, trading time, never bytes.
 const (
-	maxRunFullWindows    = 1
 	maxRunSampleWindows  = 2
-	maxRunFusedTraces    = 8
 	maxSampleWindowBytes = 64 << 20
 )
 
 // onceMap is the one front type: a map of once-guarded slots, FIFO bounded by
-// count when bound > 0 and by the bytes size reports when maxBytes > 0. The
+// count when bound > 0 and by the bytes size reports when maxBytes > 0, or
+// emptied by its owner (drop) when neither is set. The
 // slot insert under the mutex is cheap, the build runs outside it, and
 // concurrent requests for the same key block on the slot's once instead of
 // duplicating work — so a slow build (a latency fit, a cache walk) never
@@ -243,6 +236,7 @@ type onceSlot[V any] struct {
 	once  sync.Once
 	v     V
 	bytes int64
+	built bool // v is set; guarded by the map's mutex
 }
 
 func (m *onceMap[K, V]) get(key K, build func() V) V {
@@ -261,19 +255,37 @@ func (m *onceMap[K, V]) get(key K, build func() V) V {
 	}
 	m.mu.Unlock()
 	e.once.Do(func() {
-		e.v = build()
-		if m.size == nil {
-			return
-		}
+		v := build()
 		m.mu.Lock()
-		if m.slots[key] == e { // not evicted while it was being built
-			e.bytes = m.size(e.v)
+		e.v, e.built = v, true
+		if m.size != nil && m.slots[key] == e { // not evicted while it was being built
+			e.bytes = m.size(v)
 			m.bytes += e.bytes
 			m.evict()
 		}
 		m.mu.Unlock()
 	})
 	return e.v
+}
+
+// peek returns the value under key if it is resident and built; it never
+// builds and never waits for a build.
+func (m *onceMap[K, V]) peek(key K) (V, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if e := m.slots[key]; e != nil && e.built {
+		return e.v, true
+	}
+	var zero V
+	return zero, false
+}
+
+// drop removes the slot under key from a map without bounds; holders of its
+// value keep it.
+func (m *onceMap[K, V]) drop(key K) {
+	m.mu.Lock()
+	delete(m.slots, key)
+	m.mu.Unlock()
 }
 
 // evict drops the oldest slots until both bounds hold; a value larger than
@@ -341,12 +353,22 @@ func (w *SampleWindows) Stats() SampleWindowStats {
 	return SampleWindowStats{Front: w.front.Load(), Generated: w.generated.Load(), ResidentBytes: resident}
 }
 
-// publish offers the sample part of a freshly generated full window.
-func (w *SampleWindows) publish(key sampleWindowKey, full node.ScalarTrace) {
+// publish offers a sample window a cold pass generated.
+func (w *SampleWindows) publish(key sampleWindowKey, st node.ScalarTrace) {
 	w.m.get(key, func() node.ScalarTrace {
 		w.generated.Add(1)
-		return full.SampleWindow()
+		return st
 	})
+}
+
+// peek returns the window under key if the front holds it, counted as served
+// by the front; it never generates.
+func (w *SampleWindows) peek(key sampleWindowKey) (node.ScalarTrace, bool) {
+	st, ok := w.m.peek(key)
+	if ok {
+		w.front.Add(1)
+	}
+	return st, ok
 }
 
 // get returns the window under key, running build if the front lacks it.
@@ -363,15 +385,14 @@ func (w *SampleWindows) get(key sampleWindowKey, build func() node.ScalarTrace) 
 	return st
 }
 
-// fusedKey addresses a run-local fused trace, and the hit-rate tables of
-// every cache configuration one walk of it builds. The application is
-// identified by name: within one run a name maps to one profile.
+// fusedKey addresses a run-local fused trace. The application is identified
+// by name: within one run a name maps to one profile.
 type fusedKey struct {
 	app string
 	vec int
 }
 
-// cacheTarget is one cache configuration a run sweeps at some (app, width):
+// cacheTarget is one cache configuration a run sweeps for an application:
 // its group and a node configuration that builds its hierarchy.
 type cacheTarget struct {
 	group CacheGroup
@@ -379,7 +400,7 @@ type cacheTarget struct {
 }
 
 // hitRates is one resolved hit-rate table and where it came from: "cache"
-// (the provider) or "built" (a cache walk of this run).
+// (the provider) or "built" (a cold pass of this run).
 type hitRates struct {
 	hrt    node.HitRateTable
 	source string
@@ -415,42 +436,55 @@ type runArtifacts struct {
 	bursts onceMap[burstKey, *net.Program]     // (app, ranks) -> compiled trace
 	// windows is the one front a run reads sample windows through: the
 	// client's, or a run-local one.
-	windows     *SampleWindows
-	fullWindows onceMap[string, node.ScalarTrace]   // app name -> warm+sample window
-	fused       onceMap[fusedKey, *node.FusedTrace] // sample half only
-	// caches lists the cache configurations the run sweeps per (app, width),
-	// registered by the runner before any worker starts and read-only after;
-	// tables holds their resolved hit-rate tables, one resolution per key.
-	caches map[fusedKey][]cacheTarget
-	tables onceMap[fusedKey, map[CacheGroup]hitRates]
+	windows *SampleWindows
+	fused   onceMap[fusedKey, *node.FusedTrace] // sample half only
+	// caches lists the cache configurations the run sweeps per application,
+	// in group order, registered by the runner before any worker starts and
+	// read-only after; tables holds their resolved hit-rate tables, one
+	// resolution per application. groupsLeft counts each application's
+	// groups not yet done: the last one drops its fused traces and tables.
+	caches     map[string][]cacheTarget
+	tables     onceMap[string, map[CacheGroup]hitRates]
+	groupsLeft map[string]*atomic.Int64
 }
 
 func newRunArtifacts(o Options) *runArtifacts {
 	r := &runArtifacts{
 		backing: o.Artifacts, windows: o.SampleWindows,
 		seed: o.Seed, sample: o.SampleInstrs, warmup: o.WarmupInstrs,
+		caches: map[string][]cacheTarget{}, groupsLeft: map[string]*atomic.Int64{},
 	}
 	if r.windows == nil {
 		r.windows = newSampleWindows(maxRunSampleWindows, 0)
 	}
-	r.fullWindows.bound = maxRunFullWindows
-	r.fused.bound = maxRunFusedTraces
-	r.tables.bound = maxRunFusedTraces
-	r.caches = map[fusedKey][]cacheTarget{}
 	return r
 }
 
-// addCacheGroup registers the cache configuration of one annotation group of
-// app, whose points build their nodes from cfg; groups that differ only in
-// memory kind share it. Called before the run's workers start.
-func (r *runArtifacts) addCacheGroup(app string, g AnnGroup, cfg node.Config) {
-	fk := fusedKey{app, g.Vec}
-	for _, t := range r.caches[fk] {
-		if t.group == g.CacheGroup() {
-			return
-		}
+// addGroup registers one annotation group of app, whose points build their
+// nodes from cfg; groups that differ only in memory kind share a cache
+// configuration. Called before the run's workers start.
+func (r *runArtifacts) addGroup(app string, g AnnGroup, cfg node.Config) {
+	left := r.groupsLeft[app]
+	if left == nil {
+		left = new(atomic.Int64)
+		r.groupsLeft[app] = left
 	}
-	r.caches[fk] = append(r.caches[fk], cacheTarget{g.CacheGroup(), cfg})
+	left.Add(1)
+	if !slices.ContainsFunc(r.caches[app], func(t cacheTarget) bool { return t.group == g.CacheGroup() }) {
+		r.caches[app] = append(r.caches[app], cacheTarget{g.CacheGroup(), cfg})
+	}
+}
+
+// groupDone marks one group of app done; after its last, no point of app is
+// left to read the application's fused traces and tables, so they go.
+func (r *runArtifacts) groupDone(app string) {
+	if r.groupsLeft[app].Add(-1) > 0 {
+		return
+	}
+	r.tables.drop(app)
+	for _, t := range r.caches[app] {
+		r.fused.drop(fusedKey{app, t.group.Vec})
+	}
 }
 
 // appHash memoizes AppHash per application.
@@ -522,11 +556,12 @@ func (r *runArtifacts) burst(ctx context.Context, app *apps.Profile, ranks int) 
 
 // fusedTrace returns the run-local sample half of the fused trace of (app,
 // vector width) — all an annotation served from a hit-rate table reads —
-// building it at most once per key. Fused traces are never persisted (see the
-// file comment); the stage histogram counts these builds, one per (app,
-// width) per run on the cold and the warm path alike, so its observation
-// count reads as "fused traces built". The sample window is resolved before
-// the clock starts: generating it is not fusing.
+// building it at most once per key, unless a cold pass built it first.
+// Fused traces are never persisted (see the file comment); the stage
+// histogram counts these builds and the cold pass's, one per (app, width)
+// per run on the cold and the warm path alike, so its observation count
+// reads as "fused traces built". The sample window is resolved before the
+// clock starts: generating it is not fusing.
 func (r *runArtifacts) fusedTrace(ctx context.Context, app *apps.Profile, vec int) *node.FusedTrace {
 	return r.fused.get(fusedKey{app.Name, vec}, func() *node.FusedTrace {
 		st := r.sampleWindow(ctx, app)
@@ -538,23 +573,6 @@ func (r *runArtifacts) fusedTrace(ctx context.Context, app *apps.Profile, vec in
 		observeStage(StageFuse, start)
 		return ft
 	})
-}
-
-// walkableTrace returns the fused trace of (app, vector width) with its warm
-// half: the sample half of fusedTrace, shared, plus the warm window's memory
-// accesses. Only a cache walk reads those, and a run walks each (app, width)
-// at most once, so the warm half is built there and dropped with the walk: a
-// run served from hit-rate tables never builds a full window or a warm half.
-// The full window comes first: building it puts its sample part in the front,
-// where fusedTrace finds it instead of running the generator a second time.
-func (r *runArtifacts) walkableTrace(ctx context.Context, app *apps.Profile, vec int) *node.FusedTrace {
-	st := r.fullWindow(ctx, app)
-	ft := *r.fusedTrace(ctx, app, vec)
-	_, span := obs.StartSpan(ctx, "dse.fuse-warm",
-		obs.A("app", app.Name), obs.AInt("vec", vec))
-	defer span.End()
-	ft.WarmOps = node.FuseWarm(st, vec)
-	return &ft
 }
 
 // sampleWindow returns the scalar sample window of one application at the
@@ -569,21 +587,6 @@ func (r *runArtifacts) sampleWindow(ctx context.Context, app *apps.Profile) node
 	})
 }
 
-// fullWindow returns the run-local warm+sample window of one application,
-// and publishes a copy of its sample part to the sample-window front — a
-// copy, so the front never pins a warm window. If the front already holds the
-// window (some of the application's tables hit before this one missed) the
-// generator has run twice for the application in this run, never more.
-func (r *runArtifacts) fullWindow(ctx context.Context, app *apps.Profile) node.ScalarTrace {
-	return r.fullWindows.get(app.Name, func() node.ScalarTrace {
-		_, span := obs.StartSpan(ctx, "dse.scalar-trace", obs.A("app", app.Name), obs.A("window", "full"))
-		defer span.End()
-		st := node.BuildScalarTrace(app, r.sample, r.warmup, r.seed)
-		r.windows.publish(r.windowKey(app), st)
-		return st
-	})
-}
-
 func (r *runArtifacts) windowKey(app *apps.Profile) sampleWindowKey {
 	sample, warmup := apps.EffectiveFidelity(r.sample, r.warmup)
 	return sampleWindowKey{app: r.appHash(app), sample: sample, warmup: warmup, seed: r.seed}
@@ -592,14 +595,14 @@ func (r *runArtifacts) windowKey(app *apps.Profile) sampleWindowKey {
 // annotation returns the shared annotation of one (app, group): the fused
 // trace overlaid with the group's hit-rate table. The table comes from the
 // run-local tables front, which resolves every cache configuration of the
-// group's (app, width) at once (hitRateTables) the first time any of them is
-// asked for; the runner asks once per annotation group and holds the result
-// for the group's points.
+// application at once (hitRateTables) the first time any of them is asked
+// for; the runner asks once per annotation group and holds the result for
+// the group's points.
 func (r *runArtifacts) annotation(ctx context.Context, app *apps.Profile, g AnnGroup) *node.Annotation {
 	actx, span := obs.StartSpan(ctx, "dse.annotate", obs.A("app", app.Name))
 	defer span.End()
-	tables := r.tables.get(fusedKey{app.Name, g.Vec}, func() map[CacheGroup]hitRates {
-		return r.hitRateTables(actx, app, g.Vec)
+	tables := r.tables.get(app.Name, func() map[CacheGroup]hitRates {
+		return r.hitRateTables(actx, app)
 	})
 	t, ok := tables[g.CacheGroup()]
 	if !ok {
@@ -612,50 +615,112 @@ func (r *runArtifacts) annotation(ctx context.Context, app *apps.Profile, g AnnG
 }
 
 // hitRateTables resolves the hit-rate table of every cache configuration the
-// run sweeps at (app, vector width). The provider is asked for each first; a
-// table it lacks, or one that does not fit the trace, is built, and all of
-// those are built by one cache walk (node.WalkCaches: one L1 pass, each
-// configuration's lower levels beside it) and put to the provider once each.
-// The provider is asked before any trace is built: a hit needs only the
-// sample half, a miss goes through walkableTrace and its full window.
-//
-// The walk records one StageAnnotate observation per table it built, each an
-// equal share of its time, so the stage still counts tables built; the walks
-// themselves are the dse.cache-walk spans.
-func (r *runArtifacts) hitRateTables(ctx context.Context, app *apps.Profile, vec int) map[CacheGroup]hitRates {
-	targets := r.caches[fusedKey{app.Name, vec}]
+// run sweeps for app. The provider is asked for each first; the tables it
+// lacks are built by one cold pass (coldPass) and put to it once each. A
+// table it serves must fit the fused trace it overlays; one that does not is
+// built by a second pass, after the first has left the sample window and its
+// fused traces in the fronts, which is where the check finds them.
+func (r *runArtifacts) hitRateTables(ctx context.Context, app *apps.Profile) map[CacheGroup]hitRates {
+	targets := r.caches[app.Name]
 	out := make(map[CacheGroup]hitRates, len(targets))
-	var missing []cacheTarget
-	var keys []string
+	var served, missing []cacheTarget
 	for _, t := range targets {
-		key := HitRateKey(r.appHash(app), t.group, r.sample, r.warmup, r.seed)
 		if r.backing != nil {
-			if hrt, ok := r.backing.HitRates(key); ok && len(hrt.Levels) == len(r.fusedTrace(ctx, app, vec).Meta) {
+			if hrt, ok := r.backing.HitRates(r.hitRateKey(app, t)); ok {
 				out[t.group] = hitRates{hrt, "cache"}
+				served = append(served, t)
 				continue
 			}
 		}
 		missing = append(missing, t)
-		keys = append(keys, key)
 	}
-	if len(missing) == 0 {
-		return out
-	}
-	wctx, span := obs.StartSpan(ctx, "dse.cache-walk",
-		obs.A("app", app.Name), obs.AInt("vec", vec), obs.AInt("tables", len(missing)))
-	start := time.Now()
-	cfgs := make([]node.Config, len(missing))
-	for i, t := range missing {
-		cfgs[i] = t.cfg
-	}
-	built := node.WalkCaches(r.walkableTrace(wctx, app, vec), cfgs)
-	observeStageShares(StageAnnotate, start, len(built))
-	span.End()
-	for i, hrt := range built {
-		out[missing[i].group] = hitRates{hrt, "built"}
-		if r.backing != nil {
-			r.backing.PutHitRates(keys[i], hrt)
+	r.coldPass(ctx, app, missing, out)
+	var misfits []cacheTarget
+	for _, t := range served {
+		if len(out[t.group].hrt.Levels) != len(r.fusedTrace(ctx, app, t.group.Vec).Meta) {
+			misfits = append(misfits, t)
 		}
 	}
+	r.coldPass(ctx, app, misfits, out)
 	return out
+}
+
+func (r *runArtifacts) hitRateKey(app *apps.Profile, t cacheTarget) string {
+	return HitRateKey(r.appHash(app), t.group, r.sample, r.warmup, r.seed)
+}
+
+// coldPass builds the hit-rate tables of targets by one node.ColdPass over
+// the widths they span, puts each to the provider and adds it to out. The
+// pass's fused sample halves go to the fused front, and the sample window it
+// generated to the window front; a window the front already holds is handed
+// to the pass instead, which then generates the warm window alone.
+//
+// Spans: the pass is a dse.scalar-trace span (window "full", or "warm" when
+// the front held the sample window), and under it each width's share is a
+// dse.cache-walk span holding that width's dse.fuse span. The stage
+// histogram gets one StageFuse observation per width and one StageAnnotate
+// observation per table, each an equal share of its width's walk less its
+// fuse.
+func (r *runArtifacts) coldPass(ctx context.Context, app *apps.Profile, targets []cacheTarget, out map[CacheGroup]hitRates) {
+	if len(targets) == 0 {
+		return
+	}
+	var walks []node.WidthWalk
+	var groups [][]cacheTarget // per walk, the targets of its configurations
+	for _, t := range targets {
+		i := slices.IndexFunc(walks, func(w node.WidthWalk) bool { return w.VectorBits == t.group.Vec })
+		if i < 0 {
+			i = len(walks)
+			walks = append(walks, node.WidthWalk{VectorBits: t.group.Vec})
+			groups = append(groups, nil)
+		}
+		walks[i].Configs = append(walks[i].Configs, t.cfg)
+		groups[i] = append(groups[i], t)
+	}
+	key := r.windowKey(app)
+	window, held := r.windows.peek(key)
+	kind := "full"
+	if held {
+		kind = "warm"
+	}
+	pctx, span := obs.StartSpan(ctx, "dse.scalar-trace", obs.A("app", app.Name), obs.A("window", kind))
+	walkCtx := make([]context.Context, len(walks))
+	fuseTime := make([]time.Duration, len(walks))
+	st, res := node.ColdPass{
+		App: app, Sample: r.sample, Warmup: r.warmup, Seed: r.seed,
+		Window: window, Widths: walks,
+		Stage: func(i int, s node.PassStage) func() {
+			start := time.Now()
+			vec := obs.AInt("vec", walks[i].VectorBits)
+			if s == node.StageFuse {
+				_, fspan := obs.StartSpan(walkCtx[i], "dse.fuse", obs.A("app", app.Name), vec)
+				return func() {
+					fuseTime[i] = time.Since(start)
+					observeStageShares(StageFuse, fuseTime[i], 1)
+					fspan.End()
+				}
+			}
+			var wspan *obs.Span
+			walkCtx[i], wspan = obs.StartSpan(pctx, "dse.cache-walk",
+				obs.A("app", app.Name), vec, obs.AInt("tables", len(walks[i].Configs)))
+			return func() {
+				observeStageShares(StageAnnotate, time.Since(start)-fuseTime[i], len(walks[i].Configs))
+				wspan.End()
+			}
+		},
+	}.Run()
+	span.End()
+	if !held {
+		r.windows.publish(key, st)
+	}
+	for i, w := range res {
+		r.fused.get(fusedKey{app.Name, walks[i].VectorBits}, func() *node.FusedTrace { return w.Fused })
+		for j, hrt := range w.Tables {
+			t := groups[i][j]
+			out[t.group] = hitRates{hrt, "built"}
+			if r.backing != nil {
+				r.backing.PutHitRates(r.hitRateKey(app, t), hrt)
+			}
+		}
+	}
 }

@@ -24,12 +24,11 @@ func sortedGroups(names []string, points []ArchPoint) []annGroupKey {
 }
 
 // TestDispatchOrder checks the order Run hands annotation groups out in, on
-// the full grid, the benchmark's 64-core 2 GHz slice and sweeps small enough
-// that an application's walks are among its last groups: every group goes
-// out once; each application's groups keep their sorted order; and the next
-// application's first group follows every group of the current one that
-// starts a cache walk (its first group of each width) and precedes the
-// current one's last two groups, unless one of those starts a walk.
+// the full grid, the benchmark's 64-core 2 GHz slice and sweeps of one, two
+// and a handful of groups per application: every group goes out once; each
+// application's groups keep their sorted order; and the next application's
+// first group, which runs its cold pass, goes out just before the current
+// application's last two groups.
 func TestDispatchOrder(t *testing.T) {
 	grid := Enumerate()
 	var slice, oneWidth, twoGroups []ArchPoint
@@ -53,16 +52,13 @@ func TestDispatchOrder(t *testing.T) {
 		name   string
 		apps   []string
 		points []ArchPoint
-		// tight: the next application's first group precedes both of the
-		// current one's last two groups.
-		tight bool
 	}{
-		{"grid", names, grid, true},
-		{"slice", names, slice, true},
-		{"one width", names[:3], oneWidth, true},
-		{"two groups", names, twoGroups, false},
-		{"one point", names, grid[:1], false},
-		{"one app", names[:1], slice, true},
+		{"grid", names, grid},
+		{"slice", names, slice},
+		{"one width", names[:3], oneWidth},
+		{"two groups", names, twoGroups},
+		{"one point", names, grid[:1]},
+		{"one app", names[:1], slice},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			keys := sortedGroups(tc.apps, tc.points)
@@ -92,22 +88,19 @@ func TestDispatchOrder(t *testing.T) {
 					continue
 				}
 				next := pos[byApp[tc.apps[a+1]][0]]
-				lastWalk := -1
-				for i, k := range groups {
-					if !slices.ContainsFunc(groups[:i], func(o annGroupKey) bool { return o.Vec == k.Vec }) {
-						lastWalk = i
-						if pos[k] > next {
-							t.Fatalf("%s: walk-starting group %+v dispatched after %s's first group", app, k, tc.apps[a+1])
-						}
-					}
+				// The groups still to place when the application's turn
+				// comes: all but the first, which went out with the previous
+				// application.
+				first := 0
+				if a > 0 {
+					first = 1
 				}
-				for i := max(len(groups)-2, lastWalk+1); i < len(groups); i++ {
-					if pos[groups[i]] < next {
-						t.Fatalf("%s: group %d of %d dispatched before %s's first group", app, i, len(groups), tc.apps[a+1])
+				last := max(len(groups)-2, first)
+				for i := first; i < len(groups); i++ {
+					if before := pos[groups[i]] < next; before != (i < last) {
+						t.Fatalf("%s: group %d of %d dispatched before %s's first group: %v, want %v",
+							app, i, len(groups), tc.apps[a+1], before, i < last)
 					}
-				}
-				if tc.tight && lastWalk >= len(groups)-2 {
-					t.Fatalf("%s: a walk starts in the last two of %d groups", app, len(groups))
 				}
 			}
 		})

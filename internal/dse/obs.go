@@ -17,9 +17,10 @@ const (
 	StageFuse = "fuse"
 	// StageAnnotate is the cache-hierarchy walk: one observation per warmed
 	// hit-rate table built (one per distinct (application, cores, vector
-	// width, cache configuration)). One walk builds every table of an
-	// (application, vector width) the run lacks and records one observation
-	// per table, each an equal share of the walk's time.
+	// width, cache configuration)). An application's cold pass walks every
+	// width it lacks a table at, and each width's walk — its warm fuse and
+	// the walk itself, less its sample fuse — records one observation per
+	// table it built, each an equal share of its time.
 	StageAnnotate = "annotate"
 	// StageLatencyFit is the DRAM load-latency curve fit of one
 	// (application, channels, memory kind).
@@ -39,14 +40,14 @@ const (
 const StageMetric = "musa_dse_stage_seconds"
 
 // observeStage records one stage execution into the default registry.
-func observeStage(stage string, start time.Time) { observeStageShares(stage, start, 1) }
+func observeStage(stage string, start time.Time) { observeStageShares(stage, time.Since(start), 1) }
 
-// observeStageShares records n executions of a stage that ran as one since
-// start, each an equal share of the time.
-func observeStageShares(stage string, start time.Time, n int) {
+// observeStageShares records n executions of a stage that ran as one for d,
+// each an equal share of the time.
+func observeStageShares(stage string, d time.Duration, n int) {
 	h := obs.DefaultRegistry().Histogram(StageMetric,
 		"Time spent per dse pipeline stage.", nil, obs.L("stage", stage))
-	share := time.Since(start).Seconds() / float64(n)
+	share := d.Seconds() / float64(n)
 	for range n {
 		h.Observe(share)
 	}

@@ -317,7 +317,7 @@ func Run(ctx context.Context, opts Options) *Dataset {
 	}
 	slices.SortFunc(keys, compareGroups)
 	for _, k := range keys {
-		art.addCacheGroup(k.app, k.AnnGroup, groups[k][0].NodeConfig(opts.SampleInstrs, opts.WarmupInstrs, opts.Seed))
+		art.addGroup(k.app, k.AnnGroup, groups[k][0].NodeConfig(opts.SampleInstrs, opts.WarmupInstrs, opts.Seed))
 	}
 
 	total := 0
@@ -446,6 +446,7 @@ func Run(ctx context.Context, opts Options) *Dataset {
 				}
 				bump()
 			}
+			art.groupDone(k.app)
 			results <- ms
 		}
 	}
@@ -494,8 +495,7 @@ func sortMeasurements(ms []Measurement) {
 }
 
 // compareGroups orders annotation groups by application, then cores, cache
-// configuration, width and memory kind: an application's first groups are
-// its widths, so the workers fuse and walk different traces side by side.
+// configuration, width and memory kind.
 func compareGroups(a, b annGroupKey) int {
 	return cmp.Or(cmp.Compare(a.app, b.app), cmp.Compare(a.Cores, b.Cores),
 		cmp.Compare(a.Cache, b.Cache), cmp.Compare(a.Vec, b.Vec), cmp.Compare(a.Mem, b.Mem))
@@ -503,15 +503,12 @@ func compareGroups(a, b annGroupKey) int {
 
 // dispatchOrder is the order a run hands its annotation groups to the
 // workers: keys, sorted by application, then cores, cache configuration,
-// width and memory kind, with each application's first group moved up into
-// the previous application's groups. It goes out after every group of the
-// previous application that starts a cache walk (its first group of each
-// width) and before that application's last two groups, so the next full
-// window is generated while the other worker still replays, instead of one
-// worker generating it while the other waits for it. Not earlier: the run
-// holds one full window at a time, and a walk-starting group handed out after
-// the next application's window would regenerate its own; and two windows
-// live at once cost peak memory for no time.
+// width and memory kind, with each application's first group moved up to
+// just before the previous application's last two groups. An application's
+// first group runs its cold pass, which every other group of the application
+// waits for; moved up, the pass runs while the other worker still replays,
+// instead of one worker running it while the other waits. Not earlier: each
+// application live at once holds its sample window and fused traces.
 func dispatchOrder(keys []annGroupKey) []annGroupKey {
 	var byApp [][]annGroupKey
 	for i, j := 0, 0; i < len(keys); i = j {
@@ -525,7 +522,7 @@ func dispatchOrder(keys []annGroupKey) []annGroupKey {
 		if a > 0 {
 			rest = groups[1:] // the first went out with the previous application
 		}
-		at := max(walkEnd(groups)-(len(groups)-len(rest)), len(rest)-2, 0)
+		at := max(len(rest)-2, 0)
 		order = append(order, rest[:at]...)
 		if a+1 < len(byApp) {
 			order = append(order, byApp[a+1][0])
@@ -533,17 +530,4 @@ func dispatchOrder(keys []annGroupKey) []annGroupKey {
 		order = append(order, rest[at:]...)
 	}
 	return order
-}
-
-// walkEnd returns one past the last of an application's groups that starts a
-// cache walk: the first group of each width asks for the width's hit-rate
-// tables first.
-func walkEnd(groups []annGroupKey) int {
-	end := 0
-	for i, k := range groups {
-		if !slices.ContainsFunc(groups[:i], func(o annGroupKey) bool { return o.Vec == k.Vec }) {
-			end = i + 1
-		}
-	}
-	return end
 }

@@ -69,10 +69,11 @@ func tracedRun(t *testing.T, points []dse.ArchPoint, art dse.ArtifactProvider) (
 // TestMixedWarmColdRunFusesEachHalfOnce primes an artifact directory with the
 // hit-rate tables of one of three cache configurations and then runs all
 // three. The primed groups take the sample half straight to
-// CombineAnnotation; the other two per width walk the caches and share one
-// warm half. Either way the sample window is fused once per width, and the
+// CombineAnnotation; the other two per width are built by the application's
+// one cold pass, which streams the warm window through one cache walk per
+// width. Either way the sample window is fused once per width, and the
 // dataset is the cold run's byte for byte. Conversely, a run over the now
-// fully primed directory never builds a warm half.
+// fully primed directory never walks the caches.
 func TestMixedWarmColdRunFusesEachHalfOnce(t *testing.T) {
 	all, oneCache := warmHalfPoints()
 	if len(all) != 6 || len(oneCache) != 2 {
@@ -80,8 +81,9 @@ func TestMixedWarmColdRunFusesEachHalfOnce(t *testing.T) {
 	}
 	const widths = 2
 	want, _, coldSpans := tracedRun(t, all, nil)
-	if coldSpans["dse.fuse-warm"] != widths {
-		t.Errorf("cold run built %d warm halves, want %d (one per width)", coldSpans["dse.fuse-warm"], widths)
+	if coldSpans["dse.cache-walk"] != widths || coldSpans["dse.scalar-trace"] != 1 {
+		t.Errorf("cold run walked %d widths in %d passes, want %d in one", coldSpans["dse.cache-walk"],
+			coldSpans["dse.scalar-trace"], widths)
 	}
 
 	art, err := store.OpenArtifacts(t.TempDir())
@@ -102,16 +104,15 @@ func TestMixedWarmColdRunFusesEachHalfOnce(t *testing.T) {
 		t.Errorf("mixed run walked the caches %d times, want %d (the two unprimed groups per width)",
 			built[dse.StageAnnotate], 2*widths)
 	}
-	if spans["dse.fuse"] != widths || spans["dse.fuse-warm"] != widths {
-		t.Errorf("mixed run built %d sample halves and %d warm halves, want %d each",
-			spans["dse.fuse"], spans["dse.fuse-warm"], widths)
+	if spans["dse.fuse"] != widths || spans["dse.cache-walk"] != widths {
+		t.Errorf("mixed run built %d sample halves and walked %d widths, want %d each",
+			spans["dse.fuse"], spans["dse.cache-walk"], widths)
 	}
-	// A primed group asks for the sample window alone and an unprimed one for
-	// the full window, so in a mixed run the generator may run twice for the
-	// application — once per kind of window, whichever group comes first —
-	// and never more.
-	if n := spans["dse.scalar-trace"]; n < 1 || n > 2 {
-		t.Errorf("mixed run generated %d scalar windows, want 1 or 2 (at most one sample and one full window)", n)
+	// The pass runs before the primed tables are checked against their
+	// fused traces, so those find the traces it built: the generator runs
+	// once for the application.
+	if n := spans["dse.scalar-trace"]; n != 1 {
+		t.Errorf("mixed run generated %d scalar windows, want 1 (the cold pass's)", n)
 	}
 
 	got, built, spans = tracedRun(t, all, art)
@@ -122,7 +123,7 @@ func TestMixedWarmColdRunFusesEachHalfOnce(t *testing.T) {
 		t.Errorf("fully primed run observed %d fuses and %d cache walks, want %d and 0",
 			built[dse.StageFuse], built[dse.StageAnnotate], widths)
 	}
-	if spans["dse.fuse-warm"] != 0 {
-		t.Errorf("fully primed run built %d warm halves, want none", spans["dse.fuse-warm"])
+	if spans["dse.cache-walk"] != 0 {
+		t.Errorf("fully primed run walked the caches %d times, want none", spans["dse.cache-walk"])
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"musa/internal/dram"
 	"musa/internal/isa"
 	"musa/internal/node"
+	"musa/internal/obs"
 	"musa/internal/trace"
 )
 
@@ -125,6 +126,41 @@ func TestSampleWindowFrontEvictsAndRebuilds(t *testing.T) {
 	}
 	if st := w.Stats(); st.Generated != 2 || st.ResidentBytes != 2*windowBytes || st.Front == 0 {
 		t.Errorf("roomy front after two runs: %+v, want 2 generated, %d bytes, front hits", st, 2*windowBytes)
+	}
+}
+
+// TestColdPassTakesTheFrontsWindow: a run whose tables all miss while the
+// front already holds each application's sample window streams the warm
+// window alone (a "warm" pass), generates no window and returns the
+// reference bytes.
+func TestColdPassTakesTheFrontsWindow(t *testing.T) {
+	ctx := context.Background()
+	opts := windowTestOpts()
+	n := len(opts.Apps) * len(opts.Points)
+	want := datasetJSON(t, Run(ctx, opts), n)
+
+	w := NewSampleWindows()
+	opts.SampleWindows = w
+	Run(ctx, opts) // leaves both windows in the front, and no table anywhere
+	rec := obs.NewRecorder(0)
+	if got := datasetJSON(t, Run(obs.WithRecorder(ctx, rec), opts), n); got != want {
+		t.Error("a pass on the front's windows differs from the reference")
+	}
+	var passes []string
+	for _, s := range rec.Spans() {
+		if s.Name == "dse.scalar-trace" {
+			for _, a := range s.Attrs {
+				if a.Key == "window" {
+					passes = append(passes, a.Value)
+				}
+			}
+		}
+	}
+	if len(passes) != len(opts.Apps) || passes[0] != "warm" || passes[1] != "warm" {
+		t.Errorf("second run's passes streamed windows %v, want one warm window per application", passes)
+	}
+	if st := w.Stats(); st.Generated != int64(len(opts.Apps)) {
+		t.Errorf("front after two runs: %+v, want %d windows generated, all by the first", st, len(opts.Apps))
 	}
 }
 

@@ -136,6 +136,16 @@ func NewFuser(s Stream, cfg FuserConfig) *Fuser {
 	return f
 }
 
+// Feed makes instrs the fuser's input in place of whatever of the old input
+// is left, keeping the scratch and the counters. A run never spans a change
+// of basic block, so a stream cut where the block changes and fed piece by
+// piece fuses to exactly the ops of the whole stream. The fuser reads instrs
+// in place until the next Feed; it must not be written meanwhile.
+func (f *Fuser) Feed(instrs []Instr) {
+	f.s, f.src, f.spos = nil, instrs, 0
+	f.out, f.opos = f.out[:0], 0
+}
+
 // Stats returns the fusion counters accumulated so far.
 func (f *Fuser) Stats() FuserStats { return f.stats }
 

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"musa/internal/apps"
-	"musa/internal/cache"
 	"musa/internal/cpu"
 	"musa/internal/isa"
 )
@@ -29,7 +28,7 @@ func TestCompiledColumnsAgree(t *testing.T) {
 				if !ok {
 					t.Fatal("a table does not fit the trace it was walked from")
 				}
-				hier := cache.NewHierarchy(hrt.HierCfg)
+				hier := newHierarchy(hrt.HierCfg)
 				for _, op := range ft.WarmOps {
 					hier.Access(op.Addr, int(op.Size), op.Write)
 				}
@@ -91,7 +90,7 @@ func TestL3PartitionRounding(t *testing.T) {
 			cfg := baseCfg()
 			cfg.Cores = cores
 			cfg.L3MBTotal = l3
-			h := cache.NewHierarchy(cfg.hierarchyConfig(60)) // panics on invalid config
+			h := newHierarchy(cfg.hierarchyConfig(60)) // panics on invalid config
 			if h == nil {
 				t.Fatal("nil hierarchy")
 			}

@@ -15,7 +15,6 @@ package node
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 
 	"musa/internal/apps"
@@ -335,9 +334,9 @@ type HitRateTable struct {
 // (application, fidelity, seed): the warm window followed by the sample
 // window, before any width fusion. Every vector width of an application
 // fuses the identical scalar sequence — only the fuser differs — so the
-// sweep runner generates the scalar trace once and replays it per width.
-// A trace with Warm == 0 is a sample window: all FuseSample reads, a
-// quarter of the full window's bytes at the default 2:1 warm-up.
+// sweep runner generates it once and fuses it per width. A trace with
+// Warm == 0 is a sample window: all FuseSample reads, and the only window a
+// sweep keeps (a cold pass streams the warm window).
 type ScalarTrace struct {
 	Instrs []isa.Instr
 	// Warm is the number of leading instructions belonging to the warm
@@ -370,26 +369,13 @@ func generateWindow(gen *apps.DetailedStream, warm, sample int64) ScalarTrace {
 	return ScalarTrace{Instrs: instrs, Warm: warm}
 }
 
-// SampleWindow returns a copy of the trace's sample window that shares no
-// memory with it, so holding the copy does not pin the warm window.
-func (st ScalarTrace) SampleWindow() ScalarTrace {
-	return ScalarTrace{Instrs: slices.Clone(st.Instrs[st.Warm:])}
-}
-
-// BuildFusedTrace generates and fuses the detailed instruction stream of one
-// (application, vector width) at the given fidelity and seed. Branch
+// FuseScalarTrace fuses a scalar trace at one vector width: the sample half
+// (FuseSample) plus the warm half (FuseWarm), which share no state. Branch
 // mispredict outcomes are drawn here — they consume the same seed-derived
 // random sequence whatever the cache configuration — so the cache walk
-// (WalkCaches) is purely deterministic replay.
-func BuildFusedTrace(app *apps.Profile, vectorBits int, sampleInstrs, warmupInstrs int64, seed uint64) *FusedTrace {
-	return FuseScalarTrace(BuildScalarTrace(app, sampleInstrs, warmupInstrs, seed), app, vectorBits, seed)
-}
-
-// FuseScalarTrace fuses a scalar trace at one vector width: the sample half
-// (FuseSample) plus the warm half (FuseWarm), which share no state. Consuming
-// a prebuilt scalar window through slice streams is instruction-for-
-// instruction identical to fusing the generator directly (BuildFusedTrace);
-// it exists so the sweep runner can amortize generation across widths.
+// (WalkCaches) is purely deterministic replay. A sweep never holds a whole
+// window: ColdPass streams the warm half into the caches instead, and this
+// is the reference it is tested against.
 func FuseScalarTrace(st ScalarTrace, app *apps.Profile, vectorBits int, seed uint64) *FusedTrace {
 	ft := FuseSample(st, app, vectorBits, seed)
 	ft.WarmOps = FuseWarm(st, vectorBits)
@@ -398,8 +384,7 @@ func FuseScalarTrace(st ScalarTrace, app *apps.Profile, vectorBits int, seed uin
 
 // FuseWarm fuses the warm window of a scalar trace into its memory accesses —
 // the half of a fused trace whose only reader is the cache walk
-// (WalkCaches). A run that finds its hit-rate tables already built never
-// needs it.
+// (WalkCaches).
 func FuseWarm(st ScalarTrace, vectorBits int) []WarmOp {
 	// The scalar budget upper-bounds the fused count (fusion only shrinks a
 	// stream), so the column can be sized once instead of grown.
@@ -486,16 +471,28 @@ func WalkCaches(ft *FusedTrace, cfgs []Config) []HitRateTable {
 		// walking cold caches would persist a wrong hit-rate table silently.
 		panic("node: cache walk on a fused trace without its warm half")
 	}
+	walk := newWalk(cfgs)
+	for _, op := range ft.WarmOps {
+		walk.Access(op.Addr, int(op.Size), op.Write)
+	}
+	return sampleTables(walk, ft)
+}
+
+// newWalk builds the cache hierarchies of every configuration over one L1.
+func newWalk(cfgs []Config) *cache.SharedL1 {
 	hcfgs := make([]cache.HierarchyConfig, len(cfgs))
 	for i, cfg := range cfgs {
 		hcfgs[i] = cfg.hierarchyConfig(0)
 	}
-	walk := cache.NewSharedL1(hcfgs)
-	for _, op := range ft.WarmOps {
-		walk.Access(op.Addr, int(op.Size), op.Write)
-	}
+	return cache.NewSharedL1(hcfgs)
+}
+
+// sampleTables walks the sample accesses of ft through caches the warm
+// window has warmed and returns each hierarchy's hit-rate table.
+func sampleTables(walk *cache.SharedL1, ft *FusedTrace) []HitRateTable {
 	walk.ResetStats()
-	levels := make([][]uint8, len(cfgs))
+	hs := walk.Hierarchies()
+	levels := make([][]uint8, len(hs))
 	for i := range levels {
 		levels[i] = make([]uint8, len(ft.Meta))
 	}
@@ -504,8 +501,8 @@ func WalkCaches(ft *FusedTrace, cfgs []Config) []HitRateTable {
 			levels[i][op.Idx] = uint8(lvl)
 		}
 	}
-	tables := make([]HitRateTable, len(cfgs))
-	for i, h := range walk.Hierarchies() {
+	tables := make([]HitRateTable, len(hs))
+	for i, h := range hs {
 		tables[i] = HitRateTable{
 			Levels: levels[i],
 			L1:     h.L1Stats(), L2: h.L2Stats(), L3: h.L3Stats(),
@@ -540,11 +537,15 @@ func CombineAnnotation(ft *FusedTrace, hrt HitRateTable) (Annotation, bool) {
 
 // BuildAnnotation warms the caches and annotates one detailed sample for
 // the configuration's cache-relevant parameters (cores, vector width, cache
-// sizes, sample sizes, seed) — the single-shot path; sweeps stage it
-// through BuildFusedTrace + WalkCaches to share work across points.
+// sizes, sample sizes, seed) — the single-shot path: a cold pass of one
+// width and one configuration. Sweeps run one pass per application for
+// every table they lack, and share its fused traces and tables across points.
 func BuildAnnotation(app *apps.Profile, cfg Config) Annotation {
-	ft := BuildFusedTrace(app, cfg.VectorBits, cfg.SampleInstrs, cfg.WarmupInstrs, cfg.Seed)
-	ann, _ := AnnotateTrace(ft, cfg)
+	_, res := ColdPass{
+		App: app, Sample: cfg.SampleInstrs, Warmup: cfg.WarmupInstrs, Seed: cfg.Seed,
+		Widths: []WidthWalk{{VectorBits: cfg.VectorBits, Configs: []Config{cfg}}},
+	}.Run()
+	ann, _ := CombineAnnotation(res[0].Fused, res[0].Tables[0])
 	return ann
 }
 
@@ -777,7 +778,13 @@ var powerProbes = sync.Pool{New: func() any { return new(powerProbe) }}
 // execution and runs the power model.
 func estimatePower(app *apps.Profile, cfg Config, coreRes cpu.Result, res Result) (power.Breakdown, float64) {
 	act := extrapolateActivity(app, cfg, coreRes, res)
-	params := power.NodeParams{
+	b := power.NodePower(powerParams(cfg), act)
+	return b, power.EnergyJ(b, act.Duration)
+}
+
+// powerParams is the node hardware the power model charges for cfg.
+func powerParams(cfg Config) power.NodeParams {
+	return power.NodeParams{
 		Cores: cfg.Cores,
 		Core: power.CoreParams{
 			Config:     cfg.Core,
@@ -788,8 +795,6 @@ func estimatePower(app *apps.Profile, cfg Config, coreRes cpu.Result, res Result
 		L3TotalMB:   float64(cfg.L3MBTotal),
 		DIMMs:       cfg.DIMMs(),
 	}
-	b := power.NodePower(params, act)
-	return b, power.EnergyJ(b, act.Duration)
 }
 
 // extrapolateActivity scales the sampled core and cache counts to the full

@@ -333,8 +333,11 @@ func BenchmarkTimingReplay(b *testing.B) {
 	cfg := baseCfg()
 	cfg.VectorBits = 512
 	cfg.SampleInstrs, cfg.WarmupInstrs = 120000, 240000
-	ft := BuildFusedTrace(apps.LULESH(), cfg.VectorBits, cfg.SampleInstrs, cfg.WarmupInstrs, cfg.Seed)
-	hrt := WalkCaches(ft, []Config{cfg})[0]
+	_, res := ColdPass{
+		App: apps.LULESH(), Sample: cfg.SampleInstrs, Warmup: cfg.WarmupInstrs, Seed: cfg.Seed,
+		Widths: []WidthWalk{{VectorBits: cfg.VectorBits, Configs: []Config{cfg}}},
+	}.Run()
+	ft, hrt := res[0].Fused, res[0].Tables[0]
 	a, _ := CombineAnnotation(ft, hrt)
 	perUop := func(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(a.Ann.Len()), "ns/uop")

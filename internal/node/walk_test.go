@@ -15,7 +15,7 @@ import (
 // against: one private hierarchy, every access through Hierarchy.Access, the
 // meta column overlaid as the walk goes and then compiled.
 func referenceAnnotateTrace(ft *FusedTrace, cfg Config) (Annotation, HitRateTable) {
-	hier := cache.NewHierarchy(cfg.hierarchyConfig(0))
+	hier := newHierarchy(cfg.hierarchyConfig(0))
 	for _, op := range ft.WarmOps {
 		hier.Access(op.Addr, int(op.Size), op.Write)
 	}
@@ -117,11 +117,16 @@ func TestStraddlingL3AndDRAMAnnotatesL3(t *testing.T) {
 		t.Errorf("L3 saw %+v, want two demand accesses and one miss: the second line did go to DRAM", hrt.L3)
 	}
 
-	h := cache.NewHierarchy(cfg.hierarchyConfig(60))
+	h := newHierarchy(cfg.hierarchyConfig(60))
 	for _, op := range warm {
 		h.Access(op.Addr, int(op.Size), op.Write)
 	}
 	if lvl, _ := h.Access(straddle.Addr, int(straddle.Size), false); lvl != cache.LevelMem {
 		t.Errorf("with a 60 ns memory latency the access is %v, want mem", lvl)
 	}
+}
+
+// newHierarchy builds one cache hierarchy: a SharedL1 over one configuration.
+func newHierarchy(cfg cache.HierarchyConfig) *cache.Hierarchy {
+	return cache.NewSharedL1([]cache.HierarchyConfig{cfg}).Hierarchies()[0]
 }

@@ -20,14 +20,6 @@ func TestSampleWindowMatchesFullWindow(t *testing.T) {
 			if sample.Warm != 0 || !slices.Equal(sample.Instrs, full.Instrs[full.Warm:]) {
 				t.Fatalf("%s at %v: sample window differs from the full window's sample part", app.Name, fid)
 			}
-			cp := full.SampleWindow()
-			if cp.Warm != 0 || !slices.Equal(cp.Instrs, sample.Instrs) {
-				t.Fatalf("%s at %v: SampleWindow copy differs", app.Name, fid)
-			}
-			cp.Instrs[0].PC++ // the copy shares no memory with the full window
-			if full.Instrs[full.Warm] != sample.Instrs[0] {
-				t.Fatalf("%s: SampleWindow aliases the full window", app.Name)
-			}
 			a, b := FuseSample(full, app, 512, 9), FuseSample(sample, app, 512, 9)
 			if !slices.Equal(a.Meta, b.Meta) || !slices.Equal(a.Deps, b.Deps) ||
 				!slices.Equal(a.SampleOps, b.SampleOps) || a.Counts != b.Counts {
@@ -59,14 +51,15 @@ func BenchmarkSampleWindow(b *testing.B) {
 	}
 }
 
-// BenchmarkColdFrontEnd times what a cold sweep builds per (application,
-// width) before its first timing replay, stage by stage, on LULESH at the
-// benchmark's fidelity (120 000 sample after 700 000 warm-up micro-ops) and
-// the 256-bit width: generating the full scalar window, fusing its sample
-// and its warm half, and walking the fused trace through the three Table I
-// cache configurations of a 64-core node at once. The generate and fuse
-// rungs report host ns per scalar micro-op they read, the walk ns per warm
-// access it replays.
+// BenchmarkColdFrontEnd times what a cold sweep builds per application
+// before its first timing replay, on LULESH at the benchmark's fidelity
+// (120 000 sample after 700 000 warm-up micro-ops): "generate" is the full
+// scalar window a whole-window build materialises, "fuse-sample" one width's
+// sample fuse (256 bits), and "pass" the cold pass that streams the warm
+// window through the three widths' fusers and the three Table I cache
+// configurations of a 64-core node at each, and resolves all nine tables.
+// The generate and fuse rungs report host ns per scalar micro-op they read,
+// the pass ns per scalar micro-op of the window (warm and sample) per width.
 func BenchmarkColdFrontEnd(b *testing.B) {
 	const sample, warmup, width = 120000, 700000, 256
 	app := apps.LULESH()
@@ -88,26 +81,12 @@ func BenchmarkColdFrontEnd(b *testing.B) {
 		}
 		perOp(b, sample, "ns/uop")
 	})
-	b.Run("fuse-warm", func(b *testing.B) {
+	pass := coldPassOf(app, sample, warmup, tableIWidths)
+	b.Run("pass", func(b *testing.B) {
 		b.ReportAllocs()
 		for b.Loop() {
-			FuseWarm(st, width)
+			pass.Run()
 		}
-		perOp(b, warmup, "ns/uop")
-	})
-	ft := FuseScalarTrace(st, app, width, 1)
-	cfgs := make([]Config, 0, 3)
-	for _, c := range [][2]int{{256, 32}, {512, 64}, {1024, 96}} {
-		cfg := baseCfg()
-		cfg.VectorBits, cfg.L2KBPerCore, cfg.L3MBTotal = width, c[0], c[1]
-		cfg.SampleInstrs, cfg.WarmupInstrs = sample, warmup
-		cfgs = append(cfgs, cfg)
-	}
-	b.Run("walk", func(b *testing.B) {
-		b.ReportAllocs()
-		for b.Loop() {
-			WalkCaches(ft, cfgs)
-		}
-		perOp(b, len(ft.WarmOps), "ns/access")
+		perOp(b, len(st.Instrs)*len(tableIWidths), "ns/uop")
 	})
 }

@@ -169,13 +169,6 @@ func (r *Recorder) Spans() []Span {
 	return out
 }
 
-// Dropped reports how many spans the ring has overwritten since Reset.
-func (r *Recorder) Dropped() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.dropped
-}
-
 // Reset discards every recorded span.
 func (r *Recorder) Reset() {
 	r.mu.Lock()

@@ -161,18 +161,6 @@ func (r *Ring) MarkDown(member string) {
 	}
 }
 
-// StateOf returns a member's observed state (Down for non-members).
-func (r *Ring) StateOf(member string) State {
-	member = Normalize(member)
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	until, ok := r.down[member]
-	if !ok {
-		return Down
-	}
-	return stateAt(until, r.now())
-}
-
 // score is the rendezvous weight of (member, key): FNV-1a over both with
 // a separator, finalized through splitmix64 so near-identical inputs
 // (sequential ports, shared key prefixes) still spread uniformly. The

@@ -27,15 +27,6 @@ type Region struct {
 	Tasks    []Task
 }
 
-// TotalWorkNs returns serial plus task work.
-func (r Region) TotalWorkNs() float64 {
-	w := r.SerialNs
-	for _, t := range r.Tasks {
-		w += t.DurationNs
-	}
-	return w
-}
-
 // Validate reports structural errors (bad IDs, forward deps out of range).
 func (r Region) Validate() error {
 	n := len(r.Tasks)
@@ -64,18 +55,6 @@ type Schedule struct {
 	TaskEndNs      []float64
 	DispatchNs     float64 // total dispatch overhead charged
 	CriticalWaitNs float64
-}
-
-// ParallelEfficiency returns work / (threads * makespan).
-func (s Schedule) ParallelEfficiency() float64 {
-	if s.MakespanNs <= 0 || len(s.ThreadBusyNs) == 0 {
-		return 0
-	}
-	var busy float64
-	for _, b := range s.ThreadBusyNs {
-		busy += b
-	}
-	return busy / (float64(len(s.ThreadBusyNs)) * s.MakespanNs)
 }
 
 // AvgActiveThreads returns the time-averaged number of busy threads.

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log"
 	"net/http"
 	"os"
@@ -604,17 +603,9 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc.Encode(v)
 }
 
-// errorLog receives the full text of every 5xx error; swap it out in tests
+// errorLog receives the full text of every 5xx error; tests swap it out
 // with SetErrorLog.
 var errorLog = log.New(os.Stderr, "serve: ", log.LstdFlags)
-
-// SetErrorLog redirects server-side error logging (nil discards it).
-func SetErrorLog(l *log.Logger) {
-	if l == nil {
-		l = log.New(io.Discard, "", 0)
-	}
-	errorLog = l
-}
 
 // httpError writes the error reply. Client faults (4xx) echo the error text
 // — those messages are validation feedback meant for the caller. Internal

@@ -29,7 +29,7 @@ func testHitRates(t *testing.T) (*node.FusedTrace, node.HitRateTable) {
 	app := apps.LULESH()
 	p := dse.Enumerate()[0]
 	cfg := p.NodeConfig(2000, 4000, 1)
-	ft := node.BuildFusedTrace(app, cfg.VectorBits, cfg.SampleInstrs, cfg.WarmupInstrs, cfg.Seed)
+	ft := node.FuseScalarTrace(node.BuildScalarTrace(app, cfg.SampleInstrs, cfg.WarmupInstrs, cfg.Seed), app, cfg.VectorBits, cfg.Seed)
 	_, hrt := node.AnnotateTrace(ft, cfg)
 	return ft, hrt
 }
