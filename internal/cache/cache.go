@@ -224,6 +224,18 @@ func (c *Cache) Contains(addr uint64) bool {
 // (used to separate warmup from the measured window).
 func (c *Cache) ResetStats() { c.Stats = Stats{} }
 
+// bytes returns the size of the cache's tag and dirty arrays.
+func (c *Cache) bytes() int64 { return int64(len(c.tags))*8 + int64(len(c.dirty)) }
+
+// Reset returns the cache to the state New left it in — every line invalid,
+// statistics zero — without allocating: a walk that reuses a cache built for
+// an earlier one behaves exactly as on a new cache.
+func (c *Cache) Reset() {
+	clear(c.tags)
+	clear(c.dirty)
+	c.Stats = Stats{}
+}
+
 // Flush invalidates all lines and returns the number of dirty lines dropped.
 func (c *Cache) Flush() int {
 	n := 0

@@ -21,7 +21,14 @@ func fuzzAddr(b1, b2 byte) uint64 {
 // of the address space, so tags use every bit.
 func diffCache(t *testing.T, cfg Config, data []byte) {
 	t.Helper()
-	got, want := New(cfg), newReferenceCache(cfg)
+	diffCacheFrom(t, New(cfg), data)
+}
+
+// diffCacheFrom is diffCache on a given cache, which must behave as a new
+// one of its configuration.
+func diffCacheFrom(t *testing.T, got *Cache, data []byte) {
+	t.Helper()
+	want := newReferenceCache(got.Config())
 	for i := 0; i+3 <= len(data); i += 3 {
 		op, addr := data[i]%16, fuzzAddr(data[i+1], data[i+2])
 		switch {

@@ -209,6 +209,17 @@ func (h *Hierarchy) ResetStats() {
 	h.MemReads, h.MemWrites, h.PrefetchFills = 0, 0, 0
 }
 
+// Reset returns the hierarchy to the state it was built in: every level
+// empty, the prefetcher untrained and every counter zero. It allocates
+// nothing.
+func (h *Hierarchy) Reset() {
+	h.l1.Reset()
+	h.l2.Reset()
+	h.l3.Reset()
+	h.recentMiss = [256]uint64{}
+	h.MemReads, h.MemWrites, h.PrefetchFills = 0, 0, 0
+}
+
 // SharedL1 walks one access stream through several hierarchies whose L1
 // configurations are equal. Every hierarchy's L1 sees the same stream — only
 // misses travel further down — so its contents and statistics are the same in
@@ -271,6 +282,24 @@ func (s *SharedL1) Access(addr uint64, size int, write bool) []Level {
 // Hierarchies returns the walked hierarchies in configuration order; their
 // L1 statistics are the shared L1's.
 func (s *SharedL1) Hierarchies() []*Hierarchy { return s.hs }
+
+// Bytes returns the size of the caches' arrays: what keeping s costs.
+func (s *SharedL1) Bytes() int64 {
+	n := s.l1.bytes()
+	for _, h := range s.hs {
+		n += h.l2.bytes() + h.l3.bytes()
+	}
+	return n
+}
+
+// Reset returns every hierarchy and the shared L1 to the state NewSharedL1
+// left them in, so one SharedL1 serves walk after walk over the same
+// configurations without building its arrays again.
+func (s *SharedL1) Reset() {
+	for _, h := range s.hs {
+		h.Reset() // the shared L1 with it
+	}
+}
 
 // ResetStats zeroes every hierarchy's statistics, keeping contents warm.
 func (s *SharedL1) ResetStats() {

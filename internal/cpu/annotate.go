@@ -1,6 +1,8 @@
 package cpu
 
 import (
+	"slices"
+
 	"musa/internal/cache"
 	"musa/internal/isa"
 	"musa/internal/xrand"
@@ -119,7 +121,15 @@ var opClass = func() (t [isa.NumClasses][cache.LevelMem + 1]uint32) {
 // selects zeroSlot by a conditional move. It panics on columns shorter than
 // meta and on a class outside isa's.
 func Compile(deps, meta []uint32, levels []uint8) []uint32 {
-	ops := make([]uint32, len(meta))
+	return CompileInto(nil, deps, meta, levels)
+}
+
+// CompileInto is Compile writing into dst's storage, which it grows only
+// when dst's capacity is short of len(meta): a caller that compiles trace
+// after trace keeps one column. The result is dst's storage, so dst must
+// have no other reader.
+func CompileInto(dst, deps, meta []uint32, levels []uint8) []uint32 {
+	ops := slices.Grow(dst[:0], len(meta))[:len(meta)]
 	deps, levels = deps[:len(meta)], levels[:len(meta)]
 	for i, m := range meta {
 		level := MetaLevel(m) | levels[i]

@@ -191,32 +191,40 @@ func BurstKey(appHash string, ranks int, seed uint64) string {
 	}.key()
 }
 
-// Residency of the scalar-window, fused-trace and hit-rate-table fronts.
-// Groups are sorted by application, then cores, cache configuration, width
-// and memory kind, and dispatched in that order except that each
-// application's first group goes out before the previous application's last
-// two (dispatchOrder): so near an application boundary two applications are
-// live at once. An application's first group resolves all its tables, by one
-// cold pass if any is missing; the other groups wait for it. The fused and
-// tables fronts keep an application's entries — a sample-half fused trace per
-// width (a few MB at 120 000 micro-ops) and every table — until its last
-// group is done (runArtifacts.groupDone). The sample windows of a run without
-// a client front are bounded by count, two: the previous application's and
-// the current one's. The client's front is bounded by bytes instead, because
-// its entries differ in size by orders of magnitude (an optimizer rung of
-// 20 000 micro-ops, a 20 M-micro-op request): 64 MiB holds the five built-in
-// applications at default fidelity (300 000 micro-ops x 32 B = 9.6 MB each)
-// with room for a custom profile, and a window larger than the bound is
-// simply not retained. Evicting early is safe everywhere: a re-request
-// rebuilds the stage, trading time, never bytes.
-const (
-	maxRunSampleWindows  = 2
-	maxSampleWindowBytes = 64 << 20
-)
+// Residency of the scalar-window, fused-trace and hit-rate-table fronts, and
+// the run scratch. Groups are sorted by application, then cores, cache
+// configuration, width and memory kind, and dispatched in that order except
+// that each application's first group goes out before the previous
+// application's last two (dispatchOrder): so near an application boundary two
+// applications are live at once. An application's first group resolves all
+// its tables, by one cold pass if any is missing; the other groups wait for
+// it. The fronts keep an application's entries — its sample window, a
+// sample-half fused trace per width (a few MB at 120 000 micro-ops) and every
+// table — until its last group is done (runArtifacts.groupDone), which takes
+// them out. The window and the halves then go to the run's scratch
+// (node.Scratch), which hands their storage to the next application's window
+// and fuses; a cold pass returns its two chunk buffers and each width's cache
+// hierarchies to the scratch when it ends, and the next pass over the same
+// configurations resets them in place (the scratch keeps 16 MiB of cache
+// arrays: a 64-core slice's, not a full grid's 1-core L3s); a worker
+// compiles each group's op column into the one its previous group is done
+// with. Never in the scratch: a window the client's front holds (the run did
+// not build it for itself), and every hit-rate table (the provider may hold
+// it). The scratch lives as long as the run, so nothing of it outlives the
+// run.
+//
+// The client's window front is bounded by bytes, because its entries differ
+// in size by orders of magnitude (an optimizer rung of 20 000 micro-ops, a
+// 20 M-micro-op request): 64 MiB holds the five built-in applications at
+// default fidelity (300 000 micro-ops x 32 B = 9.6 MB each) with room for a
+// custom profile, and a window larger than the bound is simply not retained.
+// Evicting early is safe: a re-request rebuilds the window, trading time,
+// never bytes.
+const maxSampleWindowBytes = 64 << 20
 
 // onceMap is the one front type: a map of once-guarded slots, FIFO bounded by
-// count when bound > 0 and by the bytes size reports when maxBytes > 0, or
-// emptied by its owner (drop) when neither is set. The
+// the bytes size reports when maxBytes > 0, or emptied by its owner (take)
+// otherwise. The
 // slot insert under the mutex is cheap, the build runs outside it, and
 // concurrent requests for the same key block on the slot's once instead of
 // duplicating work — so a slow build (a latency fit, a cache walk) never
@@ -224,7 +232,6 @@ const (
 // slot is resident.
 type onceMap[K comparable, V any] struct {
 	mu       sync.Mutex
-	bound    int           // 0 = no count bound
 	maxBytes int64         // 0 = no byte bound
 	size     func(V) int64 // measures a built value; nil = bytes stay 0
 	bytes    int64         // resident bytes, as measured by size
@@ -248,7 +255,7 @@ func (m *onceMap[K, V]) get(key K, build func() V) V {
 		}
 		e = &onceSlot[V]{}
 		m.slots[key] = e
-		if m.bound > 0 || m.maxBytes > 0 {
+		if m.maxBytes > 0 {
 			m.order = append(m.order, key)
 			m.evict()
 		}
@@ -280,18 +287,28 @@ func (m *onceMap[K, V]) peek(key K) (V, bool) {
 	return zero, false
 }
 
-// drop removes the slot under key from a map without bounds; holders of its
-// value keep it.
-func (m *onceMap[K, V]) drop(key K) {
+// take removes the slot under key from a map without a bound and returns its
+// value if it was built; holders of the value keep it.
+func (m *onceMap[K, V]) take(key K) (V, bool) {
 	m.mu.Lock()
+	defer m.mu.Unlock()
+	e := m.slots[key]
 	delete(m.slots, key)
-	m.mu.Unlock()
+	if e != nil {
+		m.bytes -= e.bytes
+	}
+	if e == nil || !e.built {
+		var zero V
+		return zero, false
+	}
+	return e.v, true
 }
 
-// evict drops the oldest slots until both bounds hold; a value larger than
-// maxBytes on its own evicts itself. Holders of an evicted slot keep its value.
+// evict drops the oldest slots until the byte bound holds; a value larger
+// than maxBytes on its own evicts itself. Holders of an evicted slot keep its
+// value.
 func (m *onceMap[K, V]) evict() {
-	for len(m.order) > 0 && (m.bound > 0 && len(m.order) > m.bound || m.maxBytes > 0 && m.bytes > m.maxBytes) {
+	for len(m.order) > 0 && m.maxBytes > 0 && m.bytes > m.maxBytes {
 		m.bytes -= m.slots[m.order[0]].bytes
 		delete(m.slots, m.order[0])
 		m.order = m.order[1:]
@@ -321,13 +338,13 @@ type SampleWindows struct {
 }
 
 // NewSampleWindows returns an empty front bounded at 64 MiB of windows.
-func NewSampleWindows() *SampleWindows { return newSampleWindows(0, maxSampleWindowBytes) }
+func NewSampleWindows() *SampleWindows { return newSampleWindows(maxSampleWindowBytes) }
 
-// newSampleWindows returns a front bounded by count, by bytes, or both (0 =
-// that bound is off).
-func newSampleWindows(bound int, maxBytes int64) *SampleWindows {
+// newSampleWindows returns a front bounded by bytes (0 = unbounded: a run's
+// own front, emptied application by application).
+func newSampleWindows(maxBytes int64) *SampleWindows {
 	w := &SampleWindows{}
-	w.m.bound, w.m.maxBytes = bound, maxBytes
+	w.m.maxBytes = maxBytes
 	instrBytes := int64(reflect.TypeFor[isa.Instr]().Size())
 	w.m.size = func(st node.ScalarTrace) int64 { return int64(len(st.Instrs)) * instrBytes }
 	return w
@@ -435,14 +452,21 @@ type runArtifacts struct {
 	lat    onceMap[latKey, *dram.LatencyModel] // (app, channels, mem) -> fitted curve
 	bursts onceMap[burstKey, *net.Program]     // (app, ranks) -> compiled trace
 	// windows is the one front a run reads sample windows through: the
-	// client's, or a run-local one.
-	windows *SampleWindows
-	fused   onceMap[fusedKey, *node.FusedTrace] // sample half only
+	// client's, or a run-local one (ownWindows), whose windows go to the
+	// scratch with the application's fused traces.
+	windows    *SampleWindows
+	ownWindows bool
+	fused      onceMap[fusedKey, *node.FusedTrace] // sample half only
+	// scratch recycles, within the run, the storage of the windows and
+	// fused traces the fronts let go and of every cold pass (see the
+	// residency comment above maxSampleWindowBytes).
+	scratch *node.Scratch
 	// caches lists the cache configurations the run sweeps per application,
 	// in group order, registered by the runner before any worker starts and
 	// read-only after; tables holds their resolved hit-rate tables, one
 	// resolution per application. groupsLeft counts each application's
-	// groups not yet done: the last one drops its fused traces and tables.
+	// groups not yet done: the last one takes its window, fused traces and
+	// tables out of the fronts.
 	caches     map[string][]cacheTarget
 	tables     onceMap[string, map[CacheGroup]hitRates]
 	groupsLeft map[string]*atomic.Int64
@@ -453,9 +477,10 @@ func newRunArtifacts(o Options) *runArtifacts {
 		backing: o.Artifacts, windows: o.SampleWindows,
 		seed: o.Seed, sample: o.SampleInstrs, warmup: o.WarmupInstrs,
 		caches: map[string][]cacheTarget{}, groupsLeft: map[string]*atomic.Int64{},
+		scratch: new(node.Scratch),
 	}
 	if r.windows == nil {
-		r.windows = newSampleWindows(maxRunSampleWindows, 0)
+		r.windows, r.ownWindows = newSampleWindows(0), true
 	}
 	return r
 }
@@ -476,14 +501,39 @@ func (r *runArtifacts) addGroup(app string, g AnnGroup, cfg node.Config) {
 }
 
 // groupDone marks one group of app done; after its last, no point of app is
-// left to read the application's fused traces and tables, so they go.
+// left to read the application's window, fused traces and tables, so they
+// leave the fronts: the fused traces, and a window of the run's own front,
+// go to the scratch; the tables are let go (a provider may hold them).
 func (r *runArtifacts) groupDone(app string) {
 	if r.groupsLeft[app].Add(-1) > 0 {
 		return
 	}
-	r.tables.drop(app)
+	r.tables.take(app)
 	for _, t := range r.caches[app] {
-		r.fused.drop(fusedKey{app, t.group.Vec})
+		if ft, ok := r.fused.take(fusedKey{app, t.group.Vec}); ok {
+			r.scratch.ReleaseFused(ft)
+		}
+	}
+	if hash, ok := r.hashes.peek(app); ok && r.ownWindows {
+		if st, ok := r.windows.m.take(r.windowKeyOf(hash)); ok {
+			r.scratch.ReleaseWindow(st)
+		}
+	}
+}
+
+// scratchAttrs records on the run's span how many of its windows, fused
+// halves, chunk buffers and hierarchy sets came from storage the run had
+// already used ("scratch.<kind>" = "<reused>/<all>").
+func (r *runArtifacts) scratchAttrs(span *obs.Span) {
+	if span == nil {
+		return
+	}
+	st := r.scratch.Stats()
+	for _, c := range []struct {
+		kind string
+		n    node.ScratchCount
+	}{{"windows", st.Windows}, {"halves", st.Halves}, {"chunks", st.Chunks}, {"hierarchies", st.Hierarchies}} {
+		span.SetAttr("scratch."+c.kind, fmt.Sprintf("%d/%d", c.n.Reused, c.n.Reused+c.n.New))
 	}
 }
 
@@ -569,7 +619,7 @@ func (r *runArtifacts) fusedTrace(ctx context.Context, app *apps.Profile, vec in
 			obs.A("app", app.Name), obs.AInt("vec", vec))
 		defer span.End()
 		start := time.Now()
-		ft := node.FuseSample(st, app, vec, r.seed)
+		ft := r.scratch.FuseSample(st, app, vec, r.seed)
 		observeStage(StageFuse, start)
 		return ft
 	})
@@ -583,22 +633,29 @@ func (r *runArtifacts) sampleWindow(ctx context.Context, app *apps.Profile) node
 	return r.windows.get(r.windowKey(app), func() node.ScalarTrace {
 		_, span := obs.StartSpan(ctx, "dse.scalar-trace", obs.A("app", app.Name), obs.A("window", "sample"))
 		defer span.End()
-		return node.BuildSampleWindow(app, r.sample, r.warmup, r.seed)
+		return r.scratch.SampleWindow(app, r.sample, r.warmup, r.seed)
 	})
 }
 
 func (r *runArtifacts) windowKey(app *apps.Profile) sampleWindowKey {
+	return r.windowKeyOf(r.appHash(app))
+}
+
+// windowKeyOf is the key of the run's sample window of the application whose
+// AppHash is hash.
+func (r *runArtifacts) windowKeyOf(hash string) sampleWindowKey {
 	sample, warmup := apps.EffectiveFidelity(r.sample, r.warmup)
-	return sampleWindowKey{app: r.appHash(app), sample: sample, warmup: warmup, seed: r.seed}
+	return sampleWindowKey{app: hash, sample: sample, warmup: warmup, seed: r.seed}
 }
 
 // annotation returns the shared annotation of one (app, group): the fused
-// trace overlaid with the group's hit-rate table. The table comes from the
-// run-local tables front, which resolves every cache configuration of the
-// application at once (hitRateTables) the first time any of them is asked
-// for; the runner asks once per annotation group and holds the result for
-// the group's points.
-func (r *runArtifacts) annotation(ctx context.Context, app *apps.Profile, g AnnGroup) *node.Annotation {
+// trace overlaid with the group's hit-rate table, compiled into ops's storage
+// (node.CombineAnnotationInto). The table comes from the run-local tables
+// front, which resolves every cache configuration of the application at once
+// (hitRateTables) the first time any of them is asked for; the runner asks
+// once per annotation group and holds the result for the group's points, and
+// hands its op column to the worker's next group.
+func (r *runArtifacts) annotation(ctx context.Context, app *apps.Profile, g AnnGroup, ops []uint32) *node.Annotation {
 	actx, span := obs.StartSpan(ctx, "dse.annotate", obs.A("app", app.Name))
 	defer span.End()
 	tables := r.tables.get(app.Name, func() map[CacheGroup]hitRates {
@@ -609,7 +666,7 @@ func (r *runArtifacts) annotation(ctx context.Context, app *apps.Profile, g AnnG
 		panic(fmt.Sprintf("dse: %s group %+v was not registered with the run", app.Name, g))
 	}
 	span.SetAttr("source", t.source)
-	ann, _ := node.CombineAnnotation(r.fusedTrace(ctx, app, g.Vec), t.hrt)
+	ann, _ := node.CombineAnnotationInto(ops, r.fusedTrace(ctx, app, g.Vec), t.hrt)
 	ann.Memo = node.NewTimingMemo()
 	return &ann
 }
@@ -688,7 +745,7 @@ func (r *runArtifacts) coldPass(ctx context.Context, app *apps.Profile, targets 
 	fuseTime := make([]time.Duration, len(walks))
 	st, res := node.ColdPass{
 		App: app, Sample: r.sample, Warmup: r.warmup, Seed: r.seed,
-		Window: window, Widths: walks,
+		Window: window, Widths: walks, Scratch: r.scratch,
 		Stage: func(i int, s node.PassStage) func() {
 			start := time.Now()
 			vec := obs.AInt("vec", walks[i].VectorBits)
@@ -714,7 +771,11 @@ func (r *runArtifacts) coldPass(ctx context.Context, app *apps.Profile, targets 
 		r.windows.publish(key, st)
 	}
 	for i, w := range res {
-		r.fused.get(fusedKey{app.Name, walks[i].VectorBits}, func() *node.FusedTrace { return w.Fused })
+		// A width whose half the front already holds (fused to check a served
+		// table) keeps that one; the pass's goes straight back.
+		if r.fused.get(fusedKey{app.Name, walks[i].VectorBits}, func() *node.FusedTrace { return w.Fused }) != w.Fused {
+			r.scratch.ReleaseFused(w.Fused)
+		}
 		for j, hrt := range w.Tables {
 			t := groups[i][j]
 			out[t.group] = hitRates{hrt, "built"}

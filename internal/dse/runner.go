@@ -377,6 +377,9 @@ func Run(ctx context.Context, opts Options) *Dataset {
 	}
 
 	worker := func() {
+		// ops is the op column this worker compiles each group's annotation
+		// into: the previous group's, whose points are all simulated.
+		var ops []uint32
 		for k := range jobs {
 			app := appByName[k.app]
 			points := groups[k]
@@ -408,7 +411,8 @@ func Run(ctx context.Context, opts Options) *Dataset {
 				}
 				cfg := p.NodeConfig(opts.SampleInstrs, opts.WarmupInstrs, opts.Seed)
 				if ann == nil {
-					ann = art.annotation(pctx, app, k.AnnGroup)
+					ann = art.annotation(pctx, app, k.AnnGroup, ops)
+					ops = ann.Ann.Ops
 				}
 				cfg.LatModel = art.latencyModel(pctx, app, p.Channels, p.Mem)
 				simSpan := obs.StartLeaf(pctx, "dse.node-sim")
@@ -467,6 +471,7 @@ func Run(ctx context.Context, opts Options) *Dataset {
 	}
 
 	sortMeasurements(all)
+	art.scratchAttrs(runSpan)
 	return &Dataset{Measurements: all}
 }
 

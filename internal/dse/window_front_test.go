@@ -101,7 +101,7 @@ func TestSampleWindowFrontEvictsAndRebuilds(t *testing.T) {
 	Run(ctx, opts) // primes the hit-rate tables: later runs ask for sample windows only
 
 	const windowBytes = 20000 * 32
-	w := newSampleWindows(0, 2*windowBytes-1)
+	w := newSampleWindows(2*windowBytes - 1)
 	opts.SampleWindows = w
 	for run := 1; run <= 2; run++ {
 		if got := datasetJSON(t, Run(ctx, opts), n); got != want {
@@ -167,7 +167,7 @@ func TestColdPassTakesTheFrontsWindow(t *testing.T) {
 // TestSampleWindowTooLargeIsNotRetained: a window bigger than the whole bound
 // is handed to its run and dropped, leaving the front as it was.
 func TestSampleWindowTooLargeIsNotRetained(t *testing.T) {
-	w := newSampleWindows(0, 1000)
+	w := newSampleWindows(1000)
 	small := node.ScalarTrace{Instrs: make([]isa.Instr, 10)}
 	w.get(sampleWindowKey{app: "small"}, func() node.ScalarTrace { return small })
 	big := w.get(sampleWindowKey{app: "big"}, func() node.ScalarTrace {

@@ -66,6 +66,12 @@ type ColdPass struct {
 	// generator at the end of the warm window.
 	Window ScalarTrace
 	Widths []WidthWalk // at least one
+	// Scratch, if set, supplies the pass's storage and gets back what the
+	// pass is done with: its two chunk buffers and each width's hierarchies
+	// return when the pass ends, to be reset for the next pass over the same
+	// configurations. The generated sample window and the fused sample halves
+	// are drawn from it too, but are the caller's to release.
+	Scratch *Scratch
 	// Stage, if set, is called on the goroutine running width i's share of
 	// the pass as each of its stages begins; the function it returns is
 	// called as the stage ends.
@@ -86,7 +92,7 @@ func (p ColdPass) run(chunk int) (ScalarTrace, []WidthTables) {
 		walks[i] = &widthPass{
 			vec:  w.VectorBits,
 			fu:   isa.NewFuser(isa.NewSliceStream(nil), isa.DefaultFuserConfig(w.VectorBits)),
-			walk: newWalk(w.Configs),
+			walk: p.Scratch.walk(w.Configs),
 		}
 	}
 	out := make([]WidthTables, len(walks))
@@ -113,7 +119,7 @@ func (p ColdPass) run(chunk int) (ScalarTrace, []WidthTables) {
 	}
 
 	end := p.stage(0, StageWalk)
-	r := chunkReader{gen: gen, left: warmup, size: chunk}
+	r := chunkReader{gen: gen, left: warmup, size: chunk, bufs: p.Scratch.chunkBuffers()}
 	for {
 		instrs, walked, ok := r.next()
 		if !ok {
@@ -132,6 +138,10 @@ func (p ColdPass) run(chunk int) (ScalarTrace, []WidthTables) {
 	out[0] = walks[0].sample(p, 0, st)
 	end()
 	wg.Wait()
+	p.Scratch.releaseChunks(r.bufs)
+	for _, w := range walks {
+		p.Scratch.releaseWalk(w.walk)
+	}
 	return st, out
 }
 
@@ -141,7 +151,7 @@ func (p ColdPass) window(gen *apps.DetailedStream, sample int64) ScalarTrace {
 	if p.Window.Instrs != nil {
 		return p.Window
 	}
-	return generateWindow(gen, 0, sample)
+	return p.Scratch.generate(gen, sample)
 }
 
 func (p ColdPass) stage(i int, s PassStage) func() {
@@ -185,7 +195,7 @@ func (w *widthPass) warm(chunk []isa.Instr) {
 // sample fuses the sample window and walks it on the warm caches.
 func (w *widthPass) sample(p ColdPass, i int, st ScalarTrace) WidthTables {
 	end := p.stage(i, StageFuse)
-	ft := FuseSample(st, p.App, w.vec, p.Seed)
+	ft := p.Scratch.FuseSample(st, p.App, w.vec, p.Seed)
 	end()
 	return WidthTables{Fused: ft, Tables: sampleTables(w.walk, ft)}
 }
@@ -193,11 +203,15 @@ func (w *widthPass) sample(p ColdPass, i int, st ScalarTrace) WidthTables {
 // chunkReader reads the warm window from a generator a chunk at a time, into
 // two buffers in turn: the widths walk one chunk while the generator fills
 // the other. A chunk is cut where the basic block changes; the block it
-// stops short of opens the next chunk.
+// stops short of opens the next chunk. A buffer is allocated at the length
+// its chunk can reach — size, or the warm window that is left when that is
+// shorter — and one given to the reader is used up to that length.
 type chunkReader struct {
 	gen  *apps.DetailedStream
 	left int64 // warm micro-ops not yet read from gen
-	size int   // a buffer's length before any block outgrows it
+	size int   // a chunk's length before any block outgrows it
+	// bufs is the two buffers' storage at its full capacity; nil until a
+	// chunk needs it.
 	bufs [2][]isa.Instr
 	// walked counts, per buffer, the widths still walking the chunk in it.
 	walked [2]sync.WaitGroup
@@ -213,11 +227,11 @@ func (r *chunkReader) next() ([]isa.Instr, *sync.WaitGroup, bool) {
 	}
 	r.cur ^= 1
 	r.walked[r.cur].Wait()
-	b := r.bufs[r.cur]
-	if b == nil {
-		b = make([]isa.Instr, 0, r.size)
+	want := int(min(int64(r.size), r.left+int64(len(r.tail))))
+	if cap(r.bufs[r.cur]) < want {
+		r.bufs[r.cur] = make([]isa.Instr, 0, want)
 	}
-	b = append(b[:0], r.tail...)
+	b := append(r.bufs[r.cur][:0:want], r.tail...)
 	r.tail = nil
 	for {
 		n := int(min(int64(cap(b)-len(b)), r.left))
@@ -232,8 +246,8 @@ func (r *chunkReader) next() ([]isa.Instr, *sync.WaitGroup, bool) {
 			break
 		}
 		b = slices.Grow(b, len(b)) // one block fills the buffer
+		r.bufs[r.cur] = b
 	}
-	r.bufs[r.cur] = b
 	return b, &r.walked[r.cur], true
 }
 

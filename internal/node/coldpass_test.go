@@ -43,7 +43,7 @@ func coldPassOf(app *apps.Profile, sample, warmup int64, widths []int, cores ...
 // most chunk micro-ops (more where a block is longer) and compares the sample
 // window, every width's fused sample half and every table with the
 // whole-window reference: WalkCaches(FuseScalarTrace(BuildScalarTrace(…))).
-func checkPassMatchesReference(t testing.TB, p ColdPass, chunk int) {
+func checkPassMatchesReference(t testing.TB, p ColdPass, chunk int) (ScalarTrace, []WidthTables) {
 	t.Helper()
 	full := BuildScalarTrace(p.App, p.Sample, p.Warmup, p.Seed)
 	st, res := p.run(chunk)
@@ -67,6 +67,7 @@ func checkPassMatchesReference(t testing.TB, p ColdPass, chunk int) {
 			}
 		}
 	}
+	return st, res
 }
 
 // longestBlock returns the length of the longest run of one basic block in

@@ -15,6 +15,7 @@ package node
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"musa/internal/apps"
@@ -274,8 +275,9 @@ func (tm *TimingMemo) regions(app *apps.Profile, seed uint64) *regionReplay {
 // vector width, fidelity, seed) — every cache configuration of an
 // application at one vector width replays the same trace — so the sweep
 // runner builds it once per such key instead of once per annotation group.
-// All slices are immutable once built and may be aliased by the annotations
-// derived from it. The trace has two independently built halves: WarmOps
+// All slices are immutable while the trace has readers; annotations combined
+// from it copy what they need (CombineAnnotation), so a sweep hands the
+// columns to its scratch once the application's last group is done. The trace has two independently built halves: WarmOps
 // (FuseWarm), and everything else (FuseSample).
 type FusedTrace struct {
 	// WarmOps is the warm window's fused memory accesses in stream order;
@@ -356,10 +358,7 @@ func BuildScalarTrace(app *apps.Profile, sampleInstrs, warmupInstrs int64, seed 
 // materialising it. The result equals SampleWindow of BuildScalarTrace at the
 // same arguments, instruction for instruction.
 func BuildSampleWindow(app *apps.Profile, sampleInstrs, warmupInstrs int64, seed uint64) ScalarTrace {
-	sampleInstrs, warmupInstrs = apps.EffectiveFidelity(sampleInstrs, warmupInstrs)
-	gen := apps.NewDetailedStream(app, seed)
-	gen.Skip(warmupInstrs)
-	return generateWindow(gen, 0, sampleInstrs)
+	return (*Scratch)(nil).SampleWindow(app, sampleInstrs, warmupInstrs, seed)
 }
 
 // generateWindow materialises the next warm+sample micro-ops of gen.
@@ -411,12 +410,17 @@ const mispredictSalt = 0x5eed
 // FusedTrace but WarmOps, which stays nil. That is all CombineAnnotation and
 // the timing replay read.
 func FuseSample(st ScalarTrace, app *apps.Profile, vectorBits int, seed uint64) *FusedTrace {
-	sampleInstrs := int64(len(st.Instrs)) - st.Warm
-	ft := &FusedTrace{
-		SampleOps: make([]SampleOp, 0, sampleInstrs/2),
-		Deps:      make([]uint32, 0, sampleInstrs),
-		Meta:      make([]uint32, 0, sampleInstrs),
-	}
+	return (*Scratch)(nil).FuseSample(st, app, vectorBits, seed)
+}
+
+// fuseSample is FuseSample into ft, whose columns it truncates and grows: a
+// recycled half's storage is overwritten, never read.
+func fuseSample(ft *FusedTrace, st ScalarTrace, app *apps.Profile, vectorBits int, seed uint64) {
+	sampleInstrs := int(int64(len(st.Instrs)) - st.Warm)
+	ft.WarmOps = nil
+	ft.SampleOps = slices.Grow(ft.SampleOps[:0], sampleInstrs/2)
+	ft.Deps = slices.Grow(ft.Deps[:0], sampleInstrs)
+	ft.Meta = slices.Grow(ft.Meta[:0], sampleInstrs)
 	fu := isa.NewFuser(isa.NewSliceStream(st.Instrs[st.Warm:]), isa.DefaultFuserConfig(vectorBits))
 	rng := xrand.New(seed ^ mispredictSalt)
 	rate := app.MispredictRate
@@ -441,7 +445,6 @@ func FuseSample(st ScalarTrace, app *apps.Profile, vectorBits int, seed uint64) 
 		}
 	}
 	ft.Counts = cpu.CountMeta(ft.Meta)
-	return ft
 }
 
 // AnnotateTrace replays a fused trace through cfg's cache hierarchy: the
@@ -471,20 +474,22 @@ func WalkCaches(ft *FusedTrace, cfgs []Config) []HitRateTable {
 		// walking cold caches would persist a wrong hit-rate table silently.
 		panic("node: cache walk on a fused trace without its warm half")
 	}
-	walk := newWalk(cfgs)
+	walk := cache.NewSharedL1(walkConfigs(cfgs))
 	for _, op := range ft.WarmOps {
 		walk.Access(op.Addr, int(op.Size), op.Write)
 	}
 	return sampleTables(walk, ft)
 }
 
-// newWalk builds the cache hierarchies of every configuration over one L1.
-func newWalk(cfgs []Config) *cache.SharedL1 {
+// walkConfigs returns the hierarchy configuration a cache walk builds for
+// each node configuration: no memory latency, so an L3 hit and a DRAM access
+// cost the same.
+func walkConfigs(cfgs []Config) []cache.HierarchyConfig {
 	hcfgs := make([]cache.HierarchyConfig, len(cfgs))
 	for i, cfg := range cfgs {
 		hcfgs[i] = cfg.hierarchyConfig(0)
 	}
-	return cache.NewSharedL1(hcfgs)
+	return hcfgs
 }
 
 // sampleTables walks the sample accesses of ft through caches the warm
@@ -522,12 +527,20 @@ func sampleTables(walk *cache.SharedL1, ft *FusedTrace) []HitRateTable {
 // lane or flag bytes they count. It reports false on a length mismatch (a
 // table from a different trace), which callers treat as a cache miss.
 func CombineAnnotation(ft *FusedTrace, hrt HitRateTable) (Annotation, bool) {
+	return CombineAnnotationInto(nil, ft, hrt)
+}
+
+// CombineAnnotationInto is CombineAnnotation compiling into ops's storage
+// (cpu.CompileInto): a sweep worker keeps one op column and fills it for
+// each annotation group it takes, once the previous group's last point is
+// simulated. The annotation's Ops is that storage.
+func CombineAnnotationInto(ops []uint32, ft *FusedTrace, hrt HitRateTable) (Annotation, bool) {
 	if len(hrt.Levels) != len(ft.Meta) {
 		return Annotation{}, false
 	}
 	return Annotation{
 		Ann: cpu.AnnotateResult{
-			Ops: cpu.Compile(ft.Deps, ft.Meta, hrt.Levels), Counts: ft.Counts,
+			Ops: cpu.CompileInto(ops, ft.Deps, ft.Meta, hrt.Levels), Counts: ft.Counts,
 			L1: hrt.L1, L2: hrt.L2, L3: hrt.L3,
 			MemReads: hrt.MemReads, MemWrites: hrt.MemWrites,
 		},
