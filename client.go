@@ -13,6 +13,7 @@ import (
 	"musa/internal/core"
 	"musa/internal/dse"
 	"musa/internal/net"
+	"musa/internal/node"
 	"musa/internal/obs"
 	"musa/internal/store"
 	"musa/internal/store/lsm"
@@ -211,6 +212,10 @@ type Client struct {
 	// windows is the client-lifetime front of scalar sample windows every
 	// run reads through (nil with NoArtifacts: each run keeps its own).
 	windows *dse.SampleWindows
+	// scratch is the storage every run recycles its columns through, and
+	// leaves its windows, fused halves and op columns in for the next
+	// (dse.Options.Scratch).
+	scratch *node.Scratch
 
 	mu     sync.Mutex
 	flight map[string]*call
@@ -261,6 +266,7 @@ func NewClient(opts ClientOptions) (*Client, error) {
 		sem:     make(chan struct{}, maxJobs),
 		flight:  map[string]*call{},
 		custom:  map[string]customApp{},
+		scratch: new(node.Scratch),
 	}
 	if len(opts.Workers) > 0 {
 		f, err := newFleet(opts.Workers, opts.ShardTimeout)
@@ -581,7 +587,7 @@ func (c *Client) runNode(ctx context.Context, ne Experiment, watch Observer) (*R
 
 // runOptions assembles the runner options of one run of a normalized
 // experiment: its fidelity, seed and replay configuration, the client's
-// artifact cache and sample windows, one worker.
+// artifact cache, sample windows and scratch, one worker.
 func (c *Client) runOptions(ne Experiment, selected []*apps.Profile, points []dse.ArchPoint) dse.Options {
 	rc := dse.ReplayConfig{Disable: ne.NoReplay, Ranks: ne.ReplayRanks}
 	if !rc.Disable && ne.Network != "" {
@@ -598,6 +604,7 @@ func (c *Client) runOptions(ne Experiment, selected []*apps.Profile, points []ds
 		Replay:        rc.Normalized(),
 		Artifacts:     c.artifacts(),
 		SampleWindows: c.windows,
+		Scratch:       c.scratch,
 	}
 }
 

@@ -46,7 +46,9 @@ import (
 // its sample window in the front. Fused traces stay run-local: they are the
 // bulkiest stage and the cheapest to rebuild per byte, so persisting them
 // would spend store and transfer bandwidth to save the least time — the
-// persistent kinds are the compact derived tables.
+// persistent kinds are the compact derived tables. A later run on the same
+// client rebuilds them into the storage an earlier one released
+// (node.Scratch).
 
 // ArtifactSchemaVersion identifies the artifact key derivation and the
 // serialized artifact encodings. It is bumped whenever a key document, the
@@ -192,7 +194,7 @@ func BurstKey(appHash string, ranks int, seed uint64) string {
 }
 
 // Residency of the scalar-window, fused-trace and hit-rate-table fronts, and
-// the run scratch. Groups are sorted by application, then cores, cache
+// of the scratch. Groups are sorted by application, then cores, cache
 // configuration, width and memory kind, and dispatched in that order except
 // that each application's first group goes out before the previous
 // application's last two (dispatchOrder): so near an application boundary two
@@ -201,17 +203,22 @@ func BurstKey(appHash string, ranks int, seed uint64) string {
 // it. The fronts keep an application's entries — its sample window, a
 // sample-half fused trace per width (a few MB at 120 000 micro-ops) and every
 // table — until its last group is done (runArtifacts.groupDone), which takes
-// them out. The window and the halves then go to the run's scratch
-// (node.Scratch), which hands their storage to the next application's window
-// and fuses; a cold pass returns its two chunk buffers and each width's cache
-// hierarchies to the scratch when it ends, and the next pass over the same
-// configurations resets them in place (the scratch keeps 16 MiB of cache
-// arrays: a 64-core slice's, not a full grid's 1-core L3s); a worker
-// compiles each group's op column into the one its previous group is done
-// with. Never in the scratch: a window the client's front holds (the run did
-// not build it for itself), and every hit-rate table (the provider may hold
-// it). The scratch lives as long as the run, so nothing of it outlives the
-// run.
+// them out. The window and the halves then go to the scratch (node.Scratch:
+// the client's, through the run's own view, or the run's own), which hands
+// their storage to the next window and fuses — of this run's next
+// application, or of a later run on the same client. Each worker takes its
+// op column from the scratch, compiles every group it takes into it, and
+// returns it when it exits. A cold pass returns its two chunk buffers and
+// each width's cache hierarchies to the scratch when it ends, and the next
+// pass over the same configurations resets them in place (the scratch keeps
+// 16 MiB of cache arrays: a 64-core slice's, not a full grid's 1-core L3s).
+// When the run ends, after every worker has exited, the scratch lets go of
+// the chunk buffers and hierarchies, which outlive no run — kept on a ring
+// replica, a rare cold miss's 3 MB of them raised the replica's peak RSS by
+// 28 % — and keeps windows, halves and op columns up to
+// node.MaxScratchKeepBytes for the client's next run. Never in the scratch:
+// a window the client's front holds (the run did not build it for itself),
+// and every hit-rate table (the provider may hold it).
 //
 // The client's window front is bounded by bytes, because its entries differ
 // in size by orders of magnitude (an optimizer rung of 20 000 micro-ops, a
@@ -451,15 +458,17 @@ type runArtifacts struct {
 	hashes onceMap[string, string]             // app name -> content hash
 	lat    onceMap[latKey, *dram.LatencyModel] // (app, channels, mem) -> fitted curve
 	bursts onceMap[burstKey, *net.Program]     // (app, ranks) -> compiled trace
+	graphs onceMap[string, *node.TaskGraphs]   // app name -> compiled task graphs
 	// windows is the one front a run reads sample windows through: the
 	// client's, or a run-local one (ownWindows), whose windows go to the
 	// scratch with the application's fused traces.
 	windows    *SampleWindows
 	ownWindows bool
 	fused      onceMap[fusedKey, *node.FusedTrace] // sample half only
-	// scratch recycles, within the run, the storage of the windows and
-	// fused traces the fronts let go and of every cold pass (see the
-	// residency comment above maxSampleWindowBytes).
+	// scratch recycles the storage of the windows and fused traces the
+	// fronts let go, of the workers' op columns and of every cold pass: the
+	// run's own, or its view of the client's (see the residency comment
+	// above maxSampleWindowBytes).
 	scratch *node.Scratch
 	// caches lists the cache configurations the run sweeps per application,
 	// in group order, registered by the runner before any worker starts and
@@ -477,7 +486,10 @@ func newRunArtifacts(o Options) *runArtifacts {
 		backing: o.Artifacts, windows: o.SampleWindows,
 		seed: o.Seed, sample: o.SampleInstrs, warmup: o.WarmupInstrs,
 		caches: map[string][]cacheTarget{}, groupsLeft: map[string]*atomic.Int64{},
-		scratch: new(node.Scratch),
+		scratch: o.Scratch.Share(),
+	}
+	if r.scratch == nil {
+		r.scratch = new(node.Scratch)
 	}
 	if r.windows == nil {
 		r.windows, r.ownWindows = newSampleWindows(0), true
@@ -521,10 +533,15 @@ func (r *runArtifacts) groupDone(app string) {
 	}
 }
 
-// scratchAttrs records on the run's span how many of its windows, fused
-// halves, chunk buffers and hierarchy sets came from storage the run had
-// already used ("scratch.<kind>" = "<reused>/<all>").
-func (r *runArtifacts) scratchAttrs(span *obs.Span) {
+// endRun hands the scratch back once every worker has exited
+// (node.Scratch.EndRun) and records on the run's span how many of its
+// windows, fused halves, op columns, chunk buffers and hierarchy sets came
+// from storage already used — by this run or, on a client's scratch, an
+// earlier one ("scratch.<kind>" = "<reused>/<all>", this run's draws only) —
+// and what the scratch holds for the runs that follow, out of what it may
+// keep ("scratch.held_bytes" = "<held>/<bound>").
+func (r *runArtifacts) endRun(span *obs.Span) {
+	r.scratch.EndRun()
 	if span == nil {
 		return
 	}
@@ -532,9 +549,10 @@ func (r *runArtifacts) scratchAttrs(span *obs.Span) {
 	for _, c := range []struct {
 		kind string
 		n    node.ScratchCount
-	}{{"windows", st.Windows}, {"halves", st.Halves}, {"chunks", st.Chunks}, {"hierarchies", st.Hierarchies}} {
+	}{{"windows", st.Windows}, {"halves", st.Halves}, {"ops", st.Ops}, {"chunks", st.Chunks}, {"hierarchies", st.Hierarchies}} {
 		span.SetAttr("scratch."+c.kind, fmt.Sprintf("%d/%d", c.n.Reused, c.n.Reused+c.n.New))
 	}
+	span.SetAttr("scratch.held_bytes", fmt.Sprintf("%d/%d", r.scratch.Held().Bytes, node.MaxScratchKeepBytes))
 }
 
 // appHash memoizes AppHash per application.
@@ -654,7 +672,9 @@ func (r *runArtifacts) windowKeyOf(hash string) sampleWindowKey {
 // front, which resolves every cache configuration of the application at once
 // (hitRateTables) the first time any of them is asked for; the runner asks
 // once per annotation group and holds the result for the group's points, and
-// hands its op column to the worker's next group.
+// hands its op column to the worker's next group. The annotation carries the
+// application's task graphs, compiled once per application and run (the
+// graphs front), not once per group.
 func (r *runArtifacts) annotation(ctx context.Context, app *apps.Profile, g AnnGroup, ops []uint32) *node.Annotation {
 	actx, span := obs.StartSpan(ctx, "dse.annotate", obs.A("app", app.Name))
 	defer span.End()
@@ -667,7 +687,7 @@ func (r *runArtifacts) annotation(ctx context.Context, app *apps.Profile, g AnnG
 	}
 	span.SetAttr("source", t.source)
 	ann, _ := node.CombineAnnotationInto(ops, r.fusedTrace(ctx, app, g.Vec), t.hrt)
-	ann.Memo = node.NewTimingMemo()
+	ann.Graphs = r.graphs.get(app.Name, func() *node.TaskGraphs { return node.CompileTaskGraphs(app, r.seed) })
 	return &ann
 }
 

@@ -167,6 +167,12 @@ type Options struct {
 	// for its lifetime). Nil keeps sample windows run-local. Like Artifacts it
 	// changes what a run builds, never what it returns.
 	SampleWindows *SampleWindows
+	// Scratch, if non-nil, is the storage the run recycles its columns
+	// through and leaves what it is done with in for later runs (the client
+	// owns one for its lifetime; node.Scratch.EndRun bounds what stays). Nil
+	// gives the run its own. Like SampleWindows it changes what a run
+	// allocates, never what it returns.
+	Scratch *node.Scratch
 
 	// Replay configures the cluster-level MPI replay appended to every
 	// measurement (zero value = replay at 64 and 256 ranks against the
@@ -376,10 +382,17 @@ func Run(ctx context.Context, opts Options) *Dataset {
 		return nil, append(ms, rms...)
 	}
 
+	var workers sync.WaitGroup
 	worker := func() {
+		defer workers.Done()
 		// ops is the op column this worker compiles each group's annotation
-		// into: the previous group's, whose points are all simulated.
-		var ops []uint32
+		// into: the scratch's at first, then the previous group's, whose
+		// points are all simulated. It goes back to the scratch when the
+		// worker exits. memo is the worker's timing memo, emptied for each
+		// group's annotation.
+		ops := art.scratch.Ops()
+		defer func() { art.scratch.ReleaseOps(ops) }()
+		memo := node.NewTimingMemo()
 		for k := range jobs {
 			app := appByName[k.app]
 			points := groups[k]
@@ -411,7 +424,9 @@ func Run(ctx context.Context, opts Options) *Dataset {
 				}
 				cfg := p.NodeConfig(opts.SampleInstrs, opts.WarmupInstrs, opts.Seed)
 				if ann == nil {
+					memo.Reset()
 					ann = art.annotation(pctx, app, k.AnnGroup, ops)
+					ann.Memo = memo
 					ops = ann.Ann.Ops
 				}
 				cfg.LatModel = art.latencyModel(pctx, app, p.Channels, p.Mem)
@@ -455,6 +470,7 @@ func Run(ctx context.Context, opts Options) *Dataset {
 		}
 	}
 
+	workers.Add(opts.Workers)
 	for w := 0; w < opts.Workers; w++ {
 		go worker()
 	}
@@ -471,7 +487,8 @@ func Run(ctx context.Context, opts Options) *Dataset {
 	}
 
 	sortMeasurements(all)
-	art.scratchAttrs(runSpan)
+	workers.Wait() // every op column is back in the scratch
+	art.endRun(runSpan)
 	return &Dataset{Measurements: all}
 }
 

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"musa/internal/apps"
+	"musa/internal/node"
 	"musa/internal/obs"
 )
 
@@ -114,30 +115,84 @@ func joinJSON(a, b string) string {
 }
 
 // TestConcurrentRunsRecycleApart: two runs at once — sharing a client's
-// window front and not — each recycle their own storage and return the
-// reference bytes (run under -race to check that no column crosses runs).
+// window front and not, sharing a client's scratch and not — each return the
+// reference bytes (run under -race to check that no column one run released
+// is read again, whichever run took it). On a shared scratch the pair runs
+// twice, so the second pair draws what the first left.
 func TestConcurrentRunsRecycleApart(t *testing.T) {
 	opts := scratchTestOpts()
 	opts.Apps = []*apps.Profile{apps.BTMZ(), apps.Hydro(), apps.SPMZ()}
 	opts.Points = opts.Points[:4]
 	want, _ := scratchUse(t, opts)
-	for _, front := range []*SampleWindows{nil, NewSampleWindows()} {
+	for _, c := range []struct {
+		front   *SampleWindows
+		scratch *node.Scratch
+	}{{nil, nil}, {NewSampleWindows(), nil}, {nil, new(node.Scratch)}, {NewSampleWindows(), new(node.Scratch)}} {
 		o := opts
-		o.SampleWindows = front
-		var wg sync.WaitGroup
-		got := make([]string, 2)
-		for i := range got {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				got[i] = datasetJSON(t, Run(context.Background(), o), len(o.Apps)*len(o.Points))
-			}()
+		o.SampleWindows, o.Scratch = c.front, c.scratch
+		pairs := 1
+		if c.scratch != nil {
+			pairs = 2
 		}
-		wg.Wait()
-		for i, g := range got {
-			if g != want {
-				t.Errorf("client front %v, run %d: dataset differs from the reference", front != nil, i)
+		for pair := range pairs {
+			var wg sync.WaitGroup
+			got := make([]string, 2)
+			for i := range got {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					got[i] = datasetJSON(t, Run(context.Background(), o), len(o.Apps)*len(o.Points))
+				}()
+			}
+			wg.Wait()
+			for i, g := range got {
+				if g != want {
+					t.Errorf("client front %v, client scratch %v, pair %d, run %d: dataset differs from the reference",
+						c.front != nil, c.scratch != nil, pair, i)
+				}
 			}
 		}
+		if c.scratch != nil && c.scratch.Stats() != (node.ScratchStats{}) {
+			t.Errorf("the runs counted their draws on the client's scratch: %+v", c.scratch.Stats())
+		}
+	}
+}
+
+// TestClientScratchOutlivesTheRun: runs on one client's scratch, window front
+// and artifact provider — one cold, two warm, one worker each. After every
+// run the scratch holds no chunk buffer and no hierarchy, and within its
+// byte bound; the second warm run fuses every half and compiles its op column
+// on storage an earlier run left (scratch.halves and scratch.ops read n/n),
+// and its bytes are the reference's.
+func TestClientScratchOutlivesTheRun(t *testing.T) {
+	opts := scratchTestOpts()
+	opts.Apps = []*apps.Profile{apps.BTMZ(), apps.Hydro(), apps.SPMZ()}
+	opts.Workers = 1
+	want, _ := scratchUse(t, opts)
+	o := opts
+	o.Artifacts, o.SampleWindows, o.Scratch = newMapArtifacts(), NewSampleWindows(), new(node.Scratch)
+	var use map[string][2]int
+	for run, kind := range []string{"cold", "warm", "warm"} {
+		var got string
+		got, use = scratchUse(t, o)
+		if got != want {
+			t.Errorf("%s run %d: dataset differs from the reference", kind, run)
+		}
+		held := o.Scratch.Held()
+		if held.Chunks != 0 || held.Hierarchies != 0 || held.Bytes > node.MaxScratchKeepBytes {
+			t.Errorf("%s run %d: the scratch holds %+v after the run", kind, run, held)
+		}
+		if n := use["held_bytes"]; int64(n[0]) != held.Bytes || n[1] != node.MaxScratchKeepBytes {
+			t.Errorf("%s run %d: scratch.held_bytes %v, the scratch holds %d of %d", kind, run, n, held.Bytes, node.MaxScratchKeepBytes)
+		}
+		t.Logf("%s run %d: scratch %v, holds %+v", kind, run, use, held)
+	}
+	for _, kind := range []string{"halves", "ops"} {
+		if n := use[kind]; n[1] == 0 || n[0] != n[1] {
+			t.Errorf("second warm run: %s %d reused of %d, want all", kind, n[0], n[1])
+		}
+	}
+	if use["chunks"] != [2]int{} || use["hierarchies"] != [2]int{} || use["windows"] != [2]int{} {
+		t.Errorf("second warm run: built a window or ran a cold pass: %v", use)
 	}
 }

@@ -128,3 +128,62 @@ func TestReplaysCountRunTimingCalls(t *testing.T) {
 		t.Errorf("without contention: %d replays, want 1", r.Replays)
 	}
 }
+
+// TestResetMemoAndSharedGraphsMatchFreshOnes: one memo Reset between the
+// annotations of two applications, and task graphs compiled once and carried
+// by each annotation (Annotation.Graphs), give every point the result and the
+// replay count a fresh memo that compiles its own graphs gives. Once a Reset
+// memo has held as many entries, filling it again allocates nothing; graphs
+// of another application or seed panic.
+func TestResetMemoAndSharedGraphsMatchFreshOnes(t *testing.T) {
+	shared := NewTimingMemo()
+	for _, app := range []*apps.Profile{apps.SPMZ(), apps.Hydro()} {
+		cfg := baseCfg()
+		cfg.SampleInstrs, cfg.WarmupInstrs = 20000, 40000
+		lm := BuildLatencyModel(app, cfg.Mem, cfg.DRAMPolicy, cfg.Seed)
+		cfg.LatModel = &lm
+		fresh := BuildAnnotation(app, cfg)
+		fresh.Memo = NewTimingMemo()
+		reused := fresh
+		shared.Reset()
+		reused.Memo, reused.Graphs = shared, CompileTaskGraphs(app, cfg.Seed)
+		for _, core := range cpu.AllConfigs() {
+			for _, ghz := range []float64{1.5, 3.0} {
+				c := cfg
+				c.Core, c.FreqGHz = core, ghz
+				want, got := SimulateAnnotated(app, c, fresh), SimulateAnnotated(app, c, reused)
+				if got.ComputeNs != want.ComputeNs || got.Replays != want.Replays || got.EnergyJ != want.EnergyJ ||
+					got.CoreRes != want.CoreRes || got.MemLatencyNs != want.MemLatencyNs {
+					t.Errorf("%s, %s at %v GHz: a reset memo with shared graphs gives %+v, a fresh one %+v",
+						app.Name, core.Name, ghz, got, want)
+				}
+			}
+		}
+		if len(shared.m) != len(fresh.Memo.m) {
+			t.Errorf("%s: the reset memo holds %d entries, the fresh one %d", app.Name, len(shared.m), len(fresh.Memo.m))
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic on graphs compiled at another seed", app.Name)
+				}
+			}()
+			other := reused
+			other.Graphs = CompileTaskGraphs(app, cfg.Seed+1)
+			SimulateAnnotated(app, cfg, other)
+		}()
+	}
+	if raceEnabled {
+		return
+	}
+	n := len(shared.m)
+	var r cpu.Result
+	if allocs := testing.AllocsPerRun(10, func() {
+		shared.Reset()
+		for i := range n {
+			shared.put(cpu.LowEnd(), cpu.LevelLatencies{Mem: int64(i)}, r)
+		}
+	}); allocs != 0 {
+		t.Errorf("refilling a reset memo with %d entries allocates %v times, want 0", n, allocs)
+	}
+}

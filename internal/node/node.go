@@ -201,10 +201,15 @@ type Annotation struct {
 	Ann     cpu.AnnotateResult
 	HierCfg cache.HierarchyConfig
 
-	// Memo, when set, caches timing replays and the compiled task graphs
-	// across every simulation sharing this annotation (see TimingMemo). The
-	// sweep runner sets it on the annotations it shares between points.
+	// Memo, when set, caches timing replays across every simulation sharing
+	// this annotation (see TimingMemo). The sweep runner sets it on the
+	// annotations it shares between points.
 	Memo *TimingMemo
+	// Graphs, when set, are the application's task graphs at the
+	// annotation's seed, which every simulation schedules (CompileTaskGraphs).
+	// Without them a memo compiles them once, and a simulation without a
+	// memo compiles its own.
+	Graphs *TaskGraphs
 }
 
 // TimingMemo caches what the simulations that share one annotation would
@@ -213,21 +218,20 @@ type Annotation struct {
 // identical triples — for example, memory variants that only differ in
 // channel count start their bandwidth fixed point from the same unloaded
 // latency — so the replay is done once and the result is reused verbatim.
-// The application's task graphs at the annotation's seed are compiled by the
-// first simulation and scheduled by all of them. A memo belongs to one
-// annotation, so to one (application, seed): a simulation of another panics.
+// Unless the annotation carries its Graphs, the application's task graphs at
+// the annotation's seed are compiled by the first simulation and scheduled by
+// all of them. A memo belongs to one annotation, so to one (application,
+// seed), until Reset: a simulation of another panics.
 type TimingMemo struct {
 	mu sync.Mutex
-	m  map[timingKey]cpu.Result
+	// m indexes results. A map would keep a value as large as a cpu.Result
+	// behind an allocation of its own per entry; the slice keeps them in
+	// storage a Reset memo reuses.
+	m       map[timingKey]int
+	results []cpu.Result
 
 	graphsOnce sync.Once
-	graphs     compiledGraphs
-	graphsOf   graphsKey // what graphs were compiled for
-}
-
-type graphsKey struct {
-	app  string
-	seed uint64
+	graphs     *TaskGraphs
 }
 
 type timingKey struct {
@@ -237,36 +241,53 @@ type timingKey struct {
 
 // NewTimingMemo returns an empty memo.
 func NewTimingMemo() *TimingMemo {
-	return &TimingMemo{m: make(map[timingKey]cpu.Result)}
+	return &TimingMemo{m: make(map[timingKey]int)}
+}
+
+// Reset empties the memo for another annotation, keeping the map's storage.
+// No simulation may be using the memo.
+func (tm *TimingMemo) Reset() {
+	tm.mu.Lock()
+	clear(tm.m)
+	tm.results = tm.results[:0]
+	tm.mu.Unlock()
+	tm.graphsOnce, tm.graphs = sync.Once{}, nil
 }
 
 func (tm *TimingMemo) get(core cpu.Config, lat cpu.LevelLatencies) (cpu.Result, bool) {
 	tm.mu.Lock()
-	r, ok := tm.m[timingKey{core, lat}]
-	tm.mu.Unlock()
-	return r, ok
+	defer tm.mu.Unlock()
+	i, ok := tm.m[timingKey{core, lat}]
+	if !ok {
+		return cpu.Result{}, false
+	}
+	return tm.results[i], true
 }
 
 func (tm *TimingMemo) put(core cpu.Config, lat cpu.LevelLatencies, r cpu.Result) {
 	tm.mu.Lock()
-	tm.m[timingKey{core, lat}] = r
+	tm.m[timingKey{core, lat}] = len(tm.results)
+	tm.results = append(tm.results, r)
 	tm.mu.Unlock()
 }
 
 // regions returns a replay of the application's task graphs at seed, its
-// scratch from the pool: graphs compiled once per memo, or per call without
-// one.
+// scratch from the pool: the annotation's graphs, or its memo's.
+func (a Annotation) regions(app *apps.Profile, seed uint64) *regionReplay {
+	if a.Graphs != nil {
+		return newRegionReplay(a.Graphs.of(app, seed))
+	}
+	return a.Memo.regions(app, seed)
+}
+
+// regions returns a replay of the application's task graphs at seed: graphs
+// compiled once per memo, or per call without one.
 func (tm *TimingMemo) regions(app *apps.Profile, seed uint64) *regionReplay {
 	if tm == nil {
 		return regionGraphs(app, seed)
 	}
-	key := graphsKey{app.Name, seed}
-	tm.graphsOnce.Do(func() { tm.graphs, tm.graphsOf = compileGraphs(app, seed), key })
-	if tm.graphsOf != key {
-		panic(fmt.Sprintf("node: a TimingMemo of %s at seed %d used for %s at seed %d",
-			tm.graphsOf.app, tm.graphsOf.seed, app.Name, seed))
-	}
-	return newRegionReplay(tm.graphs)
+	tm.graphsOnce.Do(func() { tm.graphs = CompileTaskGraphs(app, seed) })
+	return newRegionReplay(tm.graphs.of(app, seed))
 }
 
 // FusedTrace is the cache-independent stage of annotation building: the
@@ -591,7 +612,7 @@ func SimulateAnnotated(app *apps.Profile, cfg Config, annotation Annotation) Res
 	var lastLat cpu.LevelLatencies
 	haveRun := false
 	activeCores := float64(cfg.Cores)
-	regions := annotation.Memo.regions(app, cfg.Seed)
+	regions := annotation.regions(app, cfg.Seed)
 	for iter := 0; iter < 6; iter++ {
 		res.Iterations = iter + 1
 		// The timing replay is a pure function of (core config, annotation,
@@ -659,10 +680,33 @@ func SimulateAnnotated(app *apps.Profile, cfg Config, annotation Annotation) Res
 	return res
 }
 
-// compiledGraphs is an application's runtime-system task graphs at one seed,
-// one per region, compiled for repeated scheduling: every iteration of a
-// simulation's bandwidth fixed point schedules them. They are immutable and
-// may be shared by concurrent simulations.
+// TaskGraphs is an application's runtime-system task graphs at one seed,
+// compiled for repeated scheduling: every iteration of a simulation's
+// bandwidth fixed point schedules them. They are immutable and may be shared
+// by concurrent simulations; a sweep compiles them once per application and
+// run and hands them to every annotation (Annotation.Graphs).
+type TaskGraphs struct {
+	app    string
+	seed   uint64
+	graphs compiledGraphs
+}
+
+// CompileTaskGraphs synthesizes and compiles the application's task graphs at
+// seed.
+func CompileTaskGraphs(app *apps.Profile, seed uint64) *TaskGraphs {
+	return &TaskGraphs{app: app.Name, seed: seed, graphs: compileGraphs(app, seed)}
+}
+
+// of returns the compiled graphs, which must be app's at seed.
+func (g *TaskGraphs) of(app *apps.Profile, seed uint64) compiledGraphs {
+	if g.app != app.Name || g.seed != seed {
+		panic(fmt.Sprintf("node: task graphs of %s at seed %d used for %s at seed %d",
+			g.app, g.seed, app.Name, seed))
+	}
+	return g.graphs
+}
+
+// compiledGraphs is the compiled graphs of TaskGraphs, one per region.
 type compiledGraphs []*rts.Compiled
 
 // compileGraphs synthesizes and compiles the application's task graphs at

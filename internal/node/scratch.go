@@ -1,6 +1,7 @@
 package node
 
 import (
+	"reflect"
 	"slices"
 	"sync"
 
@@ -9,24 +10,36 @@ import (
 	"musa/internal/isa"
 )
 
-// Scratch is storage that a sequence of front-end builds hands on: sample
-// windows, fused sample halves, a cold pass's chunk buffers and its cache
-// hierarchies (up to maxScratchWalkBytes of them). A column released to it is handed to the next build of the
-// same kind, which overwrites it completely — a window or a half is
-// regenerated element by element, a hierarchy is reset in place
+// Scratch is storage that a sequence of builds hands on: sample windows,
+// fused sample halves, compiled op columns, a cold pass's chunk buffers and
+// its cache hierarchies (up to maxScratchWalkBytes of them). A column
+// released to it is handed to the next build of the same kind, which
+// overwrites it completely — a window or a half is regenerated element by
+// element, an op column recompiled, a hierarchy reset in place
 // (cache.SharedL1.Reset) — so a build on recycled storage equals a build on
-// new storage byte for byte. Only what has no reader left may be released;
-// a released column is the next build's. The zero Scratch is empty; a nil
-// *Scratch recycles nothing, and every build through it allocates. Safe for
-// concurrent use.
+// new storage byte for byte. Only what has no reader left may be released; a
+// released column is the next build's.
+//
+// Runs that share one scratch each draw through their own view (Share),
+// whose Stats count that run's draws alone; a column released through any
+// view goes to the one storage, for whichever run builds next. EndRun lets
+// go of what only cold passes use and trims what stays for later runs to
+// MaxScratchKeepBytes. The zero Scratch is empty; a nil *Scratch recycles
+// nothing, and every build through it allocates. Safe for concurrent use.
 type Scratch struct {
-	mu        sync.Mutex
+	// shared is the scratch whose storage a view draws from and releases
+	// to; nil when the storage below is this scratch's own.
+	shared *Scratch
+
+	mu        sync.Mutex // of the storage's scratch: guards the storage and the stats of every view of it
 	windows   [][]isa.Instr
 	halves    []*FusedTrace
+	ops       [][]uint32
 	chunks    [][]isa.Instr
 	walks     []*cache.SharedL1
 	walkBytes int64 // the cache arrays of walks
-	stats     ScratchStats
+
+	stats ScratchStats // the draws made through this scratch
 }
 
 // maxScratchWalkBytes bounds the cache arrays a Scratch keeps between
@@ -37,10 +50,22 @@ type Scratch struct {
 // full-grid sweep holds live sets its peak RSS.
 const maxScratchWalkBytes = 16 << 20
 
+// MaxScratchKeepBytes bounds the windows, fused halves and op columns a
+// Scratch keeps when a run ends (EndRun). A sweep has two applications live
+// near each application boundary, so it ends holding about two applications'
+// columns, and the next sweep draws from all of them. Measured after
+// 360-point sweeps of the five applications at the benchmark's fidelity
+// (120 000 sample micro-ops, two workers): 20.2 MB without an artifact
+// cache (two 3.84 MB windows, six 1.94 MB halves, two 0.48 MB op columns) and
+// 12.5 MB with one (no window: the client's front holds them). At default
+// fidelity (300 000) the windows are let go first. The bound, not the number
+// of runs, caps what a client holds between runs, however many ran at once.
+const MaxScratchKeepBytes = 24 << 20
+
 // ScratchStats counts, per kind of column, the builds a Scratch served from
 // released storage (Reused) and those that allocated it (New).
 type ScratchStats struct {
-	Windows, Halves, Chunks, Hierarchies ScratchCount
+	Windows, Halves, Ops, Chunks, Hierarchies ScratchCount
 }
 
 // ScratchCount is one kind's reused and newly allocated builds.
@@ -56,14 +81,111 @@ func (c *ScratchCount) count(reused bool) {
 	}
 }
 
-// Stats returns what the scratch has served so far (zero for a nil one).
+// ScratchHeld is what a Scratch holds for the next builds: its columns of
+// each kind and their bytes (capacities).
+type ScratchHeld struct {
+	Windows, Halves, Ops, Chunks, Hierarchies int
+	Bytes                                     int64
+}
+
+// Share returns a view of s: a scratch that draws from and releases to s's
+// storage and whose Stats count only the draws made through it. A client
+// hands each of its runs a view of its one scratch.
+func (s *Scratch) Share() *Scratch {
+	if s == nil {
+		return nil
+	}
+	return &Scratch{shared: s.storage()}
+}
+
+// storage is the scratch holding s's storage: s, or the one it views.
+func (s *Scratch) storage() *Scratch {
+	if s.shared != nil {
+		return s.shared
+	}
+	return s
+}
+
+// lock locks s's storage and returns its scratch, whose mu the caller
+// unlocks.
+func (s *Scratch) lock() *Scratch {
+	sc := s.storage()
+	sc.mu.Lock()
+	return sc
+}
+
+// Stats returns the draws made through s so far (zero for a nil one).
 func (s *Scratch) Stats() ScratchStats {
 	if s == nil {
 		return ScratchStats{}
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	defer s.lock().mu.Unlock()
 	return s.stats
+}
+
+// Held returns what s's storage holds now (zero for a nil one).
+func (s *Scratch) Held() ScratchHeld {
+	if s == nil {
+		return ScratchHeld{}
+	}
+	sc := s.lock()
+	defer sc.mu.Unlock()
+	return ScratchHeld{
+		Windows: len(sc.windows), Halves: len(sc.halves), Ops: len(sc.ops),
+		Chunks: len(sc.chunks), Hierarchies: len(sc.walks),
+		Bytes: sc.keptBytes() + sum(sc.chunks, columnBytes) + sc.walkBytes,
+	}
+}
+
+// keptBytes is what EndRun bounds: the windows, halves and op columns held.
+// s is a storage's scratch, and the caller holds its mu.
+func (s *Scratch) keptBytes() int64 {
+	return sum(s.windows, columnBytes) + sum(s.halves, (*FusedTrace).bytes) + sum(s.ops, columnBytes)
+}
+
+// EndRun is called when a run's builds are done. It lets go of what only a
+// cold pass uses — chunk buffers and cache hierarchies — so a client keeps
+// no pass storage between runs, and of the oldest windows, then halves, then
+// op columns, until what stays fits MaxScratchKeepBytes. A run still going
+// on the same storage loses only storage.
+func (s *Scratch) EndRun() {
+	if s == nil {
+		return
+	}
+	sc := s.lock()
+	defer sc.mu.Unlock()
+	sc.chunks, sc.walks, sc.walkBytes = nil, nil, 0
+	over := sc.keptBytes() - MaxScratchKeepBytes
+	dropOldest(&sc.windows, columnBytes, &over)
+	dropOldest(&sc.halves, (*FusedTrace).bytes, &over)
+	dropOldest(&sc.ops, columnBytes, &over)
+}
+
+// dropOldest drops the first elements of *list while *over is positive,
+// taking their bytes off it.
+func dropOldest[T any](list *[]T, bytes func(T) int64, over *int64) {
+	for *over > 0 && len(*list) > 0 {
+		*over -= bytes((*list)[0])
+		*list = slices.Delete(*list, 0, 1)
+	}
+}
+
+func sum[T any](list []T, bytes func(T) int64) int64 {
+	var n int64
+	for _, v := range list {
+		n += bytes(v)
+	}
+	return n
+}
+
+// columnBytes is the storage of a column: its capacity.
+func columnBytes[T any](col []T) int64 {
+	return int64(cap(col)) * int64(reflect.TypeFor[T]().Size())
+}
+
+// bytes is the storage of ft's columns.
+func (ft *FusedTrace) bytes() int64 {
+	return columnBytes(ft.WarmOps) + columnBytes(ft.SampleOps) + columnBytes(ft.Deps) + columnBytes(ft.Meta)
 }
 
 // takeLast pops the last element of *list, or returns the zero value.
@@ -91,13 +213,13 @@ func (s *Scratch) SampleWindow(app *apps.Profile, sampleInstrs, warmupInstrs int
 func (s *Scratch) generate(gen *apps.DetailedStream, n int64) ScalarTrace {
 	var instrs []isa.Instr
 	if s != nil {
-		s.mu.Lock()
-		w, ok := takeLast(&s.windows)
+		sc := s.lock()
+		w, ok := takeLast(&sc.windows)
 		if ok && int64(cap(w)) >= n {
 			instrs = w[:n]
 		}
 		s.stats.Windows.count(instrs != nil)
-		s.mu.Unlock()
+		sc.mu.Unlock()
 	}
 	if instrs == nil {
 		instrs = make([]isa.Instr, n)
@@ -112,20 +234,20 @@ func (s *Scratch) ReleaseWindow(st ScalarTrace) {
 	if s == nil || st.Instrs == nil {
 		return
 	}
-	s.mu.Lock()
-	s.windows = append(s.windows, st.Instrs[:0])
-	s.mu.Unlock()
+	sc := s.lock()
+	sc.windows = append(sc.windows, st.Instrs[:0])
+	sc.mu.Unlock()
 }
 
 // FuseSample is FuseSample into a released half's storage.
 func (s *Scratch) FuseSample(st ScalarTrace, app *apps.Profile, vectorBits int, seed uint64) *FusedTrace {
 	var ft *FusedTrace
 	if s != nil {
-		s.mu.Lock()
+		sc := s.lock()
 		var ok bool
-		ft, ok = takeLast(&s.halves)
+		ft, ok = takeLast(&sc.halves)
 		s.stats.Halves.count(ok)
-		s.mu.Unlock()
+		sc.mu.Unlock()
 	}
 	if ft == nil {
 		ft = new(FusedTrace)
@@ -140,9 +262,33 @@ func (s *Scratch) ReleaseFused(ft *FusedTrace) {
 	if s == nil || ft == nil {
 		return
 	}
-	s.mu.Lock()
-	s.halves = append(s.halves, ft)
-	s.mu.Unlock()
+	sc := s.lock()
+	sc.halves = append(sc.halves, ft)
+	sc.mu.Unlock()
+}
+
+// Ops returns a released op column to compile into (CombineAnnotationInto
+// grows it as needed), or nil when there is none.
+func (s *Scratch) Ops() []uint32 {
+	if s == nil {
+		return nil
+	}
+	sc := s.lock()
+	defer sc.mu.Unlock()
+	ops, ok := takeLast(&sc.ops)
+	s.stats.Ops.count(ok)
+	return ops
+}
+
+// ReleaseOps hands an op column to the next Ops. Nothing may read ops
+// afterwards: no annotation compiled into it is simulated again.
+func (s *Scratch) ReleaseOps(ops []uint32) {
+	if s == nil || ops == nil {
+		return
+	}
+	sc := s.lock()
+	sc.ops = append(sc.ops, ops[:0])
+	sc.mu.Unlock()
 }
 
 // chunkBuffers returns a cold pass's two chunk buffers: released ones while
@@ -152,13 +298,13 @@ func (s *Scratch) chunkBuffers() [2][]isa.Instr {
 	if s == nil {
 		return bufs
 	}
-	s.mu.Lock()
+	sc := s.lock()
 	for i := range bufs {
 		var ok bool
-		bufs[i], ok = takeLast(&s.chunks)
+		bufs[i], ok = takeLast(&sc.chunks)
 		s.stats.Chunks.count(ok)
 	}
-	s.mu.Unlock()
+	sc.mu.Unlock()
 	return bufs
 }
 
@@ -168,13 +314,13 @@ func (s *Scratch) releaseChunks(bufs [2][]isa.Instr) {
 	if s == nil {
 		return
 	}
-	s.mu.Lock()
+	sc := s.lock()
 	for _, b := range bufs {
 		if b != nil {
-			s.chunks = append(s.chunks, b[:0])
+			sc.chunks = append(sc.chunks, b[:0])
 		}
 	}
-	s.mu.Unlock()
+	sc.mu.Unlock()
 }
 
 // walk returns the cache hierarchies of cfgs over one L1: a released
@@ -182,16 +328,16 @@ func (s *Scratch) releaseChunks(bufs [2][]isa.Instr) {
 func (s *Scratch) walk(cfgs []Config) *cache.SharedL1 {
 	hcfgs := walkConfigs(cfgs)
 	if s != nil {
-		s.mu.Lock()
-		i := slices.IndexFunc(s.walks, func(w *cache.SharedL1) bool { return walksConfigs(w, hcfgs) })
+		sc := s.lock()
+		i := slices.IndexFunc(sc.walks, func(w *cache.SharedL1) bool { return walksConfigs(w, hcfgs) })
 		var w *cache.SharedL1
 		if i >= 0 {
-			w = s.walks[i]
-			s.walks = slices.Delete(s.walks, i, i+1)
-			s.walkBytes -= w.Bytes()
+			w = sc.walks[i]
+			sc.walks = slices.Delete(sc.walks, i, i+1)
+			sc.walkBytes -= w.Bytes()
 		}
 		s.stats.Hierarchies.count(i >= 0)
-		s.mu.Unlock()
+		sc.mu.Unlock()
 		if w != nil {
 			w.Reset()
 			return w
@@ -221,10 +367,10 @@ func (s *Scratch) releaseWalk(w *cache.SharedL1) {
 	if s == nil {
 		return
 	}
-	s.mu.Lock()
-	if n := w.Bytes(); s.walkBytes+n <= maxScratchWalkBytes {
-		s.walks = append(s.walks, w)
-		s.walkBytes += n
+	sc := s.lock()
+	if n := w.Bytes(); sc.walkBytes+n <= maxScratchWalkBytes {
+		sc.walks = append(sc.walks, w)
+		sc.walkBytes += n
 	}
-	s.mu.Unlock()
+	sc.mu.Unlock()
 }
