@@ -284,11 +284,32 @@ var (
 	unconvRows []UnconventionalRow
 )
 
+// benchUnconventional runs Table II once through a client, for both Table II
+// benchmarks.
+func benchUnconventional() []UnconventionalRow {
+	unconvOnce.Do(func() {
+		client, err := NewClient(ClientOptions{})
+		if err != nil {
+			panic(err)
+		}
+		defer client.Close()
+		res, err := client.Run(context.Background(), Experiment{
+			Kind:   KindUnconventional,
+			Sample: benchSample,
+			Warmup: benchWarmup,
+			Seed:   1,
+		})
+		if err != nil {
+			panic(err)
+		}
+		unconvRows = res.Unconventional
+	})
+	return unconvRows
+}
+
 // BenchmarkTable2Unconventional regenerates Table II's configurations.
 func BenchmarkTable2Unconventional(b *testing.B) {
-	unconvOnce.Do(func() {
-		unconvRows, _ = Unconventional(SimOptions{SampleInstrs: benchSample, WarmupInstrs: benchWarmup, Seed: 1})
-	})
+	unconvRows := benchUnconventional()
 	var labels int
 	for i := 0; i < b.N; i++ {
 		labels = len(unconvRows)
@@ -308,9 +329,7 @@ func BenchmarkTable2Unconventional(b *testing.B) {
 // BenchmarkFigure11Unconventional regenerates Fig. 11: the unconventional
 // configurations' relative performance/power/energy.
 func BenchmarkFigure11Unconventional(b *testing.B) {
-	unconvOnce.Do(func() {
-		unconvRows, _ = Unconventional(SimOptions{SampleInstrs: benchSample, WarmupInstrs: benchWarmup, Seed: 1})
-	})
+	unconvRows := benchUnconventional()
 	var sum float64
 	for i := 0; i < b.N; i++ {
 		for _, r := range unconvRows {

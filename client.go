@@ -663,15 +663,33 @@ func (c *Client) runSweep(ctx context.Context, ne Experiment, watch Observer) (*
 	defer c.release()
 
 	opts := c.runOptions(ne, selected, points)
-	opts.Workers = c.opts.SweepWorkers
+	flush := c.bindRun(ctx, ne, &opts, watch)
+	d := dse.Run(ctx, opts)
+	res := &Result{Kind: KindSweep, Sweep: d}
+	if err := ctx.Err(); err != nil {
+		// A checkpoint write failure must not mask the cancellation (or
+		// vice versa): callers branch on errors.Is(err, context.Canceled)
+		// to treat the dataset as a resumable partial.
+		return res, fmt.Errorf("musa: sweep canceled with %d of the measurements: %w",
+			len(d.Measurements), errors.Join(err, flush()))
+	}
+	return res, flush()
+}
 
+// bindRun wires the options of a sweep-sized run of the normalized
+// experiment ne to the client: the result store under ne's node keys, the
+// client counters, delivery to watch, the sweep workers and the fleet. It
+// returns what reports the first checkpoint write error once the runs are
+// done.
+func (c *Client) bindRun(ctx context.Context, ne Experiment, opts *dse.Options, watch Observer) (flush func() error) {
+	opts.Workers = c.opts.SweepWorkers
 	var cached atomic.Int64
-	flush := func() error { return nil }
+	flush = func() error { return nil }
 	if c.st != nil {
 		keyOf := func(app string, p dse.ArchPoint) string {
 			return nodeKey(ne, app, c.customProfile(app), archOfPoint(p))
 		}
-		flush = store.Bind(c.st, keyOf, &opts, ne.Recompute)
+		flush = store.Bind(c.st, keyOf, opts, ne.Recompute)
 	}
 	// Decorate the store wiring with the client counters and the observer.
 	// The runner invokes Lookup/OnMeasurement concurrently from workers;
@@ -710,6 +728,11 @@ func (c *Client) runSweep(ctx context.Context, ne Experiment, watch Observer) (*
 		c.simulated.Add(1)
 		keep(m)
 	}
+	if watch.Progress != nil {
+		opts.Progress = func(done, total int) {
+			watch.Progress(done, total, int(cached.Load()))
+		}
+	}
 	// A configured fleet gives each annotation group one attempt at a
 	// worker, with as many runner workers as the healthy workers have
 	// slots.
@@ -718,22 +741,7 @@ func (c *Client) runSweep(ctx context.Context, ne Experiment, watch Observer) (*
 			opts.Remote, opts.Workers = fs.remote, slots
 		}
 	}
-	if watch.Progress != nil {
-		opts.Progress = func(done, total int) {
-			watch.Progress(done, total, int(cached.Load()))
-		}
-	}
-
-	d := dse.Run(ctx, opts)
-	res := &Result{Kind: KindSweep, Sweep: d}
-	if err := ctx.Err(); err != nil {
-		// A checkpoint write failure must not mask the cancellation (or
-		// vice versa): callers branch on errors.Is(err, context.Canceled)
-		// to treat the dataset as a resumable partial.
-		return res, fmt.Errorf("musa: sweep canceled with %d of the measurements: %w",
-			len(d.Measurements), errors.Join(err, flush()))
-	}
-	return res, flush()
+	return flush
 }
 
 // runFullApp runs detailed mode end to end under a job slot.
@@ -910,13 +918,21 @@ func (c *Client) RegisterMetrics(reg *obs.Registry) {
 		func() float64 { return float64(c.windows.Stats().ResidentBytes) })
 }
 
-// runUnconventional simulates the Table II configurations under a job slot.
+// runUnconventional runs the Table II configurations under a job slot, one
+// node-only run per application, wired to the client as a sweep is: a
+// Best-DSE row is a store hit after a node-only sweep of its grid point.
+// Its four off-grid points run in process, as the fleet cannot name them.
 func (c *Client) runUnconventional(ctx context.Context, ne Experiment) (*Result, error) {
 	if err := c.acquire(ctx); err != nil {
 		return nil, err
 	}
 	defer c.release()
-	rows := dse.Unconventional(ne.Sample, ne.Warmup, ne.Seed)
-	c.simulated.Add(1)
-	return &Result{Kind: KindUnconventional, Unconventional: rows}, nil
+	ne.NoReplay = true // the key of a node-only measurement
+	opts := c.runOptions(ne, nil, nil)
+	flush := c.bindRun(ctx, ne, &opts, Observer{})
+	rows, err := dse.Unconventional(ctx, opts)
+	if err != nil {
+		return nil, fmt.Errorf("musa: Table II run: %w", errors.Join(err, flush()))
+	}
+	return &Result{Kind: KindUnconventional, Unconventional: rows}, flush()
 }

@@ -2,6 +2,7 @@ package musa
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"reflect"
 	"testing"
@@ -79,6 +80,83 @@ func TestClientRunAllKinds(t *testing.T) {
 	}
 	if len(unconv.Unconventional) == 0 {
 		t.Fatalf("no unconventional rows: %+v", unconv)
+	}
+}
+
+// TestUnconventionalThroughTheStore runs Table II through the client's
+// store: its two Best-DSE rows are grid points, so a store primed by a
+// node-only sweep of them, or by a node-only single-point request, serves
+// them, and a repeat run simulates nothing. The rows match a fresh client's.
+func TestUnconventionalThroughTheStore(t *testing.T) {
+	ctx := context.Background()
+	table2 := Experiment{Kind: KindUnconventional}
+	simulated := func(c *Client, e Experiment) ([]UnconventionalRow, int64) {
+		t.Helper()
+		before := c.Stats().Simulated
+		res, err := c.Run(ctx, e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Unconventional, c.Stats().Simulated - before
+	}
+
+	fresh := newTestClient(t, t.TempDir())
+	want, n := simulated(fresh, table2)
+	if n != 6 {
+		t.Fatalf("a fresh Table II run simulated %d points, want 6", n)
+	}
+	wantJSON, _ := json.Marshal(want)
+	var best []int
+	for _, r := range want {
+		if r.Label != "Best-DSE" {
+			continue
+		}
+		i, ok := gridIndex()[r.Arch.Label()]
+		if !ok {
+			t.Fatalf("%s Best-DSE %s is off the Table I grid", r.App, r.Arch.Label())
+		}
+		best = append(best, i)
+	}
+	if len(best) != 2 {
+		t.Fatalf("%d Best-DSE rows, want 2", len(best))
+	}
+
+	c := newTestClient(t, t.TempDir())
+	if _, n := simulated(c, Experiment{Kind: KindSweep, Apps: []string{"spmz", "lulesh"},
+		PointIndices: best, NoReplay: true}); n != 4 {
+		t.Fatalf("priming sweep simulated %d points, want 4", n)
+	}
+	for run, wantN := range []int64{4, 0} {
+		rows, n := simulated(c, table2)
+		if n != wantN {
+			t.Errorf("Table II run %d on a primed store simulated %d points, want %d", run, n, wantN)
+		}
+		if got, _ := json.Marshal(rows); string(got) != string(wantJSON) {
+			t.Errorf("Table II run %d on a primed store:\n %s\nfresh client:\n %s", run, got, wantJSON)
+		}
+	}
+
+	single := newTestClient(t, t.TempDir())
+	if _, err := single.Run(ctx, Experiment{App: "lulesh", PointIndex: &best[1], NoReplay: true}); err != nil {
+		t.Fatal(err)
+	}
+	if _, n := simulated(single, table2); n != 5 {
+		t.Errorf("Table II run after a node-only request simulated %d points, want 5", n)
+	}
+}
+
+// TestUnconventionalCanceled: a Table II run under a canceled context
+// returns an error wrapping context.Canceled, and simulates nothing.
+func TestUnconventionalCanceled(t *testing.T) {
+	c := newTestClient(t, t.TempDir())
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res, err := c.Run(ctx, Experiment{Kind: KindUnconventional})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled Table II run: res=%v err=%v, want context.Canceled", res, err)
+	}
+	if n := c.Stats().Simulated; n != 0 {
+		t.Fatalf("canceled Table II run simulated %d points", n)
 	}
 }
 

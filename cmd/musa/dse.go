@@ -170,8 +170,8 @@ func runDSE(fs *flag.FlagSet, args []string) error {
 		return runOptimizeSearch(ctx, client, oexp, *jsonOut, *csv, *quiet)
 	}
 
-	// Figures 4 and 11 run their own simulations and ignore the sweep
-	// dataset; skip the sweep when nothing else was requested.
+	// Figure 4 replays its own rank timeline and figure 11 is a Table II
+	// run; skip the sweep when nothing else was requested.
 	var d *musa.Sweep
 	if *all || (*figure != 4 && *figure != 11) {
 		if d, err = runSweep(ctx, client, exp, len(urls), *quiet, *verify); err != nil {
@@ -179,13 +179,13 @@ func runDSE(fs *flag.FlagSet, args []string) error {
 		}
 	}
 
-	simOpts := musa.SimOptions{SampleInstrs: *sample, WarmupInstrs: *warmup, Seed: *seed}
 	for _, n := range musa.FigureNumbers() {
 		if !*all && *figure != n {
 			continue
 		}
 		var fig *report.Figure
-		if n == 4 {
+		switch n {
+		case 4:
 			// The rank timeline honors the -apps (first entry), -ranks
 			// and -network flags instead of the sweep dataset.
 			timelineApp := "lulesh"
@@ -198,9 +198,18 @@ func runDSE(fs *flag.FlagSet, args []string) error {
 					return err
 				}
 			}
-			fig, err = musa.RankTimeline(timelineApp, *timelineRanks, model, simOpts)
-		} else {
-			fig, err = musa.Figure(d, n, simOpts)
+			fig, err = musa.RankTimeline(timelineApp, *timelineRanks, model, *seed)
+		case 11:
+			var res *musa.Result
+			res, err = client.Run(ctx, musa.Experiment{
+				Kind:   musa.KindUnconventional,
+				Sample: *sample, Warmup: *warmup, Seed: *seed, Recompute: !*resume,
+			})
+			if err == nil {
+				fig = musa.UnconventionalFigure(res.Unconventional)
+			}
+		default:
+			fig, err = musa.Figure(d, n)
 		}
 		if err != nil {
 			return err

@@ -18,8 +18,9 @@ func FigureNumbers() []int { return []int{1, 4, 5, 6, 7, 8, 9, 10, 11} }
 // RankTimeline builds the Fig. 4-style cluster view: the application's
 // burst trace replayed across the given rank count, with the per-rank
 // compute/MPI breakdown and the rendered text Gantt chart (compute '#',
-// MPI wait 'w'). A zero network model selects MareNostrumNetwork.
-func RankTimeline(appName string, ranks int, network NetworkModel, opts SimOptions) (*report.Figure, error) {
+// MPI wait 'w'). A zero network model selects MareNostrumNetwork, and a
+// zero seed means seed 1.
+func RankTimeline(appName string, ranks int, network NetworkModel, seed uint64) (*report.Figure, error) {
 	app, err := App(appName)
 	if err != nil {
 		return nil, err
@@ -36,7 +37,10 @@ func RankTimeline(appName string, ranks int, network NetworkModel, opts SimOptio
 	if err := network.Validate(); err != nil {
 		return nil, err
 	}
-	b := core.SampleBurst(app, ranks, opts.seed())
+	if seed == 0 {
+		seed = 1
+	}
+	b := core.SampleBurst(app, ranks, seed)
 	res := net.Replay(b, network, nil)
 	t := report.NewTable(
 		fmt.Sprintf("Figure 4: %s per-rank time breakdown, %d ranks", appName, ranks),
@@ -57,13 +61,12 @@ func RankTimeline(appName string, ranks int, network NetworkModel, opts SimOptio
 	}, nil
 }
 
-// Figure builds the table data behind one evaluation figure from a sweep
-// dataset. It is the single figure pipeline shared by `musa dse` and the
-// /figures/{n} endpoint of `musa serve`. Figure 4 replays its own rank
-// timeline (LULESH at 64 ranks, the paper's view) and Figure 11 runs its
-// own Table II simulations; both are driven by opts and ignore d. Every
-// other figure is an aggregation of d and ignores opts.
-func Figure(d *Sweep, n int, opts SimOptions) (*report.Figure, error) {
+// Figure builds the table data behind one of the figures that aggregate a
+// sweep dataset: 1 and 5-10. It is the figure pipeline shared by `musa dse`
+// and the /figures/{n} endpoint of `musa serve`, and it simulates nothing.
+// Figure 4 is RankTimeline's, and Figure 11 is UnconventionalFigure's,
+// rendered from a KindUnconventional result.
+func Figure(d *Sweep, n int) (*report.Figure, error) {
 	switch n {
 	case 1:
 		t := report.NewTable("Figure 1: application runtime statistics",
@@ -74,8 +77,6 @@ func Figure(d *Sweep, n int, opts SimOptions) (*report.Figure, error) {
 				r.EndToEndNs/1e6, r.MPIFraction, r.ParallelEff)
 		}
 		return &report.Figure{N: n, Title: "application characterization", Tables: []*report.Table{t}}, nil
-	case 4:
-		return RankTimeline("lulesh", 64, NetworkModel{}, opts)
 	case 5, 6, 7, 8, 9:
 		var name string
 		var feat Feature
@@ -130,21 +131,21 @@ func Figure(d *Sweep, n int, opts SimOptions) (*report.Figure, error) {
 			return nil, fmt.Errorf("musa: figure 10: the dataset holds no application")
 		}
 		return fig, nil
-	case 11:
-		rows, err := Unconventional(opts)
-		if err != nil {
-			return nil, err
-		}
-		t := report.NewTable("Table II / Figure 11: unconventional configurations",
-			"app", "config", "perf", "power", "energy")
-		for _, r := range rows {
-			energy := fmt.Sprintf("%.3f", r.RelEnergy)
-			if !r.EnergyKnown {
-				energy = "n/a (no HBM power data)"
-			}
-			t.AddRow(r.App, r.Label, r.RelPerf, r.RelPower, energy)
-		}
-		return &report.Figure{N: n, Title: "unconventional configurations", Tables: []*report.Table{t}}, nil
 	}
-	return nil, fmt.Errorf("musa: unknown figure %d (have 1, 4-11)", n)
+	return nil, fmt.Errorf("musa: figure %d does not aggregate a sweep (have 1, 5-10)", n)
+}
+
+// UnconventionalFigure renders Table II / Fig. 11 from the rows of a
+// KindUnconventional result.
+func UnconventionalFigure(rows []UnconventionalRow) *report.Figure {
+	t := report.NewTable("Table II / Figure 11: unconventional configurations",
+		"app", "config", "perf", "power", "energy")
+	for _, r := range rows {
+		energy := fmt.Sprintf("%.3f", r.RelEnergy)
+		if !r.EnergyKnown {
+			energy = "n/a (no HBM power data)"
+		}
+		t.AddRow(r.App, r.Label, r.RelPerf, r.RelPower, energy)
+	}
+	return &report.Figure{N: 11, Title: "unconventional configurations", Tables: []*report.Table{t}}
 }

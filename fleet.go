@@ -188,11 +188,16 @@ func validateShardReply(app string, points []dse.ArchPoint, ms []Measurement) er
 // fidelity is materialized to the package defaults the node simulator and
 // the artifact keys apply — so a worker started with its own
 // -sample/-warmup/-replay defaults computes exactly the measurements the
-// coordinator expects.
-func shardExperiment(ne Experiment, app string, points []dse.ArchPoint) Experiment {
+// coordinator expects. It reports false when a point is off the grid: the
+// wire cannot name it, and the group runs in process.
+func shardExperiment(ne Experiment, app string, points []dse.ArchPoint) (Experiment, bool) {
 	indices := make([]int, len(points))
 	for k, p := range points {
-		indices[k] = gridIndex()[p.Label()]
+		i, ok := gridIndex()[p.Label()]
+		if !ok {
+			return Experiment{}, false
+		}
+		indices[k] = i
 	}
 	sample, warmup := apps.EffectiveFidelity(ne.Sample, ne.Warmup)
 	return Experiment{
@@ -200,7 +205,7 @@ func shardExperiment(ne Experiment, app string, points []dse.ArchPoint) Experime
 		Sample: sample, Warmup: warmup, Seed: ne.Seed,
 		ReplayRanks: ne.ReplayRanks, NoReplay: ne.NoReplay, Network: ne.Network,
 		Recompute: ne.Recompute,
-	}
+	}, true
 }
 
 // fleetSweep is one sweep's use of the fleet: the free slots of the workers
@@ -262,8 +267,12 @@ func (s *fleetSweep) take(key string) string {
 // remote is the sweep's dse.Options.Remote: one attempt at a worker for
 // one annotation group's uncached points. A failed, timed-out, shed or
 // refused attempt counts one redispatch and reports false, as does a
-// group no worker has a free slot for, without counting.
+// group no worker has a free slot for or off the grid, without counting.
 func (s *fleetSweep) remote(ctx context.Context, app string, points []dse.ArchPoint) ([]Measurement, bool) {
+	sub, ok := shardExperiment(s.ne, app, points)
+	if !ok {
+		return nil, false
+	}
 	w := s.take(s.c.groupKey(s.ne, app, points[0]))
 	if w == "" {
 		return nil, false
@@ -277,7 +286,7 @@ func (s *fleetSweep) remote(ctx context.Context, app string, points []dse.ArchPo
 		obs.A("worker", w), obs.A("app", app), obs.AInt("points", len(points)))
 	defer span.End()
 	start := time.Now()
-	ms, err := s.c.fleet.postShard(dctx, w, shardExperiment(s.ne, app, points))
+	ms, err := s.c.fleet.postShard(dctx, w, sub)
 	if err == nil {
 		err = validateShardReply(app, points, ms)
 	}

@@ -232,6 +232,44 @@ func TestFleetWorkerDefaultsCannotSkew(t *testing.T) {
 	}
 }
 
+// TestFleetTableII: a Table II run on a coordinator sends its two Best-DSE
+// grid points to the worker and runs its four off-grid points in process,
+// which the /shard wire cannot name, without a failed attempt; the rows
+// equal an in-process run's.
+func TestFleetTableII(t *testing.T) {
+	exp := musa.Experiment{Kind: musa.KindUnconventional, Sample: 20000, Warmup: 40000, Seed: 1}
+	ctx := context.Background()
+
+	local, err := musa.NewClient(musa.ClientOptions{SweepWorkers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer local.Close()
+	want, err := local.Run(ctx, exp)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	worker := newFleetWorker(t, nil)
+	coord, err := musa.NewClient(musa.ClientOptions{Workers: []string{worker.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	res, err := coord.Run(ctx, exp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := json.Marshal(res.Unconventional)
+	if wantJSON, _ := json.Marshal(want.Unconventional); string(got) != string(wantJSON) {
+		t.Fatalf("fleet Table II rows\n %s\nin-process rows\n %s", got, wantJSON)
+	}
+	if st := coord.Stats(); st.Remote != 2 || st.Simulated != 4 || st.Redispatched != 0 {
+		t.Fatalf("remote/simulated/redispatched = %d/%d/%d, want 2/4/0",
+			st.Remote, st.Simulated, st.Redispatched)
+	}
+}
+
 // TestFleetWorkerFailure drives the retry path: a worker answering /shard
 // with 500 gets each shard re-dispatched onto the local pool exactly once,
 // and the merged dataset is complete with no duplicate measurements.

@@ -63,8 +63,8 @@ func TestShardExperimentCarriesNormalizedFields(t *testing.T) {
 		t.Fatal(err)
 	}
 	grid := tableIGrid()
-	sub := shardExperiment(ne, "btmz", []dse.ArchPoint{grid[3], grid[4]})
-	if !slices.Equal(sub.PointIndices, []int{3, 4}) {
+	sub, ok := shardExperiment(ne, "btmz", []dse.ArchPoint{grid[3], grid[4]})
+	if !ok || !slices.Equal(sub.PointIndices, []int{3, 4}) {
 		t.Fatalf("shard experiment names points %v, want [3 4]", sub.PointIndices)
 	}
 	if sub.Seed != 1 || sub.Network != "mn4" || len(sub.ReplayRanks) != 1 {
@@ -88,7 +88,7 @@ func TestShardExperimentCarriesNormalizedFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub2 := shardExperiment(ne2, "btmz", []dse.ArchPoint{grid[3], grid[4]})
+	sub2, _ := shardExperiment(ne2, "btmz", []dse.ArchPoint{grid[3], grid[4]})
 	if sub2.Sample != apps.SampleSize || sub2.Warmup != 2*apps.SampleSize {
 		t.Fatalf("implicit fidelity not materialized: sample=%d warmup=%d", sub2.Sample, sub2.Warmup)
 	}

@@ -165,6 +165,18 @@ func (p *Profile) LaneWorkPerRank() float64 {
 	return w * float64(p.Iterations)
 }
 
+// TracedIterationNs returns the duration of one iteration as the burst
+// trace records it: every region's lane work at RefLaneThroughput. A
+// measured iteration time over it is the scale the cluster replay applies
+// to the traced compute bursts.
+func (p *Profile) TracedIterationNs() float64 {
+	var ns float64
+	for _, r := range p.Regions {
+		ns += r.LaneWork() / RefLaneThroughput * 1e9
+	}
+	return ns
+}
+
 const (
 	kb = 1024
 	mb = 1024 * 1024

@@ -138,11 +138,7 @@ func DetailedFullAppCtx(ctx context.Context, app *apps.Profile, cfg node.Config,
 	nres := node.Simulate(app, cfg)
 
 	// Traced per-iteration duration (what BurstTrace wrote per rank).
-	var tracedIter float64
-	for _, spec := range app.Regions {
-		tracedIter += spec.LaneWork() / apps.RefLaneThroughput * 1e9
-	}
-	scale := nres.IterationNs / tracedIter
+	scale := nres.IterationNs / app.TracedIterationNs()
 
 	b := apps.BurstTrace(app, ranks, cfg.Seed)
 	rep, err := net.ReplayCtx(ctx, b, model, func(rank int, traced float64) float64 {

@@ -286,7 +286,10 @@ func TestFigure1Rows(t *testing.T) {
 }
 
 func TestUnconventionalShapes(t *testing.T) {
-	rows := Unconventional(60000, 200000, 1)
+	rows, err := Unconventional(context.Background(), Options{SampleInstrs: 60000, WarmupInstrs: 200000, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(rows) != 6 {
 		t.Fatalf("%d rows, want 6", len(rows))
 	}

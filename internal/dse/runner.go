@@ -273,10 +273,7 @@ func Run(ctx context.Context, opts Options) *Dataset {
 	// rank count. It reports false when ctx was canceled mid-replay — the
 	// partially replayed measurement must be dropped, not checkpointed.
 	clusterStage := func(pctx context.Context, m *Measurement, app *apps.Profile, res node.Result) bool {
-		var tracedIter float64
-		for _, spec := range app.Regions {
-			tracedIter += spec.LaneWork() / apps.RefLaneThroughput * 1e9
-		}
+		tracedIter := app.TracedIterationNs()
 		if tracedIter <= 0 {
 			return true
 		}

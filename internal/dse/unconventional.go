@@ -1,9 +1,10 @@
 package dse
 
 import (
+	"context"
+
 	"musa/internal/apps"
 	"musa/internal/cpu"
-	"musa/internal/node"
 )
 
 // UnconventionalRow is one row of Table II / Fig. 11: a named configuration
@@ -66,36 +67,45 @@ func tableII() []unconvSpec {
 	}
 }
 
-// Unconventional simulates the Table II application-specific configurations
+// Unconventional runs the Table II application-specific configurations
 // and returns the Fig. 11 rows, normalized to each application's Best-DSE.
-func Unconventional(sampleInstrs, warmupInstrs int64, seed uint64) []UnconventionalRow {
+// Each application's points go through Run as one node-only run: opts
+// carries the fidelity, seed, workers and whatever store, artifact and
+// scratch wiring the caller gives its runs; Unconventional sets Apps,
+// Points and Replay. A canceled ctx returns ctx.Err().
+func Unconventional(ctx context.Context, opts Options) ([]UnconventionalRow, error) {
+	opts.Replay = ReplayConfig{Disable: true}
 	var out []UnconventionalRow
 	for _, spec := range tableII() {
-		var baseIdx int
-		for i, r := range spec.rows {
-			cfg := r.arch.NodeConfig(sampleInstrs, warmupInstrs, seed)
-			res := node.Simulate(spec.app, cfg)
-			row := UnconventionalRow{
+		opts.Apps, opts.Points = []*apps.Profile{spec.app}, nil
+		for _, r := range spec.rows {
+			opts.Points = append(opts.Points, r.arch)
+		}
+		d := Run(ctx, opts)
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		// Run returns every point of an uncanceled run, sorted by label.
+		byLabel := map[string]Measurement{}
+		for _, m := range d.Measurements {
+			byLabel[m.Arch.Label()] = m
+		}
+		base := byLabel[spec.rows[0].arch.Label()]
+		for _, r := range spec.rows {
+			m := byLabel[r.arch.Label()]
+			out = append(out, UnconventionalRow{
 				App:         spec.app.Name,
 				Label:       r.label,
 				Arch:        r.arch,
-				TimeNs:      res.ComputeNs,
-				PowerW:      res.Power.Total(),
-				EnergyJ:     res.EnergyJ,
+				TimeNs:      m.TimeNs,
+				PowerW:      m.Power.Total(),
+				EnergyJ:     m.EnergyJ,
+				RelPerf:     base.TimeNs / m.TimeNs, // exactly 1 on the baseline
+				RelPower:    m.Power.Total() / base.Power.Total(),
+				RelEnergy:   m.EnergyJ / base.EnergyJ,
 				EnergyKnown: r.energyKnown,
-			}
-			if i == 0 {
-				row.RelPerf, row.RelPower, row.RelEnergy = 1, 1, 1
-				out = append(out, row)
-				baseIdx = len(out) - 1
-			} else {
-				base := out[baseIdx]
-				row.RelPerf = base.TimeNs / row.TimeNs
-				row.RelPower = row.PowerW / base.PowerW
-				row.RelEnergy = row.EnergyJ / base.EnergyJ
-				out = append(out, row)
-			}
+			})
 		}
 	}
-	return out
+	return out, nil
 }

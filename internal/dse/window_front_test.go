@@ -189,9 +189,17 @@ func TestSampleWindowTooLargeIsNotRetained(t *testing.T) {
 // measurement takes from the node result.
 func TestUnstagedMatchesStaged(t *testing.T) {
 	grid := Enumerate()
+	points := []ArchPoint{grid[0], grid[1], grid[100], grid[431], grid[863]}
+	// Table II's off-grid points: 1024- and 2048-bit SIMD, and 64-bit SIMD
+	// over DDR4 x16 and HBM2 x16.
+	for _, spec := range tableII() {
+		for _, r := range spec.rows[1:] {
+			points = append(points, r.arch)
+		}
+	}
 	opts := Options{
 		Apps:         []*apps.Profile{apps.LULESH(), apps.SPMZ()},
-		Points:       []ArchPoint{grid[0], grid[1], grid[100], grid[431], grid[863]},
+		Points:       points,
 		SampleInstrs: 20000, WarmupInstrs: 40000, Seed: 3, Workers: 2,
 		Replay:    ReplayConfig{Disable: true},
 		Artifacts: newMapArtifacts(), SampleWindows: NewSampleWindows(),

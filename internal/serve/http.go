@@ -17,6 +17,7 @@ import (
 	"musa/internal/dse"
 	"musa/internal/jsonenc"
 	"musa/internal/obs"
+	"musa/internal/report"
 	"musa/internal/store"
 )
 
@@ -137,7 +138,7 @@ func NewHandler(svc *Service, opts ...Option) http.Handler {
 	mux.HandleFunc("GET /healthz", svc.handleHealthz)
 	mux.HandleFunc("GET /membership", svc.handleMembershipGet)
 	mux.HandleFunc("PUT /membership", svc.handleMembershipPut)
-	mux.HandleFunc("GET /figures/{n}", svc.handleFigure)
+	mux.HandleFunc("GET /figures/{n}", svc.gate("figures", svc.handleFigure))
 	registerObsRoutes(mux, cfg)
 	return instrument(mux, cfg)
 }
@@ -516,23 +517,24 @@ func (s *Service) handleFigure(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	simOpts := musa.SimOptions{SampleInstrs: sample, WarmupInstrs: warmup, Seed: uint64(seed)}
-	var d *musa.Sweep
-	if n != 11 {
-		// Every figure but the Table II one aggregates the sweep dataset;
-		// repeat visits are store hits.
-		res, err := s.c.Run(r.Context(), musa.Experiment{
-			Kind: musa.KindSweep, Apps: appNames,
-			Sample: sample, Warmup: warmup, Seed: uint64(seed),
-		})
-		if err != nil {
-			httpError(w, experimentStatus(err), err)
-			return
-		}
-		d = res.Sweep
+	// Figure 11 is a Table II run; every other figure aggregates the sweep
+	// dataset. Both go through the client, so repeat visits are store hits.
+	exp := musa.Experiment{
+		Kind: musa.KindSweep, Apps: appNames,
+		Sample: sample, Warmup: warmup, Seed: uint64(seed),
 	}
-	fig, err := musa.Figure(d, n, simOpts)
+	if n == 11 {
+		exp.Kind = musa.KindUnconventional
+	}
+	res, err := s.c.Run(r.Context(), exp)
 	if err != nil {
+		httpError(w, experimentStatus(err), err)
+		return
+	}
+	var fig *report.Figure
+	if n == 11 {
+		fig = musa.UnconventionalFigure(res.Unconventional)
+	} else if fig, err = musa.Figure(res.Sweep, n); err != nil {
 		httpError(w, experimentStatus(err), err)
 		return
 	}
@@ -585,7 +587,7 @@ func (s *Service) handleRankTimeline(w http.ResponseWriter, r *http.Request, app
 		}
 		seed = n
 	}
-	fig, err := musa.RankTimeline(appName, ranks, network, musa.SimOptions{Seed: seed})
+	fig, err := musa.RankTimeline(appName, ranks, network, seed)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return

@@ -430,20 +430,30 @@ func TestDSEEndpointStreamsAndResumes(t *testing.T) {
 func TestFigureEndpoint(t *testing.T) {
 	ts, _ := testServer(t)
 
-	// Figure 11 runs its own Table II simulations — no sweep needed.
-	var fig struct {
-		Figure int `json:"figure"`
-		Tables []struct {
-			Title   string     `json:"title"`
-			Headers []string   `json:"headers"`
-			Rows    [][]string `json:"rows"`
-		} `json:"tables"`
-	}
-	if code := getJSON(t, ts.URL+"/figures/11?sample=20000&warmup=40000", &fig); code != http.StatusOK {
-		t.Fatalf("/figures/11 -> %d", code)
-	}
-	if fig.Figure != 11 || len(fig.Tables) != 1 || len(fig.Tables[0].Rows) == 0 {
-		t.Fatalf("/figures/11 malformed: %+v", fig)
+	// Figure 11 is a Table II run through the client — no sweep needed. Its
+	// six points are simulated once; a repeat visit is all store hits.
+	for _, wantSimulated := range []int64{6, 6} {
+		var fig struct {
+			Figure int `json:"figure"`
+			Tables []struct {
+				Title   string     `json:"title"`
+				Headers []string   `json:"headers"`
+				Rows    [][]string `json:"rows"`
+			} `json:"tables"`
+		}
+		if code := getJSON(t, ts.URL+"/figures/11?sample=20000&warmup=40000", &fig); code != http.StatusOK {
+			t.Fatalf("/figures/11 -> %d", code)
+		}
+		if fig.Figure != 11 || len(fig.Tables) != 1 || len(fig.Tables[0].Rows) != 6 {
+			t.Fatalf("/figures/11 malformed: %+v", fig)
+		}
+		var stats struct {
+			Service musa.ClientStats `json:"service"`
+		}
+		getJSON(t, ts.URL+"/stats", &stats)
+		if stats.Service.Simulated != wantSimulated {
+			t.Fatalf("Simulated = %d after /figures/11, want %d", stats.Service.Simulated, wantSimulated)
+		}
 	}
 
 	if code := getJSON(t, ts.URL+"/figures/2", nil); code != http.StatusNotFound {

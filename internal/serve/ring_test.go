@@ -147,17 +147,27 @@ func TestDrainingKeepsStreams(t *testing.T) {
 			if code := getJSON(t, ts.URL+"/healthz", &hz); code != http.StatusServiceUnavailable || hz.Status != "draining" {
 				t.Fatalf("draining healthz = %d %q, want 503 draining", code, hz.Status)
 			}
-			shed, err := http.Post(ts.URL+"/simulate", "application/json",
+			simulate, err := http.NewRequest(http.MethodPost, ts.URL+"/simulate",
 				strings.NewReader(`{"app":"btmz","pointIndex":0}`))
 			if err != nil {
 				t.Fatal(err)
 			}
-			shed.Body.Close()
-			if shed.StatusCode != http.StatusServiceUnavailable {
-				t.Fatalf("new request during draining = %d, want 503", shed.StatusCode)
+			figure, err := http.NewRequest(http.MethodGet, ts.URL+"/figures/11", nil)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if shed.Header.Get("Retry-After") == "" {
-				t.Fatal("draining refusal carries no Retry-After")
+			for _, req := range []*http.Request{simulate, figure} {
+				shed, err := http.DefaultClient.Do(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				shed.Body.Close()
+				if shed.StatusCode != http.StatusServiceUnavailable {
+					t.Fatalf("new %s during draining = %d, want 503", req.URL.Path, shed.StatusCode)
+				}
+				if shed.Header.Get("Retry-After") == "" {
+					t.Fatalf("draining refusal of %s carries no Retry-After", req.URL.Path)
+				}
 			}
 		}
 	}

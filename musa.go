@@ -162,23 +162,6 @@ func PointLabel(i int) (string, error) {
 	return grid[i].Label(), nil
 }
 
-// SimOptions tune simulation fidelity and determinism.
-type SimOptions struct {
-	// SampleInstrs is the detailed sample length in scalar micro-ops
-	// (0 = default, 300k). WarmupInstrs streams through the caches first
-	// (0 = 2x sample).
-	SampleInstrs int64
-	WarmupInstrs int64
-	Seed         uint64
-}
-
-func (o SimOptions) seed() uint64 {
-	if o.Seed == 0 {
-		return 1
-	}
-	return o.Seed
-}
-
 // NetworkModel is the Dimemas-like interconnect model.
 type NetworkModel = net.Model
 

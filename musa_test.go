@@ -144,7 +144,7 @@ func TestRunSweepSmall(t *testing.T) {
 	}
 	// Fig. 10 draws one PCA table per application the dataset holds; an
 	// application without the 64-core, 2 GHz slice is an error naming it.
-	fig, err := Figure(d, 10, SimOptions{})
+	fig, err := Figure(d, 10)
 	if err != nil || len(fig.Tables) != 1 || !strings.Contains(fig.Tables[0].Title, "btmz") {
 		t.Fatalf("Figure 10 on a btmz-only dataset: %v, %+v", err, fig)
 	}
@@ -154,7 +154,7 @@ func TestRunSweepSmall(t *testing.T) {
 			no64.Measurements = append(no64.Measurements, m)
 		}
 	}
-	if _, err := Figure(&no64, 10, SimOptions{}); err == nil || !strings.Contains(err.Error(), "btmz") {
+	if _, err := Figure(&no64, 10); err == nil || !strings.Contains(err.Error(), "btmz") {
 		t.Fatalf("Figure 10 without the 64-core slice: err = %v, want one naming btmz", err)
 	}
 	c, err := NewClient(ClientOptions{})
@@ -179,7 +179,7 @@ func TestNetworkByName(t *testing.T) {
 }
 
 func TestRankTimelineAPI(t *testing.T) {
-	fig, err := RankTimeline("lulesh", 16, NetworkModel{}, SimOptions{})
+	fig, err := RankTimeline("lulesh", 16, NetworkModel{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,10 +189,10 @@ func TestRankTimelineAPI(t *testing.T) {
 	if fig.Text == "" {
 		t.Fatal("no rendered timeline")
 	}
-	if _, err := RankTimeline("nope", 16, NetworkModel{}, SimOptions{}); err == nil {
+	if _, err := RankTimeline("nope", 16, NetworkModel{}, 0); err == nil {
 		t.Error("unknown app accepted")
 	}
-	if _, err := RankTimeline("lulesh", 1<<20, NetworkModel{}, SimOptions{}); err == nil {
+	if _, err := RankTimeline("lulesh", 1<<20, NetworkModel{}, 0); err == nil {
 		t.Error("absurd rank count accepted")
 	}
 }

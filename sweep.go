@@ -85,13 +85,3 @@ func PCA(d *Sweep, app string) (*PCAResult, error) { return dse.PCAFor(d, app) }
 
 // UnconventionalRow is one Table II / Fig. 11 row.
 type UnconventionalRow = dse.UnconventionalRow
-
-// Unconventional simulates the Table II application-specific configurations
-// (SPMZ Vector+/Vector++, LULESH MEM+/MEM++) against their DSE-Best
-// baselines. A window over apps.MaxWindow is refused with ErrBadFidelity.
-func Unconventional(opts SimOptions) ([]UnconventionalRow, error) {
-	if err := checkWindow(opts.SampleInstrs, opts.WarmupInstrs); err != nil {
-		return nil, err
-	}
-	return dse.Unconventional(opts.SampleInstrs, opts.WarmupInstrs, opts.seed()), nil
-}
