@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"musa/internal/isa"
@@ -214,6 +215,38 @@ func TestDetailedStreamReadMatchesNext(t *testing.T) {
 				s.Skip(5)
 				at += 5
 			}
+		}
+	}
+}
+
+// TestDetailedStreamResetMatchesNew resets one stream, mid-block after
+// thousands of micro-ops of another application, onto every application and
+// onto a second seed, and requires it to hand out a fresh stream's sequence
+// through Read, Skip and Next alike.
+func TestDetailedStreamResetMatchesNew(t *testing.T) {
+	const n = 12000
+	s := NewDetailedStream(LULESH(), 9)
+	s.Skip(7777)
+	for _, seed := range []uint64{3, 11} {
+		for _, p := range All() {
+			s.Reset(p, seed)
+			want := isa.Collect(&isa.LimitStream{S: NewDetailedStream(p, seed), N: n})
+			got := make([]isa.Instr, 0, n)
+			for i := 0; len(got) < n-1100; i++ {
+				chunk := make([]isa.Instr, []int{1, 0, 33, 1000}[i%4])
+				s.Read(chunk)
+				got = append(got, chunk...)
+				in, _ := s.Next()
+				got = append(got, in)
+				if i%3 == 2 {
+					s.Skip(9)
+					got = append(got, want[len(got):len(got)+9]...)
+				}
+			}
+			if !slices.Equal(got, want[:len(got)]) {
+				t.Fatalf("%s seed %d: a reset stream differs from a new one", p.Name, seed)
+			}
+			s.Skip(int64(501 + seed)) // leave it mid-stream for the next reset
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package apps
 
 import (
+	"reflect"
+
 	"musa/internal/cache"
 	"musa/internal/isa"
 	"musa/internal/xrand"
@@ -26,9 +28,10 @@ import (
 // pipeline produces after vector decode; pipe it through isa.NewFuser to
 // simulate a given SIMD width. Wrap with isa.LimitStream to bound length.
 type DetailedStream struct {
-	p    *Profile
-	rng  *xrand.RNG
-	addr *cache.AddressGen
+	p       *Profile
+	rng     xrand.RNG
+	addrRNG xrand.RNG // the address generator's, split from rng
+	addr    cache.AddressGen
 
 	buf  []isa.Instr
 	pos  int
@@ -44,22 +47,32 @@ type DetailedStream struct {
 	// VecFrac.
 	pVec float64
 
-	// Pre-normalized class weights for scalar sections.
-	scalarPick *xrand.Discrete
-	scalarCls  []isa.Class
+	// Pre-normalized class weights for scalar sections, over scalarCls.
+	scalarPick xrand.Discrete
+}
+
+// scalarCls are the classes a scalar section draws from, in the order of
+// its weights.
+var scalarCls = [...]isa.Class{
+	isa.Load, isa.Store, isa.FPAdd, isa.FPMul, isa.FPFMA, isa.FPDiv,
+	isa.IntALU, isa.IntMul, isa.Branch,
 }
 
 // NewDetailedStream builds the generator; deterministic in seed.
 func NewDetailedStream(p *Profile, seed uint64) *DetailedStream {
+	s := new(DetailedStream)
+	s.Reset(p, seed)
+	return s
+}
+
+// Reset makes s, whatever it generated before, the stream
+// NewDetailedStream(p, seed) returns. It keeps s's block buffer, which grows
+// to the longest block a stream emits, and its address and class tables.
+func (s *DetailedStream) Reset(p *Profile, seed uint64) {
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
-	rng := xrand.New(seed)
-	classes := []isa.Class{
-		isa.Load, isa.Store, isa.FPAdd, isa.FPMul, isa.FPFMA, isa.FPDiv,
-		isa.IntALU, isa.IntMul, isa.Branch,
-	}
-	weights := []float64{
+	weights := [len(scalarCls)]float64{
 		p.Mix.Load, p.Mix.Store, p.Mix.FPAdd, p.Mix.FPMul, p.Mix.FPFMA,
 		p.Mix.FPDiv, p.Mix.IntALU, p.Mix.IntMul, p.Mix.Branch,
 	}
@@ -67,16 +80,18 @@ func NewDetailedStream(p *Profile, seed uint64) *DetailedStream {
 	vecLen := float64(p.Vector.TripCount) * 6.55
 	scaLen := 12.5
 	vf := p.Vector.VecFrac
-	pVec := vf * scaLen / (vecLen*(1-vf) + vf*scaLen)
-	return &DetailedStream{
-		p:           p,
-		rng:         rng,
-		addr:        cache.NewAddressGen(p.Locality, rng.Split()),
-		chaseRegion: p.Locality.RegionIndex(p.ChaseRegion),
-		pVec:        pVec,
-		scalarPick:  xrand.NewDiscrete(weights),
-		scalarCls:   classes,
-	}
+	s.p = p
+	s.rng.Seed(seed)
+	s.addr.Reset(p.Locality, s.rng.Split(&s.addrRNG))
+	s.buf, s.pos, s.bbID = s.buf[:0], 0, 0
+	s.chaseRegion = p.Locality.RegionIndex(p.ChaseRegion)
+	s.pVec = vf * scaLen / (vecLen*(1-vf) + vf*scaLen)
+	s.scalarPick.Reset(weights[:])
+}
+
+// Bytes is the storage s keeps between Resets: its block buffer.
+func (s *DetailedStream) Bytes() int64 {
+	return int64(cap(s.buf)) * int64(reflect.TypeFor[isa.Instr]().Size())
 }
 
 // Next implements isa.Stream.
@@ -215,7 +230,7 @@ func (s *DetailedStream) scalarSection() {
 	pcBase := bb * 64
 	n := 8 + s.rng.Intn(10)
 	for i := 0; i < n; i++ {
-		cls := s.scalarCls[s.scalarPick.Sample(s.rng)]
+		cls := scalarCls[s.scalarPick.Sample(&s.rng)]
 		in := isa.Instr{PC: pcBase + uint32(i), BB: bb, Class: cls, Lanes: 1}
 		switch {
 		case cls.IsMem():
@@ -244,7 +259,7 @@ const SampleSize = 300000
 // MaxWindow bounds the effective window — sample plus warmup, as
 // EffectiveFidelity resolves them — in scalar micro-ops: 1 GiB of isa.Instr
 // at 32 bytes each, the default window being 0.9 M. A run holds its sample
-// window whole and streams the warm window two 64 Ki-micro-op chunks at a
+// window whole and streams the warm window two 8 Ki-micro-op chunks at a
 // time (node.ColdPass), so what a run keeps is the sample window and two
 // chunks; the bound also caps the time one request's generator runs.
 const MaxWindow = 32 << 20

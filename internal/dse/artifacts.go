@@ -208,17 +208,20 @@ func BurstKey(appHash string, ranks int, seed uint64) string {
 // their storage to the next window and fuses — of this run's next
 // application, or of a later run on the same client. Each worker takes its
 // op column from the scratch, compiles every group it takes into it, and
-// returns it when it exits. A cold pass returns its two chunk buffers and
-// each width's cache hierarchies to the scratch when it ends, and the next
-// pass over the same configurations resets them in place (the scratch keeps
-// 16 MiB of cache arrays: a 64-core slice's, not a full grid's 1-core L3s).
-// When the run ends, after every worker has exited, the scratch lets go of
-// the chunk buffers and hierarchies, which outlive no run — kept on a ring
-// replica, a rare cold miss's 3 MB of them raised the replica's peak RSS by
-// 28 % — and keeps windows, halves and op columns up to
-// node.MaxScratchKeepBytes for the client's next run. Never in the scratch:
-// a window the client's front holds (the run did not build it for itself),
-// and every hit-rate table (the provider may hold it).
+// returns it when it exits. A cold pass draws its generator, two chunk
+// buffers, each width's cache hierarchies and its tables' level columns from
+// the scratch; it returns all but the level columns when it ends, and the
+// next pass resets them in place (the hierarchies for a pass over the same
+// configurations; the scratch keeps 16 MiB of cache arrays: a 64-core
+// slice's, not a full grid's 1-core L3s). A run without a provider returns
+// an application's level columns with its halves. When the run ends, after
+// every worker has exited, the scratch lets go of every hierarchy set no pass
+// drew back during the run — a one-point run's, which kept on a ring
+// replica for a rare cold miss raised its peak RSS by 28 % — and keeps the
+// rest up to node.MaxScratchKeepBytes for the client's next run. Never in
+// the scratch: a window the client's front holds (the run did not build it
+// for itself), and a hit-rate table of a run with a provider (which may
+// hold it).
 //
 // The client's window front is bounded by bytes, because its entries differ
 // in size by orders of magnitude (an optimizer rung of 20 000 micro-ops, a
@@ -514,13 +517,18 @@ func (r *runArtifacts) addGroup(app string, g AnnGroup, cfg node.Config) {
 
 // groupDone marks one group of app done; after its last, no point of app is
 // left to read the application's window, fused traces and tables, so they
-// leave the fronts: the fused traces, and a window of the run's own front,
-// go to the scratch; the tables are let go (a provider may hold them).
+// leave the fronts: the fused traces, a window of the run's own front and,
+// when the run has no provider, the tables' level columns go to the scratch;
+// with a provider the tables are let go (it may hold them).
 func (r *runArtifacts) groupDone(app string) {
 	if r.groupsLeft[app].Add(-1) > 0 {
 		return
 	}
-	r.tables.take(app)
+	if tables, ok := r.tables.take(app); ok && r.backing == nil {
+		for _, t := range tables {
+			r.scratch.ReleaseTable(t.hrt)
+		}
+	}
 	for _, t := range r.caches[app] {
 		if ft, ok := r.fused.take(fusedKey{app, t.group.Vec}); ok {
 			r.scratch.ReleaseFused(ft)
@@ -535,11 +543,12 @@ func (r *runArtifacts) groupDone(app string) {
 
 // endRun hands the scratch back once every worker has exited
 // (node.Scratch.EndRun) and records on the run's span how many of its
-// windows, fused halves, op columns, chunk buffers and hierarchy sets came
-// from storage already used — by this run or, on a client's scratch, an
-// earlier one ("scratch.<kind>" = "<reused>/<all>", this run's draws only) —
-// and what the scratch holds for the runs that follow, out of what it may
-// keep ("scratch.held_bytes" = "<held>/<bound>").
+// windows, fused halves, op columns, level columns, generators, chunk
+// buffers and hierarchy sets came from storage already used — by this run
+// or, on a client's scratch, an earlier one ("scratch.<kind>" =
+// "<reused>/<all>", this run's draws only) — and what the scratch holds for
+// the runs that follow, out of what it may keep ("scratch.held_bytes" =
+// "<held>/<bound>").
 func (r *runArtifacts) endRun(span *obs.Span) {
 	r.scratch.EndRun()
 	if span == nil {
@@ -549,7 +558,10 @@ func (r *runArtifacts) endRun(span *obs.Span) {
 	for _, c := range []struct {
 		kind string
 		n    node.ScratchCount
-	}{{"windows", st.Windows}, {"halves", st.Halves}, {"ops", st.Ops}, {"chunks", st.Chunks}, {"hierarchies", st.Hierarchies}} {
+	}{
+		{"windows", st.Windows}, {"halves", st.Halves}, {"ops", st.Ops}, {"tables", st.Tables},
+		{"streams", st.Streams}, {"chunks", st.Chunks}, {"hierarchies", st.Hierarchies},
+	} {
 		span.SetAttr("scratch."+c.kind, fmt.Sprintf("%d/%d", c.n.Reused, c.n.Reused+c.n.New))
 	}
 	span.SetAttr("scratch.held_bytes", fmt.Sprintf("%d/%d", r.scratch.Held().Bytes, node.MaxScratchKeepBytes))

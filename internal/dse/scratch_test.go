@@ -63,8 +63,9 @@ func scratchUse(t *testing.T, opts Options) (string, map[string][2]int) {
 // applications returns the bytes of five sweeps of one application each —
 // with no artifacts, and again on a primed provider — although its later
 // applications build on what the earlier ones left: without artifacts their
-// windows, fused halves, chunk buffers and hierarchies come from the run's
-// scratch; on the primed provider (no cold pass) their windows and halves do.
+// windows, fused halves, level columns, generators, chunk buffers and
+// hierarchies come from the run's scratch; on the primed provider (no cold
+// pass) their windows, halves and generators do.
 func TestFiveAppRunRecyclesAndMatchesPerAppRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("eleven sweeps of five applications")
@@ -90,10 +91,10 @@ func TestFiveAppRunRecyclesAndMatchesPerAppRuns(t *testing.T) {
 		if got != want {
 			t.Errorf("primed %v: the five-application sweep differs from five one-application sweeps", primed)
 		}
-		kinds := []string{"windows", "halves", "chunks", "hierarchies"}
+		kinds := []string{"windows", "halves", "streams", "tables", "chunks", "hierarchies"}
 		if primed {
-			kinds = kinds[:2]
-			if use["chunks"] != [2]int{} || use["hierarchies"] != [2]int{} {
+			kinds = kinds[:3]
+			if use["tables"] != [2]int{} || use["chunks"] != [2]int{} || use["hierarchies"] != [2]int{} {
 				t.Errorf("primed: a cold pass ran: %v", use)
 			}
 		}
@@ -159,33 +160,43 @@ func TestConcurrentRunsRecycleApart(t *testing.T) {
 }
 
 // TestClientScratchOutlivesTheRun: runs on one client's scratch, window front
-// and artifact provider — one cold, two warm, one worker each. After every
-// run the scratch holds no chunk buffer and no hierarchy, and within its
-// byte bound; the second warm run fuses every half and compiles its op column
-// on storage an earlier run left (scratch.halves and scratch.ops read n/n),
-// and its bytes are the reference's.
+// and artifact provider, one worker each — a one-point run without the
+// provider, then the five applications cold, warm and warm again. After
+// every run the scratch holds its generator and chunk buffers and is within
+// its byte bound. It keeps a hierarchy set only when a pass drew it back
+// during the run: the one-point run leaves none, the cold run keeps the two
+// widths' sets its later applications reused, and a warm run, which runs no
+// pass, lets them go. The second warm run fuses every half and compiles its
+// op column on storage an earlier run left (scratch.halves and scratch.ops
+// read n/n), and the five-application runs' bytes are the reference's.
 func TestClientScratchOutlivesTheRun(t *testing.T) {
 	opts := scratchTestOpts()
-	opts.Apps = []*apps.Profile{apps.BTMZ(), apps.Hydro(), apps.SPMZ()}
 	opts.Workers = 1
 	want, _ := scratchUse(t, opts)
 	o := opts
 	o.Artifacts, o.SampleWindows, o.Scratch = newMapArtifacts(), NewSampleWindows(), new(node.Scratch)
+	one := o
+	one.Apps, one.Points, one.Artifacts = o.Apps[:1], o.Points[:1], nil
 	var use map[string][2]int
-	for run, kind := range []string{"cold", "warm", "warm"} {
+	for run, c := range []struct {
+		kind        string
+		opts        Options
+		hierarchies int
+	}{{"one-point", one, 0}, {"cold", o, 2}, {"warm", o, 0}, {"warm", o, 0}} {
 		var got string
-		got, use = scratchUse(t, o)
-		if got != want {
-			t.Errorf("%s run %d: dataset differs from the reference", kind, run)
+		got, use = scratchUse(t, c.opts)
+		if c.opts.Artifacts != nil && got != want {
+			t.Errorf("%s run %d: dataset differs from the reference", c.kind, run)
 		}
 		held := o.Scratch.Held()
-		if held.Chunks != 0 || held.Hierarchies != 0 || held.Bytes > node.MaxScratchKeepBytes {
-			t.Errorf("%s run %d: the scratch holds %+v after the run", kind, run, held)
+		if held.Streams != 1 || held.Chunks != 2 || held.Hierarchies != c.hierarchies || held.Bytes > node.MaxScratchKeepBytes {
+			t.Errorf("%s run %d: the scratch holds %+v after the run, want one generator, two chunk buffers and %d hierarchy sets",
+				c.kind, run, held, c.hierarchies)
 		}
 		if n := use["held_bytes"]; int64(n[0]) != held.Bytes || n[1] != node.MaxScratchKeepBytes {
-			t.Errorf("%s run %d: scratch.held_bytes %v, the scratch holds %d of %d", kind, run, n, held.Bytes, node.MaxScratchKeepBytes)
+			t.Errorf("%s run %d: scratch.held_bytes %v, the scratch holds %d of %d", c.kind, run, n, held.Bytes, node.MaxScratchKeepBytes)
 		}
-		t.Logf("%s run %d: scratch %v, holds %+v", kind, run, use, held)
+		t.Logf("%s run %d: scratch %v, holds %+v", c.kind, run, use, held)
 	}
 	for _, kind := range []string{"halves", "ops"} {
 		if n := use[kind]; n[1] == 0 || n[0] != n[1] {

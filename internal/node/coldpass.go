@@ -10,10 +10,12 @@ import (
 )
 
 // coldChunk is how many scalar micro-ops of the warm window a cold pass reads
-// from the generator at a time (2 MiB of isa.Instr). A chunk ends where the
-// basic block changes, so one is shorter by the block it stops short of, or
-// longer when a single block outgrows it.
-const coldChunk = 1 << 16
+// from the generator at a time (256 KiB of isa.Instr, small enough for the
+// two chunk buffers to stay in a client's scratch between runs; no slower
+// than 64 Ki micro-ops, DESIGN §15). A chunk ends where the basic block
+// changes, so one is shorter by the block it stops short of, or longer when
+// a single block outgrows it.
+const coldChunk = 1 << 13
 
 // WidthWalk asks a cold pass for the hit-rate tables of Configs, every one at
 // vector width VectorBits.
@@ -67,10 +69,11 @@ type ColdPass struct {
 	Window ScalarTrace
 	Widths []WidthWalk // at least one
 	// Scratch, if set, supplies the pass's storage and gets back what the
-	// pass is done with: its two chunk buffers and each width's hierarchies
-	// return when the pass ends, to be reset for the next pass over the same
-	// configurations. The generated sample window and the fused sample halves
-	// are drawn from it too, but are the caller's to release.
+	// pass is done with: its generator, its two chunk buffers and each
+	// width's hierarchies return when the pass ends, to be reset for the next
+	// pass (the hierarchies for one over the same configurations). The
+	// generated sample window, the fused sample halves and the tables' level
+	// columns are drawn from it too, but are the caller's to release.
 	Scratch *Scratch
 	// Stage, if set, is called on the goroutine running width i's share of
 	// the pass as each of its stages begins; the function it returns is
@@ -86,14 +89,14 @@ func (p ColdPass) Run() (ScalarTrace, []WidthTables) { return p.run(coldChunk) }
 // run is Run with the chunk length a parameter, so tests can force cuts.
 func (p ColdPass) run(chunk int) (ScalarTrace, []WidthTables) {
 	sample, warmup := apps.EffectiveFidelity(p.Sample, p.Warmup)
-	gen := apps.NewDetailedStream(p.App, p.Seed)
+	gen := p.Scratch.stream(p.App, p.Seed)
 	walks := make([]*widthPass, len(p.Widths))
 	for i, w := range p.Widths {
 		walks[i] = &widthPass{
-			vec:  w.VectorBits,
-			fu:   isa.NewFuser(isa.NewSliceStream(nil), isa.DefaultFuserConfig(w.VectorBits)),
-			walk: p.Scratch.walk(w.Configs),
+			vec: w.VectorBits,
+			fu:  isa.NewFuser(isa.NewSliceStream(nil), isa.DefaultFuserConfig(w.VectorBits)),
 		}
+		walks[i].walk, walks[i].drawn = p.Scratch.walk(w.Configs)
 	}
 	out := make([]WidthTables, len(walks))
 
@@ -119,7 +122,7 @@ func (p ColdPass) run(chunk int) (ScalarTrace, []WidthTables) {
 	}
 
 	end := p.stage(0, StageWalk)
-	r := chunkReader{gen: gen, left: warmup, size: chunk, bufs: p.Scratch.chunkBuffers()}
+	r := chunkReader{gen: gen, left: warmup, size: chunk, bufs: p.Scratch.chunkBuffers(min(int64(chunk), warmup))}
 	for {
 		instrs, walked, ok := r.next()
 		if !ok {
@@ -138,9 +141,10 @@ func (p ColdPass) run(chunk int) (ScalarTrace, []WidthTables) {
 	out[0] = walks[0].sample(p, 0, st)
 	end()
 	wg.Wait()
+	p.Scratch.releaseStream(gen)
 	p.Scratch.releaseChunks(r.bufs)
 	for _, w := range walks {
-		p.Scratch.releaseWalk(w.walk)
+		p.Scratch.releaseWalk(w.walk, w.drawn)
 	}
 	return st, out
 }
@@ -169,11 +173,13 @@ type passChunk struct {
 }
 
 // widthPass is one width's share of a cold pass: its fuser, whose scratch
-// lasts the whole pass, and the caches of its configurations.
+// lasts the whole pass, and the caches of its configurations (drawn: taken
+// back from the pass's scratch).
 type widthPass struct {
-	vec  int
-	fu   *isa.Fuser
-	walk *cache.SharedL1
+	vec   int
+	fu    *isa.Fuser
+	walk  *cache.SharedL1
+	drawn bool
 }
 
 // warm fuses one chunk of the warm window and walks its memory ops.
@@ -197,7 +203,7 @@ func (w *widthPass) sample(p ColdPass, i int, st ScalarTrace) WidthTables {
 	end := p.stage(i, StageFuse)
 	ft := p.Scratch.FuseSample(st, p.App, w.vec, p.Seed)
 	end()
-	return WidthTables{Fused: ft, Tables: sampleTables(w.walk, ft)}
+	return WidthTables{Fused: ft, Tables: p.Scratch.sampleTables(w.walk, ft)}
 }
 
 // chunkReader reads the warm window from a generator a chunk at a time, into

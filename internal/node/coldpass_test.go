@@ -88,8 +88,8 @@ func longestBlock(st ScalarTrace) int {
 // reference on every application, every Table I width and cache
 // configuration at two core counts, with chunks short enough to cut the warm
 // window hundreds of times (300 micro-ops: the longest vector loops are
-// longer, so a chunk must outgrow its buffer), a few dozen times and not at
-// all (the production length).
+// longer, so a chunk must outgrow its buffer), ten times and five times (the
+// production length).
 func TestColdPassMatchesReference(t *testing.T) {
 	const sample, warmup = 20000, 40000
 	grown := false

@@ -499,7 +499,7 @@ func WalkCaches(ft *FusedTrace, cfgs []Config) []HitRateTable {
 	for _, op := range ft.WarmOps {
 		walk.Access(op.Addr, int(op.Size), op.Write)
 	}
-	return sampleTables(walk, ft)
+	return (*Scratch)(nil).sampleTables(walk, ft)
 }
 
 // walkConfigs returns the hierarchy configuration a cache walk builds for
@@ -514,13 +514,15 @@ func walkConfigs(cfgs []Config) []cache.HierarchyConfig {
 }
 
 // sampleTables walks the sample accesses of ft through caches the warm
-// window has warmed and returns each hierarchy's hit-rate table.
-func sampleTables(walk *cache.SharedL1, ft *FusedTrace) []HitRateTable {
+// window has warmed and returns each hierarchy's hit-rate table, its level
+// column drawn from s: zeroed, so the non-memory ops it never writes read
+// level 0.
+func (s *Scratch) sampleTables(walk *cache.SharedL1, ft *FusedTrace) []HitRateTable {
 	walk.ResetStats()
 	hs := walk.Hierarchies()
 	levels := make([][]uint8, len(hs))
 	for i := range levels {
-		levels[i] = make([]uint8, len(ft.Meta))
+		levels[i] = s.levels(len(ft.Meta))
 	}
 	for _, op := range ft.SampleOps {
 		for i, lvl := range walk.Access(op.Addr, int(op.Size), op.Write) {

@@ -10,21 +10,25 @@ import (
 	"musa/internal/xrand"
 )
 
-// release hands a pass's sample window and fused halves back to s, as a
-// sweep does once the application's last group is done.
+// release hands a pass's sample window, fused halves and tables back to s,
+// as a sweep without an artifact provider does once the application's last
+// group is done.
 func release(s *Scratch, st ScalarTrace, res []WidthTables) {
 	s.ReleaseWindow(st)
 	for _, w := range res {
 		s.ReleaseFused(w.Fused)
+		for _, hrt := range w.Tables {
+			s.ReleaseTable(hrt)
+		}
 	}
 }
 
 // TestScratchPassesMatchReference drives one Scratch through a shuffled
 // sequence of cold passes — every application, each Table I width, nodes of
 // 1, 32 and 64 cores under the three Table I caches, two fidelities and
-// chunks of 300, 4 096 and 65 536 micro-ops — releasing each pass's window
-// and halves before the next, and compares every pass with its fresh
-// whole-window reference. Passes over the same configurations reset the
+// chunks of 300, 4 096 and coldChunk micro-ops — releasing each pass's
+// window, halves and tables before the next, and compares every pass with
+// its fresh whole-window reference. Passes over the same configurations reset the
 // previous pass's hierarchies, except those holding a 1-core node's L3
 // partitions (24 MB a width), which the scratch lets go; a smaller fidelity
 // or chunk runs on larger recycled storage, a larger one outgrows it.
@@ -62,14 +66,15 @@ func TestScratchPassesMatchReference(t *testing.T) {
 	}
 	st := s.Stats()
 	for name, c := range map[string]ScratchCount{
-		"windows": st.Windows, "halves": st.Halves, "chunk buffers": st.Chunks, "hierarchies": st.Hierarchies,
+		"windows": st.Windows, "halves": st.Halves, "tables": st.Tables, "streams": st.Streams,
+		"chunk buffers": st.Chunks, "hierarchies": st.Hierarchies,
 	} {
 		if c.Reused == 0 {
 			t.Errorf("%s: %+v, none reused: the sequence does not exercise recycled storage", name, c)
 		}
 	}
-	if s.walkBytes > maxScratchWalkBytes {
-		t.Errorf("the scratch keeps %d bytes of cache arrays, over its bound of %d", s.walkBytes, maxScratchWalkBytes)
+	if n := sum(s.walks, keptWalk.bytes); n > maxScratchWalkBytes {
+		t.Errorf("the scratch keeps %d bytes of cache arrays, over its bound of %d", n, maxScratchWalkBytes)
 	}
 	for _, w := range s.walks {
 		if w.Hierarchies()[0].Config().L3.SizeBytes >= 32<<20 {
@@ -120,12 +125,12 @@ func TestFuseAndCompileIntoRecycledStorage(t *testing.T) {
 }
 
 // TestColdPassChunkBytes pins the chunk buffers' sizing on the ring
-// replicas' fidelity (20 000 sample after 100 000 warm-up micro-ops): the
-// first buffer holds 65 536 micro-ops and the second only the 34 464 left
-// and the block the first stopped short of, so one LULESH pass at one width
-// over one 64-core configuration allocates under 5.0 MB (≈ 4.5 MB: the
-// buffers' 3.2 MB, the window, the half and one hierarchy) — a second full
-// 65 536-micro-op buffer (2 MiB) would take it over.
+// replicas' fidelity (20 000 sample after 100 000 warm-up micro-ops), on no
+// scratch: each buffer holds coldChunk (8 192) micro-ops, so one LULESH pass
+// at one width over one 64-core configuration allocates under 2.0 MB
+// (≈ 1.78 MB: the buffers' 0.52 MB, the 0.64 MB window, the half, one
+// hierarchy, the table and the generator) — at 65 536 micro-ops the buffers
+// alone took 3.2 MB and the pass 4.5 MB.
 func TestColdPassChunkBytes(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("allocation pins skip under -race")
@@ -140,7 +145,7 @@ func TestColdPassChunkBytes(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	p.Run()
 	runtime.ReadMemStats(&after)
-	const bound = 5.0e6
+	const bound = 2.0e6
 	if got := after.TotalAlloc - before.TotalAlloc; float64(got) >= bound {
 		t.Errorf("one 20 000 / 100 000 pass allocated %.2f MB, want under %.1f MB", float64(got)/1e6, bound/1e6)
 	} else {
@@ -148,10 +153,47 @@ func TestColdPassChunkBytes(t *testing.T) {
 	}
 }
 
+// TestColdPassOnScratchAllocs pins what a steady-state cold pass allocates:
+// after two passes through one scratch over the same configurations — LULESH
+// at the benchmark's fidelity (120 000 sample after 700 000 warm-up
+// micro-ops), the three Table I widths, nine tables — each releasing its
+// window, halves and tables back, a third pass draws its generator, chunk
+// buffers, hierarchies, window, halves and level columns from the scratch and
+// allocates under 0.1 MB (≈ 0.07 MB in about 150 objects: each width's fuser,
+// the goroutines and their channels; a pass on no scratch allocates 13.2 MB).
+func TestColdPassOnScratchAllocs(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("three full-fidelity passes; allocation pins skip under -race")
+	}
+	p := coldPassOf(apps.LULESH(), 120000, 700000, tableIWidths)
+	p.Scratch = new(Scratch)
+	for range 2 {
+		st, res := p.Run()
+		release(p.Scratch, st, res)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	st, res := p.Run()
+	runtime.ReadMemStats(&after)
+	release(p.Scratch, st, res)
+	const bound = 0.1e6
+	if got := after.TotalAlloc - before.TotalAlloc; float64(got) >= bound {
+		t.Errorf("a pass on a warm scratch allocated %.3f MB, want under %.1f MB", float64(got)/1e6, bound/1e6)
+	} else {
+		t.Logf("a pass on a warm scratch allocated %.3f MB (%d objects)", float64(got)/1e6, after.Mallocs-before.Mallocs)
+	}
+	if st := p.Scratch.Stats(); st.Windows.New != 1 || st.Halves.New != 3 || st.Tables.New != 9 ||
+		st.Streams.New != 1 || st.Chunks.New != 2 || st.Hierarchies.New != 3 {
+		t.Errorf("the second and third passes allocated columns: %+v", st)
+	}
+}
+
 // FuzzColdPassReuseMatchesReference is FuzzColdPassMatchesReference on a
 // scratch an unrelated pass used first — another application, seed,
 // fidelity, chunk length and pair of widths over the same configurations —
-// and released its window and halves to: the pass must take that storage and
+// and released its generator, chunk buffers, hierarchies, window, halves and
+// tables to: the pass must run on that storage (a recycled generator and
+// hierarchies always; the columns when they have room, grown when not) and
 // still equal the fresh whole-window reference (window, halves and tables).
 func FuzzColdPassReuseMatchesReference(f *testing.F) {
 	f.Add(uint8(0), uint64(1), uint16(3000), uint16(9000), uint8(0), uint16(299))
@@ -167,13 +209,17 @@ func FuzzColdPassReuseMatchesReference(f *testing.F) {
 		first.Seed, first.Scratch = seed+1, s
 		st, res := first.run(int(chunk/2) + 1)
 		release(s, st, res)
+		if h := s.Held(); h.Streams != 1 || h.Hierarchies != 2 || h.Tables != 6 || h.Halves != 2 || h.Chunks == 0 {
+			t.Fatalf("the first pass left %+v in the scratch", h)
+		}
 
 		p := coldPassOf(all[int(app)%len(all)], int64(sample%8000)+1, int64(warmup%16000)+1,
 			[]int{widths[int(width)%len(widths)], widths[(int(width)+1)%len(widths)]})
 		p.Seed, p.Scratch = seed, s
 		checkPassMatchesReference(t, p, int(chunk)+1)
-		if st := s.Stats(); st.Hierarchies.Reused == 0 || st.Halves.Reused == 0 {
-			t.Fatalf("the second pass drew nothing from the scratch: %+v", st)
+		if st := s.Stats(); st.Hierarchies.Reused == 0 || st.Streams.Reused == 0 {
+			t.Fatalf("the second pass drew no generator or hierarchies from the scratch: %+v", st)
 		}
+
 	})
 }

@@ -35,10 +35,12 @@ func (r *RNG) Seed(seed uint64) {
 	}
 }
 
-// Split derives an independent generator from r. The derived stream is
-// decorrelated by hashing a draw from r through splitmix64.
-func (r *RNG) Split() *RNG {
-	return New(r.Uint64() ^ 0xd1342543de82ef95)
+// Split seeds dst as a generator independent of r and returns it. The
+// derived stream is decorrelated by hashing a draw from r through
+// splitmix64; dst's previous state is overwritten.
+func (r *RNG) Split(dst *RNG) *RNG {
+	dst.Seed(r.Uint64() ^ 0xd1342543de82ef95)
+	return dst
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }

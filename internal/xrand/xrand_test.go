@@ -45,7 +45,7 @@ func TestDifferentSeedsDiffer(t *testing.T) {
 
 func TestSplitIndependence(t *testing.T) {
 	r := New(7)
-	c := r.Split()
+	c := r.Split(new(RNG))
 	// The child stream must not replicate the parent stream.
 	r2 := New(7)
 	r2.Uint64() // consume the draw Split consumed
