@@ -266,7 +266,7 @@ func NewClient(opts ClientOptions) (*Client, error) {
 		sem:     make(chan struct{}, maxJobs),
 		flight:  map[string]*call{},
 		custom:  map[string]customApp{},
-		scratch: new(node.Scratch),
+		scratch: node.NewScratch(),
 	}
 	if len(opts.Workers) > 0 {
 		f, err := newFleet(opts.Workers, opts.ShardTimeout)

@@ -59,7 +59,7 @@ func appTrace(t testing.TB, app *apps.Profile, bits int) (*node.FusedTrace, node
 		SampleInstrs: 30000, WarmupInstrs: 60000, Seed: 1,
 	}
 	ft := node.FuseScalarTrace(node.BuildScalarTrace(app, ncfg.SampleInstrs, ncfg.WarmupInstrs, ncfg.Seed), app, bits, ncfg.Seed)
-	hrt := node.WalkCaches(ft, []node.Config{ncfg})[0]
+	_, hrt := node.AnnotateTrace(ft, ncfg)
 	return ft, hrt, compiled(t, ft, hrt)
 }
 

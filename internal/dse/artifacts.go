@@ -193,35 +193,17 @@ func BurstKey(appHash string, ranks int, seed uint64) string {
 	}.key()
 }
 
-// Residency of the scalar-window, fused-trace and hit-rate-table fronts, and
-// of the scratch. Groups are sorted by application, then cores, cache
-// configuration, width and memory kind, and dispatched in that order except
-// that each application's first group goes out before the previous
-// application's last two (dispatchOrder): so near an application boundary two
-// applications are live at once. An application's first group resolves all
-// its tables, by one cold pass if any is missing; the other groups wait for
-// it. The fronts keep an application's entries — its sample window, a
-// sample-half fused trace per width (a few MB at 120 000 micro-ops) and every
-// table — until its last group is done (runArtifacts.groupDone), which takes
-// them out. The window and the halves then go to the scratch (node.Scratch:
-// the client's, through the run's own view, or the run's own), which hands
-// their storage to the next window and fuses — of this run's next
-// application, or of a later run on the same client. Each worker takes its
-// op column from the scratch, compiles every group it takes into it, and
-// returns it when it exits. A cold pass draws its generator, two chunk
-// buffers, each width's cache hierarchies and its tables' level columns from
-// the scratch; it returns all but the level columns when it ends, and the
-// next pass resets them in place (the hierarchies for a pass over the same
-// configurations; the scratch keeps 16 MiB of cache arrays: a 64-core
-// slice's, not a full grid's 1-core L3s). A run without a provider returns
-// an application's level columns with its halves. When the run ends, after
-// every worker has exited, the scratch lets go of every hierarchy set no pass
-// drew back during the run — a one-point run's, which kept on a ring
-// replica for a rare cold miss raised its peak RSS by 28 % — and keeps the
-// rest up to node.MaxScratchKeepBytes for the client's next run. Never in
-// the scratch: a window the client's front holds (the run did not build it
-// for itself), and a hit-rate table of a run with a provider (which may
-// hold it).
+// Residency of the scalar-window, fused-trace and hit-rate-table fronts.
+// Groups are dispatched in sorted order except that each application's
+// first group goes out before the previous application's last two
+// (dispatchOrder), so near an application boundary two applications are
+// live at once. The fronts keep an application's entries until its last
+// group is done (runArtifacts.groupDone), which takes them out and hands the
+// window and halves — and, in a run without a provider, the tables' level
+// columns — to the scratch (node.Scratch; DESIGN §15 has what each kind is
+// and when it returns). Never in the scratch: a window the client's front
+// holds (the run did not build it for itself), and a hit-rate table of a run
+// with a provider (which may hold it).
 //
 // The client's window front is bounded by bytes, because its entries differ
 // in size by orders of magnitude (an optimizer rung of 20 000 micro-ops, a
@@ -468,10 +450,8 @@ type runArtifacts struct {
 	windows    *SampleWindows
 	ownWindows bool
 	fused      onceMap[fusedKey, *node.FusedTrace] // sample half only
-	// scratch recycles the storage of the windows and fused traces the
-	// fronts let go, of the workers' op columns and of every cold pass: the
-	// run's own, or its view of the client's (see the residency comment
-	// above maxSampleWindowBytes).
+	// scratch recycles what the run's builds let go: the run's own, or its
+	// view of the client's.
 	scratch *node.Scratch
 	// caches lists the cache configurations the run sweeps per application,
 	// in group order, registered by the runner before any worker starts and
@@ -492,7 +472,7 @@ func newRunArtifacts(o Options) *runArtifacts {
 		scratch: o.Scratch.Share(),
 	}
 	if r.scratch == nil {
-		r.scratch = new(node.Scratch)
+		r.scratch = node.NewScratch()
 	}
 	if r.windows == nil {
 		r.windows, r.ownWindows = newSampleWindows(0), true
@@ -542,29 +522,20 @@ func (r *runArtifacts) groupDone(app string) {
 }
 
 // endRun hands the scratch back once every worker has exited
-// (node.Scratch.EndRun) and records on the run's span how many of its
-// windows, fused halves, op columns, level columns, generators, chunk
-// buffers and hierarchy sets came from storage already used — by this run
-// or, on a client's scratch, an earlier one ("scratch.<kind>" =
-// "<reused>/<all>", this run's draws only) — and what the scratch holds for
-// the runs that follow, out of what it may keep ("scratch.held_bytes" =
-// "<held>/<bound>").
+// (node.Scratch.EndRun) and records on the run's span how many of its draws
+// of each kind came from storage already used — by this run or, on a
+// client's scratch, an earlier one ("scratch.<kind>" = "<reused>/<all>",
+// this run's draws only) — and what the scratch holds for the runs that
+// follow, out of what it may keep ("scratch.held_bytes" = "<held>/<bound>").
 func (r *runArtifacts) endRun(span *obs.Span) {
 	r.scratch.EndRun()
 	if span == nil {
 		return
 	}
-	st := r.scratch.Stats()
-	for _, c := range []struct {
-		kind string
-		n    node.ScratchCount
-	}{
-		{"windows", st.Windows}, {"halves", st.Halves}, {"ops", st.Ops}, {"tables", st.Tables},
-		{"streams", st.Streams}, {"chunks", st.Chunks}, {"hierarchies", st.Hierarchies},
-	} {
-		span.SetAttr("scratch."+c.kind, fmt.Sprintf("%d/%d", c.n.Reused, c.n.Reused+c.n.New))
+	for k, n := range r.scratch.Stats() {
+		span.SetAttr("scratch."+node.ScratchKind(k).String(), fmt.Sprintf("%d/%d", n.Reused, n.Reused+n.New))
 	}
-	span.SetAttr("scratch.held_bytes", fmt.Sprintf("%d/%d", r.scratch.Held().Bytes, node.MaxScratchKeepBytes))
+	span.SetAttr("scratch.held_bytes", fmt.Sprintf("%d/%d", r.scratch.Held().Bytes(), node.MaxScratchKeepBytes))
 }
 
 // appHash memoizes AppHash per application.

@@ -128,7 +128,7 @@ func TestConcurrentRunsRecycleApart(t *testing.T) {
 	for _, c := range []struct {
 		front   *SampleWindows
 		scratch *node.Scratch
-	}{{nil, nil}, {NewSampleWindows(), nil}, {nil, new(node.Scratch)}, {NewSampleWindows(), new(node.Scratch)}} {
+	}{{nil, nil}, {NewSampleWindows(), nil}, {nil, node.NewScratch()}, {NewSampleWindows(), node.NewScratch()}} {
 		o := opts
 		o.SampleWindows, o.Scratch = c.front, c.scratch
 		pairs := 1
@@ -174,7 +174,7 @@ func TestClientScratchOutlivesTheRun(t *testing.T) {
 	opts.Workers = 1
 	want, _ := scratchUse(t, opts)
 	o := opts
-	o.Artifacts, o.SampleWindows, o.Scratch = newMapArtifacts(), NewSampleWindows(), new(node.Scratch)
+	o.Artifacts, o.SampleWindows, o.Scratch = newMapArtifacts(), NewSampleWindows(), node.NewScratch()
 	one := o
 	one.Apps, one.Points, one.Artifacts = o.Apps[:1], o.Points[:1], nil
 	var use map[string][2]int
@@ -189,12 +189,13 @@ func TestClientScratchOutlivesTheRun(t *testing.T) {
 			t.Errorf("%s run %d: dataset differs from the reference", c.kind, run)
 		}
 		held := o.Scratch.Held()
-		if held.Streams != 1 || held.Chunks != 2 || held.Hierarchies != c.hierarchies || held.Bytes > node.MaxScratchKeepBytes {
+		if held[node.ScratchStreams].Values != 1 || held[node.ScratchChunks].Values != 2 ||
+			held[node.ScratchHierarchies].Values != c.hierarchies || held.Bytes() > node.MaxScratchKeepBytes {
 			t.Errorf("%s run %d: the scratch holds %+v after the run, want one generator, two chunk buffers and %d hierarchy sets",
 				c.kind, run, held, c.hierarchies)
 		}
-		if n := use["held_bytes"]; int64(n[0]) != held.Bytes || n[1] != node.MaxScratchKeepBytes {
-			t.Errorf("%s run %d: scratch.held_bytes %v, the scratch holds %d of %d", c.kind, run, n, held.Bytes, node.MaxScratchKeepBytes)
+		if n := use["held_bytes"]; int64(n[0]) != held.Bytes() || n[1] != node.MaxScratchKeepBytes {
+			t.Errorf("%s run %d: scratch.held_bytes %v, the scratch holds %d of %d", c.kind, run, n, held.Bytes(), node.MaxScratchKeepBytes)
 		}
 		t.Logf("%s run %d: scratch %v, holds %+v", c.kind, run, use, held)
 	}

@@ -233,3 +233,56 @@ func TestFuserAllocationsDoNotScaleWithRuns(t *testing.T) {
 	}
 	t.Logf("%v allocations over %d runs", allocs, runs)
 }
+
+// TestFuserResetMatchesNew fuses the applications' windows at several seeds,
+// and random streams whose PCs span more than the slot table, at shuffled
+// widths from 64 to 2048 bits, all on one fuser Reset and Fed before each:
+// it must emit what a new fuser emits, op for op, with the same counters,
+// whatever width and input its scratch last served.
+func TestFuserResetMatchesNew(t *testing.T) {
+	type input struct {
+		name   string
+		instrs []isa.Instr
+	}
+	var inputs []input
+	rng := rand.New(rand.NewSource(50))
+	for _, app := range apps.All() {
+		for _, seed := range []uint64{1, 7} {
+			inputs = append(inputs, input{app.Name, node.BuildScalarTrace(app, 8000, 12000, seed).Instrs})
+		}
+		inputs = append(inputs, input{"random", randomBlocks(rng, 500+rng.Intn(6000))})
+	}
+	widths := []int{64, 128, 256, 512, 1024, 2048}
+	type pass struct {
+		in    input
+		width int
+	}
+	var passes []pass
+	for _, in := range inputs {
+		for _, w := range widths {
+			passes = append(passes, pass{in, w})
+		}
+	}
+	rng.Shuffle(len(passes), func(i, j int) { passes[i], passes[j] = passes[j], passes[i] })
+	fu := isa.NewFuser(nil, isa.DefaultFuserConfig(128))
+	for _, p := range passes {
+		cfg := isa.DefaultFuserConfig(p.width)
+		want := isa.NewFuser(isa.NewSliceStream(p.in.instrs), cfg)
+		fu.Reset(cfg)
+		fu.Feed(p.in.instrs)
+		for i := 0; ; i++ {
+			w, wok := want.Next()
+			g, gok := fu.Next()
+			if w != g || wok != gok {
+				t.Fatalf("%s at %d bits: op %d = %v (%v) on the reset fuser, %v (%v) on a new one",
+					p.in.name, p.width, i, g, gok, w, wok)
+			}
+			if !wok {
+				break
+			}
+		}
+		if fu.Stats() != want.Stats() {
+			t.Fatalf("%s at %d bits: stats %+v on the reset fuser, %+v on a new one", p.in.name, p.width, fu.Stats(), want.Stats())
+		}
+	}
+}

@@ -1,6 +1,9 @@
 package isa
 
-import "slices"
+import (
+	"reflect"
+	"slices"
+)
 
 // Decoder implements the tracing-side half of the paper's vector model: it
 // breaks every vector instruction (Lanes > 1) into scalar micro-ops that
@@ -117,6 +120,21 @@ type FuserStats struct {
 // it may consume the stream through a devirtualized fast path that leaves
 // s's own cursor untouched.
 func NewFuser(s Stream, cfg FuserConfig) *Fuser {
+	f := &Fuser{slotOf: map[uint32]int32{}}
+	f.Reset(cfg)
+	f.s = s
+	if ss, ok := s.(*SliceStream); ok {
+		// Window straight over the slice: one dynamic dispatch and a 32-byte
+		// copy per instruction is real money on multi-million instruction
+		// windows.
+		f.s, f.src, f.spos = nil, ss.Instrs, ss.pos
+	}
+	return f
+}
+
+// Reset makes f a fuser of cfg with no input and zero counters, keeping its
+// scratch: Feed gives it its input, and it then fuses as a new fuser would.
+func (f *Fuser) Reset(cfg FuserConfig) {
 	if cfg.WidthBits < ElemBits {
 		cfg.WidthBits = ElemBits
 	}
@@ -126,14 +144,15 @@ func NewFuser(s Stream, cfg FuserConfig) *Fuser {
 	if cfg.MaxBlock <= 0 {
 		cfg.MaxBlock = 4096
 	}
-	f := &Fuser{cfg: cfg, s: s, slotOf: map[uint32]int32{}}
-	if ss, ok := s.(*SliceStream); ok {
-		// Window straight over the slice: one dynamic dispatch and a 32-byte
-		// copy per instruction is real money on multi-million instruction
-		// windows.
-		f.s, f.src, f.spos = nil, ss.Instrs, ss.pos
-	}
-	return f
+	f.cfg, f.stats = cfg, FuserStats{}
+	f.s, f.src, f.spos = nil, nil, 0
+	f.out, f.opos = f.out[:0], 0
+	clear(f.slotOf)
+}
+
+// Bytes is the storage of f's scratch: its slices' capacities.
+func (f *Fuser) Bytes() int64 {
+	return int64(cap(f.out))*int64(reflect.TypeFor[Instr]().Size()) + 4*int64(cap(f.slot)+cap(f.cur)+cap(f.bySlot))
 }
 
 // Feed makes instrs the fuser's input in place of whatever of the old input

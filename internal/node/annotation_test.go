@@ -23,7 +23,7 @@ func TestCompiledColumnsAgree(t *testing.T) {
 		for _, vec := range []int{128, 256, 512} {
 			ft := FuseScalarTrace(st, app, vec, seed)
 			cfgs := tableICacheConfigs(vec)
-			for i, hrt := range WalkCaches(ft, cfgs) {
+			for i, hrt := range walkCaches(ft, cfgs) {
 				nodeWay, ok := CombineAnnotation(ft, hrt)
 				if !ok {
 					t.Fatal("a table does not fit the trace it was walked from")

@@ -55,10 +55,10 @@ const (
 // fills the next one. The sample window is then generated whole (or taken
 // from Window), and each width fuses it and walks it to its tables.
 //
-// Each table, and each fused sample half, equals the one WalkCaches and
-// FuseSample build from the whole window (FuseScalarTrace of
-// BuildScalarTrace): a fuser run never spans a change of basic block, so
-// cutting the stream there changes no fused op.
+// Each table, and each fused sample half, equals the one AnnotateTrace and
+// FuseScalarTrace build from the whole window (BuildScalarTrace): a fuser run
+// never spans a change of basic block, so cutting the stream there changes
+// no fused op.
 type ColdPass struct {
 	App            *apps.Profile
 	Sample, Warmup int64 // resolved by apps.EffectiveFidelity
@@ -68,12 +68,13 @@ type ColdPass struct {
 	// generator at the end of the warm window.
 	Window ScalarTrace
 	Widths []WidthWalk // at least one
-	// Scratch, if set, supplies the pass's storage and gets back what the
-	// pass is done with: its generator, its two chunk buffers and each
-	// width's hierarchies return when the pass ends, to be reset for the next
+	// Scratch supplies the pass's storage and gets back what the pass is
+	// done with: its generator, its two chunk buffers and each width's fuser
+	// and hierarchies return when the pass ends, to be reset for the next
 	// pass (the hierarchies for one over the same configurations). The
 	// generated sample window, the fused sample halves and the tables' level
-	// columns are drawn from it too, but are the caller's to release.
+	// columns are drawn from it too, but are the caller's to release. A pass
+	// with no Scratch makes its own.
 	Scratch *Scratch
 	// Stage, if set, is called on the goroutine running width i's share of
 	// the pass as each of its stages begins; the function it returns is
@@ -88,14 +89,14 @@ func (p ColdPass) Run() (ScalarTrace, []WidthTables) { return p.run(coldChunk) }
 
 // run is Run with the chunk length a parameter, so tests can force cuts.
 func (p ColdPass) run(chunk int) (ScalarTrace, []WidthTables) {
+	if p.Scratch == nil {
+		p.Scratch = NewScratch()
+	}
 	sample, warmup := apps.EffectiveFidelity(p.Sample, p.Warmup)
 	gen := p.Scratch.stream(p.App, p.Seed)
 	walks := make([]*widthPass, len(p.Widths))
 	for i, w := range p.Widths {
-		walks[i] = &widthPass{
-			vec: w.VectorBits,
-			fu:  isa.NewFuser(isa.NewSliceStream(nil), isa.DefaultFuserConfig(w.VectorBits)),
-		}
+		walks[i] = &widthPass{vec: w.VectorBits, fu: p.Scratch.fuser(w.VectorBits)}
 		walks[i].walk, walks[i].drawn = p.Scratch.walk(w.Configs)
 	}
 	out := make([]WidthTables, len(walks))
@@ -122,7 +123,12 @@ func (p ColdPass) run(chunk int) (ScalarTrace, []WidthTables) {
 	}
 
 	end := p.stage(0, StageWalk)
-	r := chunkReader{gen: gen, left: warmup, size: chunk, bufs: p.Scratch.chunkBuffers(min(int64(chunk), warmup))}
+	// The chunk buffers: released ones while there are, the smallest with
+	// room first, nil ones (next sizes them) after.
+	r := chunkReader{gen: gen, left: warmup, size: chunk}
+	for i := range r.bufs {
+		r.bufs[i], _ = take(p.Scratch, &p.Scratch.chunks, min(int64(chunk), warmup), nil)
+	}
 	for {
 		instrs, walked, ok := r.next()
 		if !ok {
@@ -141,10 +147,14 @@ func (p ColdPass) run(chunk int) (ScalarTrace, []WidthTables) {
 	out[0] = walks[0].sample(p, 0, st)
 	end()
 	wg.Wait()
-	p.Scratch.releaseStream(gen)
-	p.Scratch.releaseChunks(r.bufs)
+	put(p.Scratch, &p.Scratch.streams, gen)
+	for _, b := range r.bufs {
+		if b != nil { // a buffer no chunk filled
+			put(p.Scratch, &p.Scratch.chunks, b[:0])
+		}
+	}
 	for _, w := range walks {
-		p.Scratch.releaseWalk(w.walk, w.drawn)
+		put(p.Scratch, &p.Scratch.walks, keptWalk{w.walk, w.drawn})
 	}
 	return st, out
 }
@@ -198,8 +208,10 @@ func (w *widthPass) warm(chunk []isa.Instr) {
 	}
 }
 
-// sample fuses the sample window and walks it on the warm caches.
+// sample fuses the sample window and walks it on the warm caches. The
+// width's fuser goes back to the scratch first, for the sample fuse to draw.
 func (w *widthPass) sample(p ColdPass, i int, st ScalarTrace) WidthTables {
+	p.Scratch.releaseFuser(w.fu)
 	end := p.stage(i, StageFuse)
 	ft := p.Scratch.FuseSample(st, p.App, w.vec, p.Seed)
 	end()

@@ -42,7 +42,7 @@ func coldPassOf(app *apps.Profile, sample, warmup int64, widths []int, cores ...
 // checkPassMatchesReference runs p cutting its warm window into chunks of at
 // most chunk micro-ops (more where a block is longer) and compares the sample
 // window, every width's fused sample half and every table with the
-// whole-window reference: WalkCaches(FuseScalarTrace(BuildScalarTrace(…))).
+// whole-window reference: walkCaches(FuseScalarTrace(BuildScalarTrace(…))).
 func checkPassMatchesReference(t testing.TB, p ColdPass, chunk int) (ScalarTrace, []WidthTables) {
 	t.Helper()
 	full := BuildScalarTrace(p.App, p.Sample, p.Warmup, p.Seed)
@@ -57,7 +57,7 @@ func checkPassMatchesReference(t testing.TB, p ColdPass, chunk int) (ScalarTrace
 			!slices.Equal(got.SampleOps, ref.SampleOps) || got.Counts != ref.Counts {
 			t.Fatalf("%s %d bits chunk %d: fused sample half differs from the reference", p.App.Name, w.VectorBits, chunk)
 		}
-		want := WalkCaches(ref, w.Configs)
+		want := walkCaches(ref, w.Configs)
 		for j, hrt := range res[i].Tables {
 			if !slices.Equal(hrt.Levels, want[j].Levels) || hrt.L1 != want[j].L1 || hrt.L2 != want[j].L2 ||
 				hrt.L3 != want[j].L3 || hrt.MemReads != want[j].MemReads || hrt.MemWrites != want[j].MemWrites ||
@@ -132,7 +132,7 @@ func TestColdPassGivenWindow(t *testing.T) {
 // rests on where it cuts.
 func TestCutsOnlyWhereTheBlockChanges(t *testing.T) {
 	st := BuildScalarTrace(apps.LULESH(), 1000, 20000, 1)
-	ref := FuseWarm(st, 512)
+	ref := fuseWarm(st, 512)
 	fu := isa.NewFuser(isa.NewSliceStream(nil), isa.DefaultFuserConfig(512))
 	var got []WarmOp
 	warm := st.Instrs[:st.Warm]

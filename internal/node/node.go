@@ -299,7 +299,7 @@ func (tm *TimingMemo) regions(app *apps.Profile, seed uint64) *regionReplay {
 // All slices are immutable while the trace has readers; annotations combined
 // from it copy what they need (CombineAnnotation), so a sweep hands the
 // columns to its scratch once the application's last group is done. The trace has two independently built halves: WarmOps
-// (FuseWarm), and everything else (FuseSample).
+// (fuseWarm), and everything else (Scratch.FuseSample).
 type FusedTrace struct {
 	// WarmOps is the warm window's fused memory accesses in stream order;
 	// nil on a sample-half-only trace, which a cache walk must not be given.
@@ -358,8 +358,8 @@ type HitRateTable struct {
 // window, before any width fusion. Every vector width of an application
 // fuses the identical scalar sequence — only the fuser differs — so the
 // sweep runner generates it once and fuses it per width. A trace with
-// Warm == 0 is a sample window: all FuseSample reads, and the only window a
-// sweep keeps (a cold pass streams the warm window).
+// Warm == 0 is a sample window: all Scratch.FuseSample reads, and the only
+// window a sweep keeps (a cold pass streams the warm window).
 type ScalarTrace struct {
 	Instrs []isa.Instr
 	// Warm is the number of leading instructions belonging to the warm
@@ -374,14 +374,6 @@ func BuildScalarTrace(app *apps.Profile, sampleInstrs, warmupInstrs int64, seed 
 	return generateWindow(apps.NewDetailedStream(app, seed), warmupInstrs, sampleInstrs)
 }
 
-// BuildSampleWindow generates the sample window alone: the generator is
-// stepped through the warm window — its random draws are the stream — without
-// materialising it. The result equals SampleWindow of BuildScalarTrace at the
-// same arguments, instruction for instruction.
-func BuildSampleWindow(app *apps.Profile, sampleInstrs, warmupInstrs int64, seed uint64) ScalarTrace {
-	return (*Scratch)(nil).SampleWindow(app, sampleInstrs, warmupInstrs, seed)
-}
-
 // generateWindow materialises the next warm+sample micro-ops of gen.
 func generateWindow(gen *apps.DetailedStream, warm, sample int64) ScalarTrace {
 	instrs := make([]isa.Instr, warm+sample)
@@ -390,22 +382,22 @@ func generateWindow(gen *apps.DetailedStream, warm, sample int64) ScalarTrace {
 }
 
 // FuseScalarTrace fuses a scalar trace at one vector width: the sample half
-// (FuseSample) plus the warm half (FuseWarm), which share no state. Branch
-// mispredict outcomes are drawn here — they consume the same seed-derived
-// random sequence whatever the cache configuration — so the cache walk
-// (WalkCaches) is purely deterministic replay. A sweep never holds a whole
-// window: ColdPass streams the warm half into the caches instead, and this
-// is the reference it is tested against.
+// (Scratch.FuseSample) plus the warm half (fuseWarm), which share no state.
+// Branch mispredict outcomes are drawn here — they consume the same
+// seed-derived random sequence whatever the cache configuration — so the
+// cache walk (AnnotateTrace) is purely deterministic replay. A sweep never
+// holds a whole window: ColdPass streams the warm half into the caches
+// instead, and this is the reference it is tested against.
 func FuseScalarTrace(st ScalarTrace, app *apps.Profile, vectorBits int, seed uint64) *FusedTrace {
-	ft := FuseSample(st, app, vectorBits, seed)
-	ft.WarmOps = FuseWarm(st, vectorBits)
+	ft := NewScratch().FuseSample(st, app, vectorBits, seed)
+	ft.WarmOps = fuseWarm(st, vectorBits)
 	return ft
 }
 
-// FuseWarm fuses the warm window of a scalar trace into its memory accesses —
+// fuseWarm fuses the warm window of a scalar trace into its memory accesses —
 // the half of a fused trace whose only reader is the cache walk
-// (WalkCaches).
-func FuseWarm(st ScalarTrace, vectorBits int) []WarmOp {
+// (walkCaches).
+func fuseWarm(st ScalarTrace, vectorBits int) []WarmOp {
 	// The scalar budget upper-bounds the fused count (fusion only shrinks a
 	// stream), so the column can be sized once instead of grown.
 	ops := make([]WarmOp, 0, st.Warm/2)
@@ -427,22 +419,16 @@ func FuseWarm(st ScalarTrace, vectorBits int) []WarmOp {
 // the trace's seed.
 const mispredictSalt = 0x5eed
 
-// FuseSample fuses the sample window of a scalar trace: everything of a
-// FusedTrace but WarmOps, which stays nil. That is all CombineAnnotation and
-// the timing replay read.
-func FuseSample(st ScalarTrace, app *apps.Profile, vectorBits int, seed uint64) *FusedTrace {
-	return (*Scratch)(nil).FuseSample(st, app, vectorBits, seed)
-}
-
-// fuseSample is FuseSample into ft, whose columns it truncates and grows: a
-// recycled half's storage is overwritten, never read.
-func fuseSample(ft *FusedTrace, st ScalarTrace, app *apps.Profile, vectorBits int, seed uint64) {
+// fuseSample fills ft with the sample half of st, fused by fu: ft's columns
+// are truncated and grown, so a recycled half's storage is overwritten, never
+// read.
+func fuseSample(ft *FusedTrace, fu *isa.Fuser, st ScalarTrace, app *apps.Profile, seed uint64) {
+	fu.Feed(st.Instrs[st.Warm:])
 	sampleInstrs := int(int64(len(st.Instrs)) - st.Warm)
 	ft.WarmOps = nil
 	ft.SampleOps = slices.Grow(ft.SampleOps[:0], sampleInstrs/2)
 	ft.Deps = slices.Grow(ft.Deps[:0], sampleInstrs)
 	ft.Meta = slices.Grow(ft.Meta[:0], sampleInstrs)
-	fu := isa.NewFuser(isa.NewSliceStream(st.Instrs[st.Warm:]), isa.DefaultFuserConfig(vectorBits))
 	rng := xrand.New(seed ^ mispredictSalt)
 	rate := app.MispredictRate
 	for {
@@ -472,14 +458,14 @@ func fuseSample(ft *FusedTrace, st ScalarTrace, app *apps.Profile, vectorBits in
 // warm ops populate the caches, then each sample access resolves to its
 // level. It returns both the combined annotation (ready for timing replay)
 // and the hit-rate table that, overlaid on the same trace, reproduces it. It
-// is WalkCaches with one configuration.
+// is walkCaches with one configuration.
 func AnnotateTrace(ft *FusedTrace, cfg Config) (Annotation, HitRateTable) {
-	hrt := WalkCaches(ft, []Config{cfg})[0]
+	hrt := walkCaches(ft, []Config{cfg})[0]
 	ann, _ := CombineAnnotation(ft, hrt)
 	return ann, hrt
 }
 
-// WalkCaches replays a fused trace through the cache hierarchies of every
+// walkCaches replays a fused trace through the cache hierarchies of every
 // configuration at once and returns their hit-rate tables, in order. Every
 // node configuration has the same L1, so the walk looks each line up in one
 // L1 (cache.SharedL1) and runs only the levels below it per configuration;
@@ -489,9 +475,9 @@ func AnnotateTrace(ft *FusedTrace, cfg Config) (Annotation, HitRateTable) {
 // access cost the same and an access straddling two lines keeps the level of
 // the first: one whose first line hits the L3 and whose second goes to DRAM
 // is annotated L3 (pinned by TestStraddlingL3AndDRAMAnnotatesL3).
-func WalkCaches(ft *FusedTrace, cfgs []Config) []HitRateTable {
+func walkCaches(ft *FusedTrace, cfgs []Config) []HitRateTable {
 	if ft.WarmOps == nil {
-		// FuseWarm returns a non-nil column even for an empty warm window;
+		// fuseWarm returns a non-nil column even for an empty warm window;
 		// walking cold caches would persist a wrong hit-rate table silently.
 		panic("node: cache walk on a fused trace without its warm half")
 	}
@@ -499,7 +485,7 @@ func WalkCaches(ft *FusedTrace, cfgs []Config) []HitRateTable {
 	for _, op := range ft.WarmOps {
 		walk.Access(op.Addr, int(op.Size), op.Write)
 	}
-	return (*Scratch)(nil).sampleTables(walk, ft)
+	return NewScratch().sampleTables(walk, ft)
 }
 
 // walkConfigs returns the hierarchy configuration a cache walk builds for

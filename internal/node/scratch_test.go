@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"musa/internal/apps"
+	"musa/internal/cache"
 	"musa/internal/cpu"
+	"musa/internal/isa"
 	"musa/internal/xrand"
 )
 
@@ -57,7 +59,7 @@ func TestScratchPassesMatchReference(t *testing.T) {
 		j := rng.Intn(i + 1)
 		passes[i], passes[j] = passes[j], passes[i]
 	}
-	s := new(Scratch)
+	s := NewScratch()
 	for _, ps := range passes {
 		p := coldPassOf(ps.app, ps.sample, ps.warmup, ps.widths, ps.cores...)
 		p.Scratch = s
@@ -65,18 +67,15 @@ func TestScratchPassesMatchReference(t *testing.T) {
 		release(s, st, res)
 	}
 	st := s.Stats()
-	for name, c := range map[string]ScratchCount{
-		"windows": st.Windows, "halves": st.Halves, "tables": st.Tables, "streams": st.Streams,
-		"chunk buffers": st.Chunks, "hierarchies": st.Hierarchies,
-	} {
-		if c.Reused == 0 {
-			t.Errorf("%s: %+v, none reused: the sequence does not exercise recycled storage", name, c)
+	for _, k := range []ScratchKind{ScratchWindows, ScratchHalves, ScratchTables, ScratchStreams, ScratchChunks, ScratchHierarchies} {
+		if c := st[k]; c.Reused == 0 {
+			t.Errorf("%s: %+v, none reused: the sequence does not exercise recycled storage", k, c)
 		}
 	}
-	if n := sum(s.walks, keptWalk.bytes); n > maxScratchWalkBytes {
-		t.Errorf("the scratch keeps %d bytes of cache arrays, over its bound of %d", n, maxScratchWalkBytes)
+	if _, kept := s.walks.held(); kept.Bytes > maxScratchWalkBytes {
+		t.Errorf("the scratch keeps %d bytes of cache arrays, over its bound of %d", kept.Bytes, maxScratchWalkBytes)
 	}
-	for _, w := range s.walks {
+	for _, w := range s.walks.vals {
 		if w.Hierarchies()[0].Config().L3.SizeBytes >= 32<<20 {
 			t.Errorf("the scratch kept a 1-core hierarchy set of %d bytes", w.Bytes())
 		}
@@ -88,7 +87,7 @@ func TestScratchPassesMatchReference(t *testing.T) {
 // columns of another application's half, and an op column compiled into one
 // left by another trace, equal fresh builds.
 func TestFuseAndCompileIntoRecycledStorage(t *testing.T) {
-	s := new(Scratch)
+	s := NewScratch()
 	var ops []uint32
 	all := apps.All()
 	for i, app := range all {
@@ -102,7 +101,7 @@ func TestFuseAndCompileIntoRecycledStorage(t *testing.T) {
 				!slices.Equal(got.SampleOps, want.SampleOps) || got.Counts != want.Counts {
 				t.Fatalf("%s %d bits: a half fused on recycled columns differs from a fresh one", app.Name, vec)
 			}
-			hrt := WalkCaches(FuseScalarTrace(BuildScalarTrace(app, 6000, 2000, 1), app, vec, 1), tableICacheConfigs(vec)[:1])[0]
+			hrt := walkCaches(FuseScalarTrace(BuildScalarTrace(app, 6000, 2000, 1), app, vec, 1), tableICacheConfigs(vec)[:1])[0]
 			fresh, _ := CombineAnnotation(want, hrt)
 			ann, ok := CombineAnnotationInto(ops, got, hrt)
 			if !ok || !slices.Equal(ann.Ann.Ops, fresh.Ann.Ops) || ann.Ann.Counts != fresh.Ann.Counts ||
@@ -119,7 +118,7 @@ func TestFuseAndCompileIntoRecycledStorage(t *testing.T) {
 			s.ReleaseFused(got)
 		}
 	}
-	if st := s.Stats(); st.Halves.Reused == 0 {
+	if st := s.Stats(); st[ScratchHalves].Reused == 0 {
 		t.Errorf("no half was fused on recycled columns: %+v", st)
 	}
 }
@@ -158,15 +157,16 @@ func TestColdPassChunkBytes(t *testing.T) {
 // at the benchmark's fidelity (120 000 sample after 700 000 warm-up
 // micro-ops), the three Table I widths, nine tables — each releasing its
 // window, halves and tables back, a third pass draws its generator, chunk
-// buffers, hierarchies, window, halves and level columns from the scratch and
-// allocates under 0.1 MB (≈ 0.07 MB in about 150 objects: each width's fuser,
-// the goroutines and their channels; a pass on no scratch allocates 13.2 MB).
+// buffers, fusers, hierarchies, window, halves and level columns from the
+// scratch and allocates under 0.1 MB (≈ 0.006 MB in about 30 objects: the
+// goroutines, their channels and the per-width slices; 0.07 MB while each
+// width built a new fuser; a pass on no scratch allocates 13.2 MB).
 func TestColdPassOnScratchAllocs(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("three full-fidelity passes; allocation pins skip under -race")
 	}
 	p := coldPassOf(apps.LULESH(), 120000, 700000, tableIWidths)
-	p.Scratch = new(Scratch)
+	p.Scratch = NewScratch()
 	for range 2 {
 		st, res := p.Run()
 		release(p.Scratch, st, res)
@@ -182,8 +182,8 @@ func TestColdPassOnScratchAllocs(t *testing.T) {
 	} else {
 		t.Logf("a pass on a warm scratch allocated %.3f MB (%d objects)", float64(got)/1e6, after.Mallocs-before.Mallocs)
 	}
-	if st := p.Scratch.Stats(); st.Windows.New != 1 || st.Halves.New != 3 || st.Tables.New != 9 ||
-		st.Streams.New != 1 || st.Chunks.New != 2 || st.Hierarchies.New != 3 {
+	if st := p.Scratch.Stats(); st[ScratchWindows].New != 1 || st[ScratchHalves].New != 3 || st[ScratchTables].New != 9 ||
+		st[ScratchStreams].New != 1 || st[ScratchChunks].New != 2 || st[ScratchHierarchies].New != 3 {
 		t.Errorf("the second and third passes allocated columns: %+v", st)
 	}
 }
@@ -203,13 +203,14 @@ func FuzzColdPassReuseMatchesReference(f *testing.F) {
 	all := apps.All()
 	widths := []int{128, 256, 512, 2048}
 	f.Fuzz(func(t *testing.T, app uint8, seed uint64, sample, warmup uint16, width uint8, chunk uint16) {
-		s := new(Scratch)
+		s := NewScratch()
 		first := coldPassOf(all[(int(app)+1)%len(all)], int64((sample+4000)%8000)+1, int64((warmup+8000)%16000)+1,
 			[]int{widths[(int(width)+2)%len(widths)], widths[(int(width)+3)%len(widths)]})
 		first.Seed, first.Scratch = seed+1, s
 		st, res := first.run(int(chunk/2) + 1)
 		release(s, st, res)
-		if h := s.Held(); h.Streams != 1 || h.Hierarchies != 2 || h.Tables != 6 || h.Halves != 2 || h.Chunks == 0 {
+		if h := s.Held(); h[ScratchStreams].Values != 1 || h[ScratchHierarchies].Values != 2 || h[ScratchTables].Values != 6 ||
+			h[ScratchHalves].Values != 2 || h[ScratchChunks].Values == 0 {
 			t.Fatalf("the first pass left %+v in the scratch", h)
 		}
 
@@ -217,9 +218,144 @@ func FuzzColdPassReuseMatchesReference(f *testing.F) {
 			[]int{widths[int(width)%len(widths)], widths[(int(width)+1)%len(widths)]})
 		p.Seed, p.Scratch = seed, s
 		checkPassMatchesReference(t, p, int(chunk)+1)
-		if st := s.Stats(); st.Hierarchies.Reused == 0 || st.Streams.Reused == 0 {
+		if st := s.Stats(); st[ScratchHierarchies].Reused == 0 || st[ScratchStreams].Reused == 0 {
 			t.Fatalf("the second pass drew no generator or hierarchies from the scratch: %+v", st)
 		}
 
 	})
+}
+
+// TestScratchShelfPolicy pins the draw and release rules every kind shares:
+// the smallest value with room for a build, else the largest; the largest
+// for a draw that cannot tell its need (anyRoom); nothing from an empty
+// shelf; hierarchy sets only on an exact configuration match; EndRun's drop
+// order under MaxScratchKeepBytes (windows, halves, level columns, op
+// columns, hierarchies, generators, chunk buffers, fusers); and the drawn
+// rule, which lets go of a hierarchy set no pass drew back since the last
+// EndRun.
+func TestScratchShelfPolicy(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		caps      []int
+		need      int64
+		wantCap   int
+		wantReuse bool
+	}{
+		{"smallest with room", []int{10, 50, 30, 40}, 25, 30, true},
+		{"exact room", []int{10, 50, 30, 40}, 40, 40, true},
+		{"largest when none has room", []int{10, 50, 30, 40}, 60, 50, false},
+		{"anyRoom takes the largest", []int{10, 50, 30, 40}, anyRoom, 50, true},
+		{"empty shelf", nil, 1, 0, false},
+	} {
+		s := NewScratch()
+		for _, n := range c.caps {
+			s.ReleaseTable(HitRateTable{Levels: make([]uint8, n)})
+		}
+		col, reused := take(s, &s.tables, c.need, nil)
+		if cap(col) != c.wantCap || reused != c.wantReuse {
+			t.Errorf("%s: drew a column of capacity %d (reused %v), want %d (%v)", c.name, cap(col), reused, c.wantCap, c.wantReuse)
+		}
+		want := ScratchCount{New: 1}
+		if c.wantReuse {
+			want = ScratchCount{Reused: 1}
+		}
+		if st := s.Stats(); st[ScratchTables] != want || s.Held()[ScratchTables].Values != max(len(c.caps)-1, 0) {
+			t.Errorf("%s: counted %+v and holds %+v after the draw", c.name, st[ScratchTables], s.Held()[ScratchTables])
+		}
+	}
+
+	// Hierarchy sets: only the set over exactly the drawn configurations.
+	cfgs := tableICacheConfigs(128)[6:] // the three 64-core nodes
+	s := NewScratch()
+	a, _ := s.walk(cfgs[:1])
+	b, _ := s.walk(cfgs[1:])
+	put(s, &s.walks, keptWalk{a, false})
+	put(s, &s.walks, keptWalk{b, false})
+	if w, drawn := s.walk(cfgs[1:]); w != b || !drawn {
+		t.Errorf("a draw over the second set's configurations did not take that set")
+	}
+	for _, other := range [][]Config{cfgs, cfgs[2:], cfgs[1:2]} {
+		if w, drawn := s.walk(other); w == a || drawn {
+			t.Errorf("a draw over %d other configurations took a set built for different ones", len(other))
+		}
+	}
+	if h := s.Held()[ScratchHierarchies]; h.Values != 1 {
+		t.Errorf("the scratch holds %d hierarchy sets, want the one no draw matched", h.Values)
+	}
+
+	// The drawn rule: a set outlives EndRun only if a pass drew it back
+	// since the previous EndRun, and then only until the next one.
+	s = NewScratch()
+	put(s, &s.walks, keptWalk{a, false})
+	put(s, &s.walks, keptWalk{b, true})
+	s.EndRun()
+	if len(s.walks.vals) != 1 || s.walks.vals[0].SharedL1 != b || s.walks.vals[0].drawn {
+		t.Errorf("EndRun kept %d sets, want the drawn one, its flag cleared", len(s.walks.vals))
+	}
+	s.EndRun()
+	if len(s.walks.vals) != 0 {
+		t.Errorf("a set no pass drew back since the last EndRun outlived it")
+	}
+
+	// The trim: 30 MiB held is 6 MiB over the bound, which the two windows
+	// (4 MiB) and then the level column (8 MiB) cover; the op column and the
+	// chunk buffer, later in the order, stay.
+	const mib = 1 << 20
+	s = NewScratch()
+	s.ReleaseOps(make([]uint32, 8*mib/4))
+	put(s, &s.chunks, make([]isa.Instr, 0, 10*mib/32))
+	s.ReleaseTable(HitRateTable{Levels: make([]uint8, 8*mib)})
+	s.ReleaseWindow(ScalarTrace{Instrs: make([]isa.Instr, 2*mib/32)})
+	s.ReleaseWindow(ScalarTrace{Instrs: make([]isa.Instr, 2*mib/32)})
+	s.EndRun()
+	h := s.Held()
+	if h[ScratchWindows].Values != 0 || h[ScratchTables].Values != 0 || h[ScratchOps].Values != 1 || h[ScratchChunks].Values != 1 {
+		t.Errorf("EndRun over the bound kept %+v, want the op column and the chunk buffer only", h)
+	}
+	if h.Bytes() != 18*mib {
+		t.Errorf("EndRun left %d bytes, want %d", h.Bytes(), 18*mib)
+	}
+}
+
+// TestScratchShelfReuseAllocs pins a take/put cycle of each kind on a
+// primed scratch at zero allocations: no draw or release boxes a value or
+// allocates a closure.
+func TestScratchShelfReuseAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation pins skip under -race")
+	}
+	s := NewScratch()
+	hcfgs := walkConfigs(tableICacheConfigs(128)[6:7])
+	s.ReleaseWindow(ScalarTrace{Instrs: make([]isa.Instr, 100)})
+	s.ReleaseFused(&FusedTrace{Deps: make([]uint32, 100), Meta: make([]uint32, 100)})
+	s.ReleaseOps(make([]uint32, 100))
+	s.ReleaseTable(HitRateTable{Levels: make([]uint8, 100)})
+	put(s, &s.streams, apps.NewDetailedStream(apps.LULESH(), 1))
+	put(s, &s.chunks, make([]isa.Instr, 0, 100))
+	put(s, &s.walks, keptWalk{cache.NewSharedL1(hcfgs), false})
+	s.releaseFuser(s.fuser(256))
+	primed := s.Stats()
+	for k, cycle := range [NumScratchKinds]func(){
+		ScratchWindows: func() { v, _ := take(s, &s.windows, 50, nil); put(s, &s.windows, v) },
+		ScratchHalves:  func() { v, _ := take(s, &s.halves, 50, nil); put(s, &s.halves, v) },
+		ScratchOps:     func() { put(s, &s.ops, s.Ops()) },
+		ScratchTables:  func() { v, _ := take(s, &s.tables, 50, nil); put(s, &s.tables, v) },
+		ScratchStreams: func() { v, _ := take(s, &s.streams, anyRoom, nil); put(s, &s.streams, v) },
+		ScratchChunks:  func() { v, _ := take(s, &s.chunks, 50, nil); put(s, &s.chunks, v) },
+		ScratchHierarchies: func() {
+			same := func(w keptWalk) bool { return w.Hierarchies()[0].Config() == hcfgs[0] }
+			v, _ := take(s, &s.walks, 0, same)
+			put(s, &s.walks, v)
+		},
+		ScratchFusers: func() { s.releaseFuser(s.fuser(512)) },
+	} {
+		if n := testing.AllocsPerRun(100, cycle); n != 0 {
+			t.Errorf("a take/put cycle of %s allocates %v times, want 0", ScratchKind(k), n)
+		}
+	}
+	for k, c := range s.Stats() {
+		if c.Reused == 0 || c.New != primed[k].New {
+			t.Errorf("%s: %+v, want every draw reused", ScratchKind(k), c)
+		}
+	}
 }

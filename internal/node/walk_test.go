@@ -10,7 +10,7 @@ import (
 	"musa/internal/isa"
 )
 
-// referenceAnnotateTrace is the per-configuration cache walk WalkCaches
+// referenceAnnotateTrace is the per-configuration cache walk walkCaches
 // replaced, kept as the plain implementation the shared walk is checked
 // against: one private hierarchy, every access through Hierarchy.Access, the
 // meta column overlaid as the walk goes and then compiled.
@@ -69,7 +69,7 @@ func TestSharedWalkMatchesPerConfigWalks(t *testing.T) {
 		for _, vec := range []int{128, 256, 512} {
 			ft := FuseScalarTrace(st, app, vec, 1)
 			cfgs := tableICacheConfigs(vec)
-			shared := WalkCaches(ft, cfgs)
+			shared := walkCaches(ft, cfgs)
 			for i, cfg := range cfgs {
 				ann, hrt := AnnotateTrace(ft, cfg)
 				refAnn, refHrt := referenceAnnotateTrace(ft, cfg)
