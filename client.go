@@ -342,11 +342,13 @@ func (c *Client) artifacts() dse.ArtifactProvider {
 // RegisterApplication adds a custom application model to the client's
 // registry: experiments can then name it in App/Apps. Built-in names cannot
 // be shadowed. The profile participates in store keys by content, so two
-// different profiles under the same name never collide in the cache.
+// different profiles under the same name never collide in the cache. A
+// profile NewApplication refuses — one whose regions reach past
+// cache.AddressLimit among them — is an error wrapping ErrExperiment.
 func (c *Client) RegisterApplication(p Application) error {
 	cp, err := NewApplication(p)
 	if err != nil {
-		return err
+		return fmt.Errorf("%w: %v", ErrExperiment, err)
 	}
 	if apps.IsBuiltin(cp.Name) {
 		return fmt.Errorf("%w: %q shadows a built-in application", ErrExperiment, cp.Name)

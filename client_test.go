@@ -5,8 +5,11 @@ import (
 	"encoding/json"
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
+
+	"musa/internal/cache"
 )
 
 func testClientOpts(dir string) ClientOptions {
@@ -323,6 +326,38 @@ func TestClientCustomApplication(t *testing.T) {
 	}
 	if reflect.DeepEqual(res.Measurement, res2.Measurement) {
 		t.Fatal("tweaked profile produced an identical measurement")
+	}
+}
+
+// TestRegisterApplicationAddressSpace: a profile whose last region reaches
+// cache.AddressLimit, or whose non-last region runs into the next region's
+// segment, is refused with ErrExperiment, and the name stays unknown, on the
+// client and on /simulate alike (internal/serve's TestSimulatePastAddressSpace).
+func TestRegisterApplicationAddressSpace(t *testing.T) {
+	c := newTestClient(t, "")
+	base, err := App("lulesh")
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(base.Locality.Regions)
+	for name, grow := range map[string]struct {
+		region int
+		bytes  int64
+	}{
+		"past-limit": {n - 1, cache.AddressLimit - int64(n)<<30},
+		"aliasing":   {0, 1<<30 + cache.LineBytes},
+	} {
+		p := *base
+		p.Name = name
+		p.Locality.Regions = slices.Clone(base.Locality.Regions)
+		p.Locality.Regions[grow.region].Bytes = grow.bytes
+		if err := c.RegisterApplication(p); !errors.Is(err, ErrExperiment) {
+			t.Errorf("%s: RegisterApplication = %v, want ErrExperiment", name, err)
+		}
+		arch := DefaultArch()
+		if _, err := c.Run(context.Background(), Experiment{App: name, Arch: &arch, NoReplay: true}); !errors.Is(err, ErrUnknownApp) {
+			t.Errorf("%s: a node run after the refusal = %v, want ErrUnknownApp", name, err)
+		}
 	}
 }
 

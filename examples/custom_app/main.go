@@ -28,33 +28,7 @@ func main() {
 	defer client.Close()
 	ctx := context.Background()
 
-	err = client.RegisterApplication(musa.Application{
-		Name: "smoother",
-		Mix: apps.Mix{
-			Load: 0.30, Store: 0.10,
-			FPAdd: 0.15, FPMul: 0.12, FPFMA: 0.08,
-			IntALU: 0.15, Branch: 0.10,
-		},
-		// Long vectorizable loops: wide SIMD should pay off.
-		Vector: apps.VectorProfile{VecFrac: 0.85, TripCount: 96},
-		Dep:    apps.DepProfile{ChainProb: 0.4},
-		Locality: cache.LocalityProfile{Regions: []cache.Region{
-			{Name: "hot", Bytes: 24 * 1024, Weight: 0.55, Pattern: cache.RandomLine, WriteFrac: 0.25},
-			{Name: "plane", Bytes: 300 * 1024, Weight: 0.35, Pattern: cache.Sequential, WriteFrac: 0.3},
-			{Name: "grid", Bytes: 64 << 20, Weight: 0.10, Pattern: cache.Sequential, WriteFrac: 0.3},
-		}},
-		Regions: []apps.RegionSpec{{
-			Name: "smooth", Tasks: 1024, LanesPerTask: 100000,
-			ImbalanceCV: 0.08, SerialFrac: 0.002,
-		}},
-		Iterations: 4,
-		MPI: apps.MPIPattern{
-			Neighbors: 2, P2PBytes: 128 * 1024,
-			AllReduces: 1, AllReduceBytes: 8,
-			RankImbalanceCV: 0.08,
-		},
-	})
-	if err != nil {
+	if err := client.RegisterApplication(smoother()); err != nil {
 		log.Fatal(err)
 	}
 
@@ -97,4 +71,34 @@ func main() {
 	full := fres.FullApp
 	fmt.Printf("32-rank run:    %.2f ms makespan, %.0f%% efficiency, %.0f J system energy\n",
 		full.MakespanNs/1e6, 100*full.Replay.AvgParallelEfficiency(), full.SystemEnergyJ)
+}
+
+// smoother is the application's workload model.
+func smoother() musa.Application {
+	return musa.Application{
+		Name: "smoother",
+		Mix: apps.Mix{
+			Load: 0.30, Store: 0.10,
+			FPAdd: 0.15, FPMul: 0.12, FPFMA: 0.08,
+			IntALU: 0.15, Branch: 0.10,
+		},
+		// Long vectorizable loops: wide SIMD should pay off.
+		Vector: apps.VectorProfile{VecFrac: 0.85, TripCount: 96},
+		Dep:    apps.DepProfile{ChainProb: 0.4},
+		Locality: cache.LocalityProfile{Regions: []cache.Region{
+			{Name: "hot", Bytes: 24 * 1024, Weight: 0.55, Pattern: cache.RandomLine, WriteFrac: 0.25},
+			{Name: "plane", Bytes: 300 * 1024, Weight: 0.35, Pattern: cache.Sequential, WriteFrac: 0.3},
+			{Name: "grid", Bytes: 64 << 20, Weight: 0.10, Pattern: cache.Sequential, WriteFrac: 0.3},
+		}},
+		Regions: []apps.RegionSpec{{
+			Name: "smooth", Tasks: 1024, LanesPerTask: 100000,
+			ImbalanceCV: 0.08, SerialFrac: 0.002,
+		}},
+		Iterations: 4,
+		MPI: apps.MPIPattern{
+			Neighbors: 2, P2PBytes: 128 * 1024,
+			AllReduces: 1, AllReduceBytes: 8,
+			RankImbalanceCV: 0.08,
+		},
+	}
 }

@@ -21,6 +21,12 @@ func TestAllProfilesValid(t *testing.T) {
 		if err := p.Validate(); err != nil {
 			t.Errorf("%s: %v", p.Name, err)
 		}
+		// Region i starts at (i+1) GiB: every built-in address lies below
+		// 8 GiB, far inside cache.AddressLimit.
+		rs := p.Locality.Regions
+		if end := int64(len(rs))<<30 + rs[len(rs)-1].Bytes; end > 8<<30 {
+			t.Errorf("%s: the last region ends at %#x, past 8 GiB", p.Name, end)
+		}
 	}
 }
 

@@ -48,14 +48,6 @@ type Stats struct {
 	Writebacks int64
 }
 
-// MissRate returns misses/accesses, or 0 for an untouched cache.
-func (s Stats) MissRate() float64 {
-	if s.Accesses == 0 {
-		return 0
-	}
-	return float64(s.Misses) / float64(s.Accesses)
-}
-
 // MPKI returns misses per kilo-instruction given an instruction count.
 func (s Stats) MPKI(instructions int64) float64 {
 	if instructions == 0 {
@@ -78,17 +70,29 @@ func (s *Stats) Add(other Stats) {
 // the front, and a fill shifts the set down one way, evicting the last.
 // Valid ways are always a prefix of the set, so the first invalid way ends a
 // lookup. It is not safe for concurrent use.
+//
+// A way is one uint32: the line's tag + 1 in its low 31 bits (0 marks an
+// invalid way) and the dirty bit in bit 31. Tags are exact for every line
+// address below maxLine, 128 GiB of address space; an access past it panics
+// rather than alias (profiles stay below AddressLimit, see
+// LocalityProfile.Validate).
 type Cache struct {
 	cfg Config
-	// tags holds every set's ways back to back, assoc per set, as tag+1;
-	// 0 marks an invalid way. dirty is the parallel dirty bit.
-	tags    []uint64
-	dirty   []bool
+	// ways holds every set's ways back to back, assoc per set.
+	ways    []uint32
 	assoc   int
 	setMask uint64
 	setBits uint
 	Stats   Stats
 }
+
+const (
+	// dirtyBit marks a way's line dirty; the other 31 bits are tag + 1.
+	dirtyBit = 1 << 31
+	// maxLine bounds the line addresses a cache models: below it, tag + 1
+	// fits 31 bits whatever the set count.
+	maxLine = 1<<31 - 1
+)
 
 // New builds a cache; it panics on invalid configuration (configurations are
 // produced by the DSE enumerator, so an invalid one is a programming error).
@@ -104,8 +108,7 @@ func New(cfg Config) *Cache {
 	}
 	return &Cache{
 		cfg:     cfg,
-		tags:    make([]uint64, lines),
-		dirty:   make([]bool, lines),
+		ways:    make([]uint32, lines),
 		assoc:   cfg.Assoc,
 		setMask: uint64(nSets - 1),
 		setBits: bits,
@@ -124,20 +127,28 @@ type AccessResult struct {
 }
 
 // set returns the ways of the set holding lineAddr and the line's stored tag
-// (tag+1).
-func (c *Cache) set(lineAddr uint64) ([]uint64, []bool, uint64) {
+// (tag+1). It panics on a line address past maxLine.
+func (c *Cache) set(lineAddr uint64) ([]uint32, uint32) {
+	if lineAddr >= maxLine {
+		c.pastLimit(lineAddr)
+	}
 	base := int(lineAddr&c.setMask) * c.assoc
 	end := base + c.assoc
-	return c.tags[base:end:end], c.dirty[base:end:end], lineAddr>>c.setBits + 1
+	return c.ways[base:end:end], uint32(lineAddr>>c.setBits) + 1
+}
+
+// pastLimit panics on an access to lineAddr, which no tag can hold.
+func (c *Cache) pastLimit(lineAddr uint64) {
+	panic(fmt.Sprintf("cache %s: address %#x is past the modelled address space", c.cfg.Name, lineAddr<<lineShift))
 }
 
 // find returns the way holding tag, or -1.
-func find(tags []uint64, tag uint64) int {
-	for i, t := range tags {
-		if t == tag {
+func find(ways []uint32, tag uint32) int {
+	for i, w := range ways {
+		if w&^dirtyBit == tag {
 			return i
 		}
-		if t == 0 {
+		if w == 0 {
 			break
 		}
 	}
@@ -146,25 +157,28 @@ func find(tags []uint64, tag uint64) int {
 
 // fill inserts tag at the front of its set, evicting the last way, and
 // reports the eviction.
-func (c *Cache) fill(tags []uint64, dirty []bool, tag, lineAddr uint64, write bool) AccessResult {
-	last := len(tags) - 1
+func (c *Cache) fill(ways []uint32, tag uint32, lineAddr uint64, write bool) AccessResult {
+	last := len(ways) - 1
 	var res AccessResult
-	if victim := tags[last]; victim != 0 {
+	if victim := ways[last]; victim != 0 {
 		res.Evicted = true
-		res.EvictedAddr = (((victim - 1) << c.setBits) | (lineAddr & c.setMask)) << lineShift
-		res.EvictedDirty = dirty[last]
+		res.EvictedAddr = ((uint64(victim&^dirtyBit-1) << c.setBits) | (lineAddr & c.setMask)) << lineShift
+		res.EvictedDirty = victim&dirtyBit != 0
 	}
-	toFront(tags, dirty, last, tag, write)
+	if write {
+		tag |= dirtyBit
+	}
+	toFront(ways, last, tag)
 	return res
 }
 
 // toFront moves the ways before way i down one, overwriting way i, and puts
-// tag with dirty bit d in the first way.
-func toFront(tags []uint64, dirty []bool, i int, tag uint64, d bool) {
+// w in the first way.
+func toFront(ways []uint32, i int, w uint32) {
 	for ; i > 0; i-- {
-		tags[i], dirty[i] = tags[i-1], dirty[i-1]
+		ways[i] = ways[i-1]
 	}
-	tags[0], dirty[0] = tag, d
+	ways[0] = w
 }
 
 // Access looks up the line containing addr, allocating it on a miss and
@@ -172,13 +186,17 @@ func toFront(tags []uint64, dirty []bool, i int, tag uint64, d bool) {
 func (c *Cache) Access(addr uint64, write bool) AccessResult {
 	c.Stats.Accesses++
 	lineAddr := addr >> lineShift
-	tags, dirty, tag := c.set(lineAddr)
-	if i := find(tags, tag); i >= 0 {
-		toFront(tags, dirty, i, tag, dirty[i] || write)
+	ways, tag := c.set(lineAddr)
+	if i := find(ways, tag); i >= 0 {
+		w := ways[i]
+		if write {
+			w |= dirtyBit
+		}
+		toFront(ways, i, w)
 		return AccessResult{Hit: true}
 	}
 	c.Stats.Misses++
-	res := c.fill(tags, dirty, tag, lineAddr, write)
+	res := c.fill(ways, tag, lineAddr, write)
 	if res.Evicted {
 		c.Stats.Evictions++
 		if res.EvictedDirty {
@@ -194,57 +212,48 @@ func (c *Cache) Access(addr uint64, write bool) AccessResult {
 // eviction outcome.
 func (c *Cache) Insert(addr uint64) (AccessResult, bool) {
 	lineAddr := addr >> lineShift
-	tags, dirty, tag := c.set(lineAddr)
-	if find(tags, tag) >= 0 {
+	ways, tag := c.set(lineAddr)
+	if find(ways, tag) >= 0 {
 		return AccessResult{Hit: true}, false
 	}
-	return c.fill(tags, dirty, tag, lineAddr, false), true
+	return c.fill(ways, tag, lineAddr, false), true
 }
 
 // MarkDirty sets the dirty bit on the line holding addr if present, without
 // touching LRU state or demand statistics (used for write-backs arriving
 // from the level above). It reports whether the line was found.
 func (c *Cache) MarkDirty(addr uint64) bool {
-	tags, dirty, tag := c.set(addr >> lineShift)
-	i := find(tags, tag)
+	ways, tag := c.set(addr >> lineShift)
+	i := find(ways, tag)
 	if i >= 0 {
-		dirty[i] = true
+		ways[i] |= dirtyBit
 	}
 	return i >= 0
-}
-
-// Contains reports whether the line holding addr is present (test helper; it
-// does not update LRU state or statistics).
-func (c *Cache) Contains(addr uint64) bool {
-	tags, _, tag := c.set(addr >> lineShift)
-	return find(tags, tag) >= 0
 }
 
 // ResetStats zeroes the statistics counters without touching cache contents
 // (used to separate warmup from the measured window).
 func (c *Cache) ResetStats() { c.Stats = Stats{} }
 
-// bytes returns the size of the cache's tag and dirty arrays.
-func (c *Cache) bytes() int64 { return int64(len(c.tags))*8 + int64(len(c.dirty)) }
+// bytes returns the size of the cache's way array: 4 bytes a line.
+func (c *Cache) bytes() int64 { return int64(len(c.ways)) * 4 }
 
 // Reset returns the cache to the state New left it in — every line invalid,
 // statistics zero — without allocating: a walk that reuses a cache built for
 // an earlier one behaves exactly as on a new cache.
 func (c *Cache) Reset() {
-	clear(c.tags)
-	clear(c.dirty)
+	clear(c.ways)
 	c.Stats = Stats{}
 }
 
 // Flush invalidates all lines and returns the number of dirty lines dropped.
 func (c *Cache) Flush() int {
 	n := 0
-	for i, t := range c.tags {
-		if t != 0 && c.dirty[i] {
+	for _, w := range c.ways {
+		if w&dirtyBit != 0 {
 			n++
 		}
 	}
-	clear(c.tags)
-	clear(c.dirty)
+	clear(c.ways)
 	return n
 }

@@ -3,12 +3,14 @@ package cache
 import "testing"
 
 // fuzzAddr is the address two bytes of a fuzzed operation name: one of
-// 1 024 lines, an offset inside it, and the top of the address space when
-// the second byte's two high bits are set.
+// 1 024 lines, an offset inside it, and the top of the modelled address
+// space when the second byte's two high bits are set — line address bits
+// 11–30, so a direct-mapped cache's largest tag + 1 reaches bit 30, the top
+// bit a tag uses, while every line stays below maxLine.
 func fuzzAddr(b1, b2 byte) uint64 {
 	a := (uint64(b1)|uint64(b2&3)<<8)<<lineShift | uint64(b2>>2&15)*4
 	if b2>>6 == 3 {
-		a |= 0xffff << 48
+		a |= (maxLine &^ (1<<11 - 1)) << lineShift
 	}
 	return a
 }
@@ -18,7 +20,7 @@ func fuzzAddr(b1, b2 byte) uint64 {
 // disagree on. Each three bytes are one operation: the first picks it
 // (Access read or write, Insert, MarkDirty, rarely Flush), the other two the
 // address — one of 1 024 lines, an offset inside it, and sometimes the top
-// of the address space, so tags use every bit.
+// of the modelled address space, so tags use every bit.
 func diffCache(t *testing.T, cfg Config, data []byte) {
 	t.Helper()
 	diffCacheFrom(t, New(cfg), data)
@@ -79,7 +81,8 @@ func diffCacheFrom(t *testing.T, got *Cache, data []byte) {
 // 1–16 ways and 1–64 sets. The seed corpus under testdata/fuzz names one
 // input per case the kernel distinguishes: a direct-mapped set, a full
 // sixteen-way set thrashed, dirty victims, prefetch fills of present and
-// absent lines, a flush midway and tags in the top of the address space.
+// absent lines, a flush midway and tags in the top of the modelled address
+// space.
 func FuzzCacheMatchesReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, ways, setsLog uint8) {
 		sets := 1 << (setsLog % 7)

@@ -186,3 +186,38 @@ func TestStatsHelpers(t *testing.T) {
 		t.Errorf("Add = %+v", s)
 	}
 }
+
+// TestAccessPastAddressSpacePanics: the last line below maxLine is held and
+// evicted at its own address, dirty bit and all; a line at maxLine or past it
+// has a tag + 1 that 31 bits cannot hold, and every operation on it panics
+// rather than alias a lower line.
+func TestAccessPastAddressSpacePanics(t *testing.T) {
+	c := New(smallCfg("t", 256, 1, 1)) // direct-mapped, 4 sets
+	top := uint64(maxLine-1) << lineShift
+	c.Access(top, true)
+	if !c.Contains(top) {
+		t.Fatalf("line %#x not held", top)
+	}
+	res := c.Access(top&(3<<lineShift), false) // the same set's line 2
+	if !res.Evicted || res.EvictedAddr != top || !res.EvictedDirty {
+		t.Errorf("evicting line %#x: %+v", top, res)
+	}
+	ops := map[string]func(uint64){
+		"read":       func(a uint64) { c.Access(a, false) },
+		"write":      func(a uint64) { c.Access(a, true) },
+		"insert":     func(a uint64) { c.Insert(a) },
+		"mark dirty": func(a uint64) { c.MarkDirty(a) },
+	}
+	for name, op := range ops {
+		for _, addr := range []uint64{maxLine << lineShift, 1 << 63, ^uint64(0)} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s %#x did not panic", name, addr)
+					}
+				}()
+				op(addr)
+			}()
+		}
+	}
+}

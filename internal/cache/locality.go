@@ -59,7 +59,16 @@ type LocalityProfile struct {
 	Regions []Region
 }
 
-// Validate reports profile errors.
+// AddressLimit bounds the address space a profile may use: region i
+// occupies [base(i), base(i)+Bytes), base(i) = (i+1) GiB, and every region
+// must end below AddressLimit. A cache models addresses up to 128 GiB
+// exactly (4 bytes a line); the rest is headroom for an access straddling a
+// region's end and for prefetches past it.
+const AddressLimit = 64 << 30
+
+// Validate reports profile errors. Besides footprints and weights it refuses
+// a region that would alias the next one (only the last region may exceed
+// its 1 GiB segment) and a region that ends at or past AddressLimit.
 func (p LocalityProfile) Validate() error {
 	if len(p.Regions) == 0 {
 		return fmt.Errorf("locality: no regions")
@@ -68,6 +77,13 @@ func (p LocalityProfile) Validate() error {
 	for i, r := range p.Regions {
 		if r.Bytes <= 0 {
 			return fmt.Errorf("locality: region %d (%s) has footprint %d", i, r.Name, r.Bytes)
+		}
+		if i < len(p.Regions)-1 && r.Bytes > regionSegment {
+			return fmt.Errorf("locality: region %d (%s) has footprint %d, over the %d bytes between regions (only the last region may be larger)",
+				i, r.Name, r.Bytes, regionSegment)
+		}
+		if end := base(i) + uint64(r.Bytes); end >= AddressLimit {
+			return fmt.Errorf("locality: region %d (%s) ends at %#x, at or past the address limit %#x", i, r.Name, end, AddressLimit)
 		}
 		if r.Weight < 0 {
 			return fmt.Errorf("locality: region %d (%s) has negative weight", i, r.Name)
@@ -81,8 +97,9 @@ func (p LocalityProfile) Validate() error {
 }
 
 // AddressGen produces a synthetic address stream following a profile. Each
-// region lives in its own segment of the address space so distinct regions
-// never alias.
+// region lives in its own segment of the address space, and Validate keeps
+// every region but the last inside its segment, so distinct regions never
+// alias.
 type AddressGen struct {
 	profile LocalityProfile
 	pick    xrand.Discrete

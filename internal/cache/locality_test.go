@@ -42,3 +42,36 @@ func TestAddressGenResetMatchesNew(t *testing.T) {
 		}
 	}
 }
+
+// TestValidateAddressSpace: the last region may grow past its 1 GiB segment
+// up to one line below AddressLimit; one reaching the limit is refused, and
+// so is any other region over 1 GiB, which would run into the next region's
+// segment and alias it.
+func TestValidateAddressSpace(t *testing.T) {
+	hot := Region{Name: "hot", Bytes: 16 << 10, Weight: 1, Pattern: RandomLine}
+	last := func(end uint64) LocalityProfile {
+		return LocalityProfile{Regions: []Region{hot, {Name: "stream", Bytes: int64(end - base(1)), Weight: 1}}}
+	}
+	for _, c := range []struct {
+		name string
+		p    LocalityProfile
+		ok   bool
+	}{
+		{"last region ending one line below the limit", last(AddressLimit - LineBytes), true},
+		{"last region ending at the limit", last(AddressLimit), false},
+		{"last region over its segment", last(base(1) + 3*regionSegment), true},
+		{"segment-sized region before another", LocalityProfile{Regions: []Region{{Name: "a", Bytes: regionSegment, Weight: 1}, hot}}, true},
+		{"region over its segment before another", LocalityProfile{Regions: []Region{{Name: "a", Bytes: regionSegment + LineBytes, Weight: 1}, hot}}, false},
+	} {
+		if err := c.p.Validate(); (err == nil) != c.ok {
+			t.Errorf("%s: Validate() = %v, want ok %v", c.name, err, c.ok)
+		}
+	}
+	// The last line a valid profile reaches is one a cache holds.
+	top := uint64(AddressLimit - LineBytes)
+	c := New(Config{Name: "top", SizeBytes: 4 * LineBytes, Assoc: 2})
+	c.Access(top, true)
+	if !c.Contains(top) {
+		t.Errorf("the line at %#x is not held after an access", top)
+	}
+}

@@ -191,9 +191,11 @@ type keptWalk struct {
 }
 
 // maxScratchWalkBytes bounds the cache arrays a Scratch keeps between
-// passes: a 64-core slice's 0.6 MB a width, not a full grid's 1-core L3
-// partitions, which a full-grid sweep would hold through its timing replays.
-const maxScratchWalkBytes = 16 << 20
+// passes: a 64-core slice's 0.28 MB a width, not a full grid's 1-core L3
+// partitions (10.6 MB a width), which a full-grid sweep would hold through
+// its timing replays. It is 16 MiB of the 9-byte lines the cache once stored
+// scaled to its 4-byte lines, so the scratch keeps the same sets it did.
+const maxScratchWalkBytes = (16 << 20) * 4 / 9
 
 // MaxScratchKeepBytes bounds everything a Scratch keeps when a run ends
 // (EndRun), however many runs ended at once: about two applications' values

@@ -83,6 +83,36 @@ func TestScratchPassesMatchReference(t *testing.T) {
 	t.Logf("scratch: %+v", st)
 }
 
+// TestWalkSetBytes pins what keeping a hierarchy set costs: 4 bytes a line,
+// its shared L1's and every hierarchy's L2 and L3. One width's full-grid
+// 1-core set — the three Table I caches of a 1-core node, whose L3
+// partitions are the whole 32, 64 and 64 MB (96 rounded down to a power of
+// two) — is 10 602 496 bytes, over maxScratchWalkBytes, so the scratch never
+// keeps it; a 64-core set is 280 576, and three widths of it fit.
+func TestWalkSetBytes(t *testing.T) {
+	const oneCore, sixtyFourCores = 10_602_496, 280_576
+	for cores, want := range map[int]int64{1: oneCore, 64: sixtyFourCores} {
+		var cfgs []Config
+		for _, c := range tableICaches {
+			cfg := baseCfg()
+			cfg.Cores, cfg.VectorBits, cfg.L2KBPerCore, cfg.L3MBTotal = cores, 256, c[0], c[1]
+			cfgs = append(cfgs, cfg)
+		}
+		walk := cache.NewSharedL1(walkConfigs(cfgs))
+		lines := int64(walk.Hierarchies()[0].Config().L1.SizeBytes / cache.LineBytes)
+		for _, h := range walk.Hierarchies() {
+			hc := h.Config()
+			lines += int64((hc.L2.SizeBytes + hc.L3.SizeBytes) / cache.LineBytes)
+		}
+		if got := walk.Bytes(); got != 4*lines || got != want {
+			t.Errorf("%d cores: a set of %d lines is %d bytes, want 4 a line (%d)", cores, lines, got, want)
+		}
+	}
+	if oneCore <= maxScratchWalkBytes || 3*sixtyFourCores > maxScratchWalkBytes {
+		t.Errorf("the %d-byte bound keeps a 1-core set or not three widths' 64-core sets", maxScratchWalkBytes)
+	}
+}
+
 // TestFuseAndCompileIntoRecycledStorage: a fused sample half built on the
 // columns of another application's half, and an op column compiled into one
 // left by another trace, equal fresh builds.
@@ -160,7 +190,7 @@ func TestColdPassChunkBytes(t *testing.T) {
 // buffers, fusers, hierarchies, window, halves and level columns from the
 // scratch and allocates under 0.1 MB (≈ 0.006 MB in about 30 objects: the
 // goroutines, their channels and the per-width slices; 0.07 MB while each
-// width built a new fuser; a pass on no scratch allocates 13.2 MB).
+// width built a new fuser; a pass on no scratch allocates 12.1 MB).
 func TestColdPassOnScratchAllocs(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("three full-fidelity passes; allocation pins skip under -race")

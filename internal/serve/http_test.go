@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"musa"
+	"musa/internal/cache"
 )
 
 func testServer(t *testing.T) (*httptest.Server, *Service) {
@@ -567,5 +568,25 @@ func TestShardEndpoint(t *testing.T) {
 	}
 	if code := postJSON(t, ts.URL+"/shard", `not json`, nil); code != http.StatusBadRequest {
 		t.Fatalf("/shard with bad body -> %d, want 400", code)
+	}
+}
+
+// TestSimulatePastAddressSpace: an application whose registration was
+// refused for reaching past cache.AddressLimit is unknown to /simulate, a
+// 400, not a panic in a worker.
+func TestSimulatePastAddressSpace(t *testing.T) {
+	ts, svc := testServer(t)
+	p, err := musa.App("lulesh")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Name = "far"
+	last := &p.Locality.Regions[len(p.Locality.Regions)-1]
+	last.Bytes = cache.AddressLimit
+	if err := svc.c.RegisterApplication(*p); !errors.Is(err, musa.ErrExperiment) {
+		t.Fatalf("RegisterApplication = %v, want ErrExperiment", err)
+	}
+	if code := postJSON(t, ts.URL+"/simulate", `{"app":"far","pointIndex":0}`, nil); code != http.StatusBadRequest {
+		t.Errorf("POST /simulate naming the refused application -> %d, want 400", code)
 	}
 }
