@@ -130,7 +130,8 @@ type Measurement = dse.Measurement
 type ArtifactStats = store.ArtifactStats
 
 // SampleWindowStats re-exports the counters of the client's sample-window
-// front (requests served from it, windows generated into it, resident bytes).
+// front (requests served from it, checkpoints generated into it, resident
+// checkpoint bytes).
 type SampleWindowStats = dse.SampleWindowStats
 
 // ErrStoreBusy re-exports the result store's busy error: NewClient returns
@@ -209,12 +210,12 @@ type Client struct {
 	network NetworkModel         // resolved default network
 	sem     chan struct{}
 	fleet   *fleet // nil without Workers
-	// windows is the client-lifetime front of scalar sample windows every
-	// run reads through (nil with NoArtifacts: each run keeps its own).
+	// windows is the client-lifetime front of sample-window checkpoints
+	// every run reads through (nil with NoArtifacts: each run keeps its own).
 	windows *dse.SampleWindows
 	// scratch is the storage every run recycles its columns through, and
-	// leaves its windows, fused halves and op columns in for the next
-	// (dse.Options.Scratch).
+	// leaves its fused halves, op columns, generators and buffers in for the
+	// next (dse.Options.Scratch).
 	scratch *node.Scratch
 
 	mu     sync.Mutex
@@ -910,13 +911,13 @@ func (c *Client) RegisterMetrics(reg *obs.Registry) {
 	reg.GaugeFunc("musa_artifact_entries", "Distinct artifacts held by the cache.",
 		func() float64 { return float64(c.artifactsSnapshot().Stats.Entries) })
 
-	// The client-lifetime front of scalar sample windows (all zero with
-	// NoArtifacts: each run then keeps its own windows).
-	reg.CounterFunc("musa_dse_sample_windows_total", "Scalar sample-window requests by where the window came from.",
+	// The client-lifetime front of sample-window checkpoints (all zero with
+	// NoArtifacts: each run then keeps its own).
+	reg.CounterFunc("musa_dse_sample_windows_total", "Scalar sample-window checkpoint requests by where the checkpoint came from.",
 		func() float64 { return float64(c.windows.Stats().Front) }, obs.L("source", "front"))
-	reg.CounterFunc("musa_dse_sample_windows_total", "Scalar sample-window requests by where the window came from.",
+	reg.CounterFunc("musa_dse_sample_windows_total", "Scalar sample-window checkpoint requests by where the checkpoint came from.",
 		func() float64 { return float64(c.windows.Stats().Generated) }, obs.L("source", "generated"))
-	reg.GaugeFunc("musa_dse_sample_window_bytes", "Scalar sample windows resident in the client's front.",
+	reg.GaugeFunc("musa_dse_sample_window_bytes", "Scalar sample-window checkpoints resident in the client's front.",
 		func() float64 { return float64(c.windows.Stats().ResidentBytes) })
 }
 

@@ -386,8 +386,9 @@ func (e Experiment) normalize(resolve appResolver) (Experiment, error) {
 }
 
 // checkWindow refuses a fidelity whose effective window exceeds
-// apps.MaxWindow: the window is allocated whole, inside a sweep worker, so
-// an unbounded one would take the process down.
+// apps.MaxWindow: a sweep worker's generator runs through the whole window
+// and its fused halves take 8 bytes a sample micro-op per width, so an
+// unbounded one would hold the worker for hours or take the process down.
 func checkWindow(sample, warmup int64) error {
 	s, w := apps.EffectiveFidelity(sample, warmup)
 	if s > apps.MaxWindow || w > apps.MaxWindow || s+w > apps.MaxWindow {

@@ -257,6 +257,58 @@ func TestDetailedStreamResetMatchesNew(t *testing.T) {
 	}
 }
 
+// TestCheckpointRestoreContinuesStream takes checkpoints of every
+// application's stream at offsets inside and between blocks and restores
+// each into a new stream and into one left mid-block by another
+// application: both continue the original stream exactly, as the original
+// itself does after the checkpoint. At least one offset must fall mid-block,
+// where the checkpoint carries the rest of the block.
+func TestCheckpointRestoreContinuesStream(t *testing.T) {
+	const n = 6000
+	used := NewDetailedStream(SPMZ(), 4)
+	midBlock := 0
+	for _, p := range All() {
+		all := isa.Collect(&isa.LimitStream{S: NewDetailedStream(p, 7), N: 20000})
+		for _, at := range []int64{0, 1, 37, 4096, 9999, 13000} {
+			s := NewDetailedStream(p, 7)
+			s.Skip(at)
+			cp := s.Checkpoint()
+			if len(cp.pending) > 0 {
+				midBlock++
+			}
+			fresh := new(DetailedStream)
+			fresh.Restore(cp)
+			used.Skip(333)
+			used.Restore(cp)
+			for _, st := range []*DetailedStream{s, fresh, used} {
+				got := make([]isa.Instr, n)
+				st.Read(got)
+				if !slices.Equal(got, all[at:at+n]) {
+					t.Fatalf("%s at %d: a stream restored from the checkpoint differs from the original", p.Name, at)
+				}
+			}
+		}
+	}
+	if midBlock == 0 {
+		t.Error("no checkpoint fell mid-block: the test does not cover a pending block")
+	}
+}
+
+// TestCheckpointIsSmall: a checkpoint at the benchmark's warm/sample
+// boundary (700 000 micro-ops in) is at most 1 MB for every application,
+// where the 120 000-micro-op sample window after it is 3.84 MB.
+func TestCheckpointIsSmall(t *testing.T) {
+	for _, p := range All() {
+		s := NewDetailedStream(p, 1)
+		s.Skip(700000)
+		if b := s.Checkpoint().Bytes(); b > 1<<20 {
+			t.Errorf("%s: a checkpoint of %d bytes, over 1 MB", p.Name, b)
+		} else {
+			t.Logf("%s: %d bytes", p.Name, b)
+		}
+	}
+}
+
 func TestDetailedStreamScalarMicroOps(t *testing.T) {
 	for _, p := range All() {
 		ins := isa.Collect(&isa.LimitStream{S: NewDetailedStream(p, 1), N: 5000})

@@ -2,6 +2,7 @@ package apps
 
 import (
 	"reflect"
+	"slices"
 
 	"musa/internal/cache"
 	"musa/internal/isa"
@@ -92,6 +93,45 @@ func (s *DetailedStream) Reset(p *Profile, seed uint64) {
 // Bytes is the storage s keeps between Resets: its block buffer.
 func (s *DetailedStream) Bytes() int64 {
 	return int64(cap(s.buf)) * int64(reflect.TypeFor[isa.Instr]().Size())
+}
+
+// Checkpoint is a DetailedStream's state at one point of its stream: its
+// two RNGs, the address generator's position, the basic-block counter and
+// the rest of the block the stream stopped in — everything its draws
+// change; the rest of a stream follows from its profile. A few KB, where
+// the stream it stands for runs to millions of micro-ops. Immutable: any
+// number of streams may restore one at once.
+type Checkpoint struct {
+	p            *Profile
+	rng, addrRNG xrand.RNG
+	addr         cache.AddressPos
+	bbID         uint32
+	pending      []isa.Instr
+}
+
+// Checkpoint returns s's state: a stream that restores it continues s's
+// stream from here exactly, s included.
+func (s *DetailedStream) Checkpoint() *Checkpoint {
+	return &Checkpoint{
+		p: s.p, rng: s.rng, addrRNG: s.addrRNG, addr: s.addr.Pos(),
+		bbID: s.bbID, pending: slices.Clone(s.buf[s.pos:]),
+	}
+}
+
+// Restore makes s, whatever it generated before, the stream c was taken
+// from at the point it was taken. Like Reset it keeps s's block buffer and
+// tables.
+func (s *DetailedStream) Restore(c *Checkpoint) {
+	s.Reset(c.p, 0)
+	s.rng, s.addrRNG = c.rng, c.addrRNG // s.addr draws from s.addrRNG
+	s.addr.Seek(c.addr)
+	s.buf, s.pos, s.bbID = append(s.buf[:0], c.pending...), 0, c.bbID
+}
+
+// Bytes is the storage c holds.
+func (c *Checkpoint) Bytes() int64 {
+	return int64(reflect.TypeFor[Checkpoint]().Size()) + c.addr.Bytes() +
+		int64(cap(c.pending))*int64(reflect.TypeFor[isa.Instr]().Size())
 }
 
 // Next implements isa.Stream.
@@ -258,10 +298,10 @@ const SampleSize = 300000
 
 // MaxWindow bounds the effective window — sample plus warmup, as
 // EffectiveFidelity resolves them — in scalar micro-ops: 1 GiB of isa.Instr
-// at 32 bytes each, the default window being 0.9 M. A run holds its sample
-// window whole and streams the warm window two 8 Ki-micro-op chunks at a
-// time (node.ColdPass), so what a run keeps is the sample window and two
-// chunks; the bound also caps the time one request's generator runs.
+// at 32 bytes each, the default window being 0.9 M. No run holds either
+// window: node.ColdPass streams both two 8 Ki-micro-op chunks at a time, and
+// what outlives a run is the Checkpoint at their boundary, so the bound caps
+// the time one request's generator runs.
 const MaxWindow = 32 << 20
 
 // EffectiveFidelity resolves the sample-size defaulting rule in one place:

@@ -24,3 +24,12 @@ func (s Stats) MissRate() float64 {
 	}
 	return float64(s.Misses) / float64(s.Accesses)
 }
+
+// FootprintBytes returns the total footprint of the profile.
+func (p LocalityProfile) FootprintBytes() int64 {
+	var t int64
+	for _, r := range p.Regions {
+		t += r.Bytes
+	}
+	return t
+}

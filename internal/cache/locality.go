@@ -139,6 +139,28 @@ func (g *AddressGen) Reset(p LocalityProfile, rng *xrand.RNG) {
 	g.blocks = zeroed(g.blocks, len(p.Regions))
 }
 
+// AddressPos is where an AddressGen is in its stream, short of its RNG's
+// state: each region's cursor and current block.
+type AddressPos struct {
+	cursors, blocks []uint64
+}
+
+// Pos returns a copy of g's position.
+func (g *AddressGen) Pos() AddressPos {
+	return AddressPos{slices.Clone(g.cursors), slices.Clone(g.blocks)}
+}
+
+// Seek moves g to pos, a position of a generator over g's profile. With
+// the RNG at the state it had when pos was taken, g then continues that
+// generator's stream exactly.
+func (g *AddressGen) Seek(pos AddressPos) {
+	copy(g.cursors, pos.cursors)
+	copy(g.blocks, pos.blocks)
+}
+
+// Bytes is the storage pos holds.
+func (pos AddressPos) Bytes() int64 { return 8 * int64(cap(pos.cursors)+cap(pos.blocks)) }
+
 // zeroed returns s resized to n zeros, reusing its backing array when it is
 // large enough.
 func zeroed(s []uint64, n int) []uint64 {
@@ -213,13 +235,4 @@ func (p LocalityProfile) RegionIndex(name string) int {
 		}
 	}
 	return -1
-}
-
-// FootprintBytes returns the total footprint of the profile.
-func (p LocalityProfile) FootprintBytes() int64 {
-	var t int64
-	for _, r := range p.Regions {
-		t += r.Bytes
-	}
-	return t
 }

@@ -35,9 +35,8 @@ func PackMeta(class isa.Class, lanes, level, flags uint8) uint32 {
 		uint32(level)<<MetaLevelShift | uint32(flags)<<MetaFlagsShift
 }
 
-// MetaClass, MetaLanes, MetaLevel and MetaFlags unpack one meta word.
+// MetaClass, MetaLevel and MetaFlags unpack one meta word.
 func MetaClass(m uint32) isa.Class { return isa.Class(m) }
-func MetaLanes(m uint32) uint8     { return uint8(m >> MetaLanesShift) }
 func MetaLevel(m uint32) uint8     { return uint8(m >> MetaLevelShift) }
 func MetaFlags(m uint32) uint8     { return uint8(m >> MetaFlagsShift) }
 
@@ -92,7 +91,8 @@ const zeroSlot = depWindow
 
 // opClass holds the selector and resource bits of an op word per class and
 // cache level. Level 0 — no level, and every level past memory — selects
-// L1, as LevelLatencies.Latency does; a non-memory class ignores its level.
+// L1, as the reference timing's LevelLatencies.Latency does; a non-memory
+// class ignores its level.
 var opClass = func() (t [isa.NumClasses][cache.LevelMem + 1]uint32) {
 	for c := range isa.NumClasses {
 		for l := range t[c] {
@@ -259,21 +259,6 @@ func Warm(stream isa.Stream, hier *cache.Hierarchy) {
 // level. Mem must include the L3 lookup cost.
 type LevelLatencies struct {
 	L1, L2, L3, Mem int64
-}
-
-// Latency returns the latency for a cache.Level value.
-func (l LevelLatencies) Latency(level uint8) int64 {
-	switch cache.Level(level) {
-	case cache.LevelL1:
-		return l.L1
-	case cache.LevelL2:
-		return l.L2
-	case cache.LevelL3:
-		return l.L3
-	case cache.LevelMem:
-		return l.Mem
-	}
-	return l.L1
 }
 
 // LatenciesFor derives the level latencies from a hierarchy configuration

@@ -62,15 +62,6 @@ func (r Result) IPC() float64 {
 	return float64(r.Instructions) / float64(r.Cycles)
 }
 
-// MemRequestsPerCycle returns DRAM line requests per cycle, used by the node
-// model to compute offered bandwidth.
-func (r Result) MemRequestsPerCycle() float64 {
-	if r.Cycles == 0 {
-		return 0
-	}
-	return float64(r.MemReads+r.MemWrites) / float64(r.Cycles)
-}
-
 // depWindow is the history length for producer lookups. Producer distances
 // beyond this are treated as long-resolved. It must stay a power of two:
 // the completion ring is indexed with a mask.

@@ -74,15 +74,6 @@ func (s Stats) AchievedBandwidth(lineBytes int) float64 {
 	return float64((s.Reads+s.Writes)*int64(lineBytes)) / s.LastFinish.Seconds()
 }
 
-// RowHitRate returns the fraction of requests that hit an open row.
-func (s Stats) RowHitRate() float64 {
-	t := s.RowHits + s.RowMisses + s.RowConflicts
-	if t == 0 {
-		return 0
-	}
-	return float64(s.RowHits) / float64(t)
-}
-
 type bank struct {
 	openRow int64    // -1 when precharged
 	readyAt sim.Time // earliest next column command

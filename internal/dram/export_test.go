@@ -19,3 +19,12 @@ func (s *seqSource) Next() (uint64, bool) {
 
 // NewStreamSource returns an AddrSource that walks memory sequentially.
 func NewStreamSource() AddrSource { return &seqSource{} }
+
+// RowHitRate returns the fraction of requests that hit an open row.
+func (s Stats) RowHitRate() float64 {
+	t := s.RowHits + s.RowMisses + s.RowConflicts
+	if t == 0 {
+		return 0
+	}
+	return float64(s.RowHits) / float64(t)
+}

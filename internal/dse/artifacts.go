@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"reflect"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -14,7 +13,6 @@ import (
 
 	"musa/internal/apps"
 	"musa/internal/dram"
-	"musa/internal/isa"
 	"musa/internal/net"
 	"musa/internal/node"
 	"musa/internal/obs"
@@ -27,23 +25,25 @@ import (
 // one host through an artifact directory. The per-point pipeline is factored into staged
 // sub-results, each keyed by exactly the inputs that can change it:
 //
-//	sample window    (app, fidelity, seed)                      client-lifetime
-//	fused trace      (app, vector width, fidelity, seed)        run-local, sample half
-//	hit-rate table   (app, cores, vector width, cache, fidelity, seed)
-//	DRAM curve       (app, channels, memory kind, seed)
-//	burst trace      (app, rank count, seed)
+//	sample checkpoint (app, fidelity, seed)                      client-lifetime
+//	fused trace       (app, vector width, fidelity, seed)        run-local, sample half
+//	hit-rate table    (app, cores, vector width, cache, fidelity, seed)
+//	DRAM curve        (app, channels, memory kind, seed)
+//	burst trace       (app, rank count, seed)
 //
 // so an 864-point sweep computes each stage once per distinct stage-key
 // instead of once per point. The paper's central economy is reuse (one
 // traced execution feeds burst-mode scaling and detailed node simulation,
 // §II); the artifact layer makes that reuse durable and process-spanning.
 //
-// The sample window — the scalar micro-ops every fuse reads — outlives the
-// run in a SampleWindows front the client owns: in memory only, bounded by
-// bytes, keyed by content. The warm window is never kept: the tables an
-// application lacks are built by one node.ColdPass, which streams the warm
-// window through every width's fuser and caches a chunk at a time and leaves
-// its sample window in the front. Fused traces stay run-local: they are the
+// No scalar window is kept. The tables an application lacks are built by one
+// node.ColdPass, which streams the warm window through every width's fuser
+// and caches and then the sample window through every width's sample fuse, a
+// chunk at a time. What outlives the run is the generator's checkpoint at the
+// start of the sample window, a few KB, in a SampleWindows front the client
+// owns (in memory only, bounded by bytes, keyed by content): a run served
+// from hit-rate tables restores it and streams the sample window into every
+// width's fuser at once. Fused traces stay run-local: they are the
 // bulkiest stage and the cheapest to rebuild per byte, so persisting them
 // would spend store and transfer bandwidth to save the least time — the
 // persistent kinds are the compact derived tables. A later run on the same
@@ -193,26 +193,25 @@ func BurstKey(appHash string, ranks int, seed uint64) string {
 	}.key()
 }
 
-// Residency of the scalar-window, fused-trace and hit-rate-table fronts.
-// Groups are dispatched in sorted order except that each application's
-// first group goes out before the previous application's last two
-// (dispatchOrder), so near an application boundary two applications are
-// live at once. The fronts keep an application's entries until its last
-// group is done (runArtifacts.groupDone), which takes them out and hands the
-// window and halves — and, in a run without a provider, the tables' level
-// columns — to the scratch (node.Scratch; DESIGN §15 has what each kind is
-// and when it returns). Never in the scratch: a window the client's front
-// holds (the run did not build it for itself), and a hit-rate table of a run
-// with a provider (which may hold it).
+// Residency of the fused-trace and hit-rate-table front. Groups are
+// dispatched in sorted order except that each application's first group
+// goes out before the previous application's last two (dispatchOrder), so
+// near an application boundary two applications are live at once. The
+// front keeps an application's entry until its last group is done
+// (runArtifacts.groupDone), which takes it out and hands the halves — and,
+// in a run without a provider, the tables' level columns — to the scratch
+// (node.Scratch; DESIGN §15 has what each kind is and when it returns).
+// Never in the scratch: a hit-rate table of a run with a provider (which may
+// hold it).
 //
-// The client's window front is bounded by bytes, because its entries differ
-// in size by orders of magnitude (an optimizer rung of 20 000 micro-ops, a
-// 20 M-micro-op request): 64 MiB holds the five built-in applications at
-// default fidelity (300 000 micro-ops x 32 B = 9.6 MB each) with room for a
-// custom profile, and a window larger than the bound is simply not retained.
-// Evicting early is safe: a re-request rebuilds the window, trading time,
-// never bytes.
-const maxSampleWindowBytes = 64 << 20
+// The client's checkpoint front is bounded by bytes, because a checkpoint
+// holds the rest of the basic block its generator stopped in: 0.2–25 KB for
+// the five built-in applications at the benchmark's fidelity. 1 MiB holds
+// dozens of (application, fidelity, seed) checkpoints, and one larger than
+// the bound is simply not retained. Evicting early is safe: a re-request
+// steps the generator through the warm window again, trading time, never
+// bytes.
+const maxSampleWindowBytes = 1 << 20
 
 // onceMap is the one front type: a map of once-guarded slots, FIFO bounded by
 // the bytes size reports when maxBytes > 0, or emptied by its owner (take)
@@ -267,18 +266,6 @@ func (m *onceMap[K, V]) get(key K, build func() V) V {
 	return e.v
 }
 
-// peek returns the value under key if it is resident and built; it never
-// builds and never waits for a build.
-func (m *onceMap[K, V]) peek(key K) (V, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if e := m.slots[key]; e != nil && e.built {
-		return e.v, true
-	}
-	var zero V
-	return zero, false
-}
-
 // take removes the slot under key from a map without a bound and returns its
 // value if it was built; holders of the value keep it.
 func (m *onceMap[K, V]) take(key K) (V, bool) {
@@ -317,34 +304,36 @@ type sampleWindowKey struct {
 	seed           uint64
 }
 
-// SampleWindows is a front of sample windows (node.ScalarTrace with Warm == 0)
-// that outlives a run: the client owns one and hands it to every dse.Run
-// through Options.SampleWindows, so a run after the first generates nothing
-// for an application it has seen at the same fidelity and seed. It is
-// in-memory only, once-guarded (concurrent runs asking for one window build it
-// once) and bounded by bytes. Safe for concurrent use; the windows it hands
-// out are shared and immutable.
+// SampleWindows is a front of sample windows that outlives a run, each kept
+// as the checkpoint of its application's generator at the start of the
+// window (apps.Checkpoint): the client owns one and hands it to every
+// dse.Run through Options.SampleWindows, so a run after the first steps no
+// generator through a warm window for an application it has seen at the
+// same fidelity and seed — it restores the checkpoint and generates the
+// sample window alone. It is in-memory only, once-guarded (concurrent runs
+// asking for one checkpoint build it once) and bounded by bytes. Safe for
+// concurrent use; the checkpoints it hands out are shared and immutable.
 type SampleWindows struct {
-	m                onceMap[sampleWindowKey, node.ScalarTrace]
+	m                onceMap[sampleWindowKey, *apps.Checkpoint]
 	front, generated atomic.Int64
 }
 
-// NewSampleWindows returns an empty front bounded at 64 MiB of windows.
+// NewSampleWindows returns an empty front bounded at 1 MiB of checkpoints.
 func NewSampleWindows() *SampleWindows { return newSampleWindows(maxSampleWindowBytes) }
 
 // newSampleWindows returns a front bounded by bytes (0 = unbounded: a run's
-// own front, emptied application by application).
+// own front).
 func newSampleWindows(maxBytes int64) *SampleWindows {
 	w := &SampleWindows{}
 	w.m.maxBytes = maxBytes
-	instrBytes := int64(reflect.TypeFor[isa.Instr]().Size())
-	w.m.size = func(st node.ScalarTrace) int64 { return int64(len(st.Instrs)) * instrBytes }
+	w.m.size = (*apps.Checkpoint).Bytes
 	return w
 }
 
 // SampleWindowStats counts what a SampleWindows front did: Front is the
-// requests served by a window already resident or being built, Generated the
-// windows a generator ran for, ResidentBytes the windows held now.
+// requests served by a checkpoint already resident or being built,
+// Generated the checkpoints a generator ran for (a cold pass's, or the warm
+// window stepped through), ResidentBytes the checkpoints held now.
 type SampleWindowStats struct {
 	Front         int64 `json:"front"`
 	Generated     int64 `json:"generated"`
@@ -362,28 +351,19 @@ func (w *SampleWindows) Stats() SampleWindowStats {
 	return SampleWindowStats{Front: w.front.Load(), Generated: w.generated.Load(), ResidentBytes: resident}
 }
 
-// publish offers a sample window a cold pass generated.
-func (w *SampleWindows) publish(key sampleWindowKey, st node.ScalarTrace) {
-	w.m.get(key, func() node.ScalarTrace {
+// publish offers the checkpoint a cold pass took.
+func (w *SampleWindows) publish(key sampleWindowKey, cp *apps.Checkpoint) {
+	w.m.get(key, func() *apps.Checkpoint {
 		w.generated.Add(1)
-		return st
+		return cp
 	})
 }
 
-// peek returns the window under key if the front holds it, counted as served
-// by the front; it never generates.
-func (w *SampleWindows) peek(key sampleWindowKey) (node.ScalarTrace, bool) {
-	st, ok := w.m.peek(key)
-	if ok {
-		w.front.Add(1)
-	}
-	return st, ok
-}
-
-// get returns the window under key, running build if the front lacks it.
-func (w *SampleWindows) get(key sampleWindowKey, build func() node.ScalarTrace) node.ScalarTrace {
+// get returns the checkpoint under key, running build if the front lacks
+// it.
+func (w *SampleWindows) get(key sampleWindowKey, build func() *apps.Checkpoint) *apps.Checkpoint {
 	hit := true
-	st := w.m.get(key, func() node.ScalarTrace {
+	cp := w.m.get(key, func() *apps.Checkpoint {
 		hit = false
 		w.generated.Add(1)
 		return build()
@@ -391,14 +371,7 @@ func (w *SampleWindows) get(key sampleWindowKey, build func() node.ScalarTrace) 
 	if hit {
 		w.front.Add(1)
 	}
-	return st
-}
-
-// fusedKey addresses a run-local fused trace. The application is identified
-// by name: within one run a name maps to one profile.
-type fusedKey struct {
-	app string
-	vec int
+	return cp
 }
 
 // cacheTarget is one cache configuration a run sweeps for an application:
@@ -444,24 +417,29 @@ type runArtifacts struct {
 	lat    onceMap[latKey, *dram.LatencyModel] // (app, channels, mem) -> fitted curve
 	bursts onceMap[burstKey, *net.Program]     // (app, ranks) -> compiled trace
 	graphs onceMap[string, *node.TaskGraphs]   // app name -> compiled task graphs
-	// windows is the one front a run reads sample windows through: the
-	// client's, or a run-local one (ownWindows), whose windows go to the
-	// scratch with the application's fused traces.
-	windows    *SampleWindows
-	ownWindows bool
-	fused      onceMap[fusedKey, *node.FusedTrace] // sample half only
+	// windows is the one front a run reads sample-window checkpoints
+	// through: the client's, or a run-local one.
+	windows *SampleWindows
 	// scratch recycles what the run's builds let go: the run's own, or its
 	// view of the client's.
 	scratch *node.Scratch
 	// caches lists the cache configurations the run sweeps per application,
 	// in group order, registered by the runner before any worker starts and
-	// read-only after; tables holds their resolved hit-rate tables, one
-	// resolution per application. groupsLeft counts each application's
-	// groups not yet done: the last one takes its window, fused traces and
-	// tables out of the fronts.
+	// read-only after; fronts holds their resolved hit-rate tables and fused
+	// sample halves, one resolution per application. groupsLeft counts each
+	// application's groups not yet done: the last one takes its entry out of
+	// fronts.
 	caches     map[string][]cacheTarget
-	tables     onceMap[string, map[CacheGroup]hitRates]
+	fronts     onceMap[string, appFront]
 	groupsLeft map[string]*atomic.Int64
+}
+
+// appFront is what a run resolves once per application for all its groups:
+// the hit-rate table of every cache configuration the run sweeps for it and
+// the fused sample half of every vector width those configurations span.
+type appFront struct {
+	tables map[CacheGroup]hitRates
+	halves map[int]*node.FusedTrace // by vector width; sample halves only
 }
 
 func newRunArtifacts(o Options) *runArtifacts {
@@ -475,7 +453,7 @@ func newRunArtifacts(o Options) *runArtifacts {
 		r.scratch = node.NewScratch()
 	}
 	if r.windows == nil {
-		r.windows, r.ownWindows = newSampleWindows(0), true
+		r.windows = newSampleWindows(0)
 	}
 	return r
 }
@@ -496,27 +474,24 @@ func (r *runArtifacts) addGroup(app string, g AnnGroup, cfg node.Config) {
 }
 
 // groupDone marks one group of app done; after its last, no point of app is
-// left to read the application's window, fused traces and tables, so they
-// leave the fronts: the fused traces, a window of the run's own front and,
-// when the run has no provider, the tables' level columns go to the scratch;
-// with a provider the tables are let go (it may hold them).
+// left to read the application's fused halves and tables, so they leave the
+// front: the halves and, when the run has no provider, the tables' level
+// columns go to the scratch; with a provider the tables are let go (it may
+// hold them).
 func (r *runArtifacts) groupDone(app string) {
 	if r.groupsLeft[app].Add(-1) > 0 {
 		return
 	}
-	if tables, ok := r.tables.take(app); ok && r.backing == nil {
-		for _, t := range tables {
+	f, ok := r.fronts.take(app)
+	if !ok {
+		return
+	}
+	for _, ft := range f.halves {
+		r.scratch.ReleaseFused(ft)
+	}
+	if r.backing == nil {
+		for _, t := range f.tables {
 			r.scratch.ReleaseTable(t.hrt)
-		}
-	}
-	for _, t := range r.caches[app] {
-		if ft, ok := r.fused.take(fusedKey{app, t.group.Vec}); ok {
-			r.scratch.ReleaseFused(ft)
-		}
-	}
-	if hash, ok := r.hashes.peek(app); ok && r.ownWindows {
-		if st, ok := r.windows.m.take(r.windowKeyOf(hash)); ok {
-			r.scratch.ReleaseWindow(st)
 		}
 	}
 }
@@ -605,123 +580,125 @@ func (r *runArtifacts) burst(ctx context.Context, app *apps.Profile, ranks int) 
 	})
 }
 
-// fusedTrace returns the run-local sample half of the fused trace of (app,
-// vector width) — all an annotation served from a hit-rate table reads —
-// building it at most once per key, unless a cold pass built it first.
-// Fused traces are never persisted (see the file comment); the stage
-// histogram counts these builds and the cold pass's, one per (app, width)
-// per run on the cold and the warm path alike, so its observation count
-// reads as "fused traces built". The sample window is resolved before the
-// clock starts: generating it is not fusing.
-func (r *runArtifacts) fusedTrace(ctx context.Context, app *apps.Profile, vec int) *node.FusedTrace {
-	return r.fused.get(fusedKey{app.Name, vec}, func() *node.FusedTrace {
-		st := r.sampleWindow(ctx, app)
-		_, span := obs.StartSpan(ctx, "dse.fuse",
-			obs.A("app", app.Name), obs.AInt("vec", vec))
-		defer span.End()
-		start := time.Now()
-		ft := r.scratch.FuseSample(st, app, vec, r.seed)
-		observeStage(StageFuse, start)
-		return ft
-	})
-}
-
-// sampleWindow returns the scalar sample window of one application at the
-// run's fidelity and seed: every vector width fuses the identical scalar
-// sequence, and so does every later run on the same client. On a front miss
-// the generator runs through the warm window without keeping it.
-func (r *runArtifacts) sampleWindow(ctx context.Context, app *apps.Profile) node.ScalarTrace {
-	return r.windows.get(r.windowKey(app), func() node.ScalarTrace {
-		_, span := obs.StartSpan(ctx, "dse.scalar-trace", obs.A("app", app.Name), obs.A("window", "sample"))
-		defer span.End()
-		return r.scratch.SampleWindow(app, r.sample, r.warmup, r.seed)
-	})
-}
-
 func (r *runArtifacts) windowKey(app *apps.Profile) sampleWindowKey {
-	return r.windowKeyOf(r.appHash(app))
-}
-
-// windowKeyOf is the key of the run's sample window of the application whose
-// AppHash is hash.
-func (r *runArtifacts) windowKeyOf(hash string) sampleWindowKey {
 	sample, warmup := apps.EffectiveFidelity(r.sample, r.warmup)
-	return sampleWindowKey{app: hash, sample: sample, warmup: warmup, seed: r.seed}
+	return sampleWindowKey{app: r.appHash(app), sample: sample, warmup: warmup, seed: r.seed}
 }
 
 // annotation returns the shared annotation of one (app, group): the fused
-// trace overlaid with the group's hit-rate table, compiled into ops's storage
-// (node.CombineAnnotationInto). The table comes from the run-local tables
-// front, which resolves every cache configuration of the application at once
-// (hitRateTables) the first time any of them is asked for; the runner asks
-// once per annotation group and holds the result for the group's points, and
-// hands its op column to the worker's next group. The annotation carries the
-// application's task graphs, compiled once per application and run (the
-// graphs front), not once per group.
+// sample half of the group's width overlaid with the group's hit-rate table,
+// compiled into ops's storage (node.CombineAnnotationInto). Both come from
+// the run-local front, which resolves every cache configuration and width of
+// the application at once (resolveApp) the first time any group asks; the
+// runner asks once per annotation group and holds the result for the
+// group's points, and hands its op column to the worker's next group. The
+// annotation carries the application's task graphs, compiled once per
+// application and run (the graphs front), not once per group.
 func (r *runArtifacts) annotation(ctx context.Context, app *apps.Profile, g AnnGroup, ops []uint32) *node.Annotation {
 	actx, span := obs.StartSpan(ctx, "dse.annotate", obs.A("app", app.Name))
 	defer span.End()
-	tables := r.tables.get(app.Name, func() map[CacheGroup]hitRates {
-		return r.hitRateTables(actx, app)
-	})
-	t, ok := tables[g.CacheGroup()]
+	f := r.fronts.get(app.Name, func() appFront { return r.resolveApp(actx, app) })
+	t, ok := f.tables[g.CacheGroup()]
 	if !ok {
 		panic(fmt.Sprintf("dse: %s group %+v was not registered with the run", app.Name, g))
 	}
 	span.SetAttr("source", t.source)
-	ann, _ := node.CombineAnnotationInto(ops, r.fusedTrace(ctx, app, g.Vec), t.hrt)
+	ann, _ := node.CombineAnnotationInto(ops, f.halves[g.Vec], t.hrt)
 	ann.Graphs = r.graphs.get(app.Name, func() *node.TaskGraphs { return node.CompileTaskGraphs(app, r.seed) })
 	return &ann
 }
 
-// hitRateTables resolves the hit-rate table of every cache configuration the
-// run sweeps for app. The provider is asked for each first; the tables it
-// lacks are built by one cold pass (coldPass) and put to it once each. A
-// table it serves must fit the fused trace it overlays; one that does not is
-// built by a second pass, after the first has left the sample window and its
-// fused traces in the fronts, which is where the check finds them.
-func (r *runArtifacts) hitRateTables(ctx context.Context, app *apps.Profile) map[CacheGroup]hitRates {
+// resolveApp resolves the hit-rate table of every cache configuration the
+// run sweeps for app and the fused sample half of every width they span.
+// The provider is asked for each table first; the tables it lacks are built
+// by one cold pass (coldPass), which fuses its widths' halves on the way,
+// and put to it once each. The widths left — every width, when the provider
+// serves every table — get their halves from one generation of the sample
+// window (fuseHalves). A table the provider serves must fit the half it
+// overlays; one that does not is built by a second pass.
+func (r *runArtifacts) resolveApp(ctx context.Context, app *apps.Profile) appFront {
 	targets := r.caches[app.Name]
-	out := make(map[CacheGroup]hitRates, len(targets))
+	f := appFront{tables: make(map[CacheGroup]hitRates, len(targets)), halves: map[int]*node.FusedTrace{}}
 	var served, missing []cacheTarget
 	for _, t := range targets {
 		if r.backing != nil {
 			if hrt, ok := r.backing.HitRates(r.hitRateKey(app, t)); ok {
-				out[t.group] = hitRates{hrt, "cache"}
+				f.tables[t.group] = hitRates{hrt, "cache"}
 				served = append(served, t)
 				continue
 			}
 		}
 		missing = append(missing, t)
 	}
-	r.coldPass(ctx, app, missing, out)
+	r.coldPass(ctx, app, missing, f)
+	r.fuseHalves(ctx, app, f)
 	var misfits []cacheTarget
 	for _, t := range served {
-		if len(out[t.group].hrt.Levels) != len(r.fusedTrace(ctx, app, t.group.Vec).Meta) {
+		if len(f.tables[t.group].hrt.Levels) != len(f.halves[t.group.Vec].Meta) {
 			misfits = append(misfits, t)
 		}
 	}
-	r.coldPass(ctx, app, misfits, out)
-	return out
+	r.coldPass(ctx, app, misfits, f)
+	return f
 }
 
 func (r *runArtifacts) hitRateKey(app *apps.Profile, t cacheTarget) string {
 	return HitRateKey(r.appHash(app), t.group, r.sample, r.warmup, r.seed)
 }
 
+// fuseHalves fuses the sample half of every width the run sweeps for app
+// that f holds none of, all in one generation of the sample window: it
+// restores the window's checkpoint and streams the window into every such
+// width's fuser at once (node.Scratch.FuseSample), under one dse.fuse span.
+// The stage histogram gets one StageFuse observation per width, each an
+// equal share of the time, sample generation included: the halves are
+// fused one per (app, width) per run on the cold and the warm path alike,
+// so the observation count reads as "fused traces built".
+func (r *runArtifacts) fuseHalves(ctx context.Context, app *apps.Profile, f appFront) {
+	var widths []int
+	for _, t := range r.caches[app.Name] {
+		if _, ok := f.halves[t.group.Vec]; !ok && !slices.Contains(widths, t.group.Vec) {
+			widths = append(widths, t.group.Vec)
+		}
+	}
+	if len(widths) == 0 {
+		return
+	}
+	cp := r.checkpoint(ctx, app)
+	_, span := obs.StartSpan(ctx, "dse.fuse", obs.A("app", app.Name), obs.AInt("widths", len(widths)))
+	defer span.End()
+	sample, _ := apps.EffectiveFidelity(r.sample, r.warmup)
+	start := time.Now()
+	for i, ft := range r.scratch.FuseSample(cp, sample, app, r.seed, widths) {
+		f.halves[widths[i]] = ft
+	}
+	observeStageShares(StageFuse, time.Since(start), len(widths))
+}
+
+// checkpoint returns the checkpoint at the start of app's sample window at
+// the run's fidelity and seed, through the run's front: every width fuses
+// the window that follows it, and so does every later run on the same
+// client. On a front miss the generator runs through the warm window
+// without keeping it.
+func (r *runArtifacts) checkpoint(ctx context.Context, app *apps.Profile) *apps.Checkpoint {
+	return r.windows.get(r.windowKey(app), func() *apps.Checkpoint {
+		_, span := obs.StartSpan(ctx, "dse.scalar-trace", obs.A("app", app.Name), obs.A("window", "warm"))
+		defer span.End()
+		return r.scratch.SampleCheckpoint(app, r.sample, r.warmup, r.seed)
+	})
+}
+
 // coldPass builds the hit-rate tables of targets by one node.ColdPass over
-// the widths they span, puts each to the provider and adds it to out. The
-// pass's fused sample halves go to the fused front, and the sample window it
-// generated to the window front; a window the front already holds is handed
-// to the pass instead, which then generates the warm window alone.
+// the widths they span, puts each to the provider and adds it to f, with
+// the fused sample half of each width f holds none of yet. The checkpoint
+// the pass took at the start of the sample window goes to the window front.
 //
-// Spans: the pass is a dse.scalar-trace span (window "full", or "warm" when
-// the front held the sample window), and under it each width's share is a
-// dse.cache-walk span holding that width's dse.fuse span. The stage
-// histogram gets one StageFuse observation per width and one StageAnnotate
-// observation per table, each an equal share of its width's walk less its
-// fuse.
-func (r *runArtifacts) coldPass(ctx context.Context, app *apps.Profile, targets []cacheTarget, out map[CacheGroup]hitRates) {
+// Spans: the pass is a dse.scalar-trace span (window "full"), and under it
+// each width's share is a dse.cache-walk span holding that width's dse.fuse
+// span. The stage histogram gets one StageFuse observation per width and
+// one StageAnnotate observation per table, each an equal share of its
+// width's walk less its fuse.
+func (r *runArtifacts) coldPass(ctx context.Context, app *apps.Profile, targets []cacheTarget, f appFront) {
 	if len(targets) == 0 {
 		return
 	}
@@ -737,18 +714,12 @@ func (r *runArtifacts) coldPass(ctx context.Context, app *apps.Profile, targets 
 		walks[i].Configs = append(walks[i].Configs, t.cfg)
 		groups[i] = append(groups[i], t)
 	}
-	key := r.windowKey(app)
-	window, held := r.windows.peek(key)
-	kind := "full"
-	if held {
-		kind = "warm"
-	}
-	pctx, span := obs.StartSpan(ctx, "dse.scalar-trace", obs.A("app", app.Name), obs.A("window", kind))
+	pctx, span := obs.StartSpan(ctx, "dse.scalar-trace", obs.A("app", app.Name), obs.A("window", "full"))
 	walkCtx := make([]context.Context, len(walks))
 	fuseTime := make([]time.Duration, len(walks))
-	st, res := node.ColdPass{
+	cp, res := node.ColdPass{
 		App: app, Sample: r.sample, Warmup: r.warmup, Seed: r.seed,
-		Window: window, Widths: walks, Scratch: r.scratch,
+		Widths: walks, Scratch: r.scratch,
 		Stage: func(i int, s node.PassStage) func() {
 			start := time.Now()
 			vec := obs.AInt("vec", walks[i].VectorBits)
@@ -770,18 +741,18 @@ func (r *runArtifacts) coldPass(ctx context.Context, app *apps.Profile, targets 
 		},
 	}.Run()
 	span.End()
-	if !held {
-		r.windows.publish(key, st)
-	}
+	r.windows.publish(r.windowKey(app), cp)
 	for i, w := range res {
-		// A width whose half the front already holds (fused to check a served
-		// table) keeps that one; the pass's goes straight back.
-		if r.fused.get(fusedKey{app.Name, walks[i].VectorBits}, func() *node.FusedTrace { return w.Fused }) != w.Fused {
+		// A width whose half f already holds (fused to check a served table)
+		// keeps that one; the pass's goes straight back.
+		if _, ok := f.halves[walks[i].VectorBits]; ok {
 			r.scratch.ReleaseFused(w.Fused)
+		} else {
+			f.halves[walks[i].VectorBits] = w.Fused
 		}
 		for j, hrt := range w.Tables {
 			t := groups[i][j]
-			out[t.group] = hitRates{hrt, "built"}
+			f.tables[t.group] = hitRates{hrt, "built"}
 			if r.backing != nil {
 				r.backing.PutHitRates(r.hitRateKey(app, t), hrt)
 			}

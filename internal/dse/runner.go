@@ -162,10 +162,10 @@ type Options struct {
 	// equivalent to rebuilding — a warm run's measurements are
 	// byte-identical to a cold run's. Nil keeps the intermediates run-local.
 	Artifacts ArtifactProvider
-	// SampleWindows, if non-nil, is the front the run reads its scalar sample
-	// windows through and leaves them in for later runs (the client owns one
-	// for its lifetime). Nil keeps sample windows run-local. Like Artifacts it
-	// changes what a run builds, never what it returns.
+	// SampleWindows, if non-nil, is the front the run reads its sample
+	// windows' checkpoints through and leaves them in for later runs (the
+	// client owns one for its lifetime). Nil keeps them run-local. Like
+	// Artifacts it changes what a run builds, never what it returns.
 	SampleWindows *SampleWindows
 	// Scratch, if non-nil, is the storage the run recycles its columns
 	// through and leaves what it is done with in for later runs (the client
@@ -527,7 +527,7 @@ func compareGroups(a, b annGroupKey) int {
 // first group runs its cold pass, which every other group of the application
 // waits for; moved up, the pass runs while the other worker still replays,
 // instead of one worker running it while the other waits. Not earlier: each
-// application live at once holds its sample window and fused traces.
+// application live at once holds its fused traces and hit-rate tables.
 func dispatchOrder(keys []annGroupKey) []annGroupKey {
 	var byApp [][]annGroupKey
 	for i, j := 0, 0; i < len(keys); i = j {

@@ -63,9 +63,9 @@ func scratchUse(t *testing.T, opts Options) (string, map[string][2]int) {
 // applications returns the bytes of five sweeps of one application each —
 // with no artifacts, and again on a primed provider — although its later
 // applications build on what the earlier ones left: without artifacts their
-// windows, fused halves, level columns, generators, chunk buffers and
-// hierarchies come from the run's scratch; on the primed provider (no cold
-// pass) their windows, halves and generators do.
+// fused halves, level columns, generators, chunk buffers and hierarchies
+// come from the run's scratch; on the primed provider (no cold pass) their
+// halves, generators and chunk buffers do.
 func TestFiveAppRunRecyclesAndMatchesPerAppRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("eleven sweeps of five applications")
@@ -91,10 +91,10 @@ func TestFiveAppRunRecyclesAndMatchesPerAppRuns(t *testing.T) {
 		if got != want {
 			t.Errorf("primed %v: the five-application sweep differs from five one-application sweeps", primed)
 		}
-		kinds := []string{"windows", "halves", "streams", "tables", "chunks", "hierarchies"}
+		kinds := []string{"halves", "streams", "chunks", "tables", "hierarchies"}
 		if primed {
 			kinds = kinds[:3]
-			if use["tables"] != [2]int{} || use["chunks"] != [2]int{} || use["hierarchies"] != [2]int{} {
+			if use["tables"] != [2]int{} || use["hierarchies"] != [2]int{} {
 				t.Errorf("primed: a cold pass ran: %v", use)
 			}
 		}
@@ -116,7 +116,7 @@ func joinJSON(a, b string) string {
 }
 
 // TestConcurrentRunsRecycleApart: two runs at once — sharing a client's
-// window front and not, sharing a client's scratch and not — each return the
+// checkpoint front and not, sharing a client's scratch and not — each return the
 // reference bytes (run under -race to check that no column one run released
 // is read again, whichever run took it). On a shared scratch the pair runs
 // twice, so the second pair draws what the first left.
@@ -159,16 +159,18 @@ func TestConcurrentRunsRecycleApart(t *testing.T) {
 	}
 }
 
-// TestClientScratchOutlivesTheRun: runs on one client's scratch, window front
-// and artifact provider, one worker each — a one-point run without the
+// TestClientScratchOutlivesTheRun: runs on one client's scratch, checkpoint
+// front and artifact provider, one worker each — a one-point run without the
 // provider, then the five applications cold, warm and warm again. After
 // every run the scratch holds its generator and chunk buffers and is within
 // its byte bound. It keeps a hierarchy set only when a pass drew it back
 // during the run: the one-point run leaves none, the cold run keeps the two
 // widths' sets its later applications reused, and a warm run, which runs no
-// pass, lets them go. The second warm run fuses every half and compiles its
-// op column on storage an earlier run left (scratch.halves and scratch.ops
-// read n/n), and the five-application runs' bytes are the reference's.
+// pass, lets them go. The second warm run fuses every half from the front's
+// checkpoints, through the generator and chunk buffers an earlier run left,
+// and compiles its op column on storage an earlier run left too
+// (scratch.halves, scratch.streams, scratch.chunks and scratch.ops read
+// n/n), and the five-application runs' bytes are the reference's.
 func TestClientScratchOutlivesTheRun(t *testing.T) {
 	opts := scratchTestOpts()
 	opts.Workers = 1
@@ -199,12 +201,12 @@ func TestClientScratchOutlivesTheRun(t *testing.T) {
 		}
 		t.Logf("%s run %d: scratch %v, holds %+v", c.kind, run, use, held)
 	}
-	for _, kind := range []string{"halves", "ops"} {
+	for _, kind := range []string{"halves", "streams", "chunks", "ops"} {
 		if n := use[kind]; n[1] == 0 || n[0] != n[1] {
 			t.Errorf("second warm run: %s %d reused of %d, want all", kind, n[0], n[1])
 		}
 	}
-	if use["chunks"] != [2]int{} || use["hierarchies"] != [2]int{} || use["windows"] != [2]int{} {
-		t.Errorf("second warm run: built a window or ran a cold pass: %v", use)
+	if use["tables"] != [2]int{} || use["hierarchies"] != [2]int{} {
+		t.Errorf("second warm run: ran a cold pass: %v", use)
 	}
 }

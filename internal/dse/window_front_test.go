@@ -3,12 +3,12 @@ package dse
 import (
 	"context"
 	"encoding/json"
+	"runtime"
 	"sync"
 	"testing"
 
 	"musa/internal/apps"
 	"musa/internal/dram"
-	"musa/internal/isa"
 	"musa/internal/node"
 	"musa/internal/obs"
 	"musa/internal/trace"
@@ -83,13 +83,25 @@ func datasetJSON(t *testing.T, d *Dataset, want int) string {
 	return string(b)
 }
 
+// checkpointBytes returns the bytes of the sample-window checkpoint of each
+// of opts's applications.
+func checkpointBytes(opts Options) []int64 {
+	var n []int64
+	for _, app := range opts.Apps {
+		cp := node.NewScratch().SampleCheckpoint(app, opts.SampleInstrs, opts.WarmupInstrs, opts.Seed)
+		n = append(n, cp.Bytes())
+	}
+	return n
+}
+
 // TestSampleWindowFrontEvictsAndRebuilds gives a shared front room for one
-// window fewer than a warm run over two applications needs. The first
-// application's window is evicted when the second's is measured, so every run
-// generates both again — and every dataset is still the reference's, byte for
-// byte: eviction trades time, never bytes. One worker makes the count exact:
-// with two, a worker still fusing the first application's last width when the
-// other has moved on may find its window evicted and generate it once more.
+// checkpoint fewer than a warm run over two applications needs. The first
+// application's checkpoint is evicted when the second's is published, so
+// every run steps both generators through their warm windows again — and
+// every dataset is still the reference's, byte for byte: eviction trades
+// time, never bytes. One worker makes the count exact: with two, a worker
+// still resolving the first application when the other has moved on may
+// find its checkpoint evicted and build it once more.
 func TestSampleWindowFrontEvictsAndRebuilds(t *testing.T) {
 	ctx := context.Background()
 	opts := windowTestOpts()
@@ -98,10 +110,10 @@ func TestSampleWindowFrontEvictsAndRebuilds(t *testing.T) {
 	want := datasetJSON(t, Run(ctx, opts), n)
 
 	opts.Artifacts = newMapArtifacts()
-	Run(ctx, opts) // primes the hit-rate tables: later runs ask for sample windows only
+	Run(ctx, opts) // primes the hit-rate tables: later runs ask for checkpoints only
 
-	const windowBytes = 20000 * 32
-	w := newSampleWindows(2*windowBytes - 1)
+	cps := checkpointBytes(opts)
+	w := newSampleWindows(cps[0] + cps[1] - 1)
 	opts.SampleWindows = w
 	for run := 1; run <= 2; run++ {
 		if got := datasetJSON(t, Run(ctx, opts), n); got != want {
@@ -109,10 +121,10 @@ func TestSampleWindowFrontEvictsAndRebuilds(t *testing.T) {
 		}
 		st := w.Stats()
 		if st.Generated != int64(2*run) {
-			t.Errorf("after run %d: %d windows generated, want %d (both applications, every run)", run, st.Generated, 2*run)
+			t.Errorf("after run %d: %d checkpoints generated, want %d (both applications, every run)", run, st.Generated, 2*run)
 		}
-		if st.ResidentBytes != windowBytes {
-			t.Errorf("after run %d: %d bytes resident, want one window of %d", run, st.ResidentBytes, windowBytes)
+		if st.ResidentBytes != cps[0] && st.ResidentBytes != cps[1] {
+			t.Errorf("after run %d: %d bytes resident, want one checkpoint (%d or %d)", run, st.ResidentBytes, cps[0], cps[1])
 		}
 	}
 
@@ -124,16 +136,17 @@ func TestSampleWindowFrontEvictsAndRebuilds(t *testing.T) {
 			t.Errorf("run %d on the roomy front differs from the reference", run)
 		}
 	}
-	if st := w.Stats(); st.Generated != 2 || st.ResidentBytes != 2*windowBytes || st.Front == 0 {
-		t.Errorf("roomy front after two runs: %+v, want 2 generated, %d bytes, front hits", st, 2*windowBytes)
+	if st := w.Stats(); st.Generated != 2 || st.ResidentBytes != cps[0]+cps[1] || st.Front == 0 {
+		t.Errorf("roomy front after two runs: %+v, want 2 generated, %d bytes, front hits", st, cps[0]+cps[1])
 	}
 }
 
-// TestColdPassTakesTheFrontsWindow: a run whose tables all miss while the
-// front already holds each application's sample window streams the warm
-// window alone (a "warm" pass), generates no window and returns the
-// reference bytes.
-func TestColdPassTakesTheFrontsWindow(t *testing.T) {
+// TestColdPassLeavesTheFrontsCheckpoint: a run whose tables all miss while
+// the front already holds each application's checkpoint runs one full cold
+// pass per application — its warm window is needed for the caches — returns
+// the reference bytes, and leaves the front as it was: the checkpoint it
+// holds is the one the pass took again.
+func TestColdPassLeavesTheFrontsCheckpoint(t *testing.T) {
 	ctx := context.Background()
 	opts := windowTestOpts()
 	n := len(opts.Apps) * len(opts.Points)
@@ -141,10 +154,11 @@ func TestColdPassTakesTheFrontsWindow(t *testing.T) {
 
 	w := NewSampleWindows()
 	opts.SampleWindows = w
-	Run(ctx, opts) // leaves both windows in the front, and no table anywhere
+	Run(ctx, opts) // leaves both checkpoints in the front, and no table anywhere
+	before := w.Stats()
 	rec := obs.NewRecorder(0)
 	if got := datasetJSON(t, Run(obs.WithRecorder(ctx, rec), opts), n); got != want {
-		t.Error("a pass on the front's windows differs from the reference")
+		t.Error("a second cold run on the front's checkpoints differs from the reference")
 	}
 	var passes []string
 	for _, s := range rec.Spans() {
@@ -156,30 +170,32 @@ func TestColdPassTakesTheFrontsWindow(t *testing.T) {
 			}
 		}
 	}
-	if len(passes) != len(opts.Apps) || passes[0] != "warm" || passes[1] != "warm" {
-		t.Errorf("second run's passes streamed windows %v, want one warm window per application", passes)
+	if len(passes) != len(opts.Apps) || passes[0] != "full" || passes[1] != "full" {
+		t.Errorf("second run's generators ran for windows %v, want one full pass per application", passes)
 	}
-	if st := w.Stats(); st.Generated != int64(len(opts.Apps)) {
-		t.Errorf("front after two runs: %+v, want %d windows generated, all by the first", st, len(opts.Apps))
+	if st := w.Stats(); st != before || st.Generated != int64(len(opts.Apps)) {
+		t.Errorf("front after two runs: %+v, want %+v: %d checkpoints generated, all by the first", st, before, len(opts.Apps))
 	}
 }
 
-// TestSampleWindowTooLargeIsNotRetained: a window bigger than the whole bound
-// is handed to its run and dropped, leaving the front as it was.
+// TestSampleWindowTooLargeIsNotRetained: a checkpoint bigger than the whole
+// bound is handed to its run and dropped, leaving the front as it was.
 func TestSampleWindowTooLargeIsNotRetained(t *testing.T) {
-	w := newSampleWindows(1000)
-	small := node.ScalarTrace{Instrs: make([]isa.Instr, 10)}
-	w.get(sampleWindowKey{app: "small"}, func() node.ScalarTrace { return small })
-	big := w.get(sampleWindowKey{app: "big"}, func() node.ScalarTrace {
-		return node.ScalarTrace{Instrs: make([]isa.Instr, 100)}
-	})
-	if len(big.Instrs) != 100 {
-		t.Fatalf("oversized window came back with %d instructions", len(big.Instrs))
+	small := node.NewScratch().SampleCheckpoint(apps.LULESH(), 120000, 700000, 1)
+	big := node.NewScratch().SampleCheckpoint(apps.SPMZ(), 120000, 700000, 1)
+	const bound = 1000
+	if small.Bytes() >= bound || big.Bytes() <= bound {
+		t.Fatalf("checkpoints of %d and %d bytes do not straddle the %d-byte bound", small.Bytes(), big.Bytes(), bound)
+	}
+	w := newSampleWindows(bound)
+	w.get(sampleWindowKey{app: "small"}, func() *apps.Checkpoint { return small })
+	if got := w.get(sampleWindowKey{app: "big"}, func() *apps.Checkpoint { return big }); got != big {
+		t.Fatal("the oversized checkpoint did not come back to its caller")
 	}
 	if st := w.Stats(); st.ResidentBytes != 0 || st.Generated != 2 {
-		// FIFO: making room for the oversized window evicts the older one
-		// first, then the oversized window itself.
-		t.Errorf("after an oversized window: %+v, want nothing resident and 2 generated", st)
+		// FIFO: making room for the oversized checkpoint evicts the older one
+		// first, then the oversized checkpoint itself.
+		t.Errorf("after an oversized checkpoint: %+v, want nothing resident and 2 generated", st)
 	}
 }
 
@@ -230,5 +246,83 @@ func TestUnstagedMatchesStaged(t *testing.T) {
 				t.Errorf("%s %s %s: staged\n %s\nunstaged\n %s", pass, m.App, m.Arch.Label(), got, ref)
 			}
 		}
+	}
+}
+
+// TestConcurrentRunsRestoreOneCheckpoint: on one client's front, scratch and
+// primed provider, two warm runs at once restore each application's one
+// checkpoint at the same time and stream their halves from it: both return
+// the reference bytes, and the front builds nothing (run under -race: a
+// restore only reads the checkpoint).
+func TestConcurrentRunsRestoreOneCheckpoint(t *testing.T) {
+	ctx := context.Background()
+	opts := windowTestOpts()
+	n := len(opts.Apps) * len(opts.Points)
+	want := datasetJSON(t, Run(ctx, opts), n)
+	opts.Artifacts, opts.SampleWindows, opts.Scratch = newMapArtifacts(), NewSampleWindows(), node.NewScratch()
+	Run(ctx, opts) // primes the tables and the checkpoints
+	before := opts.SampleWindows.Stats()
+	got := make([]string, 2)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = datasetJSON(t, Run(ctx, opts), n)
+		}()
+	}
+	wg.Wait()
+	for i, g := range got {
+		if g != want {
+			t.Errorf("run %d differs from the reference", i)
+		}
+	}
+	if st := opts.SampleWindows.Stats(); st.Generated != before.Generated || st.Front != before.Front+int64(len(got)*len(opts.Apps)) {
+		t.Errorf("front %+v after the two runs, %+v before: want no checkpoint built and one request per run and application", st, before)
+	}
+}
+
+// raceEnabled is set by race_test.go: allocation pins skip under -race,
+// where sync.Pool deliberately drops a share of its Puts.
+var raceEnabled bool
+
+// TestWarmRunMaterialisesNoWindow: a warm run of LULESH at the benchmark's
+// fidelity (120 000 sample after 700 000 warm-up micro-ops) over the three
+// Table I widths, on a front, scratch and provider earlier runs primed,
+// allocates under 0.25 MB (≈ 0.1 MB: spans, measurements, the replays'
+// results) — less than one 256 KiB chunk buffer, against the 3.84 MB sample
+// window it fuses — with its generator, two chunk buffers, fusers and
+// halves drawn back from the scratch.
+func TestWarmRunMaterialisesNoWindow(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("full-fidelity runs; allocation pins skip under -race")
+	}
+	var pts []ArchPoint
+	first := Enumerate()[0]
+	for _, p := range Enumerate() {
+		q := p
+		q.VectorBits = first.VectorBits
+		if q == first {
+			pts = append(pts, p)
+		}
+	}
+	opts := Options{
+		Apps: []*apps.Profile{apps.LULESH()}, Points: pts,
+		SampleInstrs: 120000, WarmupInstrs: 700000, Seed: 1, Workers: 1,
+		Replay:    ReplayConfig{Disable: true},
+		Artifacts: newMapArtifacts(), SampleWindows: NewSampleWindows(), Scratch: node.NewScratch(),
+	}
+	ctx := context.Background()
+	Run(ctx, opts)
+	Run(ctx, opts)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	Run(ctx, opts)
+	runtime.ReadMemStats(&after)
+	const bound = 0.25e6
+	if got := after.TotalAlloc - before.TotalAlloc; float64(got) >= bound {
+		t.Errorf("a warm run of %d points allocated %.3f MB, want under %.1f MB", len(pts), float64(got)/1e6, bound/1e6)
+	} else {
+		t.Logf("a warm run of %d points allocated %.3f MB (%d objects)", len(pts), float64(got)/1e6, after.Mallocs-before.Mallocs)
 	}
 }

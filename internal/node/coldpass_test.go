@@ -39,23 +39,31 @@ func coldPassOf(app *apps.Profile, sample, warmup int64, widths []int, cores ...
 	return p
 }
 
-// checkPassMatchesReference runs p cutting its warm window into chunks of at
+// checkPassMatchesReference runs p cutting its windows into chunks of at
 // most chunk micro-ops (more where a block is longer) and compares the sample
-// window, every width's fused sample half and every table with the
-// whole-window reference: walkCaches(FuseScalarTrace(BuildScalarTrace(…))).
-func checkPassMatchesReference(t testing.TB, p ColdPass, chunk int) (ScalarTrace, []WidthTables) {
+// window its checkpoint continues with, every width's fused sample half —
+// the pass's, and one streamed from its checkpoint on a fresh scratch — and
+// every table with the whole-window reference:
+// walkCaches(FuseScalarTrace(BuildScalarTrace(…))).
+func checkPassMatchesReference(t testing.TB, p ColdPass, chunk int) (*apps.Checkpoint, []WidthTables) {
 	t.Helper()
 	full := BuildScalarTrace(p.App, p.Sample, p.Warmup, p.Seed)
-	st, res := p.run(chunk)
-	if st.Warm != 0 || !slices.Equal(st.Instrs, full.Instrs[full.Warm:]) {
-		t.Fatalf("%s chunk %d: the pass's sample window differs from the full window's sample part", p.App.Name, chunk)
+	cp, res := p.run(chunk)
+	sample := int64(len(full.Instrs)) - full.Warm
+	if st := windowFrom(cp, sample); !slices.Equal(st.Instrs, full.Instrs[full.Warm:]) {
+		t.Fatalf("%s chunk %d: the pass's checkpoint continues with another window than the full window's sample part", p.App.Name, chunk)
 	}
+	var widths []int
+	for _, w := range p.Widths {
+		widths = append(widths, w.VectorBits)
+	}
+	streamed := NewScratch().fuseSample(cp, sample, p.App, p.Seed, widths, chunk)
 	for i, w := range p.Widths {
 		ref := FuseScalarTrace(full, p.App, w.VectorBits, p.Seed)
-		got := res[i].Fused
-		if got.WarmOps != nil || !slices.Equal(got.Meta, ref.Meta) || !slices.Equal(got.Deps, ref.Deps) ||
-			!slices.Equal(got.SampleOps, ref.SampleOps) || got.Counts != ref.Counts {
-			t.Fatalf("%s %d bits chunk %d: fused sample half differs from the reference", p.App.Name, w.VectorBits, chunk)
+		for _, got := range []*FusedTrace{res[i].Fused, streamed[i]} {
+			if !sameHalf(got, ref) {
+				t.Fatalf("%s %d bits chunk %d: fused sample half differs from the reference", p.App.Name, w.VectorBits, chunk)
+			}
 		}
 		want := walkCaches(ref, w.Configs)
 		for j, hrt := range res[i].Tables {
@@ -67,7 +75,14 @@ func checkPassMatchesReference(t testing.TB, p ColdPass, chunk int) (ScalarTrace
 			}
 		}
 	}
-	return st, res
+	return cp, res
+}
+
+// sameHalf reports whether got is a sample half (WarmOps nil) equal to the
+// sample half of ref.
+func sameHalf(got, ref *FusedTrace) bool {
+	return got.WarmOps == nil && slices.Equal(got.Meta, ref.Meta) && slices.Equal(got.Deps, ref.Deps) &&
+		slices.Equal(got.SampleOps, ref.SampleOps) && got.Counts == ref.Counts
 }
 
 // longestBlock returns the length of the longest run of one basic block in
@@ -104,25 +119,6 @@ func TestColdPassMatchesReference(t *testing.T) {
 	}
 	if !grown {
 		t.Error("no application has a warm block longer than 300 micro-ops: the test no longer covers a chunk that outgrows its buffer")
-	}
-}
-
-// TestColdPassGivenWindow: a pass handed the sample window uses it as it is
-// and builds what a pass that generates it builds.
-func TestColdPassGivenWindow(t *testing.T) {
-	app := apps.Hydro()
-	p := coldPassOf(app, 5000, 15000, []int{256, 512})
-	_, want := p.Run()
-	p.Window = BuildSampleWindow(app, 5000, 15000, p.Seed)
-	st, got := p.Run()
-	if &st.Instrs[0] != &p.Window.Instrs[0] {
-		t.Error("the pass copied the window it was given")
-	}
-	for i := range want {
-		if !slices.Equal(got[i].Fused.Meta, want[i].Fused.Meta) || !slices.Equal(got[i].Tables[0].Levels, want[i].Tables[0].Levels) ||
-			got[i].Tables[1].L2 != want[i].Tables[1].L2 {
-			t.Errorf("width %d: a pass on the given window differs from one that generated it", p.Widths[i].VectorBits)
-		}
 	}
 }
 

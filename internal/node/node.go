@@ -299,7 +299,7 @@ func (tm *TimingMemo) regions(app *apps.Profile, seed uint64) *regionReplay {
 // All slices are immutable while the trace has readers; annotations combined
 // from it copy what they need (CombineAnnotation), so a sweep hands the
 // columns to its scratch once the application's last group is done. The trace has two independently built halves: WarmOps
-// (fuseWarm), and everything else (Scratch.FuseSample).
+// (fuseWarm), and everything else (the sample fuse: sampleFuse).
 type FusedTrace struct {
 	// WarmOps is the warm window's fused memory accesses in stream order;
 	// nil on a sample-half-only trace, which a cache walk must not be given.
@@ -357,9 +357,11 @@ type HitRateTable struct {
 // (application, fidelity, seed): the warm window followed by the sample
 // window, before any width fusion. Every vector width of an application
 // fuses the identical scalar sequence — only the fuser differs — so the
-// sweep runner generates it once and fuses it per width. A trace with
-// Warm == 0 is a sample window: all Scratch.FuseSample reads, and the only
-// window a sweep keeps (a cold pass streams the warm window).
+// sweep runner generates it once and fuses it per width. No sweep
+// materialises one: a cold pass streams both windows, and a run served from
+// hit-rate tables streams the sample window from a checkpoint
+// (Scratch.FuseSample). It is the reference they are tested against, and
+// what the benchmark's ladder times.
 type ScalarTrace struct {
 	Instrs []isa.Instr
 	// Warm is the number of leading instructions belonging to the warm
@@ -382,14 +384,15 @@ func generateWindow(gen *apps.DetailedStream, warm, sample int64) ScalarTrace {
 }
 
 // FuseScalarTrace fuses a scalar trace at one vector width: the sample half
-// (Scratch.FuseSample) plus the warm half (fuseWarm), which share no state.
+// (fuseScalarSample) plus the warm half (fuseWarm), which share no state.
 // Branch mispredict outcomes are drawn here — they consume the same
 // seed-derived random sequence whatever the cache configuration — so the
 // cache walk (AnnotateTrace) is purely deterministic replay. A sweep never
-// holds a whole window: ColdPass streams the warm half into the caches
-// instead, and this is the reference it is tested against.
+// holds a whole window: ColdPass streams the warm half into the caches and
+// the sample half into the fusers instead, and this is the reference it is
+// tested against.
 func FuseScalarTrace(st ScalarTrace, app *apps.Profile, vectorBits int, seed uint64) *FusedTrace {
-	ft := NewScratch().FuseSample(st, app, vectorBits, seed)
+	ft := fuseScalarSample(st, app, vectorBits, seed)
 	ft.WarmOps = fuseWarm(st, vectorBits)
 	return ft
 }
@@ -419,27 +422,42 @@ func fuseWarm(st ScalarTrace, vectorBits int) []WarmOp {
 // the trace's seed.
 const mispredictSalt = 0x5eed
 
-// fuseSample fills ft with the sample half of st, fused by fu: ft's columns
-// are truncated and grown, so a recycled half's storage is overwritten, never
-// read.
-func fuseSample(ft *FusedTrace, fu *isa.Fuser, st ScalarTrace, app *apps.Profile, seed uint64) {
-	fu.Feed(st.Instrs[st.Warm:])
-	sampleInstrs := int(int64(len(st.Instrs)) - st.Warm)
+// sampleFuse fuses a sample window into a fused half a chunk at a time. The
+// fuser's runs never span a change of basic block and the mispredict draws
+// run on from chunk to chunk, so chunks cut where the block changes fuse to
+// the half of the whole window; a materialised window is one chunk.
+type sampleFuse struct {
+	ft   *FusedTrace
+	fu   *isa.Fuser
+	rng  xrand.RNG
+	rate float64
+}
+
+// begin starts the fuse of a sample window of n micro-ops into ft by fu, a
+// fuser with no input: ft's columns are truncated and grown, so a recycled
+// half's storage is overwritten, never read.
+func (f *sampleFuse) begin(ft *FusedTrace, fu *isa.Fuser, app *apps.Profile, seed uint64, n int64) {
+	f.ft, f.fu, f.rate = ft, fu, app.MispredictRate
+	f.rng.Seed(seed ^ mispredictSalt)
 	ft.WarmOps = nil
-	ft.SampleOps = slices.Grow(ft.SampleOps[:0], sampleInstrs/2)
-	ft.Deps = slices.Grow(ft.Deps[:0], sampleInstrs)
-	ft.Meta = slices.Grow(ft.Meta[:0], sampleInstrs)
-	rng := xrand.New(seed ^ mispredictSalt)
-	rate := app.MispredictRate
+	ft.SampleOps = slices.Grow(ft.SampleOps[:0], int(n/2))
+	ft.Deps = slices.Grow(ft.Deps[:0], int(n))
+	ft.Meta = slices.Grow(ft.Meta[:0], int(n))
+}
+
+// feed fuses the window's next chunk.
+func (f *sampleFuse) feed(chunk []isa.Instr) {
+	ft := f.ft
+	f.fu.Feed(chunk)
 	for {
-		run, ok := fu.NextRun()
+		run, ok := f.fu.NextRun()
 		if !ok {
-			break
+			return
 		}
 		for i := range run {
 			in := &run[i]
 			var flags uint8
-			if in.Class == isa.Branch && rate > 0 && rng.Bernoulli(rate) {
+			if in.Class == isa.Branch && f.rate > 0 && f.rng.Bernoulli(f.rate) {
 				flags = cpu.FlagMispredict
 			}
 			if in.Class.IsMem() {
@@ -451,7 +469,22 @@ func fuseSample(ft *FusedTrace, fu *isa.Fuser, st ScalarTrace, app *apps.Profile
 			ft.Meta = append(ft.Meta, cpu.PackMeta(in.Class, in.Lanes, 0, flags))
 		}
 	}
-	ft.Counts = cpu.CountMeta(ft.Meta)
+}
+
+// end returns the fused half, its counts taken. The fuser is the caller's
+// again.
+func (f *sampleFuse) end() *FusedTrace {
+	f.ft.Counts = cpu.CountMeta(f.ft.Meta)
+	return f.ft
+}
+
+// fuseScalarSample fuses the sample window of a materialised trace, on new
+// storage.
+func fuseScalarSample(st ScalarTrace, app *apps.Profile, vectorBits int, seed uint64) *FusedTrace {
+	var f sampleFuse
+	f.begin(new(FusedTrace), isa.NewFuser(nil, isa.DefaultFuserConfig(vectorBits)), app, seed, int64(len(st.Instrs))-st.Warm)
+	f.feed(st.Instrs[st.Warm:])
+	return f.end()
 }
 
 // AnnotateTrace replays a fused trace through cfg's cache hierarchy: the

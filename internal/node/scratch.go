@@ -11,15 +11,15 @@ import (
 	"musa/internal/isa"
 )
 
-// Scratch is storage that a sequence of builds hands on: sample windows,
-// fused sample halves, compiled op columns, hit-rate tables' level columns,
-// the fusers that fuse them, and what a cold pass streams through — its
-// generator, its two chunk buffers and its cache hierarchies (up to
+// Scratch is storage that a sequence of builds hands on: fused sample halves,
+// compiled op columns, hit-rate tables' level columns, the fusers that fuse
+// them, and what a cold pass or a sample fuse streams through — its
+// generator, its two chunk buffers and a pass's cache hierarchies (up to
 // maxScratchWalkBytes of them). A value released to it is handed to the next
-// build of the same kind, which overwrites it completely — a window or a half
-// is regenerated element by element, an op column recompiled, a level column
-// cleared and walked again, a generator or a fuser reset
-// (apps.DetailedStream.Reset, isa.Fuser.Reset), a hierarchy reset in place
+// build of the same kind, which overwrites it completely — a half is fused anew
+// element by element, an op column recompiled, a level column cleared and
+// walked again, a generator or a fuser reset (apps.DetailedStream.Reset or
+// Restore, isa.Fuser.Reset), a hierarchy reset in place
 // (cache.SharedL1.Reset) — so a build on recycled storage equals a build on
 // new storage byte for byte. Only what has no reader left may be released; a
 // released value is the next build's. A draw takes the smallest released
@@ -38,21 +38,20 @@ type Scratch struct {
 
 // storage is what the views of one Scratch share: a shelf per kind.
 type storage struct {
-	mu              sync.Mutex // guards the shelves and the stats of every view
-	windows, chunks shelf[[]isa.Instr]
-	halves          shelf[*FusedTrace]
-	ops             shelf[[]uint32]
-	tables          shelf[[]uint8]
-	streams         shelf[*apps.DetailedStream]
-	walks           shelf[keptWalk]
-	fusers          shelf[*isa.Fuser]
+	mu      sync.Mutex // guards the shelves and the stats of every view
+	halves  shelf[*FusedTrace]
+	ops     shelf[[]uint32]
+	tables  shelf[[]uint8]
+	streams shelf[*apps.DetailedStream]
+	chunks  shelf[[]isa.Instr]
+	walks   shelf[keptWalk]
+	fusers  shelf[*isa.Fuser]
 }
 
 // NewScratch returns an empty scratch. Its storage is the table of kinds:
 // each kind's shelf, with the kind's room and bytes.
 func NewScratch() *Scratch {
 	return &Scratch{storage: &storage{
-		windows: columnShelf[isa.Instr](ScratchWindows),
 		halves:  shelf[*FusedTrace]{kind: ScratchHalves, room: halfRoom, bytes: (*FusedTrace).bytes},
 		ops:     columnShelf[uint32](ScratchOps),
 		tables:  columnShelf[uint8](ScratchTables),
@@ -68,19 +67,18 @@ func NewScratch() *Scratch {
 type ScratchKind int
 
 const (
-	ScratchWindows     ScratchKind = iota // sample windows
-	ScratchHalves                         // fused sample halves
+	ScratchHalves      ScratchKind = iota // fused sample halves
 	ScratchOps                            // compiled op columns
 	ScratchTables                         // hit-rate tables' level columns
 	ScratchStreams                        // generators
-	ScratchChunks                         // cold-pass chunk buffers
+	ScratchChunks                         // chunk buffers
 	ScratchHierarchies                    // cold-pass cache hierarchy sets
 	ScratchFusers                         // fusers
 	NumScratchKinds
 )
 
 var scratchKindNames = [NumScratchKinds]string{
-	"windows", "halves", "ops", "tables", "streams", "chunks", "hierarchies", "fusers",
+	"halves", "ops", "tables", "streams", "chunks", "hierarchies", "fusers",
 }
 
 func (k ScratchKind) String() string { return scratchKindNames[k] }
@@ -94,7 +92,7 @@ func columnShelf[E any](k ScratchKind) shelf[[]E] {
 // inDropOrder returns the shelves in the order EndRun lets go of their
 // values.
 func (st *storage) inDropOrder() [NumScratchKinds]anyShelf {
-	return [...]anyShelf{&st.windows, &st.halves, &st.tables, &st.ops, &st.walks, &st.streams, &st.chunks, &st.fusers}
+	return [...]anyShelf{&st.halves, &st.tables, &st.ops, &st.walks, &st.streams, &st.chunks, &st.fusers}
 }
 
 // anyShelf is a shelf of any kind, as Held and EndRun see it.
@@ -269,7 +267,7 @@ func (st *storage) held() ScratchHeld {
 // EndRun is called when a run's builds are done. It lets go of the cache
 // hierarchies no pass drew back from the scratch since the previous EndRun —
 // the set a one-point run walked once, which a ring replica would otherwise
-// hold for its next rare cold miss — and of the oldest windows, then halves,
+// hold for its next rare cold miss — and of the oldest halves, then
 // level columns, op columns, hierarchies, generators, chunk buffers and
 // fusers, until what stays fits MaxScratchKeepBytes. A run still going on
 // the same storage loses only storage.
@@ -300,14 +298,13 @@ func (ft *FusedTrace) bytes() int64 {
 // and meta columns hold without growing.
 func halfRoom(ft *FusedTrace) int64 { return int64(min(cap(ft.Deps), cap(ft.Meta))) }
 
-// stream returns app's generator at seed: a released one reset
-// (apps.DetailedStream.Reset), or a new one.
-func (s *Scratch) stream(app *apps.Profile, seed uint64) *apps.DetailedStream {
+// stream returns a generator for a Reset or a Restore: a released one, or a
+// new one.
+func (s *Scratch) stream() *apps.DetailedStream {
 	if gen, ok := take(s, &s.streams, anyRoom, nil); ok {
-		gen.Reset(app, seed)
 		return gen
 	}
-	return apps.NewDetailedStream(app, seed)
+	return new(apps.DetailedStream)
 }
 
 // fuser returns a fuser at vectorBits' default configuration with no input
@@ -328,48 +325,66 @@ func (s *Scratch) releaseFuser(fu *isa.Fuser) {
 	put(s, &s.fusers, fu)
 }
 
-// SampleWindow is the sample window of app at this fidelity and seed — the
-// generator stepped through the warm window without materialising it — in a
-// released window's storage, from a released generator.
-func (s *Scratch) SampleWindow(app *apps.Profile, sampleInstrs, warmupInstrs int64, seed uint64) ScalarTrace {
-	sampleInstrs, warmupInstrs = apps.EffectiveFidelity(sampleInstrs, warmupInstrs)
-	gen := s.stream(app, seed)
+// SampleCheckpoint returns the checkpoint of app's generator at seed at the
+// start of the sample window at this fidelity: the generator stepped
+// through the warm window without materialising it, on a released
+// generator.
+func (s *Scratch) SampleCheckpoint(app *apps.Profile, sampleInstrs, warmupInstrs int64, seed uint64) *apps.Checkpoint {
+	_, warmupInstrs = apps.EffectiveFidelity(sampleInstrs, warmupInstrs)
+	gen := s.stream()
+	gen.Reset(app, seed)
 	gen.Skip(warmupInstrs)
-	st := s.generate(gen, sampleInstrs)
+	cp := gen.Checkpoint()
 	put(s, &s.streams, gen)
-	return st
+	return cp
 }
 
-// generate materialises the next n micro-ops of gen as a sample window, in a
-// released window's storage (grown when none is long enough).
-func (s *Scratch) generate(gen *apps.DetailedStream, n int64) ScalarTrace {
-	instrs, _ := take(s, &s.windows, n, nil)
-	instrs = slices.Grow(instrs[:0], int(n))[:n]
-	gen.Read(instrs)
-	return ScalarTrace{Instrs: instrs}
-}
-
-// ReleaseWindow hands a sample window's storage to the next window build.
-// Nothing may read st afterwards: not a front, not a fused build.
-func (s *Scratch) ReleaseWindow(st ScalarTrace) {
-	if st.Instrs != nil {
-		put(s, &s.windows, st.Instrs[:0])
-	}
-}
-
-// FuseSample fuses the sample window of a scalar trace — everything of a
+// FuseSample restores cp, the checkpoint at the start of app's sample window
+// of sample micro-ops at seed, and streams the window through one fuser per
+// width: it returns the fused sample half of each width — everything of a
 // FusedTrace but WarmOps, which stays nil; all CombineAnnotation and the
-// timing replay read — into a released half's storage, with a released
-// fuser.
-func (s *Scratch) FuseSample(st ScalarTrace, app *apps.Profile, vectorBits int, seed uint64) *FusedTrace {
-	ft, _ := take(s, &s.halves, int64(len(st.Instrs))-st.Warm, nil)
-	if ft == nil {
-		ft = new(FusedTrace)
+// timing replay read — in widths order, each in a released half's storage.
+// The window is generated once, two chunk buffers at a time, whatever the
+// widths; nothing longer than a chunk is materialised.
+func (s *Scratch) FuseSample(cp *apps.Checkpoint, sample int64, app *apps.Profile, seed uint64, widths []int) []*FusedTrace {
+	return s.fuseSample(cp, sample, app, seed, widths, coldChunk)
+}
+
+// fuseSample is FuseSample with the chunk length a parameter, so tests can
+// force cuts.
+func (s *Scratch) fuseSample(cp *apps.Checkpoint, sample int64, app *apps.Profile, seed uint64, widths []int, chunk int) []*FusedTrace {
+	gen := s.stream()
+	gen.Restore(cp)
+	fuses := make([]sampleFuse, len(widths))
+	for i, vec := range widths {
+		fuses[i].begin(s.half(sample), s.fuser(vec), app, seed, sample)
 	}
-	fu := s.fuser(vectorBits)
-	fuseSample(ft, fu, st, app, seed)
-	s.releaseFuser(fu)
-	return ft
+	r := s.chunkReader(gen, sample, chunk, sample)
+	for {
+		instrs, _, ok := r.next()
+		if !ok {
+			break
+		}
+		for i := range fuses {
+			fuses[i].feed(instrs)
+		}
+	}
+	s.releaseReader(r)
+	out := make([]*FusedTrace, len(fuses))
+	for i := range fuses {
+		out[i] = fuses[i].end()
+		s.releaseFuser(fuses[i].fu)
+	}
+	return out
+}
+
+// half returns a fused half to fuse a sample window of n micro-ops into: a
+// released one, the smallest with room, or a new one.
+func (s *Scratch) half(n int64) *FusedTrace {
+	if ft, _ := take(s, &s.halves, n, nil); ft != nil {
+		return ft
+	}
+	return new(FusedTrace)
 }
 
 // ReleaseFused hands a fused sample half's columns to the next fuse. Nothing

@@ -12,11 +12,10 @@ import (
 	"musa/internal/xrand"
 )
 
-// release hands a pass's sample window, fused halves and tables back to s,
-// as a sweep without an artifact provider does once the application's last
-// group is done.
-func release(s *Scratch, st ScalarTrace, res []WidthTables) {
-	s.ReleaseWindow(st)
+// release hands a pass's fused halves and tables back to s, as a sweep
+// without an artifact provider does once the application's last group is
+// done.
+func release(s *Scratch, res []WidthTables) {
 	for _, w := range res {
 		s.ReleaseFused(w.Fused)
 		for _, hrt := range w.Tables {
@@ -29,7 +28,7 @@ func release(s *Scratch, st ScalarTrace, res []WidthTables) {
 // sequence of cold passes — every application, each Table I width, nodes of
 // 1, 32 and 64 cores under the three Table I caches, two fidelities and
 // chunks of 300, 4 096 and coldChunk micro-ops — releasing each pass's
-// window, halves and tables before the next, and compares every pass with
+// halves and tables before the next, and compares every pass with
 // its fresh whole-window reference. Passes over the same configurations reset the
 // previous pass's hierarchies, except those holding a 1-core node's L3
 // partitions (24 MB a width), which the scratch lets go; a smaller fidelity
@@ -63,11 +62,11 @@ func TestScratchPassesMatchReference(t *testing.T) {
 	for _, ps := range passes {
 		p := coldPassOf(ps.app, ps.sample, ps.warmup, ps.widths, ps.cores...)
 		p.Scratch = s
-		st, res := checkPassMatchesReference(t, p, ps.chunk)
-		release(s, st, res)
+		_, res := checkPassMatchesReference(t, p, ps.chunk)
+		release(s, res)
 	}
 	st := s.Stats()
-	for _, k := range []ScratchKind{ScratchWindows, ScratchHalves, ScratchTables, ScratchStreams, ScratchChunks, ScratchHierarchies} {
+	for _, k := range []ScratchKind{ScratchHalves, ScratchTables, ScratchStreams, ScratchChunks, ScratchHierarchies} {
 		if c := st[k]; c.Reused == 0 {
 			t.Errorf("%s: %+v, none reused: the sequence does not exercise recycled storage", k, c)
 		}
@@ -113,9 +112,9 @@ func TestWalkSetBytes(t *testing.T) {
 	}
 }
 
-// TestFuseAndCompileIntoRecycledStorage: a fused sample half built on the
-// columns of another application's half, and an op column compiled into one
-// left by another trace, equal fresh builds.
+// TestFuseAndCompileIntoRecycledStorage: a fused sample half streamed from
+// a checkpoint onto the columns of another application's half, and an op
+// column compiled into one left by another trace, equal fresh builds.
 func TestFuseAndCompileIntoRecycledStorage(t *testing.T) {
 	s := NewScratch()
 	var ops []uint32
@@ -124,11 +123,11 @@ func TestFuseAndCompileIntoRecycledStorage(t *testing.T) {
 		other := all[(i+1)%len(all)]
 		s.ReleaseFused(FuseSample(BuildSampleWindow(other, 9000, 1000, 3), other, 128, 3))
 		st := BuildSampleWindow(app, 6000, 2000, 1)
+		cp := s.SampleCheckpoint(app, 6000, 2000, 1)
 		for _, vec := range tableIWidths {
 			want := FuseSample(st, app, vec, 1)
-			got := s.FuseSample(st, app, vec, 1)
-			if got.WarmOps != nil || !slices.Equal(got.Meta, want.Meta) || !slices.Equal(got.Deps, want.Deps) ||
-				!slices.Equal(got.SampleOps, want.SampleOps) || got.Counts != want.Counts {
+			got := s.FuseSample(cp, 6000, app, 1, []int{vec})[0]
+			if !sameHalf(got, want) {
 				t.Fatalf("%s %d bits: a half fused on recycled columns differs from a fresh one", app.Name, vec)
 			}
 			hrt := walkCaches(FuseScalarTrace(BuildScalarTrace(app, 6000, 2000, 1), app, vec, 1), tableICacheConfigs(vec)[:1])[0]
@@ -156,10 +155,10 @@ func TestFuseAndCompileIntoRecycledStorage(t *testing.T) {
 // TestColdPassChunkBytes pins the chunk buffers' sizing on the ring
 // replicas' fidelity (20 000 sample after 100 000 warm-up micro-ops), on no
 // scratch: each buffer holds coldChunk (8 192) micro-ops, so one LULESH pass
-// at one width over one 64-core configuration allocates under 2.0 MB
-// (≈ 1.78 MB: the buffers' 0.52 MB, the 0.64 MB window, the half, one
-// hierarchy, the table and the generator) — at 65 536 micro-ops the buffers
-// alone took 3.2 MB and the pass 4.5 MB.
+// at one width over one 64-core configuration allocates under 1.4 MB
+// (≈ 1.14 MB: the buffers' 0.52 MB, the half, one hierarchy, the table and
+// the generator; 1.78 MB while the pass generated a 0.64 MB sample window)
+// — at 65 536 micro-ops the buffers alone took 3.2 MB and the pass 4.5 MB.
 func TestColdPassChunkBytes(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("allocation pins skip under -race")
@@ -174,7 +173,7 @@ func TestColdPassChunkBytes(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	p.Run()
 	runtime.ReadMemStats(&after)
-	const bound = 2.0e6
+	const bound = 1.4e6
 	if got := after.TotalAlloc - before.TotalAlloc; float64(got) >= bound {
 		t.Errorf("one 20 000 / 100 000 pass allocated %.2f MB, want under %.1f MB", float64(got)/1e6, bound/1e6)
 	} else {
@@ -186,11 +185,11 @@ func TestColdPassChunkBytes(t *testing.T) {
 // after two passes through one scratch over the same configurations — LULESH
 // at the benchmark's fidelity (120 000 sample after 700 000 warm-up
 // micro-ops), the three Table I widths, nine tables — each releasing its
-// window, halves and tables back, a third pass draws its generator, chunk
-// buffers, fusers, hierarchies, window, halves and level columns from the
-// scratch and allocates under 0.1 MB (≈ 0.006 MB in about 30 objects: the
-// goroutines, their channels and the per-width slices; 0.07 MB while each
-// width built a new fuser; a pass on no scratch allocates 12.1 MB).
+// halves and tables back, a third pass draws its generator, chunk buffers,
+// fusers, hierarchies, halves and level columns from the scratch and
+// allocates under 0.1 MB (≈ 0.006 MB in about 30 objects: the goroutines,
+// their channels, the per-width slices and the checkpoint; 0.07 MB while
+// each width built a new fuser; a pass on no scratch allocates 8.3 MB).
 func TestColdPassOnScratchAllocs(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("three full-fidelity passes; allocation pins skip under -race")
@@ -198,21 +197,21 @@ func TestColdPassOnScratchAllocs(t *testing.T) {
 	p := coldPassOf(apps.LULESH(), 120000, 700000, tableIWidths)
 	p.Scratch = NewScratch()
 	for range 2 {
-		st, res := p.Run()
-		release(p.Scratch, st, res)
+		_, res := p.Run()
+		release(p.Scratch, res)
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	st, res := p.Run()
+	_, res := p.Run()
 	runtime.ReadMemStats(&after)
-	release(p.Scratch, st, res)
+	release(p.Scratch, res)
 	const bound = 0.1e6
 	if got := after.TotalAlloc - before.TotalAlloc; float64(got) >= bound {
 		t.Errorf("a pass on a warm scratch allocated %.3f MB, want under %.1f MB", float64(got)/1e6, bound/1e6)
 	} else {
 		t.Logf("a pass on a warm scratch allocated %.3f MB (%d objects)", float64(got)/1e6, after.Mallocs-before.Mallocs)
 	}
-	if st := p.Scratch.Stats(); st[ScratchWindows].New != 1 || st[ScratchHalves].New != 3 || st[ScratchTables].New != 9 ||
+	if st := p.Scratch.Stats(); st[ScratchHalves].New != 3 || st[ScratchTables].New != 9 ||
 		st[ScratchStreams].New != 1 || st[ScratchChunks].New != 2 || st[ScratchHierarchies].New != 3 {
 		t.Errorf("the second and third passes allocated columns: %+v", st)
 	}
@@ -221,10 +220,11 @@ func TestColdPassOnScratchAllocs(t *testing.T) {
 // FuzzColdPassReuseMatchesReference is FuzzColdPassMatchesReference on a
 // scratch an unrelated pass used first — another application, seed,
 // fidelity, chunk length and pair of widths over the same configurations —
-// and released its generator, chunk buffers, hierarchies, window, halves and
-// tables to: the pass must run on that storage (a recycled generator and
+// and released its generator, chunk buffers, hierarchies, halves and tables
+// to: the pass must run on that storage (a recycled generator and
 // hierarchies always; the columns when they have room, grown when not) and
-// still equal the fresh whole-window reference (window, halves and tables).
+// still equal the fresh whole-window reference (checkpoint, halves and
+// tables).
 func FuzzColdPassReuseMatchesReference(f *testing.F) {
 	f.Add(uint8(0), uint64(1), uint16(3000), uint16(9000), uint8(0), uint16(299))
 	f.Add(uint8(2), uint64(9), uint16(7999), uint16(1), uint8(1), uint16(0))
@@ -237,8 +237,8 @@ func FuzzColdPassReuseMatchesReference(f *testing.F) {
 		first := coldPassOf(all[(int(app)+1)%len(all)], int64((sample+4000)%8000)+1, int64((warmup+8000)%16000)+1,
 			[]int{widths[(int(width)+2)%len(widths)], widths[(int(width)+3)%len(widths)]})
 		first.Seed, first.Scratch = seed+1, s
-		st, res := first.run(int(chunk/2) + 1)
-		release(s, st, res)
+		_, res := first.run(int(chunk/2) + 1)
+		release(s, res)
 		if h := s.Held(); h[ScratchStreams].Values != 1 || h[ScratchHierarchies].Values != 2 || h[ScratchTables].Values != 6 ||
 			h[ScratchHalves].Values != 2 || h[ScratchChunks].Values == 0 {
 			t.Fatalf("the first pass left %+v in the scratch", h)
@@ -259,8 +259,8 @@ func FuzzColdPassReuseMatchesReference(f *testing.F) {
 // the smallest value with room for a build, else the largest; the largest
 // for a draw that cannot tell its need (anyRoom); nothing from an empty
 // shelf; hierarchy sets only on an exact configuration match; EndRun's drop
-// order under MaxScratchKeepBytes (windows, halves, level columns, op
-// columns, hierarchies, generators, chunk buffers, fusers); and the drawn
+// order under MaxScratchKeepBytes (halves, level columns, op columns,
+// hierarchies, generators, chunk buffers, fusers); and the drawn
 // rule, which lets go of a hierarchy set no pass drew back since the last
 // EndRun.
 func TestScratchShelfPolicy(t *testing.T) {
@@ -327,7 +327,7 @@ func TestScratchShelfPolicy(t *testing.T) {
 		t.Errorf("a set no pass drew back since the last EndRun outlived it")
 	}
 
-	// The trim: 30 MiB held is 6 MiB over the bound, which the two windows
+	// The trim: 30 MiB held is 6 MiB over the bound, which the two halves
 	// (4 MiB) and then the level column (8 MiB) cover; the op column and the
 	// chunk buffer, later in the order, stay.
 	const mib = 1 << 20
@@ -335,11 +335,11 @@ func TestScratchShelfPolicy(t *testing.T) {
 	s.ReleaseOps(make([]uint32, 8*mib/4))
 	put(s, &s.chunks, make([]isa.Instr, 0, 10*mib/32))
 	s.ReleaseTable(HitRateTable{Levels: make([]uint8, 8*mib)})
-	s.ReleaseWindow(ScalarTrace{Instrs: make([]isa.Instr, 2*mib/32)})
-	s.ReleaseWindow(ScalarTrace{Instrs: make([]isa.Instr, 2*mib/32)})
+	s.ReleaseFused(&FusedTrace{Meta: make([]uint32, 2*mib/4)})
+	s.ReleaseFused(&FusedTrace{Meta: make([]uint32, 2*mib/4)})
 	s.EndRun()
 	h := s.Held()
-	if h[ScratchWindows].Values != 0 || h[ScratchTables].Values != 0 || h[ScratchOps].Values != 1 || h[ScratchChunks].Values != 1 {
+	if h[ScratchHalves].Values != 0 || h[ScratchTables].Values != 0 || h[ScratchOps].Values != 1 || h[ScratchChunks].Values != 1 {
 		t.Errorf("EndRun over the bound kept %+v, want the op column and the chunk buffer only", h)
 	}
 	if h.Bytes() != 18*mib {
@@ -356,7 +356,6 @@ func TestScratchShelfReuseAllocs(t *testing.T) {
 	}
 	s := NewScratch()
 	hcfgs := walkConfigs(tableICacheConfigs(128)[6:7])
-	s.ReleaseWindow(ScalarTrace{Instrs: make([]isa.Instr, 100)})
 	s.ReleaseFused(&FusedTrace{Deps: make([]uint32, 100), Meta: make([]uint32, 100)})
 	s.ReleaseOps(make([]uint32, 100))
 	s.ReleaseTable(HitRateTable{Levels: make([]uint8, 100)})
@@ -366,7 +365,6 @@ func TestScratchShelfReuseAllocs(t *testing.T) {
 	s.releaseFuser(s.fuser(256))
 	primed := s.Stats()
 	for k, cycle := range [NumScratchKinds]func(){
-		ScratchWindows: func() { v, _ := take(s, &s.windows, 50, nil); put(s, &s.windows, v) },
 		ScratchHalves:  func() { v, _ := take(s, &s.halves, 50, nil); put(s, &s.halves, v) },
 		ScratchOps:     func() { put(s, &s.ops, s.Ops()) },
 		ScratchTables:  func() { v, _ := take(s, &s.tables, 50, nil); put(s, &s.tables, v) },

@@ -9,9 +9,11 @@ import (
 
 // TestSampleWindowMatchesFullWindow: stepping the generator through the warm
 // window without keeping it must leave it exactly where materialising the
-// warm window leaves it, for every application and for implicit fidelity;
-// and a fuse of the sample window alone is the fuse of the full window's
-// sample part.
+// warm window leaves it, for every application and for implicit fidelity —
+// a stream restored from its checkpoint there continues with the full
+// window's sample part — and a fuse of the sample window alone, or streamed
+// from the checkpoint at all three Table I widths at once, is the fuse of
+// the full window's sample part.
 func TestSampleWindowMatchesFullWindow(t *testing.T) {
 	for _, app := range apps.All() {
 		for _, fid := range [][2]int64{{5000, 12345}, {3000, 1}, {4000, 0}} {
@@ -20,19 +22,27 @@ func TestSampleWindowMatchesFullWindow(t *testing.T) {
 			if sample.Warm != 0 || !slices.Equal(sample.Instrs, full.Instrs[full.Warm:]) {
 				t.Fatalf("%s at %v: sample window differs from the full window's sample part", app.Name, fid)
 			}
-			a, b := FuseSample(full, app, 512, 9), FuseSample(sample, app, 512, 9)
-			if !slices.Equal(a.Meta, b.Meta) || !slices.Equal(a.Deps, b.Deps) ||
-				!slices.Equal(a.SampleOps, b.SampleOps) || a.Counts != b.Counts {
-				t.Fatalf("%s at %v: fused sample halves differ", app.Name, fid)
+			s := NewScratch()
+			streamed := s.FuseSample(s.SampleCheckpoint(app, fid[0], fid[1], 9), fid[0], app, 9, tableIWidths)
+			for i, vec := range tableIWidths {
+				ref := FuseScalarTrace(full, app, vec, 9)
+				if !sameHalf(FuseSample(sample, app, vec, 9), ref) || !sameHalf(streamed[i], ref) {
+					t.Fatalf("%s at %v, %d bits: fused sample halves differ", app.Name, fid, vec)
+				}
 			}
 		}
 	}
 }
 
-// BenchmarkSampleWindow is the scalar-window rung outside benchmark/: the
-// full warm+sample window a cache walk needs against the sample window a run
-// served from hit-rate tables needs, per application, at the benchmark's
-// fidelity (120 000 sample after 700 000 warm-up micro-ops).
+// BenchmarkSampleWindow is the scalar-window rung outside benchmark/, per
+// application at the benchmark's fidelity (120 000 sample after 700 000
+// warm-up micro-ops): "full" is the warm+sample window a whole-window cache
+// walk needs, "checkpoint" the generator stepped through the warm window to
+// the sample window's checkpoint (what a run served from hit-rate tables
+// runs when its client's front lacks the checkpoint), and "fuse" what such
+// a run does per application from the checkpoint: restore it, generate the
+// sample window chunk by chunk and fuse it at the three Table I widths, on
+// a scratch a previous fuse left.
 func BenchmarkSampleWindow(b *testing.B) {
 	const sample, warmup = 120000, 700000
 	for _, app := range apps.All() {
@@ -42,11 +52,22 @@ func BenchmarkSampleWindow(b *testing.B) {
 				BuildScalarTrace(app, sample, warmup, 1)
 			}
 		})
-		b.Run(app.Name+"/sample", func(b *testing.B) {
+		s := NewScratch()
+		b.Run(app.Name+"/checkpoint", func(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
-				BuildSampleWindow(app, sample, warmup, 1)
+				s.SampleCheckpoint(app, sample, warmup, 1)
 			}
+		})
+		cp := s.SampleCheckpoint(app, sample, warmup, 1)
+		b.Run(app.Name+"/fuse", func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				for _, ft := range s.FuseSample(cp, sample, app, 1, tableIWidths) {
+					s.ReleaseFused(ft)
+				}
+			}
+			b.ReportMetric(float64(cp.Bytes()), "checkpoint-B")
 		})
 	}
 }

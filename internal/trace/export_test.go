@@ -78,3 +78,6 @@ func readInstr(r io.Reader, in *isa.Instr) error {
 	in.Vectorizable = buf[28] == 1
 	return nil
 }
+
+// IsMPI reports whether the event is a communication event.
+func (k EventKind) IsMPI() bool { return k != EvCompute }

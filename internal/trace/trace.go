@@ -47,9 +47,6 @@ func (k EventKind) String() string {
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
-// IsMPI reports whether the event is a communication event.
-func (k EventKind) IsMPI() bool { return k != EvCompute }
-
 // IsCollective reports whether the event synchronizes all ranks.
 func (k EventKind) IsCollective() bool {
 	return k == EvAllReduce || k == EvBarrier || k == EvBcast

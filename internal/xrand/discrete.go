@@ -13,14 +13,6 @@ type Discrete struct {
 	total float64
 }
 
-// NewDiscrete builds a sampler over len(weights) outcomes. Weights must be
-// non-negative with a positive sum.
-func NewDiscrete(weights []float64) *Discrete {
-	d := &Discrete{}
-	d.Reset(weights)
-	return d
-}
-
 // Reset rebuilds d in place as a sampler over weights, reusing its
 // cumulative table when it is large enough. Weights must be non-negative with
 // a positive sum.
@@ -46,11 +38,3 @@ func (d *Discrete) Sample(r *RNG) int {
 
 // N returns the number of outcomes.
 func (d *Discrete) N() int { return len(d.cum) }
-
-// Prob returns the probability of outcome i.
-func (d *Discrete) Prob(i int) float64 {
-	if i == 0 {
-		return d.cum[0] / d.total
-	}
-	return (d.cum[i] - d.cum[i-1]) / d.total
-}

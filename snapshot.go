@@ -57,8 +57,9 @@ type StoreSnapshot struct {
 type ArtifactsSnapshot struct {
 	Enabled bool          `json:"enabled"`
 	Stats   ArtifactStats `json:"stats"`
-	// SampleWindows is the client-lifetime front of scalar sample windows:
-	// requests it served, windows it had to generate, bytes it holds.
+	// SampleWindows is the client-lifetime front of sample-window
+	// checkpoints: requests it served, checkpoints it had to generate, bytes
+	// it holds.
 	SampleWindows SampleWindowStats `json:"sampleWindows"`
 	Err           string            `json:"err,omitempty"`
 	// Dir is the cache directory ("" for the in-memory cache).

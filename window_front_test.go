@@ -80,13 +80,15 @@ func openClient(t *testing.T, opts musa.ClientOptions) *musa.Client {
 
 // TestSampleWindowsOutliveTheRun runs one reduced sweep three times on one
 // client (no result store, so every run simulates). The first run walks the
-// caches: one cold pass per application streams the full window and leaves
-// its sample window in the client's front, and fuses from its own window, so
-// the front serves no request in that run; runs two and three generate
-// nothing at all, still fuse once per (application, width) from the front — a
-// stage observation stays a real build — and return the bytes a client
-// without any cache returns. A second client on the same directory finds the
-// tables and generates sample windows only.
+// caches: one cold pass per application streams the full window, fuses its
+// own sample halves and leaves its checkpoint at the start of the sample
+// window in the client's front, so the front serves no request in that run;
+// runs two and three step no generator through a warm window, still fuse
+// once per (application, width) from the front's checkpoint, one request per
+// application — a stage observation stays a real build — and return the
+// bytes a client without any cache returns. The front holds the two
+// checkpoints, under 1 MB together. A second client on the same directory
+// finds the tables and steps each generator through the warm window only.
 func TestSampleWindowsOutliveTheRun(t *testing.T) {
 	exp, fuses := windowTestExperiment(t)
 	want, _ := windowSpans(t, openClient(t, musa.ClientOptions{NoArtifacts: true}), exp)
@@ -117,11 +119,10 @@ func TestSampleWindowsOutliveTheRun(t *testing.T) {
 		}
 	}
 
-	const windowBytes = 20000 * 32
 	st := c.Snapshot().Artifacts.SampleWindows
-	if st.Generated != int64(len(exp.Apps)) || st.Front != int64(2*fuses) || st.ResidentBytes != int64(len(exp.Apps))*windowBytes {
-		t.Errorf("front after three runs: %+v, want %d generated, %d served, %d bytes",
-			st, len(exp.Apps), 2*fuses, len(exp.Apps)*windowBytes)
+	if st.Generated != int64(len(exp.Apps)) || st.Front != int64(2*len(exp.Apps)) || st.ResidentBytes <= 0 || st.ResidentBytes >= 1<<20 {
+		t.Errorf("front after three runs: %+v, want %d generated, %d served, a few KB resident",
+			st, len(exp.Apps), 2*len(exp.Apps))
 	}
 	scraped := map[string]float64{}
 	for _, f := range reg.Snapshot() {
@@ -142,8 +143,8 @@ func TestSampleWindowsOutliveTheRun(t *testing.T) {
 	if got != want {
 		t.Error("a second client on the primed directory differs from the cache-less client's dataset")
 	}
-	if len(windows) != len(exp.Apps) || windows[0] != "sample" || windows[1] != "sample" {
-		t.Errorf("a warm first run generated windows %v, want one sample window per application", windows)
+	if len(windows) != len(exp.Apps) || windows[0] != "warm" || windows[1] != "warm" {
+		t.Errorf("a warm first run generated windows %v, want one warm window per application, to its checkpoint", windows)
 	}
 }
 
@@ -163,8 +164,8 @@ func nodeRun(t *testing.T, c *musa.Client, e musa.Experiment) string {
 
 // TestSampleWindowKeyDiscriminates: the front is keyed by content. Another
 // sample size, another warm-up, another seed and another profile registered
-// under a name already seen must each get a window of their own — one more
-// generated, and the measurement a cache-less client computes — while
+// under a name already seen must each get a checkpoint of their own — one
+// more generated, and the measurement a cache-less client computes — while
 // repeating any of them generates nothing.
 func TestSampleWindowKeyDiscriminates(t *testing.T) {
 	base, err := musa.App("hydro")
@@ -223,7 +224,8 @@ func TestSampleWindowKeyDiscriminates(t *testing.T) {
 
 // TestConcurrentRunsShareOneWindowBuild primes the hit-rate tables of two
 // points of one application, then asks a fresh client for both at once: two
-// runs want the same sample window and one of them builds it.
+// runs want the same sample-window checkpoint, one of them builds it and
+// both stream their sample window from it.
 func TestConcurrentRunsShareOneWindowBuild(t *testing.T) {
 	dir := t.TempDir()
 	exps := []musa.Experiment{
