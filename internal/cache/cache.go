@@ -6,7 +6,10 @@
 // miss statistics (MPKI) reported in Figure 1 of the paper.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // LineBytes is the cache line size used throughout the evaluation.
 const LineBytes = 64
@@ -76,14 +79,23 @@ func (s *Stats) Add(other Stats) {
 // address below maxLine, 128 GiB of address space; an access past it panics
 // rather than alias (profiles stay below AddressLimit, see
 // LocalityProfile.Validate).
+//
+// The ways live in blocks of consecutive sets, about blockWays ways each,
+// and a block is allocated when an access first reaches one of its sets: a
+// walk pays for the part of the cache its lines map to, not for the whole
+// configured array (a 1-core node's L3 is the whole 32–96 MB, of which a
+// sample touches a fraction).
 type Cache struct {
 	cfg Config
-	// ways holds every set's ways back to back, assoc per set.
-	ways    []uint32
-	assoc   int
-	setMask uint64
-	setBits uint
-	Stats   Stats
+	// blocks holds the sets' ways, 1<<blockShift sets of assoc ways back to
+	// back a block; a block no access has reached is nil.
+	blocks     [][]uint32
+	assoc      int
+	setMask    uint64
+	setBits    uint
+	blockShift uint   // log2 of the sets a block holds
+	blockMask  uint64 // the sets a block holds, less one
+	Stats      Stats
 }
 
 const (
@@ -92,6 +104,10 @@ const (
 	// maxLine bounds the line addresses a cache models: below it, tag + 1
 	// fits 31 bits whatever the set count.
 	maxLine = 1<<31 - 1
+	// blockWays is the ways a block holds: one 4 KiB page of them. A block
+	// holds the largest power-of-two count of sets that fits (64 sets of 16
+	// ways), at least one set, and at most the whole cache.
+	blockWays = 1024
 )
 
 // New builds a cache; it panics on invalid configuration (configurations are
@@ -100,18 +116,19 @@ func New(cfg Config) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	lines := cfg.SizeBytes / LineBytes
-	nSets := lines / cfg.Assoc
-	bits := uint(0)
-	for s := nSets; s > 1; s >>= 1 {
-		bits++
+	nSets := cfg.SizeBytes / LineBytes / cfg.Assoc
+	setBits, blockBits := uint(bits.TrailingZeros(uint(nSets))), uint(0)
+	for blockBits < setBits && cfg.Assoc<<(blockBits+1) <= blockWays {
+		blockBits++
 	}
 	return &Cache{
-		cfg:     cfg,
-		ways:    make([]uint32, lines),
-		assoc:   cfg.Assoc,
-		setMask: uint64(nSets - 1),
-		setBits: bits,
+		cfg:        cfg,
+		blocks:     make([][]uint32, nSets>>blockBits),
+		assoc:      cfg.Assoc,
+		setMask:    uint64(nSets - 1),
+		setBits:    setBits,
+		blockShift: blockBits,
+		blockMask:  1<<blockBits - 1,
 	}
 }
 
@@ -126,15 +143,43 @@ type AccessResult struct {
 	EvictedDirty bool // the victim was dirty (a write-back is required)
 }
 
-// set returns the ways of the set holding lineAddr and the line's stored tag
-// (tag+1). It panics on a line address past maxLine.
+// set returns the ways of the set holding lineAddr, allocating its block if
+// no access reached it yet, and the line's stored tag (tag+1). It panics on a
+// line address past maxLine, before allocating anything.
 func (c *Cache) set(lineAddr uint64) ([]uint32, uint32) {
 	if lineAddr >= maxLine {
 		c.pastLimit(lineAddr)
 	}
-	base := int(lineAddr&c.setMask) * c.assoc
+	blk, base, tag := c.index(lineAddr)
+	b := c.blocks[blk]
+	if b == nil {
+		b = make([]uint32, c.assoc<<c.blockShift)
+		c.blocks[blk] = b
+	}
 	end := base + c.assoc
-	return c.ways[base:end:end], uint32(lineAddr>>c.setBits) + 1
+	return b[base:end:end], tag
+}
+
+// peek is set for a lookup that changes nothing: the ways are nil, and hold
+// no line, when no access reached the set's block.
+func (c *Cache) peek(lineAddr uint64) ([]uint32, uint32) {
+	if lineAddr >= maxLine {
+		c.pastLimit(lineAddr)
+	}
+	blk, base, tag := c.index(lineAddr)
+	b := c.blocks[blk]
+	if b == nil {
+		return nil, tag
+	}
+	end := base + c.assoc
+	return b[base:end:end], tag
+}
+
+// index returns the block of the set holding lineAddr, the set's first way
+// in it and the line's stored tag (tag+1).
+func (c *Cache) index(lineAddr uint64) (blk uint64, base int, tag uint32) {
+	s := lineAddr & c.setMask
+	return s >> c.blockShift, int(s&c.blockMask) * c.assoc, uint32(lineAddr>>c.setBits) + 1
 }
 
 // pastLimit panics on an access to lineAddr, which no tag can hold.
@@ -223,7 +268,7 @@ func (c *Cache) Insert(addr uint64) (AccessResult, bool) {
 // touching LRU state or demand statistics (used for write-backs arriving
 // from the level above). It reports whether the line was found.
 func (c *Cache) MarkDirty(addr uint64) bool {
-	ways, tag := c.set(addr >> lineShift)
+	ways, tag := c.peek(addr >> lineShift)
 	i := find(ways, tag)
 	if i >= 0 {
 		ways[i] |= dirtyBit
@@ -235,25 +280,31 @@ func (c *Cache) MarkDirty(addr uint64) bool {
 // (used to separate warmup from the measured window).
 func (c *Cache) ResetStats() { c.Stats = Stats{} }
 
-// bytes returns the size of the cache's way array: 4 bytes a line.
-func (c *Cache) bytes() int64 { return int64(len(c.ways)) * 4 }
+// bytes returns the size of the cache's configured way array, 4 bytes a
+// line, however much of it accesses have allocated.
+func (c *Cache) bytes() int64 { return int64(c.cfg.SizeBytes/LineBytes) * 4 }
 
 // Reset returns the cache to the state New left it in — every line invalid,
-// statistics zero — without allocating: a walk that reuses a cache built for
-// an earlier one behaves exactly as on a new cache.
+// statistics zero — without allocating: it clears the blocks accesses
+// allocated and keeps them, so a walk that reuses a cache built for an
+// earlier one behaves exactly as on a new cache.
 func (c *Cache) Reset() {
-	clear(c.ways)
+	for _, b := range c.blocks {
+		clear(b)
+	}
 	c.Stats = Stats{}
 }
 
 // Flush invalidates all lines and returns the number of dirty lines dropped.
 func (c *Cache) Flush() int {
 	n := 0
-	for _, w := range c.ways {
-		if w&dirtyBit != 0 {
-			n++
+	for _, b := range c.blocks {
+		for _, w := range b {
+			if w&dirtyBit != 0 {
+				n++
+			}
 		}
+		clear(b)
 	}
-	clear(c.ways)
 	return n
 }

@@ -2,25 +2,30 @@ package cache
 
 import "testing"
 
-// fuzzAddr is the address two bytes of a fuzzed operation name: one of
-// 1 024 lines, an offset inside it, and the top of the modelled address
-// space when the second byte's two high bits are set — line address bits
-// 11–30, so a direct-mapped cache's largest tag + 1 reaches bit 30, the top
-// bit a tag uses, while every line stays below maxLine.
-func fuzzAddr(b1, b2 byte) uint64 {
-	a := (uint64(b1)|uint64(b2&3)<<8)<<lineShift | uint64(b2>>2&15)*4
+// fuzzAddr is the address the three bytes of a fuzzed operation name: one of
+// 16 384 lines — the second byte, the third's two low bits and the first's
+// high nibble, which the operation does not read — an offset inside it, and
+// the top of the modelled address space when the third byte's two high bits
+// are set — line address bits 15–30, so a direct-mapped cache's largest tag
+// + 1 reaches bit 30, the top bit a tag uses, while bit 14 stays clear and
+// every line below maxLine. The 16 384 lines reach every set, so every
+// block, of the largest fuzzed cache.
+func fuzzAddr(b0, b1, b2 byte) uint64 {
+	line := uint64(b1) | uint64(b2&3)<<8 | uint64(b0>>4)<<10
+	a := line<<lineShift | uint64(b2>>2&15)*4
 	if b2>>6 == 3 {
-		a |= (maxLine &^ (1<<11 - 1)) << lineShift
+		a |= (maxLine &^ (1<<15 - 1)) << lineShift
 	}
 	return a
 }
 
 // diffCache replays data against a Cache and the referenceCache on one
 // configuration and fails at the first result, statistic or residency they
-// disagree on. Each three bytes are one operation: the first picks it
-// (Access read or write, Insert, MarkDirty, rarely Flush), the other two the
-// address — one of 1 024 lines, an offset inside it, and sometimes the top
-// of the modelled address space, so tags use every bit.
+// disagree on. Each three bytes are one operation: the first's low nibble
+// picks it (Access read or write, Insert, MarkDirty, rarely Flush), the
+// bytes together the address (fuzzAddr) — one of 16 384 lines, an offset
+// inside it, and sometimes the top of the modelled address space, so tags
+// use every bit.
 func diffCache(t *testing.T, cfg Config, data []byte) {
 	t.Helper()
 	diffCacheFrom(t, New(cfg), data)
@@ -32,7 +37,7 @@ func diffCacheFrom(t *testing.T, got *Cache, data []byte) {
 	t.Helper()
 	want := newReferenceCache(got.Config())
 	for i := 0; i+3 <= len(data); i += 3 {
-		op, addr := data[i]%16, fuzzAddr(data[i+1], data[i+2])
+		op, addr := data[i]%16, fuzzAddr(data[i], data[i+1], data[i+2])
 		switch {
 		case op < 6:
 			if g, w := got.Access(addr, false), want.Access(addr, false); g != w {
@@ -64,28 +69,29 @@ func diffCacheFrom(t *testing.T, got *Cache, data []byte) {
 			t.Fatalf("op %d: contains %#x: %v, reference %v", i/3, addr, g, w)
 		}
 	}
-	for b1 := 0; b1 < 256; b1++ {
-		for b2 := 0; b2 < 4; b2++ {
-			for _, hi := range []byte{0, 0xc0} {
-				addr := fuzzAddr(byte(b1), byte(b2)|hi)
-				if g, w := got.Contains(addr), want.Contains(addr); g != w {
-					t.Fatalf("end: contains %#x: %v, reference %v", addr, g, w)
-				}
-			}
+	// Only a line some operation named can be held: residency at the end
+	// is every such line's.
+	for i := 0; i+3 <= len(data); i += 3 {
+		addr := fuzzAddr(data[i], data[i+1], data[i+2])
+		if g, w := got.Contains(addr), want.Contains(addr); g != w {
+			t.Fatalf("end: contains %#x: %v, reference %v", addr, g, w)
 		}
 	}
 }
 
 // FuzzCacheMatchesReference looks for an operation sequence on which the
 // recency-ordered kernel and the age-scan reference disagree, on caches of
-// 1–16 ways and 1–64 sets. The seed corpus under testdata/fuzz names one
+// 1–16 ways and 1–4 096 sets: up to 64 blocks, and at least four at every
+// associativity, so lines land in blocks allocated by earlier operations
+// and in blocks they allocate. The seed corpus under testdata/fuzz names one
 // input per case the kernel distinguishes: a direct-mapped set, a full
 // sixteen-way set thrashed, dirty victims, prefetch fills of present and
-// absent lines, a flush midway and tags in the top of the modelled address
-// space.
+// absent lines, a flush midway, tags in the top of the modelled address
+// space, and lines on both sides of each block boundary up to the last
+// block, sixteen-way and direct-mapped.
 func FuzzCacheMatchesReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, ways, setsLog uint8) {
-		sets := 1 << (setsLog % 7)
+		sets := 1 << (setsLog % 13)
 		assoc := 1 + int(ways%16)
 		diffCache(t, Config{Name: "fuzz", SizeBytes: sets * assoc * LineBytes, Assoc: assoc}, data)
 	})

@@ -221,3 +221,94 @@ func TestAccessPastAddressSpacePanics(t *testing.T) {
 		}
 	}
 }
+
+// allocated returns the blocks of c accesses have allocated.
+func (c *Cache) allocated() int {
+	n := 0
+	for _, b := range c.blocks {
+		if b != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// TestCacheBlocks pins the block geometry: a block holds the largest
+// power-of-two count of sets whose ways fit 1 024, at least one set and at
+// most the whole cache.
+func TestCacheBlocks(t *testing.T) {
+	for _, tc := range []struct {
+		sets, assoc, blockSets int
+	}{
+		{256, 16, 64}, {4096, 1, 1024}, {1024, 3, 256}, {4, 2, 4}, {8, 2048, 1}, {1 << 16, 16, 64},
+	} {
+		c := New(smallCfg("t", tc.sets*tc.assoc*LineBytes, tc.assoc, 1))
+		if got := 1 << c.blockShift; got != tc.blockSets || len(c.blocks) != tc.sets/tc.blockSets {
+			t.Errorf("%d sets of %d ways: %d blocks of %d sets, want %d of %d",
+				tc.sets, tc.assoc, len(c.blocks), got, tc.sets/tc.blockSets, tc.blockSets)
+		}
+		if c.allocated() != 0 || c.bytes() != int64(tc.sets*tc.assoc*4) {
+			t.Errorf("%d sets of %d ways: a new cache allocated %d blocks, or reports %d bytes",
+				tc.sets, tc.assoc, c.allocated(), c.bytes())
+		}
+	}
+}
+
+// TestCacheAllocatesTouchedBlocks: a stream over k of a cache's blocks
+// allocates exactly those k, and lookups of untouched blocks allocate
+// nothing; Reset clears the blocks and keeps them, so the stream run again
+// allocates nothing; Flush counts the dirty lines of every block; and an
+// access past maxLine panics before allocating.
+func TestCacheAllocatesTouchedBlocks(t *testing.T) {
+	cfg := smallCfg("t", 256*16*LineBytes, 16, 1) // four blocks of 64 sets
+	touched := []int{0, 2, 3}
+	stream := func(c *Cache) {
+		for _, b := range touched {
+			for s := range 64 {
+				line := uint64(b*64 + s)
+				c.Access(line<<lineShift, s%2 == 0)
+				c.Access((line+256)<<lineShift, false)
+			}
+		}
+		c.MarkDirty(64 << lineShift) // block 1: absent, and not allocated for
+		c.Contains(65 << lineShift)
+	}
+	if n := testing.AllocsPerRun(1, func() { stream(New(cfg)) }); n != float64(len(touched)+2) {
+		t.Errorf("a stream over %d blocks allocates %.0f times, want %d: the cache, its block index and a block each",
+			len(touched), n, len(touched)+2)
+	}
+	c := New(cfg)
+	stream(c)
+	if c.allocated() != len(touched) || c.blocks[1] != nil {
+		t.Fatalf("%d blocks allocated (block 1: %v), want blocks %v", c.allocated(), c.blocks[1] != nil, touched)
+	}
+	for _, b := range touched {
+		if len(c.blocks[b]) != blockWays {
+			t.Errorf("block %d holds %d ways, want %d", b, len(c.blocks[b]), blockWays)
+		}
+	}
+	if n := testing.AllocsPerRun(5, func() { c.Reset(); stream(c) }); n != 0 {
+		t.Errorf("the stream on a reset cache allocates %.0f times, want 0", n)
+	}
+	if c.allocated() != len(touched) {
+		t.Errorf("%d blocks kept across Reset, want %d", c.allocated(), len(touched))
+	}
+	if d := c.Flush(); d != 32*len(touched) {
+		t.Errorf("Flush dropped %d dirty lines, want %d", d, 32*len(touched))
+	}
+	if d := c.Flush(); d != 0 || c.Contains(0) || c.allocated() != len(touched) {
+		t.Errorf("a flushed cache holds lines (%d dirty) or lost blocks (%d kept)", d, c.allocated())
+	}
+	fresh := New(cfg)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("an access past maxLine did not panic")
+			}
+		}()
+		fresh.Access(maxLine<<lineShift, true)
+	}()
+	if fresh.allocated() != 0 {
+		t.Errorf("an access past maxLine allocated %d blocks", fresh.allocated())
+	}
+}

@@ -13,7 +13,7 @@ func (h *Hierarchy) MemRequests() int64 { return h.MemReads + h.MemWrites }
 // Contains reports whether the line holding addr is present, without
 // updating LRU state or statistics.
 func (c *Cache) Contains(addr uint64) bool {
-	ways, tag := c.set(addr >> lineShift)
+	ways, tag := c.peek(addr >> lineShift)
 	return find(ways, tag) >= 0
 }
 

@@ -43,7 +43,7 @@ func corpusStreams(t *testing.T) map[string][]access {
 		var s []access
 		for i := 0; i+3 <= len(data); i += 3 {
 			if op := data[i] % 16; op < 10 { // diffCache's reads and writes
-				s = append(s, access{fuzzAddr(data[i+1], data[i+2]), op >= 6})
+				s = append(s, access{fuzzAddr(data[i], data[i+1], data[i+2]), op >= 6})
 			}
 		}
 		streams[e.Name()] = s

@@ -30,7 +30,7 @@ func TestResetCacheMatchesReference(t *testing.T) {
 		for round := uint64(0); round < 4; round++ {
 			data := randomOps(round, 4000)
 			for i := 0; i+3 <= len(data); i += 3 {
-				addr := fuzzAddr(data[i+1], data[i+2])
+				addr := fuzzAddr(data[i], data[i+1], data[i+2])
 				switch data[i] % 4 {
 				case 0, 1:
 					c.Access(addr, data[i]%4 == 1)

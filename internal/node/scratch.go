@@ -192,7 +192,10 @@ type keptWalk struct {
 // passes: a 64-core slice's 0.28 MB a width, not a full grid's 1-core L3
 // partitions (10.6 MB a width), which a full-grid sweep would hold through
 // its timing replays. It is 16 MiB of the 9-byte lines the cache once stored
-// scaled to its 4-byte lines, so the scratch keeps the same sets it did.
+// scaled to its 4-byte lines, so the scratch keeps the same sets it did. It
+// bounds configured bytes (SharedL1.Bytes), not allocated ones: a cache
+// allocates only the blocks of sets a walk touches, 1.9–4.2 MB of a
+// full-grid width's 11.3, and the keep rule stays what it was.
 const maxScratchWalkBytes = (16 << 20) * 4 / 9
 
 // MaxScratchKeepBytes bounds everything a Scratch keeps when a run ends

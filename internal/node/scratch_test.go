@@ -387,3 +387,38 @@ func TestScratchShelfReuseAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestFullGridWalkAllocatesTouchedSets pins what a full-grid walk pays for
+// its caches: a LULESH width at the benchmark's fidelity (120 000 sample
+// after 700 000 warm-up micro-ops) walked through all nine Table I
+// configurations reserves 11.3 MB of cache arrays — its 1-core L3 partitions
+// are the whole 32–96 MB — but allocates only the blocks of sets its lines
+// reach: at most 5 MB (≈ 4.3 MB).
+func TestFullGridWalkAllocatesTouchedSets(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("a full-fidelity walk; allocation pins skip under -race")
+	}
+	app := apps.LULESH()
+	st := BuildScalarTrace(app, 120000, 700000, 1)
+	for _, vec := range tableIWidths {
+		ft := FuseScalarTrace(st, app, vec, 1)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		walk := cache.NewSharedL1(walkConfigs(tableICacheConfigs(vec)))
+		for _, op := range ft.WarmOps {
+			walk.Access(op.Addr, int(op.Size), op.Write)
+		}
+		for _, op := range ft.SampleOps {
+			walk.Access(op.Addr, int(op.Size), op.Write)
+		}
+		runtime.ReadMemStats(&after)
+		const bound = 5e6
+		got, reserved := after.TotalAlloc-before.TotalAlloc, walk.Bytes()
+		if reserved < 11e6 || float64(got) > bound {
+			t.Errorf("%d bits: the walk allocated %.2f MB of the %.2f MB it reserves, want at most %.0f MB",
+				vec, float64(got)/1e6, float64(reserved)/1e6, bound/1e6)
+		} else {
+			t.Logf("%d bits: the walk allocated %.2f MB of the %.2f MB it reserves", vec, float64(got)/1e6, float64(reserved)/1e6)
+		}
+	}
+}

@@ -79,8 +79,12 @@ func BenchmarkSampleWindow(b *testing.B) {
 // sample fuse (256 bits), and "pass" the cold pass that streams the warm
 // window through the three widths' fusers and the three Table I cache
 // configurations of a 64-core node at each, and resolves all nine tables.
-// The generate and fuse rungs report host ns per scalar micro-op they read,
-// the pass ns per scalar micro-op of the window (warm and sample) per width.
+// "pass-full-grid" is the same pass over every Table I node of each width —
+// 1, 32 and 64 cores by the three caches, 27 tables — which is what a
+// full-grid cold sweep walks per application; its 1-core L3 partitions are
+// the whole 32–96 MB, of which the walk touches a fraction. The generate and
+// fuse rungs report host ns per scalar micro-op they read, the passes ns per
+// scalar micro-op of the window (warm and sample) per width.
 func BenchmarkColdFrontEnd(b *testing.B) {
 	const sample, warmup, width = 120000, 700000, 256
 	app := apps.LULESH()
@@ -107,6 +111,14 @@ func BenchmarkColdFrontEnd(b *testing.B) {
 		b.ReportAllocs()
 		for b.Loop() {
 			pass.Run()
+		}
+		perOp(b, len(st.Instrs)*len(tableIWidths), "ns/uop")
+	})
+	fullGrid := coldPassOf(app, sample, warmup, tableIWidths, 1, 32, 64)
+	b.Run("pass-full-grid", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			fullGrid.Run()
 		}
 		perOp(b, len(st.Instrs)*len(tableIWidths), "ns/uop")
 	})

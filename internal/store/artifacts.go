@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -15,6 +16,7 @@ import (
 	"musa/internal/cache"
 	"musa/internal/dram"
 	"musa/internal/dse"
+	"musa/internal/jsonenc"
 	"musa/internal/node"
 	"musa/internal/store/lsm"
 	"musa/internal/trace"
@@ -126,19 +128,22 @@ func (c *codec[T]) decode(data []byte) (v T, err error) {
 	return v, err
 }
 
-// encode wraps v in the envelope of the artifact addressed by key.
+// encode wraps v in the envelope of the artifact addressed by key. It writes
+// the envelope's fields and then the payload into one buffer, the bytes
+// json.Marshal renders for an artifactEnvelope whose Data is v's encoding,
+// without copying the payload a second time.
 func (c *codec[T]) encode(key string, v T) []byte {
-	data, err := json.Marshal(v)
-	if err != nil {
+	blob := make([]byte, 0, 64+len(key))
+	blob = strconv.AppendInt(append(blob, `{"schema":`...), int64(dse.ArtifactSchemaVersion), 10)
+	blob = jsonenc.AppendString(append(blob, `,"key":`...), key)
+	blob = jsonenc.AppendString(append(blob, `,"kind":`...), string(c.kind))
+	buf := bytes.NewBuffer(append(blob, `,"data":`...))
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
 		// All payloads are trees of plain exported fields.
 		panic(fmt.Sprintf("store: marshal %s artifact: %v", c.kind, err))
 	}
-	blob, err := json.Marshal(artifactEnvelope{
-		Schema: dse.ArtifactSchemaVersion, Key: key, Kind: c.kind, Data: data,
-	})
-	if err != nil {
-		panic(fmt.Sprintf("store: marshal %s envelope: %v", c.kind, err))
-	}
+	blob = buf.Bytes()
+	blob[len(blob)-1] = '}' // over the newline Encode ends a value with
 	return blob
 }
 

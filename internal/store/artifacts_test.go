@@ -9,6 +9,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"runtime/debug"
 	"slices"
 	"strings"
 	"testing"
@@ -233,6 +235,83 @@ func TestArtifactCodecTable(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// raceEnabled is set by race_test.go: allocation pins skip under -race,
+// where sync.Pool deliberately drops a share of its Puts.
+var raceEnabled bool
+
+// marshalEnvelope is the two-pass encoding codec.encode replaced: the
+// payload marshalled, then an artifactEnvelope around it marshalled again.
+func marshalEnvelope[T any](c *codec[T], key string, v T) []byte {
+	data, err := json.Marshal(v)
+	if err != nil {
+		panic(err)
+	}
+	blob, err := json.Marshal(artifactEnvelope{Schema: dse.ArtifactSchemaVersion, Key: key, Kind: c.kind, Data: data})
+	if err != nil {
+		panic(err)
+	}
+	return blob
+}
+
+// sameEncoding fails unless c encodes each value under key to the bytes of
+// marshalEnvelope.
+func sameEncoding[T any](t *testing.T, c *codec[T], key string, vs ...T) {
+	t.Helper()
+	for _, v := range vs {
+		if got, want := c.encode(key, v), marshalEnvelope(c, key, v); !bytes.Equal(got, want) {
+			t.Errorf("%s envelope under key %q:\n%s\nwant\n%s", c.kind, key, got, want)
+		}
+	}
+}
+
+// TestEncodeMatchesMarshal: the one-buffer envelope is byte for byte the
+// two-pass json.Marshal of an artifactEnvelope, for every codec — on the
+// codec table's fixtures, a structurally real hit-rate table and a burst
+// trace of a Table II application — and for keys JSON must escape; and
+// encoding a large hit-rate table allocates little more than the blob
+// (≈ 1.0 times), where the two passes allocated it twice.
+func TestEncodeMatchesMarshal(t *testing.T) {
+	keys := []string{strings.Repeat("ab", 32), `a<b>&"\` + "\u2028\xff\n"}
+	_, hrt := testHitRates(t)
+	burst := apps.BurstTrace(apps.BTMZ(), 8, 1)
+	rows := codecRows()
+	for _, key := range keys {
+		sameEncoding(t, &hitRatesCodec, key, rows[0].value.(node.HitRateTable), hrt)
+		sameEncoding(t, &latencyCodec, key, rows[1].value.(dram.LatencyModel))
+		sameEncoding(t, &burstCodec, key, rows[2].value.(*trace.Burst), burst)
+	}
+
+	if testing.Short() || raceEnabled {
+		return // allocation pins skip under -race
+	}
+	big := node.HitRateTable{Levels: make([]uint8, 300000)}
+	for i := range big.Levels {
+		big.Levels[i] = uint8(i * 7 % 5)
+	}
+	// allocated is the least one encode allocates over a few, with the
+	// collector off, so encoding/json's pooled buffers stay grown.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	allocated := func(encode func()) uint64 {
+		least := ^uint64(0)
+		for range 4 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			encode()
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return least
+	}
+	size := uint64(len(hitRatesCodec.encode(keys[0], big)))
+	one := allocated(func() { hitRatesCodec.encode(keys[0], big) })
+	two := allocated(func() { marshalEnvelope(&hitRatesCodec, keys[0], big) })
+	if 4*one > 5*size {
+		t.Errorf("encoding a %d-byte blob allocated %d bytes (two passes: %d), want at most 1.25 times the blob", size, one, two)
+	} else {
+		t.Logf("encoding a %d-byte blob allocated %d bytes (two passes: %d)", size, one, two)
 	}
 }
 
